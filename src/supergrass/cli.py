@@ -2,15 +2,13 @@
 
 Subcommands: verify, expand, berezin, bracket, pullback, closure, brackets,
 table, model.  Exit codes: 0 success, 1 check failure, 2 usage error.
-Reports are deterministic for a fixed --seed; SUPERGRASS_THREADS caps the
-number of suites run in parallel by `verify all`.
+Reports are deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -116,17 +114,12 @@ def cmd_verify(args) -> int:
     if unknown:
         print(f"unknown suite: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    threads = 1
-    env = os.environ.get("SUPERGRASS_THREADS")
-    if env:
-        try:
-            threads = max(1, int(env))
-        except ValueError:
-            print("SUPERGRASS_THREADS must be an integer", file=sys.stderr)
-            return 2
+    if args.cases < 1:
+        print("--cases must be at least 1", file=sys.stderr)
+        return 2
     suites.set_k_filter(args.k)
     try:
-        reports = suites.run_many(names, seed=args.seed, cases=args.cases, threads=threads)
+        reports = suites.run_many(names, seed=args.seed, cases=args.cases)
     finally:
         suites.set_k_filter(None)
     if args.json:

@@ -161,9 +161,6 @@ class DAElement:
         z = _zero_of(next((c for c in self.coeffs if isinstance(c, SuperPolynomial)), None))
         return DAElement(self.alg, [z] + list(self.coeffs[1:]))
 
-    def re_scalar(self):
-        return self.coeffs[0]
-
     def norm_sq(self):
         """a * conj(a); returns the u_1 coefficient after checking the
         imaginary part vanishes."""

@@ -1,8 +1,9 @@
 """Multi-index helpers for odd coordinates.
 
 A multi-index is a strictly increasing tuple of 1-based positions.  The
-families used throughout: all subsets, even-length subsets (including the
-empty one), odd-length subsets, and even-length subsets of length >= 2.
+families used throughout: odd-length subsets and even-length subsets of
+length >= 2.  `merge_sign` gives the sign of the permutation that sorts a
+concatenation of multi-indices.
 """
 
 from __future__ import annotations
@@ -15,15 +16,6 @@ def subsets(q, lengths):
     for r in lengths:
         out.extend(combinations(range(1, q + 1), r))
     return out
-
-
-def all_subsets(q):
-    return subsets(q, range(q + 1))
-
-
-def even_subsets(q):
-    """Even length including the empty index."""
-    return subsets(q, range(0, q + 1, 2))
 
 
 def odd_subsets(q):
@@ -41,11 +33,5 @@ def merge_sign(*parts):
     seq = [i for part in parts for i in part]
     if len(set(seq)) != len(seq):
         return None
-    sign = 1
-    a = list(seq)
-    for i in range(len(a)):
-        for j in range(len(a) - 1 - i):
-            if a[j] > a[j + 1]:
-                a[j], a[j + 1] = a[j + 1], a[j]
-                sign = -sign
-    return sign, tuple(a)
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return (-1 if inversions & 1 else 1), tuple(sorted(seq))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .indices import merge_sign
 from .scalars import QI, frac
 
 EVEN = 0
@@ -186,9 +187,6 @@ class SuperPolynomial:
     def scalar_part(self):
         return self.terms.get(((), ()), Fraction(0))
 
-    def constant_term(self):
-        return self.scalar_part()
-
     def max_even_degree(self):
         return max((sum(p for _, p in ev) for (ev, _) in self.terms), default=0)
 
@@ -295,8 +293,9 @@ class SuperPolynomial:
             if not want <= set(od):
                 continue
             rest = tuple(i for i in od if i not in want)
-            # sign to reorder od -> idxs + rest
-            sign = _permutation_sign_to(od, idxs + rest)
+            # od is sorted, so carrying od onto idxs + rest has the sign of
+            # sorting idxs + rest
+            sign = merge_sign(idxs, rest)[0]
             key = (ev, rest)
             s = out.get(key, 0) + sign * c
             if s:
@@ -437,25 +436,6 @@ def _odd_mul(o1, o2, symbols):
     if sign < 0:
         fac = Fraction(-1) if fac is None else -fac
     return (fac, tuple(merged))
-
-
-def _permutation_sign_to(src: tuple, dst: tuple) -> int:
-    """Sign of the permutation carrying the monomial src onto dst."""
-    pos = {v: i for i, v in enumerate(dst)}
-    perm = [pos[v] for v in src]
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 class Derivation:

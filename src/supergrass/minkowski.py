@@ -109,9 +109,6 @@ class MinkContext:
             for c in v.coeffs
         ])
 
-    def mat(self, entries=None):
-        return Mat5(self, entries)
-
     def identity(self):
         m = Mat5(self)
         one = self.table.one()
@@ -130,9 +127,6 @@ class Mat5:
         if entries is None:
             entries = [[ctx.kzero() for _ in range(5)] for _ in range(5)]
         self.entries = entries
-
-    def clone(self):
-        return Mat5(self.ctx, [row[:] for row in self.entries])
 
     def __add__(self, other):
         return Mat5(self.ctx, [

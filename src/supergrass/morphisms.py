@@ -154,10 +154,6 @@ class FleshMorphism:
             out = out + term
         return out
 
-    def nilpotency_index(self):
-        """Smallest n with Xi^n = 0 on every target coordinate product."""
-        return self.q // 2 + 1
-
 
 def _fact(n):
     out = 1

@@ -119,15 +119,6 @@ def _as_qi(x):
     return None
 
 
-def scalar_conj(c):
-    """Conjugate w.r.t. the formal I; the identity on plain rationals."""
-    return c.conjugate() if isinstance(c, QI) else c
-
-
-def is_rational(c) -> bool:
-    return isinstance(c, (int, Fraction)) or (isinstance(c, QI) and c.im == 0)
-
-
 def rational_part(c) -> Fraction:
     if isinstance(c, QI):
         if c.im != 0:

@@ -768,15 +768,8 @@ def run_suite(name, seed=0, cases=100) -> SuiteReport:
     return SuiteReport(name, results, wall_ms=(time.monotonic() - t0) * 1000.0)
 
 
-def run_many(names, seed=0, cases=100, threads=1):
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda n: run_suite(n, seed, cases), names))
-    else:
-        reports = [run_suite(n, seed, cases) for n in names]
-    return sorted(reports, key=lambda r: r.suite)
+def run_many(names, seed=0, cases=100):
+    return sorted((run_suite(n, seed, cases) for n in names), key=lambda r: r.suite)
 
 
 def reports_to_json(reports) -> str:

@@ -54,9 +54,6 @@ class SuperDomain:
         """Built-in d/d(theta): graded Leibniz left action."""
         return Derivation(self.table, ODD, {name: 1}, f"d/d{name}")
 
-    def even_derivative(self, name) -> Derivation:
-        return Derivation(self.table, EVEN, {name: 1}, f"d/d{name}")
-
     def decompose(self, f: SuperPolynomial):
         """f = sum_A theta^A eta^I f_AI(x): yields ((theta-part, eta-part),
         coefficient poly in the evens).  Unique; recombining returns f."""

@@ -119,6 +119,15 @@ def test_unknown_suite_is_usage_error(capsys):
     assert code == 2
 
 
+def test_verify_rejects_fewer_than_one_case(capsys):
+    # a run that exercises no cases must not report PASS
+    for cases in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "kernel", "--cases", cases)
+        assert code == 2
+        assert "--cases must be at least 1" in err
+        assert "PASS" not in out
+
+
 def test_bad_expression_is_usage_error(capsys):
     code, out, err = run(capsys, "expand", "2 + * 3")
     assert code == 2

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,27 +7,8 @@ import pytest
 from supergrass.kernel import (EVEN, ODD, Derivation, ParityError, SymbolTable,
                                TableMismatchError, cartan_triple, jacobi_check,
                                skew_check, super_bracket)
-
-
-def grassmann_table(k=3, evens=("x",)):
-    t = SymbolTable()
-    for n in evens:
-        t.even_symbol(n)
-    for i in range(k):
-        t.odd_symbol(f"th{i+1}")
-    return t
-
-
-def random_poly(t, rng, nterms=4, deg=2):
-    odd = [s.name for s in t.symbols if s.parity == ODD]
-    even = [s.name for s in t.symbols if s.parity == EVEN]
-    p = t.zero()
-    for _ in range(nterms):
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        ev = [(n, rng.randint(0, deg)) for n in even if rng.random() < 0.6]
-        od = [n for n in odd if rng.random() < 0.5]
-        p = p + t.monomial(c, ev, od)
-    return p
+from supergrass.scalars import QI
+from supergrass.suites import grassmann_table, random_homogeneous, random_poly
 
 
 def test_transposition_sign():
@@ -101,6 +83,35 @@ def test_associativity_and_supercommutativity_random():
             continue
         sign = -1 if (ga and gb) else 1
         assert a * b == (b * a).scale(sign)
+
+
+def test_associativity_and_graded_commutativity_over_qqi():
+    rng = random.Random(1)
+    t = grassmann_table(4)
+    I = QI(0, 1)
+    for _ in range(100):
+        a, b, c = (random_poly(t, rng) + random_poly(t, rng).scale(I) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+        pf, pg = rng.randint(0, 1), rng.randint(0, 1)
+        f = random_homogeneous(t, rng, pf) + random_homogeneous(t, rng, pf).scale(I)
+        g = random_homogeneous(t, rng, pg) + random_homogeneous(t, rng, pg).scale(I)
+        assert f * g == (g * f).scale(-1 if (pf and pg) else 1)
+
+
+def test_coefficient_of_odd_reordered_extraction_sign():
+    t = grassmann_table(3, evens=())
+    th1, th2, th3 = (t.sym(f"th{i}") for i in (1, 2, 3))
+    m = th1 * th2 * th3
+    assert m.coefficient_of_odd(("th3", "th1")) == th2
+    assert m.coefficient_of_odd(("th2", "th1")) == -th3
+    assert m.coefficient_of_odd(("th3", "th2", "th1")) == -t.one()
+    # the extracted factors, put back in front in the requested order, give m
+    for r in (1, 2, 3):
+        for names in itertools.permutations(("th1", "th2", "th3"), r):
+            front = t.one()
+            for n in names:
+                front = front * t.sym(n)
+            assert front * m.coefficient_of_odd(names) == m, names
 
 
 def test_clifford_mixed_ordering_sign():
@@ -193,6 +204,36 @@ def test_bracket_laws_random_triples():
         X, Y, Z = (rng.choice(gens) for _ in range(3))
         assert skew_check(X, Y)
         assert jacobi_check(X, Y, Z)
+
+
+def builtin_derivations(t):
+    x = t.sym("x")
+    return [
+        Derivation(t, ODD, {"th1": t.one()}, "d/dth1"),
+        Derivation(t, EVEN, {"x": t.one()}, "d/dx"),
+        Derivation(t, ODD, {"th2": x, "x": t.sym("th3")}, "X"),
+        Derivation(t, EVEN, {"x": x + 1, "th3": t.sym("th3").scale(2)}, "Y"),
+        Derivation(t, ODD, {"th3": x ** 2, "x": t.sym("th2").scale(Fraction(1, 2))}, "Z"),
+    ]
+
+
+def test_builtin_derivations_on_four_odd_generators():
+    rng = random.Random(1)
+    t = grassmann_table(4)
+    gens = builtin_derivations(t)
+    for _ in range(100):
+        D = rng.choice(gens)
+        f = random_homogeneous(t, rng, rng.randint(0, 1))
+        g = random_poly(t, rng)
+        pf = f.parity()
+        if pf is None:
+            continue
+        sign = -1 if (D.parity and pf) else 1
+        assert D(f * g) == D(f) * g + (f * D(g)).scale(sign), D.label
+    for X, Y in itertools.product(gens, repeat=2):
+        assert skew_check(X, Y), (X.label, Y.label)
+    for X, Y, Z in itertools.product(gens, repeat=3):
+        assert jacobi_check(X, Y, Z), (X.label, Y.label, Z.label)
 
 
 def test_tensoring_trick():

@@ -69,10 +69,10 @@ def test_qq_random_all_algebras():
         ctx = MinkContext(k)
         for _ in range(8):
             lam, mu = rand_da(ctx.alg, rng), rand_da(ctx.alg, rng)
-            a, b = rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
-            assert qq_check(ctx, a, b, lam, mu)
-            assert anticomm(q_matrix(ctx, a, lam), q_matrix(ctx, b, mu)) == \
-                qqbis_rhs(ctx, a, b, lam, mu)
+            for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                assert qq_check(ctx, a, b, lam, mu)
+                assert anticomm(q_matrix(ctx, a, lam), q_matrix(ctx, b, mu)) == \
+                    qqbis_rhs(ctx, a, b, lam, mu)
 
 
 def test_qqter_all_k():
@@ -356,10 +356,11 @@ def test_r32_jacobi_triples():
 
 
 def test_wedge_formula_table():
-    from supergrass.minkowski import wedge_formula_table_ok
+    from supergrass.minkowski import reality_conditions_ok, wedge_formula_table_ok
 
     rng = random.Random(71)
     for _ in range(20):
         U = tuple(QI(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
                   for _ in range(4))
         assert wedge_formula_table_ok(U)
+        assert reality_conditions_ok(wedge_coords(U, sigma_map(U)))

@@ -63,7 +63,7 @@ def test_morphism_check_random_instances():
             m_even=1,
             n_target=2,
             k_theta=rng.choice((0, 1, 2)),
-            L_eta=rng.choice((2, 3)),
+            L_eta=rng.choice((2, 3, 4)),  # with k_theta <= 2, k + L stays <= 6
             deg=rng.choice((2, 3)),
         )
         ys = [m.table.sym(n) for n in m.target_even]

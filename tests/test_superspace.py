@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supergrass.kernel import ParityError, SymbolTable
+from supergrass.suites import random_homogeneous
 from supergrass.superspace import (EvenGrassmannPoint, LiftSpace, SuperDomain,
                                    berezin, berezin_translation_check, body,
                                    hinf_extend, odd_translate, soul, supertime,
@@ -112,8 +113,16 @@ def test_tau_squared_is_dt_on_basis():
     dom, ops = supertime()
     tau, dt = ops["tau"], ops["dt"]
     t, th = dom.sym("t"), dom.sym("th")
-    for f in (dom.one(), th, t, t * th, t ** 2):
+    for f in (dom.one(), th, t, t * th, t ** 2, t ** 2 * th):
         assert tau(tau(f)) == dt(f)
+
+
+def test_D_squared_is_minus_dt_on_basis():
+    dom, ops = supertime()
+    D, dt = ops["D"], ops["dt"]
+    t, th = dom.sym("t"), dom.sym("th")
+    for f in (dom.one(), th, t, t * th, t ** 2, t ** 2 * th):
+        assert D(D(f)) == -dt(f)
 
 
 def test_flesh_commutator_of_D_and_tau_vanishes():
@@ -233,6 +242,12 @@ def test_lift_lower_round_trip():
     # lift chooses the s-linear representative
     for (ev, _), _c in frak.terms.items():
         assert sum(p for i, p in ev if space._s_index(i) is not None) <= 1
+    rng = random.Random(5)
+    d6 = SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(6)))
+    for _ in range(40):
+        f = random_homogeneous(d6.table, rng, 0)
+        space, frak = theta_lift(d6, f)
+        assert theta_lower(space, frak) == f
 
 
 def test_lift_of_one():
@@ -270,9 +285,10 @@ def test_example_lower_of_s12():
     assert lowered == d.sym("x") + d.sym("x") ** 2 * (d.sym("et1") * d.sym("et2"))
 
 
-@pytest.mark.parametrize("case", [1, 2, 3])
-@pytest.mark.parametrize("q", [3, 4, 6])
-def test_vectorfield_correspondences(case, q):
+# case 3 needs a third eta to move, so q = 2 is left out for it
+@pytest.mark.parametrize("q, case", [(q, case) for q in (2, 3, 4, 5, 6) for case in (1, 2, 3)
+                                     if (case, q) != (3, 2)])
+def test_vectorfield_correspondences(q, case):
     rng = random.Random(100 * case + q)
     assert theta_lift_vectorfield_check(case, q, rng, samples=4)
 
