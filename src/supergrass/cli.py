@@ -220,6 +220,8 @@ def cmd_pullback(args) -> int:
     else:
         with open(args.morphism) as fh:
             desc = json.load(fh)
+    if not isinstance(desc, dict):
+        raise ValueError("morphism description must be a JSON object")
     evens = tuple(desc.get("even", ()))
     thetas = tuple(desc.get("theta", ()))
     etas = tuple(desc.get("eta", ()))
@@ -251,7 +253,7 @@ def cmd_closure(args) -> int:
     print(dim)
     if args.basis:
         for i, m in enumerate(basis):
-            cells = {f"({r},{c})": v for r, row in enumerate(m)
+            cells = {f"({r},{c})": v for r, row in enumerate(m.entries)
                      for c, v in enumerate(row) if v}
             print(f"b{i}: " + " ".join(f"{k}={v}" for k, v in sorted(cells.items())))
     return 0

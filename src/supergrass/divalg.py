@@ -90,12 +90,6 @@ def _zero_of(model):
     return Fraction(0)
 
 
-def _is_zero(c):
-    if isinstance(c, SuperPolynomial):
-        return c.is_zero()
-    return not c
-
-
 class DAElement:
     """k coefficients over the basis (u_1, ..., u_k); u_1 acts as identity."""
 
@@ -134,11 +128,11 @@ class DAElement:
         out = [None] * k
         for a in range(1, k + 1):
             ca = self.coeffs[a - 1]
-            if _is_zero(ca):
+            if not ca:
                 continue
             for b in range(1, k + 1):
                 cb = other.coeffs[b - 1]
-                if _is_zero(cb):
+                if not cb:
                     continue
                 g, s = tab[(a, b)]
                 v = ca * cb
@@ -166,19 +160,22 @@ class DAElement:
         imaginary part vanishes."""
         p = self * self.conj()
         for c in p.coeffs[1:]:
-            if not _is_zero(c):
+            if c:
                 raise ArithmeticError("norm_sq has a nonzero imaginary part")
         return p.coeffs[0]
 
+    def __bool__(self):
+        return any(self.coeffs)
+
     def is_zero(self):
-        return all(_is_zero(c) for c in self.coeffs)
+        return not self
 
     def __eq__(self, other):
         if not isinstance(other, DAElement):
             return NotImplemented
         if self.alg.which != other.alg.which:
             return False
-        return all(_eq(a, b) for a, b in zip(self.coeffs, other.coeffs))
+        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
         raise TypeError("DAElement is unhashable")
@@ -195,12 +192,6 @@ def _lmul(c, a):
     if isinstance(c, SuperPolynomial):
         return c.scale(a)
     return frac(c) * a if not isinstance(c, QI) else c * a
-
-
-def _eq(a, b):
-    if isinstance(a, SuperPolynomial) or isinstance(b, SuperPolynomial):
-        return a == b
-    return a == b
 
 
 # Singletons: the tables are immutable after construction.
@@ -231,11 +222,11 @@ def gamma_constants(alg: DivisionAlgebra) -> dict:
         for b in range(1, k + 1):
             ua, ub = alg.unit(a), alg.unit(b)
             val = (ua * ub.conj() - ub * ua.conj()).scale(Fraction(1, 2))
-            if not _is_zero(val.coeffs[0]):
+            if val.coeffs[0]:
                 raise ArithmeticError("antisymmetrized product has a real part")
             for g in range(2, k + 1):
                 c = val.coeffs[g - 1]
-                if not _is_zero(c):
+                if c:
                     out[(a, b, g)] = c
     return out
 

@@ -15,7 +15,9 @@ Grammar (PEG, whitespace-insensitive)::
 Symbol naming convention in text: th<i> for the domain odd coordinates,
 et<i> for auxiliary odd parameters, eps for the Clifford generator with
 square -1, u<i> for division-algebra basis slots, field jets as phi_t,
-psi1_xx.  parse/print round-trips exactly on canonical forms.
+psi1_xx.  parse/print round-trips exactly on canonical forms.  Atoms nest
+at most MAX_NESTING deep, and a zero denominator is a syntax error, so bad
+input fails with DslSyntaxError rather than a Python error.
 """
 
 from __future__ import annotations
@@ -135,10 +137,14 @@ def _tokenize(text):
     return toks
 
 
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -188,6 +194,15 @@ class _Parser:
         return a
 
     def atom(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            _, _, ln, col = self.peek()
+            raise DslSyntaxError(f"nested more than {MAX_NESTING} deep", ln, col)
+        node = self._atom()
+        self.depth -= 1
+        return node
+
+    def _atom(self):
         k, v, ln, col = self.peek()
         if k == "INT":
             self.next()
@@ -196,6 +211,8 @@ class _Parser:
                 k2, v2, l2, c2 = self.peek()
                 if k2 != "INT":
                     raise DslSyntaxError("missing denominator", l2, c2, ("INT",))
+                if int(v2) == 0:
+                    raise DslSyntaxError("zero denominator", l2, c2)
                 self.next()
                 return Lit(Fraction(int(v), int(v2)))
             return Lit(Fraction(int(v)))

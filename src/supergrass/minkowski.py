@@ -73,6 +73,83 @@ def minkowski_norm_identity(t, x, z: DAElement) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Small dense matrices over any ring
+# ---------------------------------------------------------------------------
+
+class Matrix:
+    """Dense matrix over a ring whose elements support +, - and * and test
+    false exactly when zero: int, Fraction, QI, or DAElement with rational or
+    polynomial coefficients.
+
+    `zero` is the ring's zero; it fills every slot a product leaves empty, so
+    those slots keep the entry type.  Products skip zero factors, and each
+    entry is a sum of single binary products in index order, so octonion
+    non-associativity never enters.
+    """
+
+    __slots__ = ("entries", "zero")
+
+    def __init__(self, entries, zero):
+        self.entries = entries
+        self.zero = zero
+
+    @classmethod
+    def zeros(cls, n, zero):
+        return cls([[zero] * n for _ in range(n)], zero)
+
+    def __add__(self, other):
+        return Matrix([[a + b for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self.entries, other.entries)], self.zero)
+
+    def __sub__(self, other):
+        return Matrix([[a - b for a, b in zip(r1, r2)]
+                       for r1, r2 in zip(self.entries, other.entries)], self.zero)
+
+    def __neg__(self):
+        return self.map(lambda a: -a)
+
+    def scale(self, c):
+        """Entrywise e.scale(c): c multiplies each entry on the left."""
+        return Matrix([[e.scale(c) for e in row] for row in self.entries], self.zero)
+
+    def map(self, f):
+        return Matrix([[f(e) for e in row] for row in self.entries], f(self.zero))
+
+    def transpose(self):
+        return Matrix([list(col) for col in zip(*self.entries)], self.zero)
+
+    def __matmul__(self, other):
+        zero = self.zero
+        out = []
+        for row in self.entries:
+            acc = [zero] * len(other.entries[0])
+            for a, orow in zip(row, other.entries):
+                if not a:
+                    continue
+                for j, b in enumerate(orow):
+                    if b:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
+        return Matrix(out, zero)
+
+    def is_zero(self):
+        return not any(any(row) for row in self.entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self):
+        return f"Matrix({self.entries!r})"
+
+
+def kmat2(alg: DivisionAlgebra, e11, e12, e21, e22) -> Matrix:
+    """2x2 matrix over K with rational (or Gaussian) coefficients."""
+    return Matrix([[e11, e12], [e21, e22]], alg.zero_like())
+
+
+# ---------------------------------------------------------------------------
 # The 5x5 matrix realization of the odd translations
 # ---------------------------------------------------------------------------
 
@@ -109,93 +186,34 @@ class MinkContext:
             for c in v.coeffs
         ])
 
-    def identity(self):
-        m = Mat5(self)
-        one = self.table.one()
+    def zero_matrix(self) -> Matrix:
+        return Matrix.zeros(5, self.kzero())
+
+    def identity(self) -> Matrix:
+        m = self.zero_matrix()
+        one = self.kvalue(1, self.table.one())
         for i in range(5):
-            m.entries[i][i] = self.kvalue(1, one)
+            m.entries[i][i] = one
         return m
 
 
-class Mat5:
-    """5x5 matrix over K tensor (Clifford envelope)."""
+def conj_formal_i(m: Matrix) -> Matrix:
+    """Conjugate every scalar coefficient w.r.t. the formal square root of -1
+    (entrywise; K-basis coefficients untouched)."""
+    def cpoly(p: SuperPolynomial):
+        return SuperPolynomial(p.table, {
+            key: (c.conjugate() if isinstance(c, QI) else c)
+            for key, c in p.terms.items()
+        })
 
-    __slots__ = ("ctx", "entries")
-
-    def __init__(self, ctx: MinkContext, entries=None):
-        self.ctx = ctx
-        if entries is None:
-            entries = [[ctx.kzero() for _ in range(5)] for _ in range(5)]
-        self.entries = entries
-
-    def __add__(self, other):
-        return Mat5(self.ctx, [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
-
-    def __sub__(self, other):
-        return Mat5(self.ctx, [
-            [a - b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
-
-    def __neg__(self):
-        return Mat5(self.ctx, [[-a for a in r] for r in self.entries])
-
-    def scale(self, c):
-        """Scalar multiple (exact scalar or polynomial, multiplied on the left)."""
-        if isinstance(c, (int, Fraction, QI)):
-            c = self.ctx.table.scalar(c)
-        return Mat5(self.ctx, [[e.scale(c) for e in row] for row in self.entries])
-
-    def __matmul__(self, other):
-        out = Mat5(self.ctx)
-        for i in range(5):
-            for l in range(5):
-                a = self.entries[i][l]
-                if a.is_zero():
-                    continue
-                for j in range(5):
-                    b = other.entries[l][j]
-                    if b.is_zero():
-                        continue
-                    out.entries[i][j] = out.entries[i][j] + a * b
-        return out
-
-    def conj_formal_i(self):
-        """Conjugate every scalar coefficient w.r.t. the formal square root
-        of -1 (entrywise; K-basis coefficients untouched)."""
-        def cpoly(p: SuperPolynomial):
-            return SuperPolynomial(p.table, {
-                key: (c.conjugate() if isinstance(c, QI) else c)
-                for key, c in p.terms.items()
-            })
-
-        return Mat5(self.ctx, [
-            [DAElement(e.alg, [cpoly(c) for c in e.coeffs]) for e in row]
-            for row in self.entries
-        ])
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def __eq__(self, other):
-        return all(
-            a == b
-            for r1, r2 in zip(self.entries, other.entries)
-            for a, b in zip(r1, r2)
-        )
-
-    def __repr__(self):
-        return f"<Mat5 over {self.ctx.alg.which}>"
+    return m.map(lambda e: DAElement(e.alg, [cpoly(c) for c in e.coeffs]))
 
 
-def anticomm(m: Mat5, n: Mat5) -> Mat5:
+def anticomm(m: Matrix, n: Matrix) -> Matrix:
     return (m @ n) + (n @ m)
 
 
-def comm(m: Mat5, n: Mat5) -> Mat5:
+def comm(m: Matrix, n: Matrix) -> Matrix:
     return (m @ n) - (n @ m)
 
 
@@ -204,39 +222,39 @@ def comm(m: Mat5, n: Mat5) -> Mat5:
 V_SLOT = {(1, 1): (0, 3), (1, 2): (0, 4), (2, 1): (1, 3), (2, 2): (1, 4)}
 
 
-def x_matrix(ctx: MinkContext, a, b, value: DAElement = None) -> Mat5:
+def x_matrix(ctx: MinkContext, a, b, value: DAElement = None) -> Matrix:
     """X_ab with an optional K value in place of 1."""
-    m = Mat5(ctx)
+    m = ctx.zero_matrix()
     i, j = V_SLOT[(a, b)]
     m.entries[i][j] = ctx.promote(value) if value is not None else ctx.kvalue(1, ctx.table.one())
     return m
 
 
-def r_matrix(ctx: MinkContext, a, b) -> Mat5:
+def r_matrix(ctx: MinkContext, a, b) -> Matrix:
     """R_(ab) = (X_ab + X_ba)/2."""
     return (x_matrix(ctx, a, b) + x_matrix(ctx, b, a)).scale(Fraction(1, 2))
 
 
-def im_matrix(ctx: MinkContext, gamma) -> Mat5:
+def im_matrix(ctx: MinkContext, gamma) -> Matrix:
     """Im_gamma = (u_gamma X_12 - u_gamma X_21)/2."""
     half = ctx.kvalue(gamma, ctx.table.scalar(Fraction(1, 2)))
-    m = Mat5(ctx)
+    m = ctx.zero_matrix()
     m.entries[0][4] = half
     m.entries[1][3] = -half
     return m
 
 
-def script_i(ctx: MinkContext, zeta: DAElement) -> Mat5:
+def script_i(ctx: MinkContext, zeta: DAElement) -> Matrix:
     """I_[12](zeta) = Im(zeta) (X_12 - X_21)/2 for purely imaginary zeta."""
     z = ctx.promote(zeta)
     half = z.scale(Fraction(1, 2))
-    m = Mat5(ctx)
+    m = ctx.zero_matrix()
     m.entries[0][4] = half
     m.entries[1][3] = -half
     return m
 
 
-def q_matrix(ctx: MinkContext, a, lam) -> Mat5:
+def q_matrix(ctx: MinkContext, a, lam) -> Matrix:
     """The eps-weighted odd matrix with K value lam on row a.
 
     lam may be a rational DAElement or one with even polynomial coefficients.
@@ -248,7 +266,7 @@ def q_matrix(ctx: MinkContext, a, lam) -> Mat5:
     eps = ctx.eps()
     lam_eps = DAElement(lam.alg, [eps * c for c in lam.coeffs])
     lam_bar_eps = DAElement(lam.alg, [eps * c for c in lam.conj().coeffs])
-    m = Mat5(ctx)
+    m = ctx.zero_matrix()
     if a == 1:
         m.entries[0][2] = lam_eps
         m.entries[2][3] = lam_bar_eps
@@ -260,13 +278,13 @@ def q_matrix(ctx: MinkContext, a, lam) -> Mat5:
     return m
 
 
-def q_unit(ctx: MinkContext, a, alpha) -> Mat5:
+def q_unit(ctx: MinkContext, a, alpha) -> Matrix:
     return q_matrix(ctx, a, ctx.alg.unit(alpha))
 
 
 # -- anticommutation relations -------------------------------------------------
 
-def qq_rhs(ctx: MinkContext, a, b, lam: DAElement, mu: DAElement) -> Mat5:
+def qq_rhs(ctx: MinkContext, a, b, lam: DAElement, mu: DAElement) -> Matrix:
     """- lam conj(mu) X_ab - mu conj(lam) X_ba."""
     lam = ctx.promote(lam)
     mu = ctx.promote(mu)
@@ -277,7 +295,7 @@ def qq_check(ctx: MinkContext, a, b, lam, mu) -> bool:
     return anticomm(q_matrix(ctx, a, lam), q_matrix(ctx, b, mu)) == qq_rhs(ctx, a, b, lam, mu)
 
 
-def qqbis_rhs(ctx: MinkContext, a, b, lam: DAElement, mu: DAElement) -> Mat5:
+def qqbis_rhs(ctx: MinkContext, a, b, lam: DAElement, mu: DAElement) -> Matrix:
     """-2(Re_(ab)(lam conj mu) + Im_[ab](lam conj mu))."""
     zeta = ctx.promote(lam) * ctx.promote(mu).conj()
     re_part = (x_matrix(ctx, a, b, zeta.re()) + x_matrix(ctx, b, a, zeta.re())).scale(Fraction(1, 2))
@@ -285,11 +303,11 @@ def qqbis_rhs(ctx: MinkContext, a, b, lam: DAElement, mu: DAElement) -> Mat5:
     return -(re_part + im_part).scale(2)
 
 
-def qqter_rhs(ctx: MinkContext, a, b, alpha, beta, gammas=None) -> Mat5:
+def qqter_rhs(ctx: MinkContext, a, b, alpha, beta, gammas=None) -> Matrix:
     """-2(delta^(alpha beta) R_(ab) + Gamma^([alpha beta] gamma) eps_ab Im_gamma)."""
     if gammas is None:
         gammas = gamma_constants(ctx.alg)
-    out = Mat5(ctx)
+    out = ctx.zero_matrix()
     if alpha == beta:
         out = out + r_matrix(ctx, a, b)
     e = EPS_AB[(a, b)]
@@ -351,7 +369,7 @@ def centrality_check(ctx: MinkContext) -> bool:
 
 # -- null vectors and R-symmetries ----------------------------------------------
 
-def translation_block(m: Mat5) -> Hermitian2:
+def translation_block(m: Matrix) -> Hermitian2:
     """Read the upper-right 2x2 block as a Hermitian matrix over K."""
     def as_rational(e: DAElement):
         for c in e.coeffs[1:]:
@@ -435,22 +453,22 @@ class SuperTranslationElement:
             raise ParityError("odd charges need odd coefficients")
         return p
 
-    def v_matrix(self) -> Mat5:
-        out = Mat5(self.ctx)
+    def v_matrix(self) -> Matrix:
+        out = self.ctx.zero_matrix()
         for (a, b), p in self.v.items():
             out = out + r_matrix(self.ctx, a, b).scale(p)
         for g, p in self.w.items():
             out = out + im_matrix(self.ctx, g).scale(p)
         return out
 
-    def theta_matrix(self) -> Mat5:
-        out = Mat5(self.ctx)
+    def theta_matrix(self) -> Matrix:
+        out = self.ctx.zero_matrix()
         for (a, alpha), p in self.theta.items():
             out = out + q_unit(self.ctx, a, alpha).scale(p)
         return out
 
 
-def exp_element(el: SuperTranslationElement) -> Mat5:
+def exp_element(el: SuperTranslationElement) -> Matrix:
     """e^(V + Theta) = 1 + V + Theta + Theta^2/2 (the series truncates)."""
     V = el.v_matrix()
     T = el.theta_matrix()
@@ -472,70 +490,26 @@ def group_law_check(e1: SuperTranslationElement, e2: SuperTranslationElement) ->
 # Lorentz side: rho, the basis table, bracket closure
 # ---------------------------------------------------------------------------
 
-class KMat2:
-    """2x2 matrix over K with rational (or Gaussian) coefficients."""
-
-    def __init__(self, alg, entries):
-        self.alg = alg
-        self.entries = entries  # [[DAElement, DAElement], [DAElement, DAElement]]
-
-    @classmethod
-    def build(cls, alg, e11, e12, e21, e22):
-        return cls(alg, [[e11, e12], [e21, e22]])
-
-    def __add__(self, other):
-        return KMat2(self.alg, [
-            [a + b for a, b in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
-
-    def scale(self, c):
-        return KMat2(self.alg, [[e.scale(c) for e in row] for row in self.entries])
-
-    def __matmul__(self, other):
-        out = [[self.alg.zero_like(), self.alg.zero_like()],
-               [self.alg.zero_like(), self.alg.zero_like()]]
-        for i in range(2):
-            for j in range(2):
-                for l in range(2):
-                    out[i][j] = out[i][j] + self.entries[i][l] * other.entries[l][j]
-        return KMat2(self.alg, out)
-
-    def dagger(self):
-        return KMat2(self.alg, [
-            [self.entries[0][0].conj(), self.entries[1][0].conj()],
-            [self.entries[0][1].conj(), self.entries[1][1].conj()],
-        ])
-
-    def trace_free(self):
-        return (self.entries[0][0] + self.entries[1][1]).is_zero()
-
-    def __eq__(self, other):
-        return all(a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2))
-
-
 def h2_basis(alg: DivisionAlgebra):
     """(e_-1, e_0, e_1, ..., e_k) as 2x2 K-matrices."""
     one, zero = alg.one(), alg.zero_like()
     es = [
-        KMat2.build(alg, one, zero, zero, one),
-        KMat2.build(alg, one, zero, zero, -one),
-        KMat2.build(alg, zero, one, one, zero),
+        kmat2(alg, one, zero, zero, one),
+        kmat2(alg, one, zero, zero, -one),
+        kmat2(alg, zero, one, one, zero),
     ]
     for j in range(2, alg.dim + 1):
         u = alg.unit(j)
-        es.append(KMat2.build(alg, zero, u, -u, zero))
+        es.append(kmat2(alg, zero, u, -u, zero))
     return es
 
 
-def hermitian_to_vector(alg: DivisionAlgebra, m: KMat2):
+def hermitian_to_vector(alg: DivisionAlgebra, m: Matrix):
     """Coordinates of a Hermitian matrix in the e basis (length k+2)."""
-    p = m.entries[0][0]
-    q = m.entries[0 + 1][1]
-    z = m.entries[0][1]
-    if any(not c == 0 for c in _coeff_tail(p)) or any(not c == 0 for c in _coeff_tail(q)):
+    (p, z), (zbar, q) = m.entries
+    if any(p.coeffs[1:]) or any(q.coeffs[1:]):
         raise ValueError("diagonal must be real")
-    if m.entries[1][0] != z.conj():
+    if zbar != z.conj():
         raise ValueError("matrix is not Hermitian")
     pr, qr = p.coeffs[0], q.coeffs[0]
     vec = [Fraction(pr + qr, 2), Fraction(pr - qr, 2)]
@@ -543,56 +517,43 @@ def hermitian_to_vector(alg: DivisionAlgebra, m: KMat2):
     return vec
 
 
-def _coeff_tail(e: DAElement):
-    return e.coeffs[1:]
-
-
-def rho_endo(alg: DivisionAlgebra, sigma: KMat2):
+def rho_endo(alg: DivisionAlgebra, sigma: Matrix) -> Matrix:
     """Matrix of m -> (sigma m + m conj(sigma)^t)/2 on the e basis; raises if
     sigma is not trace free."""
-    if not sigma.trace_free():
+    if sigma.entries[0][0] + sigma.entries[1][1]:
         raise ValueError("sigma must be trace free")
-    basis = h2_basis(alg)
-    cols = []
-    sig_dag = sigma.dagger()
-    for e in basis:
-        image = (sigma @ e + e @ sig_dag).scale(Fraction(1, 2))
-        cols.append(hermitian_to_vector(alg, image))
-    n = alg.dim + 2
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    sig_dag = sigma.transpose().map(DAElement.conj)
+    cols = [hermitian_to_vector(alg, (sigma @ e + e @ sig_dag).scale(Fraction(1, 2)))
+            for e in h2_basis(alg)]
+    return Matrix(cols, Fraction(0)).transpose()
 
 
-def boost_matrix(alg, j):
+def boost_matrix(alg, j) -> Matrix:
     """B_j: e_-1 <-> e_j, everything else to 0."""
-    n = alg.dim + 2
-    m = [[Fraction(0)] * n for _ in range(n)]
-    pj = j + 1
-    m[pj][0] = Fraction(1)
-    m[0][pj] = Fraction(1)
-    return tuple(tuple(r) for r in m)
+    m = Matrix.zeros(alg.dim + 2, Fraction(0))
+    m.entries[j + 1][0] = m.entries[0][j + 1] = Fraction(1)
+    return m
 
 
-def rotation_matrix(alg, i, j):
+def rotation_matrix(alg, i, j) -> Matrix:
     """A_ij: e_i -> e_j, e_j -> -e_i."""
-    n = alg.dim + 2
-    m = [[Fraction(0)] * n for _ in range(n)]
-    pi, pj = i + 1, j + 1
-    m[pj][pi] = Fraction(1)
-    m[pi][pj] = Fraction(-1)
-    return tuple(tuple(r) for r in m)
+    m = Matrix.zeros(alg.dim + 2, Fraction(0))
+    m.entries[j + 1][i + 1] = Fraction(1)
+    m.entries[i + 1][j + 1] = Fraction(-1)
+    return m
 
 
 def sigma_table(alg: DivisionAlgebra):
     """(label, endo, sigma) rows of the displayed correspondence."""
     one, zero = alg.one(), alg.zero_like()
-    rows = [("B0", boost_matrix(alg, 0), KMat2.build(alg, one, zero, zero, -one)),
-            ("B1", boost_matrix(alg, 1), KMat2.build(alg, zero, one, one, zero)),
-            ("A01", rotation_matrix(alg, 0, 1), KMat2.build(alg, zero, -one, one, zero))]
+    rows = [("B0", boost_matrix(alg, 0), kmat2(alg, one, zero, zero, -one)),
+            ("B1", boost_matrix(alg, 1), kmat2(alg, zero, one, one, zero)),
+            ("A01", rotation_matrix(alg, 0, 1), kmat2(alg, zero, -one, one, zero))]
     for j in range(2, alg.dim + 1):
         u = alg.unit(j)
-        rows.append((f"B{j}", boost_matrix(alg, j), KMat2.build(alg, zero, u, -u, zero)))
-        rows.append((f"A0{j}", rotation_matrix(alg, 0, j), KMat2.build(alg, zero, -u, -u, zero)))
-        rows.append((f"A1{j}", rotation_matrix(alg, 1, j), KMat2.build(alg, u, zero, zero, -u)))
+        rows.append((f"B{j}", boost_matrix(alg, j), kmat2(alg, zero, u, -u, zero)))
+        rows.append((f"A0{j}", rotation_matrix(alg, 0, j), kmat2(alg, zero, -u, -u, zero)))
+        rows.append((f"A1{j}", rotation_matrix(alg, 1, j), kmat2(alg, u, zero, zero, -u)))
     return rows
 
 
@@ -604,10 +565,8 @@ def boost_bracket_check(alg: DivisionAlgebra) -> bool:
     """A_ij = -[B_i, B_j] for all 0 <= i < j <= k."""
     for i in range(0, alg.dim + 1):
         for j in range(i + 1, alg.dim + 1):
-            lhs = rotation_matrix(alg, i, j)
-            br = mat_sub(mat_mul(boost_matrix(alg, i), boost_matrix(alg, j)),
-                         mat_mul(boost_matrix(alg, j), boost_matrix(alg, i)))
-            if lhs != mat_neg(br):
+            bi, bj = boost_matrix(alg, i), boost_matrix(alg, j)
+            if rotation_matrix(alg, i, j) != -(bi @ bj - bj @ bi):
                 return False
     return True
 
@@ -617,26 +576,9 @@ def residual_rotations_fix_real_part(alg: DivisionAlgebra) -> bool:
     for i in range(2, alg.dim + 1):
         for j in range(i + 1, alg.dim + 1):
             m = rotation_matrix(alg, i, j)
-            for col in (0, 1, 2):
-                if any(m[r][col] != 0 for r in range(len(m))):
-                    return False
+            if any(row[col] for row in m.entries for col in (0, 1, 2)):
+                return False
     return True
-
-
-def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a, b))
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in r) for r in a)
 
 
 def tf2_basis(alg: DivisionAlgebra):
@@ -645,9 +587,9 @@ def tf2_basis(alg: DivisionAlgebra):
     out = []
     for a in range(1, alg.dim + 1):
         u = alg.unit(a)
-        out.append(KMat2.build(alg, u, zero, zero, -u))
-        out.append(KMat2.build(alg, zero, u, zero, zero))
-        out.append(KMat2.build(alg, zero, zero, u, zero))
+        out.append(kmat2(alg, u, zero, zero, -u))
+        out.append(kmat2(alg, zero, u, zero, zero))
+        out.append(kmat2(alg, zero, zero, u, zero))
     return out
 
 
@@ -680,9 +622,10 @@ class _Echelon:
         return len(self.rows)
 
 
-def _flatten(m):
-    n = len(m)
-    return {i * n + j: Fraction(m[i][j]) for i in range(n) for j in range(n) if m[i][j]}
+def _flatten(m: Matrix):
+    n = len(m.entries)
+    return {i * n + j: Fraction(v)
+            for i, row in enumerate(m.entries) for j, v in enumerate(row) if v}
 
 
 def lie_closure(k: int):
@@ -694,31 +637,13 @@ def lie_closure(k: int):
     """
     alg = ALG_BY_K[k]
 
-    def doubled(m):
-        out = []
-        for row in m:
-            r = []
-            for x in row:
-                v = 2 * x
-                if v.denominator != 1:
-                    raise ArithmeticError("rho entries should be half-integral")
-                r.append(v.numerator)
-            out.append(tuple(r))
-        return tuple(out)
+    def doubled(x):
+        v = 2 * x
+        if v.denominator != 1:
+            raise ArithmeticError("rho entries should be half-integral")
+        return v.numerator
 
-    gens = [doubled(rho_endo(alg, s)) for s in tf2_basis(alg)]
-    n = alg.dim + 2
-
-    def imul(a, b):
-        bt = tuple(zip(*b))
-        return tuple(
-            tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a
-        )
-
-    def icomm(a, b):
-        ab, ba = imul(a, b), imul(b, a)
-        return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(ab, ba))
-
+    gens = [rho_endo(alg, s).map(doubled) for s in tf2_basis(alg)]
     span = _Echelon()
     basis = []
     for g in gens:
@@ -729,7 +654,7 @@ def lie_closure(k: int):
         fresh = []
         for a in basis:
             for b in frontier:
-                c = icomm(a, b)
+                c = a @ b - b @ a
                 if span.add(_flatten(c)):
                     fresh.append(c)
         basis.extend(fresh)
@@ -741,43 +666,32 @@ def lie_closure_dim(k: int) -> int:
     return lie_closure(k)[0]
 
 
-def lorentz_conjugation(alg: DivisionAlgebra, S: KMat2, m: Mat5) -> Mat5:
+def lorentz_conjugation(alg: DivisionAlgebra, S: Matrix, m: Matrix) -> Matrix:
     """g e g^-1 with g = blockdiag(S, 1, (S^dagger)^-1); K = R or C only
     (the matrix algebra must be associative and commutative for the block
     inverse formula used here)."""
     if alg.which not in ("R", "C"):
         raise ValueError("conjugation action implemented for R and C only")
-    det = (S.entries[0][0] * S.entries[1][1] - S.entries[0][1] * S.entries[1][0])
-    for c in det.coeffs[1:]:
-        if not c == 0:
-            raise ValueError("determinant must be real for this helper")
-    ctx = m.ctx
-    one = ctx.table.one()
-
-    def kv(e: DAElement):
-        return ctx.promote(e)
-
-    g = Mat5(ctx)
-    ginv = Mat5(ctx)
-    # upper block: S and S^-1
+    (s11, s12), (s21, s22) = S.entries
+    det = s11 * s22 - s12 * s21
+    if any(det.coeffs[1:]):
+        raise ValueError("determinant must be real for this helper")
     d = det.coeffs[0]
-    sinv = KMat2.build(alg,
-                       S.entries[1][1].scale(1 / d), S.entries[0][1].scale(-1 / d),
-                       S.entries[1][0].scale(-1 / d), S.entries[0][0].scale(1 / d))
-    for i in range(2):
-        for j in range(2):
-            g.entries[i][j] = kv(S.entries[i][j])
-            ginv.entries[i][j] = kv(sinv.entries[i][j])
-    g.entries[2][2] = ctx.kvalue(1, one)
-    ginv.entries[2][2] = ctx.kvalue(1, one)
-    # lower block: (S^dagger)^-1 and S^dagger
-    sdag = S.dagger()
-    sdag_inv = sinv.dagger()
-    for i in range(2):
-        for j in range(2):
-            g.entries[3 + i][3 + j] = kv(sdag_inv.entries[i][j])
-            ginv.entries[3 + i][3 + j] = kv(sdag.entries[i][j])
-    return (g @ m) @ ginv
+    sinv = kmat2(alg, s22.scale(1 / d), s12.scale(-1 / d), s21.scale(-1 / d), s11.scale(1 / d))
+
+    def blockdiag(upper: Matrix, lower: Matrix) -> Matrix:
+        """blockdiag(upper, 1, conj(lower)^t) over the zero of m."""
+        out = Matrix.zeros(5, m.zero)
+        out.entries[2][2] = alg.one()
+        lower = lower.transpose().map(DAElement.conj)
+        for i in range(2):
+            for j in range(2):
+                out.entries[i][j] = upper.entries[i][j]
+                out.entries[3 + i][3 + j] = lower.entries[i][j]
+        return out
+
+    # g = blockdiag(S, 1, (S^dagger)^-1) and g^-1 = blockdiag(S^-1, 1, S^dagger)
+    return (blockdiag(S, sinv) @ m) @ blockdiag(sinv, S)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,24 +949,14 @@ def chiral_field_relations_ok() -> bool:
     return True
 
 
-def _qi_mat_mul(a, b):
-    n = len(a)
-    return [[sum((a[i][l] * b[l][j] for l in range(n)), QI(0)) for j in range(n)] for i in range(n)]
-
-
-def _qi_identity(n):
-    return [[QI(1) if i == j else QI(0) for j in range(n)] for i in range(n)]
-
-
 def coordinate_dictionary_ok(rows_coords, rows_derivs) -> bool:
     """rows_coords: matrix M with new coordinates = M * old coordinates;
     rows_derivs: claimed coefficients N of the new partials in the old ones.
     The chain rule demands M N^t = identity."""
-    M = [[QI(c) if not isinstance(c, QI) else c for c in row] for row in rows_coords]
-    N = [[QI(c) if not isinstance(c, QI) else c for c in row] for row in rows_derivs]
-    n = len(M)
-    Nt = [[N[j][i] for j in range(n)] for i in range(n)]
-    return _qi_mat_mul(M, Nt) == _qi_identity(n)
+    n = len(rows_coords)
+    M = Matrix(rows_coords, QI(0))
+    N = Matrix(rows_derivs, QI(0))
+    return M @ N.transpose() == Matrix([[int(i == j) for j in range(n)] for i in range(n)], 0)
 
 
 def chiral_dictionary_ok() -> bool:
@@ -1163,7 +1067,7 @@ def reduction_charges(k: int):
     for A in pairs:
         for B in pairs:
             if A == B:
-                Z[(A, B)] = Mat5(ctx)
+                Z[(A, B)] = ctx.zero_matrix()
             elif (A, B) in table:
                 Z[(A, B)] = script_i(ctx, _z_value(ctx, table[(A, B)]))
             else:
@@ -1177,20 +1081,20 @@ def reduction_charges(k: int):
             for a in (1, 2):
                 for b in (1, 2):
                     e = EPS_AB[(a, b)]
-                    want_mixed = xdot(a, b).scale(-4) if A == B else Mat5(ctx)
+                    want_mixed = xdot(a, b).scale(-4) if A == B else ctx.zero_matrix()
                     if anticomm(Q[(a, A)], Qb[(b, B)]) != want_mixed:
                         fail(f"[Q_{a}{A}, Qbar_{b}{B}]")
-                    want_qq = Z[(A, B)].scale(-4 * e) if e else Mat5(ctx)
+                    want_qq = Z[(A, B)].scale(-4 * e) if e else ctx.zero_matrix()
                     if anticomm(Q[(a, A)], Q[(b, B)]) != want_qq:
                         fail(f"[Q_{a}{A}, Q_{b}{B}]")
-                    zbar = Z[(A, B)].conj_formal_i()
-                    want_bb = zbar.scale(-4 * e) if e else Mat5(ctx)
+                    zbar = conj_formal_i(Z[(A, B)])
+                    want_bb = zbar.scale(-4 * e) if e else ctx.zero_matrix()
                     if anticomm(Qb[(a, A)], Qb[(b, B)]) != want_bb:
                         fail(f"[Qbar_{a}{A}, Qbar_{b}{B}]")
     star_ok = True
     if k == 8:
         for (A, B), (sA, sB) in STAR_PAIRS.items():
-            if Z[(sA, sB)] != Z[(A, B)].conj_formal_i():
+            if Z[(sA, sB)] != conj_formal_i(Z[(A, B)]):
                 star_ok = False
                 fail(f"Z_*({A}{B})")
     return {"ctx": ctx, "Q": Q, "Qbar": Qb, "Z": Z, "star_ok": star_ok}
@@ -1317,14 +1221,13 @@ def signature_identity_ok(t, x, z: DAElement) -> bool:
 # Coefficient extraction on the translation sector
 # ---------------------------------------------------------------------------
 
-def decompose_translation(m: Mat5):
+def decompose_translation(m: Matrix):
     """Write a translation-sector matrix as sum c_v[(ab)] R_(ab) +
     sum c_w[g] Im_g; raises if the support or symmetry is wrong.
 
     Inverse of SuperTranslationElement.v_matrix on its image; used to
     cross-check matrix-algebra computations against vector-field ones.
     """
-    ctx = m.ctx
     for i in range(5):
         for j in range(5):
             if (i, j) in ((0, 3), (0, 4), (1, 3), (1, 4)):
@@ -1345,7 +1248,7 @@ def decompose_translation(m: Mat5):
         raise ValueError("symmetric slot mismatch")
     c_v[(1, 2)] = upper.coeffs[0] + lower.coeffs[0]
     c_w = {}
-    for g in range(2, ctx.k + 1):
+    for g in range(2, upper.alg.dim + 1):
         if upper.coeffs[g - 1] != -lower.coeffs[g - 1]:
             raise ValueError("antisymmetric slot mismatch")
         val = upper.coeffs[g - 1] + upper.coeffs[g - 1]

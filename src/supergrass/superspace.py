@@ -392,6 +392,8 @@ def theta_lift_vectorfield_check(case: int, q: int, rng, samples=5) -> bool:
     """
     if q < 2 or q > 6:
         raise ValueError("desk scale is 2 <= q <= 6")
+    if case == 3 and q < 3:
+        raise ValueError("case 3 needs q >= 3: with two eta both sides vanish")
     dom = SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(q)))
     space = LiftSpace(dom)
     x = space.table.sym("x")

@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from supergrass.cli import main
 
@@ -132,6 +135,19 @@ def test_bad_expression_is_usage_error(capsys):
     code, out, err = run(capsys, "expand", "2 + * 3")
     assert code == 2
     assert "expression error" in err
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (("expand", "1/0"), ""),
+    (("expand", "(" * 3000 + "x" + ")" * 3000), ""),
+    (("pullback", "-", "x"), "[]"),
+], ids=["zero-denominator", "deep-nesting", "morphism-not-object"])
+def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_bad_morphism_file_is_usage_error(capsys):

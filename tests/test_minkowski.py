@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from supergrass.divalg import C, H, O, R
+from supergrass.divalg import C, H, O, R, DAElement
 from supergrass.kernel import ParityError
-from supergrass.minkowski import (InvariantFields, MinkContext, KMat2,
+from supergrass.minkowski import (InvariantFields, MinkContext, Matrix,
                                   SuperTranslationElement, anticomm,
                                   basis_table_check, boost_bracket_check,
                                   centrality_check, chiral_dictionary_ok,
                                   chiral_field_relations_ok,
                                   chiral_matrix_relations_ok, comm,
+                                  conj_formal_i,
                                   exp_element, group_law_check,
-                                  k4_bridge_dictionary_ok, lie_closure_dim,
+                                  k4_bridge_dictionary_ok, kmat2,
+                                  lie_closure_dim,
                                   lorentz_conjugation, minkowski_norm_identity,
                                   nilpotency_checks, null_vector_check,
                                   q_matrix, q_unit, qq_check, qqbis_rhs,
@@ -31,6 +33,60 @@ from supergrass.scalars import QI
 def rand_da(alg, rng, span=4):
     return alg.element([Fraction(rng.randint(-span, span), rng.randint(1, 2))
                         for _ in range(alg.dim)])
+
+
+# -- the ring-generic matrix ---------------------------------------------------------
+
+def _kind(e):
+    """Entry type, down to the coefficient types of a DAElement."""
+    if isinstance(e, DAElement):
+        return DAElement, tuple(type(c) for c in e.coeffs)
+    return type(e)
+
+
+@pytest.mark.parametrize("ring", ["int", "QI", "DAElement"])
+def test_matrix_product_and_transpose_against_naive(ring):
+    """Matrix @ against the plain triple sum (no zero skipping, left factor
+    first), on a 3x4 times 4x3 product with a zero row and a zero column."""
+    rng = random.Random(8)
+    if ring == "int":
+        zero = 0
+
+        def draw():
+            return rng.randint(-3, 3)
+    elif ring == "QI":
+        zero = QI(0)
+
+        def draw():
+            return QI(rng.randint(-3, 3), rng.randint(-3, 3))
+    else:
+        # quaternions over the Clifford envelope with an odd parameter, so
+        # neither K nor the coefficients commute
+        ctx = MinkContext(4, n_eta=2)
+        zero = ctx.kzero()
+        gens = [ctx.table.one(), ctx.eps(), ctx.eta(1), ctx.eta(1) * ctx.eta(2)]
+
+        def draw():
+            return DAElement(H, [sum((g.scale(rng.randint(-2, 2)) for g in gens), ctx.table.zero())
+                                 for _ in range(4)])
+
+    for _ in range(10):
+        a = [[draw() if rng.random() < 0.7 else zero for _ in range(4)] for _ in range(3)]
+        b = [[draw() if rng.random() < 0.7 else zero for _ in range(3)] for _ in range(4)]
+        a[1] = [zero] * 4
+        for row in b:
+            row[2] = zero
+        got = (Matrix(a, zero) @ Matrix(b, zero)).entries
+        want = [[zero for _ in range(3)] for _ in range(3)]
+        for i in range(3):
+            for j in range(3):
+                for l in range(4):
+                    want[i][j] = want[i][j] + a[i][l] * b[l][j]
+        assert got == want
+        assert [[_kind(e) for e in row] for row in got] == [[_kind(e) for e in row] for row in want]
+        t = Matrix(a, zero).transpose().entries
+        assert len(t) == 4 and all(len(row) == 3 for row in t)
+        assert all(t[j][i] == a[i][j] for i in range(3) for j in range(4))
 
 
 # -- norm identity ---------------------------------------------------------------
@@ -227,7 +283,7 @@ def test_residual_rotations():
 def test_rho_rejects_non_tracefree():
     one, zero = C.one(), C.zero_like()
     with pytest.raises(ValueError):
-        rho_endo(C, KMat2.build(C, one, zero, zero, one))
+        rho_endo(C, kmat2(C, one, zero, zero, one))
 
 
 @pytest.mark.parametrize("k,dim", [(1, 3), (2, 6), (4, 15), (8, 45)])
@@ -248,7 +304,7 @@ def test_lorentz_conjugation_preserves_norm():
             hm_in = hm_in + x_matrix(ctx, 1, 2, z.scale(Fraction(1, 2)))
             hm_in = hm_in + x_matrix(ctx, 2, 1, z.conj().scale(Fraction(1, 2)))
             b = Fraction(rng.randint(-2, 2))
-            S = KMat2.build(alg, alg.one(), alg.from_scalar(b), alg.zero_like(), alg.one())
+            S = kmat2(alg, alg.one(), alg.from_scalar(b), alg.zero_like(), alg.one())
             out = lorentz_conjugation(alg, S, hm_in)
             hm = translation_block(out)
             assert hm.t ** 2 - hm.x ** 2 - hm.z_full().norm_sq() == t ** 2 - x ** 2 - z.norm_sq()
@@ -296,10 +352,10 @@ def test_reduction_k8_and_z_table():
 def test_reduction_star_conjugation_k8():
     rep = reduction_charges(8)
     Z = rep["Z"]
-    assert Z[(3, 4)] == Z[(1, 2)].conj_formal_i()
-    assert Z[(2, 3)] == Z[(1, 4)].conj_formal_i()
+    assert Z[(3, 4)] == conj_formal_i(Z[(1, 2)])
+    assert Z[(2, 3)] == conj_formal_i(Z[(1, 4)])
     # *13 = 42 = -(2,4)
-    assert (Z[(2, 4)].scale(-1)) == Z[(1, 3)].conj_formal_i()
+    assert (Z[(2, 4)].scale(-1)) == conj_formal_i(Z[(1, 3)])
 
 
 # -- the k = 4 bridge ------------------------------------------------------------------
