@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import divalg, minkowski, models, suites
-from .expr_io import (Context, DslSyntaxError, Sym, UnknownSymbolError,
+from .expr_io import (Context, DslSyntaxError, DslTypeError, Sym, UnknownSymbolError,
                       format_derivation, format_poly, parse, poly_to_jsonable)
 from .kernel import Derivation, SymbolTable
 from .morphisms import FleshMorphism
@@ -33,7 +33,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (DslSyntaxError, UnknownSymbolError) as exc:
+    except (DslSyntaxError, DslTypeError, UnknownSymbolError) as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -193,7 +193,7 @@ def cmd_berezin(args) -> int:
     val = Context(dom.table, berezin_names=dom.theta_names).evaluate(ast)
     out = berezin(dom, val, definite=False)
     if args.box is not None:
-        lo, hi = (Fraction(x) for x in args.box)
+        lo, hi = (_box_bound(x) for x in args.box)
         dom.box = [(lo, hi) for _ in dom.even_names]
         from .superspace import integrate_box
 
@@ -203,6 +203,13 @@ def cmd_berezin(args) -> int:
     else:
         print(format_poly(out))
     return 0
+
+
+def _box_bound(text) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--box bound {text!r} is not a rational number") from None
 
 
 def cmd_bracket(args) -> int:
@@ -222,10 +229,12 @@ def cmd_pullback(args) -> int:
             desc = json.load(fh)
     if not isinstance(desc, dict):
         raise ValueError("morphism description must be a JSON object")
-    evens = tuple(desc.get("even", ()))
-    thetas = tuple(desc.get("theta", ()))
-    etas = tuple(desc.get("eta", ()))
-    targets = tuple(desc["target"])
+    evens, thetas, etas = (_names(desc.get(f, []), f) for f in ("even", "theta", "eta"))
+    targets = _names(desc["target"], "target")
+    phi = _texts(desc.get("phi", {}), "phi")
+    xi_desc = desc.get("xi", {})
+    if not isinstance(xi_desc, dict):
+        raise ValueError("morphism field 'xi' must be an object")
     proto = SymbolTable()
     for n in evens + targets:
         proto.even_symbol(n)
@@ -234,11 +243,11 @@ def cmd_pullback(args) -> int:
     def ev(text):
         return ctx.evaluate(parse(text))
 
-    phi = {n: ev(desc["phi"][n]) for n in targets}
+    phi = {n: ev(phi[n]) for n in targets}
     xi = {}
-    for key, comps in desc.get("xi", {}).items():
+    for key, comps in xi_desc.items():
         I = tuple(int(s) for s in key.split(","))
-        xi[I] = {n: ev(c) for n, c in comps.items()}
+        xi[I] = {n: ev(c) for n, c in _texts(comps, f"xi[{key}]").items()}
     m = FleshMorphism(evens, thetas + etas, targets, phi, xi, n_theta=len(thetas))
     val = m.pullback_even(ctx.evaluate(parse(args.expr)))
     if args.json:
@@ -246,6 +255,20 @@ def cmd_pullback(args) -> int:
     else:
         print(format_poly(val))
     return 0
+
+
+def _names(val, field):
+    """A morphism field that must be a list of symbol names."""
+    if not (isinstance(val, list) and all(isinstance(n, str) for n in val)):
+        raise ValueError(f"morphism field {field!r} must be a list of strings")
+    return tuple(val)
+
+
+def _texts(val, field):
+    """A morphism field that must map names to DSL expressions."""
+    if not (isinstance(val, dict) and all(isinstance(t, str) for t in val.values())):
+        raise ValueError(f"morphism field {field!r} must be an object with string values")
+    return val
 
 
 def cmd_closure(args) -> int:

@@ -40,6 +40,11 @@ class DslSyntaxError(ValueError):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
+class DslTypeError(ValueError):
+    """A well-formed expression that applies an operation to the wrong kind
+    of value, such as a bracket of two polynomials."""
+
+
 class UnknownSymbolError(KeyError):
     def __init__(self, name):
         self.name = name
@@ -370,7 +375,7 @@ def _eval(node, ctx: Context):
         a = _eval(node.left, ctx)
         b = _eval(node.right, ctx)
         if not (isinstance(a, Derivation) and isinstance(b, Derivation)):
-            raise TypeError("[ , ] needs two derivations")
+            raise DslTypeError("[ , ] needs two derivations")
         return super_bracket(a, b)
     if isinstance(node, Ber):
         from .superspace import berezin_poly

@@ -1,10 +1,12 @@
 """Graded-algebra kernel: symbols with parity, exact supercommutative and
 Clifford multiplication, graded derivations and super brackets.
 
-Everything is exact: coefficients are Fractions or Gaussian rationals, odd
-monomials are kept strictly increasing in symbol-table declaration order and
-every product normalizes signs against that order.  Values are immutable
-after construction and safe to share.
+Everything is exact: coefficients are Python ints when integral, Fractions
+otherwise, or Gaussian rationals (`QI`); the three compare and hash alike,
+so 3, Fraction(3) and QI(3, 0) are the same coefficient.  Odd monomials are
+kept strictly increasing in symbol-table declaration order and every
+product normalizes signs against that order; a Koszul sign is applied by
+negation.  Values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class Symbol:
     kind: str
     index: int
     # clifford generators: eps*eps = -square; odd generators square to 0
-    square: Fraction = Fraction(0)
+    square: int | Fraction = 0
     # jet symbols remember their field and derivative multi-index
     jet_base: Optional[str] = None
     jet_derivs: tuple = ()
@@ -63,12 +65,12 @@ class SymbolTable:
         self._by_name: dict[str, Symbol] = {}
 
     # -- declaration ------------------------------------------------------
-    def _add(self, name, parity, kind, square=Fraction(0), jet_base=None, jet_derivs=()):
+    def _add(self, name, parity, kind, square=0, jet_base=None, jet_derivs=()):
         if name in self._by_name:
             raise ValueError(f"duplicate symbol {name!r}")
         if kind not in KINDS:
             raise ValueError(f"unknown symbol kind {kind!r}")
-        s = Symbol(name, parity, kind, len(self.symbols), frac(square), jet_base, tuple(jet_derivs))
+        s = Symbol(name, parity, kind, len(self.symbols), _coef(square), jet_base, tuple(jet_derivs))
         self.symbols.append(s)
         self._by_name[name] = s
         return s
@@ -80,7 +82,7 @@ class SymbolTable:
         return self._add(name, ODD, "odd")
 
     def clifford_symbol(self, name, square=1):
-        return self._add(name, ODD, "clifford", square=frac(square))
+        return self._add(name, ODD, "clifford", square=square)
 
     def jet_symbol(self, name, parity, base, derivs):
         kind = "even_jet" if parity == EVEN else "odd_jet"
@@ -115,8 +117,8 @@ class SymbolTable:
     def sym(self, name):
         s = self.symbol(name)
         if s.parity == EVEN:
-            return SuperPolynomial(self, {(((s.index, 1),), ()): Fraction(1)})
-        return SuperPolynomial(self, {((), (s.index,)): Fraction(1)})
+            return SuperPolynomial(self, {(((s.index, 1),), ()): 1})
+        return SuperPolynomial(self, {((), (s.index,)): 1})
 
     def monomial(self, coeff, even=(), odd=()):
         """Build coeff * prod(even names with powers) * prod(odd names, given order)."""
@@ -129,9 +131,12 @@ class SymbolTable:
 
 
 def _coef(c):
-    if isinstance(c, QI):
+    """Exact coefficient: an integral rational as int, any other rational as
+    Fraction, a QI as it is."""
+    if type(c) is int or isinstance(c, QI):
         return c
-    return frac(c)
+    c = frac(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _even_mul(e1, e2):
@@ -185,7 +190,7 @@ class SuperPolynomial:
         return p is None or p == ODD
 
     def scalar_part(self):
-        return self.terms.get(((), ()), Fraction(0))
+        return self.terms.get(((), ()), 0)
 
     def max_even_degree(self):
         return max((sum(p for _, p in ev) for (ev, _) in self.terms), default=0)
@@ -241,7 +246,7 @@ class SuperPolynomial:
                 fac, od = res
                 c = c1 * c2
                 if fac is not None:
-                    c = c * fac
+                    c = -c if fac == -1 else c * fac
                 key = (_even_mul(e1, e2), od)
                 s = out.get(key, 0) + c
                 if s:
@@ -297,7 +302,7 @@ class SuperPolynomial:
             # sorting idxs + rest
             sign = merge_sign(idxs, rest)[0]
             key = (ev, rest)
-            s = out.get(key, 0) + sign * c
+            s = out.get(key, 0) + (c if sign > 0 else -c)
             if s:
                 out[key] = s
             else:
@@ -408,7 +413,9 @@ def _odd_mul(o1, o2, symbols):
 
     Returns (extra_factor_or_None, merged_tuple), or None when the product
     vanishes (repeated nilpotent generator).  extra_factor collects the
-    -B(e,e) contractions of repeated Clifford generators.
+    Koszul sign and the -B(e,e) contractions of repeated Clifford
+    generators; a pure sign is the int -1, which the caller applies by
+    negation.
     """
     if not o1:
         return (None, o2)
@@ -434,7 +441,7 @@ def _odd_mul(o1, o2, symbols):
                 sign = -sign
             merged.insert(pos, s)
     if sign < 0:
-        fac = Fraction(-1) if fac is None else -fac
+        fac = -1 if fac is None else -fac
     return (fac, tuple(merged))
 
 
@@ -483,7 +490,7 @@ class Derivation:
                 else:
                     nev[j] = (i, p - 1)
                 left = SuperPolynomial(table, {(tuple(nev), ()): c * p})
-                out = out + left * img * SuperPolynomial(table, {((), od): Fraction(1)})
+                out = out + left * img * SuperPolynomial(table, {((), od): 1})
             # odd factors: (-1)^(gx * #odd factors crossed)
             for j, i in enumerate(od):
                 img = self.images.get(i)
@@ -491,7 +498,7 @@ class Derivation:
                     continue
                 cc = -c if (gx and (j & 1)) else c
                 left = SuperPolynomial(table, {(ev, od[:j]): cc})
-                out = out + left * img * SuperPolynomial(table, {((), od[j + 1:]): Fraction(1)})
+                out = out + left * img * SuperPolynomial(table, {((), od[j + 1:]): 1})
         return out
 
     # -- linear structure ---------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals.
 
-Plain coefficients are `fractions.Fraction`.  Complexified contexts adjoin a
-formal central square root of -1, written ``I`` and kept distinct from any
-imaginary unit of a division algebra; those coefficients are `QI` values.
-Mixed Fraction/QI arithmetic promotes to QI, so polynomial code never has to
-care which ring it is in.
+Plain coefficients are `int` when integral and `fractions.Fraction`
+otherwise.  Complexified contexts adjoin a formal central square root of -1,
+written ``I`` and kept distinct from any imaginary unit of a division
+algebra; those coefficients are `QI` values.  Mixed int/Fraction/QI
+arithmetic promotes to QI, and equal values compare and hash equal whatever
+their type, so polynomial code never has to care which ring it is in.
 """
 
 from __future__ import annotations
@@ -35,61 +36,80 @@ class QI:
         raise AttributeError("QI is immutable")
 
     # -- ring operations -------------------------------------------------
+    # A QI operand is taken apart directly and an int or Fraction operand is
+    # used as a real part; partial products with a zero part are skipped, so
+    # real times real is one Fraction product.  Results come from _qi, since
+    # both parts are Fractions already.
     def __add__(self, other):
-        o = _as_qi(other)
-        if o is None:
-            return NotImplemented
-        return QI(self.re + o.re, self.im + o.im)
+        if isinstance(other, QI):
+            b, d = self.im, other.im
+            return _qi(self.re + other.re, b + d if b and d else b or d)
+        if isinstance(other, (int, Fraction)):
+            return _qi(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _as_qi(other)
-        if o is None:
-            return NotImplemented
-        return QI(self.re - o.re, self.im - o.im)
+        if isinstance(other, QI):
+            b, d = self.im, other.im
+            return _qi(self.re - other.re, b - d if d else b)
+        if isinstance(other, (int, Fraction)):
+            return _qi(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = _as_qi(other)
-        if o is None:
-            return NotImplemented
-        return QI(o.re - self.re, o.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return _qi(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = _as_qi(other)
-        if o is None:
-            return NotImplemented
-        return QI(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if isinstance(other, QI):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            if b:
+                if d:
+                    return _qi(a * c - b * d, a * d + b * c)
+                return _qi(a * c, b * c)
+            if d:
+                return _qi(a * c, a * d)
+            return _qi(a * c, ZERO)
+        if isinstance(other, (int, Fraction)):
+            return _qi(self.re * other, self.im * other if self.im else ZERO)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _as_qi(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _qi(self.re / other, self.im / other)
+        if not isinstance(other, QI):
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
+        a, b, c, d = self.re, self.im, other.re, other.im
+        n = c * c + d * d
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QI((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
+        return _qi((a * c + b * d) / n, (b * c - a * d) / n)
 
     def __rtruediv__(self, other):
-        o = _as_qi(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        if isinstance(other, (int, Fraction)):
+            return _qi(Fraction(other), ZERO) / self
+        return NotImplemented
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _qi(-self.re, -self.im if self.im else ZERO)
 
     def conjugate(self) -> "QI":
-        return QI(self.re, -self.im)
+        return _qi(self.re, -self.im)
 
     # -- comparisons / hashing -------------------------------------------
     def __eq__(self, other):
-        o = _as_qi(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, QI):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         if self.im == 0:
@@ -110,13 +130,17 @@ I = QI(0, 1)
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+_new_qi = object.__new__
+_set_re = QI.re.__set__
+_set_im = QI.im.__set__
 
-def _as_qi(x):
-    if isinstance(x, QI):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QI(x, 0)
-    return None
+
+def _qi(re: Fraction, im: Fraction) -> QI:
+    """QI from two parts that are Fractions already (no validation)."""
+    q = _new_qi(QI)
+    _set_re(q, re)
+    _set_im(q, im)
+    return q
 
 
 def rational_part(c) -> Fraction:

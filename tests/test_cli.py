@@ -141,7 +141,14 @@ def test_bad_expression_is_usage_error(capsys):
     (("expand", "1/0"), ""),
     (("expand", "(" * 3000 + "x" + ")" * 3000), ""),
     (("pullback", "-", "x"), "[]"),
-], ids=["zero-denominator", "deep-nesting", "morphism-not-object"])
+    (("expand", "[x,y]"), ""),
+    (("berezin", "th1", "--box", "1/0", "1"), ""),
+    (("pullback", "-", "x"), '{"target": 5, "phi": {}}'),
+    (("pullback", "-", "y"), '{"target": ["y"], "phi": {"y": 5}}'),
+    (("pullback", "-", "y"), '{"target": ["y"], "theta": ["th1"], "phi": {"y": "y"}, "xi": {"1": "y"}}'),
+], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-of-polynomials",
+        "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
+        "morphism-xi-not-object"])
 def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)

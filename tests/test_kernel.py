@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from supergrass.kernel import (EVEN, ODD, Derivation, ParityError, SymbolTable,
-                               TableMismatchError, cartan_triple, jacobi_check,
-                               skew_check, super_bracket)
+from supergrass.kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
+                               SymbolTable, TableMismatchError, cartan_triple,
+                               jacobi_check, skew_check, super_bracket)
 from supergrass.scalars import QI
 from supergrass.suites import grassmann_table, random_homogeneous, random_poly
 
@@ -315,3 +315,101 @@ def test_plain_rational_ring_tag():
     assert t.scalar(Fraction(1, 2)) + t.sym("x") == t.sym("x") + Fraction(1, 2)
     with pytest.raises(ValueError):
         t.scalar(QI(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# exact scalars: QI against the (a+bI)(c+dI) formulas on plain Fraction pairs
+# ---------------------------------------------------------------------------
+
+def _random_part(rng, zero):
+    if zero:
+        return Fraction(0)
+    return rng.choice([Fraction(rng.choice([-3, -1, 1, 2, 5])),
+                       Fraction(rng.choice([-7, -2, 1, 3]), rng.choice([2, 3, 4]))])
+
+
+def _random_operand(rng, kind, re_zero, im_zero):
+    re = _random_part(rng, re_zero)
+    if kind == "int":
+        return int(re) if re.denominator == 1 else rng.randint(-4, 4)
+    if kind == "Fraction":
+        return re
+    return QI(re, _random_part(rng, im_zero))
+
+
+def _pair(x):
+    return (x.re, x.im) if isinstance(x, QI) else (Fraction(x), Fraction(0))
+
+
+def _oracle(op, x, y):
+    a, b = _pair(x)
+    c, d = _pair(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def test_qi_arithmetic_against_fraction_pair_formulas():
+    rng = random.Random(4)
+    ops = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+    zero_patterns = list(itertools.product((True, False), repeat=2))
+    for _ in range(12):
+        for (qz, oz), kind in itertools.product(itertools.product(zero_patterns, repeat=2),
+                                                ("int", "Fraction", "QI")):
+            q = _random_operand(rng, "QI", *qz)
+            other = _random_operand(rng, kind, *oz)
+            for x, y in ((q, other), (other, q)):
+                assert (x == y) == (_pair(x) == _pair(y)), (x, y)
+                for op, fn in ops.items():
+                    if op == "/" and not y:
+                        with pytest.raises(ZeroDivisionError):
+                            fn(x, y)
+                        continue
+                    got = fn(x, y)
+                    assert isinstance(got, QI), (x, op, y)
+                    assert type(got.re) is Fraction and type(got.im) is Fraction
+                    assert (got.re, got.im) == _oracle(op, x, y), (x, op, y)
+            neg = -q
+            assert type(neg.re) is Fraction and type(neg.im) is Fraction
+            assert (neg.re, neg.im) == (-q.re, -q.im)
+            assert q == QI(q.re, q.im) and hash(q) == hash(QI(q.re, q.im))
+
+
+def test_integral_coefficients_are_stored_as_int():
+    t = SymbolTable()
+    t.even_symbol("x")
+    t.clifford_symbol("eps", 2)
+    for i in range(4):
+        t.odd_symbol(f"th{i+1}")
+    for p in [t.one(), t.scalar(Fraction(6, 3))] + [t.sym(n) for n in t.names()]:
+        assert all(type(c) is int for c in p.terms.values()), p
+    rng = random.Random(9)
+    names = t.names()
+    for _ in range(50):
+        f, g = (sum((t.monomial(rng.randint(-3, 3), [("x", rng.randint(0, 2))],
+                                [n for n in names[1:] if rng.random() < 0.5])
+                     for _ in range(4)), t.zero()) for _ in range(2))
+        X = Derivation(t, ODD, {"th1": t.sym("x"), "x": t.sym("th2") * 3})
+        for p in (f * g, g * f, f - g, X(f * g)):
+            assert all(type(c) is int for c in p.terms.values()), p
+
+
+def test_coefficient_types_compare_and_hash_alike():
+    t = grassmann_table(2)
+    keys = [((), ()), (((0, 2),), (1,)), ((), (1, 2))]
+    values = [3, -1, Fraction(1, 2)]
+    as_int = SuperPolynomial(t, dict(zip(keys, values)))
+    as_frac = SuperPolynomial(t, {k: Fraction(v) for k, v in zip(keys, values)})
+    as_qi = SuperPolynomial(t, {k: QI(v, 0) for k, v in zip(keys, values)})
+    for p, q in itertools.combinations((as_int, as_frac, as_qi), 2):
+        assert p == q and hash(p) == hash(q)
+        assert p - q == t.zero()
+        assert str(p) == str(q)
+    assert 3 == Fraction(3) == QI(3, 0) and hash(3) == hash(Fraction(3)) == hash(QI(3, 0))
+    assert t.scalar(QI(3, 0)) == t.scalar(3) == 3
