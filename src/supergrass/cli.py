@@ -11,12 +11,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import divalg, minkowski, models, suites
 from .expr_io import (Context, DslSyntaxError, DslTypeError, Sym, UnknownSymbolError,
                       format_derivation, format_poly, parse, poly_to_jsonable)
 from .kernel import Derivation, SymbolTable
 from .morphisms import FleshMorphism
+from .scalars import rational_part
 from .superspace import SuperDomain, berezin, supertime
 
 
@@ -367,15 +369,19 @@ def cmd_model(args) -> int:
 
 
 def _parse_h(text) -> models.Superpotential:
+    """Rational coefficients of h(u), low degree first, read off as the
+    Taylor coefficients h^(i)(0) / i!."""
     t = SymbolTable()
     t.even_symbol("u")
     val = Context(t).evaluate(parse(text))
-    deg = val.max_even_degree()
     coeffs = []
-    u_idx = t.symbol("u").index
-    for i in range(deg + 1):
-        key = (((u_idx, i),) if i else (), ())
-        coeffs.append(val.terms.get(key, Fraction(0)))
+    for i in range(val.max_even_degree() + 1):
+        try:
+            c = rational_part(val.eval_even({"u": 0}).scalar_part())
+        except ValueError:
+            raise ValueError(f"--h {text!r}: coefficients must be rational") from None
+        coeffs.append(c / factorial(i))
+        val = val.diff_even("u")
     return models.Superpotential(coeffs)
 
 

@@ -378,9 +378,7 @@ def _eval(node, ctx: Context):
             raise DslTypeError("[ , ] needs two derivations")
         return super_bracket(a, b)
     if isinstance(node, Ber):
-        from .superspace import berezin_poly
-
-        return berezin_poly(_eval(node.arg, ctx), ctx.berezin_names, ctx.table)
+        return _eval(node.arg, ctx).coefficient_of_odd(ctx.berezin_names)
     raise TypeError(f"not an AST node: {node!r}")
 
 

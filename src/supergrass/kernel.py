@@ -7,6 +7,12 @@ so 3, Fraction(3) and QI(3, 0) are the same coefficient.  Odd monomials are
 kept strictly increasing in symbol-table declaration order and every
 product normalizes signs against that order; a Koszul sign is applied by
 negation.  Values are immutable after construction and safe to share.
+
+The term dict of a SuperPolynomial is private to this module and to the
+`expr_io` printer and JSON codec.  Other code reads a polynomial through
+its projections (`scalar_part`, `free_of`, `parity_part`, `support`,
+`coefficient_of_odd`, `eval_even`, `diff_even`) and copies it into another
+table with `substitute`.
 """
 
 from __future__ import annotations
@@ -150,6 +156,20 @@ def _even_mul(e1, e2):
     return tuple(sorted(d.items()))
 
 
+def _add_term(out: dict, key, c):
+    """Add the nonzero coefficient c at key: a new key stores c as it is, a
+    sum that cancels removes the key."""
+    old = out.get(key)
+    if old is None:
+        out[key] = c
+    else:
+        c = old + c
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+
+
 class SuperPolynomial:
     """Exact element of the supercommutative/Clifford envelope of a table.
 
@@ -192,6 +212,26 @@ class SuperPolynomial:
     def scalar_part(self):
         return self.terms.get(((), ()), 0)
 
+    def free_of(self, names: Iterable[str]):
+        """The terms in which none of the named symbols occurs."""
+        idxs = {self.table.symbol(n).index for n in names}
+        return SuperPolynomial(self.table, {
+            (ev, od): c for (ev, od), c in self.terms.items()
+            if idxs.isdisjoint(od) and idxs.isdisjoint(i for i, _ in ev)})
+
+    def parity_part(self, g: int):
+        """The even (g = 0) or the odd (g = 1) component."""
+        return SuperPolynomial(self.table, {
+            (ev, od): c for (ev, od), c in self.terms.items() if len(od) % 2 == g})
+
+    def support(self) -> list[Symbol]:
+        """The symbols that occur in some term, in declaration order."""
+        seen = set()
+        for ev, od in self.terms:
+            seen.update(i for i, _ in ev)
+            seen.update(od)
+        return [self.table.symbols[i] for i in sorted(seen)]
+
     def max_even_degree(self):
         return max((sum(p for _, p in ev) for (ev, _) in self.terms), default=0)
 
@@ -206,11 +246,7 @@ class SuperPolynomial:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            _add_term(out, k, c)
         return SuperPolynomial(self.table, out)
 
     __radd__ = __add__
@@ -247,12 +283,7 @@ class SuperPolynomial:
                 c = c1 * c2
                 if fac is not None:
                     c = -c if fac == -1 else c * fac
-                key = (_even_mul(e1, e2), od)
-                s = out.get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                _add_term(out, (_even_mul(e1, e2), od), c)
         return SuperPolynomial(self.table, out)
 
     def __rmul__(self, other):
@@ -301,12 +332,7 @@ class SuperPolynomial:
             # od is sorted, so carrying od onto idxs + rest has the sign of
             # sorting idxs + rest
             sign = merge_sign(idxs, rest)[0]
-            key = (ev, rest)
-            s = out.get(key, 0) + (c if sign > 0 else -c)
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _add_term(out, (ev, rest), c if sign > 0 else -c)
         return SuperPolynomial(self.table, out)
 
     def substitute(self, images: dict):
@@ -329,7 +355,7 @@ class SuperPolynomial:
             if p is not None and p != s.parity:
                 raise ParityError(f"substitution changes parity of {name}")
             imgs[s.index] = v
-        out = table.zero()
+        out: dict = {}
         for (ev, od), c in self.terms.items():
             t = table.scalar(c)
             for i, p in ev:
@@ -344,8 +370,9 @@ class SuperPolynomial:
                 t = t * base
                 if t.is_zero():
                     break
-            out = out + t
-        return out
+            for k, v in t.terms.items():
+                _add_term(out, k, v)
+        return SuperPolynomial(table, out)
 
     def eval_even(self, values: dict):
         """Evaluate even symbols at exact scalars; other symbols untouched."""
@@ -358,14 +385,8 @@ class SuperPolynomial:
                     c = c * vals[i] ** p
                 else:
                     rest.append((i, p))
-            if not c:
-                continue
-            key = (tuple(rest), od)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            if c:
+                _add_term(out, (tuple(rest), od), c)
         return SuperPolynomial(self.table, out)
 
     def diff_even(self, name):
@@ -383,12 +404,7 @@ class SuperPolynomial:
                     del nev[j]
                 else:
                     nev[j] = (i, p - 1)
-                key = (tuple(nev), od)
-                v = out.get(key, 0) + c * p
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
+                _add_term(out, (tuple(nev), od), c * p)
         return SuperPolynomial(self.table, out)
 
     def terms_sorted(self):
@@ -476,7 +492,7 @@ class Derivation:
         if f.table is not self.table:
             raise TableMismatchError("derivation applied across tables")
         table = self.table
-        out = table.zero()
+        out: dict = {}
         gx = self.parity
         for (ev, od), c in f.terms.items():
             # even factors: no crossing signs
@@ -490,7 +506,9 @@ class Derivation:
                 else:
                     nev[j] = (i, p - 1)
                 left = SuperPolynomial(table, {(tuple(nev), ()): c * p})
-                out = out + left * img * SuperPolynomial(table, {((), od): 1})
+                term = left * img * SuperPolynomial(table, {((), od): 1})
+                for k, v in term.terms.items():
+                    _add_term(out, k, v)
             # odd factors: (-1)^(gx * #odd factors crossed)
             for j, i in enumerate(od):
                 img = self.images.get(i)
@@ -498,8 +516,10 @@ class Derivation:
                     continue
                 cc = -c if (gx and (j & 1)) else c
                 left = SuperPolynomial(table, {(ev, od[:j]): cc})
-                out = out + left * img * SuperPolynomial(table, {((), od[j + 1:]): 1})
-        return out
+                term = left * img * SuperPolynomial(table, {((), od[j + 1:]): 1})
+                for k, v in term.terms.items():
+                    _add_term(out, k, v)
+        return SuperPolynomial(table, out)
 
     # -- linear structure ---------------------------------------------------
     def __add__(self, other):
@@ -553,12 +573,15 @@ def super_bracket(X: Derivation, Y: Derivation) -> Derivation:
     """[X,Y] = X∘Y - (-1)^(gr X gr Y) Y∘X, returned as a derivation.
 
     Both operands must be parity homogeneous (guaranteed by construction).
+    Only generators with an image under X or Y are evaluated: on any other
+    generator both X(Y g) and Y(X g) vanish.
     """
     if X.table is not Y.table:
         raise TableMismatchError("bracket across tables")
     sign = -1 if (X.parity and Y.parity) else 1
     imgs = {}
-    for s in X.table.symbols:
+    for i in sorted(X.images.keys() | Y.images.keys()):
+        s = X.table.symbols[i]
         g = X.table.sym(s.name)
         v = X(Y(g)) - sign * Y(X(g))
         if v:
@@ -606,7 +629,7 @@ def cartan_triple(n: int, xi_components):
             c = c(table)
         if isinstance(c, (int, Fraction, QI)):
             c = table.scalar(c)
-        if any(od for (_, od) in c.terms):
+        if any(s.parity == ODD for s in c.support()):
             raise ValueError("vector field components must be even polynomials")
         comps.append(c)
     if len(comps) != n:

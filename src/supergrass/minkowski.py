@@ -762,13 +762,16 @@ class InvariantFields:
         return Derivation(t, EVEN, imgs, "rhs")
 
     def relations_ok(self) -> bool:
+        slots = [(a, alpha) for a in (1, 2) for alpha in range(1, self.k + 1)]
+        tau = {s: self.tau(*s) for s in slots}
+        D = {s: self.D(*s) for s in slots}
         for a in (1, 2):
             for b in (1, 2):
                 for alpha in range(1, self.k + 1):
                     for beta in range(1, self.k + 1):
-                        tt = super_bracket(self.tau(a, alpha), self.tau(b, beta))
-                        dd = super_bracket(self.D(a, alpha), self.D(b, beta))
-                        td = super_bracket(self.tau(a, alpha), self.D(b, beta))
+                        tt = super_bracket(tau[a, alpha], tau[b, beta])
+                        dd = super_bracket(D[a, alpha], D[b, beta])
+                        td = super_bracket(tau[a, alpha], D[b, beta])
                         if tt != self.pair_translation(a, b, alpha, beta, Fraction(2)):
                             return False
                         if dd != self.pair_translation(a, b, alpha, beta, Fraction(-2)):

@@ -81,15 +81,9 @@ class FieldSystem:
         return d
 
     def _check_order(self, p: SuperPolynomial):
-        for (ev, od), _ in p.terms.items():
-            for i, _e in ev:
-                s = self.table.symbols[i]
-                if s.jet_base is not None and len(s.jet_derivs) >= self.max_order:
-                    raise ValueError(f"{s.name}: jet order exhausted; raise max_order")
-            for i in od:
-                s = self.table.symbols[i]
-                if s.jet_base is not None and len(s.jet_derivs) >= self.max_order:
-                    raise ValueError(f"{s.name}: jet order exhausted; raise max_order")
+        for s in p.support():
+            if s.jet_base is not None and len(s.jet_derivs) >= self.max_order:
+                raise ValueError(f"{s.name}: jet order exhausted; raise max_order")
 
     def d(self, coord, p: SuperPolynomial) -> SuperPolynomial:
         self._check_order(p)
@@ -277,18 +271,10 @@ class Superparticle:
         chi = fs.sym("chi")
         chi_t = fs.jet("chi", "t")
         delta = -self.variation(eta, chi_name="chi")
-        chi_idx = fs.table.symbol("chi").index
-        chit_idx = fs.table.symbol("chi_t").index
-        part_chi = fs.zero()
-        part_chit = fs.zero()
-        for (ev, od), c in delta.terms.items():
-            evd = dict(ev)
-            if evd.get(chit_idx):
-                part_chit = part_chit + SuperPolynomial(fs.table, {(ev, od): c})
-            elif evd.get(chi_idx):
-                part_chi = part_chi + SuperPolynomial(fs.table, {(ev, od): c})
-            else:
-                raise AssertionError("variation term without modulation factor")
+        part_chi = delta.free_of(("chi_t",))
+        part_chit = delta - part_chi
+        if part_chi.free_of(("chi",)):
+            raise AssertionError("variation term without modulation factor")
         pair = self.pair_velocity()
         ok0 = part_chi == (eta * chi * fs.d("t", pair)).scale(Fraction(1, 2))
         ok1 = part_chit == (eta * chi_t * pair).scale(Fraction(3, 2))
@@ -326,20 +312,11 @@ class Superparticle:
 
 def integrate_by_parts_chi(fs: FieldSystem, p: SuperPolynomial) -> SuperPolynomial:
     """Rewrite chi_t g -> -chi D_t(g), discarding the boundary term."""
-    chit = fs.table.symbol(fs.jet_names[("chi", ("t",))]).index
-    chi = fs.sym("chi")
-    out = fs.zero()
-    for (ev, od), c in p.terms.items():
-        evd = dict(ev)
-        power = evd.pop(chit, 0)
-        if power == 0:
-            out = out + SuperPolynomial(fs.table, {(ev, od): c})
-            continue
-        if power > 1:
-            raise ValueError("quadratic modulation terms cannot be integrated by parts")
-        rest = SuperPolynomial(fs.table, {(tuple(sorted(evd.items())), od): c})
-        out = out - chi * fs.d("t", rest)
-    return out
+    chit = fs.jet_names[("chi", ("t",))]
+    g = p.diff_even(chit)
+    if g.diff_even(chit):
+        raise ValueError("quadratic modulation terms cannot be integrated by parts")
+    return p.free_of((chit,)) - fs.sym("chi") * fs.d("t", g)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +572,8 @@ class BpsSystem:
         t1 = self.model.tau_operator(1)(Phi0)
         t2 = self.model.tau_operator(2)(Phi0)
         combo = self.c * t1 + self.s * t2
-        eq1 = _theta_free(fs, combo.coefficient_of_odd(("th1",)))
-        eq2 = _theta_free(fs, combo.coefficient_of_odd(("th2",)))
+        eq1 = combo.coefficient_of_odd(("th1",)).free_of(("th1", "th2"))
+        eq2 = combo.coefficient_of_odd(("th2",)).free_of(("th1", "th2"))
         return eq1, eq2
 
     def cos2a(self):
@@ -634,15 +611,8 @@ class BpsSystem:
         """Substitute phi_(t J) -> -(X phi)_J recursively (prolonged R1)."""
         fs = self.fs
         while True:
-            target = None
-            for (ev, od), _ in p.terms.items():
-                for i, _e in ev:
-                    s = fs.table.symbols[i]
-                    if s.jet_base == "phi" and "t" in s.jet_derivs:
-                        target = s
-                        break
-                if target:
-                    break
+            target = next((s for s in p.support()
+                           if s.jet_base == "phi" and "t" in s.jet_derivs), None)
             if target is None:
                 return self.reduce(p)
             rest = tuple(c for c in target.jet_derivs if c != "t") \
@@ -697,16 +667,6 @@ class BpsSystem:
             return False
         constrained = minus.substitute({"F": -hp.apply(phi)})
         return constrained == (self.c * (fs.jet("phi", "x") + hp.apply(phi))).scale(2)
-
-
-def _theta_free(fs: FieldSystem, p: SuperPolynomial) -> SuperPolynomial:
-    th = {fs.table.symbol("th1").index, fs.table.symbol("th2").index}
-    out = fs.zero()
-    for (ev, od), c in p.terms.items():
-        if any(i in th for i in od):
-            continue
-        out = out + SuperPolynomial(fs.table, {(ev, od): c})
-    return out
 
 
 def bogomolnyi_identity_ok(h_degree=4) -> bool:

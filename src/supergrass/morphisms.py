@@ -92,15 +92,8 @@ class FleshMorphism:
             return self.table.scalar(p)
         if p.table is self.table:
             return p
-        out = self.table.zero()
-        for (ev, od), c in p.terms.items():
-            term = self.table.scalar(c)
-            for i, e in ev:
-                term = term * self.table.sym(p.table.symbols[i].name) ** e
-            for i in od:
-                term = term * self.table.sym(p.table.symbols[i].name)
-            out = out + term
-        return out
+        images = {s.name: self.table.sym(s.name) for s in p.support()}
+        return p.substitute(images) if images else self.table.scalar(p.scalar_part())
 
     def odd_monomial(self, I) -> SuperPolynomial:
         m = self.table.one()
@@ -175,8 +168,7 @@ def morphism_check(m: FleshMorphism, f, g, rng=None) -> bool:
             m.pullback_even(f).scale(lam) + m.pullback_even(g).scale(mu):
         return False
     for h in (f, g, f * g):
-        pb = m.pullback_even(h)
-        if any(len(od) % 2 for (_, od) in pb.terms):
+        if m.pullback_even(h).parity_part(ODD):
             return False
     return m.pullback_even(f * g) == m.pullback_even(f) * m.pullback_even(g)
 
@@ -211,7 +203,7 @@ def collapse_morphism_check(n_even, target_odd_count, rng=None, cases=25) -> boo
         # the collapse map F -> F_empty is multiplicative
         f = _random_odd_poly(tgt, rng)
         g = _random_odd_poly(tgt, rng)
-        if _odd_constant(f * g) != _odd_constant(f) * _odd_constant(g):
+        if (f * g).scalar_part() != f.scalar_part() * g.scalar_part():
             return False
     return True
 
@@ -223,10 +215,6 @@ def _random_odd_poly(t, rng):
         od = [n for n in names if rng.random() < 0.5]
         p = p + t.monomial(Fraction(rng.randint(-3, 3)), [], od)
     return p
-
-
-def _odd_constant(p):
-    return p.terms.get(((), ()), Fraction(0))
 
 
 def point_tangent_pullback(target_table: SymbolTable, point: dict, xi: dict,
@@ -377,30 +365,13 @@ def component_fields(m: FleshMorphism):
     if m.n_theta != 2:
         raise ValueError("component dictionary is for two theta coordinates")
     check_chart_condition(m)
-    th = [m.table.sym(m.odd_coords[0]), m.table.sym(m.odd_coords[1])]
-    names = [m.odd_coords[0], m.odd_coords[1]]
+    ths = m.odd_coords[:2]
+    monos = {"phi": (), "psi1": ths[:1], "psi2": ths[1:], "F": ths}
     out = {}
     for yname in m.target_even:
         p = m.pullback_even(m.table.sym(yname))
-        comp = {
-            "phi": _strip(p, m, ()),
-            "psi1": _strip(p, m, (names[0],)),
-            "psi2": _strip(p, m, (names[1],)),
-            "F": _strip(p, m, (names[0], names[1])),
-        }
-        out[yname] = comp
-    return out
-
-
-def _strip(p: SuperPolynomial, m: FleshMorphism, theta_names):
-    """Coefficient of the given theta monomial with no other thetas left."""
-    coeff = p.coefficient_of_odd(theta_names) if theta_names else p
-    theta_idx = {m.table.symbol(n).index for n in m.odd_coords[: m.n_theta]}
-    out = m.table.zero()
-    for (ev, od), c in coeff.terms.items():
-        if any(i in theta_idx for i in od):
-            continue
-        out = out + SuperPolynomial(m.table, {(ev, od): c})
+        # the coefficient of each theta monomial, with no other thetas left
+        out[yname] = {key: p.coefficient_of_odd(mono).free_of(ths) for key, mono in monos.items()}
     return out
 
 

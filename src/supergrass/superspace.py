@@ -70,24 +70,17 @@ class SuperDomain:
         return out
 
 
-def berezin_poly(f: SuperPolynomial, theta_names, table) -> SuperPolynomial:
-    """Coefficient of theta^1...theta^k written to the left of the remaining
-    odd factors: the Berezin integral over the given odd coordinates."""
-    if not theta_names:
-        return f
-    return f.coefficient_of_odd(theta_names)
-
-
 def berezin(domain: SuperDomain, f: SuperPolynomial, definite=None):
     """Berezin integral over all odd theta coordinates of the domain.
 
-    Returns the coefficient of the top theta monomial (still a polynomial in
-    the evens and etas).  With definite=True (or a box set on the domain),
-    the even polynomial part is integrated exactly over the box as well.
+    Returns the coefficient of the top theta monomial, written to the left of
+    the remaining odd factors (still a polynomial in the evens and etas).
+    With definite=True (or a box set on the domain), the even polynomial part
+    is integrated exactly over the box as well.
     """
     if not domain.theta_names:
         raise ValueError("domain has no odd theta coordinates")
-    g = berezin_poly(f, domain.theta_names, domain.table)
+    g = f.coefficient_of_odd(domain.theta_names)
     box = domain.box if definite in (None, True) else None
     if definite and domain.box is None:
         raise ValueError("definite integration needs a box")
@@ -185,9 +178,8 @@ class EvenGrassmannPoint:
     def __init__(self, value: SuperPolynomial):
         if value.parity() not in (None, EVEN):
             raise ParityError("even Grassmann point must be even")
-        for (ev, od), _ in value.terms.items():
-            if ev:
-                raise ValueError("point must be constant in the even coordinates")
+        if any(s.parity == EVEN for s in value.support()):
+            raise ValueError("point must be constant in the even coordinates")
         self.value = value
         self.body = rational_part(value.scalar_part())
         self.soul = value - value.table.scalar(self.body)
@@ -222,7 +214,7 @@ def hinf_extend(f: SuperPolynomial, points) -> SuperPolynomial:
     The sum is finite by nilpotency and the map is a ring morphism.
     """
     points = list(points)
-    if any(od for (_, od) in f.terms):
+    if any(s.parity == ODD for s in f.support()):
         raise ParityError("extend only plain even polynomials")
     names = f.table.names()
     if len(points) != len(names):
@@ -344,26 +336,14 @@ class LiftSpace:
         """Evaluate e^(theta-lift vector field) at s = 0: replace every s_I
         factor by the odd monomial eta^I of the base domain."""
         dom = self.domain
-        out = dom.zero()
-        for (ev, od), c in frak.terms.items():
-            if od:
-                raise ValueError("lift-space elements are purely even")
-            term = dom.scalar(c)
-            for i, p in ev:
-                I = self._s_index(i)
-                if I is None:
-                    name = self.table.symbols[i].name
-                    term = term * dom.sym(name) ** p
-                else:
-                    for _ in range(p):
-                        mono = dom.one()
-                        for pos in I:
-                            mono = mono * dom.sym(self.odd_names[pos - 1])
-                        term = term * mono
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        images = {}
+        for s in frak.support():
+            I = self._s_index(s.index)
+            if I is None:
+                images[s.name] = dom.sym(s.name)
+            else:
+                images[s.name] = dom.table.monomial(1, (), [self.odd_names[pos - 1] for pos in I])
+        return frak.substitute(images) if images else dom.scalar(frak.scalar_part())
 
     def extend_even_field(self, coeffs: dict) -> Derivation:
         """Vector field sum c_x(base evens) d/dx on the lift space, constant
@@ -444,16 +424,9 @@ def _apply_even_field_on_base(dom: SuperDomain, coeffs, f):
 
 
 def _transport(dom: SuperDomain, poly: SuperPolynomial) -> SuperPolynomial:
-    """Copy an even polynomial (in shared even names) into the domain table."""
-    out = dom.zero()
-    for (ev, od), c in poly.terms.items():
-        if od:
-            raise ValueError("only even-coordinate polynomials transport")
-        term = dom.scalar(c)
-        for i, p in ev:
-            term = term * dom.sym(poly.table.symbols[i].name) ** p
-        out = out + term
-    return out
+    """Copy a polynomial in shared even names into the domain table."""
+    images = {s.name: dom.sym(s.name) for s in poly.support()}
+    return poly.substitute(images) if images else dom.scalar(poly.scalar_part())
 
 
 def _random_lift_poly(space: LiftSpace, rng) -> SuperPolynomial:

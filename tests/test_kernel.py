@@ -413,3 +413,221 @@ def test_coefficient_types_compare_and_hash_alike():
         assert str(p) == str(q)
     assert 3 == Fraction(3) == QI(3, 0) and hash(3) == hash(Fraction(3)) == hash(QI(3, 0))
     assert t.scalar(QI(3, 0)) == t.scalar(3) == 3
+
+
+# ---------------------------------------------------------------------------
+# projections, cross-table copies and the one-dict accumulators against the
+# per-term loops they replaced, over QI coefficients with a Clifford generator
+# ---------------------------------------------------------------------------
+
+def _qi_table():
+    t = SymbolTable()
+    for n in ("x", "y"):
+        t.even_symbol(n)
+    t.odd_symbol("th1")
+    t.clifford_symbol("eps", 2)
+    t.odd_symbol("th2")
+    t.odd_symbol("th3")
+    return t
+
+
+def _random_qi_poly(t, rng, nterms=6):
+    odd = [s.name for s in t.symbols if s.parity == ODD]
+    p = t.zero()
+    for _ in range(nterms):
+        im = rng.choice([0, 0, 1, Fraction(-1, 2)])
+        c = QI(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), im)
+        ev = [(n, rng.randint(0, 2)) for n in ("x", "y") if rng.random() < 0.6]
+        od = [n for n in odd if rng.random() < 0.5]
+        p = p + t.monomial(c, ev, rng.sample(od, len(od)))
+    return p
+
+
+def _nonzero_terms(p):
+    return all(c for c in p.terms.values())
+
+
+def _free_of_oracle(p, names):
+    # the per-term filter of the former models._theta_free and morphisms._strip
+    idx = {p.table.symbol(n).index for n in names}
+    out = p.table.zero()
+    for (ev, od), c in p.terms.items():
+        if any(i in idx for i in od) or any(i in idx for i, _ in ev):
+            continue
+        out = out + SuperPolynomial(p.table, {(ev, od): c})
+    return out
+
+
+def _parity_part_oracle(p, parity):
+    # the former loop of suites.random_homogeneous
+    out = p.table.zero()
+    for (ev, od), c in p.terms.items():
+        if len(od) % 2 == parity:
+            out = out + SuperPolynomial(p.table, {(ev, od): c})
+    return out
+
+
+def _support_oracle(p):
+    # the former even and odd scans of FieldSystem._check_order
+    seen = set()
+    for (ev, od), _ in p.terms.items():
+        for i, _e in ev:
+            seen.add(i)
+        for i in od:
+            seen.add(i)
+    return [p.table.symbols[i] for i in sorted(seen)]
+
+
+def _copy_oracle(p, table, images):
+    # the former FleshMorphism._lift and superspace._transport: rebuild each
+    # term factor by factor, a symbol without an image going over by name
+    out = table.zero()
+    for (ev, od), c in p.terms.items():
+        term = table.scalar(c)
+        for i, e in ev:
+            name = p.table.symbols[i].name
+            term = term * (images[name] if name in images else table.sym(name)) ** e
+        for i in od:
+            name = p.table.symbols[i].name
+            term = term * (images[name] if name in images else table.sym(name))
+        out = out + term
+    return out
+
+
+def _derivation_oracle(X, f):
+    # the former Derivation.__call__, which summed with out = out + ...
+    table = X.table
+    out = table.zero()
+    for (ev, od), c in f.terms.items():
+        for j, (i, p) in enumerate(ev):
+            img = X.images.get(i)
+            if img is None:
+                continue
+            nev = list(ev)
+            if p == 1:
+                del nev[j]
+            else:
+                nev[j] = (i, p - 1)
+            left = SuperPolynomial(table, {(tuple(nev), ()): c * p})
+            out = out + left * img * SuperPolynomial(table, {((), od): 1})
+        for j, i in enumerate(od):
+            img = X.images.get(i)
+            if img is None:
+                continue
+            cc = -c if (X.parity and (j & 1)) else c
+            left = SuperPolynomial(table, {(ev, od[:j]): cc})
+            out = out + left * img * SuperPolynomial(table, {((), od[j + 1:]): 1})
+    return out
+
+
+def _random_derivation(t, rng, parity):
+    images = {}
+    for s in t.symbols:
+        if rng.random() < 0.6:
+            images[s.name] = _random_qi_poly(t, rng, 3).parity_part((s.parity + parity) % 2)
+    return Derivation(t, parity, images)
+
+
+def test_projections_against_per_term_loops():
+    rng = random.Random(11)
+    t = _qi_table()
+    name_sets = [(), ("th1",), ("x",), ("eps", "y"), ("th2", "th3", "x")]
+    for _ in range(40):
+        f = _random_qi_poly(t, rng)
+        for names in name_sets:
+            kept = f.free_of(names)
+            assert kept == _free_of_oracle(f, names) and _nonzero_terms(kept)
+            # the complement is a sum that cancels every kept key
+            rest = f - kept
+            assert _nonzero_terms(rest)
+            assert rest.free_of(names).is_zero()
+            assert not set(rest.terms) & set(kept.terms)
+        assert f.free_of(()) == f
+        for g in (0, 1):
+            part = f.parity_part(g)
+            assert part == _parity_part_oracle(f, g) and _nonzero_terms(part)
+        assert f.parity_part(0) + f.parity_part(1) == f
+        assert f.support() == _support_oracle(f)
+    assert t.zero().support() == [] and t.scalar(QI(1, 2)).support() == []
+
+
+def test_cross_table_substitute_against_rebuild():
+    rng = random.Random(12)
+    t = _qi_table()
+    # the same names in another declaration order, plus symbols t lacks
+    u = SymbolTable()
+    u.odd_symbol("th3")
+    u.even_symbol("z")
+    u.clifford_symbol("eps", 2)
+    u.odd_symbol("th1")
+    u.even_symbol("y")
+    u.even_symbol("x")
+    u.odd_symbol("th2")
+    u.odd_symbol("et")
+    for _ in range(30):
+        f = _random_qi_poly(t, rng)
+        copy = f.substitute({s.name: u.sym(s.name) for s in f.support()})
+        assert copy.table is u and _nonzero_terms(copy)
+        assert copy == _copy_oracle(f, u, {})
+        images = {"th1": u.sym("th1") + (u.sym("et") * u.sym("z")).scale(QI(0, 1)),
+                  "x": u.sym("x") - u.sym("y") * 2}
+        moved = f.substitute(images)
+        assert moved.table is u and _nonzero_terms(moved)
+        assert moved == _copy_oracle(f, u, images)
+    # a polynomial over a table without symbols: substitute has no image to
+    # name the target table, so the callers move the scalar themselves
+    from supergrass.morphisms import FleshMorphism
+
+    bare = SymbolTable().scalar(QI(1, 2))
+    assert bare.substitute({}) is bare
+    m = FleshMorphism(("x",), ("th1",), ("y",), {"y": SymbolTable().scalar(3)}, {})
+    assert m.phi["y"].table is m.table and m.phi["y"] == m.table.scalar(3)
+
+
+def test_derivation_call_and_bracket_against_summing_loops():
+    rng = random.Random(13)
+    t = _qi_table()
+    for _ in range(25):
+        X = _random_derivation(t, rng, rng.randint(0, 1))
+        Y = _random_derivation(t, rng, rng.randint(0, 1))
+        f = _random_qi_poly(t, rng)
+        got = X(f)
+        assert got == _derivation_oracle(X, f) and _nonzero_terms(got)
+        # the bracket evaluated on every generator, untouched ones included
+        sign = -1 if (X.parity and Y.parity) else 1
+        br = super_bracket(X, Y)
+        for s in t.symbols:
+            g = t.sym(s.name)
+            assert br.image(s.name) == X(Y(g)) - sign * Y(X(g))
+        assert all(v and _nonzero_terms(v) for v in br.images.values())
+
+
+def _pair_sum(polys):
+    # coefficients summed as (re, im) Fraction pairs, zeros dropped at the end
+    acc = {}
+    for p in polys:
+        for k, c in p.terms.items():
+            re, im = (c.re, c.im) if isinstance(c, QI) else (Fraction(c), Fraction(0))
+            a, b = acc.get(k, (Fraction(0), Fraction(0)))
+            acc[k] = (a + re, b + im)
+    return {k: v for k, v in acc.items() if v != (0, 0)}
+
+
+def test_accumulator_cancels_to_absent_key():
+    rng = random.Random(14)
+    t = _qi_table()
+    for _ in range(30):
+        polys = [_random_qi_poly(t, rng, 4) for _ in range(3)]
+        polys.append(-polys[0].free_of(("th1",)))
+        total = t.zero()
+        for p in polys:
+            total = total + p
+        assert total.terms == {k: QI(*v) for k, v in _pair_sum(polys).items()}
+        assert (total - total).terms == {}
+    x, th1, th2, eps = (t.sym(n) for n in ("x", "th1", "th2", "eps"))
+    x2 = {(((0, 2),), ()): 1}
+    # the cross terms of each product cancel, and their keys must go
+    assert ((x + eps * th1) * (x - eps * th1)).terms == x2
+    assert ((x + (th1 * th2).scale(QI(0, 1))) * (x - (th1 * th2).scale(QI(0, 1)))).terms == x2
+    assert (x * th1 + th1 * x.scale(-1)).terms == {}
+    assert (x * x * th1).diff_even("x").coefficient_of_odd(("th1",)).terms == {(((0, 1),), ()): 2}
