@@ -2,9 +2,12 @@
 the antisymmetric structure constants used by the super Minkowski algebras.
 
 Elements carry coefficients over an orthonormal basis (u_1, ..., u_k) with
-u_1 = 1; coefficients may be exact scalars or SuperPolynomials, so the same
-arithmetic drives both plain computations and matrix entries over a Clifford
-envelope.
+u_1 = 1.  The coefficients come from any ring whose elements support +, - and
+* and test false exactly when zero: exact scalars, or SuperPolynomials over
+one table, so the same arithmetic drives both plain computations and matrix
+entries over a Clifford envelope.  An element carries its ring's zero, which
+fills the slots a product leaves empty; nothing here inspects coefficient
+types.
 
 Octonion convention.  The multiplication table is the one pinned down by the
 required pairings u_1u_2 = u_3u_4 = u_6u_7 = u_8u_5 = u_2 together with the
@@ -21,9 +24,6 @@ in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .kernel import SuperPolynomial
-from .scalars import QI, frac
 
 OCTONION_TRIPLES = ((2, 3, 4), (2, 6, 7), (2, 8, 5), (3, 6, 8), (3, 5, 7), (4, 5, 6), (4, 8, 7))
 
@@ -48,9 +48,7 @@ class DivisionAlgebra:
             tab[(a, 1)] = (a, 1)
         for a in range(2, k + 1):
             tab[(a, a)] = (1, -1)
-        if self.which == "C":
-            pass
-        elif self.which == "H":
+        if self.which == "H":
             for (a, b, c) in ((2, 3, 4),):
                 self._orient(tab, a, b, c)
         elif self.which == "O":
@@ -68,60 +66,70 @@ class DivisionAlgebra:
     def element(self, coeffs) -> "DAElement":
         return DAElement(self, list(coeffs))
 
-    def zero_like(self, model=None):
-        z = _zero_of(model)
-        return DAElement(self, [z for _ in range(self.dim)])
+    def zero_like(self, zero=0) -> "DAElement":
+        return DAElement(self, [zero] * self.dim, zero)
 
     def unit(self, alpha: int, coeff=1) -> "DAElement":
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[alpha - 1] = frac(coeff) if isinstance(coeff, (int, Fraction, str)) else coeff
+        coeffs = [0] * self.dim
+        coeffs[alpha - 1] = coeff
         return DAElement(self, coeffs)
 
     def one(self):
         return self.unit(1)
 
-    def from_scalar(self, c):
-        return self.unit(1, c)
-
-
-def _zero_of(model):
-    if isinstance(model, SuperPolynomial):
-        return model.table.zero()
-    return Fraction(0)
-
 
 class DAElement:
-    """k coefficients over the basis (u_1, ..., u_k); u_1 acts as identity."""
+    """k coefficients over the basis (u_1, ..., u_k); u_1 acts as identity.
 
-    __slots__ = ("alg", "coeffs")
+    `zero` is the zero of the coefficient ring: 0 for exact scalars,
+    table.zero() for polynomial coefficients.  Results keep it.
+    """
 
-    def __init__(self, alg: DivisionAlgebra, coeffs):
+    __slots__ = ("alg", "coeffs", "zero")
+
+    def __init__(self, alg: DivisionAlgebra, coeffs, zero=0):
         if len(coeffs) != alg.dim:
             raise ValueError(f"need {alg.dim} coefficients")
         self.alg = alg
-        self.coeffs = [frac(c) if isinstance(c, int) else c for c in coeffs]
+        self.coeffs = coeffs
+        self.zero = zero
 
     def _check(self, other):
         if self.alg.which != other.alg.which:
             raise ValueError("division-algebra tag mismatch")
 
+    # + and - skip zero operands and zero slots: a zero side gives the other
     def __add__(self, other):
         self._check(other)
-        return DAElement(self.alg, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        if not other:
+            return self
+        if not self:
+            return other
+        return DAElement(self.alg, [a + b if a and b else a or b
+                                    for a, b in zip(self.coeffs, other.coeffs)], self.zero)
 
     def __sub__(self, other):
         self._check(other)
-        return DAElement(self.alg, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        if not other:
+            return self
+        if not self:
+            return -other
+        return DAElement(self.alg, [(a - b if a else -b) if b else a
+                                    for a, b in zip(self.coeffs, other.coeffs)], self.zero)
 
     def __neg__(self):
-        return DAElement(self.alg, [-a for a in self.coeffs])
+        return DAElement(self.alg, [-a for a in self.coeffs], self.zero)
 
     def scale(self, c):
-        return DAElement(self.alg, [_lmul(c, a) for a in self.coeffs])
+        """c * a on every slot, c on the left; the result lives in the ring
+        of c * zero, so a polynomial c moves rational slots into its table."""
+        zero = c * self.zero
+        return DAElement(self.alg, [c * a if a else zero for a in self.coeffs], zero)
 
     def __mul__(self, other):
         """Table-driven bilinear product; coefficient order is preserved, so
-        odd (Grassmann-valued) coefficients pick up their own signs."""
+        odd (Grassmann-valued) coefficients pick up their own signs.  The
+        product lives in the ring of the product of the two zeros."""
         self._check(other)
         k = self.alg.dim
         tab = self.alg.table
@@ -139,21 +147,19 @@ class DAElement:
                 if s < 0:
                     v = -v
                 out[g - 1] = v if out[g - 1] is None else out[g - 1] + v
-        model = next((c for c in self.coeffs + other.coeffs if isinstance(c, SuperPolynomial)), None)
-        z = _zero_of(model)
-        return DAElement(self.alg, [z if c is None else c for c in out])
+        z = self.zero * other.zero
+        return DAElement(self.alg, [z if c is None else c for c in out], z)
 
     def conj(self) -> "DAElement":
-        return DAElement(self.alg, [self.coeffs[0]] + [-c for c in self.coeffs[1:]])
+        return DAElement(self.alg, [self.coeffs[0]] + [-c for c in self.coeffs[1:]], self.zero)
 
     def re(self) -> "DAElement":
         """(a + conj a)/2 as an element (purely real)."""
-        z = _zero_of(next((c for c in self.coeffs if isinstance(c, SuperPolynomial)), None))
-        return DAElement(self.alg, [self.coeffs[0]] + [z for _ in self.coeffs[1:]])
+        z = self.zero
+        return DAElement(self.alg, [self.coeffs[0]] + [z] * (self.alg.dim - 1), z)
 
     def im(self) -> "DAElement":
-        z = _zero_of(next((c for c in self.coeffs if isinstance(c, SuperPolynomial)), None))
-        return DAElement(self.alg, [z] + list(self.coeffs[1:]))
+        return DAElement(self.alg, [self.zero] + self.coeffs[1:], self.zero)
 
     def norm_sq(self):
         """a * conj(a); returns the u_1 coefficient after checking the
@@ -182,16 +188,6 @@ class DAElement:
 
     def __repr__(self):
         return f"DA({self.alg.which}: {', '.join(map(str, self.coeffs))})"
-
-
-def _lmul(c, a):
-    if isinstance(a, SuperPolynomial):
-        if isinstance(c, SuperPolynomial):
-            return c * a
-        return a.scale(c)
-    if isinstance(c, SuperPolynomial):
-        return c.scale(a)
-    return frac(c) * a if not isinstance(c, QI) else c * a
 
 
 # Singletons: the tables are immutable after construction.

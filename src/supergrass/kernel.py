@@ -201,14 +201,6 @@ class SuperPolynomial:
             raise ParityError(f"non-homogeneous polynomial: {self}")
         return parities.pop()
 
-    def is_even(self):
-        p = self.parity()
-        return p is None or p == EVEN
-
-    def is_odd(self):
-        p = self.parity()
-        return p is None or p == ODD
-
     def scalar_part(self):
         return self.terms.get(((), ()), 0)
 

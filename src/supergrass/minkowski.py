@@ -21,7 +21,7 @@ from .divalg import (ALGEBRAS, C, DAElement, DivisionAlgebra, H, O, R,
                      gamma_constants)
 from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
                      SymbolTable, super_bracket)
-from .scalars import QI, frac
+from .scalars import QI, frac, rational_part
 
 ALG_BY_K = {1: R, 2: C, 4: H, 8: O}
 EPS_AB = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
@@ -171,27 +171,16 @@ class MinkContext:
     def eta(self, i):
         return self.table.sym(f"et{i}")
 
-    def kzero(self):
-        return DAElement(self.alg, [self.table.zero() for _ in range(self.alg.dim)])
-
-    def kvalue(self, alpha, poly):
-        coeffs = [self.table.zero() for _ in range(self.alg.dim)]
-        coeffs[alpha - 1] = poly
-        return DAElement(self.alg, coeffs)
-
     def promote(self, v: DAElement) -> DAElement:
         """Rational or Gaussian coefficients -> constant polynomials."""
-        return DAElement(self.alg, [
-            c if isinstance(c, SuperPolynomial) else self.table.scalar(c)
-            for c in v.coeffs
-        ])
+        return v.scale(self.table.one())
 
     def zero_matrix(self) -> Matrix:
-        return Matrix.zeros(5, self.kzero())
+        return Matrix.zeros(5, self.alg.zero_like(self.table.zero()))
 
     def identity(self) -> Matrix:
         m = self.zero_matrix()
-        one = self.kvalue(1, self.table.one())
+        one = self.promote(self.alg.one())
         for i in range(5):
             m.entries[i][i] = one
         return m
@@ -201,12 +190,9 @@ def conj_formal_i(m: Matrix) -> Matrix:
     """Conjugate every scalar coefficient w.r.t. the formal square root of -1
     (entrywise; K-basis coefficients untouched)."""
     def cpoly(p: SuperPolynomial):
-        return SuperPolynomial(p.table, {
-            key: (c.conjugate() if isinstance(c, QI) else c)
-            for key, c in p.terms.items()
-        })
+        return SuperPolynomial(p.table, {key: c.conjugate() for key, c in p.terms.items()})
 
-    return m.map(lambda e: DAElement(e.alg, [cpoly(c) for c in e.coeffs]))
+    return m.map(lambda e: DAElement(e.alg, [cpoly(c) for c in e.coeffs], e.zero))
 
 
 def anticomm(m: Matrix, n: Matrix) -> Matrix:
@@ -226,7 +212,7 @@ def x_matrix(ctx: MinkContext, a, b, value: DAElement = None) -> Matrix:
     """X_ab with an optional K value in place of 1."""
     m = ctx.zero_matrix()
     i, j = V_SLOT[(a, b)]
-    m.entries[i][j] = ctx.promote(value) if value is not None else ctx.kvalue(1, ctx.table.one())
+    m.entries[i][j] = ctx.promote(ctx.alg.one() if value is None else value)
     return m
 
 
@@ -237,17 +223,12 @@ def r_matrix(ctx: MinkContext, a, b) -> Matrix:
 
 def im_matrix(ctx: MinkContext, gamma) -> Matrix:
     """Im_gamma = (u_gamma X_12 - u_gamma X_21)/2."""
-    half = ctx.kvalue(gamma, ctx.table.scalar(Fraction(1, 2)))
-    m = ctx.zero_matrix()
-    m.entries[0][4] = half
-    m.entries[1][3] = -half
-    return m
+    return script_i(ctx, ctx.alg.unit(gamma))
 
 
 def script_i(ctx: MinkContext, zeta: DAElement) -> Matrix:
     """I_[12](zeta) = Im(zeta) (X_12 - X_21)/2 for purely imaginary zeta."""
-    z = ctx.promote(zeta)
-    half = z.scale(Fraction(1, 2))
+    half = zeta.scale(ctx.table.scalar(Fraction(1, 2)))
     m = ctx.zero_matrix()
     m.entries[0][4] = half
     m.entries[1][3] = -half
@@ -259,13 +240,13 @@ def q_matrix(ctx: MinkContext, a, lam) -> Matrix:
 
     lam may be a rational DAElement or one with even polynomial coefficients.
     """
-    lam = ctx.promote(lam) if not isinstance(lam.coeffs[0], SuperPolynomial) else lam
-    for c in lam.coeffs:
-        if c.parity() not in (None, EVEN):
-            raise ParityError("q_matrix needs even coefficients")
     eps = ctx.eps()
-    lam_eps = DAElement(lam.alg, [eps * c for c in lam.coeffs])
-    lam_bar_eps = DAElement(lam.alg, [eps * c for c in lam.conj().coeffs])
+    lam_eps = lam.scale(eps)
+    # eps is odd and invertible, so eps * c is odd exactly when c is even
+    for c in lam_eps.coeffs:
+        if c.parity() not in (None, ODD):
+            raise ParityError("q_matrix needs even coefficients")
+    lam_bar_eps = lam.conj().scale(eps)
     m = ctx.zero_matrix()
     if a == 1:
         m.entries[0][2] = lam_eps
@@ -286,8 +267,6 @@ def q_unit(ctx: MinkContext, a, alpha) -> Matrix:
 
 def qq_rhs(ctx: MinkContext, a, b, lam: DAElement, mu: DAElement) -> Matrix:
     """- lam conj(mu) X_ab - mu conj(lam) X_ba."""
-    lam = ctx.promote(lam)
-    mu = ctx.promote(mu)
     return -(x_matrix(ctx, a, b, lam * mu.conj()) + x_matrix(ctx, b, a, mu * lam.conj()))
 
 
@@ -297,7 +276,7 @@ def qq_check(ctx: MinkContext, a, b, lam, mu) -> bool:
 
 def qqbis_rhs(ctx: MinkContext, a, b, lam: DAElement, mu: DAElement) -> Matrix:
     """-2(Re_(ab)(lam conj mu) + Im_[ab](lam conj mu))."""
-    zeta = ctx.promote(lam) * ctx.promote(mu).conj()
+    zeta = lam * mu.conj()
     re_part = (x_matrix(ctx, a, b, zeta.re()) + x_matrix(ctx, b, a, zeta.re())).scale(Fraction(1, 2))
     im_part = (x_matrix(ctx, a, b, zeta.im()) - x_matrix(ctx, b, a, zeta.im())).scale(Fraction(1, 2))
     return -(re_part + im_part).scale(2)
@@ -372,13 +351,12 @@ def centrality_check(ctx: MinkContext) -> bool:
 def translation_block(m: Matrix) -> Hermitian2:
     """Read the upper-right 2x2 block as a Hermitian matrix over K."""
     def as_rational(e: DAElement):
-        for c in e.coeffs[1:]:
-            if not c.is_zero():
-                raise ValueError("diagonal entry is not real")
-        return _rat(e.coeffs[0].scalar_part())
+        if any(e.coeffs[1:]):
+            raise ValueError("diagonal entry is not real")
+        return rational_part(e.coeffs[0].scalar_part())
 
     def as_kelem(e: DAElement):
-        return DAElement(e.alg, [_rat(c.scalar_part()) for c in e.coeffs])
+        return e.alg.element(rational_part(c.scalar_part()) for c in e.coeffs)
 
     h11 = as_rational(m.entries[0][3])
     h22 = as_rational(m.entries[1][4])
@@ -387,14 +365,6 @@ def translation_block(m: Matrix) -> Hermitian2:
     if zbar != z.conj():
         raise ValueError("block is not Hermitian")
     return Hermitian2(h11, h22, z)
-
-
-def _rat(c):
-    if isinstance(c, QI):
-        if c.im != 0:
-            raise ValueError("not rational")
-        return c.re
-    return frac(c)
 
 
 def x_of_pair(alg: DivisionAlgebra, lam1: DAElement, lam2: DAElement) -> Hermitian2:
@@ -443,7 +413,7 @@ class SuperTranslationElement:
         self.theta = {key: self._odd(p) for key, p in (theta or {}).items()}
 
     def _even(self, p):
-        p = self.ctx.table.scalar(p) if isinstance(p, (int, Fraction, QI)) else p
+        p = self.ctx.table.zero() + p  # an exact scalar becomes a constant
         if p.parity() not in (None, EVEN):
             raise ParityError("translation coefficients must be even")
         return p
@@ -652,8 +622,11 @@ def lie_closure(k: int):
     frontier = list(basis)
     while frontier:
         fresh = []
-        for a in basis:
-            for b in frontier:
+        old = len(basis) - len(frontier)  # basis ends with the frontier
+        for i, a in enumerate(basis):
+            # [a, a] = 0, and [b, a] = -[a, b] is in the span once [a, b] was
+            # offered, so a frontier element meets only the later ones
+            for b in frontier[max(0, i - old + 1):]:
                 c = a @ b - b @ a
                 if span.add(_flatten(c)):
                     fresh.append(c)
@@ -676,8 +649,8 @@ def lorentz_conjugation(alg: DivisionAlgebra, S: Matrix, m: Matrix) -> Matrix:
     det = s11 * s22 - s12 * s21
     if any(det.coeffs[1:]):
         raise ValueError("determinant must be real for this helper")
-    d = det.coeffs[0]
-    sinv = kmat2(alg, s22.scale(1 / d), s12.scale(-1 / d), s21.scale(-1 / d), s11.scale(1 / d))
+    inv = Fraction(1) / det.coeffs[0]
+    sinv = kmat2(alg, s22.scale(inv), s12.scale(-inv), s21.scale(-inv), s11.scale(inv))
 
     def blockdiag(upper: Matrix, lower: Matrix) -> Matrix:
         """blockdiag(upper, 1, conj(lower)^t) over the zero of m."""
@@ -1032,12 +1005,9 @@ class ReductionError(AssertionError):
     pass
 
 
-def _z_value(ctx: MinkContext, entry) -> DAElement:
+def _z_value(alg: DivisionAlgebra, entry) -> DAElement:
     (a1, c1), (a2, c2) = entry
-    coeffs = [ctx.table.zero() for _ in range(ctx.alg.dim)]
-    coeffs[a1 - 1] = ctx.table.scalar(c1)
-    coeffs[a2 - 1] = coeffs[a2 - 1] + ctx.table.scalar(QI(0, c2))
-    return DAElement(ctx.alg, coeffs)
+    return alg.unit(a1, c1) + alg.unit(a2, QI(0, c2))
 
 
 def reduction_charges(k: int):
@@ -1072,9 +1042,9 @@ def reduction_charges(k: int):
             if A == B:
                 Z[(A, B)] = ctx.zero_matrix()
             elif (A, B) in table:
-                Z[(A, B)] = script_i(ctx, _z_value(ctx, table[(A, B)]))
+                Z[(A, B)] = script_i(ctx, _z_value(ctx.alg, table[(A, B)]))
             else:
-                Z[(A, B)] = -script_i(ctx, _z_value(ctx, table[(B, A)]))
+                Z[(A, B)] = -script_i(ctx, _z_value(ctx.alg, table[(B, A)]))
 
     def fail(name):
         raise ReductionError(f"identity {name} fails: division-algebra table inconsistent")
@@ -1239,9 +1209,8 @@ def decompose_translation(m: Matrix):
                 raise ValueError(f"support outside the translation block at {(i, j)}")
 
     def real_coeff(e: DAElement):
-        for c in e.coeffs[1:]:
-            if not c.is_zero():
-                raise ValueError("diagonal slot carries an imaginary part")
+        if any(e.coeffs[1:]):
+            raise ValueError("diagonal slot carries an imaginary part")
         return e.coeffs[0]
 
     c_v = {(1, 1): real_coeff(m.entries[0][3]), (2, 2): real_coeff(m.entries[1][4])}
@@ -1255,7 +1224,7 @@ def decompose_translation(m: Matrix):
         if upper.coeffs[g - 1] != -lower.coeffs[g - 1]:
             raise ValueError("antisymmetric slot mismatch")
         val = upper.coeffs[g - 1] + upper.coeffs[g - 1]
-        if not val.is_zero():
+        if val:
             c_w[g] = val
     return c_v, c_w
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import divalg, minkowski, models, morphisms, superspace
-from .expr_io import format_poly, parse, print_ast
+from .expr_io import (Add, Ber, Bracket, Context, DApp, Lit, Mul, Neg, Pow, Sym,
+                      format_poly, parse, poly_from_json, poly_to_json, print_ast)
 from .kernel import (EVEN, ODD, Derivation, SymbolTable,
                      cartan_triple, jacobi_check, skew_check, super_bracket)
 from .scalars import QI
@@ -104,6 +105,32 @@ def random_poly(t, rng, nterms=4, deg=2):
 
 def random_homogeneous(t, rng, parity):
     return random_poly(t, rng).parity_part(parity)
+
+
+def rand_ast(rng, depth=0):
+    """Random canonical AST: nested sums/products are parenthesized by the
+    printer, so any shape round-trips."""
+    choices = ["lit", "sym", "add", "mul", "pow", "neg"]
+    if depth < 1:
+        choices += ["dapp", "bracket", "ber"]
+    kind = rng.choice(choices if depth < 3 else ["lit", "sym"])
+    if kind == "lit":
+        return Lit(Fraction(rng.randint(0, 9), rng.randint(1, 9)))
+    if kind == "sym":
+        return Sym(rng.choice(["x", "th1", "et2", "eps", "u3", "phi_t"]))
+    if kind == "add":
+        return Add(tuple(rand_ast(rng, depth + 1) for _ in range(rng.randint(2, 3))))
+    if kind == "mul":
+        return Mul(tuple(rand_ast(rng, depth + 1) for _ in range(rng.randint(2, 3))))
+    if kind == "pow":
+        return Pow(rand_ast(rng, depth + 1), rng.randint(0, 4))
+    if kind == "neg":
+        return Neg(rand_ast(rng, depth + 1))
+    if kind == "dapp":
+        return DApp("dt", rand_ast(rng, depth + 1))
+    if kind == "bracket":
+        return Bracket(rand_ast(rng, depth + 1), rand_ast(rng, depth + 1))
+    return Ber(rand_ast(rng, depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +674,6 @@ def check_bps(rng, cases):
 # ---------------------------------------------------------------------------
 
 def check_ast_round_trip(rng, cases):
-    from .tests_support import rand_ast  # local import avoids a cycle at module load
-
     for _ in range(max(cases, 1000)):
         ast = rand_ast(rng)
         if parse(print_ast(ast)) != ast:
@@ -657,8 +682,6 @@ def check_ast_round_trip(rng, cases):
 
 
 def check_value_round_trip(rng, cases):
-    from .expr_io import Context
-
     t = grassmann_table(3, evens=("x", "y"))
     ctx = Context(t)
     for _ in range(cases):
@@ -669,8 +692,6 @@ def check_value_round_trip(rng, cases):
 
 
 def check_json_round_trip(rng, cases):
-    from .expr_io import poly_from_json, poly_to_json
-
     t = grassmann_table(2, evens=("x",))
     for _ in range(cases):
         p = random_poly(t, rng)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from supergrass.divalg import C, H, O, R, algebra, gamma, gamma_constants
-from supergrass.kernel import SymbolTable
+from supergrass.divalg import C, H, O, R, DAElement, algebra, gamma, gamma_constants
+from supergrass.kernel import SuperPolynomial, SymbolTable
 
 
 def rand_elem(alg, rng, span=5):
@@ -141,3 +141,136 @@ def test_algebra_lookup():
     assert algebra("O") is O
     with pytest.raises(ValueError):
         algebra("S")
+
+
+# -- the ring-generic element --------------------------------------------------
+
+def _envelope():
+    """Clifford envelope with one eps and three odd parameters."""
+    t = SymbolTable()
+    t.clifford_symbol("eps", 1)
+    for i in (1, 2, 3):
+        t.odd_symbol(f"et{i}")
+    return t
+
+
+def _rand_poly_elem(alg, t, rng):
+    """Coefficients mixing even and odd Grassmann parts; about a third of
+    the slots are zero."""
+    et1, et2, et3 = (t.sym(f"et{i}") for i in (1, 2, 3))
+    gens = [t.one(), t.sym("eps"), et1, et2, et3, et1 * et2, t.sym("eps") * et3]
+    coeffs = []
+    for _ in range(alg.dim):
+        if rng.random() < 0.35:
+            coeffs.append(t.zero())
+        else:
+            coeffs.append(sum((g.scale(rng.randint(-2, 2)) for g in rng.sample(gens, 3)), t.zero()))
+    return DAElement(alg, coeffs, t.zero())
+
+
+def _rand_rational_elem(alg, rng):
+    return alg.element([rng.choice([0, rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 3)])
+                        for _ in range(alg.dim)])
+
+
+def _naive(op, x, y=None, c=None):
+    """Dense coefficient lists straight from the definitions: every slot is
+    computed, zero or not, and the left factor stays on the left."""
+    k = x.alg.dim
+    if op == "+":
+        return [a + b for a, b in zip(x.coeffs, y.coeffs)]
+    if op == "-":
+        return [a - b for a, b in zip(x.coeffs, y.coeffs)]
+    if op == "neg":
+        return [-a for a in x.coeffs]
+    if op == "scale":
+        return [c * a for a in x.coeffs]
+    if op == "conj":
+        return [x.coeffs[0]] + [-a for a in x.coeffs[1:]]
+    if op == "re":
+        return [x.coeffs[0]] + [x.zero] * (k - 1)
+    if op == "im":
+        return [x.zero] + list(x.coeffs[1:])
+    out = [x.zero] * k
+    for a in range(1, k + 1):
+        for b in range(1, k + 1):
+            g, s = x.alg.table[(a, b)]
+            out[g - 1] = out[g - 1] + (x.coeffs[a - 1] * y.coeffs[b - 1]) * s
+    return out
+
+
+def _apply(op, x, y=None, c=None):
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "neg":
+        return -x
+    if op == "scale":
+        return x.scale(c)
+    if op == "*":
+        return x * y
+    return getattr(x, op)()
+
+
+OPS = ("+", "-", "neg", "scale", "*", "conj", "re", "im")
+
+
+@pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
+def test_polynomial_ring_results_against_naive_oracle(alg):
+    """Every slot of a result over a table, the zero included, is a
+    SuperPolynomial over that table, and the values match the dense oracle;
+    odd coefficients pin the left order of scale and *."""
+    t = _envelope()
+    rng = random.Random(31 + alg.dim)
+    zero = alg.zero_like(t.zero())
+    for _ in range(25):
+        x, y = _rand_poly_elem(alg, t, rng), _rand_poly_elem(alg, t, rng)
+        c = rng.choice([_rand_poly_elem(R, t, rng).coeffs[0], t.sym("et2"), t.zero(),
+                        Fraction(rng.randint(-3, 3), 2)])
+        for u, v in ((x, y), (x, zero), (zero, x), (zero, zero)):
+            for op in OPS:
+                got = _apply(op, u, v, c)
+                assert got.coeffs == _naive(op, u, v, c), op
+                for slot in got.coeffs + [got.zero]:
+                    assert isinstance(slot, SuperPolynomial) and slot.table is t, op
+                assert not got.zero
+
+
+@pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
+def test_rational_ring_results_against_naive_oracle(alg):
+    rng = random.Random(47 + alg.dim)
+    zero = alg.zero_like()
+    for _ in range(25):
+        x, y = _rand_rational_elem(alg, rng), _rand_rational_elem(alg, rng)
+        c = rng.choice([0, rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2)])
+        for u, v in ((x, y), (x, zero), (zero, x), (zero, zero)):
+            for op in OPS:
+                got = _apply(op, u, v, c)
+                assert got.coeffs == _naive(op, u, v, c), op
+                assert not any(isinstance(slot, SuperPolynomial) for slot in got.coeffs + [got.zero]), op
+
+
+def test_scale_by_polynomial_moves_rational_element_into_the_table():
+    t = _envelope()
+    eps = t.sym("eps")
+    got = H.element([0, 1, Fraction(1, 2), 0]).scale(eps)
+    assert got.coeffs == [t.zero(), eps, eps.scale(Fraction(1, 2)), t.zero()]
+    assert all(isinstance(slot, SuperPolynomial) and slot.table is t for slot in got.coeffs + [got.zero])
+
+
+def test_product_with_a_polynomial_element_lives_in_the_table():
+    """The product's zero is the product of the operands' zeros, so a
+    rational factor on either side gives a result over the table."""
+    t = _envelope()
+    x, y = H.unit(2), H.unit(3).scale(t.sym("eps"))
+    for got in (x * y, y * x):
+        assert all(isinstance(slot, SuperPolynomial) and slot.table is t
+                   for slot in got.coeffs + [got.zero])
+    assert (x * y).coeffs == [t.zero(), t.zero(), t.zero(), t.sym("eps")]
+
+
+def test_integral_coefficients_stay_int():
+    p = O.unit(3) * O.unit(4).conj() + O.one()
+    assert p.coeffs == [1, -1, 0, 0, 0, 0, 0, 0]
+    assert all(type(c) is int for c in p.coeffs)

@@ -8,6 +8,7 @@ from supergrass.expr_io import (Add, Context, DslSyntaxError,
                                 poly_from_json, poly_to_json, print_ast)
 from supergrass.kernel import SymbolTable
 from supergrass.scalars import QI
+from supergrass.suites import rand_ast
 from supergrass.superspace import supertime
 
 
@@ -74,9 +75,6 @@ def test_missing_paren_expected_set():
     with pytest.raises(DslSyntaxError) as err:
         parse("(1 + 2")
     assert ")" in err.value.expected
-
-
-from supergrass.tests_support import rand_ast
 
 
 def test_ast_round_trip_random():

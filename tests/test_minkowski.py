@@ -18,9 +18,7 @@ from supergrass.minkowski import (InvariantFields, MinkContext, Matrix,
                                   lorentz_conjugation, minkowski_norm_identity,
                                   nilpotency_checks, null_vector_check,
                                   q_matrix, q_unit, qq_check, qqbis_rhs,
-                                  qqter_check_all, r32_dictionary_ok,
-                                  r32_relations_ok, r_matrix,
-                                  r_symmetry_check, reduction_charges,
+                                  r_matrix, r_symmetry_check, reduction_charges,
                                   residual_rotations_fix_real_part, rho_endo,
                                   sigma_table, signature_identity_ok,
                                   sl4c_bridge_check, t_map, translation_block,
@@ -63,12 +61,12 @@ def test_matrix_product_and_transpose_against_naive(ring):
         # quaternions over the Clifford envelope with an odd parameter, so
         # neither K nor the coefficients commute
         ctx = MinkContext(4, n_eta=2)
-        zero = ctx.kzero()
+        zero = H.zero_like(ctx.table.zero())
         gens = [ctx.table.one(), ctx.eps(), ctx.eta(1), ctx.eta(1) * ctx.eta(2)]
 
         def draw():
             return DAElement(H, [sum((g.scale(rng.randint(-2, 2)) for g in gens), ctx.table.zero())
-                                 for _ in range(4)])
+                                 for _ in range(4)], ctx.table.zero())
 
     for _ in range(10):
         a = [[draw() if rng.random() < 0.7 else zero for _ in range(4)] for _ in range(3)]
@@ -129,11 +127,6 @@ def test_qq_random_all_algebras():
                 assert qq_check(ctx, a, b, lam, mu)
                 assert anticomm(q_matrix(ctx, a, lam), q_matrix(ctx, b, mu)) == \
                     qqbis_rhs(ctx, a, b, lam, mu)
-
-
-def test_qqter_all_k():
-    for k in (1, 2, 4, 8):
-        assert qqter_check_all(k)
 
 
 def test_nilpotency_and_centrality():
@@ -304,7 +297,7 @@ def test_lorentz_conjugation_preserves_norm():
             hm_in = hm_in + x_matrix(ctx, 1, 2, z.scale(Fraction(1, 2)))
             hm_in = hm_in + x_matrix(ctx, 2, 1, z.conj().scale(Fraction(1, 2)))
             b = Fraction(rng.randint(-2, 2))
-            S = kmat2(alg, alg.one(), alg.from_scalar(b), alg.zero_like(), alg.one())
+            S = kmat2(alg, alg.one(), alg.unit(1, b), alg.zero_like(), alg.one())
             out = lorentz_conjugation(alg, S, hm_in)
             hm = translation_block(out)
             assert hm.t ** 2 - hm.x ** 2 - hm.z_full().norm_sq() == t ** 2 - x ** 2 - z.norm_sq()
@@ -315,15 +308,6 @@ def test_lorentz_conjugation_preserves_norm():
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_invariant_field_relations(k):
     assert InvariantFields(k).relations_ok()
-
-
-def test_invariant_field_relations_k8():
-    assert InvariantFields(8).relations_ok()
-
-
-def test_r32_specialization():
-    assert r32_relations_ok()
-    assert r32_dictionary_ok()
 
 
 def test_chiral_k2():
