@@ -54,7 +54,7 @@ def build_parser():
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--cases", type=int, default=100)
     v.add_argument("--json", action="store_true")
-    v.add_argument("--k", type=int, choices=(1, 2, 4, 8), default=None,
+    v.add_argument("--k", type=int, choices=suites.ALL_K, default=None,
                    help="restrict minkowski-flavored checks to one algebra")
     v.set_defaults(func=cmd_verify)
 
@@ -119,11 +119,8 @@ def cmd_verify(args) -> int:
     if args.cases < 1:
         print("--cases must be at least 1", file=sys.stderr)
         return 2
-    suites.set_k_filter(args.k)
-    try:
-        reports = suites.run_many(names, seed=args.seed, cases=args.cases)
-    finally:
-        suites.set_k_filter(None)
+    ks = suites.ALL_K if args.k is None else (args.k,)
+    reports = suites.run_many(names, seed=args.seed, cases=args.cases, ks=ks)
     if args.json:
         print(suites.reports_to_json(reports))
     else:

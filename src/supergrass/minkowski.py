@@ -109,8 +109,9 @@ class Matrix:
         return self.map(lambda a: -a)
 
     def scale(self, c):
-        """Entrywise e.scale(c): c multiplies each entry on the left."""
-        return Matrix([[e.scale(c) for e in row] for row in self.entries], self.zero)
+        """Entrywise e.scale(c): c multiplies each entry on the left.  The
+        result lives in the ring of the scaled zero, as the entries do."""
+        return Matrix([[e.scale(c) for e in row] for row in self.entries], self.zero.scale(c))
 
     def map(self, f):
         return Matrix([[f(e) for e in row] for row in self.entries], f(self.zero))

@@ -1,9 +1,21 @@
 """Named verification suites behind the `verify` subcommand.
 
-Each check is (id, law, callable(rng, cases) -> (ok, counterexample-text)).
+Each check is a generator `check(rng, cases, ks)` that yields one verdict
+per case, a case being one law on one input.  A verdict of `True` means the
+law holds, `None` means the case was skipped, and anything else is the
+counterexample text (`False` is a failure with no text).  `ks` lists the
+division algebras, by dimension, that the k-parameterized checks cover.
+
+`whole_check` drives a generator through all its cases.  It counts the
+cases run and skipped and stops at the first failure, so no later case is
+drawn; a check that ran no case fails.  `SUITES` holds these driven
+callables, not the generators, so that one call is one whole check: the
+benchmark times each check by wrapping and timing that call.
+
 Checks are seeded individually from (seed, check id), so reports are
 deterministic regardless of execution order; the JSON form of a report
-contains no timing and is byte-identical for a fixed seed.
+contains no timing and no case counts, and is byte-identical for a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -21,6 +33,8 @@ from .kernel import (EVEN, ODD, Derivation, SymbolTable,
                      cartan_triple, jacobi_check, skew_check, super_bracket)
 from .scalars import QI
 
+ALL_K = (1, 2, 4, 8)
+
 
 @dataclass
 class CheckResult:
@@ -28,6 +42,8 @@ class CheckResult:
     law: str
     passed: bool
     counterexample: str = ""
+    run: int = 0
+    skipped: int = 0
 
     def jsonable(self):
         out = {"id": self.check_id, "law": self.law, "pass": self.passed}
@@ -58,21 +74,28 @@ def _rng_for(seed, check_id):
     return random.Random(f"{seed}:{check_id}")
 
 
-_K_LIST = (1, 2, 4, 8)
+def whole_check(check):
+    """The callable `(rng, cases, ks) -> (passed, counterexample, run,
+    skipped)` that runs the generator `check` through all its cases.  A
+    crash is a failure with the exception as counterexample."""
+    def run_check(rng, cases, ks):
+        run = skipped = 0
+        try:
+            for verdict in check(rng, cases, ks):
+                if verdict is None:
+                    skipped += 1
+                    continue
+                run += 1
+                if verdict is not True:
+                    return False, "" if verdict is False else str(verdict), run, skipped
+        except Exception as exc:
+            return False, f"{type(exc).__name__}: {exc}", run, skipped
+        return (True, "", run, skipped) if run else (False, "no case ran", run, skipped)
+    return run_check
 
 
-def set_k_filter(k=None):
-    """Restrict the k-parameterized checks to a single algebra (None resets)."""
-    global _K_LIST
-    _K_LIST = (1, 2, 4, 8) if k is None else (k,)
-
-
-def _k_list():
-    return _K_LIST
-
-
-def _algebras():
-    return [divalg.ALGEBRAS[{1: "R", 2: "C", 4: "H", 8: "O"}[k]] for k in _K_LIST]
+def _algebras(ks):
+    return [alg for alg in divalg.ALGEBRAS.values() if alg.dim in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -137,41 +160,37 @@ def rand_ast(rng, depth=0):
 # kernel suite
 # ---------------------------------------------------------------------------
 
-def check_associativity(rng, cases):
+def check_associativity(rng, cases, ks):
     t = grassmann_table()
     for _ in range(cases):
         a, b, c = (random_poly(t, rng) for _ in range(3))
-        if (a * b) * c != a * (b * c):
-            return False, format_poly(a)
-    return True, ""
+        yield (a * b) * c == a * (b * c) or format_poly(a)
 
 
-def check_graded_commutativity(rng, cases):
+def check_graded_commutativity(rng, cases, ks):
     t = grassmann_table(4, evens=())
     for _ in range(cases):
         a = random_homogeneous(t, rng, rng.randint(0, 1))
         b = random_homogeneous(t, rng, rng.randint(0, 1))
         pa, pb = a.parity(), b.parity()
         if pa is None or pb is None:
-            continue
-        sign = -1 if (pa and pb) else 1
-        if a * b != (b * a).scale(sign):
-            return False, format_poly(a)
-    return True, ""
+            yield None
+        else:
+            sign = -1 if (pa and pb) else 1
+            yield a * b == (b * a).scale(sign) or format_poly(a)
 
 
-def check_nilpotency_and_top(rng, cases):
+def check_nilpotency_and_top(rng, cases, ks):
     t = grassmann_table(4, evens=())
     top = t.one()
     for i in (1, 2, 3, 4):
         s = t.sym(f"th{i}")
-        if not (s * s).is_zero():
-            return False, f"th{i}^2"
+        yield (s * s).is_zero() or f"th{i}^2"
         top = top * s
-    return (not top.is_zero()), ""
+    yield not top.is_zero()
 
 
-def check_leibniz(rng, cases):
+def check_leibniz(rng, cases, ks):
     t = grassmann_table(3)
     x = t.sym("x")
     gens = [
@@ -185,14 +204,13 @@ def check_leibniz(rng, cases):
         g = random_poly(t, rng)
         pf = f.parity()
         if pf is None:
-            continue
-        sign = -1 if (D.parity and pf) else 1
-        if D(f * g) != D(f) * g + (f * D(g)).scale(sign):
-            return False, format_poly(f)
-    return True, ""
+            yield None
+        else:
+            sign = -1 if (D.parity and pf) else 1
+            yield D(f * g) == D(f) * g + (f * D(g)).scale(sign) or format_poly(f)
 
 
-def check_bracket_laws(rng, cases):
+def check_bracket_laws(rng, cases, ks):
     t = grassmann_table(3)
     x = t.sym("x")
     gens = [
@@ -204,14 +222,11 @@ def check_bracket_laws(rng, cases):
     ]
     for _ in range(max(1, cases // 3)):
         X, Y, Z = (rng.choice(gens) for _ in range(3))
-        if not skew_check(X, Y):
-            return False, X.label
-        if not jacobi_check(X, Y, Z):
-            return False, f"({X.label},{Y.label},{Z.label})"
-    return True, ""
+        yield skew_check(X, Y) or X.label
+        yield jacobi_check(X, Y, Z) or f"({X.label},{Y.label},{Z.label})"
 
 
-def check_tensoring(rng, cases):
+def check_tensoring(rng, cases, ks):
     t = SymbolTable()
     t.even_symbol("t")
     t.odd_symbol("th")
@@ -223,24 +238,21 @@ def check_tensoring(rng, cases):
     e1, e2 = t.sym("et1"), t.sym("et2")
     for X, Y in ((D, D), (D, tau), (tau, tau)):
         lhs = super_bracket(X.scale(e1), Y.scale(e2))
-        if lhs != super_bracket(X, Y).scale(-(e1 * e2)):
-            return False, X.label
-    return True, ""
+        yield lhs == super_bracket(X, Y).scale(-(e1 * e2)) or X.label
 
 
-def check_cartan(rng, cases):
+def check_cartan(rng, cases, ks):
     table, d, iota, lie = cartan_triple(2, [lambda t: t.sym("x1") ** 2, lambda t: t.one()])
-    ok = (super_bracket(d, d).is_zero() and super_bracket(iota, iota).is_zero()
-          and super_bracket(d, iota) == lie
-          and super_bracket(lie, d).is_zero() and super_bracket(lie, iota).is_zero())
-    return ok, ""
+    yield (super_bracket(d, d).is_zero() and super_bracket(iota, iota).is_zero()
+           and super_bracket(d, iota) == lie
+           and super_bracket(lie, d).is_zero() and super_bracket(lie, iota).is_zero())
 
 
 # ---------------------------------------------------------------------------
 # divalg suite
 # ---------------------------------------------------------------------------
 
-def check_clifford_complex_plane(rng, cases):
+def check_clifford_complex_plane(rng, cases, ks):
     t = SymbolTable()
     t.clifford_symbol("eps", 1)
     bk = [t.one(), t.sym("eps")]
@@ -249,31 +261,24 @@ def check_clifford_complex_plane(rng, cases):
         for j in range(2):
             pk = bk[i] * bk[j]
             ck = [pk.scalar_part(), pk.coefficient_of_odd(("eps",)).scalar_part()]
-            if ck != (bc[i] * bc[j]).coeffs:
-                return False, f"e{i}*e{j}"
-    return True, ""
+            yield ck == (bc[i] * bc[j]).coeffs or f"e{i}*e{j}"
 
 
-def check_octonion_pairings(rng, cases):
+def check_octonion_pairings(rng, cases, ks):
     O = divalg.O
-    pairs = ((1, 2), (3, 4), (6, 7), (8, 5))
-    for a, b in pairs:
-        if O.unit(a) * O.unit(b) != O.unit(2):
-            return False, f"u{a}*u{b}"
-    return True, ""
+    for a, b in ((1, 2), (3, 4), (6, 7), (8, 5)):
+        yield O.unit(a) * O.unit(b) == O.unit(2) or f"u{a}*u{b}"
 
 
-def check_norm_multiplicative(rng, cases):
+def check_norm_multiplicative(rng, cases, ks):
     for alg in (divalg.R, divalg.C, divalg.H, divalg.O):
         for _ in range(cases):
             a = alg.element([fraction(rng) for _ in range(alg.dim)])
             b = alg.element([fraction(rng) for _ in range(alg.dim)])
-            if (a * b).norm_sq() != a.norm_sq() * b.norm_sq():
-                return False, alg.which
-    return True, ""
+            yield (a * b).norm_sq() == a.norm_sq() * b.norm_sq() or alg.which
 
 
-def check_gamma_relation(rng, cases):
+def check_gamma_relation(rng, cases, ks):
     for alg in (divalg.R, divalg.C, divalg.H, divalg.O):
         G = divalg.gamma_constants(alg)
         for a in range(1, alg.dim + 1):
@@ -283,31 +288,27 @@ def check_gamma_relation(rng, cases):
                 rhs = alg.zero_like()
                 for g in range(2, alg.dim + 1):
                     rhs = rhs + alg.unit(g, G.get((a, b, g), Fraction(0)))
-                if lhs != rhs:
-                    return False, f"{alg.which}:({a},{b})"
-    return True, ""
+                yield lhs == rhs or f"{alg.which}:({a},{b})"
 
 
-def check_alternativity(rng, cases):
+def check_alternativity(rng, cases, ks):
     O = divalg.O
     for _ in range(cases):
         a = O.element([fraction(rng) for _ in range(8)])
         b = O.element([fraction(rng) for _ in range(8)])
-        if (a * a) * b != a * (a * b) or (b * a) * a != b * (a * a):
-            return False, "octonion alternativity"
-    return True, ""
+        yield (a * a) * b == a * (a * b) and (b * a) * a == b * (a * a) or "octonion alternativity"
 
 
 # ---------------------------------------------------------------------------
 # superspace suite
 # ---------------------------------------------------------------------------
 
-def check_supertime(rng, cases):
+def check_supertime(rng, cases, ks):
     dom, ops = superspace.supertime()
-    return superspace.supertime_relations_ok(dom, ops), ""
+    yield superspace.supertime_relations_ok(dom, ops)
 
 
-def check_berezin_translation(rng, cases):
+def check_berezin_translation(rng, cases, ks):
     d = superspace.SuperDomain(even=("x",), theta=("th1", "th2"), eta=("et1", "et2"))
     t = d.table
     for _ in range(cases):
@@ -316,12 +317,10 @@ def check_berezin_translation(rng, cases):
             "th1": d.sym("et1").scale(rng.randint(-2, 2)),
             "th2": d.sym("et2").scale(rng.randint(-2, 2)) + d.sym("et1").scale(rng.randint(-1, 1)),
         }
-        if not superspace.berezin_translation_check(d, f, shifts):
-            return False, format_poly(f)
-    return True, ""
+        yield superspace.berezin_translation_check(d, f, shifts) or format_poly(f)
 
 
-def check_hinf_morphism(rng, cases):
+def check_hinf_morphism(rng, cases, ks):
     t = SymbolTable()
     t.even_symbol("x")
     t.even_symbol("y")
@@ -347,12 +346,11 @@ def check_hinf_morphism(rng, cases):
 
         f, g = rpoly(), rpoly()
         zs = [rpoint(), rpoint()]
-        if superspace.hinf_extend(f * g, zs) != superspace.hinf_extend(f, zs) * superspace.hinf_extend(g, zs):
-            return False, format_poly(f)
-    return True, ""
+        yield (superspace.hinf_extend(f * g, zs)
+               == superspace.hinf_extend(f, zs) * superspace.hinf_extend(g, zs) or format_poly(f))
 
 
-def check_body_soul(rng, cases):
+def check_body_soul(rng, cases, ks):
     tf = SymbolTable()
     for i in range(4):
         tf.odd_symbol(f"et{i+1}")
@@ -367,34 +365,27 @@ def check_body_soul(rng, cases):
             return z
 
         z, w = rpoint(), rpoint()
-        if superspace.body(z * w) != superspace.body(z) * superspace.body(w):
-            return False, format_poly(z)
-        soul = superspace.soul(z)
-        powers = superspace.EvenGrassmannPoint(z).soul_powers()
-        if len(powers) > 3:
-            return False, "soul nilpotency order"
-    return True, ""
+        yield superspace.body(z * w) == superspace.body(z) * superspace.body(w) or format_poly(z)
+        yield len(superspace.EvenGrassmannPoint(z).soul_powers()) <= 3 or "soul nilpotency order"
 
 
-def check_theta_lift(rng, cases):
+def check_theta_lift(rng, cases, ks):
     for case in (1, 2, 3):
         for q in (3, 4, 6):
-            if not superspace.theta_lift_vectorfield_check(case, q, rng, samples=2):
-                return False, f"case {case}, q={q}"
+            yield (superspace.theta_lift_vectorfield_check(case, q, rng, samples=2)
+                   or f"case {case}, q={q}")
     d = superspace.SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(4)))
     for _ in range(cases // 4 or 1):
         f = random_homogeneous(d.table, rng, 0)
         space, frak = superspace.theta_lift(d, f)
-        if superspace.theta_lower(space, frak) != f:
-            return False, format_poly(f)
-    return True, ""
+        yield superspace.theta_lower(space, frak) == f or format_poly(f)
 
 
 # ---------------------------------------------------------------------------
 # morphisms suite
 # ---------------------------------------------------------------------------
 
-def check_pullback_morphism(rng, cases):
+def check_pullback_morphism(rng, cases, ks):
     for _ in range(cases):
         m = morphisms.random_flesh_morphism(
             rng, m_even=1, n_target=2,
@@ -404,16 +395,14 @@ def check_pullback_morphism(rng, cases):
         ys = [m.table.sym(n) for n in m.target_even]
         f = ys[0] ** rng.randint(1, 3) + ys[-1].scale(rng.randint(-2, 2))
         g = ys[-1] ** rng.randint(1, 2) + rng.randint(-2, 2)
-        if not morphisms.morphism_check(m, f, g, rng):
-            return False, format_poly(f)
-    return True, ""
+        yield morphisms.morphism_check(m, f, g, rng) or format_poly(f)
 
 
-def check_collapse(rng, cases):
-    return morphisms.collapse_morphism_check(2, 3, rng, cases=min(cases, 30)), ""
+def check_collapse(rng, cases, ks):
+    yield morphisms.collapse_morphism_check(2, 3, rng, cases=min(cases, 30))
 
 
-def check_point_tangent(rng, cases):
+def check_point_tangent(rng, cases, ks):
     t = SymbolTable()
     t.even_symbol("y")
     t.even_symbol("z")
@@ -423,12 +412,10 @@ def check_point_tangent(rng, cases):
         rt, pull = morphisms.point_tangent_pullback(t, pt, xi)
         f = t.sym("y") ** rng.randint(1, 3) + t.sym("z").scale(rng.randint(-2, 2))
         g = t.sym("z") ** rng.randint(1, 2) + rng.randint(-2, 2)
-        if pull(f * g) != pull(f) * pull(g):
-            return False, format_poly(f)
-    return True, ""
+        yield pull(f * g) == pull(f) * pull(g) or format_poly(f)
 
 
-def check_odd_plane(rng, cases):
+def check_odd_plane(rng, cases, ks):
     t = SymbolTable()
     t.even_symbol("y1")
     t.even_symbol("y2")
@@ -437,99 +424,77 @@ def check_odd_plane(rng, cases):
         xi1 = {n: Fraction(rng.randint(-2, 2)) for n in names}
         xi2 = {n: Fraction(rng.randint(-2, 2)) for n in names}
         pt = {n: Fraction(rng.randint(-2, 2)) for n in names}
-        ok = morphisms.odd_plane_obstruction(t, pt, xi1, xi2)
-        if ok != morphisms.vectors_dependent(xi1, xi2, names):
-            return False, str(xi1)
-    return True, ""
+        yield (morphisms.odd_plane_obstruction(t, pt, xi1, xi2)
+               == morphisms.vectors_dependent(xi1, xi2, names) or str(xi1))
 
 
-def check_factorization(rng, cases):
+def check_factorization(rng, cases, ks):
     for _ in range(max(1, cases // 5)):
         m = morphisms.random_flesh_morphism(rng, k_theta=2, L_eta=2, commuting=True, n_xi=4)
         y = m.table.sym("y1")
         f = y ** 3 + y * m.table.sym("y2")
-        if morphisms.pullback_factorized(m, f) != m.pullback_even(f):
-            return False, "factorized pullback"
-    return True, ""
+        yield morphisms.pullback_factorized(m, f) == m.pullback_even(f) or "factorized pullback"
 
 
-def check_components_nonlinear(rng, cases):
+def check_components_nonlinear(rng, cases, ks):
     for _ in range(max(1, cases // 5)):
         m = morphisms.random_flesh_morphism(rng, k_theta=2, L_eta=2, chart=True,
                                             commuting=True, n_xi=4)
         y1, y2 = m.table.sym("y1"), m.table.sym("y2")
         f = (y1 ** rng.randint(1, 3) + y2 ** rng.randint(1, 2) * y1.scale(rng.randint(-2, 2))
              + rng.randint(-2, 2))
-        if not morphisms.nonlinear_expansion_check(m, f):
-            return False, format_poly(f)
-    return True, ""
+        yield morphisms.nonlinear_expansion_check(m, f) or format_poly(f)
 
 
 # ---------------------------------------------------------------------------
 # minkowski suite
 # ---------------------------------------------------------------------------
 
-def check_norm_identity(rng, cases):
-    for alg in _algebras():
+def check_norm_identity(rng, cases, ks):
+    for alg in _algebras(ks):
         for _ in range(max(1, cases // 4)):
             z = alg.element([fraction(rng) for _ in range(alg.dim)])
-            if not minkowski.minkowski_norm_identity(fraction(rng), fraction(rng), z):
-                return False, alg.which
-    return True, ""
+            yield minkowski.minkowski_norm_identity(fraction(rng), fraction(rng), z) or alg.which
 
 
-def check_qq_relations(rng, cases):
-    for k in _k_list():
+def check_qq_relations(rng, cases, ks):
+    for k in ks:
         ctx = minkowski.MinkContext(k)
         for _ in range(max(1, cases // 20)):
             lam = ctx.alg.element([fraction(rng) for _ in range(k)])
             mu = ctx.alg.element([fraction(rng) for _ in range(k)])
             a, b = rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
-            if not minkowski.qq_check(ctx, a, b, lam, mu):
-                return False, f"k={k}"
-            if minkowski.anticomm(minkowski.q_matrix(ctx, a, lam),
-                                  minkowski.q_matrix(ctx, b, mu)) != \
-                    minkowski.qqbis_rhs(ctx, a, b, lam, mu):
-                return False, f"k={k} bis"
-    return True, ""
+            yield minkowski.qq_check(ctx, a, b, lam, mu) or f"k={k}"
+            yield (minkowski.anticomm(minkowski.q_matrix(ctx, a, lam), minkowski.q_matrix(ctx, b, mu))
+                   == minkowski.qqbis_rhs(ctx, a, b, lam, mu) or f"k={k} bis")
 
 
-def check_qqter(rng, cases):
-    for k in _k_list():
-        if not minkowski.qqter_check_all(k):
-            return False, f"k={k}"
-    return True, ""
+def check_qqter(rng, cases, ks):
+    for k in ks:
+        yield minkowski.qqter_check_all(k) or f"k={k}"
 
 
-def check_null_vectors(rng, cases):
-    for alg in _algebras():
+def check_null_vectors(rng, cases, ks):
+    for alg in _algebras(ks):
         for _ in range(max(1, cases // 8)):
             lam1 = alg.element([fraction(rng) for _ in range(alg.dim)])
             lam2 = alg.element([fraction(rng) for _ in range(alg.dim)])
-            if not minkowski.null_vector_check(alg, lam1, lam2):
-                return False, alg.which
-    return True, ""
+            yield minkowski.null_vector_check(alg, lam1, lam2) or alg.which
 
 
-def check_basis_table(rng, cases):
-    for alg in _algebras():
-        if not minkowski.basis_table_check(alg):
-            return False, alg.which
-        if not minkowski.boost_bracket_check(alg):
-            return False, f"{alg.which} brackets"
-    return True, ""
+def check_basis_table(rng, cases, ks):
+    for alg in _algebras(ks):
+        yield minkowski.basis_table_check(alg) or alg.which
+        yield minkowski.boost_bracket_check(alg) or f"{alg.which} brackets"
 
 
-def check_closures(rng, cases):
+def check_closures(rng, cases, ks):
     want = {1: 3, 2: 6, 4: 15, 8: 45}
-    for k in _k_list():
-        dim = want[k]
-        if minkowski.lie_closure_dim(k) != dim:
-            return False, f"k={k}"
-    return True, ""
+    for k in ks:
+        yield minkowski.lie_closure_dim(k) == want[k] or f"k={k}"
 
 
-def check_group_law(rng, cases):
+def check_group_law(rng, cases, ks):
     ctx = minkowski.MinkContext(4, n_eta=4)
     etas = [ctx.eta(i) for i in (1, 2, 3, 4)]
 
@@ -550,99 +515,87 @@ def check_group_law(rng, cases):
         e2 = minkowski.SuperTranslationElement(
             ctx, v={(2, 2): rand_even()},
             theta={(a, al): rand_odd() for a in (1, 2) for al in (1, 2, 3, 4)})
-        if not minkowski.group_law_check(e1, e2):
-            return False, "group law"
-    return True, ""
+        yield minkowski.group_law_check(e1, e2) or "group law"
 
 
-def check_invariant_fields(rng, cases):
-    for k in _k_list():
-        if not minkowski.InvariantFields(k).relations_ok():
-            return False, f"k={k}"
-    return True, ""
+def check_invariant_fields(rng, cases, ks):
+    for k in ks:
+        yield minkowski.InvariantFields(k).relations_ok() or f"k={k}"
 
 
-def check_r32(rng, cases):
-    return (minkowski.r32_relations_ok() and minkowski.r32_dictionary_ok()), ""
+def check_r32(rng, cases, ks):
+    yield minkowski.r32_relations_ok() and minkowski.r32_dictionary_ok()
 
 
-def check_chiral(rng, cases):
-    ok = (minkowski.chiral_matrix_relations_ok()
-          and minkowski.chiral_field_relations_ok()
-          and minkowski.chiral_dictionary_ok())
-    return ok, ""
+def check_chiral(rng, cases, ks):
+    yield (minkowski.chiral_matrix_relations_ok()
+           and minkowski.chiral_field_relations_ok()
+           and minkowski.chiral_dictionary_ok())
 
 
-def check_r_symmetry(rng, cases):
+def check_r_symmetry(rng, cases, ks):
     for _ in range(max(1, cases // 10)):
         lam1 = divalg.C.element([fraction(rng), fraction(rng)])
         lam2 = divalg.C.element([fraction(rng), fraction(rng)])
         m = rng.randint(1, 5)
         alpha = divalg.C.element([Fraction(m * m - 1, m * m + 1), Fraction(2 * m, m * m + 1)])
-        if not minkowski.r_symmetry_check("C", lam1, lam2, alpha):
-            return False, "C"
+        yield minkowski.r_symmetry_check("C", lam1, lam2, alpha) or "C"
         q1 = divalg.H.element([fraction(rng) for _ in range(4)])
         q2 = divalg.H.element([fraction(rng) for _ in range(4)])
         u = divalg.H.element([0, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2)])
         n = 1 + u.norm_sq()
         alpha = ((divalg.H.one() + u) * (divalg.H.one() + u)).scale(Fraction(1, 1) / n)
-        if not minkowski.r_symmetry_check("H", q1, q2, alpha):
-            return False, "H"
-    return True, ""
+        yield minkowski.r_symmetry_check("H", q1, q2, alpha) or "H"
 
 
 # ---------------------------------------------------------------------------
 # reductions suite
 # ---------------------------------------------------------------------------
 
-def check_reduction_k4(rng, cases):
+def check_reduction_k4(rng, cases, ks):
     try:
         minkowski.reduction_charges(4)
     except minkowski.ReductionError as e:
-        return False, str(e)
-    return True, ""
+        yield str(e)
+    else:
+        yield True
 
 
-def check_reduction_k8(rng, cases):
+def check_reduction_k8(rng, cases, ks):
     try:
         rep = minkowski.reduction_charges(8)
     except minkowski.ReductionError as e:
-        return False, str(e)
-    return rep["star_ok"], ""
+        yield str(e)
+    else:
+        yield rep["star_ok"]
 
 
-def check_bridge(rng, cases):
+def check_bridge(rng, cases, ks):
     for _ in range(max(1, cases // 10)):
         U = tuple(QI(fraction(rng), fraction(rng)) for _ in range(4))
         V = tuple(QI(fraction(rng), fraction(rng)) for _ in range(4))
-        if not minkowski.sl4c_bridge_check(U, V):
-            return False, "bridge"
+        yield minkowski.sl4c_bridge_check(U, V) or "bridge"
         z = divalg.H.element([fraction(rng) for _ in range(4)])
-        if not minkowski.signature_identity_ok(fraction(rng), fraction(rng), z):
-            return False, "signature"
-    return minkowski.k4_bridge_dictionary_ok(), ""
+        yield minkowski.signature_identity_ok(fraction(rng), fraction(rng), z) or "signature"
+    yield minkowski.k4_bridge_dictionary_ok()
 
 
 # ---------------------------------------------------------------------------
 # models suite
 # ---------------------------------------------------------------------------
 
-def check_superparticle(rng, cases):
+def check_superparticle(rng, cases, ks):
     sp = models.Superparticle(n=2)
-    if not sp.density_components_ok():
-        return False, "density"
-    if not sp.plain_variation_ok():
-        return False, "plain variation"
-    if not sp.susy_algebra_ok():
-        return False, "susy algebra"
+    yield sp.density_components_ok() or "density"
+    yield sp.plain_variation_ok() or "plain variation"
+    yield sp.susy_algebra_ok() or "susy algebra"
     spm = models.Superparticle(n=1, modulated=True)
     rep = spm.modulated_variation_report()
-    if not (rep["chi_ok"] and rep["chidot_ok"] and rep["total_ok"]):
-        return False, "modulated variation"
-    return spm.noether_charge_conserved_on_shell(), ""
+    yield rep["chi_ok"] and rep["chidot_ok"] and rep["total_ok"] or "modulated variation"
+    yield spm.noether_charge_conserved_on_shell()
 
 
-def check_sigma_model(rng, cases):
+def check_sigma_model(rng, cases, ks):
     sig = models.Sigma32(h_degree=4)
     for name, ok in (
         ("D expansions", sig.dphi_expansions_ok()),
@@ -652,61 +605,52 @@ def check_sigma_model(rng, cases):
         ("square", sig.completed_square_ok()),
         ("euler", sig.euler_system_ok()),
     ):
-        if not ok:
-            return False, name
-    return True, ""
+        yield ok or name
 
 
-def check_bps(rng, cases):
+def check_bps(rng, cases, ks):
     bps = models.BpsSystem(h_degree=4)
     for name, ok in (
         ("second order", bps.second_order_consequences_ok()),
         ("wave equation", bps.wave_equation_ok()),
         ("quarter turn", bps.quarter_turn_case_ok()),
     ):
-        if not ok:
-            return False, name
-    return models.bogomolnyi_identity_ok(4), ""
+        yield ok or name
+    yield models.bogomolnyi_identity_ok(4)
 
 
 # ---------------------------------------------------------------------------
 # expr_io suite
 # ---------------------------------------------------------------------------
 
-def check_ast_round_trip(rng, cases):
+def check_ast_round_trip(rng, cases, ks):
     for _ in range(max(cases, 1000)):
         ast = rand_ast(rng)
-        if parse(print_ast(ast)) != ast:
-            return False, print_ast(ast)
-    return True, ""
+        yield parse(print_ast(ast)) == ast or print_ast(ast)
 
 
-def check_value_round_trip(rng, cases):
+def check_value_round_trip(rng, cases, ks):
     t = grassmann_table(3, evens=("x", "y"))
     ctx = Context(t)
     for _ in range(cases):
         p = random_poly(t, rng)
-        if ctx.evaluate(parse(format_poly(p))) != p:
-            return False, format_poly(p)
-    return True, ""
+        yield ctx.evaluate(parse(format_poly(p))) == p or format_poly(p)
 
 
-def check_json_round_trip(rng, cases):
+def check_json_round_trip(rng, cases, ks):
     t = grassmann_table(2, evens=("x",))
     for _ in range(cases):
         p = random_poly(t, rng)
         blob = poly_to_json(p)
         q = poly_from_json(blob, t)
-        if q != p or poly_to_json(q) != blob:
-            return False, blob
-    return True, ""
+        yield q == p and poly_to_json(q) == blob or blob
 
 
 # ---------------------------------------------------------------------------
 # registry and the runner
 # ---------------------------------------------------------------------------
 
-SUITES = {
+_CHECKS = {
     "kernel": [
         ("kernel.assoc", "(ab)c = a(bc)", check_associativity),
         ("kernel.supercomm", "ab = (-1)^(|a||b|) ba on odd generators", check_graded_commutativity),
@@ -767,25 +711,21 @@ SUITES = {
         ("expr_io.json", "bit-exact JSON round trip", check_json_round_trip),
     ],
 }
+SUITES = {suite: [(check_id, law, whole_check(check)) for check_id, law, check in entries]
+          for suite, entries in _CHECKS.items()}
 
 
-def run_suite(name, seed=0, cases=100) -> SuiteReport:
+def run_suite(name, seed=0, cases=100, ks=ALL_K) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     t0 = time.monotonic()
-    results = []
-    for check_id, law, fn in SUITES[name]:
-        rng = _rng_for(seed, check_id)
-        try:
-            ok, ce = fn(rng, cases)
-        except Exception as exc:  # a crash is a failure with the message as witness
-            ok, ce = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(check_id, law, ok, ce))
+    results = [CheckResult(check_id, law, *fn(_rng_for(seed, check_id), cases, ks))
+               for check_id, law, fn in SUITES[name]]
     return SuiteReport(name, results, wall_ms=(time.monotonic() - t0) * 1000.0)
 
 
-def run_many(names, seed=0, cases=100):
-    return sorted((run_suite(n, seed, cases) for n in names), key=lambda r: r.suite)
+def run_many(names, seed=0, cases=100, ks=ALL_K):
+    return sorted((run_suite(n, seed, cases, ks) for n in names), key=lambda r: r.suite)
 
 
 def reports_to_json(reports) -> str:

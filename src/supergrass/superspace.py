@@ -54,21 +54,6 @@ class SuperDomain:
         """Built-in d/d(theta): graded Leibniz left action."""
         return Derivation(self.table, ODD, {name: 1}, f"d/d{name}")
 
-    def decompose(self, f: SuperPolynomial):
-        """f = sum_A theta^A eta^I f_AI(x): yields ((theta-part, eta-part),
-        coefficient poly in the evens).  Unique; recombining returns f."""
-        theta_idx = {self.table.symbol(n).index for n in self.theta_names}
-        out = {}
-        for (ev, od), c in f.terms.items():
-            th = tuple(i for i in od if i in theta_idx)
-            et = tuple(i for i in od if i not in theta_idx)
-            key = (th, et)
-            cur = out.get(key)
-            if cur is None:
-                cur = self.table.zero()
-            out[key] = cur + SuperPolynomial(self.table, {(ev, ()): c})
-        return out
-
 
 def berezin(domain: SuperDomain, f: SuperPolynomial, definite=None):
     """Berezin integral over all odd theta coordinates of the domain.

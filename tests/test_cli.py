@@ -171,13 +171,29 @@ def test_bad_h_polynomial_is_usage_error(capsys):
 def test_suite_failure_exits_one(capsys, monkeypatch):
     from supergrass import suites
 
-    def always_fails(rng, cases):
-        return False, "th1*th1"
+    def always_fails(rng, cases, ks):
+        yield "th1*th1"
 
     monkeypatch.setitem(suites.SUITES, "doomed",
-                        [("doomed.check", "always fails", always_fails)])
+                        [("doomed.check", "always fails", suites.whole_check(always_fails))])
     code, out, err = run(capsys, "verify", "doomed")
     assert code == 1
     assert "[FAIL] doomed.check" in out
     assert "th1*th1" in out
     assert "reproduce with --seed" in out
+
+
+def test_check_that_ran_no_case_fails(capsys, monkeypatch):
+    from supergrass import suites
+
+    def only_skips(rng, cases, ks):
+        for _ in range(cases):
+            yield None
+
+    monkeypatch.setitem(suites.SUITES, "vacuous",
+                        [("vacuous.check", "skips every case", suites.whole_check(only_skips))])
+    code, out, err = run(capsys, "verify", "vacuous", "--json")
+    assert code == 1
+    (check,) = json.loads(out)["suites"][0]["checks"]
+    assert check == {"id": "vacuous.check", "law": "skips every case", "pass": False,
+                     "counterexample": "no case ran"}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supergrass.divalg import C, H, O, R, DAElement
-from supergrass.kernel import ParityError
+from supergrass.kernel import ParityError, SuperPolynomial
 from supergrass.minkowski import (InvariantFields, MinkContext, Matrix,
                                   SuperTranslationElement, anticomm,
                                   basis_table_check, boost_bracket_check,
@@ -85,6 +85,17 @@ def test_matrix_product_and_transpose_against_naive(ring):
         t = Matrix(a, zero).transpose().entries
         assert len(t) == 4 and all(len(row) == 3 for row in t)
         assert all(t[j][i] == a[i][j] for i in range(3) for j in range(4))
+
+
+def test_scaled_matrix_lives_in_the_ring_of_the_scalar():
+    """A rational matrix scaled by a polynomial moves into the polynomial
+    ring, zero included, so the slots a product leaves empty are polynomial."""
+    ctx = MinkContext(2)
+    m = kmat2(C, C.one(), C.zero_like(), C.zero_like(), C.one()).scale(ctx.eps())
+    p = m @ m
+    for e in [p.zero, *(e for row in p.entries for e in row)]:
+        assert all(isinstance(c, SuperPolynomial) for c in [*e.coeffs, e.zero])
+    assert p.entries[0][1] == C.zero_like(ctx.table.zero())
 
 
 # -- norm identity ---------------------------------------------------------------

@@ -302,24 +302,3 @@ def test_case3_explicit_example():
     dd = d.odd_derivative("et2")
     f = d.sym("et2") * d.sym("et3")
     assert d.sym("et1") * dd(f) == d.sym("et1") * d.sym("et3")
-
-
-def test_decomposition_round_trip():
-    rng = random.Random(55)
-    d = dom22()
-    for _ in range(40):
-        f = d.table.zero()
-        for _ in range(5):
-            ev = [("x", rng.randint(0, 2))]
-            od = [n for n in ("th1", "th2", "et1", "et2") if rng.random() < 0.5]
-            f = f + d.table.monomial(Fraction(rng.randint(-3, 3)), ev, od)
-        parts = d.decompose(f)
-        back = d.zero()
-        for (th, et), coeff in parts.items():
-            mono = d.one()
-            for i in th:
-                mono = mono * d.table.sym(d.table.symbols[i].name)
-            for i in et:
-                mono = mono * d.table.sym(d.table.symbols[i].name)
-            back = back + mono * coeff
-        assert back == f
