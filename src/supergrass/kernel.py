@@ -6,7 +6,14 @@ otherwise, or Gaussian rationals (`QI`); the three compare and hash alike,
 so 3, Fraction(3) and QI(3, 0) are the same coefficient.  Odd monomials are
 kept strictly increasing in symbol-table declaration order and every
 product normalizes signs against that order; a Koszul sign is applied by
-negation.  Values are immutable after construction and safe to share.
+negation.  Products and sums are written through one accumulator,
+`_add_term`, which stores an integral Fraction as an int; `scale` does the
+same.  Values are immutable after construction and safe to share.
+
+A derivation is applied term by term: each term of f, each factor with an
+image and each term of that image give one coefficient and one merged
+monomial, written straight into the result, with crossing and Koszul signs
+applied by negation; no intermediate polynomial is formed.
 
 The term dict of a SuperPolynomial is private to this module and to the
 `expr_io` printer and JSON codec.  Other code reads a polynomial through
@@ -157,17 +164,17 @@ def _even_mul(e1, e2):
 
 
 def _add_term(out: dict, key, c):
-    """Add the nonzero coefficient c at key: a new key stores c as it is, a
-    sum that cancels removes the key."""
+    """Add the nonzero coefficient c at key: a sum that cancels removes the
+    key, and an integral Fraction is stored as an int."""
     old = out.get(key)
-    if old is None:
-        out[key] = c
-    else:
+    if old is not None:
         c = old + c
-        if c:
-            out[key] = c
-        else:
+        if not c:
             del out[key]
+            return
+    if type(c) is Fraction and c.denominator == 1:
+        c = c.numerator
+    out[key] = c
 
 
 class SuperPolynomial:
@@ -256,9 +263,14 @@ class SuperPolynomial:
 
     def scale(self, c):
         c = _coef(c)
+        if type(c) is int:
+            if c == 1:
+                return self
+            if c == -1:
+                return -self
         if not c:
             return self.table.zero()
-        return SuperPolynomial(self.table, {k: c * v for k, v in self.terms.items()})
+        return SuperPolynomial(self.table, {k: _coef(c * v) for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, QI)):
@@ -481,37 +493,63 @@ class Derivation:
         return self.images.get(self.table.symbol(name).index, self.table.zero())
 
     def __call__(self, f: SuperPolynomial) -> SuperPolynomial:
+        """Graded Leibniz rule, one output term at a time.
+
+        A term c*ev*od of f and a term c2*e2*o2 of the image of one of its
+        factors give the single term c*(p or crossing sign)*c2 on the merged
+        monomials: an even factor x^p leaves x^(p-1) and multiplies by p, an
+        odd factor at position j merges od[:j] with o2 and then the result
+        with od[j+1:], with (-1)^(parity * j) for the factors crossed.
+        """
         if f.table is not self.table:
             raise TableMismatchError("derivation applied across tables")
-        table = self.table
-        out: dict = {}
+        symbols = self.table.symbols
+        images = self.images
         gx = self.parity
+        odd_mul = _odd_mul
+        out: dict = {}
         for (ev, od), c in f.terms.items():
             # even factors: no crossing signs
             for j, (i, p) in enumerate(ev):
-                img = self.images.get(i)
+                img = images.get(i)
                 if img is None:
                     continue
-                nev = list(ev)
                 if p == 1:
-                    del nev[j]
+                    rest, cp = ev[:j] + ev[j + 1:], c
                 else:
-                    nev[j] = (i, p - 1)
-                left = SuperPolynomial(table, {(tuple(nev), ()): c * p})
-                term = left * img * SuperPolynomial(table, {((), od): 1})
-                for k, v in term.terms.items():
-                    _add_term(out, k, v)
+                    rest, cp = ev[:j] + ((i, p - 1),) + ev[j + 1:], c * p
+                for (e2, o2), c2 in img.terms.items():
+                    res = odd_mul(o2, od, symbols)
+                    if res is None:
+                        continue
+                    fac, o = res
+                    cc = cp * c2
+                    if fac is not None:
+                        cc = -cc if fac == -1 else cc * fac
+                    _add_term(out, (_even_mul(rest, e2), o), cc)
             # odd factors: (-1)^(gx * #odd factors crossed)
             for j, i in enumerate(od):
-                img = self.images.get(i)
+                img = images.get(i)
                 if img is None:
                     continue
-                cc = -c if (gx and (j & 1)) else c
-                left = SuperPolynomial(table, {(ev, od[:j]): cc})
-                term = left * img * SuperPolynomial(table, {((), od[j + 1:]): 1})
-                for k, v in term.terms.items():
-                    _add_term(out, k, v)
-        return SuperPolynomial(table, out)
+                cs = -c if (gx and (j & 1)) else c
+                left, right = od[:j], od[j + 1:]
+                for (e2, o2), c2 in img.terms.items():
+                    res = odd_mul(left, o2, symbols)
+                    if res is None:
+                        continue
+                    fac, mid = res
+                    res = odd_mul(mid, right, symbols)
+                    if res is None:
+                        continue
+                    fac2, o = res
+                    cc = cs * c2
+                    if fac is not None:
+                        cc = -cc if fac == -1 else cc * fac
+                    if fac2 is not None:
+                        cc = -cc if fac2 == -1 else cc * fac2
+                    _add_term(out, (_even_mul(ev, e2), o), cc)
+        return SuperPolynomial(self.table, out)
 
     # -- linear structure ---------------------------------------------------
     def __add__(self, other):
@@ -531,7 +569,8 @@ class Derivation:
     def scale(self, c):
         """Multiply on the left by a scalar or homogeneous polynomial."""
         if isinstance(c, (int, Fraction, QI)):
-            c = self.table.scalar(c)
+            imgs = {self.table.symbols[i].name: v.scale(c) for i, v in self.images.items()}
+            return Derivation(self.table, self.parity, imgs, f"{self.table.scalar(c)}*{self.label}")
         p = c.parity()
         par = self.parity if p is None else (self.parity + p) % 2
         imgs = {self.table.symbols[i].name: c * v for i, v in self.images.items()}
@@ -571,13 +610,13 @@ def super_bracket(X: Derivation, Y: Derivation) -> Derivation:
     if X.table is not Y.table:
         raise TableMismatchError("bracket across tables")
     sign = -1 if (X.parity and Y.parity) else 1
+    zero = X.table.zero()
     imgs = {}
     for i in sorted(X.images.keys() | Y.images.keys()):
-        s = X.table.symbols[i]
-        g = X.table.sym(s.name)
-        v = X(Y(g)) - sign * Y(X(g))
+        # Y(g) and X(g) of a generator g are its images
+        v = X(Y.images.get(i, zero)) - sign * Y(X.images.get(i, zero))
         if v:
-            imgs[s.name] = v
+            imgs[X.table.symbols[i].name] = v
     return Derivation(X.table, (X.parity + Y.parity) % 2, imgs, f"[{X.label},{Y.label}]")
 
 

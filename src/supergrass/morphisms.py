@@ -47,6 +47,8 @@ class FleshMorphism:
     odd_images:  {target-odd-name: odd polynomial in (x, source odds)}.
 
     The working table holds x's, then y's, then the source odd coordinates.
+    xi_fields holds {I: (o^I, xi_I)}, the monomials and the vector fields,
+    built once at construction.
     """
 
     def __init__(self, even_coords, odd_coords, target_even, phi, xi,
@@ -69,7 +71,7 @@ class FleshMorphism:
         self.phi = {n: self._lift(p) for n, p in phi.items()}
         if set(self.phi) != set(self.target_even):
             raise ValueError("phi must give every target even coordinate")
-        self.xi = {}
+        self.xi_fields = {}
         for I, comps in xi.items():
             I = tuple(I)
             if validate:
@@ -77,7 +79,8 @@ class FleshMorphism:
                     raise ValueError(f"invalid multi-index {I}: need even length >= 2")
                 if tuple(sorted(set(I))) != I:
                     raise ValueError(f"multi-index {I} must be strictly increasing")
-            self.xi[I] = {n: self._lift(c) for n, c in comps.items()}
+            comps = {n: self._lift(c) for n, c in comps.items()}
+            self.xi_fields[I] = (self.odd_monomial(I), Derivation(self.table, EVEN, comps, f"xi_{I}"))
         self.odd_images = {n: self._lift(p) for n, p in (odd_images or {}).items()}
         if set(self.odd_images) != set(self.target_odd):
             raise ValueError("need one odd image per target odd coordinate")
@@ -102,14 +105,13 @@ class FleshMorphism:
         return m
 
     def xi_field(self, I) -> Derivation:
-        return Derivation(self.table, EVEN, dict(self.xi[I]), f"xi_{I}")
+        return self.xi_fields[I][1]
 
     def apply_Xi(self, f: SuperPolynomial) -> SuperPolynomial:
         """Xi f = sum_I o^I (xi_I f)."""
         out = self.table.zero()
-        for I, comps in self.xi.items():
-            X = Derivation(self.table, EVEN, dict(comps), f"xi_{I}")
-            out = out + self.odd_monomial(I) * X(f)
+        for mono, X in self.xi_fields.values():
+            out = out + mono * X(f)
         return out
 
     def exp_Xi(self, f: SuperPolynomial) -> SuperPolynomial:
@@ -173,39 +175,47 @@ def morphism_check(m: FleshMorphism, f, g, rng=None) -> bool:
     return m.pullback_even(f * g) == m.pullback_even(f) * m.pullback_even(g)
 
 
-def collapse_morphism_check(n_even, target_odd_count, rng=None, cases=25) -> bool:
-    """Maps from a purely even source to an odd target collapse: every
-    positive odd monomial squares to zero, no nonzero polynomial in the even
-    coordinate ring does, so the only morphism sends F to its constant-in-odd
-    part.  That collapse map is itself checked to be a ring morphism."""
+def collapse_tables(n_even, target_odd_count):
+    """A purely even source (x1..) and an odd target (ps1..).
+
+    Maps from such a source to such a target collapse: every positive odd
+    monomial squares to zero, no nonzero polynomial in the even coordinate
+    ring does, so the only morphism sends F to its constant-in-odd part.
+    That collapse map is itself checked to be a ring morphism."""
     src = SymbolTable()
     for i in range(n_even):
         src.even_symbol(f"x{i+1}")
     tgt = SymbolTable()
     for j in range(target_odd_count):
         tgt.odd_symbol(f"ps{j+1}")
+    return src, tgt
+
+
+def odd_monomials_square_to_zero(tgt) -> bool:
+    """Every positive odd monomial of the target squares to zero."""
     names = tgt.names()
-    for r in range(1, target_odd_count + 1):
+    for r in range(1, len(names) + 1):
         for J in combinations(names, r):
             mono = tgt.one()
             for n in J:
                 mono = mono * tgt.sym(n)
             if not (mono * mono).is_zero():
                 return False
-    rng = rng or __import__("random").Random(0)
-    for _ in range(cases):
-        p = src.zero()
-        for _ in range(rng.randint(1, 3)):
-            p = p + src.monomial(Fraction(rng.randint(1, 4)),
-                                 [(n, rng.randint(0, 2)) for n in src.names()])
-        if p and (p * p).is_zero():
-            return False
-        # the collapse map F -> F_empty is multiplicative
-        f = _random_odd_poly(tgt, rng)
-        g = _random_odd_poly(tgt, rng)
-        if (f * g).scalar_part() != f.scalar_part() * g.scalar_part():
-            return False
     return True
+
+
+def collapse_case(src, tgt, rng) -> bool:
+    """One drawn case: a nonzero even polynomial does not square to zero,
+    and the collapse map F -> F_empty is multiplicative."""
+    p = src.zero()
+    for _ in range(rng.randint(1, 3)):
+        p = p + src.monomial(Fraction(rng.randint(1, 4)),
+                             [(n, rng.randint(0, 2)) for n in src.names()])
+    if p and (p * p).is_zero():
+        return False
+    f = _random_odd_poly(tgt, rng)
+    g = _random_odd_poly(tgt, rng)
+    return (f * g).scalar_part() == f.scalar_part() * g.scalar_part()
 
 
 def _random_odd_poly(t, rng):
@@ -286,7 +296,7 @@ def vectors_dependent(xi1: dict, xi2: dict, names) -> bool:
 
 def check_commuting(m: FleshMorphism):
     """All xi_I must commute pairwise; raises CommutationError otherwise."""
-    items = sorted(m.xi)
+    items = sorted(m.xi_fields)
     for i, I in enumerate(items):
         X = m.xi_field(I)
         for J in items[i + 1:]:
@@ -299,14 +309,13 @@ def check_commuting(m: FleshMorphism):
 
 def factorize(m: FleshMorphism):
     """Group Xi by theta prefix: Xi = sum_A theta^A Xi_A with A running over
-    subsets of the first n_theta odd coordinates.  Returns
-    {A: [(I_eta, fields)]} with I_eta the remaining index part."""
+    subsets of the first n_theta odd coordinates.  Returns {A: [I]}, the
+    multi-indices I = A + I_eta of the fields in Xi_A."""
     check_commuting(m)
     groups = {}
-    for I, comps in m.xi.items():
+    for I in m.xi_fields:
         A = tuple(i for i in I if i <= m.n_theta)
-        Ieta = tuple(i for i in I if i > m.n_theta)
-        groups.setdefault(A, []).append((Ieta, comps))
+        groups.setdefault(A, []).append(I)
     return groups
 
 
@@ -316,12 +325,12 @@ def pullback_factorized(m: FleshMorphism, f) -> SuperPolynomial:
     groups = factorize(m)
     g = m._lift(f)
 
-    def apply_group(A, parts, h):
+    def apply_group(indices, h):
         def once(u):
             out = m.table.zero()
-            for Ieta, comps in parts:
-                X = Derivation(m.table, EVEN, dict(comps), "xi")
-                out = out + m.odd_monomial(A + Ieta) * X(u)
+            for I in indices:
+                mono, X = m.xi_fields[I]
+                out = out + mono * X(u)
             return out
 
         total = h
@@ -339,7 +348,7 @@ def pullback_factorized(m: FleshMorphism, f) -> SuperPolynomial:
     # empty prefix last so that e^(Xi_empty) is leftmost; the factors
     # commute, so application order is immaterial.
     for A in sorted(groups, key=lambda a: (len(a), a), reverse=True):
-        g = apply_group(A, groups[A], g)
+        g = apply_group(groups[A], g)
     return m.substitute_base(g)
 
 
@@ -349,7 +358,7 @@ def pullback_factorized(m: FleshMorphism, f) -> SuperPolynomial:
 
 def check_chart_condition(m: FleshMorphism):
     """xi_I xi_J y = 0 for every pair and every chart coordinate."""
-    items = sorted(m.xi)
+    items = sorted(m.xi_fields)
     for I in items:
         X = m.xi_field(I)
         for J in items:

@@ -37,6 +37,9 @@ def test_cases_run_and_skipped_are_counted():
     assert counts["kernel.supercomm"] == (87, 13)
     assert counts["kernel.leibniz"] == (93, 7)
     assert counts["kernel.assoc"] == (100, 0)
+    # the fixed nilpotency scan, then one case per drawn pair, at most 30
+    counts = {r.check_id: (r.run, r.skipped) for r in suites.run_suite("morphisms", 0, 100).results}
+    assert counts["morphisms.collapse"] == (31, 0)
 
 
 @pytest.mark.parametrize("verdict, counterexample", [

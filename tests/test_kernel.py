@@ -397,6 +397,25 @@ def test_integral_coefficients_are_stored_as_int():
         X = Derivation(t, ODD, {"th1": t.sym("x"), "x": t.sym("th2") * 3})
         for p in (f * g, g * f, f - g, X(f * g)):
             assert all(type(c) is int for c in p.terms.values()), p
+    # integral results of Fraction arithmetic: a product, a sum, scale, and
+    # derivation images through an even factor of power 2 with the image
+    # 1/2 and through the image -1/2*eps contracting with eps (square 2)
+    half = t.scalar(Fraction(1, 2))
+    x, eps, th1 = t.sym("x"), t.sym("eps"), t.sym("th1")
+    X = Derivation(t, EVEN, {"x": half})
+    Z = Derivation(t, EVEN, {"th1": eps.scale(Fraction(-1, 2))})
+    for p in (half * t.scalar(4), half + half, half.scale(6), (x * th1).scale(Fraction(1, 2)).scale(4),
+              X(x ** 2 * th1), Z(eps * th1), Z(th1 * eps)):
+        assert p.terms and all(type(c) is int for c in p.terms.values()), p
+    assert X(x ** 2 * th1) == x * th1 and Z(eps * th1) == t.one()
+
+
+def test_unit_scaling_returns_the_polynomial_or_its_negative():
+    t = grassmann_table(2)
+    f = t.sym("x") * t.sym("th1") + t.sym("th2").scale(Fraction(1, 3))
+    assert f.scale(1) is f and f.scale(Fraction(2, 2)) is f
+    assert f.scale(-1) == -f == f.scale(QI(-1, 0))
+    assert (f * 1) is f and (-1 * f).terms == (-f).terms
 
 
 def test_coefficient_types_compare_and_hash_alike():
@@ -519,6 +538,18 @@ def _derivation_oracle(X, f):
     return out
 
 
+def _two_clifford_table():
+    # Clifford generators on both sides of a middle odd generator
+    t = SymbolTable()
+    for n in ("x", "y"):
+        t.even_symbol(n)
+    t.clifford_symbol("eps1", 2)
+    t.odd_symbol("th1")
+    t.clifford_symbol("eps2", Fraction(1, 2))
+    t.odd_symbol("th2")
+    return t
+
+
 def _random_derivation(t, rng, parity):
     images = {}
     for s in t.symbols:
@@ -585,8 +616,7 @@ def test_cross_table_substitute_against_rebuild():
 
 def test_derivation_call_and_bracket_against_summing_loops():
     rng = random.Random(13)
-    t = _qi_table()
-    for _ in range(25):
+    for t, _ in itertools.product((_qi_table(), _two_clifford_table()), range(100)):
         X = _random_derivation(t, rng, rng.randint(0, 1))
         Y = _random_derivation(t, rng, rng.randint(0, 1))
         f = _random_qi_poly(t, rng)

@@ -6,9 +6,10 @@ import pytest
 from supergrass.kernel import SymbolTable
 from supergrass.morphisms import (ChartAssumptionError, CommutationError,
                                   FleshMorphism, check_chart_condition,
-                                  collapse_morphism_check, component_fields,
+                                  collapse_case, collapse_tables, component_fields,
                                   factorize, morphism_check,
                                   nonlinear_expansion_check,
+                                  odd_monomials_square_to_zero,
                                   odd_plane_obstruction,
                                   point_tangent_pullback, pullback_factorized,
                                   random_flesh_morphism, vectors_dependent)
@@ -52,7 +53,10 @@ def test_pullback_of_one():
 
 
 def test_collapse_even_to_odd():
-    assert collapse_morphism_check(2, 3)
+    src, tgt = collapse_tables(2, 3)
+    assert odd_monomials_square_to_zero(tgt)
+    rng = random.Random(0)
+    assert all(collapse_case(src, tgt, rng) for _ in range(25))
 
 
 def test_morphism_check_random_instances():
@@ -234,29 +238,30 @@ def test_factorization_random_commuting():
 def test_noncommuting_reported():
     # xi_(1,2) = y d/dy and xi_(3,4) = d/dy do not commute
     m = theta_eta_morphism(0, 4, {})
+    # the coefficient y1 of y1 d/dy1 and the base map x, over a chart table
+    chart = SymbolTable()
+    chart.even_symbol("x")
+    chart.even_symbol("y1")
     m2 = FleshMorphism(
         even_coords=("x",),
         odd_coords=("et1", "et2", "et3", "et4"),
         target_even=("y1",),
-        phi={"y1": 0},
-        xi={(1, 2): {"y1": 0}, (3, 4): {"y1": 1}},
+        phi={"y1": chart.sym("x")},
+        xi={(1, 2): {"y1": chart.sym("y1")}, (3, 4): {"y1": 1}},
         n_theta=0,
         validate=False,
     )
-    # fix up: coefficient y1 d/dy1
-    m2.xi[(1, 2)]["y1"] = m2.table.sym("y1")
-    m2.phi["y1"] = m2.table.sym("x")
     with pytest.raises(CommutationError):
         factorize(m2)
 
 
 # -- component fields and nonlinear expansion -------------------------------------
 
-def sigma_morphism(rng=None, with_empty=True):
+def sigma_morphism(rng=None, with_empty=True, xi13_y1=1):
     """k = 2 source with chart-condition xi (components constant in y)."""
     rng = rng or random.Random(0)
     xi = {
-        (1, 3): {"y1": 1, "y2": 2},    # th1 et1
+        (1, 3): {"y1": xi13_y1, "y2": 2},    # th1 et1
         (2, 4): {"y1": -1, "y2": 1},   # th2 et2
         (1, 2): {"y1": 2, "y2": -3},   # th1 th2 -> F
     }
@@ -313,11 +318,20 @@ def test_nonlinear_expansion_random():
 
 
 def test_chart_violation_reported():
-    m = sigma_morphism()
     # make xi_(1,3) depend on y1: breaks xi_I xi_J y = 0
-    m.xi[(1, 3)]["y1"] = m.table.sym("y1")
+    chart = SymbolTable()
+    chart.even_symbol("y1")
+    m = sigma_morphism(xi13_y1=chart.sym("y1"))
     with pytest.raises(ChartAssumptionError):
         check_chart_condition(m)
+
+
+def test_xi_fields_are_built_once():
+    m = sigma_morphism()
+    assert m.xi_field((1, 3)) is m.xi_field((1, 3))
+    assert m.xi_field((1, 3)).image("y2") == m.table.scalar(2)
+    mono, X = m.xi_fields[(1, 3)]
+    assert X is m.xi_field((1, 3)) and mono == m.table.sym("th1") * m.table.sym("et1")
 
 
 def test_one_theta_component_reading():
