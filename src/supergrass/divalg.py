@@ -181,7 +181,7 @@ class DAElement:
             return NotImplemented
         if self.alg.which != other.alg.which:
             return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         raise TypeError("DAElement is unhashable")

@@ -111,7 +111,8 @@ class Matrix:
     def scale(self, c):
         """Entrywise e.scale(c): c multiplies each entry on the left.  The
         result lives in the ring of the scaled zero, as the entries do."""
-        return Matrix([[e.scale(c) for e in row] for row in self.entries], self.zero.scale(c))
+        zero = self.zero.scale(c)
+        return Matrix([[e.scale(c) if e else zero for e in row] for row in self.entries], zero)
 
     def map(self, f):
         return Matrix([[f(e) for e in row] for row in self.entries], f(self.zero))
@@ -121,14 +122,13 @@ class Matrix:
 
     def __matmul__(self, other):
         zero = self.zero
+        nonzero = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.entries]
         out = []
         for row in self.entries:
             acc = [zero] * len(other.entries[0])
-            for a, orow in zip(row, other.entries):
-                if not a:
-                    continue
-                for j, b in enumerate(orow):
-                    if b:
+            for a, orow in zip(row, nonzero):
+                if orow and a:
+                    for j, b in orow:
                         acc[j] = acc[j] + a * b
             out.append(acc)
         return Matrix(out, zero)
@@ -300,15 +300,23 @@ def qqter_rhs(ctx: MinkContext, a, b, alpha, beta, gammas=None) -> Matrix:
 
 
 def qqter_check_all(k) -> bool:
+    """Every [Q^alpha_a, Q^beta_b] against qqter_rhs; its coefficients on
+    R_(ab) and Im_gamma, read as a field on the coordinates v^(ab), w^gamma,
+    must be the vector-field bracket [D^alpha_a, D^beta_b]."""
     ctx = MinkContext(k)
-    gammas = gamma_constants(ctx.alg)
+    inv = InvariantFields(k)
     qs = {(a, al): q_unit(ctx, a, al) for a in (1, 2) for al in range(1, k + 1)}
     for a in (1, 2):
         for b in (1, 2):
             for al in range(1, k + 1):
                 for be in range(1, k + 1):
                     lhs = anticomm(qs[(a, al)], qs[(b, be)])
-                    if lhs != qqter_rhs(ctx, a, b, al, be, gammas):
+                    if lhs != qqter_rhs(ctx, a, b, al, be, inv.gammas):
+                        return False
+                    c_v, c_w = decompose_translation(lhs)
+                    imgs = {inv.vname[ab]: c.scalar_part() for ab, c in c_v.items()}
+                    imgs.update((inv.wname[g], c.scalar_part()) for g, c in c_w.items())
+                    if Derivation(inv.table, EVEN, imgs) != inv.pair_translation(a, b, al, be, -2):
                         return False
     return True
 
@@ -326,9 +334,9 @@ def nilpotency_checks(ctx: MinkContext) -> bool:
                 return False
     for q1 in qs[:3]:
         for q2 in qs[:3]:
-            for q3 in qs[:3]:
-                if not ((q1 @ q2) @ q3).is_zero():
-                    return False
+            q12 = q1 @ q2
+            if not all((q12 @ q3).is_zero() for q3 in qs[:3]):
+                return False
     return True
 
 
@@ -337,8 +345,9 @@ def centrality_check(ctx: MinkContext) -> bool:
     zs = [r_matrix(ctx, a, b) for (a, b) in ((1, 1), (1, 2), (2, 2))]
     zs += [im_matrix(ctx, g) for g in range(2, ctx.k + 1)]
     qs = [q_unit(ctx, a, al) for a in (1, 2) for al in range(1, ctx.k + 1)]
-    for z1 in zs:
-        for z2 in zs:
+    for i, z1 in enumerate(zs):
+        # [z, z] = 0 and [z2, z1] = -[z1, z2]: each pair is tried once
+        for z2 in zs[i + 1:]:
             if not comm(z1, z2).is_zero():
                 return False
         for q in qs:
@@ -636,8 +645,16 @@ def lie_closure(k: int):
     return span.rank, basis
 
 
-def lie_closure_dim(k: int) -> int:
-    return lie_closure(k)[0]
+def closure_spans_lorentz(alg: DivisionAlgebra, basis) -> bool:
+    """The closure basis spans exactly the boosts B_j and the rotations A_ij
+    (0 <= i < j <= k), not merely a space of the right dimension."""
+    span = _Echelon()
+    for m in basis:
+        span.add(_flatten(m))
+    k = alg.dim
+    abstract = [boost_matrix(alg, j) for j in range(k + 1)]
+    abstract += [rotation_matrix(alg, i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    return span.rank == len(abstract) and not any(span.add(_flatten(m)) for m in abstract)
 
 
 def lorentz_conjugation(alg: DivisionAlgebra, S: Matrix, m: Matrix) -> Matrix:
@@ -666,6 +683,15 @@ def lorentz_conjugation(alg: DivisionAlgebra, S: Matrix, m: Matrix) -> Matrix:
 
     # g = blockdiag(S, 1, (S^dagger)^-1) and g^-1 = blockdiag(S^-1, 1, S^dagger)
     return (blockdiag(S, sinv) @ m) @ blockdiag(sinv, S)
+
+
+def lorentz_conjugation_preserves_norm(alg: DivisionAlgebra, S: Matrix, t, x, z: DAElement) -> bool:
+    """g X g^-1 has the Minkowski norm of the translation X = X(t, x, z)."""
+    ctx = MinkContext(alg.dim)
+    h = Hermitian2.from_txz(t, x, z)
+    m = (x_matrix(ctx, 1, 1, alg.unit(1, h.h11)) + x_matrix(ctx, 2, 2, alg.unit(1, h.h22))
+         + x_matrix(ctx, 1, 2, h.z) + x_matrix(ctx, 2, 1, h.z.conj()))
+    return translation_block(lorentz_conjugation(alg, S, m)).det() == h.det()
 
 
 # ---------------------------------------------------------------------------
@@ -841,30 +867,35 @@ def r32_dictionary_ok() -> bool:
 # k = 2: chiral charges, fields and the coordinate dictionary
 # ---------------------------------------------------------------------------
 
-def chiral_matrix_relations_ok() -> bool:
-    """With q_a = Q^1_a - i Q^2_a and qbar_a = Q^1_a + i Q^2_a (the square
-    root of 2 normalization dropped; all displayed relations are quadratic):
-    [q_a, q_b] = [qbar_a, qbar_b] = 0 and [q_a, qbar_b] = -4 X_(a b-dot),
-    where X_(a b-dot) = (X_ab + X_ba)/2 - i (u_2 X_ab - u_2 X_ba)/2."""
-    ctx = MinkContext(2)
+def chiral_charges(ctx: MinkContext, alpha, beta):
+    """q_a = Q^alpha_a - i Q^beta_a and qbar_a = Q^alpha_a + i Q^beta_a for
+    a = 1, 2, with i the formal square root of -1."""
     i = QI(0, 1)
+    q = {a: q_unit(ctx, a, alpha) - q_unit(ctx, a, beta).scale(i) for a in (1, 2)}
+    qbar = {a: q_unit(ctx, a, alpha) + q_unit(ctx, a, beta).scale(i) for a in (1, 2)}
+    return q, qbar
 
-    def q(a):
-        return q_unit(ctx, a, 1) - q_unit(ctx, a, 2).scale(i)
 
-    def qbar(a):
-        return q_unit(ctx, a, 1) + q_unit(ctx, a, 2).scale(i)
+def x_dotted(ctx: MinkContext, a, b) -> Matrix:
+    """X_(a b-dot) = (X_ab + X_ba)/2 - i (u_2 X_ab - u_2 X_ba)/2."""
+    u2 = ctx.alg.unit(2)
+    return r_matrix(ctx, a, b) - (
+        x_matrix(ctx, a, b, u2) - x_matrix(ctx, b, a, u2)).scale(Fraction(1, 2)).scale(QI(0, 1))
 
+
+def chiral_matrix_relations_ok() -> bool:
+    """With the chiral charges of Q^1, Q^2 (the square root of 2
+    normalization dropped; all displayed relations are quadratic):
+    [q_a, q_b] = [qbar_a, qbar_b] = 0 and [q_a, qbar_b] = -4 X_(a b-dot)."""
+    ctx = MinkContext(2)
+    q, qbar = chiral_charges(ctx, 1, 2)
     for a in (1, 2):
         for b in (1, 2):
-            if not anticomm(q(a), q(b)).is_zero():
+            if not anticomm(q[a], q[b]).is_zero():
                 return False
-            if not anticomm(qbar(a), qbar(b)).is_zero():
+            if not anticomm(qbar[a], qbar[b]).is_zero():
                 return False
-            xab = r_matrix(ctx, a, b) - (
-                x_matrix(ctx, a, b, ctx.alg.unit(2)) - x_matrix(ctx, b, a, ctx.alg.unit(2))
-            ).scale(Fraction(1, 2)).scale(i)
-            if anticomm(q(a), qbar(b)) != xab.scale(-4):
+            if anticomm(q[a], qbar[b]) != x_dotted(ctx, a, b).scale(-4):
                 return False
     return True
 
@@ -1022,19 +1053,14 @@ def reduction_charges(k: int):
     if k not in REDUCTION_PAIRS:
         raise ValueError("reduction implemented for k = 4 and k = 8")
     ctx = MinkContext(k)
-    i = QI(0, 1)
     pairs = REDUCTION_PAIRS[k]
     Q = {}
     Qb = {}
     for A, (al, be) in pairs.items():
+        q, qbar = chiral_charges(ctx, al, be)
         for a in (1, 2):
-            Q[(a, A)] = q_unit(ctx, a, al) - q_unit(ctx, a, be).scale(i)
-            Qb[(a, A)] = q_unit(ctx, a, al) + q_unit(ctx, a, be).scale(i)
-    # X_(a b-dot) as in the complex specialization
-    def xdot(a, b):
-        return r_matrix(ctx, a, b) - (
-            x_matrix(ctx, a, b, ctx.alg.unit(2)) - x_matrix(ctx, b, a, ctx.alg.unit(2))
-        ).scale(Fraction(1, 2)).scale(i)
+            Q[(a, A)], Qb[(a, A)] = q[a], qbar[a]
+    xdot = {(a, b): x_dotted(ctx, a, b) for a in (1, 2) for b in (1, 2)}
 
     table = Z_TABLE_4 if k == 4 else Z_TABLE_8
     Z = {}
@@ -1055,7 +1081,7 @@ def reduction_charges(k: int):
             for a in (1, 2):
                 for b in (1, 2):
                     e = EPS_AB[(a, b)]
-                    want_mixed = xdot(a, b).scale(-4) if A == B else ctx.zero_matrix()
+                    want_mixed = xdot[(a, b)].scale(-4) if A == B else ctx.zero_matrix()
                     if anticomm(Q[(a, A)], Qb[(b, B)]) != want_mixed:
                         fail(f"[Q_{a}{A}, Qbar_{b}{B}]")
                     want_qq = Z[(A, B)].scale(-4 * e) if e else ctx.zero_matrix()
@@ -1097,10 +1123,6 @@ def quadratic_form(y):
     """B(Y, Y) = y12 y34 - y13 y24 + y14 y23; the wedge square of Y carries
     twice this value on the top exterior generator."""
     return y[(1, 2)] * y[(3, 4)] - y[(1, 3)] * y[(2, 4)] + y[(1, 4)] * y[(2, 3)]
-
-
-def wedge_square_coefficient(y):
-    return quadratic_form(y) * 2
 
 
 def wedge_formula_table_ok(U) -> bool:
@@ -1227,41 +1249,4 @@ def decompose_translation(m: Matrix):
         val = upper.coeffs[g - 1] + upper.coeffs[g - 1]
         if val:
             c_w[g] = val
-    return c_v, c_w
-
-
-def compose_elements(e1: SuperTranslationElement, e2: SuperTranslationElement):
-    """Product in exponential coordinates: add the even and odd parts and
-    absorb half the odd-odd commutator into the even part."""
-    ctx = e1.ctx
-    corr = comm(e1.theta_matrix(), e2.theta_matrix()).scale(Fraction(1, 2))
-    c_v, c_w = decompose_translation(corr)
-    z = ctx.table.zero()
-    v = {}
-    for key in set(e1.v) | set(e2.v) | set(k for k, val in c_v.items() if val):
-        v[key] = e1.v.get(key, z) + e2.v.get(key, z) + c_v.get(key, z)
-    w = {}
-    for key in set(e1.w) | set(e2.w) | set(c_w):
-        w[key] = e1.w.get(key, z) + e2.w.get(key, z) + c_w.get(key, z)
-    theta = {}
-    for key in set(e1.theta) | set(e2.theta):
-        theta[key] = e1.theta.get(key, z) + e2.theta.get(key, z)
-    return SuperTranslationElement(ctx, v=v, w=w, theta=theta)
-
-
-def field_bracket_constants(inv: "InvariantFields", a, alpha, b, beta):
-    """Structure constants of [tau^alpha_a, tau^beta_b] read off the images
-    of the coordinate symbols."""
-    br = super_bracket(inv.tau(a, alpha), inv.tau(b, beta))
-    c_v = {}
-    for ab, name in inv.vname.items():
-        c_v[ab] = br.image(name).scalar_part()
-    c_w = {}
-    for g, name in inv.wname.items():
-        val = br.image(name).scalar_part()
-        if val:
-            c_w[g] = val
-    for key, name in inv.thname.items():
-        if not br.image(name).is_zero():
-            raise ValueError("bracket is not a translation")
     return c_v, c_w

@@ -181,24 +181,18 @@ class Superparticle:
     def superfield(self, i):
         return self.x(i) + self.th * self.ps(i)
 
+    def _odd_field(self, sign, label) -> Derivation:
+        """d/dth + sign th D_t on the superfield ring."""
+        op = Derivation(self.fs.table, ODD, {"th": 1}) + self.dt().scale(self.th).scale(sign)
+        op.label = label
+        return op
+
     def D(self) -> Derivation:
         """d/dth - th d/dt on the superfield ring."""
-        imgs = {"th": self.fs.one()}
-        for (fname, J), name in self.fs.jet_names.items():
-            if len(J) >= self.fs.max_order:
-                continue
-            up = self.fs.jet_names[(fname, J + ("t",))]
-            imgs[name] = -(self.th * self.fs.sym(up))
-        return Derivation(self.fs.table, ODD, imgs, "D")
+        return self._odd_field(-1, "D")
 
     def tau(self) -> Derivation:
-        imgs = {"th": self.fs.one()}
-        for (fname, J), name in self.fs.jet_names.items():
-            if len(J) >= self.fs.max_order:
-                continue
-            up = self.fs.jet_names[(fname, J + ("t",))]
-            imgs[name] = self.th * self.fs.sym(up)
-        return Derivation(self.fs.table, ODD, imgs, "tau")
+        return self._odd_field(1, "tau")
 
     def dt(self) -> Derivation:
         return self.fs.total_derivative("t")
@@ -357,40 +351,24 @@ class Sigma32:
         return (fs.jet("phi") + self.th1 * fs.jet("ps1") + self.th2 * fs.jet("ps2")
                 + self.th1 * self.th2 * fs.jet("F"))
 
+    def _odd_field(self, a, sign, label) -> Derivation:
+        """d_a + sign th^b D_(ab) on the superfield ring, with the slot total
+        derivatives D_(11) = D_t + D_x, D_(12) = D_(21) = D_y and
+        D_(22) = D_t - D_x."""
+        fs = self.fs
+        dt, dx, dy = (fs.total_derivative(c) for c in "txy")
+        slot = {1: dt + dx, 2: dy} if a == 1 else {1: dy, 2: dt - dx}
+        op = (Derivation(fs.table, ODD, {f"th{a}": 1}) + slot[1].scale(self.th1).scale(sign)
+              + slot[2].scale(self.th2).scale(sign))
+        op.label = label
+        return op
+
     def D_operator(self, a) -> Derivation:
         """D_a = d_a - th^b d_(ab) on the superfield ring."""
-        fs = self.fs
-        ths = {1: self.th1, 2: self.th2}
-        imgs = {("th1" if a == 1 else "th2"): fs.one()}
-        for (fname, J), name in fs.jet_names.items():
-            if len(J) >= fs.max_order:
-                continue
-            dt = fs.sym(fs.jet_names[(fname, tuple(sorted(J + ("t",), key="txy".index)))])
-            dx = fs.sym(fs.jet_names[(fname, tuple(sorted(J + ("x",), key="txy".index)))])
-            dy = fs.sym(fs.jet_names[(fname, tuple(sorted(J + ("y",), key="txy".index)))])
-            if a == 1:
-                img = -(ths[1] * (dt + dx)) - ths[2] * dy
-            else:
-                img = -(ths[1] * dy) - ths[2] * (dt - dx)
-            imgs[name] = img
-        return Derivation(fs.table, ODD, imgs, f"D{a}")
+        return self._odd_field(a, -1, f"D{a}")
 
     def tau_operator(self, a) -> Derivation:
-        fs = self.fs
-        ths = {1: self.th1, 2: self.th2}
-        imgs = {("th1" if a == 1 else "th2"): fs.one()}
-        for (fname, J), name in fs.jet_names.items():
-            if len(J) >= fs.max_order:
-                continue
-            dt = fs.sym(fs.jet_names[(fname, tuple(sorted(J + ("t",), key="txy".index)))])
-            dx = fs.sym(fs.jet_names[(fname, tuple(sorted(J + ("x",), key="txy".index)))])
-            dy = fs.sym(fs.jet_names[(fname, tuple(sorted(J + ("y",), key="txy".index)))])
-            if a == 1:
-                img = ths[1] * (dt + dx) + ths[2] * dy
-            else:
-                img = ths[1] * dy + ths[2] * (dt - dx)
-            imgs[name] = img
-        return Derivation(fs.table, ODD, imgs, f"tau{a}")
+        return self._odd_field(a, 1, f"tau{a}")
 
     # -- displayed expansions ---------------------------------------------------
     def cal_D(self, a):

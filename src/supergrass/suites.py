@@ -243,9 +243,11 @@ def check_tensoring(rng, cases, ks):
 
 def check_cartan(rng, cases, ks):
     table, d, iota, lie = cartan_triple(2, [lambda t: t.sym("x1") ** 2, lambda t: t.one()])
-    yield (super_bracket(d, d).is_zero() and super_bracket(iota, iota).is_zero()
-           and super_bracket(d, iota) == lie
-           and super_bracket(lie, d).is_zero() and super_bracket(lie, iota).is_zero())
+    yield super_bracket(d, d).is_zero() or "[d,d] = 0"
+    yield super_bracket(iota, iota).is_zero() or "[iota,iota] = 0"
+    yield super_bracket(d, iota) == lie or "[d,iota] = Lie"
+    yield super_bracket(lie, d).is_zero() or "[Lie,d] = 0"
+    yield super_bracket(lie, iota).is_zero() or "[Lie,iota] = 0"
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +374,9 @@ def check_body_soul(rng, cases, ks):
 def check_theta_lift(rng, cases, ks):
     for case in (1, 2, 3):
         for q in (3, 4, 6):
-            yield (superspace.theta_lift_vectorfield_check(case, q, rng, samples=2)
-                   or f"case {case}, q={q}")
+            law = superspace.theta_lift_vectorfield_law(case, q)
+            for _ in range(2):
+                yield law(rng) or f"case {case}, q={q}"
     d = superspace.SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(4)))
     for _ in range(cases // 4 or 1):
         f = random_homogeneous(d.table, rng, 0)
@@ -458,6 +461,16 @@ def check_norm_identity(rng, cases, ks):
         for _ in range(max(1, cases // 4)):
             z = alg.element([fraction(rng) for _ in range(alg.dim)])
             yield minkowski.minkowski_norm_identity(fraction(rng), fraction(rng), z) or alg.which
+    # the block conjugation by g(S), S = [[1, b], [0, 1]], needs K = R or C
+    for alg in _algebras(ks):
+        if alg.dim > 2:
+            continue
+        for _ in range(max(1, cases // 10)):
+            b = alg.element([fraction(rng) for _ in range(alg.dim)])
+            S = minkowski.kmat2(alg, alg.one(), b, alg.zero_like(), alg.one())
+            z = alg.element([fraction(rng) for _ in range(alg.dim)])
+            yield (minkowski.lorentz_conjugation_preserves_norm(alg, S, fraction(rng), fraction(rng), z)
+                   or f"{alg.which} conjugation")
 
 
 def check_qq_relations(rng, cases, ks):
@@ -475,6 +488,10 @@ def check_qq_relations(rng, cases, ks):
 def check_qqter(rng, cases, ks):
     for k in ks:
         yield minkowski.qqter_check_all(k) or f"k={k}"
+    for k in ks:
+        ctx = minkowski.MinkContext(k)
+        yield minkowski.nilpotency_checks(ctx) or f"k={k} nilpotency"
+        yield minkowski.centrality_check(ctx) or f"k={k} centrality"
 
 
 def check_null_vectors(rng, cases, ks):
@@ -489,12 +506,16 @@ def check_basis_table(rng, cases, ks):
     for alg in _algebras(ks):
         yield minkowski.basis_table_check(alg) or alg.which
         yield minkowski.boost_bracket_check(alg) or f"{alg.which} brackets"
+        if alg.dim > 2:  # for R and C no rotation is left out
+            yield minkowski.residual_rotations_fix_real_part(alg) or f"{alg.which} residual rotations"
 
 
 def check_closures(rng, cases, ks):
     want = {1: 3, 2: 6, 4: 15, 8: 45}
     for k in ks:
-        yield minkowski.lie_closure_dim(k) == want[k] or f"k={k}"
+        dim, basis = minkowski.lie_closure(k)
+        yield dim == want[k] or f"k={k}"
+        yield minkowski.closure_spans_lorentz(minkowski.ALG_BY_K[k], basis) or f"k={k} span"
 
 
 def check_group_law(rng, cases, ks):
@@ -527,13 +548,14 @@ def check_invariant_fields(rng, cases, ks):
 
 
 def check_r32(rng, cases, ks):
-    yield minkowski.r32_relations_ok() and minkowski.r32_dictionary_ok()
+    yield minkowski.r32_relations_ok() or "field relations"
+    yield minkowski.r32_dictionary_ok() or "dictionary"
 
 
 def check_chiral(rng, cases, ks):
-    yield (minkowski.chiral_matrix_relations_ok()
-           and minkowski.chiral_field_relations_ok()
-           and minkowski.chiral_dictionary_ok())
+    yield minkowski.chiral_matrix_relations_ok() or "matrix relations"
+    yield minkowski.chiral_field_relations_ok() or "field relations"
+    yield minkowski.chiral_dictionary_ok() or "dictionary"
 
 
 def check_r_symmetry(rng, cases, ks):
@@ -578,6 +600,7 @@ def check_bridge(rng, cases, ks):
         U = tuple(QI(fraction(rng), fraction(rng)) for _ in range(4))
         V = tuple(QI(fraction(rng), fraction(rng)) for _ in range(4))
         yield minkowski.sl4c_bridge_check(U, V) or "bridge"
+        yield minkowski.wedge_formula_table_ok(U) or "wedge formulas"
         z = divalg.H.element([fraction(rng) for _ in range(4)])
         yield minkowski.signature_identity_ok(fraction(rng), fraction(rng), z) or "signature"
     yield minkowski.k4_bridge_dictionary_ok()

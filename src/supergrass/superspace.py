@@ -348,13 +348,19 @@ def theta_lower(space: LiftSpace, frak: SuperPolynomial) -> SuperPolynomial:
     return space.lower(space.reduce(frak))
 
 
-def theta_lift_vectorfield_check(case: int, q: int, rng, samples=5) -> bool:
-    """The three displayed vector-field correspondences X f = lower(X~ f~):
+def theta_lift_vectorfield_law(case: int, q: int):
+    """One of the three displayed vector-field correspondences
+    X f = lower(X~ f~):
 
     1. even fields on the base extend s-constantly;
     2. eta^1 eta^2 X corresponds to s_12 X;
     3. eta^1 d/d(eta^2) corresponds to sum_* s_(1*) d/d s_(2*).
+
+    Returns `law(rng) -> bool`, which draws one random lifted function (and,
+    in cases 1 and 2, one coefficient of X) and compares both sides.
     """
+    if case not in (1, 2, 3):
+        raise ValueError("case must be 1, 2 or 3")
     if q < 2 or q > 6:
         raise ValueError("desk scale is 2 <= q <= 6")
     if case == 3 and q < 3:
@@ -362,42 +368,34 @@ def theta_lift_vectorfield_check(case: int, q: int, rng, samples=5) -> bool:
     dom = SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(q)))
     space = LiftSpace(dom)
     x = space.table.sym("x")
+    if case == 3:
+        d2 = dom.odd_derivative("et2")
+        imgs = {}
+        for I in odd_subsets(q):
+            if 1 in I or 2 in I or not I:
+                continue
+            m1 = merge_sign((1,), I)
+            m2 = merge_sign((2,), I)
+            if m1 is None or m2 is None:
+                continue
+            s1 = space.s(m1[1]).scale(m1[0])
+            imgs[space.s_name[m2[1]]] = s1.scale(m2[0])
+        Z = Derivation(space.table, EVEN, imgs, "Z")
 
-    for _ in range(samples):
-        frak = _random_lift_poly(space, rng)
-        frak = space.reduce(frak)
+    def law(rng) -> bool:
+        frak = space.reduce(_random_lift_poly(space, rng))
         f = space.lower(frak)
+        if case == 3:
+            return dom.sym("et1") * d2(f) == theta_lower(space, Z(frak))
+        coeff = x ** rng.randint(0, 2) * rng.randint(-3, 3)
+        X = space.extend_even_field({"x": coeff})
+        lhs = _apply_even_field_on_base(dom, {"x": coeff}, f)
         if case == 1:
-            coeff = x ** rng.randint(0, 2) * rng.randint(-3, 3)
-            X = space.extend_even_field({"x": coeff})
-            lhs = _apply_even_field_on_base(dom, {"x": coeff}, f)
-            rhs = theta_lower(space, X(frak))
-        elif case == 2:
-            coeff = x ** rng.randint(0, 2) * rng.randint(-3, 3)
-            X = space.extend_even_field({"x": coeff})
-            e12 = dom.sym("et1") * dom.sym("et2")
-            lhs = e12 * _apply_even_field_on_base(dom, {"x": coeff}, f)
-            rhs = theta_lower(space, space.s((1, 2)) * X(frak))
-        elif case == 3:
-            d2 = dom.odd_derivative("et2")
-            lhs = dom.sym("et1") * d2(f)
-            imgs = {}
-            for I in odd_subsets(q):
-                if 1 in I or 2 in I or not I:
-                    continue
-                m1 = merge_sign((1,), I)
-                m2 = merge_sign((2,), I)
-                if m1 is None or m2 is None:
-                    continue
-                s1 = space.s(m1[1]).scale(m1[0])
-                imgs[space.s_name[m2[1]]] = s1.scale(m2[0])
-            Z = Derivation(space.table, EVEN, imgs, "Z")
-            rhs = theta_lower(space, Z(frak))
-        else:
-            raise ValueError("case must be 1, 2 or 3")
-        if lhs != rhs:
-            return False
-    return True
+            return lhs == theta_lower(space, X(frak))
+        e12 = dom.sym("et1") * dom.sym("et2")
+        return e12 * lhs == theta_lower(space, space.s((1, 2)) * X(frak))
+
+    return law
 
 
 def _apply_even_field_on_base(dom: SuperDomain, coeffs, f):

@@ -2,12 +2,13 @@
 
 Each check gets exactly the input that `supergrass verify all --seed 0
 --cases 100` gives it, so a check added to the registry is tested here with
-no further edit.  The control at the end proves the registry can fail.
+no further edit.  The negative controls after it prove the registry can
+fail.
 """
 
 import pytest
 
-from supergrass import suites
+from supergrass import minkowski, suites
 
 CHECKS = [(suite, check_id, fn)
           for suite, entries in suites.SUITES.items() for check_id, _law, fn in entries]
@@ -31,15 +32,42 @@ def test_forgotten_koszul_sign_fails_supercomm(koszul_sign_dropped):
     assert not ok
 
 
+def test_flipped_field_bracket_sign_fails_qqter(monkeypatch):
+    """The matrix-vs-field link of minkowski.qqter sees a sign error in the
+    vector-field structure constants."""
+    pair_translation = minkowski.InvariantFields.pair_translation
+
+    def flipped(self, a, b, alpha, beta, factor):
+        return pair_translation(self, a, b, alpha, beta, -factor)
+
+    monkeypatch.setattr(minkowski.InvariantFields, "pair_translation", flipped)
+    (fn,) = [fn for _suite, check_id, fn in CHECKS if check_id == "minkowski.qqter"]
+    ok, counterexample, _, _ = run_check("minkowski.qqter", fn)
+    assert not ok and counterexample == "k=1"
+
+
 def test_cases_run_and_skipped_are_counted():
-    counts = {r.check_id: (r.run, r.skipped) for r in suites.run_suite("kernel", 0, 100).results}
+    counts = {r.check_id: (r.run, r.skipped)
+              for name in ("kernel", "morphisms", "minkowski", "reductions", "superspace")
+              for r in suites.run_suite(name, 0, 100).results}
     # a zero operand has no parity, so these laws skip it
     assert counts["kernel.supercomm"] == (87, 13)
     assert counts["kernel.leibniz"] == (93, 7)
     assert counts["kernel.assoc"] == (100, 0)
     # the fixed nilpotency scan, then one case per drawn pair, at most 30
-    counts = {r.check_id: (r.run, r.skipped) for r in suites.run_suite("morphisms", 0, 100).results}
     assert counts["morphisms.collapse"] == (31, 0)
+    # per k: the structure constants; then nilpotency and centrality
+    assert counts["minkowski.qqter"] == (12, 0)
+    # per algebra: the table rows and A_ij = -[B_i,B_j]; for H and O the
+    # residual rotations
+    assert counts["minkowski.table"] == (10, 0)
+    # per k: the dimension and the span
+    assert counts["minkowski.closure"] == (8, 0)
+    # per drawn case: the bridge, the wedge formulas, the signature; then
+    # the dictionary
+    assert counts["reductions.bridge"] == (31, 0)
+    # two draws per (case, q), then the round trips
+    assert counts["superspace.lift"] == (43, 0)
 
 
 @pytest.mark.parametrize("verdict, counterexample", [
@@ -72,5 +100,5 @@ def test_k_list_is_a_run_parameter():
         assert r.passed
         return r.run
 
-    assert qqter_runs(suites.run_suite("minkowski", 0, 1, (1,))) == 1
-    assert qqter_runs(suites.run_suite("minkowski", 0, 1)) == 4
+    assert qqter_runs(suites.run_suite("minkowski", 0, 1, (1,))) == 3
+    assert qqter_runs(suites.run_suite("minkowski", 0, 1)) == 12

@@ -46,4 +46,4 @@ def test_koszul_mutated_verify_report_is_byte_identical(capsys, koszul_sign_drop
     assert main(["verify", "all", "--seed", "0", "--cases", "100", "--json"]) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "304d9010b001206ef5180381a487c3fda40dbe15366c499cae88ce703e227427"
+        "b5e8ba4aeb1e2a1579a12f00e303ca641b255b3b5a4e472bb01ccabfb6b44c9e"

@@ -265,15 +265,6 @@ def test_zero_polynomial_parity_is_wildcard():
     assert t.zero().parity() is None
 
 
-def test_cartan_triple_identities():
-    table, d, iota, lie = cartan_triple(2, [lambda t: t.sym("x1") ** 2, lambda t: t.one()])
-    assert super_bracket(d, d).is_zero()
-    assert super_bracket(iota, iota).is_zero()
-    assert super_bracket(d, iota) == lie
-    assert super_bracket(lie, d).is_zero()
-    assert super_bracket(lie, iota).is_zero()
-
-
 def test_cartan_lie_of_x_dx():
     # xi = d/dx on R^1: Lie(x dx) = dx
     table, d, iota, lie = cartan_triple(1, [lambda t: t.one()])

@@ -111,26 +111,6 @@ def sigma():
     return Sigma32(h_degree=4)
 
 
-def test_dphi_expansions(sigma):
-    assert sigma.dphi_expansions_ok()
-
-
-def test_kinetic_component(sigma):
-    assert sigma.kinetic_component_ok()
-
-
-def test_superpotential_pullback(sigma):
-    assert sigma.superpotential_pullback_ok()
-
-
-def test_component_action(sigma):
-    assert sigma.component_action_ok()
-
-
-def test_completed_square(sigma):
-    assert sigma.completed_square_ok()
-
-
 def test_h_zero_removes_coupling_terms():
     model = Sigma32(h=Superpotential([0]))
     L = model.lagrangian()
@@ -141,10 +121,6 @@ def test_h_zero_removes_coupling_terms():
     want = (pt * pt - px * px - py * py).scale(Fraction(1, 2)) \
         + model.psi_cal_D_psi().scale(Fraction(1, 2)) + (F * F).scale(Fraction(1, 2))
     assert L == want
-
-
-def test_euler_system(sigma):
-    assert sigma.euler_system_ok()
 
 
 def test_euler_F_equation(sigma):
