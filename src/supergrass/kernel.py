@@ -2,13 +2,16 @@
 Clifford multiplication, graded derivations and super brackets.
 
 Everything is exact: coefficients are Python ints when integral, Fractions
-otherwise, or Gaussian rationals (`QI`); the three compare and hash alike,
-so 3, Fraction(3) and QI(3, 0) are the same coefficient.  Odd monomials are
-kept strictly increasing in symbol-table declaration order and every
-product normalizes signs against that order; a Koszul sign is applied by
-negation.  Products and sums are written through one accumulator,
-`_add_term`, which stores an integral Fraction as an int; `scale` does the
-same.  Values are immutable after construction and safe to share.
+otherwise, or Gaussian rationals (`QI`, integer parts over one denominator);
+the three compare and hash alike, so 3, Fraction(3) and QI(3, 0) are the
+same coefficient.  Odd monomials are kept strictly increasing in
+symbol-table declaration order and every product normalizes signs against
+that order; a Koszul sign is applied by negation.  Products and sums are
+written through one accumulator, `_add_term`, which stores an integral
+Fraction as an int; `scale` does the same.  Values are immutable after
+construction and safe to share.  A product that would form more than
+`MAX_TERM_PAIRS` term pairs raises `SizeLimitError` before it runs, and
+the CLI reports it as an input error.
 
 A derivation is applied term by term: each term of f, each factor with an
 image and each term of that image give one coefficient and one merged
@@ -44,6 +47,15 @@ class TableMismatchError(ValueError):
 
 class ParityError(ValueError):
     pass
+
+
+class SizeLimitError(ValueError):
+    pass
+
+
+# The most term pairs one product may form, so that (x+1)^100000 fails fast;
+# no product of the claim registry or the bench workloads forms 1000.
+MAX_TERM_PAIRS = 100_000
 
 
 @dataclass(frozen=True)
@@ -240,7 +252,7 @@ class SuperPolynomial:
             raise TableMismatchError("operands live over different symbol tables")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
+        if type(other) is not SuperPolynomial and isinstance(other, (int, Fraction, QI)):
             other = self.table.scalar(other)
         self._check(other)
         out = dict(self.terms)
@@ -254,7 +266,7 @@ class SuperPolynomial:
         return SuperPolynomial(self.table, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
+        if type(other) is not SuperPolynomial and isinstance(other, (int, Fraction, QI)):
             other = self.table.scalar(other)
         return self + (-other)
 
@@ -273,9 +285,12 @@ class SuperPolynomial:
         return SuperPolynomial(self.table, {k: _coef(c * v) for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
+        if type(other) is not SuperPolynomial and isinstance(other, (int, Fraction, QI)):
             return self.scale(other)
         self._check(other)
+        if len(self.terms) * len(other.terms) > MAX_TERM_PAIRS:
+            raise SizeLimitError(f"a product of {len(self.terms)} by {len(other.terms)} terms "
+                                 f"exceeds the budget of {MAX_TERM_PAIRS} term pairs")
         squares = self.table.symbols
         out: dict = {}
         for (e1, o1), c1 in self.terms.items():
@@ -308,10 +323,10 @@ class SuperPolynomial:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QI)):
+        if type(other) is not SuperPolynomial:
+            if not isinstance(other, (int, Fraction, QI)):
+                return NotImplemented
             other = self.table.scalar(other)
-        if not isinstance(other, SuperPolynomial):
-            return NotImplemented
         return self.table is other.table and self.terms == other.terms
 
     def __hash__(self):

@@ -1091,13 +1091,11 @@ def reduction_charges(k: int):
                     want_bb = zbar.scale(-4 * e) if e else ctx.zero_matrix()
                     if anticomm(Qb[(a, A)], Qb[(b, B)]) != want_bb:
                         fail(f"[Qbar_{a}{A}, Qbar_{b}{B}]")
-    star_ok = True
     if k == 8:
         for (A, B), (sA, sB) in STAR_PAIRS.items():
             if Z[(sA, sB)] != conj_formal_i(Z[(A, B)]):
-                star_ok = False
                 fail(f"Z_*({A}{B})")
-    return {"ctx": ctx, "Q": Q, "Qbar": Qb, "Z": Z, "star_ok": star_ok}
+    return {"ctx": ctx, "Q": Q, "Qbar": Qb, "Z": Z}
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@
 Plain coefficients are `int` when integral and `fractions.Fraction`
 otherwise.  Complexified contexts adjoin a formal central square root of -1,
 written ``I`` and kept distinct from any imaginary unit of a division
-algebra; those coefficients are `QI` values.  Mixed int/Fraction/QI
-arithmetic promotes to QI, and equal values compare and hash equal whatever
-their type, so polynomial code never has to care which ring it is in.
+algebra; those coefficients are `QI` values.  A QI holds three ints
+(a, b, d) for (a + b*I)/d, with d > 0 and gcd(a, b, d) = 1, so every
+operation is integer arithmetic and at most one gcd; `.re` and `.im` read
+the parts as Fractions.  Mixed int/Fraction/QI arithmetic promotes to QI,
+and equal values compare and hash equal whatever their type, so polynomial
+code never has to care which ring it is in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -24,100 +28,113 @@ def frac(x) -> Fraction:
 
 
 class QI:
-    """Gaussian rational a + b*I with I^2 = -1, both parts exact Fractions."""
+    """Gaussian rational (a + b*I)/d with I^2 = -1, kept as ints in lowest
+    terms: d > 0 and gcd(a, b, d) = 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", frac(re))
-        object.__setattr__(self, "im", frac(im))
+        re, im = frac(re), frac(im)
+        # two reduced fractions over the lcm of their denominators have no
+        # factor common to both numerators and the lcm
+        p, q = re.denominator, im.denominator
+        d = lcm(p, q)
+        _set_a(self, re.numerator * (d // p))
+        _set_b(self, im.numerator * (d // q))
+        _set_d(self, d)
 
     def __setattr__(self, *a):
         raise AttributeError("QI is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- ring operations -------------------------------------------------
-    # A QI operand is taken apart directly and an int or Fraction operand is
-    # used as a real part; partial products with a zero part are skipped, so
-    # real times real is one Fraction product.  Results come from _qi, since
-    # both parts are Fractions already.
+    # A QI operand is taken apart into its ints and an int or Fraction
+    # operand is used through its numerator and denominator; each result
+    # goes through _reduced, one gcd.
     def __add__(self, other):
-        if isinstance(other, QI):
-            b, d = self.im, other.im
-            return _qi(self.re + other.re, b + d if b and d else b or d)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is QI:
+            c, e, f = other._a, other._b, other._d
+            if d == f:
+                return _reduced(a + c, b + e, d)
+            return _reduced(a * f + c * d, b * f + e * d, d * f)
         if isinstance(other, (int, Fraction)):
-            return _qi(self.re + other, self.im)
+            n, m = other.numerator, other.denominator
+            return _reduced(a * m + n * d, b * m, d * m)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, QI):
-            b, d = self.im, other.im
-            return _qi(self.re - other.re, b - d if d else b)
-        if isinstance(other, (int, Fraction)):
-            return _qi(self.re - other, self.im)
+        if isinstance(other, (QI, int, Fraction)):
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _qi(other - self.re, -self.im)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, QI):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            if b:
-                if d:
-                    return _qi(a * c - b * d, a * d + b * c)
-                return _qi(a * c, b * c)
-            if d:
-                return _qi(a * c, a * d)
-            return _qi(a * c, ZERO)
+        a, b, d = self._a, self._b, self._d
+        if type(other) is QI:
+            c, e, f = other._a, other._b, other._d
+            return _reduced(a * c - b * e, a * e + b * c, d * f)
         if isinstance(other, (int, Fraction)):
-            return _qi(self.re * other, self.im * other if self.im else ZERO)
+            n, m = other.numerator, other.denominator
+            return _reduced(a * n, b * n, d * m)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if type(other) is QI:
+            # (a + bI)/d / ((c + eI)/f) = f (a + bI)(c - eI) / (d (c^2 + e^2))
+            a, b, d = self._a, self._b, self._d
+            c, e, f = other._a, other._b, other._d
+            n = c * c + e * e
+            if not n:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * n)
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return _qi(self.re / other, self.im / other)
-        if not isinstance(other, QI):
-            return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        n = c * c + d * d
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return _qi((a * c + b * d) / n, (b * c - a * d) / n)
+            return self * Fraction(other.denominator, other.numerator)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _qi(Fraction(other), ZERO) / self
+            return QI(other) / self
         return NotImplemented
 
     def __neg__(self):
-        return _qi(-self.re, -self.im if self.im else ZERO)
+        return _qi(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "QI":
-        return _qi(self.re, -self.im)
+        return _qi(self._a, -self._b, self._d)
 
     # -- comparisons / hashing -------------------------------------------
+    # A real QI is a/d in lowest terms (gcd(a, 0, d) = gcd(a, d) = 1), so
+    # it equals a rational exactly when numerator and denominator agree.
     def __eq__(self, other):
-        if isinstance(other, QI):
-            return self.re == other.re and self.im == other.im
+        if type(other) is QI:
+            return self._a == other._a and self._b == other._b and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+            return not self._b and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash((self.re, self.im) if self._b else self.re)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __repr__(self):
         return f"QI({self.re!r}, {self.im!r})"
@@ -126,21 +143,30 @@ class QI:
         return format_scalar(self)
 
 
-I = QI(0, 1)
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 _new_qi = object.__new__
-_set_re = QI.re.__set__
-_set_im = QI.im.__set__
+_set_a = QI._a.__set__
+_set_b = QI._b.__set__
+_set_d = QI._d.__set__
 
 
-def _qi(re: Fraction, im: Fraction) -> QI:
-    """QI from two parts that are Fractions already (no validation)."""
+def _qi(a: int, b: int, d: int) -> QI:
+    """QI from parts already in lowest terms (no validation)."""
     q = _new_qi(QI)
-    _set_re(q, re)
-    _set_im(q, im)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
     return q
+
+
+def _reduced(a: int, b: int, d: int) -> QI:
+    """QI (a + b*I)/d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _qi(a, b, d)
+
+
+I = QI(0, 1)
 
 
 def rational_part(c) -> Fraction:

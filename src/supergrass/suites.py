@@ -577,22 +577,17 @@ def check_r_symmetry(rng, cases, ks):
 # reductions suite
 # ---------------------------------------------------------------------------
 
-def check_reduction_k4(rng, cases, ks):
-    try:
-        minkowski.reduction_charges(4)
-    except minkowski.ReductionError as e:
-        yield str(e)
-    else:
-        yield True
-
-
-def check_reduction_k8(rng, cases, ks):
-    try:
-        rep = minkowski.reduction_charges(8)
-    except minkowski.ReductionError as e:
-        yield str(e)
-    else:
-        yield rep["star_ok"]
+def reduction_check(k):
+    """The check of the k = 4 or 8 reduction relations, the star pairing
+    included: `reduction_charges` raises on the first that fails."""
+    def check(rng, cases, ks):
+        try:
+            minkowski.reduction_charges(k)
+        except minkowski.ReductionError as e:
+            yield str(e)
+        else:
+            yield True
+    return check
 
 
 def check_bridge(rng, cases, ks):
@@ -722,8 +717,8 @@ _CHECKS = {
         ("minkowski.rsym", "null vectors invariant under R-symmetries", check_r_symmetry),
     ],
     "reductions": [
-        ("reductions.k4", "six-to-four central charges", check_reduction_k4),
-        ("reductions.k8", "ten-to-four central charges and the star pairing", check_reduction_k8),
+        ("reductions.k4", "six-to-four central charges", reduction_check(4)),
+        ("reductions.k8", "ten-to-four central charges and the star pairing", reduction_check(8)),
         ("reductions.bridge", "antisymmetric-square bridge and signature", check_bridge),
     ],
     "models": [

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from supergrass import kernel
+
+# Property tests draw the same examples on every run, so Tier-1 stays
+# deterministic and its time bounded on a slow, noisy machine.
+settings.register_profile("tier1", derandomize=True, max_examples=100, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

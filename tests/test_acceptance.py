@@ -46,6 +46,14 @@ def test_flipped_field_bracket_sign_fails_qqter(monkeypatch):
     assert not ok and counterexample == "k=1"
 
 
+def test_broken_star_pairing_fails_k8(monkeypatch):
+    """reductions.k8 sees a star pairing that sends Z_12 to -Z_34."""
+    monkeypatch.setitem(minkowski.STAR_PAIRS, (1, 2), (4, 3))
+    (fn,) = [fn for _suite, check_id, fn in CHECKS if check_id == "reductions.k8"]
+    ok, counterexample, _, _ = run_check("reductions.k8", fn)
+    assert not ok and counterexample.startswith("identity Z_*(12) fails")
+
+
 def test_cases_run_and_skipped_are_counted():
     counts = {r.check_id: (r.run, r.skipped)
               for name in ("kernel", "morphisms", "minkowski", "reductions", "superspace")

@@ -147,9 +147,12 @@ def test_bad_expression_is_usage_error(capsys):
     (("pullback", "-", "y"), '{"target": ["y"], "phi": {"y": 5}}'),
     (("pullback", "-", "y"), '{"target": ["y"], "theta": ["th1"], "phi": {"y": "y"}, "xi": {"1": "y"}}'),
     (("model", "sigma32", "--h", "I*u"), ""),
+    (("expand", "(x+1)^100000"), ""),
+    (("expand", "(x+y+z+w+th1+th2)^2000"), ""),
 ], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-of-polynomials",
         "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
-        "morphism-xi-not-object", "h-not-rational"])
+        "morphism-xi-not-object", "h-not-rational", "power-over-term-budget",
+        "mixed-power-over-term-budget"])
 def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)

@@ -307,70 +307,6 @@ def test_plain_rational_ring_tag():
         t.scalar(QI(0, 1))
 
 
-# ---------------------------------------------------------------------------
-# exact scalars: QI against the (a+bI)(c+dI) formulas on plain Fraction pairs
-# ---------------------------------------------------------------------------
-
-def _random_part(rng, zero):
-    if zero:
-        return Fraction(0)
-    return rng.choice([Fraction(rng.choice([-3, -1, 1, 2, 5])),
-                       Fraction(rng.choice([-7, -2, 1, 3]), rng.choice([2, 3, 4]))])
-
-
-def _random_operand(rng, kind, re_zero, im_zero):
-    re = _random_part(rng, re_zero)
-    if kind == "int":
-        return int(re) if re.denominator == 1 else rng.randint(-4, 4)
-    if kind == "Fraction":
-        return re
-    return QI(re, _random_part(rng, im_zero))
-
-
-def _pair(x):
-    return (x.re, x.im) if isinstance(x, QI) else (Fraction(x), Fraction(0))
-
-
-def _oracle(op, x, y):
-    a, b = _pair(x)
-    c, d = _pair(y)
-    if op == "+":
-        return a + c, b + d
-    if op == "-":
-        return a - c, b - d
-    if op == "*":
-        return a * c - b * d, a * d + b * c
-    n = c * c + d * d
-    return (a * c + b * d) / n, (b * c - a * d) / n
-
-
-def test_qi_arithmetic_against_fraction_pair_formulas():
-    rng = random.Random(4)
-    ops = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
-           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
-    zero_patterns = list(itertools.product((True, False), repeat=2))
-    for _ in range(12):
-        for (qz, oz), kind in itertools.product(itertools.product(zero_patterns, repeat=2),
-                                                ("int", "Fraction", "QI")):
-            q = _random_operand(rng, "QI", *qz)
-            other = _random_operand(rng, kind, *oz)
-            for x, y in ((q, other), (other, q)):
-                assert (x == y) == (_pair(x) == _pair(y)), (x, y)
-                for op, fn in ops.items():
-                    if op == "/" and not y:
-                        with pytest.raises(ZeroDivisionError):
-                            fn(x, y)
-                        continue
-                    got = fn(x, y)
-                    assert isinstance(got, QI), (x, op, y)
-                    assert type(got.re) is Fraction and type(got.im) is Fraction
-                    assert (got.re, got.im) == _oracle(op, x, y), (x, op, y)
-            neg = -q
-            assert type(neg.re) is Fraction and type(neg.im) is Fraction
-            assert (neg.re, neg.im) == (-q.re, -q.im)
-            assert q == QI(q.re, q.im) and hash(q) == hash(QI(q.re, q.im))
-
-
 def test_integral_coefficients_are_stored_as_int():
     t = SymbolTable()
     t.even_symbol("x")

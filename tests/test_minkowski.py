@@ -301,7 +301,6 @@ def test_lorentz_conjugation_preserves_norm():
 
 def test_reduction_k8_and_z_table():
     rep = reduction_charges(8)
-    assert rep["star_ok"] is True
     # Z_12 = I(-u3 + sqrt(-1) u4): entry (1,5) must be (-u3 + i u4)/2
     z12 = rep["Z"][(1, 2)]
     e = z12.entries[0][4]

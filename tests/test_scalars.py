@@ -1,0 +1,111 @@
+"""Exact scalars: every `QI` operator against a (Fraction, Fraction) oracle.
+
+Hypothesis draws the operands.  Zero and integral parts are drawn often, so
+the int, Fraction and QI branches of every operator all run, in both
+operand orders.  Every result must also be in canonical form: integer
+parts over one positive denominator, with no factor common to all three.
+"""
+
+import math
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from supergrass import scalars
+from supergrass.scalars import QI, format_scalar, parse_scalar
+
+parts = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction),
+                  st.builds(Fraction, st.integers(-50, 50), st.integers(1, 24)))
+qis = st.builds(QI, parts, parts)
+rationals = st.one_of(st.integers(-9, 9), st.integers(), parts)
+operands = st.one_of(qis, rationals)
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def pair(x):
+    return (x.re, x.im) if isinstance(x, QI) else (Fraction(x), Fraction(0))
+
+
+def oracle(op, x, y):
+    a, b = pair(x)
+    c, d = pair(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def assert_canonical(q):
+    a, b, d = q._a, q._b, q._d
+    assert type(a) is int and type(b) is int and type(d) is int, q
+    assert d > 0 and math.gcd(a, b, d) == 1, f"not in lowest terms: {(a, b, d)}"
+    assert type(q.re) is Fraction and type(q.im) is Fraction
+
+
+def check_operator(q, other, op, reflected):
+    x, y = (other, q) if reflected else (q, other)
+    assert (x == y) == (pair(x) == pair(y))
+    if op == "/" and not y:
+        with pytest.raises(ZeroDivisionError):
+            OPS[op](x, y)
+        return
+    got = OPS[op](x, y)
+    assert isinstance(got, QI)
+    assert_canonical(got)
+    assert (got.re, got.im) == oracle(op, x, y)
+
+
+OPERATOR_CASES = (qis, operands, st.sampled_from(sorted(OPS)), st.booleans())
+
+
+@given(*OPERATOR_CASES)
+def test_operators_match_fraction_pair_oracle(q, other, op, reflected):
+    check_operator(q, other, op, reflected)
+
+
+@given(parts, parts)
+def test_constructor_unary_operators_and_text(re, im):
+    q = QI(re, im)
+    assert_canonical(q)
+    assert (q.re, q.im) == (re, im)
+    assert QI(str(re), str(im)) == q and hash(QI(str(re), str(im))) == hash(q)
+    for got, want in ((-q, (-re, -im)), (q.conjugate(), (re, -im))):
+        assert_canonical(got)
+        assert (got.re, got.im) == want
+    for x in (q, re):
+        text = format_scalar(x)
+        assert parse_scalar(text) == x
+        assert format_scalar(parse_scalar(text)) == text
+
+
+@given(parts)
+def test_real_qi_compares_and_hashes_like_the_rational(r):
+    q = QI(r)
+    assert q == r and r == q and hash(q) == hash(r)
+    if r.denominator == 1:
+        assert q == int(r) and int(r) == q and hash(q) == hash(int(r))
+    assert QI(r, 1) != r and r != QI(r, 1)
+
+
+@given(operands, st.sampled_from([0, Fraction(0), QI(0), QI(0, 0)]))
+def test_zero_divisor_raises(x, zero):
+    if isinstance(x, QI) or isinstance(zero, QI):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+
+
+def test_a_reduction_that_skips_the_gcd_is_caught(monkeypatch):
+    """Negative control: results left as (a, b, d) without dividing by
+    gcd(a, b, d) still have the right value, and the canonical-form check
+    must see it.  The search stops at the first failure, unshrunk."""
+    monkeypatch.setattr(scalars, "_reduced", scalars._qi)
+    search = settings(phases=[Phase.generate])(given(*OPERATOR_CASES)(check_operator))
+    with pytest.raises(AssertionError, match="not in lowest terms"):
+        search()
