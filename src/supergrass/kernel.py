@@ -11,12 +11,16 @@ written through one accumulator, `_add_term`, which stores an integral
 Fraction as an int; `scale` does the same.  Values are immutable after
 construction and safe to share.  A product that would form more than
 `MAX_TERM_PAIRS` term pairs raises `SizeLimitError` before it runs, and
-the CLI reports it as an input error.
+the CLI reports it as an input error; `MAX_DEGREE` bounds the powers that
+box integrals raise their bounds to.
 
 A derivation is applied term by term: each term of f, each factor with an
 image and each term of that image give one coefficient and one merged
 monomial, written straight into the result, with crossing and Koszul signs
-applied by negation; no intermediate polynomial is formed.
+applied by negation; no intermediate polynomial is formed.  The odd
+invariant fields D and tau of every superspace here are built by one
+function, `odd_fields`, from the pairing T of the thetas into even
+translations, and checked against one law, `odd_field_relations_ok`.
 
 The term dict of a SuperPolynomial is private to this module and to the
 `expr_io` printer and JSON codec.  Other code reads a polynomial through
@@ -56,6 +60,10 @@ class SizeLimitError(ValueError):
 # The most term pairs one product may form, so that (x+1)^100000 fails fast;
 # no product of the claim registry or the bench workloads forms 1000.
 MAX_TERM_PAIRS = 100_000
+
+# The highest power of an even coordinate that a box integral accepts, so that
+# x^1000000000 fails fast instead of raising a bound to that power.
+MAX_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -633,6 +641,48 @@ def super_bracket(X: Derivation, Y: Derivation) -> Derivation:
         if v:
             imgs[X.table.symbols[i].name] = v
     return Derivation(X.table, (X.parity + Y.parity) % 2, imgs, f"[{X.label},{Y.label}]")
+
+
+def odd_fields(table, thetas, T, sign) -> list:
+    """The odd fields d/dth^a + sign * th^b T_ab, one per name in `thetas`:
+    the left invariant D for sign = -1, the right invariant tau for +1.
+
+    T maps a pair of theta names to an even derivation, the translation the
+    two thetas pair into; both orders are present and a missing pair is 0.
+    """
+    out = []
+    for a in thetas:
+        imgs = {a: table.one()}
+        for b in thetas:
+            if (a, b) in T:
+                th = table.sym(b).scale(sign)
+                for i, v in T[a, b].images.items():
+                    name = table.symbols[i].name
+                    imgs[name] = imgs.get(name, table.zero()) + th * v
+        out.append(Derivation(table, ODD, imgs, f"{'D' if sign < 0 else 'tau'}_{a}"))
+    return out
+
+
+def odd_field_relations_ok(table, thetas, T) -> bool:
+    """[D_a, D_b] = -2 T_ab, [tau_a, tau_b] = 2 T_ab and [D_a, tau_b] = 0 for
+    the fields of `odd_fields`.
+
+    The bracket of two odd fields is symmetric, so [D_a, D_b] and
+    [tau_a, tau_b] are compared for a <= b only; an asymmetric T still
+    fails, since on an even coordinate [D_a, D_b] is -(T_ab + T_ba).
+    """
+    D = odd_fields(table, thetas, T, -1)
+    tau = odd_fields(table, thetas, T, 1)
+    for i, a in enumerate(thetas):
+        if not all(super_bracket(D[i], t).is_zero() for t in tau):
+            return False
+        for j in range(i, len(thetas)):
+            Tab = T.get((a, thetas[j]))
+            for F, s in ((D, -2), (tau, 2)):
+                br = super_bracket(F[i], F[j])
+                if not (br.is_zero() if Tab is None else br == Tab.scale(s)):
+                    return False
+    return True
 
 
 def jacobi_check(x: Derivation, y: Derivation, z: Derivation) -> bool:

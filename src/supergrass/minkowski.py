@@ -20,7 +20,7 @@ from fractions import Fraction
 from .divalg import (ALGEBRAS, C, DAElement, DivisionAlgebra, H, O, R,
                      gamma_constants)
 from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
-                     SymbolTable, super_bracket)
+                     SymbolTable, odd_field_relations_ok, odd_fields, super_bracket)
 from .scalars import QI, frac, rational_part
 
 ALG_BY_K = {1: R, 2: C, 4: H, 8: O}
@@ -708,7 +708,7 @@ class InvariantFields:
 
     V_KEYS = ((1, 1), (1, 2), (2, 2))
 
-    def __init__(self, k, n_eta=0):
+    def __init__(self, k):
         self.k = k
         self.alg = ALG_BY_K[k]
         self.gammas = gamma_constants(self.alg)
@@ -719,33 +719,17 @@ class InvariantFields:
         for a in (1, 2):
             for alpha in range(1, k + 1):
                 self.thname[(a, alpha)] = t.odd_symbol(f"th{a}_{alpha}").name
-        for i in range(n_eta):
-            t.odd_symbol(f"et{i+1}")
         self.table = t
 
-    def _field(self, a, alpha, sign, label):
-        t = self.table
-        imgs = {self.thname[(a, alpha)]: t.one()}
-        for b in (1, 2):
-            key = self.vname[tuple(sorted((a, b)))]
-            inc = t.sym(self.thname[(b, alpha)]).scale(sign)
-            imgs[key] = imgs.get(key, t.zero()) + inc
-        b = 2 if a == 1 else 1
-        e = EPS_AB[(a, b)]
-        for beta in range(1, self.k + 1):
-            for g in range(2, self.k + 1):
-                c = self.gammas.get((alpha, beta, g))
-                if c:
-                    key = self.wname[g]
-                    inc = t.sym(self.thname[(b, beta)]).scale(sign * e * c)
-                    imgs[key] = imgs.get(key, t.zero()) + inc
-        return Derivation(t, ODD, imgs, label)
+    def pairing(self) -> dict:
+        """T pairs th^alpha_a with th^beta_b into pair_translation(a, b, alpha, beta, 1)."""
+        return {(self.thname[a, alpha], self.thname[b, beta]):
+                self.pair_translation(a, b, alpha, beta, 1)
+                for a, alpha in self.thname for b, beta in self.thname}
 
-    def D(self, a, alpha) -> Derivation:
-        return self._field(a, alpha, Fraction(-1), f"D{a}_{alpha}")
-
-    def tau(self, a, alpha) -> Derivation:
-        return self._field(a, alpha, Fraction(1), f"tau{a}_{alpha}")
+    def fields(self, sign) -> list:
+        """The D (sign -1) or tau (sign +1) fields, in the order of thname."""
+        return odd_fields(self.table, tuple(self.thname.values()), self.pairing(), sign)
 
     def pair_translation(self, a, b, alpha, beta, factor) -> Derivation:
         """factor * (delta^(alpha beta) ∂_(ab) + eps_ab ∂^[alpha beta])."""
@@ -762,79 +746,37 @@ class InvariantFields:
         return Derivation(t, EVEN, imgs, "rhs")
 
     def relations_ok(self) -> bool:
-        slots = [(a, alpha) for a in (1, 2) for alpha in range(1, self.k + 1)]
-        tau = {s: self.tau(*s) for s in slots}
-        D = {s: self.D(*s) for s in slots}
-        for a in (1, 2):
-            for b in (1, 2):
-                for alpha in range(1, self.k + 1):
-                    for beta in range(1, self.k + 1):
-                        tt = super_bracket(tau[a, alpha], tau[b, beta])
-                        dd = super_bracket(D[a, alpha], D[b, beta])
-                        td = super_bracket(tau[a, alpha], D[b, beta])
-                        if tt != self.pair_translation(a, b, alpha, beta, Fraction(2)):
-                            return False
-                        if dd != self.pair_translation(a, b, alpha, beta, Fraction(-2)):
-                            return False
-                        if not td.is_zero():
-                            return False
-        return True
+        return odd_field_relations_ok(self.table, tuple(self.thname.values()), self.pairing())
 
 
-def r32_fields(n_eta=0):
-    """The three-dimensional specialization in (t, x, y) coordinates:
-    tau_1 = d_1 + th1(dt + dx) + th2 dy, tau_2 = d_2 + th1 dy + th2(dt - dx),
-    and D_a with the opposite signs."""
+def r32_fields():
+    """The three-dimensional specialization in (t, x, y) coordinates: th1
+    pairs with itself into dt + dx, with th2 into dy, and th2 with itself
+    into dt - dx, so tau_1 = d_1 + th1(dt + dx) + th2 dy,
+    tau_2 = d_2 + th1 dy + th2(dt - dx), and D_a with the opposite signs.
+
+    Returns (table, T, {"tau1", "tau2", "D1", "D2", "dt", "dx", "dy"})."""
     t = SymbolTable()
-    for n in ("t", "x", "y"):
-        t.even_symbol(n)
-    t.odd_symbol("th1")
-    t.odd_symbol("th2")
-    for i in range(n_eta):
-        t.odd_symbol(f"et{i+1}")
-    th1, th2 = t.sym("th1"), t.sym("th2")
-
-    def mk(sign, label):
-        one = t.one()
-        f1 = Derivation(t, ODD, {
-            "th1": one, "t": th1.scale(sign), "x": th1.scale(sign), "y": th2.scale(sign)
-        }, label + "1")
-        f2 = Derivation(t, ODD, {
-            "th2": one, "y": th1.scale(sign), "t": th2.scale(sign), "x": th2.scale(-sign)
-        }, label + "2")
-        return f1, f2
-
-    tau1, tau2 = mk(Fraction(1), "tau")
-    D1, D2 = mk(Fraction(-1), "D")
-    dt = Derivation(t, EVEN, {"t": 1}, "dt")
-    dx = Derivation(t, EVEN, {"x": 1}, "dx")
-    dy = Derivation(t, EVEN, {"y": 1}, "dy")
-    return t, {"tau1": tau1, "tau2": tau2, "D1": D1, "D2": D2, "dt": dt, "dx": dx, "dy": dy}
+    d = {n: Derivation(t, EVEN, {t.even_symbol(n).name: 1}, "d" + n) for n in ("t", "x", "y")}
+    thetas = (t.odd_symbol("th1").name, t.odd_symbol("th2").name)
+    T = {("th1", "th1"): d["t"] + d["x"], ("th1", "th2"): d["y"], ("th2", "th1"): d["y"],
+         ("th2", "th2"): d["t"] - d["x"]}
+    ops = {"d" + n: op for n, op in d.items()}
+    for label, sign in (("tau", 1), ("D", -1)):
+        ops[label + "1"], ops[label + "2"] = odd_fields(t, thetas, T, sign)
+    return t, T, ops
 
 
 def r32_relations_ok() -> bool:
-    t, ops = r32_fields()
-    dt, dx, dy = ops["dt"], ops["dx"], ops["dy"]
-    checks = [
-        super_bracket(ops["tau1"], ops["tau1"]) == (dt + dx).scale(2),
-        super_bracket(ops["tau1"], ops["tau2"]) == dy.scale(2),
-        super_bracket(ops["tau2"], ops["tau2"]) == (dt - dx).scale(2),
-        super_bracket(ops["D1"], ops["D1"]) == (dt + dx).scale(-2),
-        super_bracket(ops["D1"], ops["D2"]) == dy.scale(-2),
-        super_bracket(ops["D2"], ops["D2"]) == (dt - dx).scale(-2),
-        super_bracket(ops["D1"], ops["tau1"]).is_zero(),
-        super_bracket(ops["D1"], ops["tau2"]).is_zero(),
-        super_bracket(ops["D2"], ops["tau1"]).is_zero(),
-        super_bracket(ops["D2"], ops["tau2"]).is_zero(),
-    ]
-    return all(checks)
+    t, T, _ = r32_fields()
+    return odd_field_relations_ok(t, ("th1", "th2"), T)
 
 
 def r32_dictionary_ok() -> bool:
     """The k = 1 fields expressed through v^(11) = (t+x)/2, v^(12) = y,
     v^(22) = (t-x)/2 coincide with the displayed (t, x, y) fields."""
     inv = InvariantFields(1)
-    t3, ops = r32_fields()
+    t3, _, ops = r32_fields()
     half = Fraction(1, 2)
     sub = {
         "v11": (t3.sym("t") + t3.sym("x")).scale(half),
@@ -854,12 +796,9 @@ def r32_dictionary_ok() -> bool:
                 return False
         return True
 
-    pairs = [
-        (inv.tau(1, 1), ops["tau1"]),
-        (inv.tau(2, 1), ops["tau2"]),
-        (inv.D(1, 1), ops["D1"]),
-        (inv.D(2, 1), ops["D2"]),
-    ]
+    tau1, tau2 = inv.fields(1)
+    D1, D2 = inv.fields(-1)
+    pairs = [(tau1, ops["tau1"]), (tau2, ops["tau2"]), (D1, ops["D1"]), (D2, ops["D2"])]
     return all(conjugated_equal(a, b) for a, b in pairs)
 
 
@@ -900,61 +839,19 @@ def chiral_matrix_relations_ok() -> bool:
     return True
 
 
-def chiral_fields(n_eta=0):
-    """Coordinates x^(a b-dot) (4 even), th^a and thb^a-dot (4 odd), with
-    D_a = d_a - thb^bd ∂_(a bd), Dbar_ad = dbar_ad - th^b ∂_(b ad) and the
-    tau fields with + signs."""
-    t = SymbolTable()
-    xs = {}
-    for a in (1, 2):
-        for b in (1, 2):
-            xs[(a, b)] = t.even_symbol(f"x{a}{b}").name
-    th = {a: t.odd_symbol(f"th{a}").name for a in (1, 2)}
-    thb = {a: t.odd_symbol(f"thb{a}").name for a in (1, 2)}
-    for i in range(n_eta):
-        t.odd_symbol(f"et{i+1}")
-
-    def mk(names_main, names_other, row_is_first, sign, label):
-        out = {}
-        for a in (1, 2):
-            imgs = {names_main[a]: t.one()}
-            for b in (1, 2):
-                key = xs[(a, b)] if row_is_first else xs[(b, a)]
-                imgs[key] = t.sym(names_other[b]).scale(sign)
-            out[a] = Derivation(t, ODD, imgs, f"{label}{a}")
-        return out
-
-    D = mk(th, thb, True, Fraction(-1), "D")
-    Dbar = mk(thb, th, False, Fraction(-1), "Dbar")
-    tau = mk(th, thb, True, Fraction(1), "tau")
-    taubar = mk(thb, th, False, Fraction(1), "taubar")
-    dx = {(a, b): Derivation(t, EVEN, {xs[(a, b)]: 1}, f"d{a}{b}") for a in (1, 2) for b in (1, 2)}
-    return t, {"D": D, "Dbar": Dbar, "tau": tau, "taubar": taubar, "dx": dx}
-
-
 def chiral_field_relations_ok() -> bool:
-    t, ops = chiral_fields()
-    D, Db, tau, taub, dx = ops["D"], ops["Dbar"], ops["tau"], ops["taubar"], ops["dx"]
-    for a in (1, 2):
-        for b in (1, 2):
-            if not super_bracket(D[a], D[b]).is_zero():
-                return False
-            if not super_bracket(Db[a], Db[b]).is_zero():
-                return False
-            if super_bracket(D[a], Db[b]) != dx[(a, b)].scale(-2):
-                return False
-            if super_bracket(tau[a], taub[b]) != dx[(a, b)].scale(2):
-                return False
-            for c in (1, 2):
-                if not super_bracket(D[a], tau[c]).is_zero():
-                    return False
-                if not super_bracket(D[a], taub[c]).is_zero():
-                    return False
-                if not super_bracket(Db[a], tau[c]).is_zero():
-                    return False
-                if not super_bracket(Db[a], taub[c]).is_zero():
-                    return False
-    return True
+    """Coordinates x^(a b-dot) (4 even), th^a and thb^a-dot (4 odd): th^a
+    pairs with thb^bd into ∂_(a bd), in both orders, and with th^b to 0, so
+    D_a = d_a - thb^bd ∂_(a bd), Dbar_ad = dbar_ad - th^b ∂_(b ad) and the
+    tau fields take + signs."""
+    t = SymbolTable()
+    xs = {(a, b): t.even_symbol(f"x{a}{b}").name for a in (1, 2) for b in (1, 2)}
+    th = [t.odd_symbol(f"th{a}").name for a in (1, 2)]
+    thb = [t.odd_symbol(f"thb{a}").name for a in (1, 2)]
+    T = {}
+    for (a, b), x in xs.items():
+        T[th[a - 1], thb[b - 1]] = T[thb[b - 1], th[a - 1]] = Derivation(t, EVEN, {x: 1}, f"d{a}{b}")
+    return odd_field_relations_ok(t, th + thb, T)
 
 
 def coordinate_dictionary_ok(rows_coords, rows_derivs) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .kernel import (EVEN, ODD, Derivation, SuperPolynomial, SymbolTable)
+from .kernel import (EVEN, ODD, Derivation, SuperPolynomial, SymbolTable, odd_fields)
 from .scalars import frac
 
 
@@ -61,9 +61,6 @@ class FieldSystem:
 
     def one(self):
         return self.table.one()
-
-    def scalar(self, c):
-        return self.table.scalar(c)
 
     # -- total derivatives -------------------------------------------------
     def total_derivative(self, coord) -> Derivation:
@@ -171,6 +168,9 @@ class Superparticle:
         self.n = n
         self.fs = FieldSystem(("t",), fields, max_order=2, theta=("th",), flesh=flesh)
         self.th = self.fs.sym("th")
+        # th pairs with itself into the total time derivative
+        (self._D,), (self._tau,) = (odd_fields(self.fs.table, ("th",), {("th", "th"): self.dt()}, s)
+                                    for s in (-1, 1))
 
     def x(self, i, *J):
         return self.fs.jet(f"x{i}", *J)
@@ -181,18 +181,13 @@ class Superparticle:
     def superfield(self, i):
         return self.x(i) + self.th * self.ps(i)
 
-    def _odd_field(self, sign, label) -> Derivation:
-        """d/dth + sign th D_t on the superfield ring."""
-        op = Derivation(self.fs.table, ODD, {"th": 1}) + self.dt().scale(self.th).scale(sign)
-        op.label = label
-        return op
-
     def D(self) -> Derivation:
         """d/dth - th d/dt on the superfield ring."""
-        return self._odd_field(-1, "D")
+        return self._D
 
     def tau(self) -> Derivation:
-        return self._odd_field(1, "tau")
+        """d/dth + th d/dt on the superfield ring."""
+        return self._tau
 
     def dt(self) -> Derivation:
         return self.fs.total_derivative("t")
@@ -336,6 +331,11 @@ class Sigma32:
         self.h = h if h is not None else Superpotential.symbolic(self.fs.table, h_degree)
         self.th1 = self.fs.sym("th1")
         self.th2 = self.fs.sym("th2")
+        # th^a pairs with th^b through the slot total derivative D_(ab)
+        dt, dx, dy = (self.fs.total_derivative(c) for c in "txy")
+        T = {("th1", "th1"): dt + dx, ("th1", "th2"): dy, ("th2", "th1"): dy,
+             ("th2", "th2"): dt - dx}
+        self._D, self._tau = (odd_fields(self.fs.table, ("th1", "th2"), T, s) for s in (-1, 1))
 
     # -- symmetric-slot total derivatives -------------------------------------
     def d_ab(self, a, b, p):
@@ -351,24 +351,15 @@ class Sigma32:
         return (fs.jet("phi") + self.th1 * fs.jet("ps1") + self.th2 * fs.jet("ps2")
                 + self.th1 * self.th2 * fs.jet("F"))
 
-    def _odd_field(self, a, sign, label) -> Derivation:
-        """d_a + sign th^b D_(ab) on the superfield ring, with the slot total
+    def D_operator(self, a) -> Derivation:
+        """D_a = d_a - th^b D_(ab) on the superfield ring, with the slot total
         derivatives D_(11) = D_t + D_x, D_(12) = D_(21) = D_y and
         D_(22) = D_t - D_x."""
-        fs = self.fs
-        dt, dx, dy = (fs.total_derivative(c) for c in "txy")
-        slot = {1: dt + dx, 2: dy} if a == 1 else {1: dy, 2: dt - dx}
-        op = (Derivation(fs.table, ODD, {f"th{a}": 1}) + slot[1].scale(self.th1).scale(sign)
-              + slot[2].scale(self.th2).scale(sign))
-        op.label = label
-        return op
-
-    def D_operator(self, a) -> Derivation:
-        """D_a = d_a - th^b d_(ab) on the superfield ring."""
-        return self._odd_field(a, -1, f"D{a}")
+        return self._D[a - 1]
 
     def tau_operator(self, a) -> Derivation:
-        return self._odd_field(a, 1, f"tau{a}")
+        """tau_a = d_a + th^b D_(ab)."""
+        return self._tau[a - 1]
 
     # -- displayed expansions ---------------------------------------------------
     def cal_D(self, a):

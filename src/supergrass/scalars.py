@@ -46,6 +46,10 @@ class QI:
     def __setattr__(self, *a):
         raise AttributeError("QI is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not through __setattr__
+        return (QI, (self.re, self.im))
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .indices import even_subsets_pos, merge_sign, odd_subsets
-from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
-                     SymbolTable, super_bracket)
+from .kernel import (EVEN, MAX_DEGREE, ODD, Derivation, ParityError, SizeLimitError,
+                     SuperPolynomial, SymbolTable, odd_field_relations_ok, odd_fields,
+                     super_bracket)
 from .scalars import frac, rational_part
 
 
@@ -86,6 +87,8 @@ def integrate_box(domain: SuperDomain, g: SuperPolynomial) -> SuperPolynomial:
         for idx, k in ev_index.items():
             lo, hi = domain.box[k]
             p = seen.get(idx, 0)
+            if p > MAX_DEGREE:
+                raise SizeLimitError(f"a power {p} over a box exceeds the degree budget {MAX_DEGREE}")
             val = val * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
         out = out + SuperPolynomial(domain.table, {((), od): Fraction(1)}).scale(val)
     return out
@@ -122,35 +125,26 @@ def berezin_translation_check(domain: SuperDomain, f: SuperPolynomial, shifts: d
 # Supertime R^(1|1)
 # ---------------------------------------------------------------------------
 
-def supertime(n_eta=2):
-    """R^(1|1) with coordinates (t, th) and n_eta auxiliary odd parameters.
+def supertime():
+    """R^(1|1) with coordinates (t, th) and two auxiliary odd parameters.
 
-    Returns (domain, {"dt", "D", "tau"}).  D = d/dth - th d/dt is the left
-    invariant odd field, tau = d/dth + th d/dt the right invariant one.
+    Returns (domain, {"dt", "D", "tau"}).  th pairs with itself into dt, so
+    D = d/dth - th d/dt is the left invariant odd field and
+    tau = d/dth + th d/dt the right invariant one.
     """
-    dom = SuperDomain(even=("t",), theta=("th",), eta=tuple(f"et{i+1}" for i in range(n_eta)))
-    t = dom.sym("t")
-    th = dom.sym("th")
+    dom = SuperDomain(even=("t",), theta=("th",), eta=("et1", "et2"))
     dt = Derivation(dom.table, EVEN, {"t": 1}, "dt")
-    D = Derivation(dom.table, ODD, {"th": dom.one(), "t": -th}, "D")
-    tau = Derivation(dom.table, ODD, {"th": dom.one(), "t": th}, "tau")
+    (D,), (tau,) = (odd_fields(dom.table, ("th",), {("th", "th"): dt}, s) for s in (-1, 1))
     return dom, {"dt": dt, "D": D, "tau": tau}
 
 
 def supertime_relations_ok(dom, ops) -> bool:
-    """[D,D] = -2 dt, [tau,tau] = 2 dt, [D,tau] = 0, brackets with dt vanish,
-    and the dependency tau - D = 2 th dt."""
+    """The odd-field law for T = dt, brackets with dt vanish, and the
+    dependency tau - D = 2 th dt."""
     dt, D, tau = ops["dt"], ops["D"], ops["tau"]
-    th = dom.sym("th")
-    checks = [
-        super_bracket(D, D) == dt.scale(-2),
-        super_bracket(tau, tau) == dt.scale(2),
-        super_bracket(D, tau).is_zero(),
-        super_bracket(D, dt).is_zero(),
-        super_bracket(tau, dt).is_zero(),
-        (tau - D) == dt.scale(th).scale(2),
-    ]
-    return all(checks)
+    return (odd_field_relations_ok(dom.table, ("th",), {("th", "th"): dt})
+            and super_bracket(D, dt).is_zero() and super_bracket(tau, dt).is_zero()
+            and tau - D == dt.scale(dom.sym("th")).scale(2))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from supergrass.minkowski import (InvariantFields, MinkContext, _Echelon, _flatt
 from supergrass.superspace import EvenGrassmannPoint, hinf_extend
 
 
-def field_bracket_constants(inv, a, alpha, b, beta):
+def field_bracket_constants(inv, tau, a, alpha, b, beta):
     """Structure constants of [tau^alpha_a, tau^beta_b] read off the images
-    of the coordinate symbols."""
-    br = super_bracket(inv.tau(a, alpha), inv.tau(b, beta))
+    of the coordinate symbols; tau maps (a, alpha) to its field."""
+    br = super_bracket(tau[a, alpha], tau[b, beta])
     for name in inv.thname.values():
         assert br.image(name).is_zero(), "bracket is not a translation"
     c_v = {ab: br.image(name).scalar_part() for ab, name in inv.vname.items()}
@@ -32,6 +32,7 @@ def test_matrix_vs_vector_field_structure_constants(k):
     coefficients must be negatives of each other."""
     ctx = MinkContext(k)
     inv = InvariantFields(k)
+    tau = dict(zip(inv.thname, inv.fields(1)))
     qs = {(a, al): q_unit(ctx, a, al) for a in (1, 2) for al in range(1, k + 1)}
     zero = ctx.table.zero()
     for a in (1, 2):
@@ -39,7 +40,7 @@ def test_matrix_vs_vector_field_structure_constants(k):
             for al in range(1, k + 1):
                 for be in range(1, k + 1):
                     mv, mw = decompose_translation(anticomm(qs[(a, al)], qs[(b, be)]))
-                    fv, fw = field_bracket_constants(inv, a, al, b, be)
+                    fv, fw = field_bracket_constants(inv, tau, a, al, b, be)
                     for key, val in fv.items():
                         assert mv.get(key, zero) == ctx.table.scalar(-val)
                     for g in range(2, k + 1):

@@ -6,9 +6,12 @@ import pytest
 
 from supergrass.kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
                                SymbolTable, TableMismatchError, cartan_triple,
-                               jacobi_check, skew_check, super_bracket)
+                               jacobi_check, odd_field_relations_ok, skew_check,
+                               super_bracket)
+from supergrass.minkowski import r32_fields
 from supergrass.scalars import QI
 from supergrass.suites import grassmann_table, random_homogeneous, random_poly
+from supergrass.superspace import supertime
 
 
 def test_transposition_sign():
@@ -179,6 +182,25 @@ def test_supertime_brackets_on_r11():
     assert super_bracket(D, dt).is_zero()
     assert super_bracket(tau, dt).is_zero()
     assert jacobi_check(D, tau, dt)
+
+
+def test_odd_field_law_fails_for_a_theta_in_T():
+    """Negative control: T = dt + th et1 dt does not commute with th."""
+    dom, ops = supertime()
+    dt = ops["dt"]
+    assert odd_field_relations_ok(dom.table, ("th",), {("th", "th"): dt})
+    bad = dt + dt.scale(dom.sym("th") * dom.sym("et1"))
+    assert not odd_field_relations_ok(dom.table, ("th",), {("th", "th"): bad})
+
+
+def test_odd_field_law_fails_for_an_asymmetric_T():
+    """Negative control: the r32 pairing with T_21 replaced by T_11; only
+    the pairs a <= b are compared, so the asymmetry must show there."""
+    t, T, _ = r32_fields()
+    assert odd_field_relations_ok(t, ("th1", "th2"), T)
+    T = dict(T)
+    T["th2", "th1"] = T["th1", "th1"]
+    assert not odd_field_relations_ok(t, ("th1", "th2"), T)
 
 
 def test_jacobi_for_coordinate_derivations():

@@ -4,8 +4,7 @@ import pytest
 
 from supergrass.kernel import EVEN
 from supergrass.models import (BpsSystem, FieldSystem, Sigma32, Superparticle,
-                               Superpotential, bogomolnyi_identity_ok,
-                               trig_reduce)
+                               Superpotential, trig_reduce)
 
 
 # -- jet machinery -----------------------------------------------------------------
@@ -80,13 +79,6 @@ def test_zero_psi_reduces_to_classical():
 def test_plain_susy_variation():
     for n in (1, 2):
         assert Superparticle(n=n).plain_variation_ok()
-
-
-def test_modulated_variation_and_noether():
-    sp = Superparticle(n=1, modulated=True)
-    rep = sp.modulated_variation_report()
-    assert rep["chi_ok"] and rep["chidot_ok"] and rep["total_ok"]
-    assert sp.noether_charge_conserved_on_shell()
 
 
 def test_susy_algebra_on_fields():
@@ -183,7 +175,3 @@ def test_bps_linear_h():
 
 def test_bps_quarter_turn(bps):
     assert bps.quarter_turn_case_ok()
-
-
-def test_bogomolnyi_identity():
-    assert bogomolnyi_identity_ok(4)

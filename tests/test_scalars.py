@@ -6,8 +6,10 @@ operand orders.  Every result must also be in canonical form: integer
 parts over one positive denominator, with no factor common to all three.
 """
 
+import copy
 import math
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -109,3 +111,13 @@ def test_a_reduction_that_skips_the_gcd_is_caught(monkeypatch):
     search = settings(phases=[Phase.generate])(given(*OPERATOR_CASES)(check_operator))
     with pytest.raises(AssertionError, match="not in lowest terms"):
         search()
+
+
+def test_copy_deepcopy_and_pickle_keep_value_and_type():
+    def pickled(x):
+        return pickle.loads(pickle.dumps(x))
+
+    for clone in (copy.copy, copy.deepcopy, pickled):
+        for x in (QI(Fraction(3, 4), -2), QI(0), QI(0, Fraction(-1, 6))):
+            y = clone(x)
+            assert type(y) is QI and y == x and (y.re, y.im) == (x.re, x.im)
