@@ -227,10 +227,6 @@ def gamma_constants(alg: DivisionAlgebra) -> dict:
     return out
 
 
-def gamma(alg: DivisionAlgebra, a: int, b: int, g: int) -> Fraction:
-    return gamma_constants(alg).get((a, b, g), Fraction(0))
-
-
 def multiplication_rows(alg: DivisionAlgebra):
     """(a, b, gamma, sign) rows of the table, for printing and JSON."""
     rows = []

@@ -12,7 +12,8 @@ Fraction as an int; `scale` does the same.  Values are immutable after
 construction and safe to share.  A product that would form more than
 `MAX_TERM_PAIRS` term pairs raises `SizeLimitError` before it runs, and
 the CLI reports it as an input error; `MAX_DEGREE` bounds the powers that
-box integrals raise their bounds to.
+box integrals raise their bounds to, and `MAX_COEFF_BITS` the coefficient
+growth of a power.
 
 A derivation is applied term by term: each term of f, each factor with an
 image and each term of that image give one coefficient and one merged
@@ -64,6 +65,11 @@ MAX_TERM_PAIRS = 100_000
 # The highest power of an even coordinate that a box integral accepts, so that
 # x^1000000000 fails fast instead of raising a bound to that power.
 MAX_DEGREE = 1000
+
+# The most bits a power n may add to a coefficient, estimated as n times (the
+# largest bit length of a numerator or denominator, minus 1), so that
+# (2^9999)^9999 fails fast; no registry or bench power estimates over 14 bits.
+MAX_COEFF_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -321,6 +327,11 @@ class SuperPolynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("powers must be nonnegative integers")
+        if n > 1:
+            bits = max(map(_coeff_bits, self.terms.values()), default=1)
+            if n * (bits - 1) > MAX_COEFF_BITS:
+                raise SizeLimitError(f"a power {n} of {bits}-bit coefficients exceeds the "
+                                     f"coefficient budget of {MAX_COEFF_BITS} bits")
         out = self.table.one()
         base = self
         while n:
@@ -449,6 +460,14 @@ class SuperPolynomial:
 def _term_key(item):
     (ev, od), _ = item
     return (len(od), od, ev)
+
+
+def _coeff_bits(c) -> int:
+    """The largest bit length of a numerator or denominator of c."""
+    if type(c) is int:
+        return c.bit_length()
+    parts = (c.re, c.im) if type(c) is QI else (c,)
+    return max(max(p.numerator.bit_length(), p.denominator.bit_length()) for p in parts)
 
 
 def _odd_mul(o1, o2, symbols):

@@ -1,21 +1,22 @@
 """Maps between superdomains as pullback morphisms.
 
 A morphism from (x^1..x^m, odd o^1..o^q) to a polynomial target chart
-(y^1..y^n, odd target coordinates) is stored in exponential normal form: a
-base map phi, a family of vector fields xi_I indexed by even-length odd
-multi-indices I, and odd superfunctions pulled back from the target odd
-coordinates.  Pulling back f applies the truncated series of
-Xi = sum_I xi_I o^I to f and then substitutes y -> phi(x).
+(y^1..y^n) is stored in exponential normal form: a base map phi and a family
+of vector fields xi_I indexed by even-length odd multi-indices I.  Pulling
+back f applies the truncated series of Xi = sum_I o^I xi_I to f, one
+`exp_series` for the whole of Xi or for each factor of a factorization, and
+then substitutes y -> phi(x).  The skeletal morphisms to the odd line and
+the odd plane are one `skeletal_pullback`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from math import factorial
 
 from .indices import even_subsets_pos
-from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
-                     SymbolTable)
+from .kernel import EVEN, ODD, Derivation, SuperPolynomial, SymbolTable
 from .scalars import frac
 
 
@@ -33,30 +34,47 @@ class CommutationError(ValueError):
         super().__init__(f"vector fields at {pair} do not commute")
 
 
+def apply_once(pairs, f: SuperPolynomial) -> SuperPolynomial:
+    """X f = sum_I o^I (xi_I f) over the (o^I, xi_I) pairs."""
+    out = f.table.zero()
+    for mono, X in pairs:
+        out = out + mono * X(f)
+    return out
+
+
+def exp_series(pairs, f: SuperPolynomial, q: int) -> SuperPolynomial:
+    """Truncated series sum_n X^n f / n! for X = sum_I o^I xi_I over the
+    (o^I, xi_I) pairs, with o^I in q odd coordinates: X^(q+1) = 0."""
+    out = cur = f
+    for n in count(1):
+        cur = apply_once(pairs, cur)
+        if cur.is_zero():
+            return out
+        out = out + cur.scale(Fraction(1, factorial(n)))
+        if n > q:
+            raise RuntimeError("series failed to terminate")
+
+
 class FleshMorphism:
-    """Pullback data (phi, {xi_I}, odd images).
+    """Pullback data (phi, {xi_I}).
 
     even_coords: names of the source even coordinates x.
     odd_coords:  names of all q odd source coordinates; the first k of them
                  are the distinguished thetas (k given by n_theta).
     target_even: names of the target even coordinates y.
-    target_odd:  names of the target odd coordinates.
     phi:         {y-name: polynomial in x} over the working table.
     xi:          {I: {y-name: polynomial in x and y}} with I a multi-index
                  (1-based positions into odd_coords) of even length >= 2.
-    odd_images:  {target-odd-name: odd polynomial in (x, source odds)}.
 
     The working table holds x's, then y's, then the source odd coordinates.
     xi_fields holds {I: (o^I, xi_I)}, the monomials and the vector fields,
     built once at construction.
     """
 
-    def __init__(self, even_coords, odd_coords, target_even, phi, xi,
-                 n_theta=None, target_odd=(), odd_images=None, validate=True):
+    def __init__(self, even_coords, odd_coords, target_even, phi, xi, n_theta=None):
         self.even_coords = tuple(even_coords)
         self.odd_coords = tuple(odd_coords)
         self.target_even = tuple(target_even)
-        self.target_odd = tuple(target_odd)
         self.n_theta = len(odd_coords) if n_theta is None else n_theta
         self.q = len(self.odd_coords)
 
@@ -74,20 +92,12 @@ class FleshMorphism:
         self.xi_fields = {}
         for I, comps in xi.items():
             I = tuple(I)
-            if validate:
-                if len(I) % 2 or len(I) < 2 or any(not 1 <= i <= self.q for i in I):
-                    raise ValueError(f"invalid multi-index {I}: need even length >= 2")
-                if tuple(sorted(set(I))) != I:
-                    raise ValueError(f"multi-index {I} must be strictly increasing")
+            if len(I) % 2 or len(I) < 2 or any(not 1 <= i <= self.q for i in I):
+                raise ValueError(f"invalid multi-index {I}: need even length >= 2")
+            if tuple(sorted(set(I))) != I:
+                raise ValueError(f"multi-index {I} must be strictly increasing")
             comps = {n: self._lift(c) for n, c in comps.items()}
             self.xi_fields[I] = (self.odd_monomial(I), Derivation(self.table, EVEN, comps, f"xi_{I}"))
-        self.odd_images = {n: self._lift(p) for n, p in (odd_images or {}).items()}
-        if set(self.odd_images) != set(self.target_odd):
-            raise ValueError("need one odd image per target odd coordinate")
-        if validate:
-            for n, p in self.odd_images.items():
-                if p.parity() not in (None, ODD):
-                    raise ParityError(f"image of {n} must be odd")
 
     # -- plumbing ---------------------------------------------------------
     def _lift(self, p):
@@ -107,26 +117,9 @@ class FleshMorphism:
     def xi_field(self, I) -> Derivation:
         return self.xi_fields[I][1]
 
-    def apply_Xi(self, f: SuperPolynomial) -> SuperPolynomial:
-        """Xi f = sum_I o^I (xi_I f)."""
-        out = self.table.zero()
-        for mono, X in self.xi_fields.values():
-            out = out + mono * X(f)
-        return out
-
     def exp_Xi(self, f: SuperPolynomial) -> SuperPolynomial:
         """Truncated series sum_n Xi^n f / n!; terminates by nilpotency."""
-        out = f
-        cur = f
-        n = 0
-        while True:
-            n += 1
-            cur = self.apply_Xi(cur)
-            if cur.is_zero():
-                return out
-            out = out + cur.scale(Fraction(1, _fact(n)))
-            if n > self.q:
-                raise RuntimeError("series failed to terminate")
+        return exp_series(self.xi_fields.values(), f, self.q)
 
     def substitute_base(self, f: SuperPolynomial) -> SuperPolynomial:
         return f.substitute(dict(self.phi))
@@ -135,35 +128,14 @@ class FleshMorphism:
         """(1 x phi)^*(e^Xi f) for f a polynomial in the target evens."""
         return self.substitute_base(self.exp_Xi(self._lift(f)))
 
-    def pullback(self, f, odd_decomposition=None) -> SuperPolynomial:
-        """Full pullback of a polynomial in the target even and odd
-        coordinates: sum over target odd monomials J of
-        pullback_even(f_J) * prod(odd images)."""
-        if odd_decomposition is None:
-            odd_decomposition = {(): self._lift(f)}
-        out = self.table.zero()
-        for J, fJ in odd_decomposition.items():
-            term = self.pullback_even(fJ)
-            for name in J:
-                term = term * self.odd_images[name]
-            out = out + term
-        return out
 
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def morphism_check(m: FleshMorphism, f, g, rng=None) -> bool:
+def morphism_check(m: FleshMorphism, f, g, rng) -> bool:
     """Unit, linearity, multiplicativity, and evenness of the pullback."""
     one = m.table.one()
     if m.pullback_even(one) != one:
         return False
-    lam = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng else Fraction(2)
-    mu = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng else Fraction(-3)
+    lam = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    mu = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     f = m._lift(f)
     g = m._lift(g)
     if m.pullback_even(f.scale(lam) + g.scale(mu)) != \
@@ -227,49 +199,36 @@ def _random_odd_poly(t, rng):
     return p
 
 
-def point_tangent_pullback(target_table: SymbolTable, point: dict, xi: dict,
-                           theta_name="th1"):
-    """The odd-line morphism f -> f(m) + df_m(xi) theta.
+def skeletal_pullback(point: dict, xis):
+    """The skeletal morphism f -> f(m) + sum_a df_m(xi_a) th_a into
+    R[th1..thk], one theta per vector in xis: the odd line for one vector,
+    the odd plane for two.
 
     Returns (result_table, pull) where pull maps polynomials in the target
-    evens to polynomials in R[theta].
+    evens to polynomials in R[th1..thk].
     """
     rt = SymbolTable()
-    rt.odd_symbol(theta_name)
-    th = rt.sym(theta_name)
+    for a in range(len(xis)):
+        rt.odd_symbol(f"th{a + 1}")
+    ths = [rt.sym(n) for n in rt.names()]
 
     def pull(f: SuperPolynomial) -> SuperPolynomial:
-        val = f.eval_even(point).scalar_part()
-        d = Fraction(0)
-        for name, comp in xi.items():
-            d += frac(comp) * f.diff_even(name).eval_even(point).scalar_part()
-        return rt.scalar(val) + th.scale(d)
+        out = rt.scalar(f.eval_even(point).scalar_part())
+        for th, xi in zip(ths, xis):
+            out = out + th.scale(sum((frac(c) * f.diff_even(n).eval_even(point).scalar_part()
+                                      for n, c in xi.items()), Fraction(0)))
+        return out
 
     return rt, pull
 
 
 def odd_plane_obstruction(target_table: SymbolTable, point: dict, xi1: dict,
-                          xi2: dict, zeta=None) -> bool:
-    """Multiplicativity of the skeletal odd-plane candidate morphism
-    f -> f(m) + df(xi1) th1 + df(xi2) th2 + df(zeta) th1 th2 on all monomial
-    pairs up to degree 2: holds iff xi1 and xi2 are linearly dependent."""
-    rt = SymbolTable()
-    rt.odd_symbol("th1")
-    rt.odd_symbol("th2")
-    th1, th2 = rt.sym("th1"), rt.sym("th2")
-    zeta = zeta or {}
-
-    def dval(f, v):
-        out = Fraction(0)
-        for name, comp in v.items():
-            out += frac(comp) * f.diff_even(name).eval_even(point).scalar_part()
-        return out
-
-    def pull(f):
-        return (rt.scalar(f.eval_even(point).scalar_part())
-                + th1.scale(dval(f, xi1)) + th2.scale(dval(f, xi2))
-                + (th1 * th2).scale(dval(f, zeta)))
-
+                          xi2: dict) -> bool:
+    """Multiplicativity of the skeletal odd-plane morphism on all monomial
+    pairs up to degree 2: holds iff xi1 and xi2 are linearly dependent, as
+    the th1 th2 coefficient of pull(fg) - pull(f) pull(g) is
+    df(xi1) dg(xi2) - df(xi2) dg(xi1), whatever th1 th2 term pull has."""
+    _, pull = skeletal_pullback(point, (xi1, xi2))
     names = target_table.names()
     monos = [target_table.sym(n) for n in names]
     monos += [target_table.sym(a) * target_table.sym(b)
@@ -324,31 +283,10 @@ def pullback_factorized(m: FleshMorphism, f) -> SuperPolynomial:
     map; agrees with the direct exponential pullback when the xi commute."""
     groups = factorize(m)
     g = m._lift(f)
-
-    def apply_group(indices, h):
-        def once(u):
-            out = m.table.zero()
-            for I in indices:
-                mono, X = m.xi_fields[I]
-                out = out + mono * X(u)
-            return out
-
-        total = h
-        cur = h
-        n = 0
-        while True:
-            n += 1
-            cur = once(cur)
-            if cur.is_zero():
-                return total
-            total = total + cur.scale(Fraction(1, _fact(n)))
-            if n > m.q:
-                raise RuntimeError("series failed to terminate")
-
     # empty prefix last so that e^(Xi_empty) is leftmost; the factors
     # commute, so application order is immaterial.
     for A in sorted(groups, key=lambda a: (len(a), a), reverse=True):
-        g = apply_group(groups[A], g)
+        g = exp_series([m.xi_fields[I] for I in groups[A]], g, m.q)
     return m.substitute_base(g)
 
 
@@ -384,17 +322,15 @@ def component_fields(m: FleshMorphism):
     return out
 
 
-def random_flesh_morphism(rng, m_even=1, n_target=2, k_theta=2, L_eta=2,
-                          deg=2, n_xi=3, commuting=False, chart=False):
-    """Random morphism at desk scale.
+def random_flesh_morphism(rng, k_theta=2, L_eta=2, deg=2, n_xi=3, commuting=False):
+    """Random morphism from (x1 | k_theta thetas, L_eta etas) to (y1, y2).
 
-    commuting=True restricts the xi to constant-coefficient fields (they
-    commute pairwise); chart=True additionally makes xi_I xi_J y = 0 hold by
-    keeping the components free of target coordinates.
+    commuting=True keeps the xi components free of target coordinates, so
+    the fields commute pairwise and xi_I xi_J y = 0 holds.
     """
-    evens = tuple(f"x{i+1}" for i in range(m_even))
+    evens = ("x1",)
     odds = tuple(f"th{i+1}" for i in range(k_theta)) + tuple(f"et{i+1}" for i in range(L_eta))
-    targets = tuple(f"y{i+1}" for i in range(n_target))
+    targets = ("y1", "y2")
     q = len(odds)
 
     proto = SymbolTable()
@@ -411,7 +347,7 @@ def random_flesh_morphism(rng, m_even=1, n_target=2, k_theta=2, L_eta=2,
         return p
 
     def rand_component():
-        if chart or commuting:
+        if commuting:
             # x-dependence only: constant in the target chart
             p = proto.zero()
             for _ in range(rng.randint(1, 2)):

@@ -391,8 +391,7 @@ def check_theta_lift(rng, cases, ks):
 def check_pullback_morphism(rng, cases, ks):
     for _ in range(cases):
         m = morphisms.random_flesh_morphism(
-            rng, m_even=1, n_target=2,
-            k_theta=rng.choice((0, 1, 2)), L_eta=rng.choice((2, 3)),
+            rng, k_theta=rng.choice((0, 1, 2)), L_eta=rng.choice((2, 3)),
             deg=rng.choice((2, 3)),
         )
         ys = [m.table.sym(n) for n in m.target_even]
@@ -415,7 +414,7 @@ def check_point_tangent(rng, cases, ks):
     for _ in range(cases):
         pt = {"y": fraction(rng), "z": fraction(rng)}
         xi = {"y": fraction(rng), "z": fraction(rng)}
-        rt, pull = morphisms.point_tangent_pullback(t, pt, xi)
+        _, pull = morphisms.skeletal_pullback(pt, (xi,))
         f = t.sym("y") ** rng.randint(1, 3) + t.sym("z").scale(rng.randint(-2, 2))
         g = t.sym("z") ** rng.randint(1, 2) + rng.randint(-2, 2)
         yield pull(f * g) == pull(f) * pull(g) or format_poly(f)
@@ -444,8 +443,7 @@ def check_factorization(rng, cases, ks):
 
 def check_components_nonlinear(rng, cases, ks):
     for _ in range(max(1, cases // 5)):
-        m = morphisms.random_flesh_morphism(rng, k_theta=2, L_eta=2, chart=True,
-                                            commuting=True, n_xi=4)
+        m = morphisms.random_flesh_morphism(rng, k_theta=2, L_eta=2, commuting=True, n_xi=4)
         y1, y2 = m.table.sym("y1"), m.table.sym("y2")
         f = (y1 ** rng.randint(1, 3) + y2 ** rng.randint(1, 2) * y1.scale(rng.randint(-2, 2))
              + rng.randint(-2, 2))

@@ -182,10 +182,6 @@ def body(value: SuperPolynomial) -> Fraction:
     return EvenGrassmannPoint(value).body
 
 
-def soul(value: SuperPolynomial) -> SuperPolynomial:
-    return EvenGrassmannPoint(value).soul
-
-
 def hinf_extend(f: SuperPolynomial, points) -> SuperPolynomial:
     """Taylor extension of a real polynomial in m even symbols to an m-tuple
     of even Grassmann arguments: sum_r d^r f(body) soul^r / r!.

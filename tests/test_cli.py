@@ -150,16 +150,29 @@ def test_bad_expression_is_usage_error(capsys):
     (("expand", "(x+1)^100000"), ""),
     (("expand", "(x+y+z+w+th1+th2)^2000"), ""),
     (("berezin", "th1*x^1000000000", "--box", "0", "2"), ""),
+    (("expand", "(2^9999)^9999"), ""),
 ], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-of-polynomials",
         "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
         "morphism-xi-not-object", "h-not-rational", "power-over-term-budget",
-        "mixed-power-over-term-budget", "box-power-over-degree-budget"])
+        "mixed-power-over-term-budget", "box-power-over-degree-budget",
+        "power-over-coefficient-budget"])
 def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_power_over_coefficient_budget_names_the_budget(capsys):
+    code, out, err = run(capsys, "expand", "(2^9999)^9999")
+    assert code == 2
+    assert "coefficient budget" in err
+
+
+def test_powers_under_the_coefficient_budget_print(capsys):
+    assert run(capsys, "expand", "x^1000000000")[:2] == (0, "x^1000000000\n")
+    assert run(capsys, "expand", "2^9999")[:2] == (0, f"{2 ** 9999}\n")
 
 
 def test_bad_morphism_file_is_usage_error(capsys):

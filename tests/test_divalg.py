@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from supergrass.divalg import C, H, O, R, DAElement, algebra, gamma, gamma_constants
+from supergrass.divalg import C, H, O, R, DAElement, algebra, gamma_constants
 from supergrass.kernel import SuperPolynomial, SymbolTable
 
 
@@ -79,13 +79,13 @@ def test_gamma_R_empty():
 
 def test_gamma_C_value():
     # (u_1 conj(u_2) - u_2 conj(u_1))/2 = -u_2, so the (1,2,2) constant is -1
-    assert gamma(C, 1, 2, 2) == -1
-    assert gamma(C, 2, 1, 2) == 1
+    assert gamma_constants(C).get((1, 2, 2), 0) == -1
+    assert gamma_constants(C).get((2, 1, 2), 0) == 1
 
 
 def test_gamma_H_23():
     # (u_2 conj(u_3) - u_3 conj(u_2))/2 = -(u_2 u_3) = -u_4
-    assert gamma(H, 2, 3, 4) == -1
+    assert gamma_constants(H).get((2, 3, 4), 0) == -1
 
 
 def test_clifford_envelope_isomorphic_to_C():

@@ -10,6 +10,7 @@ of them updates its digest here and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -47,3 +48,22 @@ def test_koszul_mutated_verify_report_is_byte_identical(capsys, koszul_sign_drop
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "b5e8ba4aeb1e2a1579a12f00e303ca641b255b3b5a4e472bb01ccabfb6b44c9e"
+
+
+def test_pullback_through_xi_squared_is_byte_identical(tmp_path, capsys):
+    # q = 4 with xi_(1,2) and xi_(3,4): the series reaches Xi^2 = 2 xi_(1,2)
+    # xi_(3,4) th1 th2 et1 et2
+    desc = {
+        "even": ["x"],
+        "theta": ["th1", "th2"],
+        "eta": ["et1", "et2"],
+        "target": ["y", "z"],
+        "phi": {"y": "x", "z": "x^2 - 1"},
+        "xi": {"1,2": {"y": "1/2", "z": "x"}, "3,4": {"y": "x", "z": "-3"}},
+    }
+    path = tmp_path / "morphism.json"
+    path.write_text(json.dumps(desc))
+    assert main(["pullback", str(path), "y^3*z + z^2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d06eceac62e1817f0ba7207bc5946ae028266eb7863d910d2c69713293c33779"

@@ -3,16 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from supergrass import morphisms
 from supergrass.kernel import SymbolTable
 from supergrass.morphisms import (ChartAssumptionError, CommutationError,
-                                  FleshMorphism, check_chart_condition,
+                                  FleshMorphism, apply_once, check_chart_condition,
                                   collapse_case, collapse_tables, component_fields,
                                   factorize, morphism_check,
                                   nonlinear_expansion_check,
                                   odd_monomials_square_to_zero,
-                                  odd_plane_obstruction,
-                                  point_tangent_pullback, pullback_factorized,
-                                  random_flesh_morphism, vectors_dependent)
+                                  odd_plane_obstruction, pullback_factorized,
+                                  random_flesh_morphism, skeletal_pullback,
+                                  vectors_dependent)
 
 
 def target_ring(*names):
@@ -64,8 +65,6 @@ def test_morphism_check_random_instances():
     for _ in range(40):
         m = random_flesh_morphism(
             rng,
-            m_even=1,
-            n_target=2,
             k_theta=rng.choice((0, 1, 2)),
             L_eta=rng.choice((2, 3, 4)),  # with k_theta <= 2, k + L stays <= 6
             deg=rng.choice((2, 3)),
@@ -77,19 +76,12 @@ def test_morphism_check_random_instances():
 
 
 def test_corrupt_odd_length_index_detected():
-    t = target_ring("y")
-    m = FleshMorphism(
-        even_coords=("x",),
-        odd_coords=("et1", "et2"),
-        target_even=("y",),
-        phi={"y": 0},
-        xi={(1,): {"y": 1}},
-        n_theta=0,
-        validate=False,
-    )
-    m.phi["y"] = m.table.sym("x")
+    m = make_simple()
+    # plant xi_(1) = d/dy, an odd-length index the constructor refuses
+    _, X = m.xi_fields.pop((1, 2))
+    m.xi_fields[(1,)] = (m.odd_monomial((1,)), X)
     y = m.table.sym("y")
-    assert not morphism_check(m, y, y)
+    assert not morphism_check(m, y, y, random.Random(0))
 
 
 def test_validation_rejects_odd_length_index():
@@ -99,13 +91,32 @@ def test_validation_rejects_odd_length_index():
 
 def test_truncation_of_exp_series():
     rng = random.Random(5)
-    m = random_flesh_morphism(rng, m_even=1, n_target=2, k_theta=2, L_eta=4, n_xi=5)
+    m = random_flesh_morphism(rng, k_theta=2, L_eta=4, n_xi=5)
     y = m.table.sym("y1") * m.table.sym("y2") + m.table.sym("y2") ** 3
     # Xi^(q/2 + 1) kills everything
     cur = y
     for _ in range(m.q // 2 + 1):
-        cur = m.apply_Xi(cur)
+        cur = apply_once(m.xi_fields.values(), cur)
     assert cur.is_zero()
+
+
+@pytest.mark.parametrize("wrong", [lambda n: 1, lambda n: n], ids=["one", "n"])
+def test_exp_series_needs_the_factorials(monkeypatch, wrong):
+    # q = 6 with xi_(1,2) = xi_(3,4) = xi_(5,6) = d/dy, so Xi^3 y^3 != 0 and
+    # dividing by 1 or by n instead of n! breaks multiplicativity
+    m = FleshMorphism(
+        even_coords=("x",),
+        odd_coords=tuple(f"et{i+1}" for i in range(6)),
+        target_even=("y",),
+        phi={"y": 0},
+        xi={(1, 2): {"y": 1}, (3, 4): {"y": 1}, (5, 6): {"y": 1}},
+        n_theta=0,
+    )
+    m.phi["y"] = m.table.sym("x")
+    y = m.table.sym("y")
+    assert morphism_check(m, y ** 2, y, random.Random(0))
+    monkeypatch.setattr(morphisms, "factorial", wrong)
+    assert not morphism_check(m, y ** 2, y, random.Random(0))
 
 
 def test_parity_preservation():
@@ -117,24 +128,24 @@ def test_parity_preservation():
         assert pb.is_zero() or pb.parity() == 0
 
 
-# -- point + tangent morphisms (odd line) ---------------------------------------
+# -- skeletal morphisms: odd line -------------------------------------------------
 
 def test_point_tangent_example():
     t = target_ring("y")
-    rt, pull = point_tangent_pullback(t, {"y": 2}, {"y": 3})
+    rt, pull = skeletal_pullback({"y": 2}, ({"y": 3},))
     out = pull(t.sym("y") ** 2)
     assert out == rt.scalar(4) + rt.sym("th1").scale(12)
 
 
 def test_point_tangent_constant():
     t = target_ring("y")
-    rt, pull = point_tangent_pullback(t, {"y": 2}, {"y": 3})
+    rt, pull = skeletal_pullback({"y": 2}, ({"y": 3},))
     assert pull(t.scalar(9)) == rt.scalar(9)
 
 
 def test_point_tangent_multiplicative():
     t = target_ring("y", "z")
-    rt, pull = point_tangent_pullback(t, {"y": 2, "z": -1}, {"y": 3, "z": 5})
+    rt, pull = skeletal_pullback({"y": 2, "z": -1}, ({"y": 3, "z": 5},))
     y, z = t.sym("y"), t.sym("z")
     pairs = [(y, y), (y, z), (y * z, y + z), (y ** 2, z ** 2 + y)]
     for f, g in pairs:
@@ -249,7 +260,6 @@ def test_noncommuting_reported():
         phi={"y1": chart.sym("x")},
         xi={(1, 2): {"y1": chart.sym("y1")}, (3, 4): {"y1": 1}},
         n_theta=0,
-        validate=False,
     )
     with pytest.raises(CommutationError):
         factorize(m2)
@@ -378,47 +388,3 @@ def test_one_theta_component_reading():
         if th_idx not in od:
             got_even = got_even + SuperPolynomial(m.table, {(ev, od): c})
     assert got_even == expect_even
-
-
-def test_pullback_with_target_odd_coordinates():
-    # target has one odd coordinate: f = f0 + f1 ps pulls back to
-    # pb(f0) + pb(f1) * chi with chi the declared odd image
-    m = FleshMorphism(
-        even_coords=("x",),
-        odd_coords=("th1", "et1", "et2"),
-        target_even=("y",),
-        target_odd=("ps",),
-        phi={"y": 0},
-        xi={(2, 3): {"y": 1}},
-        n_theta=1,
-        odd_images={"ps": 0},
-    )
-    x = m.table.sym("x")
-    m.phi["y"] = x
-    chi = m.table.sym("th1") + m.table.sym("et1") * m.table.sym("et2") * m.table.sym("th1")
-    m.odd_images["ps"] = chi
-    y = m.table.sym("y")
-    # f = y^2 + y ps, decomposed over the target odd monomials
-    out = m.pullback(None, odd_decomposition={(): y ** 2, ("ps",): y})
-    assert out == m.pullback_even(y ** 2) + m.pullback_even(y) * chi
-    # parity preserved: the image of the odd part is odd
-    odd_part = m.pullback_even(y) * chi
-    assert odd_part.parity() == 1
-
-
-def test_pullback_odd_square_vanishes():
-    m = FleshMorphism(
-        even_coords=("x",),
-        odd_coords=("th1", "et1"),
-        target_even=("y",),
-        target_odd=("ps",),
-        phi={"y": 0},
-        xi={},
-        n_theta=1,
-        odd_images={"ps": 0},
-    )
-    m.phi["y"] = m.table.sym("x")
-    m.odd_images["ps"] = m.table.sym("th1")
-    # ps^2 = 0 on the target forces the image square to vanish
-    chi = m.odd_images["ps"]
-    assert (chi * chi).is_zero()
