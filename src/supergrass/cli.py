@@ -289,16 +289,10 @@ def cmd_brackets(args) -> int:
         for b in (1, 2):
             for al in range(1, k + 1):
                 for be in range(1, k + 1):
-                    entry = {"a": a, "b": b, "alpha": al, "beta": be, "terms": {}}
-                    if al == be:
-                        entry["terms"][f"R({min(a,b)}{max(a,b)})"] = "-2"
-                    e = minkowski.EPS_AB[(a, b)]
-                    if e:
-                        for g in range(2, k + 1):
-                            c = gammas.get((al, be, g))
-                            if c:
-                                entry["terms"][f"Im{g}"] = str(-2 * e * c)
-                    out.append(entry)
+                    terms = minkowski.bracket_terms(k, gammas, a, b, al, be)
+                    out.append({"a": a, "b": b, "alpha": al, "beta": be, "terms": {
+                        f"R({min(a,b)}{max(a,b)})" if key == "R" else f"Im{key}": str(-2 * c)
+                        for key, c in terms.items()}})
     print(json.dumps({"k": k, "brackets": out}, sort_keys=True))
     return 0
 

@@ -27,7 +27,9 @@ The term dict of a SuperPolynomial is private to this module and to the
 `expr_io` printer and JSON codec.  Other code reads a polynomial through
 its projections (`scalar_part`, `free_of`, `parity_part`, `support`,
 `coefficient_of_odd`, `eval_even`, `diff_even`) and copies it into another
-table with `substitute`.
+table with `substitute`.  Three functions still read or build the dict
+outside: `superspace.integrate_box`, `LiftSpace.reduce` and
+`LiftSpace.lift`; `tests/test_kernel.py` pins that list.
 """
 
 from __future__ import annotations

@@ -19,8 +19,10 @@ from fractions import Fraction
 
 from .divalg import (ALGEBRAS, C, DAElement, DivisionAlgebra, H, O, R,
                      gamma_constants)
-from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
-                     SymbolTable, odd_field_relations_ok, odd_fields, super_bracket)
+# super_bracket is unused here, but bench/test_bench.py checks that the
+# tracer rebinds this imported copy
+from .kernel import (EVEN, ODD, Derivation, ParityError, SymbolTable,
+                     odd_field_relations_ok, odd_fields, super_bracket)
 from .scalars import QI, frac, rational_part
 
 ALG_BY_K = {1: R, 2: C, 4: H, 8: O}
@@ -51,6 +53,13 @@ class Hermitian2:
     @property
     def x(self):
         return self.h11 - self.h22
+
+    @classmethod
+    def of_block(cls, m: Matrix):
+        """The translation block of a 5x5 matrix whose entries are constants."""
+        h11, h22, z = translation_block(m)
+        return cls(rational_part(h11.scalar_part()), rational_part(h22.scalar_part()),
+                   z.alg.element(rational_part(c.scalar_part()) for c in z.coeffs))
 
     def z_full(self):
         return self.z.scale(2)
@@ -187,15 +196,6 @@ class MinkContext:
         return m
 
 
-def conj_formal_i(m: Matrix) -> Matrix:
-    """Conjugate every scalar coefficient w.r.t. the formal square root of -1
-    (entrywise; K-basis coefficients untouched)."""
-    def cpoly(p: SuperPolynomial):
-        return SuperPolynomial(p.table, {key: c.conjugate() for key, c in p.terms.items()})
-
-    return m.map(lambda e: DAElement(e.alg, [cpoly(c) for c in e.coeffs], e.zero))
-
-
 def anticomm(m: Matrix, n: Matrix) -> Matrix:
     return (m @ n) + (n @ m)
 
@@ -283,19 +283,25 @@ def qqbis_rhs(ctx: MinkContext, a, b, lam: DAElement, mu: DAElement) -> Matrix:
     return -(re_part + im_part).scale(2)
 
 
-def qqter_rhs(ctx: MinkContext, a, b, alpha, beta, gammas=None) -> Matrix:
-    """-2(delta^(alpha beta) R_(ab) + Gamma^([alpha beta] gamma) eps_ab Im_gamma)."""
-    if gammas is None:
-        gammas = gamma_constants(ctx.alg)
-    out = ctx.zero_matrix()
-    if alpha == beta:
-        out = out + r_matrix(ctx, a, b)
+def bracket_terms(k, gammas, a, b, alpha, beta) -> dict:
+    """The structure constants of [Q^alpha_a, Q^beta_b] = -2 sum c T over
+    T = R_(ab) and Im_gamma: {"R": 1} when alpha = beta, and
+    {gamma: eps_ab Gamma^([alpha beta] gamma)} for each nonzero Gamma."""
+    out = {"R": 1} if alpha == beta else {}
     e = EPS_AB[(a, b)]
     if e:
-        for g in range(2, ctx.k + 1):
+        for g in range(2, k + 1):
             c = gammas.get((alpha, beta, g))
             if c:
-                out = out + im_matrix(ctx, g).scale(Fraction(c) * e)
+                out[g] = e * c
+    return out
+
+
+def qqter_rhs(ctx: MinkContext, a, b, alpha, beta, gammas) -> Matrix:
+    """-2(delta^(alpha beta) R_(ab) + Gamma^([alpha beta] gamma) eps_ab Im_gamma)."""
+    out = ctx.zero_matrix()
+    for key, c in bracket_terms(ctx.k, gammas, a, b, alpha, beta).items():
+        out = out + (r_matrix(ctx, a, b) if key == "R" else im_matrix(ctx, key)).scale(c)
     return out.scale(-2)
 
 
@@ -313,9 +319,10 @@ def qqter_check_all(k) -> bool:
                     lhs = anticomm(qs[(a, al)], qs[(b, be)])
                     if lhs != qqter_rhs(ctx, a, b, al, be, inv.gammas):
                         return False
-                    c_v, c_w = decompose_translation(lhs)
-                    imgs = {inv.vname[ab]: c.scalar_part() for ab, c in c_v.items()}
-                    imgs.update((inv.wname[g], c.scalar_part()) for g, c in c_w.items())
+                    h11, h22, z = translation_block(lhs)
+                    imgs = {inv.vname[1, 1]: h11.scalar_part(), inv.vname[2, 2]: h22.scalar_part(),
+                            inv.vname[1, 2]: 2 * z.coeffs[0].scalar_part()}
+                    imgs.update((w, 2 * z.coeffs[g - 1].scalar_part()) for g, w in inv.wname.items())
                     if Derivation(inv.table, EVEN, imgs) != inv.pair_translation(a, b, al, be, -2):
                         return False
     return True
@@ -358,36 +365,39 @@ def centrality_check(ctx: MinkContext) -> bool:
 
 # -- null vectors and R-symmetries ----------------------------------------------
 
-def translation_block(m: Matrix) -> Hermitian2:
-    """Read the upper-right 2x2 block as a Hermitian matrix over K."""
-    def as_rational(e: DAElement):
-        if any(e.coeffs[1:]):
-            raise ValueError("diagonal entry is not real")
-        return rational_part(e.coeffs[0].scalar_part())
-
-    def as_kelem(e: DAElement):
-        return e.alg.element(rational_part(c.scalar_part()) for c in e.coeffs)
-
-    h11 = as_rational(m.entries[0][3])
-    h22 = as_rational(m.entries[1][4])
-    z = as_kelem(m.entries[0][4])
-    zbar = as_kelem(m.entries[1][3])
+def hermitian_parts(m: Matrix):
+    """(h11, h22, z) of a Hermitian 2x2 matrix [[h11, z], [conj z, h22]] over
+    K, in the coefficient ring of m."""
+    (p, z), (zbar, q) = m.entries
+    if any(p.coeffs[1:]) or any(q.coeffs[1:]):
+        raise ValueError("diagonal entry is not real")
     if zbar != z.conj():
         raise ValueError("block is not Hermitian")
-    return Hermitian2(h11, h22, z)
+    return p.coeffs[0], q.coeffs[0], z
 
 
-def x_of_pair(alg: DivisionAlgebra, lam1: DAElement, lam2: DAElement) -> Hermitian2:
-    """X with [Q^(lam1,lam2), Q^(lam1,lam2)] = -2X, extracted from the matrices."""
+def translation_block(m: Matrix):
+    """hermitian_parts of the V_SLOT block of a 5x5 matrix that is zero
+    outside it: the matrix is h11 R_(11) + h22 R_(22) + 2 z_1 R_(12)
+    + sum_gamma 2 z_gamma Im_gamma."""
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            if e and (i > 1 or j < 3):
+                raise ValueError(f"support outside the translation block at {(i, j)}")
+    return hermitian_parts(Matrix([row[3:] for row in m.entries[:2]], m.zero))
+
+
+def x_of_pair(alg: DivisionAlgebra, lam, mu) -> Hermitian2:
+    """-[Q^lam, Q^mu]/2 for two spinor pairs lam = (lam1, lam2) and mu, read
+    off the matrices; X^lam = x_of_pair(alg, lam, lam)."""
     ctx = MinkContext(alg.dim)
-    q = q_matrix(ctx, 1, lam1) + q_matrix(ctx, 2, lam2)
-    a = anticomm(q, q).scale(Fraction(-1, 2))
-    return translation_block(a)
+    q_lam, q_mu = (q_matrix(ctx, 1, l1) + q_matrix(ctx, 2, l2) for l1, l2 in (lam, mu))
+    return Hermitian2.of_block(anticomm(q_lam, q_mu).scale(Fraction(-1, 2)))
 
 
 def null_vector_check(alg: DivisionAlgebra, lam1: DAElement, lam2: DAElement) -> bool:
     """det X = 0 and the time coordinate of X is nonnegative."""
-    x = x_of_pair(alg, lam1, lam2)
+    x = x_of_pair(alg, (lam1, lam2), (lam1, lam2))
     return x.det() == 0 and x.t >= 0
 
 
@@ -397,13 +407,14 @@ def r_symmetry_check(tag: str, lam1: DAElement, lam2: DAElement, unit: DAElement
     alg = ALGEBRAS[tag]
     if unit.norm_sq() != 1:
         raise ValueError("R-symmetry element must have unit norm")
+    lam = (lam1, lam2)
     if tag == "C":
-        new1, new2 = unit * lam1, unit * lam2
+        new = (unit * lam1, unit * lam2)
     elif tag == "H":
-        new1, new2 = lam1 * unit, lam2 * unit
+        new = (lam1 * unit, lam2 * unit)
     else:
         raise ValueError("R-symmetry action implemented for C and H")
-    return x_of_pair(alg, new1, new2) == x_of_pair(alg, lam1, lam2)
+    return x_of_pair(alg, new, new) == x_of_pair(alg, lam, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +459,22 @@ class SuperTranslationElement:
         return out
 
 
+def _exp(ctx: MinkContext, V: Matrix, T: Matrix) -> Matrix:
+    """e^(V + T) = 1 + V + T + T^2/2 for a translation V and an odd T (the
+    series truncates)."""
+    return ctx.identity() + V + T + (T @ T).scale(Fraction(1, 2))
+
+
 def exp_element(el: SuperTranslationElement) -> Matrix:
-    """e^(V + Theta) = 1 + V + Theta + Theta^2/2 (the series truncates)."""
-    V = el.v_matrix()
-    T = el.theta_matrix()
-    return el.ctx.identity() + V + T + (T @ T).scale(Fraction(1, 2))
+    return _exp(el.ctx, el.v_matrix(), el.theta_matrix())
 
 
 def group_law_check(e1: SuperTranslationElement, e2: SuperTranslationElement) -> bool:
     """exp(V+Theta) exp(W+Psi) = exp((V+W) + (Theta+Psi) + [Theta,Psi]/2)."""
-    ctx = e1.ctx
     lhs = exp_element(e1) @ exp_element(e2)
     T1, T2 = e1.theta_matrix(), e2.theta_matrix()
     V = e1.v_matrix() + e2.v_matrix() + comm(T1, T2).scale(Fraction(1, 2))
-    T = T1 + T2
-    rhs = ctx.identity() + V + T + (T @ T).scale(Fraction(1, 2))
-    return lhs == rhs
+    return lhs == _exp(e1.ctx, V, T1 + T2)
 
 
 # ---------------------------------------------------------------------------
@@ -484,27 +495,17 @@ def h2_basis(alg: DivisionAlgebra):
     return es
 
 
-def hermitian_to_vector(alg: DivisionAlgebra, m: Matrix):
-    """Coordinates of a Hermitian matrix in the e basis (length k+2)."""
-    (p, z), (zbar, q) = m.entries
-    if any(p.coeffs[1:]) or any(q.coeffs[1:]):
-        raise ValueError("diagonal must be real")
-    if zbar != z.conj():
-        raise ValueError("matrix is not Hermitian")
-    pr, qr = p.coeffs[0], q.coeffs[0]
-    vec = [Fraction(pr + qr, 2), Fraction(pr - qr, 2)]
-    vec.extend(z.coeffs)
-    return vec
-
-
 def rho_endo(alg: DivisionAlgebra, sigma: Matrix) -> Matrix:
     """Matrix of m -> (sigma m + m conj(sigma)^t)/2 on the e basis; raises if
     sigma is not trace free."""
     if sigma.entries[0][0] + sigma.entries[1][1]:
         raise ValueError("sigma must be trace free")
     sig_dag = sigma.transpose().map(DAElement.conj)
-    cols = [hermitian_to_vector(alg, (sigma @ e + e @ sig_dag).scale(Fraction(1, 2)))
-            for e in h2_basis(alg)]
+    cols = []
+    for e in h2_basis(alg):
+        # the coordinates of a Hermitian matrix in the e basis
+        p, q, z = hermitian_parts((sigma @ e + e @ sig_dag).scale(Fraction(1, 2)))
+        cols.append([Fraction(p + q, 2), Fraction(p - q, 2), *z.coeffs])
     return Matrix(cols, Fraction(0)).transpose()
 
 
@@ -691,7 +692,7 @@ def lorentz_conjugation_preserves_norm(alg: DivisionAlgebra, S: Matrix, t, x, z:
     h = Hermitian2.from_txz(t, x, z)
     m = (x_matrix(ctx, 1, 1, alg.unit(1, h.h11)) + x_matrix(ctx, 2, 2, alg.unit(1, h.h22))
          + x_matrix(ctx, 1, 2, h.z) + x_matrix(ctx, 2, 1, h.z.conj()))
-    return translation_block(lorentz_conjugation(alg, S, m)).det() == h.det()
+    return Hermitian2.of_block(lorentz_conjugation(alg, S, m)).det() == h.det()
 
 
 # ---------------------------------------------------------------------------
@@ -734,16 +735,10 @@ class InvariantFields:
     def pair_translation(self, a, b, alpha, beta, factor) -> Derivation:
         """factor * (delta^(alpha beta) ∂_(ab) + eps_ab ∂^[alpha beta])."""
         t = self.table
-        imgs = {}
-        if alpha == beta:
-            imgs[self.vname[tuple(sorted((a, b)))]] = t.scalar(factor)
-        e = EPS_AB[(a, b)]
-        if e:
-            for g in range(2, self.k + 1):
-                c = self.gammas.get((alpha, beta, g))
-                if c:
-                    imgs[self.wname[g]] = t.scalar(factor * e * c)
-        return Derivation(t, EVEN, imgs, "rhs")
+        name = {"R": self.vname[tuple(sorted((a, b)))], **self.wname}
+        return Derivation(t, EVEN, {name[key]: t.scalar(factor * c) for key, c in
+                                    bracket_terms(self.k, self.gammas, a, b, alpha, beta).items()},
+                          "rhs")
 
     def relations_ok(self) -> bool:
         return odd_field_relations_ok(self.table, tuple(self.thname.values()), self.pairing())
@@ -959,16 +954,15 @@ def reduction_charges(k: int):
             Q[(a, A)], Qb[(a, A)] = q[a], qbar[a]
     xdot = {(a, b): x_dotted(ctx, a, b) for a in (1, 2) for b in (1, 2)}
 
-    table = Z_TABLE_4 if k == 4 else Z_TABLE_8
-    Z = {}
-    for A in pairs:
-        for B in pairs:
-            if A == B:
-                Z[(A, B)] = ctx.zero_matrix()
-            elif (A, B) in table:
-                Z[(A, B)] = script_i(ctx, _z_value(ctx.alg, table[(A, B)]))
-            else:
-                Z[(A, B)] = -script_i(ctx, _z_value(ctx.alg, table[(B, A)]))
+    # the K value of each Z_AB in both orders; Zbar_AB is I_[12] of its
+    # conjugate under the formal square root of -1
+    zval = {}
+    for (A, B), entry in (Z_TABLE_4 if k == 4 else Z_TABLE_8).items():
+        zval[A, B] = _z_value(ctx.alg, entry)
+        zval[B, A] = -zval[A, B]
+    zconj = {AB: DAElement(ctx.alg, [c.conjugate() for c in v.coeffs]) for AB, v in zval.items()}
+    Z = {AB: script_i(ctx, v) for AB, v in zval.items()}
+    Zbar = {AB: script_i(ctx, v) for AB, v in zconj.items()}
 
     def fail(name):
         raise ReductionError(f"identity {name} fails: division-algebra table inconsistent")
@@ -977,20 +971,19 @@ def reduction_charges(k: int):
         for B in pairs:
             for a in (1, 2):
                 for b in (1, 2):
-                    e = EPS_AB[(a, b)]
+                    e = EPS_AB[(a, b)] if A != B else 0  # Z_AA = 0
                     want_mixed = xdot[(a, b)].scale(-4) if A == B else ctx.zero_matrix()
                     if anticomm(Q[(a, A)], Qb[(b, B)]) != want_mixed:
                         fail(f"[Q_{a}{A}, Qbar_{b}{B}]")
                     want_qq = Z[(A, B)].scale(-4 * e) if e else ctx.zero_matrix()
                     if anticomm(Q[(a, A)], Q[(b, B)]) != want_qq:
                         fail(f"[Q_{a}{A}, Q_{b}{B}]")
-                    zbar = conj_formal_i(Z[(A, B)])
-                    want_bb = zbar.scale(-4 * e) if e else ctx.zero_matrix()
+                    want_bb = Zbar[(A, B)].scale(-4 * e) if e else ctx.zero_matrix()
                     if anticomm(Qb[(a, A)], Qb[(b, B)]) != want_bb:
                         fail(f"[Qbar_{a}{A}, Qbar_{b}{B}]")
     if k == 8:
         for (A, B), (sA, sB) in STAR_PAIRS.items():
-            if Z[(sA, sB)] != conj_formal_i(Z[(A, B)]):
+            if zval[(sA, sB)] != zconj[(A, B)]:
                 fail(f"Z_*({A}{B})")
     return {"ctx": ctx, "Q": Q, "Qbar": Qb, "Z": Z}
 
@@ -1075,9 +1068,8 @@ def reality_conditions_ok(y) -> bool:
 def sl4c_bridge_check(U, V=None) -> bool:
     """The commuting square: P([Q^(T U), Q^(T U)]) = -2 U wedge sigma(U), and
     by polarization P([Q^(T U), Q^(T V)]) = -(U wedge sigma V + V wedge sigma U)."""
-    lam1, lam2 = t_map(U)
-    x = x_of_pair(H, lam1, lam2)
-    y_from_x = p_of_hermitian(x)
+    lam = t_map(U)
+    y_from_x = p_of_hermitian(x_of_pair(H, lam, lam))
     y_wedge = wedge_coords(U, sigma_map(U))
     if not reality_conditions_ok(y_wedge):
         return False
@@ -1086,12 +1078,7 @@ def sl4c_bridge_check(U, V=None) -> bool:
             return False
     if V is None:
         return True
-    mu1, mu2 = t_map(V)
-    ctx = MinkContext(4)
-    qU = q_matrix(ctx, 1, lam1) + q_matrix(ctx, 2, lam2)
-    qV = q_matrix(ctx, 1, mu1) + q_matrix(ctx, 2, mu2)
-    hm = translation_block(anticomm(qU, qV).scale(Fraction(-1, 2)))
-    lhs = p_of_hermitian(hm)  # P of -(1/2)[Q^U, Q^V]
+    lhs = p_of_hermitian(x_of_pair(H, lam, t_map(V)))  # P of -(1/2)[Q^U, Q^V]
     sU, sV = sigma_map(U), sigma_map(V)
     for key in lhs:
         rhs = (wedge_coords(U, sV)[key] + wedge_coords(V, sU)[key]) * Fraction(1, 2)
@@ -1106,42 +1093,3 @@ def signature_identity_ok(t, x, z: DAElement) -> bool:
     lhs = quadratic_form(y) * 4
     rhs = -(frac(t) ** 2 - frac(x) ** 2 - z.norm_sq())
     return lhs == QI(0) + rhs
-
-
-# ---------------------------------------------------------------------------
-# Coefficient extraction on the translation sector
-# ---------------------------------------------------------------------------
-
-def decompose_translation(m: Matrix):
-    """Write a translation-sector matrix as sum c_v[(ab)] R_(ab) +
-    sum c_w[g] Im_g; raises if the support or symmetry is wrong.
-
-    Inverse of SuperTranslationElement.v_matrix on its image; used to
-    cross-check matrix-algebra computations against vector-field ones.
-    """
-    for i in range(5):
-        for j in range(5):
-            if (i, j) in ((0, 3), (0, 4), (1, 3), (1, 4)):
-                continue
-            if not m.entries[i][j].is_zero():
-                raise ValueError(f"support outside the translation block at {(i, j)}")
-
-    def real_coeff(e: DAElement):
-        if any(e.coeffs[1:]):
-            raise ValueError("diagonal slot carries an imaginary part")
-        return e.coeffs[0]
-
-    c_v = {(1, 1): real_coeff(m.entries[0][3]), (2, 2): real_coeff(m.entries[1][4])}
-    upper = m.entries[0][4]
-    lower = m.entries[1][3]
-    if upper.coeffs[0] != lower.coeffs[0]:
-        raise ValueError("symmetric slot mismatch")
-    c_v[(1, 2)] = upper.coeffs[0] + lower.coeffs[0]
-    c_w = {}
-    for g in range(2, upper.alg.dim + 1):
-        if upper.coeffs[g - 1] != -lower.coeffs[g - 1]:
-            raise ValueError("antisymmetric slot mismatch")
-        val = upper.coeffs[g - 1] + upper.coeffs[g - 1]
-        if val:
-            c_w[g] = val
-    return c_v, c_w

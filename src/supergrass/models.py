@@ -499,22 +499,20 @@ class Sigma32:
 # Invariance constraints and the energy identity
 # ---------------------------------------------------------------------------
 
-def trig_reduce(p: SuperPolynomial, c_name="c", s_name="s") -> SuperPolynomial:
-    """Normal form with s^2 -> 1 - c^2 (s survives to degree <= 1)."""
+def trig_reduce(p: SuperPolynomial) -> SuperPolynomial:
+    """Normal form with s^2 -> 1 - c^2 (s survives to degree <= 1): p is the
+    sum of p_n s^n over the Taylor coefficients p_n = (d_s^n p)|_(s=0) / n!,
+    and s^(2m+r) becomes (1 - c^2)^m s^r."""
     t = p.table
-    c = t.sym(c_name)
-    s_idx = t.symbol(s_name).index
+    c, s = t.sym("c"), t.sym("s")
     out = t.zero()
-    for (ev, od), coef in p.terms.items():
-        evd = dict(ev)
-        se = evd.pop(s_idx, 0)
-        k, r = divmod(se, 2)
-        if r:
-            evd[s_idx] = 1
-        base = SuperPolynomial(t, {(tuple(sorted(evd.items())), od): coef})
-        if k:
-            base = base * (t.one() - c * c) ** k
-        out = out + base
+    n = 0
+    while p:  # p is d_s^n of the input over n!
+        m, r = divmod(n, 2)
+        term = p.eval_even({"s": 0}) * (t.one() - c * c) ** m
+        out = out + (term * s if r else term)
+        n += 1
+        p = p.diff_even("s").scale(Fraction(1, n))
     return out
 
 
@@ -532,7 +530,7 @@ class BpsSystem:
         self.s = self.fs.sym("s")
 
     def reduce(self, p):
-        return trig_reduce(p, "c", "s")
+        return trig_reduce(p)
 
     def constraint_components(self):
         """theta coefficients of (c tau_1 + s tau_2) Phi with psi = 0."""

@@ -46,6 +46,22 @@ def test_flipped_field_bracket_sign_fails_qqter(monkeypatch):
     assert not ok and counterexample == "k=1"
 
 
+def test_negated_im_structure_constants_fail_qqter(monkeypatch):
+    """minkowski.qqter sees the one structure-constant table with every
+    Im_gamma coefficient negated: the matrices no longer match it from k = 2
+    on, where the first Im_gamma appears."""
+    bracket_terms = minkowski.bracket_terms
+
+    def negated(k, gammas, a, b, alpha, beta):
+        return {key: c if key == "R" else -c
+                for key, c in bracket_terms(k, gammas, a, b, alpha, beta).items()}
+
+    monkeypatch.setattr(minkowski, "bracket_terms", negated)
+    (fn,) = [fn for _suite, check_id, fn in CHECKS if check_id == "minkowski.qqter"]
+    ok, counterexample, _, _ = run_check("minkowski.qqter", fn)
+    assert not ok and counterexample == "k=2"
+
+
 def test_broken_star_pairing_fails_k8(monkeypatch):
     """reductions.k8 sees a star pairing that sends Z_12 to -Z_34."""
     monkeypatch.setitem(minkowski.STAR_PAIRS, (1, 2), (4, 3))

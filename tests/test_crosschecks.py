@@ -6,11 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from supergrass.divalg import ALGEBRAS, DivisionAlgebra
+from supergrass.divalg import DivisionAlgebra
 from supergrass.kernel import SymbolTable, super_bracket
-from supergrass.minkowski import (InvariantFields, MinkContext, _Echelon, _flatten,
-                                  anticomm, boost_matrix, decompose_translation,
-                                  lie_closure, q_unit, rotation_matrix)
+from supergrass.minkowski import (InvariantFields, MinkContext, anticomm, q_unit,
+                                  translation_block)
 from supergrass.superspace import EvenGrassmannPoint, hinf_extend
 
 
@@ -39,31 +38,14 @@ def test_matrix_vs_vector_field_structure_constants(k):
         for b in (1, 2):
             for al in range(1, k + 1):
                 for be in range(1, k + 1):
-                    mv, mw = decompose_translation(anticomm(qs[(a, al)], qs[(b, be)]))
+                    h11, h22, z = translation_block(anticomm(qs[(a, al)], qs[(b, be)]))
+                    mv = {(1, 1): h11, (2, 2): h22, (1, 2): z.coeffs[0].scale(2)}
+                    mw = {g: z.coeffs[g - 1].scale(2) for g in range(2, k + 1)}
                     fv, fw = field_bracket_constants(inv, tau, a, al, b, be)
                     for key, val in fv.items():
                         assert mv.get(key, zero) == ctx.table.scalar(-val)
                     for g in range(2, k + 1):
                         assert mw.get(g, zero) == ctx.table.scalar(-fw.get(g, Fraction(0)))
-
-
-def test_closure_span_equals_rotation_algebra():
-    """The bracket closure of the half-spinor action spans exactly the
-    boosts plus rotations (not merely the right dimension)."""
-    for k, want in ((1, 3), (2, 6), (4, 15), (8, 45)):
-        dim, basis = lie_closure(k)
-        assert dim == want
-        A = ALGEBRAS[{1: "R", 2: "C", 4: "H", 8: "O"}[k]]
-        span = _Echelon()
-        for m in basis:
-            span.add(_flatten(m))
-        assert span.rank == want
-        abstract = [boost_matrix(A, j) for j in range(k + 1)]
-        abstract += [rotation_matrix(A, i, j)
-                     for i in range(0, k + 1) for j in range(i + 1, k + 1)]
-        for m in abstract:
-            assert not span.add(_flatten(m)), "closure misses an abstract generator"
-        assert span.rank == want
 
 
 def test_taylor_extension_equals_polynomial_composition():

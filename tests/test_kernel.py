@@ -1,9 +1,12 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import supergrass
 from supergrass.kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
                                SymbolTable, TableMismatchError, cartan_triple,
                                jacobi_check, odd_field_relations_ok, skew_check,
@@ -609,3 +612,29 @@ def test_accumulator_cancels_to_absent_key():
     assert ((x + (th1 * th2).scale(QI(0, 1))) * (x - (th1 * th2).scale(QI(0, 1)))).terms == x2
     assert (x * th1 + th1 * x.scale(-1)).terms == {}
     assert (x * x * th1).diff_even("x").coefficient_of_odd(("th1",)).terms == {(((0, 1),), ()): 2}
+
+
+def test_term_dict_is_read_only_by_the_listed_functions():
+    """Outside the kernel and the expr_io codec, only these functions read
+    the private term dict of a SuperPolynomial or build one from a dict;
+    the rest go through its projections.  Packed keys need this list to
+    shrink to nothing."""
+    readers = set()
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                scan(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "terms":
+                readers.add(".".join(scope))
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "SuperPolynomial"):
+                readers.add(".".join(scope))
+            scan(child, scope)
+
+    for path in sorted(Path(supergrass.__file__).parent.glob("*.py")):
+        if path.name not in ("kernel.py", "expr_io.py"):
+            scan(ast.parse(path.read_text()), (path.stem,))
+    assert readers == {"superspace.integrate_box", "superspace.LiftSpace.reduce",
+                       "superspace.LiftSpace.lift"}
