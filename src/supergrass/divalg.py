@@ -6,8 +6,15 @@ u_1 = 1.  The coefficients come from any ring whose elements support +, - and
 * and test false exactly when zero: exact scalars, or SuperPolynomials over
 one table, so the same arithmetic drives both plain computations and matrix
 entries over a Clifford envelope.  An element carries its ring's zero, which
-fills the slots a product leaves empty; nothing here inspects coefficient
-types.
+fills the slots a product leaves empty.
+
+An element stores numerators over one positive int denominator: slot i is
+num[i] / den.  Rational slots are ints in lowest terms, so an octonion
+product is integer arithmetic and one gcd instead of a hundred Fraction
+operations; ring-valued slots (QI, SuperPolynomial) keep den = 1.  The
+operators are plain ring arithmetic on (num, den) and never test the type
+of a coefficient: `_normal`, which every operator calls, is the one place
+that reads the ring, and `coeffs` reads the slot values back.
 
 Octonion convention.  The multiplication table is the one pinned down by the
 required pairings u_1u_2 = u_3u_4 = u_6u_7 = u_8u_5 = u_2 together with the
@@ -24,6 +31,7 @@ in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 OCTONION_TRIPLES = ((2, 3, 4), (2, 6, 7), (2, 8, 5), (3, 6, 8), (3, 5, 7), (4, 5, 6), (4, 8, 7))
 
@@ -70,6 +78,8 @@ class DivisionAlgebra:
         return DAElement(self, [zero] * self.dim, zero)
 
     def unit(self, alpha: int, coeff=1) -> "DAElement":
+        if not 1 <= alpha <= self.dim:
+            raise ValueError(f"unit index {alpha} is outside 1..{self.dim}")
         coeffs = [0] * self.dim
         coeffs[alpha - 1] = coeff
         return DAElement(self, coeffs)
@@ -81,32 +91,45 @@ class DivisionAlgebra:
 class DAElement:
     """k coefficients over the basis (u_1, ..., u_k); u_1 acts as identity.
 
-    `zero` is the zero of the coefficient ring: 0 for exact scalars,
-    table.zero() for polynomial coefficients.  Results keep it.
+    Slot i holds num[i] / den.  `zero` is the zero of the coefficient ring:
+    0 for exact scalars, table.zero() for polynomial coefficients.  Results
+    keep it.
     """
 
-    __slots__ = ("alg", "coeffs", "zero")
+    __slots__ = ("alg", "num", "den", "zero")
 
     def __init__(self, alg: DivisionAlgebra, coeffs, zero=0):
         if len(coeffs) != alg.dim:
             raise ValueError(f"need {alg.dim} coefficients")
         self.alg = alg
-        self.coeffs = coeffs
+        self.num, self.den = _normal(coeffs, 1)
         self.zero = zero
+
+    @property
+    def coeffs(self) -> list:
+        """The slot values num[i] / den."""
+        if self.den == 1:
+            return self.num
+        return [Fraction(n, self.den) for n in self.num]
 
     def _check(self, other):
         if self.alg.which != other.alg.which:
             raise ValueError("division-algebra tag mismatch")
 
-    # + and - skip zero operands and zero slots: a zero side gives the other
+    # + and - skip zero operands and zero slots: a zero side gives the other.
+    # Over one denominator the numerators add; over two they cross-multiply.
     def __add__(self, other):
         self._check(other)
         if not other:
             return self
         if not self:
             return other
-        return DAElement(self.alg, [a + b if a and b else a or b
-                                    for a, b in zip(self.coeffs, other.coeffs)], self.zero)
+        d, e = self.den, other.den
+        if d == e:
+            return _element(self.alg, [a + b if a and b else a or b
+                                       for a, b in zip(self.num, other.num)], d, self.zero)
+        return _element(self.alg, [a * e + b * d for a, b in zip(self.num, other.num)],
+                        d * e, self.zero + other.zero)
 
     def __sub__(self, other):
         self._check(other)
@@ -114,32 +137,39 @@ class DAElement:
             return self
         if not self:
             return -other
-        return DAElement(self.alg, [(a - b if a else -b) if b else a
-                                    for a, b in zip(self.coeffs, other.coeffs)], self.zero)
+        d, e = self.den, other.den
+        if d == e:
+            return _element(self.alg, [(a - b if a else -b) if b else a
+                                       for a, b in zip(self.num, other.num)], d, self.zero)
+        return _element(self.alg, [a * e - b * d for a, b in zip(self.num, other.num)],
+                        d * e, self.zero + other.zero)
 
     def __neg__(self):
-        return DAElement(self.alg, [-a for a in self.coeffs], self.zero)
+        return _element(self.alg, [-a for a in self.num], self.den, self.zero)
 
     def scale(self, c):
         """c * a on every slot, c on the left; the result lives in the ring
-        of c * zero, so a polynomial c moves rational slots into its table."""
-        zero = c * self.zero
-        return DAElement(self.alg, [c * a if a else zero for a in self.coeffs], zero)
+        of c * zero, so a polynomial c moves rational slots into its table.
+        c / den is split, so a polynomial c absorbs den once."""
+        (n,), d = _normal([c], self.den)
+        zero = n * self.zero
+        return _element(self.alg, [n * a if a else zero for a in self.num], d, zero)
 
     def __mul__(self, other):
         """Table-driven bilinear product; coefficient order is preserved, so
         odd (Grassmann-valued) coefficients pick up their own signs.  The
-        product lives in the ring of the product of the two zeros."""
+        product lives in the ring of the product of the two zeros, over the
+        product of the two denominators."""
         self._check(other)
         k = self.alg.dim
         tab = self.alg.table
         out = [None] * k
         for a in range(1, k + 1):
-            ca = self.coeffs[a - 1]
+            ca = self.num[a - 1]
             if not ca:
                 continue
             for b in range(1, k + 1):
-                cb = other.coeffs[b - 1]
+                cb = other.num[b - 1]
                 if not cb:
                     continue
                 g, s = tab[(a, b)]
@@ -148,30 +178,29 @@ class DAElement:
                     v = -v
                 out[g - 1] = v if out[g - 1] is None else out[g - 1] + v
         z = self.zero * other.zero
-        return DAElement(self.alg, [z if c is None else c for c in out], z)
+        return _element(self.alg, [z if c is None else c for c in out], self.den * other.den, z)
 
     def conj(self) -> "DAElement":
-        return DAElement(self.alg, [self.coeffs[0]] + [-c for c in self.coeffs[1:]], self.zero)
+        return _element(self.alg, [self.num[0]] + [-c for c in self.num[1:]], self.den, self.zero)
 
     def re(self) -> "DAElement":
         """(a + conj a)/2 as an element (purely real)."""
         z = self.zero
-        return DAElement(self.alg, [self.coeffs[0]] + [z] * (self.alg.dim - 1), z)
+        return _element(self.alg, [self.num[0]] + [z] * (self.alg.dim - 1), self.den, z)
 
     def im(self) -> "DAElement":
-        return DAElement(self.alg, [self.zero] + self.coeffs[1:], self.zero)
+        return _element(self.alg, [self.zero] + self.num[1:], self.den, self.zero)
 
     def norm_sq(self):
         """a * conj(a); returns the u_1 coefficient after checking the
         imaginary part vanishes."""
         p = self * self.conj()
-        for c in p.coeffs[1:]:
-            if c:
-                raise ArithmeticError("norm_sq has a nonzero imaginary part")
-        return p.coeffs[0]
+        if any(p.num[1:]):
+            raise ArithmeticError("norm_sq has a nonzero imaginary part")
+        return p.num[0] if p.den == 1 else Fraction(p.num[0], p.den)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_zero(self):
         return not self
@@ -181,13 +210,51 @@ class DAElement:
             return NotImplemented
         if self.alg.which != other.alg.which:
             return False
-        return self.coeffs == other.coeffs
+        d, e = self.den, other.den
+        if d == e:
+            return self.num == other.num
+        return all(a * e == b * d for a, b in zip(self.num, other.num))
 
     def __hash__(self):
         raise TypeError("DAElement is unhashable")
 
     def __repr__(self):
         return f"DA({self.alg.which}: {', '.join(map(str, self.coeffs))})"
+
+
+def _normal(num: list, den: int):
+    """The canonical (num, den) for the slot values num[i] / den; the one
+    place that reads the coefficient ring.
+
+    Rational slots (int and Fraction, read through the numerator and
+    denominator they share) come back as ints over a positive den with
+    gcd(den, *num) = 1, so the zero element has den 1.  A ring-valued slot
+    (QI, SuperPolynomial) has no denominator: then every nonzero slot
+    absorbs 1/den and den becomes 1.
+    """
+    m = lcm(*[getattr(n, "denominator", 0) for n in num])
+    if not m:
+        if den != 1:
+            inv = Fraction(1, den)
+            num = [n * inv if n else n for n in num]
+        return num, 1
+    num = [n.numerator * (m // n.denominator) for n in num]
+    den *= m
+    g = gcd(den, *num)
+    if g != 1:
+        num = [n // g for n in num]
+        den //= g
+    return num, den
+
+
+def _element(alg: DivisionAlgebra, num: list, den: int, zero) -> DAElement:
+    """The element num / den, normalized, built without the constructor's
+    length check."""
+    e = object.__new__(DAElement)
+    e.alg = alg
+    e.num, e.den = _normal(num, den)
+    e.zero = zero
+    return e
 
 
 # Singletons: the tables are immutable after construction.
@@ -217,11 +284,11 @@ def gamma_constants(alg: DivisionAlgebra) -> dict:
     for a in range(1, k + 1):
         for b in range(1, k + 1):
             ua, ub = alg.unit(a), alg.unit(b)
-            val = (ua * ub.conj() - ub * ua.conj()).scale(Fraction(1, 2))
-            if val.coeffs[0]:
+            val = (ua * ub.conj() - ub * ua.conj()).scale(Fraction(1, 2)).coeffs
+            if val[0]:
                 raise ArithmeticError("antisymmetrized product has a real part")
             for g in range(2, k + 1):
-                c = val.coeffs[g - 1]
+                c = val[g - 1]
                 if c:
                     out[(a, b, g)] = c
     return out

@@ -8,7 +8,7 @@ fail.
 
 import pytest
 
-from supergrass import minkowski, suites
+from supergrass import divalg, minkowski, suites
 
 CHECKS = [(suite, check_id, fn)
           for suite, entries in suites.SUITES.items() for check_id, _law, fn in entries]
@@ -68,6 +68,25 @@ def test_broken_star_pairing_fails_k8(monkeypatch):
     (fn,) = [fn for _suite, check_id, fn in CHECKS if check_id == "reductions.k8"]
     ok, counterexample, _, _ = run_check("reductions.k8", fn)
     assert not ok and counterexample.startswith("identity Z_*(12) fails")
+
+
+def test_dropped_denominator_fails_rsym_and_k4(monkeypatch):
+    """A normalizer that drops the denominator of a result with
+    polynomial or Gaussian slots, instead of folding it into them, breaks
+    rational K values scaled into the Clifford envelope; minkowski.rsym and
+    reductions.k4 must see it."""
+    normal = divalg._normal
+
+    def dropped(num, den):
+        if all(hasattr(n, "denominator") for n in num):
+            return normal(num, den)
+        return num, 1
+
+    monkeypatch.setattr(divalg, "_normal", dropped)
+    for check_id in ("minkowski.rsym", "reductions.k4"):
+        (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]
+        ok, _, _, _ = run_check(check_id, fn)
+        assert not ok, check_id
 
 
 def test_cases_run_and_skipped_are_counted():

@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+from supergrass import divalg
 from supergrass.divalg import C, H, O, R, DAElement, algebra, gamma_constants
 from supergrass.kernel import SuperPolynomial, SymbolTable
+from supergrass.scalars import QI
 
 
 def rand_elem(alg, rng, span=5):
@@ -129,6 +133,12 @@ def test_algebra_lookup():
         algebra("S")
 
 
+@pytest.mark.parametrize("alpha", [0, -1, 5])
+def test_unit_refuses_an_index_outside_the_basis(alpha):
+    with pytest.raises(ValueError, match="outside 1..4"):
+        H.unit(alpha)
+
+
 # -- the ring-generic element --------------------------------------------------
 
 def _envelope():
@@ -154,6 +164,12 @@ def _rand_poly_elem(alg, t, rng):
     return DAElement(alg, coeffs, t.zero())
 
 
+def _over_table(got, t):
+    """Every slot of got, the zero included, is a SuperPolynomial over t."""
+    return all(isinstance(slot, SuperPolynomial) and slot.table is t
+               for slot in got.coeffs + [got.zero])
+
+
 def _rand_rational_elem(alg, rng):
     return alg.element([rng.choice([0, rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 3)])
                         for _ in range(alg.dim)])
@@ -162,26 +178,31 @@ def _rand_rational_elem(alg, rng):
 def _naive(op, x, y=None, c=None):
     """Dense coefficient lists straight from the definitions: every slot is
     computed, zero or not, and the left factor stays on the left."""
-    k = x.alg.dim
+    return _dense(op, x.alg, x.coeffs, None if y is None else y.coeffs, c, x.zero)
+
+
+def _dense(op, alg, xs, ys=None, c=None, zero=0):
+    """The definitions on plain coefficient lists."""
+    k = alg.dim
     if op == "+":
-        return [a + b for a, b in zip(x.coeffs, y.coeffs)]
+        return [a + b for a, b in zip(xs, ys)]
     if op == "-":
-        return [a - b for a, b in zip(x.coeffs, y.coeffs)]
+        return [a - b for a, b in zip(xs, ys)]
     if op == "neg":
-        return [-a for a in x.coeffs]
+        return [-a for a in xs]
     if op == "scale":
-        return [c * a for a in x.coeffs]
+        return [c * a for a in xs]
     if op == "conj":
-        return [x.coeffs[0]] + [-a for a in x.coeffs[1:]]
+        return [xs[0]] + [-a for a in xs[1:]]
     if op == "re":
-        return [x.coeffs[0]] + [x.zero] * (k - 1)
+        return [xs[0]] + [zero] * (k - 1)
     if op == "im":
-        return [x.zero] + list(x.coeffs[1:])
-    out = [x.zero] * k
+        return [zero] + list(xs[1:])
+    out = [zero] * k
     for a in range(1, k + 1):
         for b in range(1, k + 1):
-            g, s = x.alg.table[(a, b)]
-            out[g - 1] = out[g - 1] + (x.coeffs[a - 1] * y.coeffs[b - 1]) * s
+            g, s = alg.table[(a, b)]
+            out[g - 1] = out[g - 1] + (xs[a - 1] * ys[b - 1]) * s
     return out
 
 
@@ -218,8 +239,7 @@ def test_polynomial_ring_results_against_naive_oracle(alg):
             for op in OPS:
                 got = _apply(op, u, v, c)
                 assert got.coeffs == _naive(op, u, v, c), op
-                for slot in got.coeffs + [got.zero]:
-                    assert isinstance(slot, SuperPolynomial) and slot.table is t, op
+                assert _over_table(got, t), op
                 assert not got.zero
 
 
@@ -242,7 +262,7 @@ def test_scale_by_polynomial_moves_rational_element_into_the_table():
     eps = t.sym("eps")
     got = H.element([0, 1, Fraction(1, 2), 0]).scale(eps)
     assert got.coeffs == [t.zero(), eps, eps.scale(Fraction(1, 2)), t.zero()]
-    assert all(isinstance(slot, SuperPolynomial) and slot.table is t for slot in got.coeffs + [got.zero])
+    assert _over_table(got, t)
 
 
 def test_product_with_a_polynomial_element_lives_in_the_table():
@@ -250,9 +270,7 @@ def test_product_with_a_polynomial_element_lives_in_the_table():
     rational factor on either side gives a result over the table."""
     t = _envelope()
     x, y = H.unit(2), H.unit(3).scale(t.sym("eps"))
-    for got in (x * y, y * x):
-        assert all(isinstance(slot, SuperPolynomial) and slot.table is t
-                   for slot in got.coeffs + [got.zero])
+    assert _over_table(x * y, t) and _over_table(y * x, t)
     assert (x * y).coeffs == [t.zero(), t.zero(), t.zero(), t.sym("eps")]
 
 
@@ -260,3 +278,137 @@ def test_integral_coefficients_stay_int():
     p = O.unit(3) * O.unit(4).conj() + O.one()
     assert p.coeffs == [1, -1, 0, 0, 0, 0, 0, 0]
     assert all(type(c) is int for c in p.coeffs)
+
+
+# -- mixed rings: rational elements over a denominator meet other rings --------
+
+def _not_integral(alg, rng):
+    """A rational element with a slot in sevenths, so den != 1."""
+    x = _rand_rational_elem(alg, rng) + alg.unit(rng.randint(1, alg.dim), Fraction(1, 7))
+    assert x.den != 1
+    return x
+
+
+def _nonzero_poly_elem(alg, t, rng):
+    x = _rand_poly_elem(alg, t, rng)
+    return x if x else _nonzero_poly_elem(alg, t, rng)
+
+
+@pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
+def test_rational_over_a_denominator_meets_polynomials(alg):
+    """+, - and * between a rational element with den != 1 and a polynomial
+    element, in both orders, and scale of the rational element by a
+    polynomial: the denominator folds into the polynomial slots, so every
+    slot of the result, the zero included, lives over the table."""
+    t = _envelope()
+    rng = random.Random(61 + alg.dim)
+    for _ in range(20):
+        x, p = _not_integral(alg, rng), _nonzero_poly_elem(alg, t, rng)
+        for u, v in ((x, p), (p, x)):
+            for op in ("+", "-", "*"):
+                got = _apply(op, u, v)
+                assert got.coeffs == _naive(op, u, v), op
+                assert got.den == 1 and _over_table(got, t), op
+        for c in (_rand_poly_elem(R, t, rng).coeffs[0], t.sym("et2"), t.sym("eps")):
+            got = x.scale(c)
+            assert got.coeffs == _naive("scale", x, c=c)
+            assert got.den == 1 and _over_table(got, t)
+
+
+def test_scale_by_a_gaussian_rational_folds_the_denominator():
+    rng = random.Random(67)
+    for alg in (C, H, O):
+        for _ in range(20):
+            x = _not_integral(alg, rng)
+            c = QI(Fraction(rng.randint(-3, 3), 2), rng.randint(1, 3))
+            got = x.scale(c)
+            assert got.den == 1 and got.coeffs == _naive("scale", x, c=c)
+            assert all(isinstance(slot, QI) for slot in got.coeffs)
+
+
+@pytest.mark.parametrize("alg", [H, O], ids=lambda a: a.which)
+def test_gaussian_slots_with_the_int_zero(alg):
+    """An element built as `minkowski.reduction_charges` builds its
+    conjugates: Gaussian conjugates of a sum of a rational unit and an
+    I-unit, so the slots mix QI, Fraction and int under the int zero."""
+    rng = random.Random(71 + alg.dim)
+    for _ in range(20):
+        a1, a2 = rng.sample(range(1, alg.dim + 1), 2)
+        v = alg.unit(a1, Fraction(rng.randint(-3, 3), 2)) + alg.unit(a2, QI(0, rng.randint(1, 2)))
+        z = DAElement(alg, [c.conjugate() for c in v.coeffs])
+        assert z.den == 1 and z.zero == 0 and z.coeffs == [c.conjugate() for c in v.coeffs]
+        x = _not_integral(alg, rng)
+        for u, w in ((z, x), (x, z), (z, v), (v, z)):
+            for op in ("+", "-", "*"):
+                got = _apply(op, u, w)
+                assert got.den == 1 and got.coeffs == _naive(op, u, w), op
+        for op in ("neg", "conj", "re", "im"):
+            assert _apply(op, z).coeffs == _naive(op, z), op
+        assert z.scale(Fraction(1, 3)).coeffs == _naive("scale", z, c=Fraction(1, 3))
+        assert z == DAElement(alg, z.coeffs) and z != v
+
+
+# -- canonical form of rational elements ---------------------------------------
+
+_slots = st.one_of(st.just(0), st.integers(-9, 9),
+                   st.builds(Fraction, st.integers(-50, 50), st.integers(1, 24)))
+
+
+@st.composite
+def _rational_operands(draw):
+    """An algebra, two coefficient lists over it (often zero) and a scalar."""
+    alg = draw(st.sampled_from([R, C, H, O]))
+    values = st.one_of(st.just([0] * alg.dim), st.lists(_slots, min_size=alg.dim, max_size=alg.dim))
+    return alg, draw(values), draw(values), draw(_slots)
+
+
+def assert_canonical(e, values):
+    """Int numerators over a positive den in lowest terms, equal to the
+    unique such form of the values."""
+    num, den = e.num, e.den
+    assert all(type(n) is int for n in num) and type(den) is int, (num, den)
+    assert den > 0 and math.gcd(den, *num) == 1, f"not in lowest terms: {(num, den)}"
+    want = math.lcm(*(Fraction(v).denominator for v in values))
+    assert (num, den) == ([int(v * want) for v in values], want), values
+
+
+def check_rational_operators(operands):
+    alg, xs, ys, c = operands
+    x, y = alg.element(xs), alg.element(ys)
+    assert (x == y) == ([Fraction(v) for v in xs] == [Fraction(v) for v in ys])
+    for op in OPS:
+        got = _apply(op, x, y, c)
+        want = _dense(op, alg, xs, ys, c)
+        assert got.coeffs == want, op
+        assert_canonical(got, want)
+
+
+@given(_rational_operands())
+def test_rational_operators_keep_the_canonical_form(operands):
+    check_rational_operators(operands)
+
+
+def test_a_normalizer_without_the_gcd_is_caught(monkeypatch):
+    """Negative control: without the gcd pass every value and every
+    cross-multiplied equality stays right, so no registry check can see it;
+    the canonical-form check must.  The search stops at the first failure."""
+    monkeypatch.setattr(divalg, "gcd", lambda *ints: 1)
+    search = settings(phases=[Phase.generate])(given(_rational_operands())(check_rational_operators))
+    with pytest.raises(AssertionError, match="not in lowest terms"):
+        search()
+
+
+def test_rational_octonion_arithmetic_builds_no_fraction(monkeypatch):
+    xs = [Fraction(1, 2), 3, Fraction(-2, 3), 0, 1, Fraction(5, 4), -1, 2]
+    ys = [Fraction(3, 5), 0, 1, Fraction(-1, 5), 2, 0, Fraction(7, 10), 1]
+    x, y = O.element(xs), O.element(ys)
+
+    def refuse(*args):
+        raise AssertionError("the rational arithmetic built a Fraction")
+
+    monkeypatch.setattr(divalg, "Fraction", refuse)
+    got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x, "conj": x.conj()}
+    assert x == x and x != y and x * y - y * x != x
+    monkeypatch.undo()
+    for op, e in got.items():
+        assert e.coeffs == _dense(op, O, xs, ys), op
