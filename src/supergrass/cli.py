@@ -16,10 +16,10 @@ from math import factorial
 from . import divalg, minkowski, models, suites
 from .expr_io import (Context, DslSyntaxError, DslTypeError, Sym, UnknownSymbolError,
                       format_derivation, format_poly, parse, poly_to_jsonable)
-from .kernel import Derivation, SymbolTable
+from .kernel import Derivation, SymbolTable, super_bracket
 from .morphisms import FleshMorphism
 from .scalars import rational_part
-from .superspace import SuperDomain, berezin, supertime
+from .superspace import SuperDomain, berezin, integrate_box, supertime
 
 
 def main(argv=None) -> int:
@@ -147,9 +147,8 @@ def cmd_verify(args) -> int:
 def _collect_names(ast, found):
     if isinstance(ast, Sym):
         found.add(ast.name)
-    for attr in ("parts",):
-        for child in getattr(ast, attr, ()):
-            _collect_names(child, found)
+    for child in getattr(ast, "parts", ()):
+        _collect_names(child, found)
     for attr in ("base", "arg", "left", "right"):
         child = getattr(ast, attr, None)
         if child is not None and not isinstance(child, int):
@@ -194,8 +193,6 @@ def cmd_berezin(args) -> int:
     if args.box is not None:
         lo, hi = (_box_bound(x) for x in args.box)
         dom.box = [(lo, hi) for _ in dom.even_names]
-        from .superspace import integrate_box
-
         out = integrate_box(dom, out)
     if args.json:
         print(json.dumps(poly_to_jsonable(out), sort_keys=True))
@@ -212,8 +209,6 @@ def _box_bound(text) -> Fraction:
 
 
 def cmd_bracket(args) -> int:
-    from .kernel import super_bracket
-
     dom, ops = supertime()
     val = super_bracket(ops[args.left], ops[args.right])
     print(format_derivation(val))
@@ -275,8 +270,7 @@ def cmd_closure(args) -> int:
     print(dim)
     if args.basis:
         for i, m in enumerate(basis):
-            cells = {f"({r},{c})": v for r, row in enumerate(m.entries)
-                     for c, v in enumerate(row) if v}
+            cells = {f"({r},{c})": v for r, row in enumerate(m.rows) for c, v in row.items()}
             print(f"b{i}: " + " ".join(f"{k}={v}" for k, v in sorted(cells.items())))
     return 0
 

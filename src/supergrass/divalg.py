@@ -57,8 +57,7 @@ class DivisionAlgebra:
         for a in range(2, k + 1):
             tab[(a, a)] = (1, -1)
         if self.which == "H":
-            for (a, b, c) in ((2, 3, 4),):
-                self._orient(tab, a, b, c)
+            self._orient(tab, 2, 3, 4)
         elif self.which == "O":
             for (a, b, c) in OCTONION_TRIPLES:
                 self._orient(tab, a, b, c)
@@ -116,10 +115,20 @@ class DAElement:
         if self.alg.which != other.alg.which:
             raise ValueError("division-algebra tag mismatch")
 
-    # + and - skip zero operands and zero slots: a zero side gives the other.
-    # Over one denominator the numerators add; over two they cross-multiply.
-    def __add__(self, other):
+    def _same_ring(self, other):
+        """(self, other), each moved, slots and zero, into the ring of
+        self.zero + other.zero when their two rings differ."""
         self._check(other)
+        if type(self.zero) is type(other.zero):
+            return self, other
+        z = self.zero + other.zero
+        return tuple(_element(x.alg, [z + a for a in x.num], x.den, z) for x in (self, other))
+
+    # + and - skip zero operands and zero slots of two elements in one ring:
+    # a zero side gives the other.  Over one denominator the numerators add;
+    # over two they cross-multiply.
+    def __add__(self, other):
+        self, other = self._same_ring(other)
         if not other:
             return self
         if not self:
@@ -129,10 +138,10 @@ class DAElement:
             return _element(self.alg, [a + b if a and b else a or b
                                        for a, b in zip(self.num, other.num)], d, self.zero)
         return _element(self.alg, [a * e + b * d for a, b in zip(self.num, other.num)],
-                        d * e, self.zero + other.zero)
+                        d * e, self.zero)
 
     def __sub__(self, other):
-        self._check(other)
+        self, other = self._same_ring(other)
         if not other:
             return self
         if not self:
@@ -142,7 +151,7 @@ class DAElement:
             return _element(self.alg, [(a - b if a else -b) if b else a
                                        for a, b in zip(self.num, other.num)], d, self.zero)
         return _element(self.alg, [a * e - b * d for a, b in zip(self.num, other.num)],
-                        d * e, self.zero + other.zero)
+                        d * e, self.zero)
 
     def __neg__(self):
         return _element(self.alg, [-a for a in self.num], self.den, self.zero)

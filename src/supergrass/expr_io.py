@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import Derivation, SuperPolynomial, SymbolTable
+from .kernel import Derivation, SuperPolynomial, SymbolTable, super_bracket
 from .scalars import QI, format_scalar, parse_scalar
 
 
@@ -370,8 +370,6 @@ def _eval(node, ctx: Context):
             raise UnknownSymbolError(node.name)
         return ctx.derivations[node.name](_eval(node.arg, ctx))
     if isinstance(node, Bracket):
-        from .kernel import super_bracket
-
         a = _eval(node.left, ctx)
         b = _eval(node.right, ctx)
         if not (isinstance(a, Derivation) and isinstance(b, Derivation)):

@@ -395,19 +395,19 @@ class SuperPolynomial:
             if p is not None and p != s.parity:
                 raise ParityError(f"substitution changes parity of {name}")
             imgs[s.index] = v
+        for s in self.support():  # symbols not named map to themselves
+            if s.index not in imgs:
+                imgs[s.index] = table.sym(s.name)
         out: dict = {}
+        powers = {}  # (index, p) -> imgs[index] ** p, shared by the terms
         for (ev, od), c in self.terms.items():
             t = table.scalar(c)
             for i, p in ev:
-                base = imgs.get(i)
-                if base is None:
-                    base = table.sym(self.table.symbols[i].name)
-                t = t * base ** p
+                if (i, p) not in powers:
+                    powers[i, p] = imgs[i] ** p
+                t = t * powers[i, p]
             for i in od:
-                base = imgs.get(i)
-                if base is None:
-                    base = table.sym(self.table.symbols[i].name)
-                t = t * base
+                t = t * imgs[i]
                 if t.is_zero():
                     break
             for k, v in t.terms.items():
@@ -532,9 +532,6 @@ class Derivation:
             if v:
                 imgs[s.index] = v
         self.images = imgs
-
-    def image(self, name):
-        return self.images.get(self.table.symbol(name).index, self.table.zero())
 
     def __call__(self, f: SuperPolynomial) -> SuperPolynomial:
         """Graded Leibniz rule, one output term at a time.

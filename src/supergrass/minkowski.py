@@ -23,6 +23,7 @@ from .divalg import (ALGEBRAS, C, DAElement, DivisionAlgebra, H, O, R,
 # tracer rebinds this imported copy
 from .kernel import (EVEN, ODD, Derivation, ParityError, SymbolTable,
                      odd_field_relations_ok, odd_fields, super_bracket)
+from .matrix import Matrix
 from .scalars import QI, frac, rational_part
 
 ALG_BY_K = {1: R, 2: C, 4: H, 8: O}
@@ -81,79 +82,6 @@ def minkowski_norm_identity(t, x, z: DAElement) -> bool:
     return frac(t) ** 2 - frac(x) ** 2 - z.norm_sq() == 4 * h.det()
 
 
-# ---------------------------------------------------------------------------
-# Small dense matrices over any ring
-# ---------------------------------------------------------------------------
-
-class Matrix:
-    """Dense matrix over a ring whose elements support +, - and * and test
-    false exactly when zero: int, Fraction, QI, or DAElement with rational or
-    polynomial coefficients.
-
-    `zero` is the ring's zero; it fills every slot a product leaves empty, so
-    those slots keep the entry type.  Products skip zero factors, and each
-    entry is a sum of single binary products in index order, so octonion
-    non-associativity never enters.
-    """
-
-    __slots__ = ("entries", "zero")
-
-    def __init__(self, entries, zero):
-        self.entries = entries
-        self.zero = zero
-
-    @classmethod
-    def zeros(cls, n, zero):
-        return cls([[zero] * n for _ in range(n)], zero)
-
-    def __add__(self, other):
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)], self.zero)
-
-    def __sub__(self, other):
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)], self.zero)
-
-    def __neg__(self):
-        return self.map(lambda a: -a)
-
-    def scale(self, c):
-        """Entrywise e.scale(c): c multiplies each entry on the left.  The
-        result lives in the ring of the scaled zero, as the entries do."""
-        zero = self.zero.scale(c)
-        return Matrix([[e.scale(c) if e else zero for e in row] for row in self.entries], zero)
-
-    def map(self, f):
-        return Matrix([[f(e) for e in row] for row in self.entries], f(self.zero))
-
-    def transpose(self):
-        return Matrix([list(col) for col in zip(*self.entries)], self.zero)
-
-    def __matmul__(self, other):
-        zero = self.zero
-        nonzero = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [zero] * len(other.entries[0])
-            for a, orow in zip(row, nonzero):
-                if orow and a:
-                    for j, b in orow:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
-        return Matrix(out, zero)
-
-    def is_zero(self):
-        return not any(any(row) for row in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"Matrix({self.entries!r})"
-
-
 def kmat2(alg: DivisionAlgebra, e11, e12, e21, e22) -> Matrix:
     """2x2 matrix over K with rational (or Gaussian) coefficients."""
     return Matrix([[e11, e12], [e21, e22]], alg.zero_like())
@@ -192,7 +120,7 @@ class MinkContext:
         m = self.zero_matrix()
         one = self.promote(self.alg.one())
         for i in range(5):
-            m.entries[i][i] = one
+            m[i, i] = one
         return m
 
 
@@ -213,7 +141,7 @@ def x_matrix(ctx: MinkContext, a, b, value: DAElement = None) -> Matrix:
     """X_ab with an optional K value in place of 1."""
     m = ctx.zero_matrix()
     i, j = V_SLOT[(a, b)]
-    m.entries[i][j] = ctx.promote(ctx.alg.one() if value is None else value)
+    m[i, j] = ctx.promote(ctx.alg.one() if value is None else value)
     return m
 
 
@@ -231,8 +159,8 @@ def script_i(ctx: MinkContext, zeta: DAElement) -> Matrix:
     """I_[12](zeta) = Im(zeta) (X_12 - X_21)/2 for purely imaginary zeta."""
     half = zeta.scale(ctx.table.scalar(Fraction(1, 2)))
     m = ctx.zero_matrix()
-    m.entries[0][4] = half
-    m.entries[1][3] = -half
+    m[0, 4] = half
+    m[1, 3] = -half
     return m
 
 
@@ -247,16 +175,11 @@ def q_matrix(ctx: MinkContext, a, lam) -> Matrix:
     for c in lam_eps.coeffs:
         if c.parity() not in (None, ODD):
             raise ParityError("q_matrix needs even coefficients")
-    lam_bar_eps = lam.conj().scale(eps)
-    m = ctx.zero_matrix()
-    if a == 1:
-        m.entries[0][2] = lam_eps
-        m.entries[2][3] = lam_bar_eps
-    elif a == 2:
-        m.entries[1][2] = lam_eps
-        m.entries[2][4] = lam_bar_eps
-    else:
+    if a not in (1, 2):
         raise ValueError("row index must be 1 or 2")
+    m = ctx.zero_matrix()
+    m[a - 1, 2] = lam_eps
+    m[2, a + 2] = lam.conj().scale(eps)
     return m
 
 
@@ -365,10 +288,10 @@ def centrality_check(ctx: MinkContext) -> bool:
 
 # -- null vectors and R-symmetries ----------------------------------------------
 
-def hermitian_parts(m: Matrix):
-    """(h11, h22, z) of a Hermitian 2x2 matrix [[h11, z], [conj z, h22]] over
-    K, in the coefficient ring of m."""
-    (p, z), (zbar, q) = m.entries
+def hermitian_parts(m: Matrix, i=0, j=0):
+    """(h11, h22, z) of the Hermitian 2x2 block [[h11, z], [conj z, h22]]
+    over K at row i, column j of m, in the coefficient ring of m."""
+    p, z, zbar, q = m[i, j], m[i, j + 1], m[i + 1, j], m[i + 1, j + 1]
     if any(p.coeffs[1:]) or any(q.coeffs[1:]):
         raise ValueError("diagonal entry is not real")
     if zbar != z.conj():
@@ -380,11 +303,10 @@ def translation_block(m: Matrix):
     """hermitian_parts of the V_SLOT block of a 5x5 matrix that is zero
     outside it: the matrix is h11 R_(11) + h22 R_(22) + 2 z_1 R_(12)
     + sum_gamma 2 z_gamma Im_gamma."""
-    for i, row in enumerate(m.entries):
-        for j, e in enumerate(row):
-            if e and (i > 1 or j < 3):
-                raise ValueError(f"support outside the translation block at {(i, j)}")
-    return hermitian_parts(Matrix([row[3:] for row in m.entries[:2]], m.zero))
+    outside = [(i, j) for i, row in enumerate(m.rows) for j in row if i > 1 or j < 3]
+    if outside:
+        raise ValueError(f"support outside the translation block at {min(outside)}")
+    return hermitian_parts(m, 0, 3)
 
 
 def x_of_pair(alg: DivisionAlgebra, lam, mu) -> Hermitian2:
@@ -498,7 +420,7 @@ def h2_basis(alg: DivisionAlgebra):
 def rho_endo(alg: DivisionAlgebra, sigma: Matrix) -> Matrix:
     """Matrix of m -> (sigma m + m conj(sigma)^t)/2 on the e basis; raises if
     sigma is not trace free."""
-    if sigma.entries[0][0] + sigma.entries[1][1]:
+    if sigma[0, 0] + sigma[1, 1]:
         raise ValueError("sigma must be trace free")
     sig_dag = sigma.transpose().map(DAElement.conj)
     cols = []
@@ -512,15 +434,15 @@ def rho_endo(alg: DivisionAlgebra, sigma: Matrix) -> Matrix:
 def boost_matrix(alg, j) -> Matrix:
     """B_j: e_-1 <-> e_j, everything else to 0."""
     m = Matrix.zeros(alg.dim + 2, Fraction(0))
-    m.entries[j + 1][0] = m.entries[0][j + 1] = Fraction(1)
+    m[j + 1, 0] = m[0, j + 1] = Fraction(1)
     return m
 
 
 def rotation_matrix(alg, i, j) -> Matrix:
     """A_ij: e_i -> e_j, e_j -> -e_i."""
     m = Matrix.zeros(alg.dim + 2, Fraction(0))
-    m.entries[j + 1][i + 1] = Fraction(1)
-    m.entries[i + 1][j + 1] = Fraction(-1)
+    m[j + 1, i + 1] = Fraction(1)
+    m[i + 1, j + 1] = Fraction(-1)
     return m
 
 
@@ -557,7 +479,7 @@ def residual_rotations_fix_real_part(alg: DivisionAlgebra) -> bool:
     for i in range(2, alg.dim + 1):
         for j in range(i + 1, alg.dim + 1):
             m = rotation_matrix(alg, i, j)
-            if any(row[col] for row in m.entries for col in (0, 1, 2)):
+            if any(col < 3 for row in m.rows for col in row):
                 return False
     return True
 
@@ -604,9 +526,7 @@ class _Echelon:
 
 
 def _flatten(m: Matrix):
-    n = len(m.entries)
-    return {i * n + j: Fraction(v)
-            for i, row in enumerate(m.entries) for j, v in enumerate(row) if v}
+    return {i * m.ncols + j: Fraction(v) for i, row in enumerate(m.rows) for j, v in row.items()}
 
 
 def lie_closure(k: int):
@@ -664,7 +584,7 @@ def lorentz_conjugation(alg: DivisionAlgebra, S: Matrix, m: Matrix) -> Matrix:
     inverse formula used here)."""
     if alg.which not in ("R", "C"):
         raise ValueError("conjugation action implemented for R and C only")
-    (s11, s12), (s21, s22) = S.entries
+    s11, s12, s21, s22 = S[0, 0], S[0, 1], S[1, 0], S[1, 1]
     det = s11 * s22 - s12 * s21
     if any(det.coeffs[1:]):
         raise ValueError("determinant must be real for this helper")
@@ -674,12 +594,10 @@ def lorentz_conjugation(alg: DivisionAlgebra, S: Matrix, m: Matrix) -> Matrix:
     def blockdiag(upper: Matrix, lower: Matrix) -> Matrix:
         """blockdiag(upper, 1, conj(lower)^t) over the zero of m."""
         out = Matrix.zeros(5, m.zero)
-        out.entries[2][2] = alg.one()
+        out[2, 2] = alg.one()
         lower = lower.transpose().map(DAElement.conj)
-        for i in range(2):
-            for j in range(2):
-                out.entries[i][j] = upper.entries[i][j]
-                out.entries[3 + i][3 + j] = lower.entries[i][j]
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            out[i, j], out[3 + i, 3 + j] = upper[i, j], lower[i, j]
         return out
 
     # g = blockdiag(S, 1, (S^dagger)^-1) and g^-1 = blockdiag(S^-1, 1, S^dagger)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .kernel import (EVEN, ODD, Derivation, SuperPolynomial, SymbolTable, odd_fields)
+from .kernel import EVEN, ODD, Derivation, SuperPolynomial, SymbolTable, odd_fields, super_bracket
 from .scalars import frac
 
 
@@ -284,8 +284,6 @@ class Superparticle:
 
     def susy_algebra_ok(self) -> bool:
         """[Q_1, Q_2] = -2 et1 et2 d/dt on the fields, Q_i = -et_i tau."""
-        from .kernel import super_bracket
-
         e1, e2 = self.fs.sym("et1"), self.fs.sym("et2")
         Q1 = self.tau().scale(-e1)
         Q2 = self.tau().scale(-e2)

@@ -106,12 +106,12 @@ def fraction(rng, span=4):
     return Fraction(rng.randint(-span, span), rng.randint(1, 3))
 
 
-def grassmann_table(k=4, evens=("x",)):
+def grassmann_table(k=4, evens=("x",), odd="th"):
     t = SymbolTable()
     for n in evens:
         t.even_symbol(n)
     for i in range(k):
-        t.odd_symbol(f"th{i+1}")
+        t.odd_symbol(f"{odd}{i+1}")
     return t
 
 
@@ -227,11 +227,7 @@ def check_bracket_laws(rng, cases, ks):
 
 
 def check_tensoring(rng, cases, ks):
-    t = SymbolTable()
-    t.even_symbol("t")
-    t.odd_symbol("th")
-    t.odd_symbol("et1")
-    t.odd_symbol("et2")
+    t = superspace.SuperDomain(even=("t",), theta=("th",), eta=("et1", "et2")).table
     th = t.sym("th")
     D = Derivation(t, ODD, {"th": t.one(), "t": -th}, "D")
     tau = Derivation(t, ODD, {"th": t.one(), "t": th}, "tau")
@@ -323,12 +319,7 @@ def check_berezin_translation(rng, cases, ks):
 
 
 def check_hinf_morphism(rng, cases, ks):
-    t = SymbolTable()
-    t.even_symbol("x")
-    t.even_symbol("y")
-    tf = SymbolTable()
-    for i in range(4):
-        tf.odd_symbol(f"et{i+1}")
+    t, tf = grassmann_table(0, evens=("x", "y")), grassmann_table(4, evens=(), odd="et")
     ets = [tf.sym(f"et{i+1}") for i in range(4)]
     for _ in range(cases):
         def rpoly():
@@ -353,9 +344,7 @@ def check_hinf_morphism(rng, cases, ks):
 
 
 def check_body_soul(rng, cases, ks):
-    tf = SymbolTable()
-    for i in range(4):
-        tf.odd_symbol(f"et{i+1}")
+    tf = grassmann_table(4, evens=(), odd="et")
     ets = [tf.sym(f"et{i+1}") for i in range(4)]
     for _ in range(cases):
         def rpoint():
@@ -408,9 +397,7 @@ def check_collapse(rng, cases, ks):
 
 
 def check_point_tangent(rng, cases, ks):
-    t = SymbolTable()
-    t.even_symbol("y")
-    t.even_symbol("z")
+    t = grassmann_table(0, evens=("y", "z"))
     for _ in range(cases):
         pt = {"y": fraction(rng), "z": fraction(rng)}
         xi = {"y": fraction(rng), "z": fraction(rng)}
@@ -421,10 +408,8 @@ def check_point_tangent(rng, cases, ks):
 
 
 def check_odd_plane(rng, cases, ks):
-    t = SymbolTable()
-    t.even_symbol("y1")
-    t.even_symbol("y2")
     names = ("y1", "y2")
+    t = grassmann_table(0, evens=names)
     for _ in range(cases):
         xi1 = {n: Fraction(rng.randint(-2, 2)) for n in names}
         xi2 = {n: Fraction(rng.randint(-2, 2)) for n in names}

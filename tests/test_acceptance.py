@@ -9,6 +9,7 @@ fail.
 import pytest
 
 from supergrass import divalg, minkowski, suites
+from supergrass.matrix import Matrix
 
 CHECKS = [(suite, check_id, fn)
           for suite, entries in suites.SUITES.items() for check_id, _law, fn in entries]
@@ -84,6 +85,24 @@ def test_dropped_denominator_fails_rsym_and_k4(monkeypatch):
 
     monkeypatch.setattr(divalg, "_normal", dropped)
     for check_id in ("minkowski.rsym", "reductions.k4"):
+        (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]
+        ok, _, _, _ = run_check(check_id, fn)
+        assert not ok, check_id
+
+
+def test_product_that_drops_a_row_fails_qq_qqter_null(monkeypatch):
+    """A matrix product that loses the entries of its first nonzero row:
+    the sparse == compares what is stored, so the laws must still see it
+    rather than pass on empty rows."""
+    matmul = Matrix.__matmul__
+
+    def dropped(self, other):
+        out = matmul(self, other)
+        next((row for row in out.rows if row), {}).clear()
+        return out
+
+    monkeypatch.setattr(Matrix, "__matmul__", dropped)
+    for check_id in ("minkowski.qq", "minkowski.qqter", "minkowski.null"):
         (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]
         ok, _, _, _ = run_check(check_id, fn)
         assert not ok, check_id

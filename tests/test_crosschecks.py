@@ -17,10 +17,11 @@ def field_bracket_constants(inv, tau, a, alpha, b, beta):
     """Structure constants of [tau^alpha_a, tau^beta_b] read off the images
     of the coordinate symbols; tau maps (a, alpha) to its field."""
     br = super_bracket(tau[a, alpha], tau[b, beta])
+    sym = inv.table.sym
     for name in inv.thname.values():
-        assert br.image(name).is_zero(), "bracket is not a translation"
-    c_v = {ab: br.image(name).scalar_part() for ab, name in inv.vname.items()}
-    c_w = {g: br.image(name).scalar_part() for g, name in inv.wname.items()}
+        assert br(sym(name)).is_zero(), "bracket is not a translation"
+    c_v = {ab: br(sym(name)).scalar_part() for ab, name in inv.vname.items()}
+    c_w = {g: br(sym(name)).scalar_part() for g, name in inv.wname.items()}
     return c_v, c_w
 
 

@@ -315,6 +315,34 @@ def test_rational_over_a_denominator_meets_polynomials(alg):
             assert got.den == 1 and _over_table(got, t)
 
 
+@pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
+def test_integral_and_zero_operands_meet_polynomials(alg):
+    """The same for rational elements with den = 1 and for a zero operand
+    on either side: a sum or difference lives over the table, its zero
+    included, and so do its products with a rational unit."""
+    t = _envelope()
+    rng = random.Random(73 + alg.dim)
+    for _ in range(20):
+        x = alg.element([rng.randint(-3, 3) for _ in range(alg.dim)])
+        p = _nonzero_poly_elem(alg, t, rng)
+        unit = alg.unit(rng.randint(1, alg.dim))
+        for u, v in ((x, p), (p, x), (x, alg.zero_like(t.zero())), (alg.zero_like(), p)):
+            for w, z in ((u, v), (v, u)):
+                for op in ("+", "-"):
+                    got = _apply(op, w, z)
+                    assert got.coeffs == _naive(op, w, z), op
+                    assert got.den == 1 and _over_table(got, t), op
+                    for a, b in ((got, unit), (unit, got)):
+                        prod = a * b
+                        assert prod.coeffs == _naive("*", a, b) and _over_table(prod, t), op
+    if alg is H:
+        eps = t.sym("eps")
+        got = H.unit(2) + H.unit(3).scale(eps)
+        assert got.coeffs == [0, 1, eps, 0] and _over_table(got, t)
+        assert _over_table(got * H.unit(2), t)
+        assert _over_table(H.unit(2) + H.zero_like(t.zero()), t)
+
+
 def test_scale_by_a_gaussian_rational_folds_the_denominator():
     rng = random.Random(67)
     for alg in (C, H, O):

@@ -579,7 +579,7 @@ def test_derivation_call_and_bracket_against_summing_loops():
         br = super_bracket(X, Y)
         for s in t.symbols:
             g = t.sym(s.name)
-            assert br.image(s.name) == X(Y(g)) - sign * Y(X(g))
+            assert br(g) == X(Y(g)) - sign * Y(X(g))
         assert all(v and _nonzero_terms(v) for v in br.images.values())
 
 

@@ -31,49 +31,117 @@ def _kind(e):
     return type(e)
 
 
-@pytest.mark.parametrize("ring", ["int", "QI", "DAElement"])
-def test_matrix_product_and_transpose_against_naive(ring):
-    """Matrix @ against the plain triple sum (no zero skipping, left factor
-    first), on a 3x4 times 4x3 product with a zero row and a zero column."""
-    rng = random.Random(8)
+def _ring(ring, rng):
+    """(zero, draw, scalars) of a test ring: draw() is a random entry, zero
+    about a third of the time; scalars are what scale may multiply by."""
     if ring == "int":
-        zero = 0
+        return 0, lambda: rng.choice([0, rng.randint(-3, 3)]), None
+    if ring == "QI":
+        return QI(0), lambda: rng.choice([QI(0), QI(rng.randint(-3, 3), rng.randint(-3, 3))]), None
+    # K over the Clifford envelope with two odd parameters, so neither K nor
+    # the coefficients commute; et1 is a nilpotent scalar
+    alg = H if ring == "DAElement" else O
+    ctx = MinkContext(alg.dim, n_eta=2)
+    t = ctx.table
+    gens = [t.one(), ctx.eps(), ctx.eta(1), ctx.eta(1) * ctx.eta(2)]
 
-        def draw():
-            return rng.randint(-3, 3)
-    elif ring == "QI":
-        zero = QI(0)
+    def draw():
+        if rng.random() < 0.3:
+            return alg.zero_like(t.zero())
+        return DAElement(alg, [sum((g.scale(rng.randint(-2, 2)) for g in gens), t.zero())
+                               for _ in range(alg.dim)], t.zero())
+    return alg.zero_like(t.zero()), draw, [Fraction(1, 2), ctx.eps(), ctx.eta(1), t.zero()]
 
-        def draw():
-            return QI(rng.randint(-3, 3), rng.randint(-3, 3))
-    else:
-        # quaternions over the Clifford envelope with an odd parameter, so
-        # neither K nor the coefficients commute
-        ctx = MinkContext(4, n_eta=2)
-        zero = H.zero_like(ctx.table.zero())
-        gens = [ctx.table.one(), ctx.eps(), ctx.eta(1), ctx.eta(1) * ctx.eta(2)]
 
-        def draw():
-            return DAElement(H, [sum((g.scale(rng.randint(-2, 2)) for g in gens), ctx.table.zero())
-                                 for _ in range(4)], ctx.table.zero())
+def _stores_no_zero(m):
+    return all(e for row in m.rows for e in row.values())
+
+
+def _dense(m):
+    """The dense rows of m, read entry by entry."""
+    return [[m[i, j] for j in range(m.ncols)] for i in range(len(m.rows))]
+
+
+@pytest.mark.parametrize("ring", ["int", "QI", "DAElement", "octonion"])
+def test_matrix_product_and_transpose_against_naive(ring):
+    """Every Matrix operation against its dense entrywise definition (no
+    zero skipping, left factor first), on a 3x4 times 4x3 product with a
+    zero row and a zero column; no result stores an entry that tests false."""
+    rng = random.Random(8)
+    zero, draw, scalars = _ring(ring, rng)
+
+    def dense(n, m):
+        return [[draw() for _ in range(m)] for _ in range(n)]
 
     for _ in range(10):
-        a = [[draw() if rng.random() < 0.7 else zero for _ in range(4)] for _ in range(3)]
-        b = [[draw() if rng.random() < 0.7 else zero for _ in range(3)] for _ in range(4)]
+        a, a2, b = dense(3, 4), dense(3, 4), dense(4, 3)
         a[1] = [zero] * 4
         for row in b:
             row[2] = zero
-        got = (Matrix(a, zero) @ Matrix(b, zero)).entries
-        want = [[zero for _ in range(3)] for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                for l in range(4):
-                    want[i][j] = want[i][j] + a[i][l] * b[l][j]
-        assert got == want
-        assert [[_kind(e) for e in row] for row in got] == [[_kind(e) for e in row] for row in want]
-        t = Matrix(a, zero).transpose().entries
-        assert len(t) == 4 and all(len(row) == 3 for row in t)
-        assert all(t[j][i] == a[i][j] for i in range(3) for j in range(4))
+        A, A2, B = Matrix(a, zero), Matrix(a2, zero), Matrix(b, zero)
+        want = {
+            "@": [[sum((a[i][l] * b[l][j] for l in range(4)), zero) for j in range(3)]
+                  for i in range(3)],
+            "+": [[x + y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)],
+            "-": [[x - y for x, y in zip(r, r2)] for r, r2 in zip(a, a2)],
+            "neg": [[-x for x in r] for r in a],
+            "map": [[x + x for x in r] for r in a],
+            "T": [list(col) for col in zip(*a)],
+        }
+        got = {"@": A @ B, "+": A + A2, "-": A - A2, "neg": -A, "map": A.map(lambda e: e + e),
+               "T": A.transpose()}
+        for c in scalars or ():
+            want[c] = [[x.scale(c) for x in r] for r in a]
+            got[c] = A.scale(c)
+        for op, m in got.items():
+            assert _dense(m) == want[op], op
+            assert [[_kind(e) for e in row] for row in _dense(m)] == \
+                [[_kind(e) for e in row] for row in want[op]], op
+            assert _stores_no_zero(m), op
+        # == is the dense compare, equal or not
+        assert A == Matrix(a, zero) and (A + A2) - A2 == A
+        assert (A == A2) is (a == a2)
+        for i, j in [(i, j) for i in range(3) for j in range(4) if a[i][j]][:2]:
+            b2 = [list(r) for r in a]
+            b2[i][j] = zero
+            assert A != Matrix(b2, zero) and A.transpose() != Matrix(b2, zero).transpose()
+
+
+@pytest.mark.parametrize("ring", ["int", "QI", "DAElement", "octonion"])
+def test_matrix_drops_the_zeros_it_makes(ring):
+    """Cancelling products and sums, a scale by a nilpotent and a map to zero
+    store nothing; dense rows with explicit zeros equal the same matrix
+    written entry by entry, in any order."""
+    rng = random.Random(9)
+    zero, draw, scalars = _ring(ring, rng)
+    x = draw()
+    while not x:
+        x = draw()
+    row = Matrix([[x, x]], zero)
+    col = Matrix([[x], [-x]], zero)
+    assert (row @ col).rows == [{}] and (row @ col).is_zero() and _dense(row @ col) == [[zero]]
+    assert (row - row).is_zero() and (row + -row).rows == [{}]
+    assert row.map(lambda e: e - e).is_zero()
+    if scalars:
+        et1 = scalars[2]
+        m = Matrix([[zero, x.scale(et1)], [x.scale(et1), zero]], zero)
+        assert not m.is_zero() and m.scale(et1).is_zero()
+    a = [[draw() for _ in range(4)] for _ in range(4)]
+    built = Matrix.zeros(4, zero)
+    slots = [(i, j) for i in range(4) for j in range(4)]
+    rng.shuffle(slots)
+    for i, j in slots:
+        built[i, j] = a[i][j]
+    assert built == Matrix(a, zero) and _stores_no_zero(built)
+    assert all(built[i, j] == a[i][j] for i, j in slots)
+    for i, j in slots:
+        built[i, j] = zero
+    assert built.is_zero() and built == Matrix.zeros(4, zero)
+    # no dense view exists to write through: entries are set by m[i, j] = v
+    with pytest.raises(AttributeError):
+        built.entries
+    with pytest.raises(AttributeError):
+        built.entries = [[x]]
 
 
 def test_scaled_matrix_lives_in_the_ring_of_the_scalar():
@@ -82,9 +150,9 @@ def test_scaled_matrix_lives_in_the_ring_of_the_scalar():
     ctx = MinkContext(2)
     m = kmat2(C, C.one(), C.zero_like(), C.zero_like(), C.one()).scale(ctx.eps())
     p = m @ m
-    for e in [p.zero, *(e for row in p.entries for e in row)]:
+    for e in [p.zero, *(e for row in _dense(p) for e in row)]:
         assert all(isinstance(c, SuperPolynomial) for c in [*e.coeffs, e.zero])
-    assert p.entries[0][1] == C.zero_like(ctx.table.zero())
+    assert p[0, 1] == C.zero_like(ctx.table.zero())
 
 
 # -- norm identity ---------------------------------------------------------------
@@ -282,7 +350,7 @@ def test_reduction_k8_and_z_table():
     rep = reduction_charges(8)
     # Z_12 = I(-u3 + sqrt(-1) u4): entry (1,5) must be (-u3 + i u4)/2
     z12 = rep["Z"][(1, 2)]
-    e = z12.entries[0][4]
+    e = z12[0, 4]
     assert e.coeffs[2] == rep["ctx"].table.scalar(Fraction(-1, 2))
     assert e.coeffs[3] == rep["ctx"].table.scalar(QI(0, Fraction(1, 2)))
 

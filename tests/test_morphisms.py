@@ -339,7 +339,7 @@ def test_chart_violation_reported():
 def test_xi_fields_are_built_once():
     m = sigma_morphism()
     assert m.xi_field((1, 3)) is m.xi_field((1, 3))
-    assert m.xi_field((1, 3)).image("y2") == m.table.scalar(2)
+    assert m.xi_field((1, 3))(m.table.sym("y2")) == m.table.scalar(2)
     mono, X = m.xi_fields[(1, 3)]
     assert X is m.xi_field((1, 3)) and mono == m.table.sym("th1") * m.table.sym("et1")
 
