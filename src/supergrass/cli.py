@@ -19,7 +19,7 @@ from .expr_io import (Context, DslSyntaxError, DslTypeError, Sym, UnknownSymbolE
 from .kernel import Derivation, SymbolTable, super_bracket
 from .morphisms import FleshMorphism
 from .scalars import rational_part
-from .superspace import SuperDomain, berezin, integrate_box, supertime
+from .superspace import SuperDomain, berezin, supertime
 
 
 def main(argv=None) -> int:
@@ -189,11 +189,11 @@ def cmd_berezin(args) -> int:
         print("expression has no odd th coordinates", file=sys.stderr)
         return 2
     val = Context(dom.table, berezin_names=dom.theta_names).evaluate(ast)
-    out = berezin(dom, val, definite=False)
+    out = berezin(dom, val)
     if args.box is not None:
         lo, hi = (_box_bound(x) for x in args.box)
-        dom.box = [(lo, hi) for _ in dom.even_names]
-        out = integrate_box(dom, out)
+        for name in dom.even_names:
+            out = out.integrate_even(name, lo, hi)
     if args.json:
         print(json.dumps(poly_to_jsonable(out), sort_keys=True))
     else:

@@ -79,9 +79,10 @@ class DivisionAlgebra:
     def unit(self, alpha: int, coeff=1) -> "DAElement":
         if not 1 <= alpha <= self.dim:
             raise ValueError(f"unit index {alpha} is outside 1..{self.dim}")
-        coeffs = [0] * self.dim
+        zero = _ring_zero([coeff])
+        coeffs = [zero] * self.dim
         coeffs[alpha - 1] = coeff
-        return DAElement(self, coeffs)
+        return DAElement(self, coeffs, zero)
 
     def one(self):
         return self.unit(1)
@@ -92,17 +93,17 @@ class DAElement:
 
     Slot i holds num[i] / den.  `zero` is the zero of the coefficient ring:
     0 for exact scalars, table.zero() for polynomial coefficients.  Results
-    keep it.
+    keep it.  Left out, it is read from the slots (`_ring_zero`).
     """
 
     __slots__ = ("alg", "num", "den", "zero")
 
-    def __init__(self, alg: DivisionAlgebra, coeffs, zero=0):
+    def __init__(self, alg: DivisionAlgebra, coeffs, zero=None):
         if len(coeffs) != alg.dim:
             raise ValueError(f"need {alg.dim} coefficients")
         self.alg = alg
         self.num, self.den = _normal(coeffs, 1)
-        self.zero = zero
+        self.zero = _ring_zero(coeffs) if zero is None else zero
 
     @property
     def coeffs(self) -> list:
@@ -254,6 +255,15 @@ def _normal(num: list, den: int):
         num = [n // g for n in num]
         den //= g
     return num, den
+
+
+def _ring_zero(slots):
+    """The zero of the ring the slots live in: a slot with no denominator
+    (QI, SuperPolynomial) names the ring; rational slots have the int 0."""
+    for c in slots:
+        if not hasattr(c, "denominator"):
+            return c - c
+    return 0
 
 
 def _element(alg: DivisionAlgebra, num: list, den: int, zero) -> DAElement:

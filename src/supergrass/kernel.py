@@ -12,7 +12,7 @@ Fraction as an int; `scale` does the same.  Values are immutable after
 construction and safe to share.  A product that would form more than
 `MAX_TERM_PAIRS` term pairs raises `SizeLimitError` before it runs, and
 the CLI reports it as an input error; `MAX_DEGREE` bounds the powers that
-box integrals raise their bounds to, and `MAX_COEFF_BITS` the coefficient
+`integrate_even` raises its bounds to, and `MAX_COEFF_BITS` the coefficient
 growth of a power.
 
 A derivation is applied term by term: each term of f, each factor with an
@@ -24,12 +24,12 @@ function, `odd_fields`, from the pairing T of the thetas into even
 translations, and checked against one law, `odd_field_relations_ok`.
 
 The term dict of a SuperPolynomial is private to this module and to the
-`expr_io` printer and JSON codec.  Other code reads a polynomial through
-its projections (`scalar_part`, `free_of`, `parity_part`, `support`,
-`coefficient_of_odd`, `eval_even`, `diff_even`) and copies it into another
-table with `substitute`.  Three functions still read or build the dict
-outside: `superspace.integrate_box`, `LiftSpace.reduce` and
-`LiftSpace.lift`; `tests/test_kernel.py` pins that list.
+`expr_io` printer and JSON codec.  No function outside reads or builds it:
+other code reads a polynomial through its projections (`scalar_part`,
+`free_of`, `parity_part`, `support`, `coefficient_of_odd`, `eval_even`,
+`diff_even`, `integrate_even`), maps it with `substitute` and copies it
+into another table with `SymbolTable.adopt`; `tests/test_kernel.py` pins
+that no other module does.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class SizeLimitError(ValueError):
 # no product of the claim registry or the bench workloads forms 1000.
 MAX_TERM_PAIRS = 100_000
 
-# The highest power of an even coordinate that a box integral accepts, so that
+# The highest power of an even coordinate that `integrate_even` accepts, so that
 # x^1000000000 fails fast instead of raising a bound to that power.
 MAX_DEGREE = 1000
 
@@ -160,6 +160,16 @@ class SymbolTable:
         if s.parity == EVEN:
             return SuperPolynomial(self, {(((s.index, 1),), ()): 1})
         return SuperPolynomial(self, {((), (s.index,)): 1})
+
+    def adopt(self, p):
+        """p copied into this table: a scalar becomes a constant, and each
+        symbol of a polynomial over another table goes over by name."""
+        if type(p) is not SuperPolynomial:
+            return self.scalar(p)
+        if p.table is self:
+            return p
+        images = {s.name: self.sym(s.name) for s in p.support()}
+        return p.substitute(images) if images else self.scalar(p.scalar_part())
 
     def monomial(self, coeff, even=(), odd=()):
         """Build coeff * prod(even names with powers) * prod(odd names, given order)."""
@@ -445,6 +455,23 @@ class SuperPolynomial:
                 else:
                     nev[j] = (i, p - 1)
                 _add_term(out, (tuple(nev), od), c * p)
+        return SuperPolynomial(self.table, out)
+
+    def integrate_even(self, name, lo, hi):
+        """Exact definite integral over lo <= name <= hi of an even symbol;
+        other symbols untouched."""
+        s = self.table.symbol(name)
+        if s.parity != EVEN:
+            raise ParityError(f"{name} is odd; use the Berezin integral")
+        lo, hi = frac(lo), frac(hi)
+        out: dict = {}
+        for (ev, od), c in self.terms.items():
+            p = next((q for i, q in ev if i == s.index), 0)
+            if p > MAX_DEGREE:
+                raise SizeLimitError(f"a power {p} over a box exceeds the degree budget {MAX_DEGREE}")
+            c = c * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+            if c:
+                _add_term(out, (tuple(f for f in ev if f[0] != s.index), od), c)
         return SuperPolynomial(self.table, out)
 
     def terms_sorted(self):

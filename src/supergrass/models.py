@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .kernel import EVEN, ODD, Derivation, SuperPolynomial, SymbolTable, odd_fields, super_bracket
-from .scalars import frac
 
 
 class FieldSystem:
@@ -131,18 +130,14 @@ class Superpotential:
         return cls([table.sym(f"{prefix}{i}") for i in range(degree + 1)])
 
     def derivative(self) -> "Superpotential":
-        return Superpotential([
-            (c * i if isinstance(c, SuperPolynomial) else frac(c) * i)
-            for i, c in enumerate(self.coeffs)
-        ][1:] or [0])
+        return Superpotential([c * i for i, c in enumerate(self.coeffs)][1:] or [0])
 
     def apply(self, p: SuperPolynomial) -> SuperPolynomial:
         table = p.table
         out = table.zero()
         power = table.one()
         for c in self.coeffs:
-            term = power.scale(c) if not isinstance(c, SuperPolynomial) else c * power
-            out = out + term
+            out = out + power * c
             power = power * p
         return out
 

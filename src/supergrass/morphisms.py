@@ -86,7 +86,7 @@ class FleshMorphism:
         for n in self.odd_coords:
             self.table.odd_symbol(n)
 
-        self.phi = {n: self._lift(p) for n, p in phi.items()}
+        self.phi = {n: self.table.adopt(p) for n, p in phi.items()}
         if set(self.phi) != set(self.target_even):
             raise ValueError("phi must give every target even coordinate")
         self.xi_fields = {}
@@ -96,18 +96,10 @@ class FleshMorphism:
                 raise ValueError(f"invalid multi-index {I}: need even length >= 2")
             if tuple(sorted(set(I))) != I:
                 raise ValueError(f"multi-index {I} must be strictly increasing")
-            comps = {n: self._lift(c) for n, c in comps.items()}
+            comps = {n: self.table.adopt(c) for n, c in comps.items()}
             self.xi_fields[I] = (self.odd_monomial(I), Derivation(self.table, EVEN, comps, f"xi_{I}"))
 
     # -- plumbing ---------------------------------------------------------
-    def _lift(self, p):
-        if isinstance(p, (int, Fraction)):
-            return self.table.scalar(p)
-        if p.table is self.table:
-            return p
-        images = {s.name: self.table.sym(s.name) for s in p.support()}
-        return p.substitute(images) if images else self.table.scalar(p.scalar_part())
-
     def odd_monomial(self, I) -> SuperPolynomial:
         m = self.table.one()
         for i in I:
@@ -126,7 +118,7 @@ class FleshMorphism:
 
     def pullback_even(self, f: SuperPolynomial) -> SuperPolynomial:
         """(1 x phi)^*(e^Xi f) for f a polynomial in the target evens."""
-        return self.substitute_base(self.exp_Xi(self._lift(f)))
+        return self.substitute_base(self.exp_Xi(self.table.adopt(f)))
 
 
 def morphism_check(m: FleshMorphism, f, g, rng) -> bool:
@@ -136,8 +128,8 @@ def morphism_check(m: FleshMorphism, f, g, rng) -> bool:
         return False
     lam = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     mu = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    f = m._lift(f)
-    g = m._lift(g)
+    f = m.table.adopt(f)
+    g = m.table.adopt(g)
     if m.pullback_even(f.scale(lam) + g.scale(mu)) != \
             m.pullback_even(f).scale(lam) + m.pullback_even(g).scale(mu):
         return False
@@ -282,7 +274,7 @@ def pullback_factorized(m: FleshMorphism, f) -> SuperPolynomial:
     """Apply e^(Xi_empty) prod_A e^(theta^A Xi_A) f and substitute the base
     map; agrees with the direct exponential pullback when the xi commute."""
     groups = factorize(m)
-    g = m._lift(f)
+    g = m.table.adopt(f)
     # empty prefix last so that e^(Xi_empty) is leftmost; the factors
     # commute, so application order is immaterial.
     for A in sorted(groups, key=lambda a: (len(a), a), reverse=True):
@@ -379,7 +371,7 @@ def nonlinear_expansion_check(m: FleshMorphism, f) -> bool:
     expansion: f(phi) + th^a d_i f(phi) psi_a^i
     + th1 th2 (d_i f(phi) F^i - d_ij f(phi) psi_1^i psi_2^j)."""
     comps = component_fields(m)
-    f = m._lift(f)
+    f = m.table.adopt(f)
     th1 = m.table.sym(m.odd_coords[0])
     th2 = m.table.sym(m.odd_coords[1])
     phi_sub = {y: comps[y]["phi"] for y in m.target_even}

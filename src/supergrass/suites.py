@@ -367,10 +367,10 @@ def check_theta_lift(rng, cases, ks):
             for _ in range(2):
                 yield law(rng) or f"case {case}, q={q}"
     d = superspace.SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(4)))
+    space = superspace.LiftSpace(d)
     for _ in range(cases // 4 or 1):
         f = random_homogeneous(d.table, rng, 0)
-        space, frak = superspace.theta_lift(d, f)
-        yield superspace.theta_lower(space, frak) == f or format_poly(f)
+        yield space.lower(space.lift(f)) == f or format_poly(f)
 
 
 # ---------------------------------------------------------------------------

@@ -2,27 +2,26 @@
 extension of polynomials to even Grassmann points, and the lift of even
 functions to the exterior-square coordinate space.
 
-Even-coordinate dependence is polynomial with exact coefficients; definite
-integration is over axis-aligned rational boxes only.
+Even-coordinate dependence is polynomial with exact coefficients; the even
+coordinates integrate one at a time over rational bounds
+(`SuperPolynomial.integrate_even`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from .indices import even_subsets_pos, merge_sign, odd_subsets
-from .kernel import (EVEN, MAX_DEGREE, ODD, Derivation, ParityError, SizeLimitError,
-                     SuperPolynomial, SymbolTable, odd_field_relations_ok, odd_fields,
-                     super_bracket)
-from .scalars import frac, rational_part
+from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial, SymbolTable,
+                     odd_field_relations_ok, odd_fields, super_bracket)
+from .scalars import rational_part
 
 
 class SuperDomain:
     """Omega in R^(m|k) x R^(0|L): m even coordinates, k odd coordinates
     theta^a, L auxiliary odd parameters eta^i, all in one symbol table (evens
-    first, then thetas, then etas), plus an optional rational box for
-    definite even integration."""
+    first, then thetas, then etas)."""
 
-    def __init__(self, even=(), theta=(), eta=(), box=None):
+    def __init__(self, even=(), theta=(), eta=()):
         self.table = SymbolTable()
         self.even_names = tuple(even)
         self.theta_names = tuple(theta)
@@ -33,11 +32,6 @@ class SuperDomain:
             self.table.odd_symbol(n)
         for n in self.eta_names:
             self.table.odd_symbol(n)
-        self.box = None
-        if box is not None:
-            self.box = [(frac(a), frac(b)) for a, b in box]
-            if len(self.box) != len(self.even_names):
-                raise ValueError("box needs one interval per even coordinate")
 
     def sym(self, name):
         return self.table.sym(name)
@@ -56,42 +50,13 @@ class SuperDomain:
         return Derivation(self.table, ODD, {name: 1}, f"d/d{name}")
 
 
-def berezin(domain: SuperDomain, f: SuperPolynomial, definite=None):
-    """Berezin integral over all odd theta coordinates of the domain.
-
-    Returns the coefficient of the top theta monomial, written to the left of
-    the remaining odd factors (still a polynomial in the evens and etas).
-    With definite=True (or a box set on the domain), the even polynomial part
-    is integrated exactly over the box as well.
-    """
+def berezin(domain: SuperDomain, f: SuperPolynomial) -> SuperPolynomial:
+    """Berezin integral over all odd theta coordinates of the domain: the
+    coefficient of the top theta monomial, written to the left of the
+    remaining odd factors (still a polynomial in the evens and etas)."""
     if not domain.theta_names:
         raise ValueError("domain has no odd theta coordinates")
-    g = f.coefficient_of_odd(domain.theta_names)
-    box = domain.box if definite in (None, True) else None
-    if definite and domain.box is None:
-        raise ValueError("definite integration needs a box")
-    if box is None or definite is False:
-        return g
-    return integrate_box(domain, g)
-
-
-def integrate_box(domain: SuperDomain, g: SuperPolynomial) -> SuperPolynomial:
-    """Exact iterated integral of the even part over the domain's box."""
-    if domain.box is None:
-        raise ValueError("no box on this domain")
-    out = domain.zero()
-    ev_index = {domain.table.symbol(n).index: k for k, n in enumerate(domain.even_names)}
-    for (ev, od), c in g.terms.items():
-        val = c
-        seen = dict(ev)
-        for idx, k in ev_index.items():
-            lo, hi = domain.box[k]
-            p = seen.get(idx, 0)
-            if p > MAX_DEGREE:
-                raise SizeLimitError(f"a power {p} over a box exceeds the degree budget {MAX_DEGREE}")
-            val = val * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
-        out = out + SuperPolynomial(domain.table, {((), od): Fraction(1)}).scale(val)
-    return out
+    return f.coefficient_of_odd(domain.theta_names)
 
 
 def odd_translate(domain: SuperDomain, f: SuperPolynomial, shifts: dict) -> SuperPolynomial:
@@ -110,13 +75,13 @@ def odd_translate(domain: SuperDomain, f: SuperPolynomial, shifts: dict) -> Supe
 def berezin_translation_check(domain: SuperDomain, f: SuperPolynomial, shifts: dict) -> bool:
     """Translation invariance of the Berezin integral in the odd variables,
     plus vanishing on every d/d(theta)-exact integrand."""
-    lhs = berezin(domain, odd_translate(domain, f, shifts), definite=False)
-    rhs = berezin(domain, f, definite=False)
+    lhs = berezin(domain, odd_translate(domain, f, shifts))
+    rhs = berezin(domain, f)
     if lhs != rhs:
         return False
     for name in domain.theta_names:
         d = domain.odd_derivative(name)
-        if not berezin(domain, d(f), definite=False).is_zero():
+        if not berezin(domain, d(f)).is_zero():
             return False
     return True
 
@@ -234,9 +199,11 @@ class LiftSpace:
     coordinates: one even coordinate s_I per even multi-index I of length
     >= 2, plus copies of the even coordinates of the base domain.
 
-    Products of s coordinates reduce, modulo the relation ideal, to a sign
-    times the s of the merged index (or 0 on a repeated position); the
-    canonical lift is linear in the s coordinates.
+    `lower` sends s_I to the odd monomial eta^I of the base domain; it is a
+    ring map that kills the relation ideal, in which a product of s
+    coordinates is the sign of the product of their etas times the s of the
+    merged index (or 0 on a repeated position).  `lift` picks the
+    representative linear in the s coordinates.
     """
 
     def __init__(self, domain: SuperDomain):
@@ -248,94 +215,37 @@ class LiftSpace:
         for n in domain.even_names:
             self.table.even_symbol(n)
         self.s_name = {}
-        self._idx_to_I = {}
+        self._lower = {}
         for I in even_subsets_pos(q):
             name = "s_" + "".join(str(i) for i in I)
-            s = self.table.even_symbol(name)
+            self.table.even_symbol(name)
             self.s_name[I] = name
-            self._idx_to_I[s.index] = I
+            self._lower[name] = domain.table.monomial(1, (), [self.odd_names[i - 1] for i in I])
 
     def s(self, I):
         return self.table.sym(self.s_name[tuple(I)])
 
-    def _s_index(self, idx):
-        return self._idx_to_I.get(idx)
-
     def reduce(self, frak: SuperPolynomial) -> SuperPolynomial:
-        """Normal form modulo the relation ideal: every s monomial collapses
-        to eps * s_(merged) with eps in {0, +1, -1}."""
-        out = self.table.zero()
-        for (ev, od), c in frak.terms.items():
-            s_parts = []
-            rest = []
-            for i, p in ev:
-                I = self._s_index(i)
-                if I is None:
-                    rest.append((i, p))
-                else:
-                    s_parts.extend([I] * p)
-            if len(s_parts) <= 1:
-                out = out + SuperPolynomial(self.table, {(ev, od): c})
-                continue
-            ms = merge_sign(*s_parts)
-            if ms is None:
-                continue
-            sign, merged = ms
-            mono = SuperPolynomial(self.table, {(tuple(rest), od): c * sign})
-            out = out + mono * self.s(merged)
-        return out
+        """Normal form modulo the relation ideal: the s-linear representative
+        of frak."""
+        return self.lift(self.lower(frak))
 
     def lift(self, f: SuperPolynomial) -> SuperPolynomial:
         """Canonical representative, linear in the s coordinates, of an even
         superfunction f = sum_I f_I(x) eta^I."""
         if f.parity() not in (None, EVEN):
             raise ParityError("only even functions lift")
-        odd_idx = {self.domain.table.symbol(n).index: k + 1 for k, n in enumerate(self.odd_names)}
-        out = self.table.zero()
-        for (ev, od), c in f.terms.items():
-            I = tuple(odd_idx[i] for i in od)
-            base = SuperPolynomial(self.table, {(self._map_even(ev), ()): c})
-            if I:
-                base = base * self.s(I)
-            out = out + base
+        out = self.table.adopt(f.free_of(self.odd_names))
+        for I, name in self.s_name.items():
+            f_I = f.coefficient_of_odd([self.odd_names[i - 1] for i in I]).free_of(self.odd_names)
+            if f_I:
+                out = out + self.table.adopt(f_I) * self.table.sym(name)
         return out
-
-    def _map_even(self, ev):
-        out = []
-        for i, p in ev:
-            name = self.domain.table.symbols[i].name
-            out.append((self.table.symbol(name).index, p))
-        return tuple(sorted(out))
 
     def lower(self, frak: SuperPolynomial) -> SuperPolynomial:
         """Evaluate e^(theta-lift vector field) at s = 0: replace every s_I
         factor by the odd monomial eta^I of the base domain."""
-        dom = self.domain
-        images = {}
-        for s in frak.support():
-            I = self._s_index(s.index)
-            if I is None:
-                images[s.name] = dom.sym(s.name)
-            else:
-                images[s.name] = dom.table.monomial(1, (), [self.odd_names[pos - 1] for pos in I])
-        return frak.substitute(images) if images else dom.scalar(frak.scalar_part())
-
-    def extend_even_field(self, coeffs: dict) -> Derivation:
-        """Vector field sum c_x(base evens) d/dx on the lift space, constant
-        in the s coordinates."""
-        imgs = {}
-        for name, c in coeffs.items():
-            imgs[name] = c if isinstance(c, SuperPolynomial) else self.table.scalar(c)
-        return Derivation(self.table, EVEN, imgs, "X")
-
-
-def theta_lift(domain: SuperDomain, f: SuperPolynomial):
-    space = LiftSpace(domain)
-    return space, space.lift(f)
-
-
-def theta_lower(space: LiftSpace, frak: SuperPolynomial) -> SuperPolynomial:
-    return space.lower(space.reduce(frak))
+        return self.domain.table.adopt(frak.substitute(self._lower))
 
 
 def theta_lift_vectorfield_law(case: int, q: int):
@@ -376,30 +286,17 @@ def theta_lift_vectorfield_law(case: int, q: int):
         frak = space.reduce(_random_lift_poly(space, rng))
         f = space.lower(frak)
         if case == 3:
-            return dom.sym("et1") * d2(f) == theta_lower(space, Z(frak))
+            return dom.sym("et1") * d2(f) == space.lower(Z(frak))
         coeff = x ** rng.randint(0, 2) * rng.randint(-3, 3)
-        X = space.extend_even_field({"x": coeff})
-        lhs = _apply_even_field_on_base(dom, {"x": coeff}, f)
+        # the even field c(x) d/dx on the lift space (s-constant) and on the base
+        X = Derivation(space.table, EVEN, {"x": coeff}, "X")
+        lhs = Derivation(dom.table, EVEN, {"x": dom.table.adopt(coeff)}, "X")(f)
         if case == 1:
-            return lhs == theta_lower(space, X(frak))
+            return lhs == space.lower(X(frak))
         e12 = dom.sym("et1") * dom.sym("et2")
-        return e12 * lhs == theta_lower(space, space.s((1, 2)) * X(frak))
+        return e12 * lhs == space.lower(space.s((1, 2)) * X(frak))
 
     return law
-
-
-def _apply_even_field_on_base(dom: SuperDomain, coeffs, f):
-    imgs = {}
-    for name, c in coeffs.items():
-        imgs[name] = _transport(dom, c)
-    X = Derivation(dom.table, EVEN, imgs, "X")
-    return X(f)
-
-
-def _transport(dom: SuperDomain, poly: SuperPolynomial) -> SuperPolynomial:
-    """Copy a polynomial in shared even names into the domain table."""
-    images = {s.name: dom.sym(s.name) for s in poly.support()}
-    return poly.substitute(images) if images else dom.scalar(poly.scalar_part())
 
 
 def _random_lift_poly(space: LiftSpace, rng) -> SuperPolynomial:

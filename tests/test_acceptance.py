@@ -8,7 +8,7 @@ fail.
 
 import pytest
 
-from supergrass import divalg, minkowski, suites
+from supergrass import divalg, minkowski, superspace, suites
 from supergrass.matrix import Matrix
 
 CHECKS = [(suite, check_id, fn)
@@ -106,6 +106,22 @@ def test_product_that_drops_a_row_fails_qq_qqter_null(monkeypatch):
         (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]
         ok, _, _, _ = run_check(check_id, fn)
         assert not ok, check_id
+
+
+def test_lower_in_reversed_eta_order_fails_lift(monkeypatch):
+    """superspace.lift sees a lower that sends s_I to the etas of I in
+    reversed order: a ring map that still kills the relation ideal, but
+    flips the sign of every s_I with |I| = 2 against the base domain."""
+
+    def reversed_lower(self, frak):
+        dom = self.domain
+        return frak.substitute({name: dom.table.monomial(1, (), [self.odd_names[i - 1] for i in I[::-1]])
+                                for I, name in self.s_name.items()})
+
+    monkeypatch.setattr(superspace.LiftSpace, "lower", reversed_lower)
+    (fn,) = [fn for _suite, check_id, fn in CHECKS if check_id == "superspace.lift"]
+    ok, counterexample, _, _ = run_check("superspace.lift", fn)
+    assert not ok and counterexample == "case 2, q=4"
 
 
 def test_cases_run_and_skipped_are_counted():

@@ -343,6 +343,26 @@ def test_integral_and_zero_operands_meet_polynomials(alg):
         assert _over_table(H.unit(2) + H.zero_like(t.zero()), t)
 
 
+def test_constructors_take_the_zero_from_a_ring_slot():
+    """unit and the constructor read the ring off a slot with no
+    denominator, so one-ring + and * keep every slot in that ring; rational
+    slots keep the int zero."""
+    t = _envelope()
+    u = t.sym("et1") * t.sym("et2")
+    for x in (H.unit(1, u), DAElement(H, [u, 0, 0, 0])):
+        assert x.zero == t.zero() and x.zero.table is t
+        got = x + H.unit(2)
+        assert got.coeffs == [u, 1, 0, 0] and _over_table(got, t)
+        prod = x * H.unit(2)
+        assert prod.coeffs == [0, u, 0, 0] and _over_table(prod, t)
+        assert _over_table(H.unit(3) * x - x, t)
+    assert _over_table(H.unit(1, u), t)
+    g = H.unit(2, QI(0, 1))
+    assert type(g.zero) is QI and all(type(c) is QI for c in (g + H.unit(3)).coeffs)
+    assert type(H.unit(2, Fraction(1, 2)).zero) is int
+    assert type(DAElement(H, [Fraction(1, 3), 2, 0, 0]).zero) is int
+
+
 def test_scale_by_a_gaussian_rational_folds_the_denominator():
     rng = random.Random(67)
     for alg in (C, H, O):
@@ -358,7 +378,8 @@ def test_scale_by_a_gaussian_rational_folds_the_denominator():
 def test_gaussian_slots_with_the_int_zero(alg):
     """An element built as `minkowski.reduction_charges` builds its
     conjugates: Gaussian conjugates of a sum of a rational unit and an
-    I-unit, so the slots mix QI, Fraction and int under the int zero."""
+    I-unit.  The I-unit names the Gaussian ring, so the zero is a QI that
+    equals the int zero."""
     rng = random.Random(71 + alg.dim)
     for _ in range(20):
         a1, a2 = rng.sample(range(1, alg.dim + 1), 2)

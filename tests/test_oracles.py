@@ -1,11 +1,14 @@
 """Independent brute-force oracles for the sign-critical kernel paths.
 
 The product normalizer and the Berezin extraction each get a second,
-deliberately naive implementation; agreement is checked on random input.
+deliberately naive implementation, and the even integral is compared with
+sympy; agreement is checked on random input.
 """
 
 import random
 from fractions import Fraction
+
+import sympy
 
 from supergrass.kernel import Derivation, ODD, SuperPolynomial, SymbolTable
 from supergrass.superspace import SuperDomain, berezin
@@ -109,3 +112,43 @@ def rand_domain_poly(d, rng):
         od = [n for n in odd if rng.random() < 0.5]
         p = p + t.monomial(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), ev, od)
     return p
+
+
+def test_integrate_even_against_sympy():
+    """integrate_even over x, then over y, agrees with sympy.integrate on
+    every odd component of random polynomials in x and y, with rational
+    bounds in either order."""
+    X, Y = sympy.symbols("x y")
+    rng = random.Random(71)
+    d = SuperDomain(even=("x", "y"), theta=("th1", "th2"), eta=("et1",))
+    t = d.table
+    odd = ("th1", "th2", "et1")
+    monos = [(), ("th1",), ("th1", "th2"), ("th2", "et1"), ("th1", "th2", "et1")]
+
+    def rational(c):
+        return sympy.Rational(c.numerator, c.denominator)
+
+    def from_sympy(expr):
+        out = t.zero()
+        for (a, b), c in sympy.Poly(expr, X, Y).terms():
+            out = out + t.monomial(Fraction(int(c.p), int(c.q)), [("x", a), ("y", b)])
+        return out
+
+    for _ in range(12):
+        f, comps = t.zero(), {}
+        for od in monos:
+            comps[od] = sympy.Integer(0)
+            for _ in range(rng.randint(0, 4)):
+                c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                a, b = rng.randint(0, 4), rng.randint(0, 3)
+                comps[od] += rational(c) * X ** a * Y ** b
+                f = f + t.monomial(c, [("x", a), ("y", b)], od)
+        xlo, xhi, ylo, yhi = (Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(4))
+        gx = f.integrate_even("x", xlo, xhi)
+        gxy = gx.integrate_even("y", ylo, yhi)
+        for od, e in comps.items():
+            ex = sympy.integrate(e, (X, rational(xlo), rational(xhi)))
+            exy = sympy.integrate(ex, (Y, rational(ylo), rational(yhi)))
+            assert gx.coefficient_of_odd(od).free_of(odd) == from_sympy(ex)
+            assert gxy.coefficient_of_odd(od).free_of(odd) == from_sympy(exy)
+        assert not any(s.name == "x" for s in gx.support())

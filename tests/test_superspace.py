@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from supergrass.kernel import ParityError, SymbolTable
+from supergrass.indices import merge_sign
+from supergrass.kernel import ParityError, SuperPolynomial, SymbolTable
 from supergrass.suites import random_homogeneous
 from supergrass.superspace import (EvenGrassmannPoint, LiftSpace, SuperDomain,
                                    berezin, berezin_translation_check, body,
                                    hinf_extend, odd_translate, supertime,
-                                   theta_lift, theta_lift_vectorfield_law,
-                                   theta_lower)
+                                   theta_lift_vectorfield_law,
+                                   _random_lift_poly)
 
 
 def dom22():
@@ -44,9 +45,9 @@ def test_berezin_keeps_eta_dependence():
 
 
 def test_berezin_box_integration():
-    d = SuperDomain(even=("x",), theta=("th1", "th2"), eta=(), box=[(0, 1)])
+    d = SuperDomain(even=("x",), theta=("th1", "th2"), eta=())
     f = d.sym("th1") * d.sym("th2") * d.sym("x") ** 2
-    assert berezin(d, f) == d.scalar(Fraction(1, 3))
+    assert berezin(d, f).integrate_even("x", 0, 1) == d.scalar(Fraction(1, 3))
 
 
 def test_translation_invariance_explicit():
@@ -232,30 +233,33 @@ def test_lift_lower_round_trip():
     x = d.sym("x")
     f = x ** 2 + (d.sym("et1") * d.sym("et2")).scale(3) * x \
         + (d.sym("et1") * d.sym("et2") * d.sym("et3") * d.sym("et4")).scale(Fraction(1, 2))
-    space, frak = theta_lift(d, f)
-    assert theta_lower(space, frak) == f
+    space = LiftSpace(d)
+    frak = space.lift(f)
+    assert space.lower(frak) == f
     # lift chooses the s-linear representative
+    s_names = set(space.s_name.values())
     for (ev, _), _c in frak.terms.items():
-        assert sum(p for i, p in ev if space._s_index(i) is not None) <= 1
+        assert sum(p for i, p in ev if space.table.symbols[i].name in s_names) <= 1
     rng = random.Random(5)
     d6 = SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(6)))
+    space = LiftSpace(d6)
     for _ in range(40):
         f = random_homogeneous(d6.table, rng, 0)
-        space, frak = theta_lift(d6, f)
-        assert theta_lower(space, frak) == f
+        assert space.lower(space.lift(f)) == f
 
 
 def test_lift_of_one():
     d = SuperDomain(even=(), theta=(), eta=("et1", "et2"))
-    space, frak = theta_lift(d, d.one())
+    space = LiftSpace(d)
+    frak = space.lift(d.one())
     assert frak == space.table.one()
-    assert theta_lower(space, frak) == d.one()
+    assert space.lower(frak) == d.one()
 
 
 def test_lift_rejects_odd():
     d = SuperDomain(even=(), theta=(), eta=("et1", "et2"))
     with pytest.raises(ParityError):
-        theta_lift(d, d.sym("et1"))
+        LiftSpace(d).lift(d.sym("et1"))
 
 
 def test_ideal_reduction_confluent():
@@ -269,6 +273,63 @@ def test_ideal_reduction_confluent():
         b = space.reduce(picks[0] * space.reduce(picks[1] * picks[2]))
         c = space.reduce(picks[0] * picks[1] * picks[2])
         assert a == b == c
+
+
+def _reduce_oracle(space, frak):
+    # the former per-term LiftSpace.reduce: the s factors of each term merge
+    # through merge_sign into sign * s_(merged), or vanish on a repeat
+    s_index = {space.table.symbol(name).index: I for I, name in space.s_name.items()}
+    out = space.table.zero()
+    for (ev, od), c in frak.terms.items():
+        s_parts, rest = [], []
+        for i, p in ev:
+            if i in s_index:
+                s_parts.extend([s_index[i]] * p)
+            else:
+                rest.append((i, p))
+        if len(s_parts) <= 1:
+            out = out + SuperPolynomial(space.table, {(ev, od): c})
+            continue
+        ms = merge_sign(*s_parts)
+        if ms is not None:
+            sign, merged = ms
+            out = out + SuperPolynomial(space.table, {(tuple(rest), od): c * sign}) * space.s(merged)
+    return out
+
+
+def _lift_oracle(space, f):
+    # the former per-term LiftSpace.lift: c * x^a * eta^I goes to c * x^a * s_I
+    dom = space.domain.table
+    pos = {dom.symbol(n).index: k + 1 for k, n in enumerate(space.odd_names)}
+    out = space.table.zero()
+    for (ev, od), c in f.terms.items():
+        I = tuple(pos[i] for i in od)
+        ev = tuple(sorted((space.table.symbol(dom.symbols[i].name).index, p) for i, p in ev))
+        base = SuperPolynomial(space.table, {(ev, ()): c})
+        out = out + (base * space.s(I) if I else base)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_reduce_and_lift_against_per_term_oracles(q):
+    """reduce = lift . lower and the component-wise lift agree with the
+    per-term rewrites they replace, on polynomials with quadratic s terms
+    and on domains with thetas before the etas."""
+    rng = random.Random(40 + q)
+    k = q // 3
+    d = SuperDomain(even=("x",), theta=tuple(f"th{i+1}" for i in range(k)),
+                    eta=tuple(f"et{i+1}" for i in range(q - k)))
+    space = LiftSpace(d)
+    s_names = set(space.s_name.values())
+    quadratic = 0
+    for _ in range(30):
+        frak = _random_lift_poly(space, rng)
+        quadratic += any(sum(p for i, p in ev if space.table.symbols[i].name in s_names) >= 2
+                         for ev, _ in frak.terms)
+        assert space.reduce(frak) == _reduce_oracle(space, frak)
+        f = random_homogeneous(d.table, rng, 0)
+        assert space.lift(f) == _lift_oracle(space, f)
+    assert quadratic >= 10
 
 
 def test_example_lower_of_s12():
