@@ -33,12 +33,11 @@ class FieldSystem:
         for n in theta:
             t.odd_symbol(n)
         self.fields = tuple(fields)
+        self.order_of = {c: i for i, c in enumerate(self.coords)}
         self.jet_names = {}
-        order_of = {c: i for i, c in enumerate(self.coords)}
         for fname, parity in self.fields:
             for order in range(max_order + 1):
                 for J in combinations_with_replacement(self.coords, order):
-                    J = tuple(sorted(J, key=order_of.get))
                     name = fname if not J else f"{fname}_{''.join(J)}"
                     t.jet_symbol(name, parity, fname, J)
                     self.jet_names[(fname, J)] = name
@@ -51,8 +50,7 @@ class FieldSystem:
         return self.table.sym(name)
 
     def jet(self, field, *derivs):
-        order_of = {c: i for i, c in enumerate(self.coords)}
-        J = tuple(sorted(derivs, key=order_of.get))
+        J = tuple(sorted(derivs, key=self.order_of.get))
         return self.table.sym(self.jet_names[(field, J)])
 
     def zero(self):
@@ -65,12 +63,11 @@ class FieldSystem:
     def total_derivative(self, coord) -> Derivation:
         if coord in self._dops:
             return self._dops[coord]
-        order_of = {c: i for i, c in enumerate(self.coords)}
         imgs = {}
         for (fname, J), name in self.jet_names.items():
             if len(J) >= self.max_order:
                 continue
-            J2 = tuple(sorted(J + (coord,), key=order_of.get))
+            J2 = tuple(sorted(J + (coord,), key=self.order_of.get))
             imgs[name] = self.table.sym(self.jet_names[(fname, J2)])
         d = Derivation(self.table, EVEN, imgs, f"D_{coord}")
         self._dops[coord] = d
@@ -126,8 +123,8 @@ class Superpotential:
         self.coeffs = list(coeffs)
 
     @classmethod
-    def symbolic(cls, table, degree, prefix="a"):
-        return cls([table.sym(f"{prefix}{i}") for i in range(degree + 1)])
+    def symbolic(cls, table, degree):
+        return cls([table.sym(name) for name in symbolic_coeff_names(degree)])
 
     def derivative(self) -> "Superpotential":
         return Superpotential([c * i for i, c in enumerate(self.coeffs)][1:] or [0])
@@ -142,8 +139,8 @@ class Superpotential:
         return out
 
 
-def symbolic_coeff_names(degree, prefix="a"):
-    return tuple(f"{prefix}{i}" for i in range(degree + 1))
+def symbolic_coeff_names(degree):
+    return tuple(f"a{i}" for i in range(degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +150,7 @@ def symbolic_coeff_names(degree, prefix="a"):
 class Superparticle:
     """Phi^i = x^i + th psi^i on supertime, flat target of dimension n."""
 
-    def __init__(self, n=1, flesh=("et1", "et2"), modulated=False):
+    def __init__(self, n=1, modulated=False):
         fields = []
         for i in range(1, n + 1):
             fields.append((f"x{i}", EVEN))
@@ -161,11 +158,13 @@ class Superparticle:
         if modulated:
             fields.append(("chi", EVEN))
         self.n = n
-        self.fs = FieldSystem(("t",), fields, max_order=2, theta=("th",), flesh=flesh)
+        self.fs = FieldSystem(("t",), fields, max_order=2, theta=("th",), flesh=("et1", "et2"))
         self.th = self.fs.sym("th")
-        # th pairs with itself into the total time derivative
-        (self._D,), (self._tau,) = (odd_fields(self.fs.table, ("th",), {("th", "th"): self.dt()}, s)
-                                    for s in (-1, 1))
+        # D = d/dth - th d/dt and tau = d/dth + th d/dt on the superfield
+        # ring: th pairs with itself into the total time derivative
+        self.dt = self.fs.total_derivative("t")
+        (self.D,), (self.tau,) = (odd_fields(self.fs.table, ("th",), {("th", "th"): self.dt}, s)
+                                  for s in (-1, 1))
 
     def x(self, i, *J):
         return self.fs.jet(f"x{i}", *J)
@@ -176,25 +175,13 @@ class Superparticle:
     def superfield(self, i):
         return self.x(i) + self.th * self.ps(i)
 
-    def D(self) -> Derivation:
-        """d/dth - th d/dt on the superfield ring."""
-        return self._D
-
-    def tau(self) -> Derivation:
-        """d/dth + th d/dt on the superfield ring."""
-        return self._tau
-
-    def dt(self) -> Derivation:
-        return self.fs.total_derivative("t")
-
     # -- the action ---------------------------------------------------------
     def superdensity(self) -> SuperPolynomial:
         """-1/2 <D Phi, dPhi/dt>."""
-        D, dt = self.D(), self.dt()
         out = self.fs.zero()
         for i in range(1, self.n + 1):
             Phi = self.superfield(i)
-            out = out + D(Phi) * dt(Phi)
+            out = out + self.D(Phi) * self.dt(Phi)
         return out.scale(Fraction(-1, 2))
 
     def pair_velocity(self):
@@ -247,7 +234,7 @@ class Superparticle:
         want = (eta * self.fs.d("t", self.pair_velocity())).scale(Fraction(1, 2))
         return contraction == want
 
-    def modulated_variation_report(self):
+    def modulated_variation_ok(self) -> bool:
         """Split the chi-modulated variation into the chi and chi-dot parts
         and integrate the latter by parts."""
         fs = self.fs
@@ -260,12 +247,10 @@ class Superparticle:
         if part_chi.free_of(("chi",)):
             raise AssertionError("variation term without modulation factor")
         pair = self.pair_velocity()
-        ok0 = part_chi == (eta * chi * fs.d("t", pair)).scale(Fraction(1, 2))
-        ok1 = part_chit == (eta * chi_t * pair).scale(Fraction(3, 2))
         total_ibp = part_chi + integrate_by_parts_chi(fs, part_chit)
-        ok_total = total_ibp == -(eta * chi * fs.d("t", pair))
-        return {"chi_part": part_chi, "chidot_part": part_chit,
-                "chi_ok": ok0, "chidot_ok": ok1, "total_ok": ok_total}
+        return (part_chi == (eta * chi * fs.d("t", pair)).scale(Fraction(1, 2))
+                and part_chit == (eta * chi_t * pair).scale(Fraction(3, 2))
+                and total_ibp == -(eta * chi * fs.d("t", pair)))
 
     def noether_charge_conserved_on_shell(self) -> bool:
         """d/dt <psi, xdot> vanishes modulo the flat field equations."""
@@ -280,8 +265,8 @@ class Superparticle:
     def susy_algebra_ok(self) -> bool:
         """[Q_1, Q_2] = -2 et1 et2 d/dt on the fields, Q_i = -et_i tau."""
         e1, e2 = self.fs.sym("et1"), self.fs.sym("et2")
-        Q1 = self.tau().scale(-e1)
-        Q2 = self.tau().scale(-e2)
+        Q1 = self.tau.scale(-e1)
+        Q2 = self.tau.scale(-e2)
         br = super_bracket(Q1, Q2)
         want = -2 * (e1 * e2)
         for i in range(1, self.n + 1):
@@ -308,68 +293,53 @@ def integrate_by_parts_chi(fs: FieldSystem, p: SuperPolynomial) -> SuperPolynomi
 class Sigma32:
     """Phi = phi + th1 psi_1 + th2 psi_2 + th1 th2 F with superpotential h.
 
-    Base coordinates (t, x, y); the symmetric-slot derivatives are
-    d11 = dt + dx, d12 = dy, d22 = dt - dx.
+    Base coordinates (t, x, y); the symmetric-slot total derivatives are
+    D_(11) = D_t + D_x, D_(12) = D_(21) = D_y and D_(22) = D_t - D_x.
     """
 
     def __init__(self, h: Superpotential = None, h_degree=4, extra_even=()):
         names = symbolic_coeff_names(h_degree) if h is None else ()
-        self.fs = FieldSystem(
+        self.fs = fs = FieldSystem(
             ("t", "x", "y"),
             [("phi", EVEN), ("ps1", ODD), ("ps2", ODD), ("F", EVEN)],
             max_order=2,
             extra_even=tuple(names) + tuple(extra_even),
             theta=("th1", "th2"),
         )
-        self.h = h if h is not None else Superpotential.symbolic(self.fs.table, h_degree)
-        self.th1 = self.fs.sym("th1")
-        self.th2 = self.fs.sym("th2")
-        # th^a pairs with th^b through the slot total derivative D_(ab)
-        dt, dx, dy = (self.fs.total_derivative(c) for c in "txy")
-        T = {("th1", "th1"): dt + dx, ("th1", "th2"): dy, ("th2", "th1"): dy,
-             ("th2", "th2"): dt - dx}
-        self._D, self._tau = (odd_fields(self.fs.table, ("th1", "th2"), T, s) for s in (-1, 1))
-
-    # -- symmetric-slot total derivatives -------------------------------------
-    def d_ab(self, a, b, p):
-        fs = self.fs
-        if (a, b) in ((1, 1),):
-            return fs.d("t", p) + fs.d("x", p)
-        if (a, b) in ((2, 2),):
-            return fs.d("t", p) - fs.d("x", p)
-        return fs.d("y", p)
+        self.h = h if h is not None else Superpotential.symbolic(fs.table, h_degree)
+        self.th1 = fs.sym("th1")
+        self.th2 = fs.sym("th2")
+        dt, dx, dy = (fs.total_derivative(c) for c in "txy")
+        self.slot = {(1, 1): dt + dx, (1, 2): dy, (2, 1): dy, (2, 2): dt - dx}
+        # D_a = d_a - th^b D_(ab) and tau_a = d_a + th^b D_(ab): th^a pairs
+        # with th^b through the slot total derivative
+        T = {(f"th{a}", f"th{b}"): d for (a, b), d in self.slot.items()}
+        self.D, self.tau = (odd_fields(fs.table, ("th1", "th2"), T, s) for s in (-1, 1))
+        # h(phi), h'(phi), h''(phi), h'''(phi)
+        phi = fs.jet("phi")
+        self.h_phi = [self.h.apply(phi)]
+        hk = self.h
+        for _ in range(3):
+            hk = hk.derivative()
+            self.h_phi.append(hk.apply(phi))
 
     def superfield(self):
         fs = self.fs
         return (fs.jet("phi") + self.th1 * fs.jet("ps1") + self.th2 * fs.jet("ps2")
                 + self.th1 * self.th2 * fs.jet("F"))
 
-    def D_operator(self, a) -> Derivation:
-        """D_a = d_a - th^b D_(ab) on the superfield ring, with the slot total
-        derivatives D_(11) = D_t + D_x, D_(12) = D_(21) = D_y and
-        D_(22) = D_t - D_x."""
-        return self._D[a - 1]
-
-    def tau_operator(self, a) -> Derivation:
-        """tau_a = d_a + th^b D_(ab)."""
-        return self._tau[a - 1]
-
     # -- displayed expansions ---------------------------------------------------
     def cal_D(self, a):
-        """(cal D psi)_1 = d12 ps1 - d11 ps2, (cal D psi)_2 = d22 ps1 - d12 ps2."""
-        fs = self.fs
-        p1, p2 = fs.jet("ps1"), fs.jet("ps2")
-        if a == 1:
-            return self.d_ab(1, 2, p1) - self.d_ab(1, 1, p2)
-        return self.d_ab(2, 2, p1) - self.d_ab(1, 2, p2)
+        """(cal D psi)_1 = D_(12) ps1 - D_(11) ps2, (cal D psi)_2 = D_(22) ps1 - D_(21) ps2."""
+        return self.slot[a, 2](self.fs.jet("ps1")) - self.slot[a, 1](self.fs.jet("ps2"))
 
     def d_phi(self, a, b):
-        return self.d_ab(a, b, self.fs.jet("phi"))
+        return self.slot[a, b](self.fs.jet("phi"))
 
     def dphi_expansions_ok(self) -> bool:
         fs = self.fs
         Phi = self.superfield()
-        D1, D2 = self.D_operator(1), self.D_operator(2)
+        D1, D2 = self.D
         th1, th2 = self.th1, self.th2
         F = fs.jet("F")
         want1 = (fs.jet("ps1") - th1 * self.d_phi(1, 1) + th2 * (F - self.d_phi(2, 1))
@@ -387,7 +357,7 @@ class Sigma32:
         component forms."""
         fs = self.fs
         Phi = self.superfield()
-        D1, D2 = self.D_operator(1), self.D_operator(2)
+        D1, D2 = self.D
         quarter = (D1(Phi) * D2(Phi) - D2(Phi) * D1(Phi)).scale(Fraction(1, 4))
         top = quarter.coefficient_of_odd(("th1", "th2"))
         F = fs.jet("F")
@@ -405,49 +375,43 @@ class Sigma32:
         """h(Phi) = h(phi) + h'(phi)(th1 ps1 + th2 ps2 + th1 th2 F)
         - h''(phi) th1 th2 ps1 ps2."""
         fs = self.fs
-        phi = fs.jet("phi")
-        hp = self.h.derivative()
-        hpp = hp.derivative()
+        h, hp, hpp, _ = self.h_phi
         lhs = self.h.apply(self.superfield())
         odd_sum = self.th1 * fs.jet("ps1") + self.th2 * fs.jet("ps2") \
             + self.th1 * self.th2 * fs.jet("F")
-        rhs = self.h.apply(phi) + hp.apply(phi) * odd_sum \
-            - hpp.apply(phi) * (self.th1 * self.th2 * (fs.jet("ps1") * fs.jet("ps2")))
+        rhs = h + hp * odd_sum - hpp * (self.th1 * self.th2 * (fs.jet("ps1") * fs.jet("ps2")))
         return lhs == rhs
 
     def lagrangian(self) -> SuperPolynomial:
         """Berezin integral of (1/4) eps^(ab) D_a Phi D_b Phi + h(Phi)."""
         Phi = self.superfield()
-        D1, D2 = self.D_operator(1), self.D_operator(2)
+        D1, D2 = self.D
         supd = (D1(Phi) * D2(Phi) - D2(Phi) * D1(Phi)).scale(Fraction(1, 4)) \
             + self.h.apply(Phi)
         return supd.coefficient_of_odd(("th1", "th2"))
 
     def component_action_ok(self) -> bool:
         fs = self.fs
-        phi, F = fs.jet("phi"), fs.jet("F")
-        hp = self.h.derivative()
-        hpp = hp.derivative()
+        F = fs.jet("F")
+        _, hp, hpp, _ = self.h_phi
         pt, px, py = fs.jet("phi", "t"), fs.jet("phi", "x"), fs.jet("phi", "y")
         want = (pt * pt - px * px - py * py).scale(Fraction(1, 2)) \
             + self.psi_cal_D_psi().scale(Fraction(1, 2)) \
-            - hpp.apply(phi) * fs.jet("ps1") * fs.jet("ps2") \
-            + (F * F).scale(Fraction(1, 2)) + hp.apply(phi) * F
+            - hpp * fs.jet("ps1") * fs.jet("ps2") \
+            + (F * F).scale(Fraction(1, 2)) + hp * F
         return self.lagrangian() == want
 
     def completed_square_ok(self) -> bool:
         """L = (1/2)[phi_t^2 - |grad phi|^2 + psi cal-D psi - 2 h'' ps1 ps2
         - h'(phi)^2] + (1/2)(F + h'(phi))^2."""
         fs = self.fs
-        phi, F = fs.jet("phi"), fs.jet("F")
-        hp = self.h.derivative()
-        hpp = hp.derivative()
+        F = fs.jet("F")
+        _, hp, hpp, _ = self.h_phi
         pt, px, py = fs.jet("phi", "t"), fs.jet("phi", "x"), fs.jet("phi", "y")
-        hp_phi = hp.apply(phi)
         bulk = (pt * pt - px * px - py * py + self.psi_cal_D_psi()
-                - (hpp.apply(phi) * fs.jet("ps1") * fs.jet("ps2")).scale(2)
-                - hp_phi * hp_phi).scale(Fraction(1, 2))
-        square = ((F + hp_phi) * (F + hp_phi)).scale(Fraction(1, 2))
+                - (hpp * fs.jet("ps1") * fs.jet("ps2")).scale(2)
+                - hp * hp).scale(Fraction(1, 2))
+        square = ((F + hp) * (F + hp)).scale(Fraction(1, 2))
         return self.lagrangian() == bulk + square
 
     # -- Euler-Lagrange system ----------------------------------------------------
@@ -469,22 +433,17 @@ class Sigma32:
         the first)."""
         fs = self.fs
         eqs = self.euler_equations()
-        phi = fs.jet("phi")
-        hp = self.h.derivative()
-        hpp = hp.derivative()
-        hppp = hpp.derivative()
-        if eqs["F"] != fs.jet("F") + hp.apply(phi):
+        _, hp, hpp, hppp = self.h_phi
+        if eqs["F"] != fs.jet("F") + hp:
             return False
         # psi equations: cal-D psi = h'' psi with the eps twist
-        if eqs["ps1"] != self.cal_D(2) - hpp.apply(phi) * fs.jet("ps2"):
+        if eqs["ps1"] != self.cal_D(2) - hpp * fs.jet("ps2"):
             return False
-        if eqs["ps2"] != -(self.cal_D(1) - hpp.apply(phi) * fs.jet("ps1")):
+        if eqs["ps2"] != -(self.cal_D(1) - hpp * fs.jet("ps1")):
             return False
         # phi equation after eliminating F by its own equation
-        elim = {"F": -hp.apply(phi)}
-        got = eqs["phi"].substitute(elim)
-        want = -(self.box_phi() + hpp.apply(phi) * hp.apply(phi)
-                 + hppp.apply(phi) * fs.jet("ps1") * fs.jet("ps2"))
+        got = eqs["phi"].substitute({"F": -hp})
+        want = -(self.box_phi() + hpp * hp + hppp * fs.jet("ps1") * fs.jet("ps2"))
         return got == want
 
 
@@ -521,32 +480,24 @@ class BpsSystem:
         self.fs = self.model.fs
         self.c = self.fs.sym("c")
         self.s = self.fs.sym("s")
-
-    def reduce(self, p):
-        return trig_reduce(p)
+        self.cos2a = (self.c * self.c).scale(2) - 1
+        self.sin2a = (self.c * self.s).scale(2)
 
     def constraint_components(self):
         """theta coefficients of (c tau_1 + s tau_2) Phi with psi = 0."""
         fs = self.fs
         Phi0 = fs.jet("phi") + self.model.th1 * self.model.th2 * fs.jet("F")
-        t1 = self.model.tau_operator(1)(Phi0)
-        t2 = self.model.tau_operator(2)(Phi0)
-        combo = self.c * t1 + self.s * t2
+        tau1, tau2 = self.model.tau
+        combo = self.c * tau1(Phi0) + self.s * tau2(Phi0)
         eq1 = combo.coefficient_of_odd(("th1",)).free_of(("th1", "th2"))
         eq2 = combo.coefficient_of_odd(("th2",)).free_of(("th1", "th2"))
         return eq1, eq2
 
-    def cos2a(self):
-        return (self.c * self.c).scale(2) - 1
-
-    def sin2a(self):
-        return (self.c * self.s).scale(2)
-
     def X_apply(self, p):
-        return self.reduce(self.cos2a() * self.fs.d("x", p) + self.sin2a() * self.fs.d("y", p))
+        return trig_reduce(self.cos2a * self.fs.d("x", p) + self.sin2a * self.fs.d("y", p))
 
     def Y_apply(self, p):
-        return self.reduce(-(self.sin2a() * self.fs.d("x", p)) + self.cos2a() * self.fs.d("y", p))
+        return trig_reduce(-(self.sin2a * self.fs.d("x", p)) + self.cos2a * self.fs.d("y", p))
 
     def first_order_pair(self):
         """R1 = phi_t + X phi and R2 = Y phi - h'(phi) from the constraint,
@@ -554,15 +505,15 @@ class BpsSystem:
         eq1, eq2 = self.constraint_components()
         fs = self.fs
         phi = fs.jet("phi")
-        r1 = self.reduce(self.c * eq1 + self.s * eq2)
-        want1 = self.reduce(fs.jet("phi", "t") + self.X_apply(phi))
+        r1 = trig_reduce(self.c * eq1 + self.s * eq2)
+        want1 = trig_reduce(fs.jet("phi", "t") + self.X_apply(phi))
         if r1 != want1:
             raise AssertionError("R1 combination mismatch")
-        r2f = self.reduce(-(self.s * eq1) + self.c * eq2)
-        hp = self.model.h.derivative()
+        r2f = trig_reduce(-(self.s * eq1) + self.c * eq2)
+        hp = self.model.h_phi[1]
         # -s eq1 + c eq2 = Y phi + F; eliminating F by F = -h'(phi):
-        r2 = r2f.substitute({"F": -hp.apply(phi)})
-        want2 = self.reduce(self.Y_apply(phi) - hp.apply(phi))
+        r2 = r2f.substitute({"F": -hp})
+        want2 = trig_reduce(self.Y_apply(phi) - hp)
         if r2 != want2:
             raise AssertionError("R2 combination mismatch")
         return want1, want2
@@ -574,7 +525,7 @@ class BpsSystem:
             target = next((s for s in p.support()
                            if s.jet_base == "phi" and "t" in s.jet_derivs), None)
             if target is None:
-                return self.reduce(p)
+                return trig_reduce(p)
             rest = tuple(c for c in target.jet_derivs if c != "t") \
                 + tuple("t" for _ in range(target.jet_derivs.count("t") - 1))
             img = -self.fs.d_multi(rest, self.X_apply(fs.jet("phi")))
@@ -586,29 +537,23 @@ class BpsSystem:
         Y^2 phi - h'' h' = Y(R2) + h''(phi) R2."""
         fs = self.fs
         phi = fs.jet("phi")
-        hp = self.model.h.derivative()
-        hpp = hp.derivative()
+        _, hp, hpp, _ = self.model.h_phi
         first = self.eliminate_t(fs.jet("phi", "t", "t") - self.X_apply(self.X_apply(phi)))
         if not first.is_zero():
             return False
         _, r2 = self.first_order_pair()
-        lhs = self.reduce(self.Y_apply(self.Y_apply(phi))
-                          - hpp.apply(phi) * hp.apply(phi))
-        cert = self.reduce(self.Y_apply(r2) + hpp.apply(phi) * r2)
+        lhs = trig_reduce(self.Y_apply(self.Y_apply(phi)) - hpp * hp)
+        cert = trig_reduce(self.Y_apply(r2) + hpp * r2)
         return lhs == cert
 
     def wave_equation_ok(self) -> bool:
         """box phi + h''(phi) h'(phi) reduces to zero modulo the first-order
         system: eliminate t by R1, then subtract the R2 certificate."""
-        fs = self.fs
-        phi = fs.jet("phi")
-        hp = self.model.h.derivative()
-        hpp = hp.derivative()
+        _, hp, hpp, _ = self.model.h_phi
         _, r2 = self.first_order_pair()
-        target = self.eliminate_t(self.model.box_phi()
-                                  + hpp.apply(phi) * hp.apply(phi))
-        cert = self.reduce(self.Y_apply(r2) + hpp.apply(phi) * r2)
-        return self.reduce(target + cert).is_zero()
+        target = self.eliminate_t(self.model.box_phi() + hpp * hp)
+        cert = trig_reduce(self.Y_apply(r2) + hpp * r2)
+        return trig_reduce(target + cert).is_zero()
 
     def quarter_turn_case_ok(self) -> bool:
         """s = c (with c^2 = 1/2): the constraints become
@@ -617,16 +562,15 @@ class BpsSystem:
         eq1, eq2 = self.constraint_components()
         eq1 = eq1.substitute({"s": self.c})
         eq2 = eq2.substitute({"s": self.c})
-        hp = self.model.h.derivative()
-        phi = fs.jet("phi")
+        hp = self.model.h_phi[1]
         plus = eq1 + eq2
         minus = eq1 - eq2
         want_plus = (self.c * (fs.jet("phi", "t") + fs.jet("phi", "y"))).scale(2)
         want_minus = (self.c * (fs.jet("phi", "x") - fs.jet("F"))).scale(2)
         if plus != want_plus or minus != want_minus:
             return False
-        constrained = minus.substitute({"F": -hp.apply(phi)})
-        return constrained == (self.c * (fs.jet("phi", "x") + hp.apply(phi))).scale(2)
+        constrained = minus.substitute({"F": -hp})
+        return constrained == (self.c * (fs.jet("phi", "x") + hp)).scale(2)
 
 
 def bogomolnyi_identity_ok(h_degree=4) -> bool:

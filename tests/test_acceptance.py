@@ -8,7 +8,7 @@ fail.
 
 import pytest
 
-from supergrass import divalg, minkowski, superspace, suites
+from supergrass import divalg, minkowski, models, superspace, suites
 from supergrass.matrix import Matrix
 
 CHECKS = [(suite, check_id, fn)
@@ -122,6 +122,19 @@ def test_lower_in_reversed_eta_order_fails_lift(monkeypatch):
     (fn,) = [fn for _suite, check_id, fn in CHECKS if check_id == "superspace.lift"]
     ok, counterexample, _, _ = run_check("superspace.lift", fn)
     assert not ok and counterexample == "case 2, q=4"
+
+
+@pytest.mark.parametrize("check_id, counterexample", [("models.sigma", "superpotential"),
+                                                      ("models.bps", "second order")])
+def test_underived_superpotential_fails_models(monkeypatch, check_id, counterexample):
+    """With h' = h every model law built from h_phi sees h(phi) where
+    h'(phi) belongs; the first such law must fail.  This shows each law
+    compares h_phi against h applied to the superfield or against a total
+    derivative, not h_phi against itself."""
+    monkeypatch.setattr(models.Superpotential, "derivative", lambda self: self)
+    (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]
+    ok, got, _, _ = run_check(check_id, fn)
+    assert not ok and got == counterexample
 
 
 def test_cases_run_and_skipped_are_counted():

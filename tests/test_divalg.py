@@ -92,23 +92,6 @@ def test_gamma_H_23():
     assert gamma_constants(H).get((2, 3, 4), 0) == -1
 
 
-def test_clifford_envelope_isomorphic_to_C():
-    # kernel envelope on one generator with B = 1 vs the divalg complex
-    # plane: 1 -> u_1, eps -> u_2, comparing products on the basis
-    t = SymbolTable()
-    t.clifford_symbol("eps", 1)
-    basis_k = [t.one(), t.sym("eps")]
-    basis_c = [C.one(), C.unit(2)]
-    for i in range(2):
-        for j in range(2):
-            prod_k = basis_k[i] * basis_k[j]
-            prod_c = basis_c[i] * basis_c[j]
-            # expand both in their bases and compare coefficients
-            ck = [prod_k.terms.get(((), ()), Fraction(0)),
-                  prod_k.terms.get(((), (0,)), Fraction(0))]
-            assert ck == prod_c.coeffs
-
-
 def test_polynomial_coefficients():
     # coefficients drawn from a Grassmann envelope multiply in order
     t = SymbolTable()
