@@ -212,9 +212,6 @@ class DAElement:
     def __bool__(self):
         return any(self.num)
 
-    def is_zero(self):
-        return not self
-
     def __eq__(self, other):
         if not isinstance(other, DAElement):
             return NotImplemented

@@ -1,4 +1,4 @@
-"""Text DSL and JSON serialization for polynomials and derivations.
+"""Text DSL and JSON serialization for polynomials; the derivation printer.
 
 Grammar (PEG, whitespace-insensitive)::
 
@@ -15,7 +15,9 @@ Grammar (PEG, whitespace-insensitive)::
 Symbol naming convention in text: th<i> for the domain odd coordinates,
 et<i> for auxiliary odd parameters, eps for the Clifford generator with
 square -1, u<i> for division-algebra basis slots, field jets as phi_t,
-psi1_xx.  parse/print round-trips exactly on canonical forms.  Atoms nest
+psi1_xx.  parse/print round-trips exactly on canonical forms.  The
+evaluator knows polynomials only: D[name](..) is an unknown symbol and
+[ , ] a type error (`supergrass bracket` computes brackets).  Atoms nest
 at most MAX_NESTING deep, and a zero denominator is a syntax error, so bad
 input fails with DslSyntaxError rather than a Python error.
 """
@@ -27,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import Derivation, SuperPolynomial, SymbolTable, super_bracket
+from .kernel import Derivation, SuperPolynomial, SymbolTable
 from .scalars import QI, format_scalar, parse_scalar
 
 
@@ -313,12 +315,11 @@ def _pr(node, prec):
 # ---------------------------------------------------------------------------
 
 class Context:
-    """Names visible to the evaluator: a symbol table, named derivations and
-    an optional list of odd coordinates that ber(...) integrates out."""
+    """Names visible to the evaluator: a symbol table and an optional list of
+    odd coordinates that ber(...) integrates out."""
 
-    def __init__(self, table: SymbolTable, derivations=None, berezin_names=()):
+    def __init__(self, table: SymbolTable, berezin_names=()):
         self.table = table
-        self.derivations = dict(derivations or {})
         self.berezin_names = tuple(berezin_names)
 
     def evaluate(self, node):
@@ -332,30 +333,16 @@ def _eval(node, ctx: Context):
     if isinstance(node, ImagLit):
         return t.scalar(QI(0, 1))
     if isinstance(node, Sym):
-        if node.name in ctx.derivations:
-            return ctx.derivations[node.name]
         if node.name not in t:
             raise UnknownSymbolError(node.name)
         return t.sym(node.name)
     if isinstance(node, Add):
-        vals = [_eval(p, ctx) for p in node.parts]
-        if all(isinstance(v, Derivation) for v in vals):
-            out = vals[0]
-            for v in vals[1:]:
-                out = out + v
-            return out
         out = t.zero()
-        for v in vals:
-            out = out + v
+        for p in node.parts:
+            out = out + _eval(p, ctx)
         return out
     if isinstance(node, Mul):
         vals = [_eval(p, ctx) for p in node.parts]
-        if isinstance(vals[-1], Derivation):
-            deriv = vals[-1]
-            coeff = t.one()
-            for v in vals[:-1]:
-                coeff = coeff * v
-            return deriv.scale(coeff)
         out = t.one()
         for v in vals:
             out = out * v
@@ -363,18 +350,13 @@ def _eval(node, ctx: Context):
     if isinstance(node, Pow):
         return _eval(node.base, ctx) ** node.exp
     if isinstance(node, Neg):
-        v = _eval(node.arg, ctx)
-        return v.scale(-1) if isinstance(v, Derivation) else -v
+        return -_eval(node.arg, ctx)
     if isinstance(node, DApp):
-        if node.name not in ctx.derivations:
-            raise UnknownSymbolError(node.name)
-        return ctx.derivations[node.name](_eval(node.arg, ctx))
+        raise UnknownSymbolError(node.name)
     if isinstance(node, Bracket):
-        a = _eval(node.left, ctx)
-        b = _eval(node.right, ctx)
-        if not (isinstance(a, Derivation) and isinstance(b, Derivation)):
-            raise DslTypeError("[ , ] needs two derivations")
-        return super_bracket(a, b)
+        _eval(node.left, ctx)
+        _eval(node.right, ctx)
+        raise DslTypeError("[ , ] needs two derivations")
     if isinstance(node, Ber):
         return _eval(node.arg, ctx).coefficient_of_odd(ctx.berezin_names)
     raise TypeError(f"not an AST node: {node!r}")

@@ -45,8 +45,6 @@ from .scalars import QI, frac
 EVEN = 0
 ODD = 1
 
-KINDS = ("even", "odd", "clifford", "even_jet", "odd_jet")
-
 
 class TableMismatchError(ValueError):
     pass
@@ -78,13 +76,9 @@ MAX_COEFF_BITS = 1 << 16
 class Symbol:
     name: str
     parity: int
-    kind: str
     index: int
     # clifford generators: eps*eps = -square; odd generators square to 0
     square: int | Fraction = 0
-    # jet symbols remember their field and derivative multi-index
-    jet_base: Optional[str] = None
-    jet_derivs: tuple = ()
 
 
 class SymbolTable:
@@ -106,28 +100,22 @@ class SymbolTable:
         self._by_name: dict[str, Symbol] = {}
 
     # -- declaration ------------------------------------------------------
-    def _add(self, name, parity, kind, square=0, jet_base=None, jet_derivs=()):
+    def _add(self, name, parity, square=0):
         if name in self._by_name:
             raise ValueError(f"duplicate symbol {name!r}")
-        if kind not in KINDS:
-            raise ValueError(f"unknown symbol kind {kind!r}")
-        s = Symbol(name, parity, kind, len(self.symbols), _coef(square), jet_base, tuple(jet_derivs))
+        s = Symbol(name, parity, len(self.symbols), _coef(square))
         self.symbols.append(s)
         self._by_name[name] = s
         return s
 
     def even_symbol(self, name):
-        return self._add(name, EVEN, "even")
+        return self._add(name, EVEN)
 
     def odd_symbol(self, name):
-        return self._add(name, ODD, "odd")
+        return self._add(name, ODD)
 
     def clifford_symbol(self, name, square=1):
-        return self._add(name, ODD, "clifford", square=square)
-
-    def jet_symbol(self, name, parity, base, derivs):
-        kind = "even_jet" if parity == EVEN else "odd_jet"
-        return self._add(name, parity, kind, jet_base=base, jet_derivs=derivs)
+        return self._add(name, ODD, square)
 
     # -- lookup -----------------------------------------------------------
     def __contains__(self, name):
@@ -629,7 +617,7 @@ class Derivation:
             name = self.table.symbols[i].name
             v = self.images.get(i, self.table.zero()) + other.images.get(i, self.table.zero())
             imgs[name] = v
-        return Derivation(self.table, self.parity, imgs, f"({self.label}+{other.label})")
+        return Derivation(self.table, self.parity, imgs)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -638,11 +626,11 @@ class Derivation:
         """Multiply on the left by a scalar or homogeneous polynomial."""
         if isinstance(c, (int, Fraction, QI)):
             imgs = {self.table.symbols[i].name: v.scale(c) for i, v in self.images.items()}
-            return Derivation(self.table, self.parity, imgs, f"{self.table.scalar(c)}*{self.label}")
+            return Derivation(self.table, self.parity, imgs)
         p = c.parity()
         par = self.parity if p is None else (self.parity + p) % 2
         imgs = {self.table.symbols[i].name: c * v for i, v in self.images.items()}
-        return Derivation(self.table, par, imgs, f"{c}*{self.label}")
+        return Derivation(self.table, par, imgs)
 
     def is_zero(self):
         return all(v.is_zero() for v in self.images.values())
@@ -685,7 +673,7 @@ def super_bracket(X: Derivation, Y: Derivation) -> Derivation:
         v = X(Y.images.get(i, zero)) - sign * Y(X.images.get(i, zero))
         if v:
             imgs[X.table.symbols[i].name] = v
-    return Derivation(X.table, (X.parity + Y.parity) % 2, imgs, f"[{X.label},{Y.label}]")
+    return Derivation(X.table, (X.parity + Y.parity) % 2, imgs)
 
 
 def odd_fields(table, thetas, T, sign) -> list:
@@ -755,8 +743,8 @@ def cartan_triple(n: int, xi_components):
     """Differential forms on R^n as odd generators dx^i, with the operators
     d, contraction by xi and the Lie derivative along xi.
 
-    xi_components: list of n polynomial-building callables or polynomials in
-    the returned table's even symbols (checked to be even, polynomial).
+    xi_components: list of n callables, each building from the returned
+    table a polynomial in its even symbols (checked to be even).
     Returns (table, d, iota, lie) with lie = [d, iota].
     """
     if n < 1:
@@ -764,15 +752,9 @@ def cartan_triple(n: int, xi_components):
     table = SymbolTable()
     xs = [table.even_symbol(f"x{i+1}").name for i in range(n)]
     dxs = [table.odd_symbol(f"dx{i+1}").name for i in range(n)]
-    comps = []
-    for c in xi_components:
-        if callable(c):
-            c = c(table)
-        if isinstance(c, (int, Fraction, QI)):
-            c = table.scalar(c)
-        if any(s.parity == ODD for s in c.support()):
-            raise ValueError("vector field components must be even polynomials")
-        comps.append(c)
+    comps = [c(table) for c in xi_components]
+    if any(s.parity == ODD for c in comps for s in c.support()):
+        raise ValueError("vector field components must be even polynomials")
     if len(comps) != n:
         raise ValueError("need one component per coordinate")
 

@@ -14,19 +14,22 @@ from itertools import combinations_with_replacement
 
 from .kernel import EVEN, ODD, Derivation, SuperPolynomial, SymbolTable, odd_fields, super_bracket
 
+# Jets up to second order: the field equations of a first-order Lagrangian.
+JET_ORDER = 2
+
 
 class FieldSystem:
     """Jet coordinates for fields over base coordinates.
 
     Jet symbols are named <field> or <field>_<letters> with the derivative
     letters sorted in base-coordinate order; parities follow the fields.
-    Total derivatives are defined on jets of order < max_order and refuse
+    jet_names maps (field, J) to the jet name and jet_of is its inverse.
+    Total derivatives are defined on jets of order < JET_ORDER and refuse
     polynomials that already contain top-order jets.
     """
 
-    def __init__(self, coords, fields, max_order=2, extra_even=(), theta=(), flesh=()):
+    def __init__(self, coords, fields, extra_even=(), theta=(), flesh=()):
         self.coords = tuple(coords)
-        self.max_order = max_order
         t = SymbolTable()
         for n in extra_even:
             t.even_symbol(n)
@@ -36,11 +39,13 @@ class FieldSystem:
         self.order_of = {c: i for i, c in enumerate(self.coords)}
         self.jet_names = {}
         for fname, parity in self.fields:
-            for order in range(max_order + 1):
+            declare = t.even_symbol if parity == EVEN else t.odd_symbol
+            for order in range(JET_ORDER + 1):
                 for J in combinations_with_replacement(self.coords, order):
                     name = fname if not J else f"{fname}_{''.join(J)}"
-                    t.jet_symbol(name, parity, fname, J)
+                    declare(name)
                     self.jet_names[(fname, J)] = name
+        self.jet_of = {name: key for key, name in self.jet_names.items()}
         for n in flesh:
             t.odd_symbol(n)
         self.table = t
@@ -65,7 +70,7 @@ class FieldSystem:
             return self._dops[coord]
         imgs = {}
         for (fname, J), name in self.jet_names.items():
-            if len(J) >= self.max_order:
+            if len(J) >= JET_ORDER:
                 continue
             J2 = tuple(sorted(J + (coord,), key=self.order_of.get))
             imgs[name] = self.table.sym(self.jet_names[(fname, J2)])
@@ -75,8 +80,8 @@ class FieldSystem:
 
     def _check_order(self, p: SuperPolynomial):
         for s in p.support():
-            if s.jet_base is not None and len(s.jet_derivs) >= self.max_order:
-                raise ValueError(f"{s.name}: jet order exhausted; raise max_order")
+            if s.name in self.jet_of and len(self.jet_of[s.name][1]) >= JET_ORDER:
+                raise ValueError(f"{s.name}: jet order {JET_ORDER} exhausted")
 
     def d(self, coord, p: SuperPolynomial) -> SuperPolynomial:
         self._check_order(p)
@@ -158,7 +163,7 @@ class Superparticle:
         if modulated:
             fields.append(("chi", EVEN))
         self.n = n
-        self.fs = FieldSystem(("t",), fields, max_order=2, theta=("th",), flesh=("et1", "et2"))
+        self.fs = FieldSystem(("t",), fields, theta=("th",), flesh=("et1", "et2"))
         self.th = self.fs.sym("th")
         # D = d/dth - th d/dt and tau = d/dth + th d/dt on the superfield
         # ring: th pairs with itself into the total time derivative
@@ -302,7 +307,6 @@ class Sigma32:
         self.fs = fs = FieldSystem(
             ("t", "x", "y"),
             [("phi", EVEN), ("ps1", ODD), ("ps2", ODD), ("F", EVEN)],
-            max_order=2,
             extra_even=tuple(names) + tuple(extra_even),
             theta=("th1", "th2"),
         )
@@ -522,14 +526,13 @@ class BpsSystem:
         """Substitute phi_(t J) -> -(X phi)_J recursively (prolonged R1)."""
         fs = self.fs
         while True:
-            target = next((s for s in p.support()
-                           if s.jet_base == "phi" and "t" in s.jet_derivs), None)
-            if target is None:
+            jets = filter(None, (fs.jet_of.get(s.name) for s in p.support()))
+            J = next((J for field, J in jets if field == "phi" and "t" in J), None)
+            if J is None:
                 return trig_reduce(p)
-            rest = tuple(c for c in target.jet_derivs if c != "t") \
-                + tuple("t" for _ in range(target.jet_derivs.count("t") - 1))
-            img = -self.fs.d_multi(rest, self.X_apply(fs.jet("phi")))
-            p = p.substitute({target.name: img})
+            rest = tuple(c for c in J if c != "t") + ("t",) * (J.count("t") - 1)
+            img = -fs.d_multi(rest, self.X_apply(fs.jet("phi")))
+            p = p.substitute({fs.jet_names["phi", J]: img})
 
     def second_order_consequences_ok(self) -> bool:
         """(d_t^2 - X^2) phi = 0 under prolonged R1, and Y^2 phi - h'' h'
@@ -577,7 +580,7 @@ def bogomolnyi_identity_ok(h_degree=4) -> bool:
     """(1/2)[phi_t^2 + phi_x^2 + h'(phi)^2]
     = (1/2)[phi_t^2 + (phi_x -/+ h'(phi))^2 +/- 2 d_x(h(phi))], both signs."""
     names = symbolic_coeff_names(h_degree)
-    fs = FieldSystem(("t", "x"), [("phi", EVEN)], max_order=2, extra_even=names)
+    fs = FieldSystem(("t", "x"), [("phi", EVEN)], extra_even=names)
     h = Superpotential.symbolic(fs.table, h_degree)
     hp = h.derivative()
     phi = fs.jet("phi")

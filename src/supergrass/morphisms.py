@@ -24,13 +24,11 @@ class ChartAssumptionError(ValueError):
     """xi_I xi_J y != 0 for the reported pair."""
 
     def __init__(self, pair):
-        self.pair = pair
         super().__init__(f"chart assumption fails for index pair {pair}")
 
 
 class CommutationError(ValueError):
     def __init__(self, pair):
-        self.pair = pair
         super().__init__(f"vector fields at {pair} do not commute")
 
 
@@ -130,13 +128,12 @@ def morphism_check(m: FleshMorphism, f, g, rng) -> bool:
     mu = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
     f = m.table.adopt(f)
     g = m.table.adopt(g)
-    if m.pullback_even(f.scale(lam) + g.scale(mu)) != \
-            m.pullback_even(f).scale(lam) + m.pullback_even(g).scale(mu):
+    pf, pg, pfg = (m.pullback_even(h) for h in (f, g, f * g))
+    if m.pullback_even(f.scale(lam) + g.scale(mu)) != pf.scale(lam) + pg.scale(mu):
         return False
-    for h in (f, g, f * g):
-        if m.pullback_even(h).parity_part(ODD):
-            return False
-    return m.pullback_even(f * g) == m.pullback_even(f) * m.pullback_even(g)
+    if any(p.parity_part(ODD) for p in (pf, pg, pfg)):
+        return False
+    return pfg == pf * pg
 
 
 def collapse_tables(n_even, target_odd_count):
@@ -225,9 +222,10 @@ def odd_plane_obstruction(target_table: SymbolTable, point: dict, xi1: dict,
     monos = [target_table.sym(n) for n in names]
     monos += [target_table.sym(a) * target_table.sym(b)
               for i, a in enumerate(names) for b in names[i:]]
-    for f in monos:
-        for g in monos:
-            if pull(f * g) != pull(f) * pull(g):
+    pulled = [pull(f) for f in monos]
+    for f, pf in zip(monos, pulled):
+        for g, pg in zip(monos, pulled):
+            if pull(f * g) != pf * pg:
                 return False
     return True
 

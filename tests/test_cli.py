@@ -164,6 +164,16 @@ def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr, err", [
+    ("D[dt](t)", "expression error: \"unknown symbol 'dt'\"\n"),
+    ("[x, y]", "expression error: [ , ] needs two derivations\n"),
+    # both operands are evaluated before the bracket is refused
+    ("[D[dt](q), y]", "expression error: \"unknown symbol 'dt'\"\n"),
+], ids=["derivation-application", "bracket-of-polynomials", "unknown-inside-bracket"])
+def test_expand_has_no_named_derivations(capsys, expr, err):
+    assert run(capsys, "expand", expr) == (2, "", err)
+
+
 def test_power_over_coefficient_budget_names_the_budget(capsys):
     code, out, err = run(capsys, "expand", "(2^9999)^9999")
     assert code == 2

@@ -13,8 +13,8 @@ from supergrass.superspace import supertime
 
 
 def r11_context():
-    dom, ops = supertime()
-    return Context(dom.table, ops, berezin_names=("th",))
+    dom, _ = supertime()
+    return Context(dom.table, berezin_names=("th",))
 
 
 def test_parse_basic_sum():
@@ -37,18 +37,6 @@ def test_nilpotent_prints_zero():
     t.odd_symbol("th1")
     ctx = Context(t)
     assert format_poly(ctx.evaluate(parse("th1*th1"))) == "0"
-
-
-def test_bracket_of_supertime_fields():
-    ctx = r11_context()
-    val = ctx.evaluate(parse("[D, D]"))
-    assert str(val) == "-2*d/dt"
-
-
-def test_derivation_application():
-    ctx = r11_context()
-    out = ctx.evaluate(parse("D[dt](t^3)"))
-    assert format_poly(out) == "3*t^2"
 
 
 def test_berezin_in_dsl():

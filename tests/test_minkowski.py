@@ -368,7 +368,7 @@ def test_bridge_unit_vector():
     assert all(v == qi(0) for k2, v in y.items() if k2 != (1, 3))
     lam = t_map(U)
     x = x_of_pair(H, lam, lam)
-    assert x.h11 == 1 and x.h22 == 0 and x.z.is_zero()
+    assert x.h11 == 1 and x.h22 == 0 and not x.z
     assert sl4c_bridge_check(U)
 
 
