@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import divalg, minkowski, models, suites
-from .expr_io import (Context, DslSyntaxError, DslTypeError, Sym, UnknownSymbolError,
-                      format_derivation, format_poly, parse, poly_to_jsonable)
+from .expr_io import (Context, DslSyntaxError, Sym, UnknownSymbolError, format_derivation,
+                      format_poly, parse, poly_to_jsonable)
 from .kernel import SymbolTable, super_bracket
 from .morphisms import FleshMorphism
 from .scalars import rational_part
@@ -35,7 +35,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (DslSyntaxError, DslTypeError, UnknownSymbolError) as exc:
+    except (DslSyntaxError, UnknownSymbolError) as exc:
         print(f"expression error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
@@ -149,9 +149,9 @@ def _collect_names(ast, found):
         found.add(ast.name)
     for child in getattr(ast, "parts", ()):
         _collect_names(child, found)
-    for attr in ("base", "arg", "left", "right"):
+    for attr in ("base", "arg"):
         child = getattr(ast, attr, None)
-        if child is not None and not isinstance(child, int):
+        if child is not None:
             _collect_names(child, found)
 
 
@@ -316,7 +316,7 @@ def cmd_model(args) -> int:
     if args.which == "superparticle":
         sp = models.Superparticle(n=1, modulated=True)
         data = {
-            "lagrangian": format_poly(sp.lagrangian()),
+            "lagrangian": format_poly(sp.lagrangian),
             "density_ok": sp.density_components_ok(),
             "plain_variation_ok": sp.plain_variation_ok(),
             "modulated_ok": sp.modulated_variation_ok(),
@@ -326,10 +326,9 @@ def cmd_model(args) -> int:
     else:
         h = _parse_h(args.h) if args.h else None
         sig = models.Sigma32(h=h) if h else models.Sigma32(h_degree=4)
-        eqs = sig.euler_equations()
         data = {
-            "lagrangian": format_poly(sig.lagrangian()),
-            "euler": {f: format_poly(e) for f, e in eqs.items()},
+            "lagrangian": format_poly(sig.lagrangian),
+            "euler": {f: format_poly(e) for f, e in sig.euler_equations.items()},
             "expansions_ok": sig.dphi_expansions_ok(),
             "kinetic_ok": sig.kinetic_component_ok(),
             "superpotential_ok": sig.superpotential_pullback_ok(),

@@ -5,21 +5,19 @@ Grammar (PEG, whitespace-insensitive)::
     expr    <- term (('+' / '-') term)*
     term    <- factor ('*' factor)*
     factor  <- atom ('^' INT)?
-    atom    <- RATIONAL / 'I' / NAME / '-' factor / '(' expr ')'
-             / 'D' '[' NAME ']' '(' expr ')'
-             / '[' expr ',' expr ']'
-             / 'ber' '(' expr ')'
+    atom    <- RATIONAL / 'I' / 'ber' '(' expr ')' / NAME / '-' factor
+             / '(' expr ')'
     RATIONAL <- INT ('/' INT)?
     NAME     <- [A-Za-z_][A-Za-z0-9_]*
 
 Symbol naming convention in text: th<i> for the domain odd coordinates,
 et<i> for auxiliary odd parameters, eps for the Clifford generator with
 square -1, u<i> for division-algebra basis slots, field jets as phi_t,
-psi1_xx.  parse/print round-trips exactly on canonical forms.  The
-evaluator knows polynomials only: D[name](..) is an unknown symbol and
-[ , ] a type error (`supergrass bracket` computes brackets).  Atoms nest
-at most MAX_NESTING deep, and a zero denominator is a syntax error, so bad
-input fails with DslSyntaxError rather than a Python error.
+psi1_xx.  parse/print round-trips exactly on canonical forms.  The DSL
+writes polynomials only; `supergrass bracket` computes derivations and
+their brackets.  Atoms nest at most MAX_NESTING deep, and a zero
+denominator is a syntax error, so bad input fails with DslSyntaxError
+rather than a Python error.
 """
 
 from __future__ import annotations
@@ -40,11 +38,6 @@ class DslSyntaxError(ValueError):
         self.expected = tuple(expected)
         suffix = f" (expected one of: {', '.join(expected)})" if expected else ""
         super().__init__(f"{line}:{col}: {message}{suffix}")
-
-
-class DslTypeError(ValueError):
-    """A well-formed expression that applies an operation to the wrong kind
-    of value, such as a bracket of two polynomials."""
 
 
 class UnknownSymbolError(KeyError):
@@ -94,18 +87,6 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class DApp:
-    name: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class Bracket:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
 class Ber:
     arg: object
 
@@ -114,7 +95,7 @@ class Ber:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()\[\],^*/+-]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()^*/+-]))")
 
 
 def _tokenize(text):
@@ -231,23 +212,8 @@ class _Parser:
             e = self.expr()
             self.expect(")")
             return e
-        if k == "[":
-            self.next()
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect("]")
-            return Bracket(a, b)
         if k == "NAME":
             self.next()
-            if v == "D" and self.peek()[0] == "[":
-                self.next()
-                name = self.expect("NAME")[1]
-                self.expect("]")
-                self.expect("(")
-                e = self.expr()
-                self.expect(")")
-                return DApp(name, e)
             if v == "ber" and self.peek()[0] == "(":
                 self.next()
                 e = self.expr()
@@ -257,7 +223,7 @@ class _Parser:
                 return ImagLit()
             return Sym(v)
         raise DslSyntaxError(
-            f"got {v or 'end of input'!r}", ln, col, ("INT", "NAME", "(", "[", "-")
+            f"got {v or 'end of input'!r}", ln, col, ("INT", "NAME", "(", "-")
         )
 
 
@@ -301,10 +267,6 @@ def _pr(node, prec):
         inner = _pr(node.arg, 2)
         out = f"-{inner}"
         return f"({out})" if prec >= 1 else out
-    if isinstance(node, DApp):
-        return f"D[{node.name}]({_pr(node.arg, 0)})"
-    if isinstance(node, Bracket):
-        return f"[{_pr(node.left, 0)}, {_pr(node.right, 0)}]"
     if isinstance(node, Ber):
         return f"ber({_pr(node.arg, 0)})"
     raise TypeError(f"not an AST node: {node!r}")
@@ -351,12 +313,6 @@ def _eval(node, ctx: Context):
         return _eval(node.base, ctx) ** node.exp
     if isinstance(node, Neg):
         return -_eval(node.arg, ctx)
-    if isinstance(node, DApp):
-        raise UnknownSymbolError(node.name)
-    if isinstance(node, Bracket):
-        _eval(node.left, ctx)
-        _eval(node.right, ctx)
-        raise DslTypeError("[ , ] needs two derivations")
     if isinstance(node, Ber):
         return _eval(node.arg, ctx).coefficient_of_odd(ctx.berezin_names)
     raise TypeError(f"not an AST node: {node!r}")

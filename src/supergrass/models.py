@@ -10,6 +10,7 @@ Variational derivatives of odd fields act from the left.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .kernel import EVEN, ODD, Derivation, SuperPolynomial, SymbolTable, odd_fields, super_bracket
@@ -208,6 +209,7 @@ class Superparticle:
             + (self.th * (speed2 + pair_dot)).scale(Fraction(1, 2))
         return sd == want
 
+    @cached_property
     def lagrangian(self) -> SuperPolynomial:
         """Berezin integral of the superdensity: the theta coefficient."""
         return self.superdensity().coefficient_of_odd(("th",))
@@ -229,7 +231,7 @@ class Superparticle:
         return images
 
     def variation(self, eta, chi_name=None) -> SuperPolynomial:
-        L = self.lagrangian()
+        L = self.lagrangian
         return L.substitute(self.susy_images(eta, chi_name)) - L
 
     def plain_variation_ok(self) -> bool:
@@ -386,6 +388,7 @@ class Sigma32:
         rhs = h + hp * odd_sum - hpp * (self.th1 * self.th2 * (fs.jet("ps1") * fs.jet("ps2")))
         return lhs == rhs
 
+    @cached_property
     def lagrangian(self) -> SuperPolynomial:
         """Berezin integral of (1/4) eps^(ab) D_a Phi D_b Phi + h(Phi)."""
         Phi = self.superfield()
@@ -403,7 +406,7 @@ class Sigma32:
             + self.psi_cal_D_psi().scale(Fraction(1, 2)) \
             - hpp * fs.jet("ps1") * fs.jet("ps2") \
             + (F * F).scale(Fraction(1, 2)) + hp * F
-        return self.lagrangian() == want
+        return self.lagrangian == want
 
     def completed_square_ok(self) -> bool:
         """L = (1/2)[phi_t^2 - |grad phi|^2 + psi cal-D psi - 2 h'' ps1 ps2
@@ -416,13 +419,13 @@ class Sigma32:
                 - (hpp * fs.jet("ps1") * fs.jet("ps2")).scale(2)
                 - hp * hp).scale(Fraction(1, 2))
         square = ((F + hp) * (F + hp)).scale(Fraction(1, 2))
-        return self.lagrangian() == bulk + square
+        return self.lagrangian == bulk + square
 
     # -- Euler-Lagrange system ----------------------------------------------------
+    @cached_property
     def euler_equations(self):
-        L = self.lagrangian()
         fs = self.fs
-        return {f: fs.euler_operator(L, f) for f in ("phi", "ps1", "ps2", "F")}
+        return {f: fs.euler_operator(self.lagrangian, f) for f in ("phi", "ps1", "ps2", "F")}
 
     def box_phi(self):
         fs = self.fs
@@ -436,7 +439,7 @@ class Sigma32:
         (varying ps1 yields the second displayed component, varying ps2 minus
         the first)."""
         fs = self.fs
-        eqs = self.euler_equations()
+        eqs = self.euler_equations
         _, hp, hpp, hppp = self.h_phi
         if eqs["F"] != fs.jet("F") + hp:
             return False
@@ -503,6 +506,7 @@ class BpsSystem:
     def Y_apply(self, p):
         return trig_reduce(-(self.sin2a * self.fs.d("x", p)) + self.cos2a * self.fs.d("y", p))
 
+    @cached_property
     def first_order_pair(self):
         """R1 = phi_t + X phi and R2 = Y phi - h'(phi) from the constraint,
         checked against the displayed combinations."""
@@ -544,7 +548,7 @@ class BpsSystem:
         first = self.eliminate_t(fs.jet("phi", "t", "t") - self.X_apply(self.X_apply(phi)))
         if not first.is_zero():
             return False
-        _, r2 = self.first_order_pair()
+        _, r2 = self.first_order_pair
         lhs = trig_reduce(self.Y_apply(self.Y_apply(phi)) - hpp * hp)
         cert = trig_reduce(self.Y_apply(r2) + hpp * r2)
         return lhs == cert
@@ -553,7 +557,7 @@ class BpsSystem:
         """box phi + h''(phi) h'(phi) reduces to zero modulo the first-order
         system: eliminate t by R1, then subtract the R2 certificate."""
         _, hp, hpp, _ = self.model.h_phi
-        _, r2 = self.first_order_pair()
+        _, r2 = self.first_order_pair
         target = self.eliminate_t(self.model.box_phi() + hpp * hp)
         cert = trig_reduce(self.Y_apply(r2) + hpp * r2)
         return trig_reduce(target + cert).is_zero()

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import divalg, minkowski, models, morphisms, superspace
-from .expr_io import (Add, Ber, Bracket, Context, DApp, Lit, Mul, Neg, Pow, Sym,
-                      format_poly, parse, poly_from_json, poly_to_json, print_ast)
+from .expr_io import (Add, Ber, Context, Lit, Mul, Neg, Pow, Sym, format_poly, parse,
+                      poly_from_json, poly_to_json, print_ast)
 from .kernel import (EVEN, ODD, Derivation, SymbolTable,
                      cartan_triple, jacobi_check, skew_check, super_bracket)
 from .scalars import QI
@@ -135,7 +135,7 @@ def rand_ast(rng, depth=0):
     printer, so any shape round-trips."""
     choices = ["lit", "sym", "add", "mul", "pow", "neg"]
     if depth < 1:
-        choices += ["dapp", "bracket", "ber"]
+        choices.append("ber")
     kind = rng.choice(choices if depth < 3 else ["lit", "sym"])
     if kind == "lit":
         return Lit(Fraction(rng.randint(0, 9), rng.randint(1, 9)))
@@ -149,10 +149,6 @@ def rand_ast(rng, depth=0):
         return Pow(rand_ast(rng, depth + 1), rng.randint(0, 4))
     if kind == "neg":
         return Neg(rand_ast(rng, depth + 1))
-    if kind == "dapp":
-        return DApp("dt", rand_ast(rng, depth + 1))
-    if kind == "bracket":
-        return Bracket(rand_ast(rng, depth + 1), rand_ast(rng, depth + 1))
     return Ber(rand_ast(rng, depth + 1))
 
 

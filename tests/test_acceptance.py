@@ -8,7 +8,7 @@ fail.
 
 import pytest
 
-from supergrass import divalg, minkowski, models, superspace, suites
+from supergrass import divalg, expr_io, minkowski, models, superspace, suites
 from supergrass.matrix import Matrix
 
 CHECKS = [(suite, check_id, fn)
@@ -135,6 +135,32 @@ def test_underived_superpotential_fails_models(monkeypatch, check_id, counterexa
     (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]
     ok, got, _, _ = run_check(check_id, fn)
     assert not ok and got == counterexample
+
+
+def test_unparenthesized_nested_sum_fails_ast(monkeypatch):
+    """expr_io.ast sees a printer that writes a sum inside a product, power
+    or negation without parentheses: the text parses to another tree."""
+    pr = expr_io._pr
+    monkeypatch.setattr(expr_io, "_pr",
+                        lambda node, prec: pr(node, 0 if isinstance(node, expr_io.Add) else prec))
+    (fn,) = [fn for _suite, cid, fn in CHECKS if cid == "expr_io.ast"]
+    ok, _, _, _ = run_check("expr_io.ast", fn)
+    assert not ok
+
+
+def test_reversed_odd_order_fails_json(monkeypatch):
+    """expr_io.json sees a reader that takes each term's odd factors in
+    reverse: a pair of odd factors then flips the sign of its term."""
+    read = expr_io.poly_from_jsonable
+
+    def reversed_odd(data, table):
+        return read({"terms": [{**t, "odd": t.get("odd", [])[::-1]} for t in data["terms"]]},
+                    table)
+
+    monkeypatch.setattr(expr_io, "poly_from_jsonable", reversed_odd)
+    (fn,) = [fn for _suite, cid, fn in CHECKS if cid == "expr_io.json"]
+    ok, _, _, _ = run_check("expr_io.json", fn)
+    assert not ok
 
 
 # (cases run, cases skipped) of every check at seed 0 and 100 cases: the

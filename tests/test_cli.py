@@ -151,7 +151,7 @@ def test_bad_expression_is_usage_error(capsys):
     (("expand", "(x+y+z+w+th1+th2)^2000"), ""),
     (("berezin", "th1*x^1000000000", "--box", "0", "2"), ""),
     (("expand", "(2^9999)^9999"), ""),
-], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-of-polynomials",
+], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-syntax",
         "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
         "morphism-xi-not-object", "h-not-rational", "power-over-term-budget",
         "mixed-power-over-term-budget", "box-power-over-degree-budget",
@@ -165,13 +165,17 @@ def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin)
 
 
 @pytest.mark.parametrize("expr, err", [
-    ("D[dt](t)", "expression error: \"unknown symbol 'dt'\"\n"),
-    ("[x, y]", "expression error: [ , ] needs two derivations\n"),
-    # both operands are evaluated before the bracket is refused
-    ("[D[dt](q), y]", "expression error: \"unknown symbol 'dt'\"\n"),
-], ids=["derivation-application", "bracket-of-polynomials", "unknown-inside-bracket"])
-def test_expand_has_no_named_derivations(capsys, expr, err):
+    ("D[dt](t)", "expression error: 1:2: bad character '['\n"),
+    ("[x, y]", "expression error: 1:1: bad character '['\n"),
+    ("2*D[x](x)", "expression error: 1:4: bad character '['\n"),
+], ids=["derivation-application", "bracket", "derivation-inside-product"])
+def test_derivation_syntax_is_a_syntax_error(capsys, expr, err):
     assert run(capsys, "expand", expr) == (2, "", err)
+
+
+@pytest.mark.parametrize("expr", ["D", "D*th1", "ber"])
+def test_d_and_ber_are_ordinary_symbols(capsys, expr):
+    assert run(capsys, "expand", expr) == (0, expr + "\n", "")
 
 
 def test_power_over_coefficient_budget_names_the_budget(capsys):

@@ -50,7 +50,7 @@ def test_superdensity_components():
 
 def test_lagrangian_components_n1():
     sp = Superparticle(n=1)
-    L = sp.lagrangian()
+    L = sp.lagrangian
     want = (sp.x(1, "t") * sp.x(1, "t") + sp.ps(1) * sp.ps(1, "t")).scale(Fraction(1, 2))
     assert L == want
     # theta-independent coefficient of the superdensity is -psi xdot / 2
@@ -60,7 +60,7 @@ def test_lagrangian_components_n1():
 
 def test_zero_psi_reduces_to_classical():
     sp = Superparticle(n=2)
-    L = sp.lagrangian()
+    L = sp.lagrangian
     subs = {}
     for i in (1, 2):
         subs[f"ps{i}"] = sp.fs.zero()
@@ -98,7 +98,7 @@ def sigma():
 
 def test_h_zero_removes_coupling_terms():
     model = Sigma32(h=Superpotential([0]))
-    L = model.lagrangian()
+    L = model.lagrangian
     fs = model.fs
     # no ps1 ps2 term and no F-linear term: L matches the free component form
     pt, px, py = fs.jet("phi", "t"), fs.jet("phi", "x"), fs.jet("phi", "y")
@@ -109,13 +109,13 @@ def test_h_zero_removes_coupling_terms():
 
 
 def test_euler_F_equation(sigma):
-    eqs = sigma.euler_equations()
+    eqs = sigma.euler_equations
     phi = sigma.fs.jet("phi")
     assert eqs["F"] == sigma.fs.jet("F") + sigma.h.derivative().apply(phi)
 
 
 def test_euler_psi_equations(sigma):
-    eqs = sigma.euler_equations()
+    eqs = sigma.euler_equations
     fs = sigma.fs
     hpp = sigma.h.derivative().derivative()
     assert eqs["ps1"] == sigma.cal_D(2) - hpp.apply(fs.jet("phi")) * fs.jet("ps2")
@@ -145,7 +145,7 @@ def bps():
 
 
 def test_bps_first_order_pair(bps):
-    r1, r2 = bps.first_order_pair()
+    r1, r2 = bps.first_order_pair
     fs = bps.fs
     # R1 = phi_t + cos(2a) phi_x + sin(2a) phi_y with the trig normal form
     want = fs.jet("phi", "t") + bps.X_apply(fs.jet("phi"))
