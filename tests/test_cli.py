@@ -151,7 +151,7 @@ def test_bad_expression_is_usage_error(capsys):
     (("expand", "(x+y+z+w+th1+th2)^2000"), ""),
     (("berezin", "th1*x^1000000000", "--box", "0", "2"), ""),
     (("expand", "(2^9999)^9999"), ""),
-], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-syntax",
+], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-of-polynomials",
         "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
         "morphism-xi-not-object", "h-not-rational", "power-over-term-budget",
         "mixed-power-over-term-budget", "box-power-over-degree-budget",
@@ -167,9 +167,12 @@ def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin)
 @pytest.mark.parametrize("expr, err", [
     ("D[dt](t)", "expression error: 1:2: bad character '['\n"),
     ("[x, y]", "expression error: 1:1: bad character '['\n"),
+    # the syntax error comes before any symbol inside the bracket is looked up
+    ("[D[dt](q), y]", "expression error: 1:1: bad character '['\n"),
     ("2*D[x](x)", "expression error: 1:4: bad character '['\n"),
-], ids=["derivation-application", "bracket", "derivation-inside-product"])
-def test_derivation_syntax_is_a_syntax_error(capsys, expr, err):
+], ids=["derivation-application", "bracket-of-polynomials", "unknown-inside-bracket",
+        "derivation-inside-product"])
+def test_expand_has_no_named_derivations(capsys, expr, err):
     assert run(capsys, "expand", expr) == (2, "", err)
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from supergrass.expr_io import (Add, Context, DslSyntaxError,
                                 UnknownSymbolError, format_poly, parse,
-                                poly_from_json, poly_to_json)
+                                poly_from_json, poly_to_json, print_ast)
 from supergrass.kernel import SymbolTable
 from supergrass.scalars import QI
+from supergrass.suites import rand_ast
 from supergrass.superspace import supertime
 
 
@@ -62,6 +63,13 @@ def test_missing_paren_expected_set():
     with pytest.raises(DslSyntaxError) as err:
         parse("(1 + 2")
     assert ")" in err.value.expected
+
+
+def test_ast_round_trip_random():
+    rng = random.Random(99)
+    for _ in range(1000):
+        ast = rand_ast(rng)
+        assert parse(print_ast(ast)) == ast
 
 
 def test_value_round_trip_random():
