@@ -8,6 +8,7 @@ Reports are deterministic for a fixed --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -43,6 +44,9 @@ def main(argv=None) -> int:
         return 2
 
 
+# One parser per process: parse_args builds a fresh Namespace on each call and
+# never writes to the parser, so no request sees another's state.
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="supergrass",
                                 description="exact supercommutative/Clifford algebra toolkit")

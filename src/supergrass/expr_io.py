@@ -18,6 +18,10 @@ writes polynomials only; `supergrass bracket` computes derivations and
 their brackets.  Atoms nest at most MAX_NESTING deep, and a zero
 denominator is a syntax error, so bad input fails with DslSyntaxError
 rather than a Python error.
+
+The tokenizer makes one regex pass and each token carries its offset into
+the text; `line:col` is computed from the offset only when an error is
+raised, and a bad character is reported at its own position.
 """
 
 from __future__ import annotations
@@ -95,34 +99,29 @@ class Ber:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()^*/+-]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()^*/+-])|(\S))")
 
 
 def _tokenize(text):
+    """(kind, text, offset) per token, then EOF at the end of the last one.
+    The scan stops before trailing whitespace, where each start position
+    would fail only after reading the rest of the text."""
     toks = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            nl = text.count("\n", 0, pos)
-            lastnl = text.rfind("\n", 0, pos)
-            raise DslSyntaxError(f"bad character {rest[0]!r}", nl + 1, pos - lastnl, ())
-        ws = text[pos:m.start(m.lastindex)]
-        for ch in ws:
-            if ch == "\n":
-                line, col = line + 1, 1
-            else:
-                col += 1
-        tok = m.group(m.lastindex)
-        kind = "INT" if m.lastindex == 1 else ("NAME" if m.lastindex == 2 else tok)
-        toks.append((kind, tok, line, col))
-        col += len(tok)
-        pos = m.end()
-    toks.append(("EOF", "", line, col))
+    end = 0
+    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
+        g = m.lastindex
+        tok, pos = m.group(g), m.start(g)
+        if g == 4:
+            raise DslSyntaxError(f"bad character {tok!r}", *_where(text, pos))
+        toks.append(("INT" if g == 1 else "NAME" if g == 2 else tok, tok, pos))
+        end = m.end()
+    toks.append(("EOF", "", end))
     return toks
+
+
+def _where(text, pos):
+    """(line, column) of the offset pos, both from 1."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 MAX_NESTING = 100
@@ -130,9 +129,14 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
+
+    def error(self, message, tok, expected=()):
+        """The syntax error at token tok, its offset read as line:col."""
+        return DslSyntaxError(message, *_where(self.text, tok[2]), expected)
 
     def peek(self):
         return self.toks[self.i]
@@ -143,16 +147,16 @@ class _Parser:
         return t
 
     def expect(self, kind):
-        k, v, ln, col = self.peek()
-        if k != kind:
-            raise DslSyntaxError(f"got {v or 'end of input'!r}", ln, col, (kind,))
+        tok = self.peek()
+        if tok[0] != kind:
+            raise self.error(f"got {tok[1] or 'end of input'!r}", tok, (kind,))
         return self.next()
 
     def parse(self):
         e = self.expr()
-        k, v, ln, col = self.peek()
-        if k != "EOF":
-            raise DslSyntaxError(f"trailing input {v!r}", ln, col, ("EOF",))
+        tok = self.peek()
+        if tok[0] != "EOF":
+            raise self.error(f"trailing input {tok[1]!r}", tok, ("EOF",))
         return e
 
     def expr(self):
@@ -174,35 +178,35 @@ class _Parser:
         a = self.atom()
         if self.peek()[0] == "^":
             self.next()
-            k, v, ln, col = self.peek()
-            if k != "INT":
-                raise DslSyntaxError("exponent must be a nonnegative integer", ln, col, ("INT",))
+            tok = self.peek()
+            if tok[0] != "INT":
+                raise self.error("exponent must be a nonnegative integer", tok, ("INT",))
             self.next()
-            return Pow(a, int(v))
+            return Pow(a, int(tok[1]))
         return a
 
     def atom(self):
         self.depth += 1
         if self.depth > MAX_NESTING:
-            _, _, ln, col = self.peek()
-            raise DslSyntaxError(f"nested more than {MAX_NESTING} deep", ln, col)
+            raise self.error(f"nested more than {MAX_NESTING} deep", self.peek())
         node = self._atom()
         self.depth -= 1
         return node
 
     def _atom(self):
-        k, v, ln, col = self.peek()
+        tok = self.peek()
+        k, v, _ = tok
         if k == "INT":
             self.next()
             if self.peek()[0] == "/":
                 self.next()
-                k2, v2, l2, c2 = self.peek()
-                if k2 != "INT":
-                    raise DslSyntaxError("missing denominator", l2, c2, ("INT",))
-                if int(v2) == 0:
-                    raise DslSyntaxError("zero denominator", l2, c2)
+                den = self.peek()
+                if den[0] != "INT":
+                    raise self.error("missing denominator", den, ("INT",))
+                if int(den[1]) == 0:
+                    raise self.error("zero denominator", den)
                 self.next()
-                return Lit(Fraction(int(v), int(v2)))
+                return Lit(Fraction(int(v), int(den[1])))
             return Lit(Fraction(int(v)))
         if k == "-":
             self.next()
@@ -222,9 +226,7 @@ class _Parser:
             if v == "I":
                 return ImagLit()
             return Sym(v)
-        raise DslSyntaxError(
-            f"got {v or 'end of input'!r}", ln, col, ("INT", "NAME", "(", "-")
-        )
+        raise self.error(f"got {v or 'end of input'!r}", tok, ("INT", "NAME", "(", "-"))
 
 
 def parse(text: str):
@@ -299,14 +301,11 @@ def _eval(node, ctx: Context):
             raise UnknownSymbolError(node.name)
         return t.sym(node.name)
     if isinstance(node, Add):
-        out = t.zero()
-        for p in node.parts:
-            out = out + _eval(p, ctx)
-        return out
+        return t.sum(_eval(p, ctx) for p in node.parts)
     if isinstance(node, Mul):
         vals = [_eval(p, ctx) for p in node.parts]
-        out = t.one()
-        for v in vals:
+        out = vals[0]
+        for v in vals[1:]:
             out = out * v
         return out
     if isinstance(node, Pow):
@@ -400,13 +399,9 @@ def poly_to_json(p: SuperPolynomial) -> str:
 
 
 def poly_from_jsonable(data: dict, table: SymbolTable) -> SuperPolynomial:
-    out = table.zero()
-    for t in data["terms"]:
-        coeff = parse_scalar(t["coeff"])
-        even = [(name, e) for name, e in t.get("even", {}).items()]
-        odd = list(t.get("odd", []))
-        out = out + table.monomial(coeff, even, odd)
-    return out
+    return table.sum(
+        table.monomial(parse_scalar(t["coeff"]), t.get("even", {}).items(), t.get("odd", []))
+        for t in data["terms"])
 
 
 def poly_from_json(text: str, table: SymbolTable) -> SuperPolynomial:

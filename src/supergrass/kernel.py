@@ -26,10 +26,11 @@ translations, and checked against one law, `odd_field_relations_ok`.
 The term dict of a SuperPolynomial is private to this module and to the
 `expr_io` printer and JSON codec.  No function outside reads or builds it:
 other code reads a polynomial through its projections (`scalar_part`,
-`free_of`, `parity_part`, `support`, `coefficient_of_odd`, `eval_even`,
-`diff_even`, `integrate_even`), maps it with `substitute` and copies it
-into another table with `SymbolTable.adopt`; `tests/test_kernel.py` pins
-that no other module does.
+`free_of`, `parity_part`, `support`, `coefficient_of_odd`,
+`odd_components`, `eval_even`, `diff_even`, `integrate_even`), maps it
+with `substitute`, copies it into another table with `SymbolTable.adopt`
+and adds many into one accumulator with `SymbolTable.sum`;
+`tests/test_kernel.py` pins that no other module does.
 """
 
 from __future__ import annotations
@@ -158,6 +159,16 @@ class SymbolTable:
             return p
         images = {s.name: self.sym(s.name) for s in p.support()}
         return p.substitute(images) if images else self.scalar(p.scalar_part())
+
+    def sum(self, polys):
+        """The sum of polynomials over this table, added into one accumulator."""
+        out: dict = {}
+        for p in polys:
+            if p.table is not self:
+                raise TableMismatchError("operands live over different symbol tables")
+            for k, c in p.terms.items():
+                _add_term(out, k, c)
+        return SuperPolynomial(self, out)
 
     def monomial(self, coeff, even=(), odd=()):
         """Build coeff * prod(even names with powers) * prod(odd names, given order)."""
@@ -332,6 +343,10 @@ class SuperPolynomial:
             if n * (bits - 1) > MAX_COEFF_BITS:
                 raise SizeLimitError(f"a power {n} of {bits}-bit coefficients exceeds the "
                                      f"coefficient budget of {MAX_COEFF_BITS} bits")
+        if n and len(self.terms) == 1:
+            ((ev, od), c), = self.terms.items()
+            if not od:  # one even term: no sign, no contraction, no cancellation
+                return SuperPolynomial(self.table, {(tuple((i, e * n) for i, e in ev), ()): c ** n})
         out = self.table.one()
         base = self
         while n:
@@ -372,6 +387,18 @@ class SuperPolynomial:
             sign = merge_sign(idxs, rest)[0]
             _add_term(out, (ev, rest), c if sign > 0 else -c)
         return SuperPolynomial(self.table, out)
+
+    def odd_components(self):
+        """The polynomial split by odd monomial in one pass: {odd names in
+        declaration order: coefficient free of odd symbols}, so that the
+        polynomial is the sum of each coefficient times its names multiplied
+        in that order."""
+        parts: dict = {}
+        for (ev, od), c in self.terms.items():
+            parts.setdefault(od, {})[ev, ()] = c
+        symbols = self.table.symbols
+        return {tuple(symbols[i].name for i in od): SuperPolynomial(self.table, terms)
+                for od, terms in parts.items()}
 
     def substitute(self, images: dict):
         """Ring substitution symbol -> polynomial (parity-preserving).

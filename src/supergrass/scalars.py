@@ -98,6 +98,20 @@ class QI:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):
+        """An integer power n >= 0, by squaring the parts as a Gaussian integer."""
+        if type(n) is not int or n < 0:
+            return NotImplemented
+        a, b, x, y = 1, 0, self._a, self._b
+        d = self._d ** n
+        while n:
+            if n & 1:
+                a, b = a * x - b * y, a * y + b * x
+            n >>= 1
+            if n:
+                x, y = x * x - y * y, 2 * x * y
+        return _reduced(a, b, d)
+
     def __truediv__(self, other):
         if type(other) is QI:
             # (a + bI)/d / ((c + eI)/f) = f (a + bI)(c - eI) / (d (c^2 + e^2))

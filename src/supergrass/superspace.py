@@ -235,12 +235,13 @@ class LiftSpace:
         superfunction f = sum_I f_I(x) eta^I."""
         if f.parity() not in (None, EVEN):
             raise ParityError("only even functions lift")
-        out = self.table.adopt(f.free_of(self.odd_names))
+        parts = f.odd_components()
+        out = [self.table.adopt(parts.get((), 0))]
         for I, name in self.s_name.items():
-            f_I = f.coefficient_of_odd([self.odd_names[i - 1] for i in I]).free_of(self.odd_names)
+            f_I = parts.get(tuple(self.odd_names[i - 1] for i in I))
             if f_I:
-                out = out + self.table.adopt(f_I) * self.table.sym(name)
-        return out
+                out.append(self.table.adopt(f_I) * self.table.sym(name))
+        return self.table.sum(out)
 
     def lower(self, frak: SuperPolynomial) -> SuperPolynomial:
         """Evaluate e^(theta-lift vector field) at s = 0: replace every s_I

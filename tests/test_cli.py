@@ -231,3 +231,30 @@ def test_check_that_ran_no_case_fails(capsys, monkeypatch):
     (check,) = json.loads(out)["suites"][0]["checks"]
     assert check == {"id": "vacuous.check", "law": "skips every case", "pass": False,
                      "counterexample": "no case ran"}
+
+
+def test_shared_parser_carries_nothing_between_requests(capsys, monkeypatch):
+    from supergrass import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    sequence = [["verify", "kernel", "--k", "1", "--json"], ["verify", "kernel", "--json"],
+                ["expand", "x", "--json"], ["expand", "x"], ["verify", "--k", "3"],
+                ["table", "--alg", "H"]]
+    shared = [run(capsys, *argv) for argv in sequence]
+    assert shared[4][0] == 2 and "invalid choice" in shared[4][2]
+    for argv, got in zip(sequence, shared):
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert run(capsys, *argv) == got
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("expr, out", [
+    # one even term with a Gaussian coefficient: QI powers, no odd factor
+    ("(I*x)^2", "-x^2"),
+    ("(I*x)^2 + (2*I*y)^3", "-x^2 - 8*I*y^3"),
+    # a Clifford generator and an odd generator keep the product loop
+    ("eps^2", "-1"),
+    ("th1^2", "0"),
+])
+def test_one_term_powers_print_as_before(capsys, expr, out):
+    assert run(capsys, "expand", expr) == (0, out + "\n", "")

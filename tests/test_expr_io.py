@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,49 @@ def test_missing_paren_expected_set():
     with pytest.raises(DslSyntaxError) as err:
         parse("(1 + 2")
     assert ")" in err.value.expected
+
+
+# (text, line, col, message): every error kind at the position it has
+# always had, and a bad character at its own offset, past any whitespace
+@pytest.mark.parametrize("text, line, col, expected", [
+    ("1/", 1, 3, "missing denominator (expected one of: INT)"),
+    ("3/\n x", 2, 2, "missing denominator (expected one of: INT)"),
+    ("1/\n\n", 1, 3, "missing denominator (expected one of: INT)"),
+    ("1/0", 1, 3, "zero denominator"),
+    ("1/ 0", 1, 4, "zero denominator"),
+    ("x^y", 1, 3, "exponent must be a nonnegative integer (expected one of: INT)"),
+    ("x^-1", 1, 3, "exponent must be a nonnegative integer (expected one of: INT)"),
+    ("x\n^\n(y)", 3, 1, "exponent must be a nonnegative integer (expected one of: INT)"),
+    ("(x\n", 1, 3, "got 'end of input' (expected one of: ))"),
+    ("ber(x", 1, 6, "got 'end of input' (expected one of: ))"),
+    ("x + ", 1, 4, "got 'end of input' (expected one of: INT, NAME, (, -)"),
+    ("x +\n  y +\n", 2, 6, "got 'end of input' (expected one of: INT, NAME, (, -)"),
+    ("", 1, 1, "got 'end of input' (expected one of: INT, NAME, (, -)"),
+    ("   ", 1, 1, "got 'end of input' (expected one of: INT, NAME, (, -)"),
+    ("-", 1, 2, "got 'end of input' (expected one of: INT, NAME, (, -)"),
+    ("2 + * 3", 1, 5, "got '*' (expected one of: INT, NAME, (, -)"),
+    ("\n\n  )", 3, 3, "got ')' (expected one of: INT, NAME, (, -)"),
+    ("x y", 1, 3, "trailing input 'y' (expected one of: EOF)"),
+    ("1/2/3", 1, 4, "trailing input '/' (expected one of: EOF)"),
+    ("(x +\n y))", 2, 4, "trailing input ')' (expected one of: EOF)"),
+    ("(" * 101 + "x", 1, 101, "nested more than 100 deep"),
+    (" (\n" * 120 + "x", 101, 2, "nested more than 100 deep"),
+    ("x  [", 1, 4, "bad character '['"),
+    ("x +\n  y $", 2, 5, "bad character '$'"),
+    ("th1 *\n\t@", 2, 2, "bad character '@'"),
+    ("x^\n 2.5", 2, 3, "bad character '.'"),
+])
+def test_syntax_error_line_and_column(text, line, col, expected):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col, str(err.value)) == (line, col, f"{line}:{col}: {expected}")
+
+
+def test_trailing_whitespace_is_not_rescanned():
+    # a scan that restarted at each trailing blank would take minutes here
+    start = time.process_time()
+    assert parse("x" + " " * 50_000 + "\n") == parse("x")
+    assert time.process_time() - start < 2
 
 
 def test_ast_round_trip_random():

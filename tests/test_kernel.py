@@ -8,7 +8,7 @@ import pytest
 
 import supergrass
 from supergrass.kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
-                               SymbolTable, TableMismatchError, cartan_triple,
+                               SizeLimitError, SymbolTable, TableMismatchError, cartan_triple,
                                jacobi_check, odd_field_relations_ok, skew_check,
                                super_bracket)
 from supergrass.minkowski import r32_fields
@@ -531,6 +531,12 @@ def test_projections_against_per_term_loops():
             assert part == _parity_part_oracle(f, g) and _nonzero_terms(part)
         assert f.parity_part(0) + f.parity_part(1) == f
         assert f.support() == _support_oracle(f)
+        parts = f.odd_components()
+        odd = [s.name for s in t.symbols if s.parity == ODD]
+        for names, part in parts.items():
+            assert part == f.coefficient_of_odd(names).free_of(odd) and _nonzero_terms(part)
+        assert t.sum(part * t.monomial(1, (), names) for names, part in parts.items()) == f
+    assert t.zero().odd_components() == {}
     assert t.zero().support() == [] and t.scalar(QI(1, 2)).support() == []
 
 
@@ -611,6 +617,7 @@ def test_accumulator_cancels_to_absent_key():
         for p in polys:
             total = total + p
         assert total.terms == {k: QI(*v) for k, v in _pair_sum(polys).items()}
+        assert t.sum(polys).terms == total.terms and t.sum(iter(polys)).terms == total.terms
         assert (total - total).terms == {}
     x, th1, th2, eps = (t.sym(n) for n in ("x", "th1", "th2", "eps"))
     x2 = {(((0, 2),), ()): 1}
@@ -619,6 +626,44 @@ def test_accumulator_cancels_to_absent_key():
     assert ((x + (th1 * th2).scale(QI(0, 1))) * (x - (th1 * th2).scale(QI(0, 1)))).terms == x2
     assert (x * th1 + th1 * x.scale(-1)).terms == {}
     assert (x * x * th1).diff_even("x").coefficient_of_odd(("th1",)).terms == {(((0, 1),), ()): 2}
+
+
+def test_sum_refuses_a_polynomial_over_another_table():
+    t, u = _qi_table(), _qi_table()
+    assert t.sum([]) == t.zero()
+    with pytest.raises(TableMismatchError):
+        t.sum([t.sym("x"), u.sym("x")])
+
+
+def _power_loop(p, n):
+    # square and multiply from one, the path every base other than one
+    # even term still takes
+    out, base = p.table.one(), p
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return out
+
+
+def test_one_even_term_power_against_the_loop():
+    t = _qi_table()
+    x, y = t.sym("x"), t.sym("y")
+    coeffs = [3, -2, Fraction(-2, 3), Fraction(5, 4), QI(0, 1), QI(Fraction(1, 2), -1),
+              QI(Fraction(-3, 2), Fraction(1, 3))]
+    for c, mono, n in itertools.product(coeffs, (t.one(), x, x * y ** 2), range(5)):
+        p = mono.scale(c)
+        got, want = p ** n, _power_loop(p, n)
+        assert got == want and got.terms == want.terms
+        assert [type(v) for v in got.terms.values()] == [type(v) for v in want.terms.values()]
+    # a Clifford generator and an odd generator keep the loop
+    eps, th1 = t.sym("eps"), t.sym("th1")
+    assert eps ** 2 == -2 and (eps.scale(QI(0, 1)) * x) ** 2 == x ** 2 * 2
+    assert (th1 ** 2).is_zero() and ((x * th1) ** 1) == x * th1
+    # the coefficient budget is checked before the shortcut
+    with pytest.raises(SizeLimitError):
+        t.scalar(2 ** 9999) ** 9999
 
 
 def test_term_dict_is_read_only_by_the_listed_functions():

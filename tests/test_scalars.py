@@ -87,6 +87,20 @@ def test_constructor_unary_operators_and_text(re, im):
         assert format_scalar(parse_scalar(text)) == text
 
 
+@given(qis, st.integers(0, 7))
+def test_power_matches_repeated_product(q, n):
+    want = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        want = oracle("*", QI(*want), q)
+    got = q ** n
+    assert isinstance(got, QI)
+    assert_canonical(got)
+    assert (got.re, got.im) == want
+    for bad in (-1, Fraction(1, 2), q):
+        with pytest.raises(TypeError):
+            q ** bad
+
+
 @given(parts)
 def test_real_qi_compares_and_hashes_like_the_rational(r):
     q = QI(r)
