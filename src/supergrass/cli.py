@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import divalg, minkowski, models, suites
-from .expr_io import (Context, DslSyntaxError, Sym, UnknownSymbolError, format_derivation,
-                      format_poly, parse, poly_to_jsonable)
+from .expr_io import (Context, DslSyntaxError, UnknownSymbolError, format_derivation, format_poly,
+                      parse, poly_to_jsonable)
 from .kernel import SymbolTable, super_bracket
 from .morphisms import FleshMorphism
 from .scalars import rational_part
@@ -148,22 +148,9 @@ def cmd_verify(args) -> int:
 # expression helpers
 # ---------------------------------------------------------------------------
 
-def _collect_names(ast, found):
-    if isinstance(ast, Sym):
-        found.add(ast.name)
-    for child in getattr(ast, "parts", ()):
-        _collect_names(child, found)
-    for attr in ("base", "arg"):
-        child = getattr(ast, attr, None)
-        if child is not None:
-            _collect_names(child, found)
-
-
-def _auto_domain(ast):
-    """Symbol table from the names in an expression: th* are odd coordinates,
-    et* odd parameters, eps the Clifford generator, the rest even."""
-    names = set()
-    _collect_names(ast, names)
+def _auto_domain(names):
+    """Symbol table from the names read in an expression: th* are odd
+    coordinates, et* odd parameters, eps the Clifford generator, the rest even."""
     evens = sorted(n for n in names if not (n.startswith("th") or n.startswith("et") or n == "eps"))
     thetas = sorted(n for n in names if n.startswith("th"))
     etas = sorted(n for n in names if n.startswith("et"))
@@ -174,8 +161,9 @@ def _auto_domain(ast):
 
 
 def cmd_expand(args) -> int:
-    ast = parse(args.expr)
-    dom = _auto_domain(ast)
+    names = set()
+    ast = parse(args.expr, names)
+    dom = _auto_domain(names)
     val = Context(dom.table, berezin_names=dom.theta_names).evaluate(ast)
     if args.json:
         print(json.dumps(poly_to_jsonable(val), sort_keys=True))
@@ -185,8 +173,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_berezin(args) -> int:
-    ast = parse(args.expr)
-    dom = _auto_domain(ast)
+    names = set()
+    ast = parse(args.expr, names)
+    dom = _auto_domain(names)
     if not dom.theta_names:
         print("expression has no odd th coordinates", file=sys.stderr)
         return 2

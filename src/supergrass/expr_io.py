@@ -19,9 +19,12 @@ their brackets.  Atoms nest at most MAX_NESTING deep, and a zero
 denominator is a syntax error, so bad input fails with DslSyntaxError
 rather than a Python error.
 
-The tokenizer makes one regex pass and each token carries its offset into
-the text; `line:col` is computed from the offset only when an error is
-raised, and a bad character is reported at its own position.
+The tokenizer is one `findall` that gives plain token strings, with "" for
+the end of input; one `search` before it reports the first bad character
+at its own position.  Offsets are found only when an error is raised, by
+scanning the tokens again up to the one that failed.  The parser hands back
+the names it read as symbols, and the evaluator builds each run of
+consecutive atom factors of a product as one `SymbolTable.monomial` term.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kernel import Derivation, SuperPolynomial, SymbolTable
+from .kernel import EVEN, Derivation, SuperPolynomial, SymbolTable
 from .scalars import QI, format_scalar, parse_scalar
 
 
@@ -99,24 +102,8 @@ class Ber:
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()^*/+-])|(\S))")
-
-
-def _tokenize(text):
-    """(kind, text, offset) per token, then EOF at the end of the last one.
-    The scan stops before trailing whitespace, where each start position
-    would fail only after reading the rest of the text."""
-    toks = []
-    end = 0
-    for m in _TOKEN.finditer(text, 0, len(text.rstrip())):
-        g = m.lastindex
-        tok, pos = m.group(g), m.start(g)
-        if g == 4:
-            raise DslSyntaxError(f"bad character {tok!r}", *_where(text, pos))
-        toks.append(("INT" if g == 1 else "NAME" if g == 2 else tok, tok, pos))
-        end = m.end()
-    toks.append(("EOF", "", end))
-    return toks
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[()^*/+-]|\S")
+_BAD = re.compile(r"[^\s\dA-Za-z_()^*/+-]")
 
 
 def _where(text, pos):
@@ -128,110 +115,109 @@ MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over the token strings of `_TOKEN`, "" at the end.
+    `syms` maps each name read as a symbol to its one `Sym` node."""
+
     def __init__(self, text):
+        bad = _BAD.search(text)
+        if bad:
+            raise DslSyntaxError(f"bad character {bad.group()!r}", *_where(text, bad.start()))
         self.text = text
-        self.toks = _tokenize(text)
+        self.toks = _TOKEN.findall(text) + [""]
         self.i = 0
         self.depth = 0
+        self.syms = {}
 
-    def error(self, message, tok, expected=()):
-        """The syntax error at token tok, its offset read as line:col."""
-        return DslSyntaxError(message, *_where(self.text, tok[2]), expected)
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise self.error(f"got {tok[1] or 'end of input'!r}", tok, (kind,))
-        return self.next()
+    def error(self, message, i, expected=()):
+        """The syntax error at token i, its offset (the end of the last token
+        for the end of input) read as line:col."""
+        pos = 0
+        for j, m in enumerate(_TOKEN.finditer(self.text)):
+            if j == i:
+                pos = m.start()
+                break
+            pos = m.end()
+        return DslSyntaxError(message, *_where(self.text, pos), expected)
 
     def parse(self):
         e = self.expr()
-        tok = self.peek()
-        if tok[0] != "EOF":
-            raise self.error(f"trailing input {tok[1]!r}", tok, ("EOF",))
+        tok = self.toks[self.i]
+        if tok:
+            raise self.error(f"trailing input {tok!r}", self.i, ("EOF",))
         return e
 
     def expr(self):
         parts = [self.term()]
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+        toks = self.toks
+        while toks[self.i] in ("+", "-"):
+            op = toks[self.i]
+            self.i += 1
             t = self.term()
             parts.append(Neg(t) if op == "-" else t)
         return parts[0] if len(parts) == 1 else Add(tuple(parts))
 
     def term(self):
         parts = [self.factor()]
-        while self.peek()[0] == "*":
-            self.next()
+        while self.toks[self.i] == "*":
+            self.i += 1
             parts.append(self.factor())
         return parts[0] if len(parts) == 1 else Mul(tuple(parts))
 
     def factor(self):
-        a = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            tok = self.peek()
-            if tok[0] != "INT":
-                raise self.error("exponent must be a nonnegative integer", tok, ("INT",))
-            self.next()
-            return Pow(a, int(tok[1]))
-        return a
-
-    def atom(self):
+        toks, i = self.toks, self.i
+        tok = toks[i]
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.error(f"nested more than {MAX_NESTING} deep", self.peek())
-        node = self._atom()
+            raise self.error(f"nested more than {MAX_NESTING} deep", i)
+        self.i = i + 1
+        if tok.isdigit():
+            if toks[i + 1] == "/":
+                den = toks[i + 2]
+                if not den.isdigit():
+                    raise self.error("missing denominator", i + 2, ("INT",))
+                if int(den) == 0:
+                    raise self.error("zero denominator", i + 2)
+                self.i = i + 3
+                node = Lit(Fraction(int(tok), int(den)))
+            else:
+                node = Lit(Fraction(int(tok)))
+        elif tok == "-":
+            node = Neg(self.factor())
+        elif tok == "(" or tok == "ber" and toks[i + 1] == "(":
+            self.i = i + (2 if tok == "ber" else 1)
+            node = self.expr()
+            if toks[self.i] != ")":
+                raise self.error(f"got {toks[self.i] or 'end of input'!r}", self.i, (")",))
+            self.i += 1
+            if tok == "ber":
+                node = Ber(node)
+        elif tok == "I":
+            node = ImagLit()
+        elif tok.isidentifier():  # a NAME: the only other tokens are ops and ""
+            node = self.syms.get(tok)
+            if node is None:
+                node = self.syms[tok] = Sym(tok)
+        else:
+            raise self.error(f"got {tok or 'end of input'!r}", i, ("INT", "NAME", "(", "-"))
         self.depth -= 1
+        if toks[self.i] == "^":
+            self.i += 1
+            exp = toks[self.i]
+            if not exp.isdigit():
+                raise self.error("exponent must be a nonnegative integer", self.i, ("INT",))
+            self.i += 1
+            return Pow(node, int(exp))
         return node
 
-    def _atom(self):
-        tok = self.peek()
-        k, v, _ = tok
-        if k == "INT":
-            self.next()
-            if self.peek()[0] == "/":
-                self.next()
-                den = self.peek()
-                if den[0] != "INT":
-                    raise self.error("missing denominator", den, ("INT",))
-                if int(den[1]) == 0:
-                    raise self.error("zero denominator", den)
-                self.next()
-                return Lit(Fraction(int(v), int(den[1])))
-            return Lit(Fraction(int(v)))
-        if k == "-":
-            self.next()
-            return Neg(self.factor())
-        if k == "(":
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        if k == "NAME":
-            self.next()
-            if v == "ber" and self.peek()[0] == "(":
-                self.next()
-                e = self.expr()
-                self.expect(")")
-                return Ber(e)
-            if v == "I":
-                return ImagLit()
-            return Sym(v)
-        raise self.error(f"got {v or 'end of input'!r}", tok, ("INT", "NAME", "(", "-"))
 
-
-def parse(text: str):
-    """Parse DSL text to an AST."""
-    return _Parser(text).parse()
+def parse(text: str, names=None):
+    """Parse DSL text to an AST; the name of every symbol read goes into the
+    set `names` when one is given."""
+    parser = _Parser(text)
+    node = parser.parse()
+    if names is not None:
+        names.update(parser.syms)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +276,15 @@ class Context:
         return _eval(node, self)
 
 
+_I = QI(0, 1)
+
+
 def _eval(node, ctx: Context):
     t = ctx.table
     if isinstance(node, Lit):
         return t.scalar(node.value)
     if isinstance(node, ImagLit):
-        return t.scalar(QI(0, 1))
+        return t.scalar(_I)
     if isinstance(node, Sym):
         if node.name not in t:
             raise UnknownSymbolError(node.name)
@@ -303,11 +292,7 @@ def _eval(node, ctx: Context):
     if isinstance(node, Add):
         return t.sum(_eval(p, ctx) for p in node.parts)
     if isinstance(node, Mul):
-        vals = [_eval(p, ctx) for p in node.parts]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out * v
-        return out
+        return _eval_mul(node.parts, ctx)
     if isinstance(node, Pow):
         return _eval(node.base, ctx) ** node.exp
     if isinstance(node, Neg):
@@ -315,6 +300,41 @@ def _eval(node, ctx: Context):
     if isinstance(node, Ber):
         return _eval(node.arg, ctx).coefficient_of_odd(ctx.berezin_names)
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _eval_mul(parts, ctx: Context):
+    """The product of the factors from left to right.  Each run of
+    consecutive atom factors (a literal, I, a symbol, or a power of an even
+    symbol) becomes one `SymbolTable.monomial` term; any other factor is
+    evaluated on its own and multiplied in at its place."""
+    t = ctx.table
+    vals, coeff, even, odd = [], None, [], []
+    for p in parts:
+        k = type(p)
+        if k is Lit or k is ImagLit:
+            c = p.value if k is Lit else t.scalar(_I).scalar_part()  # I is refused over "QQ"
+            coeff = c if coeff is None else coeff * c
+            continue
+        if k is Sym or k is Pow and type(p.base) is Sym:
+            name = p.name if k is Sym else p.base.name
+            if name not in t:
+                raise UnknownSymbolError(name)
+            if t.symbol(name).parity == EVEN:
+                even.append((name, 1 if k is Sym else p.exp))
+                continue
+            if k is Sym:
+                odd.append(name)
+                continue
+        if coeff is not None or even or odd:
+            vals.append(t.monomial(1 if coeff is None else coeff, even, odd))
+            coeff, even, odd = None, [], []
+        vals.append(_eval(p, ctx))
+    if coeff is not None or even or odd:
+        vals.append(t.monomial(1 if coeff is None else coeff, even, odd))
+    out = vals[0]
+    for v in vals[1:]:
+        out = out * v
+    return out
 
 
 # ---------------------------------------------------------------------------

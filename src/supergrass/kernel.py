@@ -23,14 +23,14 @@ invariant fields D and tau of every superspace here are built by one
 function, `odd_fields`, from the pairing T of the thetas into even
 translations, and checked against one law, `odd_field_relations_ok`.
 
-The term dict of a SuperPolynomial is private to this module and to the
-`expr_io` printer and JSON codec.  No function outside reads or builds it:
-other code reads a polynomial through its projections (`scalar_part`,
-`free_of`, `parity_part`, `support`, `coefficient_of_odd`,
-`odd_components`, `eval_even`, `diff_even`, `integrate_even`), maps it
-with `substitute`, copies it into another table with `SymbolTable.adopt`
-and adds many into one accumulator with `SymbolTable.sum`;
-`tests/test_kernel.py` pins that no other module does.
+The term dict of a SuperPolynomial is built only in this module and read
+only here and by the `expr_io` printer and JSON codec.  Other code reads a
+polynomial through its projections (`scalar_part`, `free_of`,
+`parity_part`, `support`, `coefficient_of_odd`, `odd_components`,
+`eval_even`, `diff_even`, `integrate_even`), maps it with `substitute`,
+copies it into another table with `SymbolTable.adopt` and adds many into
+one accumulator with `SymbolTable.sum`; `tests/test_kernel.py` pins that
+no other module does.
 """
 
 from __future__ import annotations
@@ -171,13 +171,30 @@ class SymbolTable:
         return SuperPolynomial(self, out)
 
     def monomial(self, coeff, even=(), odd=()):
-        """Build coeff * prod(even names with powers) * prod(odd names, given order)."""
-        p = self.scalar(coeff)
+        """coeff * prod(even names with powers) * prod(odd names, given order),
+        built as one term: the powers of a name add up, and each odd name is
+        merged in through `_odd_mul`, which applies the Koszul signs and the
+        Clifford contractions."""
+        c = self.scalar(coeff).scalar_part()
+        powers = {}
         for name, e in even:
-            p = p * self.sym(name) ** e
+            s = self.symbol(name)
+            if s.parity != EVEN or type(e) is not int or e < 0:
+                raise ParityError(f"{name}^{e} is not a nonnegative power of an even symbol")
+            if e:
+                powers[s.index] = powers.get(s.index, 0) + e
+        od = ()
         for name in odd:
-            p = p * self.sym(name)
-        return p
+            s = self.symbol(name)
+            if s.parity != ODD:
+                raise ParityError(f"{name} is even; list it among the even names")
+            res = _odd_mul(od, (s.index,), self.symbols)
+            if res is None:
+                return self.zero()
+            fac, od = res
+            if fac is not None:
+                c = -c if fac == -1 else c * fac
+        return SuperPolynomial(self, {(tuple(sorted(powers.items())), od): _coef(c)} if c else {})
 
 
 def _coef(c):

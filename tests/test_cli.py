@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -258,3 +259,20 @@ def test_shared_parser_carries_nothing_between_requests(capsys, monkeypatch):
 ])
 def test_one_term_powers_print_as_before(capsys, expr, out):
     assert run(capsys, "expand", expr) == (0, out + "\n", "")
+
+
+@pytest.mark.parametrize("expr, out, code", [
+    # a literal power is no atom: the budget fires before any product
+    ("3*2^9999999", "", 2),
+    ("x*th1^1000000000", "0\n", 0),
+    ("x*eps^1000000001", "x*eps\n", 0),
+    ("x*I^1000000002", "-x\n", 0),
+    ("y*x^1000000000", "x^1000000000*y\n", 0),
+])
+def test_huge_powers_in_a_product_keep_their_bounds(capsys, expr, out, code):
+    start = time.process_time()
+    got = run(capsys, "expand", expr)
+    assert time.process_time() - start < 1
+    err = ("error: a power 9999999 of 2-bit coefficients exceeds the coefficient budget "
+           "of 65536 bits\n" if code else "")
+    assert got == (code, out, err)

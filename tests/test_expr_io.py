@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from supergrass.expr_io import (Add, Context, DslSyntaxError,
-                                UnknownSymbolError, format_poly, parse,
+from supergrass.expr_io import (Add, Ber, Context, DslSyntaxError, ImagLit, Lit, Mul, Neg, Pow,
+                                Sym, UnknownSymbolError, format_poly, parse,
                                 poly_from_json, poly_to_json, print_ast)
 from supergrass.kernel import SymbolTable
 from supergrass.scalars import QI
@@ -107,6 +107,109 @@ def test_trailing_whitespace_is_not_rescanned():
     start = time.process_time()
     assert parse("x" + " " * 50_000 + "\n") == parse("x")
     assert time.process_time() - start < 2
+
+
+# (text, line, col, message): inputs past ASCII and in the order of errors
+@pytest.mark.parametrize("text, line, col, expected", [
+    # a non-ASCII digit is a digit, but no part of a name
+    ("x\u0663", 1, 2, "trailing input '\u0663' (expected one of: EOF)"),
+    # a bad character anywhere wins over a parse error before it
+    ("(x $", 1, 4, "bad character '$'"),
+    ("x\u00b2", 1, 2, "bad character '\u00b2'"),
+    ("(x" + " " * 8000, 1, 3, "got 'end of input' (expected one of: ))"),
+])
+def test_syntax_error_corpus(text, line, col, expected):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == f"{line}:{col}: {expected}"
+
+
+def test_parse_corner_cases():
+    t = SymbolTable()
+    t.even_symbol("x")
+    assert format_poly(Context(t).evaluate(parse("\u0663*x"))) == "3*x"
+    # a power binds to the factor it follows, so the second one takes the negation
+    assert parse("-x^2^3") == Pow(Neg(Pow(Sym("x"), 2)), 3)
+    start = time.process_time()
+    assert parse("x" + " " * 8000) == parse("x")
+    assert time.process_time() - start < 0.5
+
+
+def test_parse_reads_the_symbol_names():
+    names = set()
+    ast = parse("2*x*th1^2 + ber(y*I) - (ber + eps)^3", names)
+    assert names == {"x", "th1", "y", "ber", "eps"}
+    assert parse("2*x*th1^2 + ber(y*I) - (ber + eps)^3") == ast
+    assert isinstance(ast.parts[1], Ber)
+
+
+def _chain_eval(node, t, berezin_names=()):
+    """Reference evaluator: every factor of a product on its own, then the
+    values multiplied from left to right."""
+    if isinstance(node, Lit):
+        return t.scalar(node.value)
+    if isinstance(node, ImagLit):
+        return t.scalar(QI(0, 1))
+    if isinstance(node, Sym):
+        return t.sym(node.name)
+    if isinstance(node, Add):
+        return t.sum(_chain_eval(p, t, berezin_names) for p in node.parts)
+    if isinstance(node, Mul):
+        out = _chain_eval(node.parts[0], t, berezin_names)
+        for p in node.parts[1:]:
+            out = out * _chain_eval(p, t, berezin_names)
+        return out
+    if isinstance(node, Pow):
+        return _chain_eval(node.base, t, berezin_names) ** node.exp
+    if isinstance(node, Neg):
+        return -_chain_eval(node.arg, t, berezin_names)
+    return _chain_eval(node.arg, t, berezin_names).coefficient_of_odd(berezin_names)
+
+
+def _rand_product(rng, depth=0):
+    """A product of atoms (literals, I, symbols, powers of even symbols,
+    power 0, names repeated) with now and then a factor that is no atom."""
+    atoms = ["2", "3/4", "0", "1", "5/3", "I", "x", "y", "th1", "th2", "th3", "eps",
+             "x^0", "y^3", "x^2"]
+    others = ["-th2", "-2", "th1^2", "eps^3", "I^2", "(3/2)^2", "2^3"]
+    parts = []
+    for _ in range(rng.randint(1, 7)):
+        q = rng.random()
+        if q < 0.75:
+            parts.append(rng.choice(atoms))
+        elif q < 0.9 or depth > 1:
+            parts.append(rng.choice(others))
+        else:
+            inner = " + ".join(_rand_product(rng, depth + 1) for _ in range(rng.randint(1, 3)))
+            parts.append(f"ber({inner})" if rng.random() < 0.2 else f"({inner})")
+    return "*".join(parts)
+
+
+def test_product_of_atoms_against_the_chain():
+    t = SymbolTable()
+    for n in ("x", "y"):
+        t.even_symbol(n)
+    t.odd_symbol("th1")
+    t.clifford_symbol("eps", 1)
+    t.odd_symbol("th2")
+    t.odd_symbol("th3")
+    ctx = Context(t, berezin_names=("th1",))
+    rng = random.Random(37)
+    for _ in range(1500):
+        node = parse(_rand_product(rng))
+        got, want = ctx.evaluate(node), _chain_eval(node, t, ("th1",))
+        assert got == want and got.terms == want.terms, print_ast(node)
+        assert [type(v) for v in got.terms.values()] == [type(v) for v in want.terms.values()]
+    t.odd_symbol("th4")
+    assert format_poly(ctx.evaluate(parse("th1*(th2+th3)*th4"))) == "th1*th2*th4 + th1*th3*th4"
+    assert format_poly(ctx.evaluate(parse("2*th2*th1*3/4"))) == "-3/2*th1*th2"
+    q = SymbolTable("QQ")
+    q.even_symbol("x")
+    for text in ("I*I*x", "x*I", "2*(I*I)"):
+        with pytest.raises(ValueError, match="no formal I"):
+            Context(q).evaluate(parse(text))
+    with pytest.raises(UnknownSymbolError):
+        Context(q).evaluate(parse("2*x*y^2"))
 
 
 def test_ast_round_trip_random():

@@ -688,3 +688,56 @@ def test_term_dict_is_read_only_by_the_listed_functions():
         if path.name not in ("kernel.py", "expr_io.py"):
             scan(ast.parse(path.read_text()), (path.stem,))
     assert readers == set()
+
+
+def _monomial_chain(t, coeff, even, odd):
+    """coeff times each even power, then each odd name, multiplied left to right."""
+    p = t.scalar(coeff)
+    for name, e in even:
+        p = p * t.sym(name) ** e
+    for name in odd:
+        p = p * t.sym(name)
+    return p
+
+
+def test_monomial_against_the_product_chain():
+    t = _qi_table()
+    rng = random.Random(31)
+    coeffs = [0, 1, -3, Fraction(3, 4), Fraction(-4, 2), QI(0, 1), QI(Fraction(1, 2), -1), QI(2, 0)]
+    zero = contracted = 0
+    for _ in range(600):
+        c = rng.choice(coeffs)
+        # repeated even names and power 0; repeated odd names and eps
+        even = [(rng.choice("xy"), rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+        odd = [rng.choice(("th1", "eps", "th2", "th3")) for _ in range(rng.randint(0, 5))]
+        got, want = t.monomial(c, even, odd), _monomial_chain(t, c, even, odd)
+        assert got == want and got.terms == want.terms
+        assert [type(v) for v in got.terms.values()] == [type(v) for v in want.terms.values()]
+        zero += c != 0 and got.is_zero()
+        contracted += odd.count("eps") > 1 and not got.is_zero()
+    assert zero > 50 and contracted > 20
+    assert t.monomial(5, (), ["th2", "th2"]).is_zero()
+    # eps*th1*eps = -th1*eps^2 = 2*th1 for eps^2 = -2
+    assert t.monomial(1, (), ["eps", "th1", "eps"]) == t.sym("th1").scale(2)
+    assert t.monomial(3, [("x", 0), ("x", 2), ("y", 1), ("x", 1)]) == (t.sym("x") ** 3 * t.sym("y")).scale(3)
+    q = SymbolTable("QQ")
+    q.even_symbol("x")
+    with pytest.raises(ValueError, match="no formal I"):
+        q.monomial(QI(0, 1), [("x", 1)])
+    with pytest.raises(ParityError):
+        t.monomial(1, [("th1", 1)])
+    with pytest.raises(ParityError):
+        t.monomial(1, (), ["x"])
+
+
+def test_only_the_kernel_builds_a_term_dict():
+    """No module but the kernel calls the SuperPolynomial constructor: the
+    DSL evaluator and the JSON decoder build terms through SymbolTable."""
+    builders = set()
+    for path in sorted(Path(supergrass.__file__).parent.glob("*.py")):
+        if path.name != "kernel.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "SuperPolynomial"):
+                    builders.add(path.stem)
+    assert builders == set()
