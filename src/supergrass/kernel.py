@@ -4,9 +4,12 @@ Clifford multiplication, graded derivations and super brackets.
 Everything is exact: coefficients are Python ints when integral, Fractions
 otherwise, or Gaussian rationals (`QI`, integer parts over one denominator);
 the three compare and hash alike, so 3, Fraction(3) and QI(3, 0) are the
-same coefficient.  Odd monomials are kept strictly increasing in
-symbol-table declaration order and every product normalizes signs against
-that order; a Koszul sign is applied by negation.  Products and sums are
+same coefficient.  An odd monomial is an int bitmask over symbol indices
+(bit i set: `symbols[i]` occurs), read in symbol-table declaration order,
+and every product normalizes signs against that order: `_odd_mul` finds a
+repeated nilpotent generator with one AND, the Koszul sign as the parity of
+a popcount against the prefix-parity mask `_below`, and the merged monomial
+as an XOR; a Koszul sign is applied by negation.  Products and sums are
 written through one accumulator, `_add_term`, which stores an integral
 Fraction as an int; `scale` does the same.  Values are immutable after
 construction and safe to share.  A product that would form more than
@@ -35,12 +38,10 @@ no other module does.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .indices import merge_sign
 from .scalars import QI, frac
 
 EVEN = 0
@@ -91,6 +92,9 @@ class SymbolTable:
     "QQi" (a formal central square root of -1 adjoined); rational
     coefficients promote silently inside "QQi", and operands always live
     over one table, so table identity subsumes ring compatibility.
+
+    nil holds the bits of the nilpotent odd generators and unit those of the
+    Clifford generators of square 1; _below memoizes `_below` by monomial.
     """
 
     def __init__(self, scalar_ring: str = "QQi"):
@@ -99,12 +103,19 @@ class SymbolTable:
         self.scalar_ring = scalar_ring
         self.symbols: list[Symbol] = []
         self._by_name: dict[str, Symbol] = {}
+        self.nil = 0
+        self.unit = 0
+        self._below: dict[int, int] = {}
 
     # -- declaration ------------------------------------------------------
     def _add(self, name, parity, square=0):
         if name in self._by_name:
             raise ValueError(f"duplicate symbol {name!r}")
         s = Symbol(name, parity, len(self.symbols), _coef(square))
+        if parity == ODD and not s.square:
+            self.nil |= 1 << s.index
+        elif parity == ODD and s.square == 1:
+            self.unit |= 1 << s.index
         self.symbols.append(s)
         self._by_name[name] = s
         return s
@@ -139,7 +150,7 @@ class SymbolTable:
         c = _coef(c)
         if self.scalar_ring == "QQ" and isinstance(c, QI) and c.im != 0:
             raise ValueError("table is over the plain rationals; no formal I here")
-        return SuperPolynomial(self, {((), ()): c} if c else {})
+        return SuperPolynomial(self, {((), 0): c} if c else {})
 
     def one(self):
         return self.scalar(1)
@@ -147,8 +158,8 @@ class SymbolTable:
     def sym(self, name):
         s = self.symbol(name)
         if s.parity == EVEN:
-            return SuperPolynomial(self, {(((s.index, 1),), ()): 1})
-        return SuperPolynomial(self, {((), (s.index,)): 1})
+            return SuperPolynomial(self, {(((s.index, 1),), 0): 1})
+        return SuperPolynomial(self, {((), 1 << s.index): 1})
 
     def adopt(self, p):
         """p copied into this table: a scalar becomes a constant, and each
@@ -183,12 +194,12 @@ class SymbolTable:
                 raise ParityError(f"{name}^{e} is not a nonnegative power of an even symbol")
             if e:
                 powers[s.index] = powers.get(s.index, 0) + e
-        od = ()
+        od = 0
         for name in odd:
             s = self.symbol(name)
             if s.parity != ODD:
                 raise ParityError(f"{name} is even; list it among the even names")
-            res = _odd_mul(od, (s.index,), self.symbols)
+            res = _odd_mul(od, 1 << s.index, self)
             if res is None:
                 return self.zero()
             fac, od = res
@@ -235,8 +246,9 @@ class SuperPolynomial:
     """Exact element of the supercommutative/Clifford envelope of a table.
 
     terms: {(even_mono, odd_mono): coeff} with even_mono a sorted tuple of
-    (symbol_index, power) and odd_mono a strictly increasing tuple of symbol
-    indices.  Zero coefficients are never stored; the zero polynomial has no
+    (symbol_index, power) and odd_mono an int bitmask over symbol indices
+    (bit i set: symbols[i] occurs, the factors in index order).  Zero
+    coefficients are never stored; the zero polynomial has no
     terms and answers None to parity().
     """
 
@@ -257,32 +269,35 @@ class SuperPolynomial:
         """0/1 if homogeneous, None for the zero polynomial (matches any)."""
         if not self.terms:
             return None
-        parities = {len(od) & 1 for (_, od) in self.terms}
+        parities = {od.bit_count() & 1 for (_, od) in self.terms}
         if len(parities) > 1:
             raise ParityError(f"non-homogeneous polynomial: {self}")
         return parities.pop()
 
     def scalar_part(self):
-        return self.terms.get(((), ()), 0)
+        return self.terms.get(((), 0), 0)
 
     def free_of(self, names: Iterable[str]):
         """The terms in which none of the named symbols occurs."""
         idxs = {self.table.symbol(n).index for n in names}
+        mask = sum(1 << i for i in idxs)
         return SuperPolynomial(self.table, {
             (ev, od): c for (ev, od), c in self.terms.items()
-            if idxs.isdisjoint(od) and idxs.isdisjoint(i for i, _ in ev)})
+            if not od & mask and idxs.isdisjoint(i for i, _ in ev)})
 
     def parity_part(self, g: int):
         """The even (g = 0) or the odd (g = 1) component."""
         return SuperPolynomial(self.table, {
-            (ev, od): c for (ev, od), c in self.terms.items() if len(od) % 2 == g})
+            (ev, od): c for (ev, od), c in self.terms.items() if od.bit_count() & 1 == g})
 
     def support(self) -> list[Symbol]:
         """The symbols that occur in some term, in declaration order."""
         seen = set()
+        odd = 0
         for ev, od in self.terms:
             seen.update(i for i, _ in ev)
-            seen.update(od)
+            odd |= od
+        seen.update(_indices(odd))
         return [self.table.symbols[i] for i in sorted(seen)]
 
     def max_even_degree(self):
@@ -333,11 +348,11 @@ class SuperPolynomial:
         if len(self.terms) * len(other.terms) > MAX_TERM_PAIRS:
             raise SizeLimitError(f"a product of {len(self.terms)} by {len(other.terms)} terms "
                                  f"exceeds the budget of {MAX_TERM_PAIRS} term pairs")
-        squares = self.table.symbols
+        table = self.table
         out: dict = {}
         for (e1, o1), c1 in self.terms.items():
             for (e2, o2), c2 in other.terms.items():
-                res = _odd_mul(o1, o2, squares)
+                res = _odd_mul(o1, o2, table)
                 if res is None:
                     continue
                 fac, od = res
@@ -363,7 +378,7 @@ class SuperPolynomial:
         if n and len(self.terms) == 1:
             ((ev, od), c), = self.terms.items()
             if not od:  # one even term: no sign, no contraction, no cancellation
-                return SuperPolynomial(self.table, {(tuple((i, e * n) for i, e in ev), ()): c ** n})
+                return SuperPolynomial(self.table, {(tuple((i, e * n) for i, e in ev), 0): c ** n})
         out = self.table.one()
         base = self
         while n:
@@ -381,7 +396,7 @@ class SuperPolynomial:
         return self.table is other.table and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.table), tuple(sorted(self.terms.items(), key=_term_key))))
+        return hash((id(self.table), frozenset(self.terms.items())))
 
     # -- structure ---------------------------------------------------------
     def coefficient_of_odd(self, odd_names: Iterable[str]):
@@ -392,17 +407,24 @@ class SuperPolynomial:
         among the requested symbols' indices contribute; remaining odd
         factors stay in place.
         """
-        idxs = tuple(self.table.symbol(n).index for n in odd_names)
-        want = set(idxs)
+        # od is in index order, so carrying od onto the requested names
+        # followed by the rest has the sign of sorting that concatenation:
+        # the sign of the requested order, times one crossing for each pair
+        # of a requested index above an index of the rest
+        want = flips = 0
+        for n in odd_names:
+            i = self.table.symbol(n).index
+            if want >> i & 1:
+                raise ValueError(f"odd name {n!r} repeated")
+            flips += (want >> i).bit_count()
+            want |= 1 << i
         out: dict = {}
         for (ev, od), c in self.terms.items():
-            if not want <= set(od):
+            if od & want != want:
                 continue
-            rest = tuple(i for i in od if i not in want)
-            # od is sorted, so carrying od onto idxs + rest has the sign of
-            # sorting idxs + rest
-            sign = merge_sign(idxs, rest)[0]
-            _add_term(out, (ev, rest), c if sign > 0 else -c)
+            rest = od ^ want
+            odd = flips + (want & _below(rest)).bit_count()
+            _add_term(out, (ev, rest), -c if odd & 1 else c)
         return SuperPolynomial(self.table, out)
 
     def odd_components(self):
@@ -412,9 +434,9 @@ class SuperPolynomial:
         in that order."""
         parts: dict = {}
         for (ev, od), c in self.terms.items():
-            parts.setdefault(od, {})[ev, ()] = c
+            parts.setdefault(od, {})[ev, 0] = c
         symbols = self.table.symbols
-        return {tuple(symbols[i].name for i in od): SuperPolynomial(self.table, terms)
+        return {tuple(symbols[i].name for i in _indices(od)): SuperPolynomial(self.table, terms)
                 for od, terms in parts.items()}
 
     def substitute(self, images: dict):
@@ -448,7 +470,7 @@ class SuperPolynomial:
                 if (i, p) not in powers:
                     powers[i, p] = imgs[i] ** p
                 t = t * powers[i, p]
-            for i in od:
+            for i in _indices(od):
                 t = t * imgs[i]
                 if t.is_zero():
                     break
@@ -507,7 +529,11 @@ class SuperPolynomial:
         return SuperPolynomial(self.table, out)
 
     def terms_sorted(self):
-        return sorted(self.terms.items(), key=_term_key)
+        """The terms as ((even_mono, odd indices), coeff), the odd monomial an
+        increasing tuple of symbol indices, sorted by (odd degree, odd
+        indices, even_mono)."""
+        return sorted((((ev, _indices(od)), c) for (ev, od), c in self.terms.items()),
+                      key=_term_key)
 
     def __str__(self):
         from .expr_io import format_poly
@@ -531,41 +557,64 @@ def _coeff_bits(c) -> int:
     return max(max(p.numerator.bit_length(), p.denominator.bit_length()) for p in parts)
 
 
-def _odd_mul(o1, o2, symbols):
-    """Product of two canonical odd monomials.
+def _indices(m):
+    """The symbol indices of an odd monomial, increasing."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
 
-    Returns (extra_factor_or_None, merged_tuple), or None when the product
+
+def _below(m):
+    """The prefix-parity mask of m: bit a is set iff an odd number of bits of
+    m lie below a.  Above the top bit of m it is all ones when m has an odd
+    number of bits, so it is a negative int and serves any table width."""
+    out, low_sign = 0, -1
+    while m:
+        low = m & -m
+        out += low_sign * low
+        low_sign = -low_sign
+        m ^= low
+    return out << 1
+
+
+def _odd_mul(o1, o2, table):
+    """Product of two canonical odd monomials (bitmasks) over a table.
+
+    Returns (extra_factor_or_None, merged_mask), or None when the product
     vanishes (repeated nilpotent generator).  extra_factor collects the
     Koszul sign and the -B(e,e) contractions of repeated Clifford
     generators; a pure sign is the int -1, which the caller applies by
-    negation.
+    negation.  Moving o2 past o1 crosses each bit of o1 over the bits of o2
+    below it, so the Koszul sign is the parity of o1 & _below(o2); a
+    repeated generator of square 1 contracts to -1, any other square sq to
+    -sq.
     """
     if not o1:
         return (None, o2)
     if not o2:
         return (None, o1)
-    sign = 1
+    shared = o1 & o2
+    if shared & table.nil:
+        return None
+    below = table._below.get(o2)
+    if below is None:
+        below = table._below[o2] = _below(o2)
+    flips = (o1 & below).bit_count()
     fac = None
-    merged = list(o1)
-    for s in o2:
-        pos = bisect_left(merged, s)
-        if pos < len(merged) and merged[pos] == s:
-            hops = len(merged) - pos - 1
-            if hops & 1:
-                sign = -sign
-            sq = symbols[s].square
-            if not sq:
-                return None
-            fac = (-sq) if fac is None else fac * (-sq)
-            del merged[pos]
-        else:
-            hops = len(merged) - pos
-            if hops & 1:
-                sign = -sign
-            merged.insert(pos, s)
-    if sign < 0:
+    if shared:
+        flips += (shared & table.unit).bit_count()
+        other = shared & ~table.unit
+        while other:
+            low = other & -other
+            sq = -table.symbols[low.bit_length() - 1].square
+            fac = sq if fac is None else fac * sq
+            other ^= low
+    if flips & 1:
         fac = -1 if fac is None else -fac
-    return (fac, tuple(merged))
+    return (fac, o1 ^ o2)
 
 
 class Derivation:
@@ -598,12 +647,13 @@ class Derivation:
         A term c*ev*od of f and a term c2*e2*o2 of the image of one of its
         factors give the single term c*(p or crossing sign)*c2 on the merged
         monomials: an even factor x^p leaves x^(p-1) and multiplies by p, an
-        odd factor at position j merges od[:j] with o2 and then the result
-        with od[j+1:], with (-1)^(parity * j) for the factors crossed.
+        odd factor, the j-th bit of od from the bottom, merges the bits
+        below it with o2 and then the result with the bits above it, with
+        (-1)^(parity * j) for the factors crossed.
         """
         if f.table is not self.table:
             raise TableMismatchError("derivation applied across tables")
-        symbols = self.table.symbols
+        table = self.table
         images = self.images
         gx = self.parity
         odd_mul = _odd_mul
@@ -619,7 +669,7 @@ class Derivation:
                 else:
                     rest, cp = ev[:j] + ((i, p - 1),) + ev[j + 1:], c * p
                 for (e2, o2), c2 in img.terms.items():
-                    res = odd_mul(o2, od, symbols)
+                    res = odd_mul(o2, od, table)
                     if res is None:
                         continue
                     fac, o = res
@@ -627,19 +677,26 @@ class Derivation:
                     if fac is not None:
                         cc = -cc if fac == -1 else cc * fac
                     _add_term(out, (_even_mul(rest, e2), o), cc)
-            # odd factors: (-1)^(gx * #odd factors crossed)
-            for j, i in enumerate(od):
-                img = images.get(i)
+            # odd factors: (-1)^(gx * #odd factors crossed); the factor at
+            # bit low crosses the j bits below it, and right holds the bits
+            # above it
+            right = od
+            j = -1
+            while right:
+                low = right & -right
+                right ^= low
+                j += 1
+                img = images.get(low.bit_length() - 1)
                 if img is None:
                     continue
                 cs = -c if (gx and (j & 1)) else c
-                left, right = od[:j], od[j + 1:]
+                left = od & (low - 1)
                 for (e2, o2), c2 in img.terms.items():
-                    res = odd_mul(left, o2, symbols)
+                    res = odd_mul(left, o2, table)
                     if res is None:
                         continue
                     fac, mid = res
-                    res = odd_mul(mid, right, symbols)
+                    res = odd_mul(mid, right, table)
                     if res is None:
                         continue
                     fac2, o = res

@@ -276,3 +276,17 @@ def test_huge_powers_in_a_product_keep_their_bounds(capsys, expr, out, code):
     err = ("error: a power 9999999 of 2-bit coefficients exceeds the coefficient budget "
            "of 65536 bits\n" if code else "")
     assert got == (code, out, err)
+
+
+@pytest.mark.parametrize("n", [70, 130])
+def test_reversed_product_wider_than_a_machine_word(capsys, n):
+    """th_n*...*th1 over a table of n odd symbols, wider than 64 bits: the
+    printed monomial lists the names sorted as strings, with the sign of that
+    reordering (2083 crossings for n = 70)."""
+    names = [f"th{i}" for i in range(n, 0, -1)]
+    code, out, err = run(capsys, "expand", "*".join(names))
+    crossings = sum(a > b for i, a in enumerate(names) for b in names[i + 1:])
+    assert (code, err) == (0, "")
+    assert out == ("-" if crossings & 1 else "") + "*".join(sorted(names)) + "\n"
+    if n == 70:
+        assert crossings == 2083 and out.startswith("-th1*th10*")

@@ -1,15 +1,18 @@
 import ast
+import collections
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import supergrass
+from supergrass.indices import merge_sign
 from supergrass.kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
-                               SizeLimitError, SymbolTable, TableMismatchError, cartan_triple,
-                               jacobi_check, odd_field_relations_ok, skew_check,
+                               SizeLimitError, SymbolTable, TableMismatchError, _odd_mul,
+                               cartan_triple, jacobi_check, odd_field_relations_ok, skew_check,
                                super_bracket)
 from supergrass.minkowski import r32_fields
 from supergrass.scalars import QI
@@ -159,7 +162,7 @@ def test_general_leibniz_random():
         for _ in range(60):
             f = random_poly(t, rng)
             g = random_poly(t, rng)
-            fp = f.parity() if len({len(od) & 1 for (_, od) in f.terms}) <= 1 else None
+            fp = f.parity() if len({len(od) & 1 for (_, od), _c in f.terms_sorted()}) <= 1 else None
             if fp is None:
                 continue
             sign = -1 if (D.parity and fp) else 1
@@ -372,7 +375,10 @@ def test_unit_scaling_returns_the_polynomial_or_its_negative():
 
 def test_coefficient_types_compare_and_hash_alike():
     t = grassmann_table(2)
-    keys = [((), ()), (((0, 2),), (1,)), ((), (1, 2))]
+    # the kernel's own keys of 1, x^2*th1 and th1*th2, each stored with an
+    # int, a Fraction and a QI coefficient
+    keys = [next(iter(t.monomial(1, ev, od).terms))
+            for ev, od in (((), ()), ((("x", 2),), ("th1",)), ((), ("th1", "th2")))]
     values = [3, -1, Fraction(1, 2)]
     as_int = SuperPolynomial(t, dict(zip(keys, values)))
     as_frac = SuperPolynomial(t, {k: Fraction(v) for k, v in zip(keys, values)})
@@ -417,30 +423,37 @@ def _nonzero_terms(p):
     return all(c for c in p.terms.values())
 
 
+def _term(table, ev, od, c):
+    """c times one monomial, given as the (index, power) pairs and the odd
+    indices that terms_sorted yields."""
+    names = table.symbols
+    return table.monomial(c, [(names[i].name, e) for i, e in ev], [names[i].name for i in od])
+
+
 def _free_of_oracle(p, names):
     # the per-term filter of the former models._theta_free and morphisms._strip
     idx = {p.table.symbol(n).index for n in names}
     out = p.table.zero()
-    for (ev, od), c in p.terms.items():
+    for (ev, od), c in p.terms_sorted():
         if any(i in idx for i in od) or any(i in idx for i, _ in ev):
             continue
-        out = out + SuperPolynomial(p.table, {(ev, od): c})
+        out = out + _term(p.table, ev, od, c)
     return out
 
 
 def _parity_part_oracle(p, parity):
     # the former loop of suites.random_homogeneous
     out = p.table.zero()
-    for (ev, od), c in p.terms.items():
+    for (ev, od), c in p.terms_sorted():
         if len(od) % 2 == parity:
-            out = out + SuperPolynomial(p.table, {(ev, od): c})
+            out = out + _term(p.table, ev, od, c)
     return out
 
 
 def _support_oracle(p):
     # the former even and odd scans of FieldSystem._check_order
     seen = set()
-    for (ev, od), _ in p.terms.items():
+    for (ev, od), _ in p.terms_sorted():
         for i, _e in ev:
             seen.add(i)
         for i in od:
@@ -453,7 +466,7 @@ def _copy_oracle(p, table, images):
     # SymbolTable.adopt: rebuild each term factor by factor, a symbol
     # without an image going over by name
     out = table.zero()
-    for (ev, od), c in p.terms.items():
+    for (ev, od), c in p.terms_sorted():
         term = table.scalar(c)
         for i, e in ev:
             name = p.table.symbols[i].name
@@ -469,7 +482,7 @@ def _derivation_oracle(X, f):
     # the former Derivation.__call__, which summed with out = out + ...
     table = X.table
     out = table.zero()
-    for (ev, od), c in f.terms.items():
+    for (ev, od), c in f.terms_sorted():
         for j, (i, p) in enumerate(ev):
             img = X.images.get(i)
             if img is None:
@@ -479,15 +492,15 @@ def _derivation_oracle(X, f):
                 del nev[j]
             else:
                 nev[j] = (i, p - 1)
-            left = SuperPolynomial(table, {(tuple(nev), ()): c * p})
-            out = out + left * img * SuperPolynomial(table, {((), od): 1})
+            left = _term(table, nev, (), c * p)
+            out = out + left * img * _term(table, (), od, 1)
         for j, i in enumerate(od):
             img = X.images.get(i)
             if img is None:
                 continue
             cc = -c if (X.parity and (j & 1)) else c
-            left = SuperPolynomial(table, {(ev, od[:j]): cc})
-            out = out + left * img * SuperPolynomial(table, {((), od[j + 1:]): 1})
+            left = _term(table, ev, od[:j], cc)
+            out = out + left * img * _term(table, (), od[j + 1:], 1)
     return out
 
 
@@ -600,7 +613,7 @@ def _pair_sum(polys):
     # coefficients summed as (re, im) Fraction pairs, zeros dropped at the end
     acc = {}
     for p in polys:
-        for k, c in p.terms.items():
+        for k, c in p.terms_sorted():
             re, im = (c.re, c.im) if isinstance(c, QI) else (Fraction(c), Fraction(0))
             a, b = acc.get(k, (Fraction(0), Fraction(0)))
             acc[k] = (a + re, b + im)
@@ -616,16 +629,16 @@ def test_accumulator_cancels_to_absent_key():
         total = t.zero()
         for p in polys:
             total = total + p
-        assert total.terms == {k: QI(*v) for k, v in _pair_sum(polys).items()}
-        assert t.sum(polys).terms == total.terms and t.sum(iter(polys)).terms == total.terms
-        assert (total - total).terms == {}
+        assert dict(total.terms_sorted()) == {k: QI(*v) for k, v in _pair_sum(polys).items()}
+        assert t.sum(polys).terms_sorted() == total.terms_sorted() == t.sum(iter(polys)).terms_sorted()
+        assert (total - total).terms_sorted() == []
     x, th1, th2, eps = (t.sym(n) for n in ("x", "th1", "th2", "eps"))
-    x2 = {(((0, 2),), ()): 1}
+    x2 = [((((0, 2),), ()), 1)]
     # the cross terms of each product cancel, and their keys must go
-    assert ((x + eps * th1) * (x - eps * th1)).terms == x2
-    assert ((x + (th1 * th2).scale(QI(0, 1))) * (x - (th1 * th2).scale(QI(0, 1)))).terms == x2
-    assert (x * th1 + th1 * x.scale(-1)).terms == {}
-    assert (x * x * th1).diff_even("x").coefficient_of_odd(("th1",)).terms == {(((0, 1),), ()): 2}
+    assert ((x + eps * th1) * (x - eps * th1)).terms_sorted() == x2
+    assert ((x + (th1 * th2).scale(QI(0, 1))) * (x - (th1 * th2).scale(QI(0, 1)))).terms_sorted() == x2
+    assert (x * th1 + th1 * x.scale(-1)).terms_sorted() == []
+    assert (x * x * th1).diff_even("x").coefficient_of_odd(("th1",)).terms_sorted() == [((((0, 1),), ()), 2)]
 
 
 def test_sum_refuses_a_polynomial_over_another_table():
@@ -741,3 +754,112 @@ def test_only_the_kernel_builds_a_term_dict():
                         and node.func.id == "SuperPolynomial"):
                     builders.add(path.stem)
     assert builders == set()
+
+
+# ---------------------------------------------------------------------------
+# the bitmask product of odd monomials against a tuple merge
+# ---------------------------------------------------------------------------
+
+def _merge_oracle(o1, o2, squares):
+    """o1 * o2 for increasing index tuples, by counting inversions: the sign
+    of sorting the concatenation, times -square for each repeated index, or
+    None when a repeated index squares to 0."""
+    inversions = sum(len(o1) - bisect_right(o1, b) for b in o2)
+    fac = -1 if inversions & 1 else 1
+    for i in set(o1) & set(o2):
+        if not squares[i]:
+            return None
+        fac *= -squares[i]
+    return fac, tuple(sorted(set(o1) ^ set(o2)))
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _declare(t, rng, name):
+    kind = rng.choice(("even", "odd", "odd", "clifford"))
+    if kind == "even":
+        t.even_symbol(name)
+    elif kind == "odd":
+        t.odd_symbol(name)
+    else:
+        t.clifford_symbol(name, rng.choice((1, -1, 2)))
+
+
+@pytest.mark.parametrize("n", [3, 9, 40, 70, 130])
+def test_odd_mul_against_an_inversion_count(n):
+    """_odd_mul on bitmasks agrees with a tuple merge that shares no code with
+    it, at table widths below and above 64 bits, with even symbols between
+    the odd ones, Clifford squares 1, -1 and 2, and two symbols declared
+    after the prefix-parity memo already holds entries."""
+    rng = random.Random(n)
+    t = SymbolTable()
+    squares = dict(zip(rng.sample(range(n), 3), (1, -1, 2))) if n > 3 else {}
+    for k in range(n):
+        if k in squares:
+            t.clifford_symbol(f"s{k}", squares[k])
+        else:
+            _declare(t, rng, f"s{k}")
+    outcomes = collections.Counter()
+    for draw in range(1600):
+        if draw == 800:
+            assert t._below  # the late symbols meet a filled memo
+            t.odd_symbol("late_th")
+            t.clifford_symbol("late_eps", 1)
+        odd = [s.index for s in t.symbols if s.parity == ODD]
+        squares = [s.square for s in t.symbols]
+        density = rng.choice((0.1, 0.3, 0.6))
+        o1 = [i for i in odd if rng.random() < density]
+        # o2 mostly repeats Clifford generators only, so that most products
+        # survive; a repeated nilpotent generator is drawn now and then
+        o2 = [i for i in odd if rng.random() < density
+              and (i not in o1 or squares[i] or rng.random() < 0.05)]
+        if draw >= 800 and rng.random() < 0.5:  # a late symbol on both sides
+            late = rng.choice(odd[-2:])
+            o1, o2 = sorted(set(o1) | {late}), sorted(set(o2) | {late})
+        for i in set(o1) & set(o2):
+            outcomes[i >= n, squares[i]] += 1
+        want = _merge_oracle(o1, o2, squares)
+        got = _odd_mul(_mask(o1), _mask(o2), t)
+        if want is None:
+            assert got is None, (o1, o2)
+            outcomes["zero"] += 1
+            continue
+        fac, merged = got
+        assert (1 if fac is None else fac) == want[0] and merged == _mask(want[1]), (o1, o2)
+        outcomes["minus" if want[0] == -1 else "plus"] += 1
+    assert outcomes["zero"] > 30 and outcomes["minus"] > 100 and outcomes["plus"] > 100
+    assert outcomes[True, 0] and outcomes[True, 1]  # each late symbol repeated
+    if n > 3:
+        assert all(outcomes[False, sq] for sq in (1, -1, 2)), outcomes
+
+
+def test_coefficient_of_odd_against_merge_sign():
+    """coefficient_of_odd in any requested order agrees with the per-term
+    sort sign of the requested names followed by the rest of the term."""
+    rng = random.Random(23)
+    t = SymbolTable()
+    for k in range(70):
+        _declare(t, rng, f"s{k}")
+    odd = [s.name for s in t.symbols if s.parity == ODD]
+    even = [s.name for s in t.symbols if s.parity == EVEN]
+    for _ in range(60):
+        f = t.sum(t.monomial(rng.randint(-3, 3), [(rng.choice(even), rng.randint(0, 2))],
+                             rng.sample(odd, rng.randint(0, 12)))
+                  for _ in range(6))
+        names = rng.sample(odd, rng.randint(0, 4))
+        if rng.random() < 0.5 and f:  # names of one term, in a shuffled order
+            (_, od), _c = rng.choice(f.terms_sorted())
+            names = rng.sample([t.symbols[i].name for i in od], min(len(od), 4))
+        idxs = tuple(t.symbol(n).index for n in names)
+        want = t.zero()
+        for (ev, od), c in f.terms_sorted():
+            if set(idxs) <= set(od):
+                rest = [i for i in od if i not in idxs]
+                sign = merge_sign(idxs, rest)[0]
+                want = want + t.monomial(c * sign, [(t.symbols[i].name, e) for i, e in ev],
+                                         [t.symbols[i].name for i in rest])
+        assert f.coefficient_of_odd(names) == want, names
+    with pytest.raises(ValueError):
+        t.sym(odd[0]).coefficient_of_odd((odd[0], odd[0]))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import sympy
 
-from supergrass.kernel import Derivation, ODD, SuperPolynomial, SymbolTable
+from supergrass.kernel import Derivation, ODD, SymbolTable
 from supergrass.superspace import SuperDomain, berezin
 
 
@@ -43,8 +43,8 @@ def naive_mul(p, q):
     """Term-by-term product using the transposition normalizer."""
     t = p.table
     out = {}
-    for (e1, o1), c1 in p.terms.items():
-        for (e2, o2), c2 in q.terms.items():
+    for (e1, o1), c1 in p.terms_sorted():
+        for (e2, o2), c2 in q.terms_sorted():
             res = naive_normalize(list(o1) + list(o2), t.symbols)
             if res is None:
                 continue
@@ -58,7 +58,9 @@ def naive_mul(p, q):
                 out[key] = s
             else:
                 out.pop(key, None)
-    return SuperPolynomial(t, out)
+    names = t.symbols
+    return t.sum(t.monomial(c, [(names[i].name, e) for i, e in ev], [names[i].name for i in od])
+                 for (ev, od), c in out.items())
 
 
 def mixed_table():

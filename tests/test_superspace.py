@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supergrass.indices import merge_sign
-from supergrass.kernel import ParityError, SuperPolynomial, SymbolTable
+from supergrass.kernel import ParityError, SymbolTable
 from supergrass.suites import random_homogeneous
 from supergrass.superspace import (EvenGrassmannPoint, LiftSpace, SuperDomain,
                                    berezin, berezin_translation_check, body,
@@ -238,7 +238,7 @@ def test_lift_lower_round_trip():
     assert space.lower(frak) == f
     # lift chooses the s-linear representative
     s_names = set(space.s_name.values())
-    for (ev, _), _c in frak.terms.items():
+    for (ev, _), _c in frak.terms_sorted():
         assert sum(p for i, p in ev if space.table.symbols[i].name in s_names) <= 1
     rng = random.Random(5)
     d6 = SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(6)))
@@ -275,12 +275,19 @@ def test_ideal_reduction_confluent():
         assert a == b == c
 
 
+def _term(table, ev, od, c):
+    """c times one monomial, given as the (index, power) pairs and the odd
+    indices that terms_sorted yields."""
+    names = table.symbols
+    return table.monomial(c, [(names[i].name, e) for i, e in ev], [names[i].name for i in od])
+
+
 def _reduce_oracle(space, frak):
     # the former per-term LiftSpace.reduce: the s factors of each term merge
     # through merge_sign into sign * s_(merged), or vanish on a repeat
     s_index = {space.table.symbol(name).index: I for I, name in space.s_name.items()}
     out = space.table.zero()
-    for (ev, od), c in frak.terms.items():
+    for (ev, od), c in frak.terms_sorted():
         s_parts, rest = [], []
         for i, p in ev:
             if i in s_index:
@@ -288,12 +295,12 @@ def _reduce_oracle(space, frak):
             else:
                 rest.append((i, p))
         if len(s_parts) <= 1:
-            out = out + SuperPolynomial(space.table, {(ev, od): c})
+            out = out + _term(space.table, ev, od, c)
             continue
         ms = merge_sign(*s_parts)
         if ms is not None:
             sign, merged = ms
-            out = out + SuperPolynomial(space.table, {(tuple(rest), od): c * sign}) * space.s(merged)
+            out = out + _term(space.table, rest, od, c * sign) * space.s(merged)
     return out
 
 
@@ -302,10 +309,9 @@ def _lift_oracle(space, f):
     dom = space.domain.table
     pos = {dom.symbol(n).index: k + 1 for k, n in enumerate(space.odd_names)}
     out = space.table.zero()
-    for (ev, od), c in f.terms.items():
+    for (ev, od), c in f.terms_sorted():
         I = tuple(pos[i] for i in od)
-        ev = tuple(sorted((space.table.symbol(dom.symbols[i].name).index, p) for i, p in ev))
-        base = SuperPolynomial(space.table, {(ev, ()): c})
+        base = space.table.monomial(c, [(dom.symbols[i].name, p) for i, p in ev])
         out = out + (base * space.s(I) if I else base)
     return out
 
@@ -325,7 +331,7 @@ def test_reduce_and_lift_against_per_term_oracles(q):
     for _ in range(30):
         frak = _random_lift_poly(space, rng)
         quadratic += any(sum(p for i, p in ev if space.table.symbols[i].name in s_names) >= 2
-                         for ev, _ in frak.terms)
+                         for (ev, _), _c in frak.terms_sorted())
         assert space.reduce(frak) == _reduce_oracle(space, frak)
         f = random_homogeneous(d.table, rng, 0)
         assert space.lift(f) == _lift_oracle(space, f)
