@@ -17,7 +17,7 @@ from math import factorial
 from . import divalg, minkowski, models, suites
 from .expr_io import (Context, DslSyntaxError, UnknownSymbolError, format_derivation, format_poly,
                       parse, poly_to_jsonable)
-from .kernel import SymbolTable, super_bracket
+from .kernel import MAX_DEGREE, SizeLimitError, SymbolTable, super_bracket
 from .morphisms import FleshMorphism
 from .scalars import rational_part
 from .superspace import SuperDomain, berezin, supertime
@@ -348,8 +348,11 @@ def _parse_h(text) -> models.Superpotential:
     t = SymbolTable()
     t.even_symbol("u")
     val = Context(t).evaluate(parse(text))
+    degree = val.max_even_degree()
+    if degree > MAX_DEGREE:
+        raise SizeLimitError(f"--h {text!r}: degree {degree} exceeds the degree budget {MAX_DEGREE}")
     coeffs = []
-    for i in range(val.max_even_degree() + 1):
+    for i in range(degree + 1):
         try:
             c = rational_part(val.eval_even({"u": 0}).scalar_part())
         except ValueError:

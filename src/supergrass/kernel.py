@@ -65,7 +65,9 @@ class SizeLimitError(ValueError):
 MAX_TERM_PAIRS = 100_000
 
 # The highest power of an even coordinate that `integrate_even` accepts, so that
-# x^1000000000 fails fast instead of raising a bound to that power.
+# x^1000000000 fails fast instead of raising a bound to that power; the CLI
+# holds the degree of a superpotential `model sigma32 --h` to it as well, since
+# reading h takes one derivative and one factorial per degree.
 MAX_DEGREE = 1000
 
 # The most bits a power n may add to a coefficient, estimated as n times (the

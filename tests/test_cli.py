@@ -152,11 +152,12 @@ def test_bad_expression_is_usage_error(capsys):
     (("expand", "(x+y+z+w+th1+th2)^2000"), ""),
     (("berezin", "th1*x^1000000000", "--box", "0", "2"), ""),
     (("expand", "(2^9999)^9999"), ""),
+    (("model", "sigma32", "--h", "u^1001"), ""),
 ], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-of-polynomials",
         "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
         "morphism-xi-not-object", "h-not-rational", "power-over-term-budget",
         "mixed-power-over-term-budget", "box-power-over-degree-budget",
-        "power-over-coefficient-budget"])
+        "power-over-coefficient-budget", "h-over-degree-budget"])
 def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)

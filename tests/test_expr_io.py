@@ -9,7 +9,6 @@ from supergrass.expr_io import (Add, Ber, Context, DslSyntaxError, ImagLit, Lit,
                                 poly_from_json, poly_to_json, print_ast)
 from supergrass.kernel import SymbolTable
 from supergrass.scalars import QI
-from supergrass.suites import rand_ast
 from supergrass.superspace import supertime
 
 
@@ -210,13 +209,6 @@ def test_product_of_atoms_against_the_chain():
             Context(q).evaluate(parse(text))
     with pytest.raises(UnknownSymbolError):
         Context(q).evaluate(parse("2*x*y^2"))
-
-
-def test_ast_round_trip_random():
-    rng = random.Random(99)
-    for _ in range(1000):
-        ast = rand_ast(rng)
-        assert parse(print_ast(ast)) == ast
 
 
 def test_value_round_trip_random():

@@ -7,13 +7,10 @@ from supergrass import morphisms
 from supergrass.kernel import SymbolTable
 from supergrass.morphisms import (ChartAssumptionError, CommutationError,
                                   FleshMorphism, apply_once, check_chart_condition,
-                                  collapse_case, collapse_tables, component_fields,
-                                  factorize, morphism_check,
-                                  nonlinear_expansion_check,
-                                  odd_monomials_square_to_zero,
-                                  odd_plane_obstruction, pullback_factorized,
-                                  random_flesh_morphism, skeletal_pullback,
-                                  vectors_dependent)
+                                  component_fields, factorize, morphism_check,
+                                  nonlinear_expansion_check, odd_plane_obstruction,
+                                  pullback_factorized, random_flesh_morphism,
+                                  skeletal_pullback, vectors_dependent)
 
 
 def target_ring(*names):
@@ -51,13 +48,6 @@ def test_pullback_quadratic_example():
 def test_pullback_of_one():
     m = make_simple()
     assert m.pullback_even(m.table.one()) == m.table.one()
-
-
-def test_collapse_even_to_odd():
-    src, tgt = collapse_tables(2, 3)
-    assert odd_monomials_square_to_zero(tgt)
-    rng = random.Random(0)
-    assert all(collapse_case(src, tgt, rng) for _ in range(25))
 
 
 def test_morphism_check_random_instances():
@@ -119,15 +109,6 @@ def test_exp_series_needs_the_factorials(monkeypatch, wrong):
     assert not morphism_check(m, y ** 2, y, random.Random(0))
 
 
-def test_parity_preservation():
-    rng = random.Random(23)
-    for _ in range(10):
-        m = random_flesh_morphism(rng, k_theta=2, L_eta=2)
-        f = m.table.sym("y1") ** 2 + m.table.sym("y2")
-        pb = m.pullback_even(f)
-        assert pb.is_zero() or pb.parity() == 0
-
-
 # -- skeletal morphisms: odd line -------------------------------------------------
 
 def test_point_tangent_example():
@@ -173,17 +154,6 @@ def test_odd_plane_dependent_passes():
 def test_odd_plane_zero_vector_passes():
     t = target_ring("y1", "y2")
     assert odd_plane_obstruction(t, {"y1": 0, "y2": 0}, {}, {"y2": 7})
-
-
-def test_odd_plane_agrees_with_dependence_random():
-    rng = random.Random(31)
-    t = target_ring("y1", "y2")
-    names = ("y1", "y2")
-    for _ in range(40):
-        xi1 = {n: Fraction(rng.randint(-2, 2)) for n in names}
-        xi2 = {n: Fraction(rng.randint(-2, 2)) for n in names}
-        pt = {n: Fraction(rng.randint(-2, 2)) for n in names}
-        assert odd_plane_obstruction(t, pt, xi1, xi2) == vectors_dependent(xi1, xi2, names)
 
 
 # -- factorization ----------------------------------------------------------------
@@ -237,15 +207,6 @@ def test_factorization_k2_four_factors():
         assert pullback_factorized(m, f) == m.pullback_even(f)
 
 
-def test_factorization_random_commuting():
-    rng = random.Random(41)
-    for _ in range(15):
-        m = random_flesh_morphism(rng, k_theta=2, L_eta=2, commuting=True, n_xi=4)
-        y = m.table.sym("y1")
-        f = y ** 3 + y * m.table.sym("y2")
-        assert pullback_factorized(m, f) == m.pullback_even(f)
-
-
 def test_noncommuting_reported():
     # xi_(1,2) = y d/dy and xi_(3,4) = d/dy do not commute
     m = theta_eta_morphism(0, 4, {})
@@ -267,16 +228,14 @@ def test_noncommuting_reported():
 
 # -- component fields and nonlinear expansion -------------------------------------
 
-def sigma_morphism(rng=None, with_empty=True, xi13_y1=1):
+def sigma_morphism(xi13_y1=1):
     """k = 2 source with chart-condition xi (components constant in y)."""
-    rng = rng or random.Random(0)
     xi = {
         (1, 3): {"y1": xi13_y1, "y2": 2},    # th1 et1
         (2, 4): {"y1": -1, "y2": 1},   # th2 et2
         (1, 2): {"y1": 2, "y2": -3},   # th1 th2 -> F
+        (3, 4): {"y1": 1, "y2": 1},    # eta-only: Xi_empty
     }
-    if with_empty:
-        xi[(3, 4)] = {"y1": 1, "y2": 1}  # eta-only: Xi_empty
     m = FleshMorphism(
         even_coords=("x",),
         odd_coords=("th1", "th2", "et1", "et2"),
@@ -319,9 +278,9 @@ def test_nonlinear_expansion_quadratic_cross_term():
 
 def test_nonlinear_expansion_random():
     rng = random.Random(51)
+    m = sigma_morphism()
+    y1, y2 = m.table.sym("y1"), m.table.sym("y2")
     for _ in range(15):
-        m = sigma_morphism(rng)
-        y1, y2 = m.table.sym("y1"), m.table.sym("y2")
         f = (y1 ** rng.randint(1, 3) + y2 ** rng.randint(1, 2) * y1.scale(rng.randint(-2, 2))
              + rng.randint(-2, 2))
         assert nonlinear_expansion_check(m, f)

@@ -72,24 +72,6 @@ def test_exact_integrands_vanish():
     assert berezin(d, dth1(f)).is_zero()
 
 
-def test_translation_check_random():
-    rng = random.Random(2)
-    d = dom22()
-    t = d.table
-    names = ["x", "th1", "th2", "et1", "et2"]
-    for _ in range(100):
-        f = t.zero()
-        for _ in range(5):
-            ev = [("x", rng.randint(0, 2))]
-            od = [n for n in names[1:] if rng.random() < 0.5]
-            f = f + t.monomial(Fraction(rng.randint(-3, 3)), ev, od)
-        shifts = {
-            "th1": d.sym("et1").scale(rng.randint(-2, 2)),
-            "th2": d.sym("et2").scale(rng.randint(-2, 2)) + d.sym("et1").scale(rng.randint(-1, 1)),
-        }
-        assert berezin_translation_check(d, f, shifts)
-
-
 # -- supertime ----------------------------------------------------------------
 
 def test_supertime_D_squared_on_superfield():
@@ -148,22 +130,6 @@ def test_body_soul():
     assert (p.soul * p.soul).is_zero()
 
 
-def test_body_multiplicative():
-    rng = random.Random(9)
-    t = flesh_table()
-    ets = [t.sym(f"et{i+1}") for i in range(4)]
-    for _ in range(50):
-        z = t.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-        w = t.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if rng.random() < 0.4:
-                    z = z + (ets[a] * ets[b]).scale(rng.randint(-2, 2))
-                if rng.random() < 0.4:
-                    w = w + (ets[a] * ets[b]).scale(rng.randint(-2, 2))
-        assert body(z * w) == body(z) * body(w)
-
-
 def one_var_poly():
     t = SymbolTable()
     t.even_symbol("x")
@@ -187,7 +153,8 @@ def test_hinf_constant_and_identity():
     assert hinf_extend(tx.sym("x"), [z]) == z.value
 
 
-def test_hinf_is_ring_morphism():
+def test_hinf_is_additive():
+    # multiplicativity over the same draws is the registry check superspace.hinf
     rng = random.Random(4)
     t = SymbolTable()
     t.even_symbol("x")
@@ -214,7 +181,6 @@ def test_hinf_is_ring_morphism():
 
         f, g = rpoly(), rpoly()
         zs = [rpoint(), rpoint()]
-        assert hinf_extend(f * g, zs) == hinf_extend(f, zs) * hinf_extend(g, zs)
         assert hinf_extend(f + g, zs) == hinf_extend(f, zs) + hinf_extend(g, zs)
 
 
@@ -347,7 +313,8 @@ def test_example_lower_of_s12():
     assert lowered == d.sym("x") + d.sym("x") ** 2 * (d.sym("et1") * d.sym("et2"))
 
 
-@pytest.mark.parametrize("q, case", [(q, case) for q in (2, 3, 4, 5, 6) for case in (1, 2, 3)])
+# q = 3, 4 and 6 are the draws of the registry check superspace.lift
+@pytest.mark.parametrize("q, case", [(q, case) for q in (2, 5) for case in (1, 2, 3)])
 def test_vectorfield_correspondences(q, case):
     rng = random.Random(100 * case + q)
     if (case, q) == (3, 2):
