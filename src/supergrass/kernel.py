@@ -230,6 +230,31 @@ def _even_mul(e1, e2):
     return tuple(sorted(d.items()))
 
 
+def _term_product(table, a: dict, b: dict) -> dict:
+    """The term dict of the product of two term dicts over table, each pair
+    of terms merged by `_even_mul` and `_odd_mul`; more than
+    `MAX_TERM_PAIRS` pairs raise `SizeLimitError` before any is formed."""
+    if len(a) * len(b) > MAX_TERM_PAIRS:
+        raise SizeLimitError(f"a product of {len(a)} by {len(b)} terms "
+                             f"exceeds the budget of {MAX_TERM_PAIRS} term pairs")
+    out: dict = {}
+    for (e1, o1), c1 in a.items():
+        for (e2, o2), c2 in b.items():
+            res = _odd_mul(o1, o2, table)
+            if res is None:
+                continue
+            fac, od = res
+            c = c1 * c2
+            if fac is not None:
+                c = -c if fac == -1 else c * fac
+            _add_term(out, (_even_mul(e1, e2), od), c)
+    return out
+
+
+# the term dict of 1; never written to
+_ONE = {((), 0): 1}
+
+
 def _add_term(out: dict, key, c):
     """Add the nonzero coefficient c at key: a sum that cancels removes the
     key, and an integral Fraction is stored as an int."""
@@ -347,22 +372,7 @@ class SuperPolynomial:
         if type(other) is not SuperPolynomial and isinstance(other, (int, Fraction, QI)):
             return self.scale(other)
         self._check(other)
-        if len(self.terms) * len(other.terms) > MAX_TERM_PAIRS:
-            raise SizeLimitError(f"a product of {len(self.terms)} by {len(other.terms)} terms "
-                                 f"exceeds the budget of {MAX_TERM_PAIRS} term pairs")
-        table = self.table
-        out: dict = {}
-        for (e1, o1), c1 in self.terms.items():
-            for (e2, o2), c2 in other.terms.items():
-                res = _odd_mul(o1, o2, table)
-                if res is None:
-                    continue
-                fac, od = res
-                c = c1 * c2
-                if fac is not None:
-                    c = -c if fac == -1 else c * fac
-                _add_term(out, (_even_mul(e1, e2), od), c)
-        return SuperPolynomial(self.table, out)
+        return SuperPolynomial(self.table, _term_product(self.table, self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QI)):
@@ -444,9 +454,16 @@ class SuperPolynomial:
     def substitute(self, images: dict):
         """Ring substitution symbol -> polynomial (parity-preserving).
 
-        Symbols not named map to themselves.  Odd images must be odd, even
-        images even; the substitution is applied factor by factor in term
-        order, so Koszul signs are produced by the multiplication itself.
+        Symbols not named map to themselves, moved by name into the table of
+        the images.  Odd images must be odd, even images even.  Each term
+        c * m becomes c * U * E * O, formed by one product E * O: U, the
+        unnamed even factors, is central and joins each key; E is the product
+        of the named even factors' images in term order, cached per named
+        even part; O is the product in index order of each odd factor's image
+        (or the generator itself), cached per odd monomial, so the Koszul
+        signs come from the multiplication.  Both caches live for one call.
+        E stays left of O because an even image holding a Clifford generator
+        is not central: eps*(eps*th1) = th1 but (eps*th1)*eps = -th1.
         """
         table = None
         for v in images.values():
@@ -454,30 +471,56 @@ class SuperPolynomial:
             break
         if table is None:
             return self
+        src = self.table
         imgs = {}
         for name, v in images.items():
-            s = self.table.symbol(name)
+            s = src.symbol(name)
             p = v.parity()
             if p is not None and p != s.parity:
                 raise ParityError(f"substitution changes parity of {name}")
+            if v.table is not table:
+                raise TableMismatchError("images live over different symbol tables")
             imgs[s.index] = v
-        for s in self.support():  # symbols not named map to themselves
+        moved = {}  # index of a symbol without image -> its index in table
+        for s in self.support():
             if s.index not in imgs:
-                imgs[s.index] = table.sym(s.name)
+                moved[s.index] = s.index if table is src else table.symbol(s.name).index
+        rational = table.scalar_ring == "QQ"
+        e_cache: dict = {(): _ONE}  # named even part -> E
+        o_cache: dict = {0: _ONE}  # odd monomial -> O
         out: dict = {}
-        powers = {}  # (index, p) -> imgs[index] ** p, shared by the terms
         for (ev, od), c in self.terms.items():
-            t = table.scalar(c)
-            for i, p in ev:
-                if (i, p) not in powers:
-                    powers[i, p] = imgs[i] ** p
-                t = t * powers[i, p]
-            for i in _indices(od):
-                t = t * imgs[i]
-                if t.is_zero():
-                    break
-            for k, v in t.terms.items():
-                _add_term(out, k, v)
+            if rational:
+                table.scalar(c)  # refuses a formal I
+            named, unnamed = [], []
+            for f in ev:
+                if f[0] in imgs:
+                    named.append(f)
+                else:
+                    unnamed.append((moved[f[0]], f[1]))
+            named = tuple(named)
+            e = e_cache.get(named)
+            if e is None:
+                e = _ONE
+                for i, p in named:
+                    t = (imgs[i] if p == 1 else imgs[i] ** p).terms
+                    e = t if e is _ONE else _term_product(table, e, t)
+                e_cache[named] = e
+            o = o_cache.get(od)
+            if o is None:
+                o = _ONE
+                for i in _indices(od):
+                    t = imgs[i].terms if i in imgs else {((), 1 << moved[i]): 1}
+                    o = t if o is _ONE else _term_product(table, o, t)
+                    if not o:
+                        break
+                o_cache[od] = o
+            if not o:
+                continue
+            eo = o if e is _ONE else e if o is _ONE else _term_product(table, e, o)
+            unnamed = tuple(sorted(unnamed))  # in the order of table
+            for (e2, o2), v in eo.items():
+                _add_term(out, (_even_mul(unnamed, e2), o2), c * v)
         return SuperPolynomial(table, out)
 
     def eval_even(self, values: dict):

@@ -34,10 +34,7 @@ class CommutationError(ValueError):
 
 def apply_once(pairs, f: SuperPolynomial) -> SuperPolynomial:
     """X f = sum_I o^I (xi_I f) over the (o^I, xi_I) pairs."""
-    out = f.table.zero()
-    for mono, X in pairs:
-        out = out + mono * X(f)
-    return out
+    return f.table.sum(mono * X(f) for mono, X in pairs)
 
 
 def exp_series(pairs, f: SuperPolynomial, q: int) -> SuperPolynomial:

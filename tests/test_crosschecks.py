@@ -57,7 +57,8 @@ def test_taylor_extension_equals_polynomial_composition():
     tx.even_symbol("x")
     tx.even_symbol("y")
     tf = SymbolTable()
-    mirror = {"x": tf.even_symbol("x").name, "y": tf.even_symbol("y").name}
+    tf.even_symbol("x")
+    tf.even_symbol("y")
     for i in range(4):
         tf.odd_symbol(f"et{i+1}")
     ets = [tf.sym(f"et{i+1}") for i in range(4)]

@@ -264,12 +264,13 @@ def test_cartan_zero_field():
 def test_substitution_is_ring_morphism():
     rng = random.Random(5)
     t = grassmann_table(2)
-    # theta -> theta + eta style shift inside one table
-    t2 = grassmann_table(2)
+    # theta -> theta + eta style shift inside one table, and an even image
+    # with a soul, which goes through the cached even path
+    images = {"th1": t.sym("th1") + t.sym("th2").scale(2),
+              "x": t.sym("x") + t.sym("th1") * t.sym("th2")}
     for _ in range(30):
         f = random_poly(t, rng)
         g = random_poly(t, rng)
-        images = {"th1": t.sym("th1") + t.sym("th2").scale(2)}
         assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
 
 
@@ -534,6 +535,14 @@ def test_cross_table_substitute_against_rebuild():
         moved = f.substitute(images)
         assert moved.table is u and _nonzero_terms(moved)
         assert moved == _copy_oracle(f, u, images)
+    # images over two tables, and a formal I moved into a table over QQ, are refused
+    xy = t.sym("x") * t.sym("y")
+    with pytest.raises(TableMismatchError):
+        xy.substitute({"x": u.sym("x"), "y": t.sym("y")})
+    q = SymbolTable("QQ")
+    q.even_symbol("x")
+    with pytest.raises(ValueError, match="no formal I"):
+        q.adopt(t.sym("x").scale(QI(0, 1)))
     # a polynomial over a table without symbols: substitute has no image to
     # name the target table, so adopt moves the scalar itself; so it does a
     # plain scalar
@@ -545,6 +554,56 @@ def test_cross_table_substitute_against_rebuild():
     assert u.adopt(Fraction(3, 2)) == u.scalar(Fraction(3, 2)) and u.adopt(0).is_zero()
     m = FleshMorphism(("x",), ("th1",), ("y",), {"y": SymbolTable().scalar(3)}, {})
     assert m.phi["y"].table is m.table and m.phi["y"] == m.table.scalar(3)
+
+
+def test_substitute_against_factor_by_factor():
+    rng = random.Random(13)
+    # unnamed odd and Clifford symbols (squares 1 and 2) between the named ones
+    t = SymbolTable()
+    for n in ("x", "y", "z"):
+        t.even_symbol(n)
+    t.odd_symbol("th1")
+    t.clifford_symbol("eps1", 1)
+    t.odd_symbol("th2")
+    t.clifford_symbol("eps2", 2)
+    t.odd_symbol("th3")
+    t.odd_symbol("et1")
+    t.odd_symbol("et2")
+    s = t.sym
+    images = {
+        "x": s("x") + s("et1") * s("et2"),          # an even image with a soul
+        "y": s("y").scale(2) + s("eps1") * s("th2"),  # an even image holding eps1
+        "th1": s("th1") + s("z") * s("et1"),         # odd translations
+        "th3": (s("z") * s("et1")).scale(QI(0, 1)),
+    }
+    # y*eps1 -> (2*y + eps1*th2)*eps1 = 2*y*eps1 + th2; eps1 left of the
+    # even image would give -th2
+    assert (s("y") * s("eps1")).substitute(images) == (s("y") * s("eps1")).scale(2) + s("th2")
+    # et1*th3 -> et1*z*et1 = 0: a nilpotent product that vanishes
+    assert (s("et1") * s("th3")).substitute(images).is_zero()
+    # many terms share the named even part x*y^2 and the odd monomial
+    # th1*eps1*eps2*th3, and the named even part y with each odd monomial
+    shared = t.sum(t.monomial(QI(k, 1), [("z", k), ("x", 1), ("y", 2)], ["th1", "eps1", "eps2", "th3"])
+                   for k in range(5))
+    shared = shared + t.sum(t.monomial(k + 1, [("y", 1), ("z", k)], odd)
+                            for k, odd in enumerate([["eps1"], ["th2", "eps2"], ["eps1", "th1"],
+                                                     ["eps2", "eps1", "th2"], ["et2", "th1"]]))
+    for _ in range(30):
+        f = shared + _random_qi_poly(t, rng, 8)
+        got = f.substitute(images)
+        assert got.table is t and _nonzero_terms(got)
+        assert got == _copy_oracle(f, t, images)
+
+
+def test_substitute_checks_the_term_budget():
+    t = SymbolTable()
+    for n in ("x", "y", "a", "b"):
+        t.even_symbol(n)
+    images = {"x": t.sum(t.monomial(1, [("a", k)]) for k in range(400)),
+              "y": t.sum(t.monomial(1, [("b", k)]) for k in range(400))}
+    msg = "a product of 400 by 400 terms exceeds the budget of 100000 term pairs"
+    with pytest.raises(SizeLimitError, match=msg):
+        (t.sym("x") * t.sym("y")).substitute(images)
 
 
 def test_derivation_call_and_bracket_against_summing_loops():

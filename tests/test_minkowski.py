@@ -223,7 +223,6 @@ def test_group_law_pure_even():
     assert group_law_check(e1, e2)
     # additive on V: exponent entries match the sum directly
     lhs = exp_element(e1) @ exp_element(e2)
-    s = SuperTranslationElement(ctx, v={(1, 1): 2, (1, 2): 8, (2, 2): -1})
     assert lhs == exp_element(SuperTranslationElement(
         ctx, v={(1, 1): 2, (1, 2): 8, (2, 2): -1}, w={2: -1}))
 

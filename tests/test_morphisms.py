@@ -209,7 +209,7 @@ def test_factorization_k2_four_factors():
 
 def test_noncommuting_reported():
     # xi_(1,2) = y d/dy and xi_(3,4) = d/dy do not commute
-    m = theta_eta_morphism(0, 4, {})
+    theta_eta_morphism(0, 4, {})
     # the coefficient y1 of y1 d/dy1 and the base map x, over a chart table
     chart = SymbolTable()
     chart.even_symbol("x")
@@ -320,8 +320,6 @@ def test_one_theta_component_reading():
     y = m.table.sym("y")
     f = y ** 2
     pb = m.pullback_even(f)
-    even_part = pb.coefficient_of_odd(())  # whole thing; split by th1
-    th_coeff = pb.coefficient_of_odd(("th1",))
     # direct operator application
     XiE = {"y": m.table.one()}   # xi_(et1,et2)
     Xi1 = {"y": m.table.one()}   # xi_(th1,et1)

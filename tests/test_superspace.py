@@ -195,7 +195,6 @@ def test_soul_nilpotency_order():
 
 def test_lift_lower_round_trip():
     d = SuperDomain(even=("x",), theta=(), eta=("et1", "et2", "et3", "et4"))
-    t = d.table
     x = d.sym("x")
     f = x ** 2 + (d.sym("et1") * d.sym("et2")).scale(3) * x \
         + (d.sym("et1") * d.sym("et2") * d.sym("et3") * d.sym("et4")).scale(Fraction(1, 2))
