@@ -139,7 +139,9 @@ def cmd_verify(args) -> int:
                   f"({rep.wall_ms:.0f} ms)")
     if not all(r.passed for r in reports):
         if not args.json:
-            print(f"reproduce with --seed {args.seed} --cases {args.cases}")
+            k = "" if args.k is None else f" --k {args.k}"
+            print(f"reproduce with supergrass verify {args.suite} --seed {args.seed} "
+                  f"--cases {args.cases}{k}")
         return 1
     return 0
 
@@ -317,8 +319,7 @@ def cmd_model(args) -> int:
             "noether_conserved": sp.noether_charge_conserved_on_shell(),
         }
     else:
-        h = _parse_h(args.h) if args.h else None
-        sig = models.Sigma32(h=h) if h else models.Sigma32(h_degree=4)
+        sig = models.Sigma32(h=_parse_h(args.h) if args.h is not None else None)
         data = {
             "lagrangian": format_poly(sig.lagrangian),
             "euler": {f: format_poly(e) for f, e in sig.euler_equations.items()},

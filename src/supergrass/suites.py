@@ -20,6 +20,7 @@ seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -102,8 +103,12 @@ def _algebras(ks):
 # random generators shared by several checks
 # ---------------------------------------------------------------------------
 
-def fraction(rng, span=4):
-    return Fraction(rng.randint(-span, span), rng.randint(1, 3))
+def fraction(rng, span=4, den=3):
+    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+
+
+def gaussian(rng, span=4, den=3):
+    return QI(fraction(rng, span, den), fraction(rng, span, den))
 
 
 def grassmann_table(k=4, evens=("x",), odd="th"):
@@ -115,19 +120,19 @@ def grassmann_table(k=4, evens=("x",), odd="th"):
     return t
 
 
-def random_poly(t, rng, nterms=4, deg=2):
+def random_poly(t, rng, nterms=4, deg=2, coeff=fraction):
     odd = [s.name for s in t.symbols if s.parity == ODD]
     even = [s.name for s in t.symbols if s.parity == EVEN]
     p = t.zero()
     for _ in range(nterms):
         ev = [(n, rng.randint(0, deg)) for n in even if rng.random() < 0.6]
         od = [n for n in odd if rng.random() < 0.5]
-        p = p + t.monomial(fraction(rng), ev, od)
+        p = p + t.monomial(coeff(rng), ev, od)
     return p
 
 
-def random_homogeneous(t, rng, parity):
-    return random_poly(t, rng).parity_part(parity)
+def random_homogeneous(t, rng, parity, coeff=fraction):
+    return random_poly(t, rng, coeff=coeff).parity_part(parity)
 
 
 def rand_ast(rng, depth=0):
@@ -159,15 +164,17 @@ def rand_ast(rng, depth=0):
 def check_associativity(rng, cases, ks):
     t = grassmann_table()
     for _ in range(cases):
-        a, b, c = (random_poly(t, rng) for _ in range(3))
+        ring = rng.choice((fraction, gaussian))
+        a, b, c = (random_poly(t, rng, coeff=ring) for _ in range(3))
         yield (a * b) * c == a * (b * c) or format_poly(a)
 
 
 def check_graded_commutativity(rng, cases, ks):
     t = grassmann_table(4, evens=())
     for _ in range(cases):
-        a = random_homogeneous(t, rng, rng.randint(0, 1))
-        b = random_homogeneous(t, rng, rng.randint(0, 1))
+        ring = rng.choice((fraction, gaussian))
+        a = random_homogeneous(t, rng, rng.randint(0, 1), ring)
+        b = random_homogeneous(t, rng, rng.randint(0, 1), ring)
         pa, pb = a.parity(), b.parity()
         if pa is None or pb is None:
             yield None
@@ -186,14 +193,23 @@ def check_nilpotency_and_top(rng, cases, ks):
     yield not top.is_zero()
 
 
-def check_leibniz(rng, cases, ks):
-    t = grassmann_table(3)
+def derivations(t):
+    """The built-in derivations of the kernel checks, over a table with x
+    and th1..th3 at least."""
     x = t.sym("x")
-    gens = [
-        Derivation(t, ODD, {"th1": t.one()}, "d1"),
+    return [
+        Derivation(t, ODD, {"th1": t.one()}, "d/dth1"),
+        Derivation(t, EVEN, {"x": t.one()}, "d/dx"),
         Derivation(t, ODD, {"th2": x, "x": t.sym("th3")}, "X"),
         Derivation(t, EVEN, {"x": x + 1, "th3": t.sym("th3").scale(2)}, "Y"),
+        Derivation(t, ODD, {"th3": x ** 2, "x": t.sym("th2").scale(Fraction(1, 2))}, "Z"),
+        Derivation(t, ODD, {"th1": x, "th2": t.one(), "x": t.sym("th3")}, "W"),
     ]
+
+
+def check_leibniz(rng, cases, ks):
+    t = grassmann_table(4)
+    gens = derivations(t)
     for _ in range(cases):
         D = rng.choice(gens)
         f = random_homogeneous(t, rng, rng.randint(0, 1))
@@ -207,19 +223,15 @@ def check_leibniz(rng, cases, ks):
 
 
 def check_bracket_laws(rng, cases, ks):
-    t = grassmann_table(3)
-    x = t.sym("x")
-    gens = [
-        Derivation(t, ODD, {"th1": t.one()}, "a"),
-        Derivation(t, ODD, {"th2": x, "x": t.sym("th1")}, "b"),
-        Derivation(t, EVEN, {"x": x + 2}, "c"),
-        Derivation(t, EVEN, {"th3": t.sym("th3"), "x": t.one()}, "d"),
-        Derivation(t, ODD, {"th3": x ** 2, "x": t.sym("th2").scale(Fraction(1, 2))}, "e"),
-    ]
-    for _ in range(max(1, cases // 3)):
-        X, Y, Z = (rng.choice(gens) for _ in range(3))
-        yield skew_check(X, Y) or X.label
-        yield jacobi_check(X, Y, Z) or f"({X.label},{Y.label},{Z.label})"
+    gens = derivations(grassmann_table(4))
+    # skew-symmetry of (Y, X) is that of (X, Y) times a sign, and a rotation
+    # of (X, Y, Z) only permutes the terms of the graded Jacobi sum
+    for X, Y in itertools.combinations_with_replacement(gens, 2):
+        yield skew_check(X, Y) or f"({X.label},{Y.label})"
+    for i, j, k in itertools.product(range(len(gens)), repeat=3):
+        if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j):
+            X, Y, Z = gens[i], gens[j], gens[k]
+            yield jacobi_check(X, Y, Z) or f"({X.label},{Y.label},{Z.label})"
 
 
 def check_tensoring(rng, cases, ks):
@@ -358,11 +370,11 @@ def check_body_soul(rng, cases, ks):
 
 def check_theta_lift(rng, cases, ks):
     for case in (1, 2, 3):
-        for q in (3, 4, 6):
+        for q in range(2 if case < 3 else 3, 7):  # case 3 moves a third eta
             law = superspace.theta_lift_vectorfield_law(case, q)
             for _ in range(2):
                 yield law(rng) or f"case {case}, q={q}"
-    d = superspace.SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(4)))
+    d = superspace.SuperDomain(even=("x",), theta=(), eta=tuple(f"et{i+1}" for i in range(6)))
     space = superspace.LiftSpace(d)
     for _ in range(cases // 4 or 1):
         f = random_homogeneous(d.table, rng, 0)
@@ -376,7 +388,7 @@ def check_theta_lift(rng, cases, ks):
 def check_pullback_morphism(rng, cases, ks):
     for _ in range(cases):
         m = morphisms.random_flesh_morphism(
-            rng, k_theta=rng.choice((0, 1, 2)), L_eta=rng.choice((2, 3)),
+            rng, k_theta=rng.choice((0, 1, 2)), L_eta=rng.choice((2, 3, 4)),
             deg=rng.choice((2, 3)),
         )
         ys = [m.table.sym(n) for n in m.target_even]
@@ -424,7 +436,7 @@ def check_factorization(rng, cases, ks):
 
 def check_components_nonlinear(rng, cases, ks):
     for _ in range(max(1, cases // 5)):
-        m = morphisms.random_flesh_morphism(rng, k_theta=2, L_eta=2, commuting=True, n_xi=4)
+        m = morphisms.random_flesh_morphism(rng, k_theta=2, L_eta=2, commuting=True, n_xi=5)
         y1, y2 = m.table.sym("y1"), m.table.sym("y2")
         f = (y1 ** rng.randint(1, 3) + y2 ** rng.randint(1, 2) * y1.scale(rng.randint(-2, 2))
              + rng.randint(-2, 2))
@@ -455,10 +467,11 @@ def check_norm_identity(rng, cases, ks):
 def check_qq_relations(rng, cases, ks):
     for k in ks:
         ctx = minkowski.MinkContext(k)
-        for _ in range(max(1, cases // 20)):
+        # draw n takes the n-th (a, b) in turn, so each k meets all four
+        for n in range(max(1, cases // 20)):
             lam = ctx.alg.element([fraction(rng) for _ in range(k)])
             mu = ctx.alg.element([fraction(rng) for _ in range(k)])
-            a, b = rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
+            a, b = ((1, 1), (1, 2), (2, 1), (2, 2))[n % 4]
             yield minkowski.qq_check(ctx, a, b, lam, mu) or f"k={k}"
             yield (minkowski.anticomm(minkowski.q_matrix(ctx, a, lam), minkowski.q_matrix(ctx, b, mu))
                    == minkowski.qqbis_rhs(ctx, a, b, lam, mu) or f"k={k} bis")
@@ -513,10 +526,10 @@ def check_group_law(rng, cases, ks):
 
     for _ in range(max(1, cases // 25)):
         e1 = minkowski.SuperTranslationElement(
-            ctx, v={(1, 1): rand_even()}, w={2: rand_even()},
+            ctx, v={(1, 1): rand_even(), (1, 2): rand_even()}, w={2: rand_even(), 3: rand_even()},
             theta={(a, al): rand_odd() for a in (1, 2) for al in (1, 2, 3, 4)})
         e2 = minkowski.SuperTranslationElement(
-            ctx, v={(2, 2): rand_even()},
+            ctx, v={(2, 2): rand_even()}, w={4: rand_even()},
             theta={(a, al): rand_odd() for a in (1, 2) for al in (1, 2, 3, 4)})
         yield minkowski.group_law_check(e1, e2) or "group law"
 
@@ -632,14 +645,15 @@ def check_value_round_trip(rng, cases, ks):
     t = grassmann_table(3, evens=("x", "y"))
     ctx = Context(t)
     for _ in range(cases):
-        p = random_poly(t, rng)
+        p = random_poly(t, rng, rng.randint(1, 5), 3, lambda r: fraction(r, 9, 9))
         yield ctx.evaluate(parse(format_poly(p))) == p or format_poly(p)
 
 
 def check_json_round_trip(rng, cases, ks):
     t = grassmann_table(2, evens=("x",))
     for _ in range(cases):
-        p = random_poly(t, rng)
+        ring = rng.choice((fraction, gaussian))
+        p = random_poly(t, rng, rng.randint(1, 4), 3, lambda r: ring(r, 9, 9))
         blob = poly_to_json(p)
         q = poly_from_json(blob, t)
         yield q == p and poly_to_json(q) == blob or blob

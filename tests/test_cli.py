@@ -153,11 +153,12 @@ def test_bad_expression_is_usage_error(capsys):
     (("berezin", "th1*x^1000000000", "--box", "0", "2"), ""),
     (("expand", "(2^9999)^9999"), ""),
     (("model", "sigma32", "--h", "u^1001"), ""),
+    (("model", "sigma32", "--h", ""), ""),
 ], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-of-polynomials",
         "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
         "morphism-xi-not-object", "h-not-rational", "power-over-term-budget",
         "mixed-power-over-term-budget", "box-power-over-degree-budget",
-        "power-over-coefficient-budget", "h-over-degree-budget"])
+        "power-over-coefficient-budget", "h-over-degree-budget", "h-empty"])
 def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, out, err = run(capsys, *argv)
@@ -216,7 +217,11 @@ def test_suite_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] doomed.check" in out
     assert "th1*th1" in out
-    assert "reproduce with --seed" in out
+    assert out.splitlines()[-1] == "reproduce with supergrass verify doomed --seed 0 --cases 100"
+    # the k-list changes the streams of the k-parameterized checks, so it is replayed too
+    code, out, err = run(capsys, "verify", "doomed", "--seed", "3", "--cases", "7", "--k", "2")
+    assert code == 1
+    assert out.splitlines()[-1] == "reproduce with supergrass verify doomed --seed 3 --cases 7 --k 2"
 
 
 def test_check_that_ran_no_case_fails(capsys, monkeypatch):

@@ -1,12 +1,10 @@
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
 from supergrass.expr_io import (Add, Ber, Context, DslSyntaxError, ImagLit, Lit, Mul, Neg, Pow,
-                                Sym, UnknownSymbolError, format_poly, parse,
-                                poly_from_json, poly_to_json, print_ast)
+                                Sym, UnknownSymbolError, format_poly, parse, print_ast)
 from supergrass.kernel import SymbolTable
 from supergrass.scalars import QI
 from supergrass.superspace import supertime
@@ -209,47 +207,6 @@ def test_product_of_atoms_against_the_chain():
             Context(q).evaluate(parse(text))
     with pytest.raises(UnknownSymbolError):
         Context(q).evaluate(parse("2*x*y^2"))
-
-
-def test_value_round_trip_random():
-    rng = random.Random(101)
-    t = SymbolTable()
-    t.even_symbol("x")
-    t.even_symbol("y")
-    t.odd_symbol("th1")
-    t.odd_symbol("th2")
-    t.odd_symbol("et1")
-    ctx = Context(t)
-    odd_names = ["th1", "th2", "et1"]
-    for _ in range(300):
-        p = t.zero()
-        for _ in range(rng.randint(1, 5)):
-            coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            ev = [(n, rng.randint(0, 3)) for n in ("x", "y") if rng.random() < 0.6]
-            od = [n for n in odd_names if rng.random() < 0.4]
-            p = p + t.monomial(coeff, ev, od)
-        text = format_poly(p)
-        assert ctx.evaluate(parse(text)) == p
-
-
-def test_json_round_trip_bit_exact():
-    rng = random.Random(103)
-    t = SymbolTable()
-    t.even_symbol("x")
-    t.odd_symbol("th1")
-    t.odd_symbol("th2")
-    for _ in range(200):
-        p = t.zero()
-        for _ in range(rng.randint(1, 4)):
-            coeff = QI(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                       Fraction(rng.randint(-3, 3)))
-            ev = [("x", rng.randint(0, 3))] if rng.random() < 0.7 else []
-            od = [n for n in ("th1", "th2") if rng.random() < 0.5]
-            p = p + t.monomial(coeff, ev, od)
-        blob = poly_to_json(p)
-        q = poly_from_json(blob, t)
-        assert q == p
-        assert poly_to_json(q) == blob
 
 
 def test_gaussian_literal():

@@ -6,17 +6,11 @@ import pytest
 from supergrass.divalg import C, H, O, R, DAElement
 from supergrass.kernel import ParityError, SuperPolynomial
 from supergrass.minkowski import (MinkContext, Matrix, SuperTranslationElement, anticomm,
-                                  comm, exp_element, group_law_check, kmat2,
-                                  null_vector_check, q_matrix, q_unit, qq_check, qqbis_rhs,
-                                  r_matrix, r_symmetry_check, reduction_charges, rho_endo,
-                                  sigma_map, sl4c_bridge_check, t_map, wedge_coords,
+                                  comm, exp_element, group_law_check, kmat2, null_vector_check,
+                                  q_matrix, q_unit, r_matrix, r_symmetry_check, reduction_charges,
+                                  rho_endo, sigma_map, sl4c_bridge_check, t_map, wedge_coords,
                                   x_matrix, x_of_pair)
 from supergrass.scalars import QI
-
-
-def rand_da(alg, rng, span=4):
-    return alg.element([Fraction(rng.randint(-span, span), rng.randint(1, 2))
-                        for _ in range(alg.dim)])
 
 
 # -- the ring-generic matrix ---------------------------------------------------------
@@ -170,18 +164,6 @@ def test_qq_quaternion_example():
     assert lhs == rhs
 
 
-def test_qq_random_all_algebras():
-    rng = random.Random(7)
-    for k in (1, 2, 4, 8):
-        ctx = MinkContext(k)
-        for _ in range(8):
-            lam, mu = rand_da(ctx.alg, rng), rand_da(ctx.alg, rng)
-            for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
-                assert qq_check(ctx, a, b, lam, mu)
-                assert anticomm(q_matrix(ctx, a, lam), q_matrix(ctx, b, mu)) == \
-                    qqbis_rhs(ctx, a, b, lam, mu)
-
-
 def test_eps_behavior_inside_entries():
     ctx = MinkContext(2, n_eta=2)
     e = ctx.eps()
@@ -238,39 +220,6 @@ def test_group_law_theta_example():
     correction = comm(T1, T2).scale(Fraction(1, 2))
     e12 = ctx.eta(1) * ctx.eta(2)
     assert correction == r_matrix(ctx, 1, 2).scale(e12)
-
-
-def test_group_law_random_k4():
-    rng = random.Random(17)
-    ctx = MinkContext(4, n_eta=4)
-    etas = [ctx.eta(i) for i in (1, 2, 3, 4)]
-
-    def rand_odd():
-        p = ctx.table.zero()
-        for e in etas:
-            if rng.random() < 0.5:
-                p = p + e.scale(Fraction(rng.randint(-2, 2)))
-        return p
-
-    def rand_even():
-        p = ctx.table.scalar(rng.randint(-3, 3))
-        p = p + (etas[0] * etas[1]).scale(rng.randint(-2, 2))
-        return p
-
-    for _ in range(4):
-        e1 = SuperTranslationElement(
-            ctx,
-            v={(1, 1): rand_even(), (1, 2): rand_even()},
-            w={2: rand_even(), 3: rand_even()},
-            theta={(a, al): rand_odd() for a in (1, 2) for al in (1, 2, 3, 4)},
-        )
-        e2 = SuperTranslationElement(
-            ctx,
-            v={(2, 2): rand_even()},
-            w={4: rand_even()},
-            theta={(a, al): rand_odd() for a in (1, 2) for al in (1, 2, 3, 4)},
-        )
-        assert group_law_check(e1, e2)
 
 
 def test_translation_element_parity_validation():

@@ -50,21 +50,6 @@ def test_pullback_of_one():
     assert m.pullback_even(m.table.one()) == m.table.one()
 
 
-def test_morphism_check_random_instances():
-    rng = random.Random(21)
-    for _ in range(40):
-        m = random_flesh_morphism(
-            rng,
-            k_theta=rng.choice((0, 1, 2)),
-            L_eta=rng.choice((2, 3, 4)),  # with k_theta <= 2, k + L stays <= 6
-            deg=rng.choice((2, 3)),
-        )
-        ys = [m.table.sym(n) for n in m.target_even]
-        f = ys[0] ** rng.randint(1, 3) + ys[1 % len(ys)].scale(rng.randint(-2, 2))
-        g = ys[-1] ** rng.randint(1, 2) + rng.randint(-2, 2)
-        assert morphism_check(m, f, g, rng)
-
-
 def test_corrupt_odd_length_index_detected():
     m = make_simple()
     # plant xi_(1) = d/dy, an odd-length index the constructor refuses
@@ -274,16 +259,6 @@ def test_nonlinear_expansion_quadratic_cross_term():
     m = sigma_morphism()
     f = m.table.sym("y1") * m.table.sym("y2")
     assert nonlinear_expansion_check(m, f)
-
-
-def test_nonlinear_expansion_random():
-    rng = random.Random(51)
-    m = sigma_morphism()
-    y1, y2 = m.table.sym("y1"), m.table.sym("y2")
-    for _ in range(15):
-        f = (y1 ** rng.randint(1, 3) + y2 ** rng.randint(1, 2) * y1.scale(rng.randint(-2, 2))
-             + rng.randint(-2, 2))
-        assert nonlinear_expansion_check(m, f)
 
 
 def test_chart_violation_reported():
