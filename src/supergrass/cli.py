@@ -196,6 +196,8 @@ def cmd_berezin(args) -> int:
 
 def _box_bound(text) -> Fraction:
     try:
+        if "e" in text.lower():  # an exponent part: 1e10000000 would build a 10^7-digit int
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--box bound {text!r} is not a rational number") from None

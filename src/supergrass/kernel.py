@@ -4,19 +4,24 @@ Clifford multiplication, graded derivations and super brackets.
 Everything is exact: coefficients are Python ints when integral, Fractions
 otherwise, or Gaussian rationals (`QI`, integer parts over one denominator);
 the three compare and hash alike, so 3, Fraction(3) and QI(3, 0) are the
-same coefficient.  An odd monomial is an int bitmask over symbol indices
-(bit i set: `symbols[i]` occurs), read in symbol-table declaration order,
-and every product normalizes signs against that order: `_odd_mul` finds a
-repeated nilpotent generator with one AND, the Koszul sign as the parity of
-a popcount against the prefix-parity mask `_below`, and the merged monomial
-as an XOR; a Koszul sign is applied by negation.  Products and sums are
-written through one accumulator, `_add_term`, which stores an integral
-Fraction as an int; `scale` does the same.  Values are immutable after
-construction and safe to share.  A product that would form more than
-`MAX_TERM_PAIRS` term pairs raises `SizeLimitError` before it runs, and
-the CLI reports it as an input error; `MAX_DEGREE` bounds the powers that
-`integrate_even` raises its bounds to, and `MAX_COEFF_BITS` the coefficient
-growth of a power.
+same coefficient.  An even monomial is one packed int with a 33-bit field
+per even symbol (the power in the low 32 bits, a guard bit on top; offsets
+fixed on the SymbolTable when a symbol is declared), so two even monomials
+multiply by one int sum, and one AND against the table's guard mask raises
+`SizeLimitError` for a power above `MAX_EXPONENT`.  An odd monomial is an
+int bitmask over symbol indices (bit i set: `symbols[i]` occurs), read in
+symbol-table declaration order, and every product normalizes signs against
+that order: `_odd_mul` finds a repeated nilpotent generator with one AND,
+the Koszul sign as the parity of a popcount against the prefix-parity mask
+`_below`, and the merged monomial as an XOR; a Koszul sign is applied by
+negation; a pair that shares a nilpotent generator is skipped before
+`_odd_mul` is called.  Products and sums are written through one
+accumulator, `_add_term`, which stores an integral Fraction as an int;
+`scale` does the same.  Values are immutable after construction and safe to
+share.  A product that would form more than `MAX_TERM_PAIRS` term pairs
+raises `SizeLimitError` before it runs, and the CLI reports it as an input
+error; `MAX_DEGREE` bounds the powers that `integrate_even` raises its
+bounds to, and `MAX_COEFF_BITS` the coefficient growth of a power.
 
 A derivation is applied term by term: each term of f, each factor with an
 image and each term of that image give one coefficient and one merged
@@ -75,6 +80,12 @@ MAX_DEGREE = 1000
 # (2^9999)^9999 fails fast; no registry or bench power estimates over 14 bits.
 MAX_COEFF_BITS = 1 << 16
 
+# The highest power of an even symbol in any term.  An even key holds one
+# field of _FIELD bits per even symbol: the power in the low 32 bits and a
+# guard bit on top, which a sum of two powers sets when it passes the budget.
+MAX_EXPONENT = 2**32 - 1
+_FIELD = 33
+
 
 @dataclass(frozen=True)
 class Symbol:
@@ -97,6 +108,10 @@ class SymbolTable:
 
     nil holds the bits of the nilpotent odd generators and unit those of the
     Clifford generators of square 1; _below memoizes `_below` by monomial.
+    The k-th even symbol declared owns field k of an even key: _evens[k] is
+    its index, _shift[index] the offset of its field, and guard holds the
+    top bit of every field.  A later declaration adds a field above the
+    others, so no key is ever repacked.
     """
 
     def __init__(self, scalar_ring: str = "QQi"):
@@ -108,6 +123,9 @@ class SymbolTable:
         self.nil = 0
         self.unit = 0
         self._below: dict[int, int] = {}
+        self._evens: list[int] = []
+        self._shift: dict[int, int] = {}
+        self.guard = 0
 
     # -- declaration ------------------------------------------------------
     def _add(self, name, parity, square=0):
@@ -118,6 +136,10 @@ class SymbolTable:
             self.nil |= 1 << s.index
         elif parity == ODD and s.square == 1:
             self.unit |= 1 << s.index
+        elif parity == EVEN:
+            self._shift[s.index] = shift = _FIELD * len(self._evens)
+            self._evens.append(s.index)
+            self.guard |= 1 << (shift + _FIELD - 1)
         self.symbols.append(s)
         self._by_name[name] = s
         return s
@@ -152,7 +174,7 @@ class SymbolTable:
         c = _coef(c)
         if self.scalar_ring == "QQ" and isinstance(c, QI) and c.im != 0:
             raise ValueError("table is over the plain rationals; no formal I here")
-        return SuperPolynomial(self, {((), 0): c} if c else {})
+        return SuperPolynomial(self, {(0, 0): c} if c else {})
 
     def one(self):
         return self.scalar(1)
@@ -160,8 +182,8 @@ class SymbolTable:
     def sym(self, name):
         s = self.symbol(name)
         if s.parity == EVEN:
-            return SuperPolynomial(self, {(((s.index, 1),), 0): 1})
-        return SuperPolynomial(self, {((), 1 << s.index): 1})
+            return SuperPolynomial(self, {(1 << self._shift[s.index], 0): 1})
+        return SuperPolynomial(self, {(0, 1 << s.index): 1})
 
     def adopt(self, p):
         """p copied into this table: a scalar becomes a constant, and each
@@ -189,13 +211,14 @@ class SymbolTable:
         merged in through `_odd_mul`, which applies the Koszul signs and the
         Clifford contractions."""
         c = self.scalar(coeff).scalar_part()
-        powers = {}
+        ev = 0
         for name, e in even:
             s = self.symbol(name)
             if s.parity != EVEN or type(e) is not int or e < 0:
                 raise ParityError(f"{name}^{e} is not a nonnegative power of an even symbol")
-            if e:
-                powers[s.index] = powers.get(s.index, 0) + e
+            ev += e << self._shift[s.index]
+            if e > MAX_EXPONENT or ev & self.guard:
+                raise _exponent_error()
         od = 0
         for name in odd:
             s = self.symbol(name)
@@ -207,7 +230,7 @@ class SymbolTable:
             fac, od = res
             if fac is not None:
                 c = -c if fac == -1 else c * fac
-        return SuperPolynomial(self, {(tuple(sorted(powers.items())), od): _coef(c)} if c else {})
+        return SuperPolynomial(self, {(ev, od): _coef(c)} if c else {})
 
 
 def _coef(c):
@@ -219,40 +242,49 @@ def _coef(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _even_mul(e1, e2):
-    if not e1:
-        return e2
-    if not e2:
-        return e1
-    d = dict(e1)
-    for i, p in e2:
-        d[i] = d.get(i, 0) + p
-    return tuple(sorted(d.items()))
+def _exponent_error():
+    return SizeLimitError(f"an even power exceeds the exponent budget of {MAX_EXPONENT}")
+
+
+def _ev_items(ev, evens):
+    """The (index, power) pairs of a packed even key, by index, read from
+    the fields the key holds; evens is the table's _evens."""
+    out = []
+    while ev:
+        k = ((ev & -ev).bit_length() - 1) // _FIELD
+        p = ev >> _FIELD * k & MAX_EXPONENT
+        out.append((evens[k], p))
+        ev ^= p << _FIELD * k
+    return tuple(out)
 
 
 def _term_product(table, a: dict, b: dict) -> dict:
-    """The term dict of the product of two term dicts over table, each pair
-    of terms merged by `_even_mul` and `_odd_mul`; more than
-    `MAX_TERM_PAIRS` pairs raise `SizeLimitError` before any is formed."""
+    """The term dict of the product of two term dicts over table: the even
+    keys of each pair add, and the odd ones merge by `_odd_mul` unless they
+    share a nilpotent generator; more than `MAX_TERM_PAIRS` pairs raise
+    `SizeLimitError` before any is formed."""
     if len(a) * len(b) > MAX_TERM_PAIRS:
         raise SizeLimitError(f"a product of {len(a)} by {len(b)} terms "
                              f"exceeds the budget of {MAX_TERM_PAIRS} term pairs")
+    nil, guard = table.nil, table.guard
     out: dict = {}
     for (e1, o1), c1 in a.items():
         for (e2, o2), c2 in b.items():
-            res = _odd_mul(o1, o2, table)
-            if res is None:
+            if o1 & o2 & nil:
                 continue
-            fac, od = res
+            fac, od = _odd_mul(o1, o2, table)
             c = c1 * c2
             if fac is not None:
                 c = -c if fac == -1 else c * fac
-            _add_term(out, (_even_mul(e1, e2), od), c)
+            ev = e1 + e2
+            if ev & guard:
+                raise _exponent_error()
+            _add_term(out, (ev, od), c)
     return out
 
 
 # the term dict of 1; never written to
-_ONE = {((), 0): 1}
+_ONE = {(0, 0): 1}
 
 
 def _add_term(out: dict, key, c):
@@ -272,9 +304,11 @@ def _add_term(out: dict, key, c):
 class SuperPolynomial:
     """Exact element of the supercommutative/Clifford envelope of a table.
 
-    terms: {(even_mono, odd_mono): coeff} with even_mono a sorted tuple of
-    (symbol_index, power) and odd_mono an int bitmask over symbol indices
-    (bit i set: symbols[i] occurs, the factors in index order).  Zero
+    terms: {(even_mono, odd_mono): coeff} with even_mono a packed int, one
+    field of _FIELD bits per even symbol of the table holding its power (at
+    most MAX_EXPONENT, the guard bit clear), so a product of even monomials
+    is one int sum; and odd_mono an int bitmask over symbol indices (bit i
+    set: symbols[i] occurs, the factors in index order).  Zero
     coefficients are never stored; the zero polynomial has no
     terms and answers None to parity().
     """
@@ -302,15 +336,20 @@ class SuperPolynomial:
         return parities.pop()
 
     def scalar_part(self):
-        return self.terms.get(((), 0), 0)
+        return self.terms.get((0, 0), 0)
 
     def free_of(self, names: Iterable[str]):
         """The terms in which none of the named symbols occurs."""
-        idxs = {self.table.symbol(n).index for n in names}
-        mask = sum(1 << i for i in idxs)
-        return SuperPolynomial(self.table, {
-            (ev, od): c for (ev, od), c in self.terms.items()
-            if not od & mask and idxs.isdisjoint(i for i, _ in ev)})
+        table = self.table
+        odd = even = 0
+        for n in names:
+            i = table.symbol(n).index
+            if i in table._shift:
+                even |= MAX_EXPONENT << table._shift[i]
+            else:
+                odd |= 1 << i
+        return SuperPolynomial(table, {
+            (ev, od): c for (ev, od), c in self.terms.items() if not (od & odd or ev & even)})
 
     def parity_part(self, g: int):
         """The even (g = 0) or the odd (g = 1) component."""
@@ -319,16 +358,16 @@ class SuperPolynomial:
 
     def support(self) -> list[Symbol]:
         """The symbols that occur in some term, in declaration order."""
-        seen = set()
-        odd = 0
+        even = odd = 0
         for ev, od in self.terms:
-            seen.update(i for i, _ in ev)
+            even |= ev
             odd |= od
-        seen.update(_indices(odd))
+        seen = [i for i, _ in _ev_items(even, self.table._evens)] + list(_indices(odd))
         return [self.table.symbols[i] for i in sorted(seen)]
 
     def max_even_degree(self):
-        return max((sum(p for _, p in ev) for (ev, _) in self.terms), default=0)
+        evens = self.table._evens
+        return max((sum(p for _, p in _ev_items(ev, evens)) for (ev, _) in self.terms), default=0)
 
     # -- arithmetic ----------------------------------------------------------
     def _check(self, other):
@@ -390,7 +429,9 @@ class SuperPolynomial:
         if n and len(self.terms) == 1:
             ((ev, od), c), = self.terms.items()
             if not od:  # one even term: no sign, no contraction, no cancellation
-                return SuperPolynomial(self.table, {(tuple((i, e * n) for i, e in ev), 0): c ** n})
+                if n > 1 and any(p * n > MAX_EXPONENT for _, p in _ev_items(ev, self.table._evens)):
+                    raise _exponent_error()
+                return SuperPolynomial(self.table, {(ev * n, 0): c ** n})
         out = self.table.one()
         base = self
         while n:
@@ -473,6 +514,7 @@ class SuperPolynomial:
             return self
         src = self.table
         imgs = {}
+        named = 0  # the fields of the even symbols with an image
         for name, v in images.items():
             s = src.symbol(name)
             p = v.parity()
@@ -481,36 +523,34 @@ class SuperPolynomial:
             if v.table is not table:
                 raise TableMismatchError("images live over different symbol tables")
             imgs[s.index] = v
+            if s.parity == EVEN:
+                named |= MAX_EXPONENT << src._shift[s.index]
         moved = {}  # index of a symbol without image -> its index in table
         for s in self.support():
             if s.index not in imgs:
                 moved[s.index] = s.index if table is src else table.symbol(s.name).index
         rational = table.scalar_ring == "QQ"
-        e_cache: dict = {(): _ONE}  # named even part -> E
+        guard = table.guard
+        e_cache: dict = {0: _ONE}  # named even part -> E
         o_cache: dict = {0: _ONE}  # odd monomial -> O
+        u_moved: dict = {}  # unnamed even part -> its key over table
         out: dict = {}
         for (ev, od), c in self.terms.items():
             if rational:
                 table.scalar(c)  # refuses a formal I
-            named, unnamed = [], []
-            for f in ev:
-                if f[0] in imgs:
-                    named.append(f)
-                else:
-                    unnamed.append((moved[f[0]], f[1]))
-            named = tuple(named)
-            e = e_cache.get(named)
+            en = ev & named
+            e = e_cache.get(en)
             if e is None:
                 e = _ONE
-                for i, p in named:
+                for i, p in _ev_items(en, src._evens):
                     t = (imgs[i] if p == 1 else imgs[i] ** p).terms
                     e = t if e is _ONE else _term_product(table, e, t)
-                e_cache[named] = e
+                e_cache[en] = e
             o = o_cache.get(od)
             if o is None:
                 o = _ONE
                 for i in _indices(od):
-                    t = imgs[i].terms if i in imgs else {((), 1 << moved[i]): 1}
+                    t = imgs[i].terms if i in imgs else {(0, 1 << moved[i]): 1}
                     o = t if o is _ONE else _term_product(table, o, t)
                     if not o:
                         break
@@ -518,24 +558,36 @@ class SuperPolynomial:
             if not o:
                 continue
             eo = o if e is _ONE else e if o is _ONE else _term_product(table, e, o)
-            unnamed = tuple(sorted(unnamed))  # in the order of table
+            u = ev ^ en  # the unnamed even part, moved field by field into table
+            if table is not src:
+                if u not in u_moved:
+                    u_moved[u] = sum(p << table._shift[moved[i]] for i, p in _ev_items(u, src._evens))
+                u = u_moved[u]
             for (e2, o2), v in eo.items():
-                _add_term(out, (_even_mul(unnamed, e2), o2), c * v)
+                e2 += u
+                if e2 & guard:
+                    raise _exponent_error()
+                _add_term(out, (e2, o2), c * v)
         return SuperPolynomial(table, out)
 
     def eval_even(self, values: dict):
         """Evaluate even symbols at exact scalars; other symbols untouched."""
-        vals = {self.table.symbol(n).index: _coef(v) for n, v in values.items()}
+        table = self.table
+        vals, mask = {}, 0  # field offset -> value, and the fields read
+        for n, v in values.items():
+            sh = table._shift.get(table.symbol(n).index)
+            if sh is not None:
+                vals[sh] = _coef(v)
+                mask |= MAX_EXPONENT << sh
         out: dict = {}
         for (ev, od), c in self.terms.items():
-            rest = []
-            for i, p in ev:
-                if i in vals:
-                    c = c * vals[i] ** p
-                else:
-                    rest.append((i, p))
+            if ev & mask:
+                for sh, v in vals.items():
+                    p = ev >> sh & MAX_EXPONENT
+                    if p:
+                        c = c * v ** p
             if c:
-                _add_term(out, (tuple(rest), od), c)
+                _add_term(out, (ev & ~mask, od), c)
         return SuperPolynomial(self.table, out)
 
     def diff_even(self, name):
@@ -543,17 +595,12 @@ class SuperPolynomial:
         s = self.table.symbol(name)
         if s.parity != EVEN:
             raise ParityError(f"{name} is odd; use a derivation")
+        sh = self.table._shift[s.index]
         out: dict = {}
         for (ev, od), c in self.terms.items():
-            for j, (i, p) in enumerate(ev):
-                if i != s.index:
-                    continue
-                nev = list(ev)
-                if p == 1:
-                    del nev[j]
-                else:
-                    nev[j] = (i, p - 1)
-                _add_term(out, (tuple(nev), od), c * p)
+            p = ev >> sh & MAX_EXPONENT
+            if p:
+                _add_term(out, (ev - (1 << sh), od), c * p)
         return SuperPolynomial(self.table, out)
 
     def integrate_even(self, name, lo, hi):
@@ -563,21 +610,25 @@ class SuperPolynomial:
         if s.parity != EVEN:
             raise ParityError(f"{name} is odd; use the Berezin integral")
         lo, hi = frac(lo), frac(hi)
+        sh = self.table._shift[s.index]
         out: dict = {}
         for (ev, od), c in self.terms.items():
-            p = next((q for i, q in ev if i == s.index), 0)
+            p = ev >> sh & MAX_EXPONENT
             if p > MAX_DEGREE:
                 raise SizeLimitError(f"a power {p} over a box exceeds the degree budget {MAX_DEGREE}")
             c = c * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
             if c:
-                _add_term(out, (tuple(f for f in ev if f[0] != s.index), od), c)
+                _add_term(out, (ev & ~(MAX_EXPONENT << sh), od), c)
         return SuperPolynomial(self.table, out)
 
     def terms_sorted(self):
-        """The terms as ((even_mono, odd indices), coeff), the odd monomial an
+        """The terms as ((even_mono, odd indices), coeff), even_mono the
+        ((index, power), ...) pairs by index and the odd monomial an
         increasing tuple of symbol indices, sorted by (odd degree, odd
-        indices, even_mono)."""
-        return sorted((((ev, _indices(od)), c) for (ev, od), c in self.terms.items()),
+        indices, even_mono).  Each even key is decoded once per call."""
+        evens = self.table._evens
+        decoded = {ev: _ev_items(ev, evens) for ev in {ev for ev, _ in self.terms}}
+        return sorted((((decoded[ev], _indices(od)), c) for (ev, od), c in self.terms.items()),
                       key=_term_key)
 
     def __str__(self):
@@ -694,7 +745,8 @@ class Derivation:
         monomials: an even factor x^p leaves x^(p-1) and multiplies by p, an
         odd factor, the j-th bit of od from the bottom, merges the bits
         below it with o2 and then the result with the bits above it, with
-        (-1)^(parity * j) for the factors crossed.
+        (-1)^(parity * j) for the factors crossed.  A pair whose odd parts
+        share a nilpotent generator vanishes and is skipped.
         """
         if f.table is not self.table:
             raise TableMismatchError("derivation applied across tables")
@@ -702,26 +754,30 @@ class Derivation:
         images = self.images
         gx = self.parity
         odd_mul = _odd_mul
+        nil, guard, evens = table.nil, table.guard, table._evens
         out: dict = {}
         for (ev, od), c in f.terms.items():
-            # even factors: no crossing signs
-            for j, (i, p) in enumerate(ev):
-                img = images.get(i)
+            # even factors, one per field the key holds: no crossing signs
+            held = ev
+            while held:
+                k = ((held & -held).bit_length() - 1) // _FIELD
+                p = held >> _FIELD * k & MAX_EXPONENT
+                held ^= p << _FIELD * k
+                img = images.get(evens[k])
                 if img is None:
                     continue
-                if p == 1:
-                    rest, cp = ev[:j] + ev[j + 1:], c
-                else:
-                    rest, cp = ev[:j] + ((i, p - 1),) + ev[j + 1:], c * p
+                rest, cp = ev - (1 << _FIELD * k), (c if p == 1 else c * p)
                 for (e2, o2), c2 in img.terms.items():
-                    res = odd_mul(o2, od, table)
-                    if res is None:
+                    if o2 & od & nil:
                         continue
-                    fac, o = res
+                    fac, o = odd_mul(o2, od, table)
                     cc = cp * c2
                     if fac is not None:
                         cc = -cc if fac == -1 else cc * fac
-                    _add_term(out, (_even_mul(rest, e2), o), cc)
+                    e = rest + e2
+                    if e & guard:
+                        raise _exponent_error()
+                    _add_term(out, (e, o), cc)
             # odd factors: (-1)^(gx * #odd factors crossed); the factor at
             # bit low crosses the j bits below it, and right holds the bits
             # above it
@@ -737,20 +793,19 @@ class Derivation:
                 cs = -c if (gx and (j & 1)) else c
                 left = od & (low - 1)
                 for (e2, o2), c2 in img.terms.items():
-                    res = odd_mul(left, o2, table)
-                    if res is None:
+                    if o2 & (od ^ low) & nil:
                         continue
-                    fac, mid = res
-                    res = odd_mul(mid, right, table)
-                    if res is None:
-                        continue
-                    fac2, o = res
+                    fac, mid = odd_mul(left, o2, table)
+                    fac2, o = odd_mul(mid, right, table)
                     cc = cs * c2
                     if fac is not None:
                         cc = -cc if fac == -1 else cc * fac
                     if fac2 is not None:
                         cc = -cc if fac2 == -1 else cc * fac2
-                    _add_term(out, (_even_mul(ev, e2), o), cc)
+                    e = ev + e2
+                    if e & guard:
+                        raise _exponent_error()
+                    _add_term(out, (e, o), cc)
         return SuperPolynomial(self.table, out)
 
     # -- linear structure ---------------------------------------------------

@@ -154,14 +154,17 @@ def test_bad_expression_is_usage_error(capsys):
     (("expand", "(2^9999)^9999"), ""),
     (("model", "sigma32", "--h", "u^1001"), ""),
     (("model", "sigma32", "--h", ""), ""),
+    (("berezin", "th1*x", "--box", "0", "1e10000000"), ""),
 ], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-of-polynomials",
         "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
         "morphism-xi-not-object", "h-not-rational", "power-over-term-budget",
         "mixed-power-over-term-budget", "box-power-over-degree-budget",
-        "power-over-coefficient-budget", "h-over-degree-budget", "h-empty"])
+        "power-over-coefficient-budget", "h-over-degree-budget", "h-empty", "box-exponent-bound"])
 def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    start = time.process_time()
     code, out, err = run(capsys, *argv)
+    assert time.process_time() - start < 1
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
@@ -193,6 +196,25 @@ def test_power_over_coefficient_budget_names_the_budget(capsys):
 def test_powers_under_the_coefficient_budget_print(capsys):
     assert run(capsys, "expand", "x^1000000000")[:2] == (0, "x^1000000000\n")
     assert run(capsys, "expand", "2^9999")[:2] == (0, f"{2 ** 9999}\n")
+
+
+def test_box_bounds_without_an_exponent_part_work(capsys):
+    assert run(capsys, "berezin", "th1*x", "--box", "0", "1/2") == (0, "1/8\n", "")
+    assert run(capsys, "berezin", "th1*x", "--box", "-1.5", "2") == (0, "7/8\n", "")
+    assert run(capsys, "berezin", "th1*x", "--box", "0", "1E2") == (
+        2, "", "error: --box bound '1E2' is not a rational number\n")
+
+
+def test_exponent_budget_bounds_every_even_power(capsys):
+    assert run(capsys, "expand", "x^4294967295") == (0, "x^4294967295\n", "")
+    assert run(capsys, "expand", "x^4294967295*y^4294967295*z") == (
+        0, "x^4294967295*y^4294967295*z\n", "")
+    err = "error: an even power exceeds the exponent budget of 4294967295\n"
+    # a power, a product of atoms, a one-term power of a power, a product of
+    # polynomials and a repeated square
+    for expr in ("x^4294967296", "x^4294967295*x", "(x^3000000000)^2",
+                 "(x^4294967295 + y)*(x + 1)", "(x^3000000000 + th1)^2"):
+        assert run(capsys, "expand", expr) == (2, "", err), expr
 
 
 def test_bad_morphism_file_is_usage_error(capsys):

@@ -10,9 +10,11 @@ import pytest
 
 import supergrass
 from supergrass.indices import merge_sign
-from supergrass.kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
-                               SizeLimitError, SymbolTable, TableMismatchError, _odd_mul,
-                               cartan_triple, jacobi_check, odd_field_relations_ok, super_bracket)
+from supergrass.expr_io import poly_from_jsonable
+from supergrass.kernel import (EVEN, MAX_DEGREE, MAX_EXPONENT, ODD, Derivation, ParityError,
+                               SuperPolynomial, SizeLimitError, SymbolTable, TableMismatchError,
+                               _odd_mul, cartan_triple, jacobi_check, odd_field_relations_ok,
+                               super_bracket)
 from supergrass.minkowski import r32_fields
 from supergrass.scalars import QI
 from supergrass.suites import grassmann_table, random_poly
@@ -817,3 +819,156 @@ def test_coefficient_of_odd_against_merge_sign():
         assert f.coefficient_of_odd(names) == want, names
     with pytest.raises(ValueError):
         t.sym(odd[0]).coefficient_of_odd((odd[0], odd[0]))
+
+
+# ---------------------------------------------------------------------------
+# packed even keys: the exponent budget, and the projections against the same
+# projections on (index, power) tuples over a key wider than 1300 bits
+# ---------------------------------------------------------------------------
+
+_BUDGET = f"exponent budget of {MAX_EXPONENT}"
+
+
+def test_exponent_budget_bounds_each_even_power():
+    t = _qi_table()
+    x, y, th1 = t.sym("x"), t.sym("y"), t.sym("th1")
+    top = x ** MAX_EXPONENT
+    assert str(top * y ** MAX_EXPONENT) == "x^4294967295*y^4294967295"
+    assert top.terms_sorted() == [((((0, MAX_EXPONENT),), ()), 1)]
+    assert (top * y).diff_even("x").terms_sorted() == [((((0, MAX_EXPONENT - 1), (1, 1)), ()), MAX_EXPONENT)]
+    for build in (lambda: t.monomial(1, [("x", MAX_EXPONENT + 1)]),
+                  lambda: t.monomial(1, [("x", MAX_EXPONENT), ("y", 1), ("x", 1)]),
+                  lambda: t.monomial(1, [("x", 3 << 32)]),
+                  lambda: top * x,  # a product of terms
+                  lambda: (x ** 3_000_000_000) ** 2,  # the one-term power
+                  lambda: (x ** 3_000_000_000 + th1) ** 2,  # a square of two terms
+                  lambda: Derivation(t, EVEN, {"x": x * x})(top),  # an even factor
+                  lambda: Derivation(t, ODD, {"th1": x})(top * th1),  # an odd factor
+                  lambda: (top * y).substitute({"y": x}),  # an unnamed even part
+                  lambda: poly_from_jsonable(
+                      {"terms": [{"coeff": "1", "even": {"x": MAX_EXPONENT + 1}, "odd": []}]}, t)):
+        with pytest.raises(SizeLimitError, match=_BUDGET):
+            build()
+
+
+def _wide_table():
+    """40 even symbols, so an even key spans 40 * 33 = 1320 bits, with the
+    odd symbols declared among them: symbol indices and fields differ."""
+    t = SymbolTable()
+    for k in range(40):
+        t.even_symbol(f"x{k}")
+        if k in (9, 19, 29):
+            t.odd_symbol(f"th{k // 10 + 1}")
+    return t
+
+
+# fields whose powers reach the budget; the others stay at most 3
+_BIG = ("x0", "x13", "x26", "x39")
+
+
+def _acc(d, key, c):
+    c = d.pop(key, 0) + c
+    if c:
+        d[key] = c
+
+
+def _wide_model(t, rng):
+    """Random terms {(((index, power), ...), odd indices): coeff} over the
+    wide table, one of them holding x39^MAX_EXPONENT."""
+    evens = [s for s in t.symbols if s.parity == EVEN]
+    odds = [s.index for s in t.symbols if s.parity == ODD]
+    model = {}
+    for _ in range(rng.randint(1, 12)):
+        ev = tuple(sorted((s.index, rng.choice((1, 2, MAX_EXPONENT - 1, MAX_EXPONENT))
+                           if s.name in _BIG else rng.randint(1, 3))
+                          for s in rng.sample(evens, rng.randint(0, 5))))
+        od = tuple(i for i in odds if rng.random() < 0.4)
+        _acc(model, (ev, od), QI(rng.randint(-3, 3), rng.choice((0, 0, 1))))
+    _acc(model, (((t.symbol("x39").index, MAX_EXPONENT),), ()), 5)
+    return model
+
+
+def _sorted_model(model):
+    return sorted(model.items(), key=lambda kv: (len(kv[0][1]), kv[0][1], kv[0][0]))
+
+
+def test_packed_projections_against_decoded_tuples():
+    rng = random.Random(41)
+    t = _wide_table()
+    evens = [s.name for s in t.symbols if s.parity == EVEN]
+    odds = [s.name for s in t.symbols if s.parity == ODD]
+    # the evens in another order, the odds too, and symbols t lacks
+    u = SymbolTable()
+    u.odd_symbol("th3")
+    u.even_symbol("z")
+    for name in reversed(evens):
+        u.even_symbol(name)
+        if name == "x20":
+            u.odd_symbol("th1")
+    u.odd_symbol("th2")
+    named = {"x5": 2, "x6": 2, "x7": 2, "th1": 1}  # image: the symbol of u times this
+    for _ in range(40):
+        model = _wide_model(t, rng)
+        f = t.sum(_term(t, ev, od, c) for (ev, od), c in model.items())
+        assert max(ev for ev, _ in f.terms).bit_length() > 1300
+        assert f.terms_sorted() == _sorted_model(model)
+        powers = {}  # even index -> the highest power in f
+        for ev, _ in model:
+            for i, p in ev:
+                powers[i] = max(powers.get(i, 0), p)
+        assert f.support() == [t.symbols[i] for i in sorted({i for ev, od in model for i in
+                                                             [j for j, _ in ev] + list(od)})]
+        assert f.max_even_degree() == max(sum(p for _, p in ev) for ev, _ in model)
+        for names in ((), ("x39",), ("th2",), rng.sample(evens + odds, 6)):
+            idx = {t.symbol(n).index for n in names}
+            want = {k: c for k, c in model.items() if not idx & ({i for i, _ in k[0]} | set(k[1]))}
+            assert f.free_of(names).terms_sorted() == _sorted_model(want)
+        names = rng.sample(evens, 8) + ["th1"]
+        values = {n: rng.choice((0, 1, -1, QI(0, 1))) if n in _BIG else
+                  rng.choice((2, Fraction(-1, 3), QI(1, 1))) for n in names}
+        by_index = {t.symbol(n).index: v for n, v in values.items() if n in evens}
+        want = {}
+        for (ev, od), c in model.items():
+            for i, p in ev:
+                c = c * by_index[i] ** p if i in by_index else c
+            if c:
+                _acc(want, (tuple(e for e in ev if e[0] not in by_index), od), c)
+        assert f.eval_even(values).terms_sorted() == _sorted_model(want)
+        for name in rng.sample(evens, 4) + ["x39"]:
+            i = t.symbol(name).index
+            want = {}
+            for (ev, od), c in model.items():
+                for j, (k, p) in enumerate(ev):
+                    if k == i:
+                        rest = ev[:j] + (((i, p - 1),) if p > 1 else ()) + ev[j + 1:]
+                        _acc(want, (rest, od), c * p)
+            assert f.diff_even(name).terms_sorted() == _sorted_model(want)
+            if powers.get(i, 0) > MAX_DEGREE:
+                with pytest.raises(SizeLimitError, match="degree budget"):
+                    f.integrate_even(name, -1, 2)
+                continue
+            want = {}
+            for (ev, od), c in model.items():
+                p = dict(ev).get(i, 0)
+                _acc(want, (tuple(e for e in ev if e[0] != i), od),
+                     c * Fraction(2 ** (p + 1) - (-1) ** (p + 1), p + 1))
+            assert f.integrate_even(name, -1, 2).terms_sorted() == _sorted_model(want)
+        # into u: the unnamed evens move field by field, and the odd
+        # monomial takes the sign of its order in u
+        images = {n: u.sym(n).scale(k) for n, k in named.items()}
+        want = {}
+        for (ev, od), c in model.items():
+            for i, p in ev:
+                c = c * named.get(t.symbols[i].name, 1) ** p
+            seq = [u.symbol(t.symbols[i].name).index for i in od]
+            if sum(a > b for j, a in enumerate(seq) for b in seq[j + 1:]) & 1:
+                c = -c
+            _acc(want, (tuple(sorted((u.symbol(t.symbols[i].name).index, p) for i, p in ev)),
+                        tuple(sorted(seq))), c)
+        moved = f.substitute(images)
+        assert moved.table is u and moved.terms_sorted() == _sorted_model(want)
+        # a derivation whose images hold no field that reaches the budget
+        X = Derivation(t, EVEN, {"x0": t.sym("x1"), "x39": t.scalar(3),
+                                 "x20": t.monomial(1, [("x2", 2)], ["th1", "th2"]),
+                                 "th1": t.monomial(QI(0, 1), [("x3", 1)], ["th3"])})
+        assert X(f) == _derivation_oracle(X, f)
