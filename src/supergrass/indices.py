@@ -1,9 +1,9 @@
 """Multi-index helpers for odd coordinates.
 
-A multi-index is a strictly increasing tuple of 1-based positions.  The
-families used throughout: odd-length subsets and even-length subsets of
-length >= 2.  `merge_sign` gives the sign of the permutation that sorts a
-concatenation of multi-indices.
+A multi-index is a strictly increasing tuple of 1-based positions; the
+family used throughout is the even-length subsets of length >= 2.
+`merge_sign` gives the sign of the permutation that sorts a concatenation
+of multi-indices.
 """
 
 from __future__ import annotations
@@ -11,20 +11,9 @@ from __future__ import annotations
 from itertools import combinations
 
 
-def subsets(q, lengths):
-    out = []
-    for r in lengths:
-        out.extend(combinations(range(1, q + 1), r))
-    return out
-
-
-def odd_subsets(q):
-    return subsets(q, range(1, q + 1, 2))
-
-
 def even_subsets_pos(q):
     """Even length >= 2."""
-    return subsets(q, range(2, q + 1, 2))
+    return [I for r in range(2, q + 1, 2) for I in combinations(range(1, q + 1), r)]
 
 
 def merge_sign(*parts):

@@ -11,17 +11,19 @@ multiply by one int sum, and one AND against the table's guard mask raises
 `SizeLimitError` for a power above `MAX_EXPONENT`.  An odd monomial is an
 int bitmask over symbol indices (bit i set: `symbols[i]` occurs), read in
 symbol-table declaration order, and every product normalizes signs against
-that order: `_odd_mul` finds a repeated nilpotent generator with one AND,
-the Koszul sign as the parity of a popcount against the prefix-parity mask
-`_below`, and the merged monomial as an XOR; a Koszul sign is applied by
-negation; a pair that shares a nilpotent generator is skipped before
-`_odd_mul` is called.  Products and sums are written through one
-accumulator, `_add_term`, which stores an integral Fraction as an int;
-`scale` does the same.  Values are immutable after construction and safe to
-share.  A product that would form more than `MAX_TERM_PAIRS` term pairs
-raises `SizeLimitError` before it runs, and the CLI reports it as an input
-error; `MAX_DEGREE` bounds the powers that `integrate_even` raises its
-bounds to, and `MAX_COEFF_BITS` the coefficient growth of a power.
+that order.  The one Clifford square is eps*eps = -1, so a product of two
+odd monomials is a sign times their XOR: `_odd_mul` finds a repeated
+nilpotent generator with one AND, and the sign bit as the parity of a
+popcount against the prefix-parity mask `_below` plus one flip per shared
+Clifford generator; a sign is applied by negation; a pair that shares a
+nilpotent generator is skipped before `_odd_mul` is called.  Products and
+sums are written through one accumulator, `_add_term`, which stores an
+integral Fraction as an int; `scale` does the same.  Values are immutable
+after construction and safe to share.  A product that would form more than
+`MAX_TERM_PAIRS` term pairs raises `SizeLimitError` before it runs, and the
+CLI reports it as an input error; `MAX_DEGREE` bounds the powers that
+`integrate_even` raises its bounds to, and `MAX_COEFF_BITS` the coefficient
+growth of a power.
 
 A derivation is applied term by term: each term of f, each factor with an
 image and each term of that image give one coefficient and one merged
@@ -92,8 +94,8 @@ class Symbol:
     name: str
     parity: int
     index: int
-    # clifford generators: eps*eps = -square; odd generators square to 0
-    square: int | Fraction = 0
+    # 1 for a Clifford generator, eps*eps = -1; 0 for a nilpotent odd one
+    square: int = 0
 
 
 class SymbolTable:
@@ -106,8 +108,9 @@ class SymbolTable:
     coefficients promote silently inside "QQi", and operands always live
     over one table, so table identity subsumes ring compatibility.
 
-    nil holds the bits of the nilpotent odd generators and unit those of the
-    Clifford generators of square 1; _below memoizes `_below` by monomial.
+    nil holds the bits of the nilpotent odd generators; every other odd
+    generator is a Clifford generator with eps*eps = -1, the only square
+    declared.  _below memoizes `_below` by monomial.
     The k-th even symbol declared owns field k of an even key: _evens[k] is
     its index, _shift[index] the offset of its field, and guard holds the
     top bit of every field.  A later declaration adds a field above the
@@ -121,7 +124,6 @@ class SymbolTable:
         self.symbols: list[Symbol] = []
         self._by_name: dict[str, Symbol] = {}
         self.nil = 0
-        self.unit = 0
         self._below: dict[int, int] = {}
         self._evens: list[int] = []
         self._shift: dict[int, int] = {}
@@ -131,11 +133,9 @@ class SymbolTable:
     def _add(self, name, parity, square=0):
         if name in self._by_name:
             raise ValueError(f"duplicate symbol {name!r}")
-        s = Symbol(name, parity, len(self.symbols), _coef(square))
-        if parity == ODD and not s.square:
+        s = Symbol(name, parity, len(self.symbols), square)
+        if parity == ODD and not square:
             self.nil |= 1 << s.index
-        elif parity == ODD and s.square == 1:
-            self.unit |= 1 << s.index
         elif parity == EVEN:
             self._shift[s.index] = shift = _FIELD * len(self._evens)
             self._evens.append(s.index)
@@ -151,7 +151,10 @@ class SymbolTable:
         return self._add(name, ODD)
 
     def clifford_symbol(self, name, square=1):
-        return self._add(name, ODD, square)
+        """A generator with eps*eps = -1; square is that 1 and no other."""
+        if square != 1:
+            raise ValueError(f"square {square}: a Clifford generator squares to -1 (square 1) only")
+        return self._add(name, ODD, 1)
 
     # -- lookup -----------------------------------------------------------
     def __contains__(self, name):
@@ -208,8 +211,8 @@ class SymbolTable:
     def monomial(self, coeff, even=(), odd=()):
         """coeff * prod(even names with powers) * prod(odd names, given order),
         built as one term: the powers of a name add up, and each odd name is
-        merged in through `_odd_mul`, which applies the Koszul signs and the
-        Clifford contractions."""
+        merged in through `_odd_mul`, whose sign bit holds the Koszul signs and
+        the Clifford contractions."""
         c = self.scalar(coeff).scalar_part()
         ev = 0
         for name, e in even:
@@ -227,9 +230,9 @@ class SymbolTable:
             res = _odd_mul(od, 1 << s.index, self)
             if res is None:
                 return self.zero()
-            fac, od = res
-            if fac is not None:
-                c = -c if fac == -1 else c * fac
+            sign, od = res
+            if sign:
+                c = -c
         return SuperPolynomial(self, {(ev, od): _coef(c)} if c else {})
 
 
@@ -272,14 +275,11 @@ def _term_product(table, a: dict, b: dict) -> dict:
         for (e2, o2), c2 in b.items():
             if o1 & o2 & nil:
                 continue
-            fac, od = _odd_mul(o1, o2, table)
-            c = c1 * c2
-            if fac is not None:
-                c = -c if fac == -1 else c * fac
+            sign, od = _odd_mul(o1, o2, table)
             ev = e1 + e2
             if ev & guard:
                 raise _exponent_error()
-            _add_term(out, (ev, od), c)
+            _add_term(out, (ev, od), -c1 * c2 if sign else c1 * c2)
     return out
 
 
@@ -495,8 +495,9 @@ class SuperPolynomial:
     def substitute(self, images: dict):
         """Ring substitution symbol -> polynomial (parity-preserving).
 
-        Symbols not named map to themselves, moved by name into the table of
-        the images.  Odd images must be odd, even images even.  Each term
+        Odd images must be odd, even images even.  Symbols not named map to
+        themselves, so images over another table must name every symbol that
+        occurs: one without an image raises `TableMismatchError`.  Each term
         c * m becomes c * U * E * O, formed by one product E * O: U, the
         unnamed even factors, is central and joins each key; E is the product
         of the named even factors' images in term order, cached per named
@@ -514,7 +515,7 @@ class SuperPolynomial:
             return self
         src = self.table
         imgs = {}
-        named = 0  # the fields of the even symbols with an image
+        named = named_odd = 0  # the even fields and the odd bits of the symbols with an image
         for name, v in images.items():
             s = src.symbol(name)
             p = v.parity()
@@ -525,20 +526,22 @@ class SuperPolynomial:
             imgs[s.index] = v
             if s.parity == EVEN:
                 named |= MAX_EXPONENT << src._shift[s.index]
-        moved = {}  # index of a symbol without image -> its index in table
-        for s in self.support():
-            if s.index not in imgs:
-                moved[s.index] = s.index if table is src else table.symbol(s.name).index
+            else:
+                named_odd |= 1 << s.index
+        cross = table is not src  # then no symbol that occurs may stay unnamed
         rational = table.scalar_ring == "QQ"
         guard = table.guard
         e_cache: dict = {0: _ONE}  # named even part -> E
         o_cache: dict = {0: _ONE}  # odd monomial -> O
-        u_moved: dict = {}  # unnamed even part -> its key over table
         out: dict = {}
         for (ev, od), c in self.terms.items():
             if rational:
                 table.scalar(c)  # refuses a formal I
             en = ev & named
+            u = ev ^ en  # the unnamed even part
+            if cross and (u or od & ~named_odd):
+                unnamed = SuperPolynomial(src, {(u, od & ~named_odd): 1}).support()[0].name
+                raise TableMismatchError(f"no image for {unnamed!r} over the images' table")
             e = e_cache.get(en)
             if e is None:
                 e = _ONE
@@ -550,7 +553,7 @@ class SuperPolynomial:
             if o is None:
                 o = _ONE
                 for i in _indices(od):
-                    t = imgs[i].terms if i in imgs else {(0, 1 << moved[i]): 1}
+                    t = imgs[i].terms if i in imgs else {(0, 1 << i): 1}
                     o = t if o is _ONE else _term_product(table, o, t)
                     if not o:
                         break
@@ -558,11 +561,6 @@ class SuperPolynomial:
             if not o:
                 continue
             eo = o if e is _ONE else e if o is _ONE else _term_product(table, e, o)
-            u = ev ^ en  # the unnamed even part, moved field by field into table
-            if table is not src:
-                if u not in u_moved:
-                    u_moved[u] = sum(p << table._shift[moved[i]] for i, p in _ev_items(u, src._evens))
-                u = u_moved[u]
             for (e2, o2), v in eo.items():
                 e2 += u
                 if e2 & guard:
@@ -679,38 +677,22 @@ def _below(m):
 def _odd_mul(o1, o2, table):
     """Product of two canonical odd monomials (bitmasks) over a table.
 
-    Returns (extra_factor_or_None, merged_mask), or None when the product
-    vanishes (repeated nilpotent generator).  extra_factor collects the
-    Koszul sign and the -B(e,e) contractions of repeated Clifford
-    generators; a pure sign is the int -1, which the caller applies by
-    negation.  Moving o2 past o1 crosses each bit of o1 over the bits of o2
-    below it, so the Koszul sign is the parity of o1 & _below(o2); a
-    repeated generator of square 1 contracts to -1, any other square sq to
-    -sq.
+    Returns (sign_bit, merged_mask), the product being (-1)^sign_bit times
+    the merged monomial, or None when it vanishes (a repeated nilpotent
+    generator); the caller applies the sign by negation.  Moving o2 past o1
+    crosses each bit of o1 over the bits of o2 below it, so the Koszul sign
+    is the parity of o1 & _below(o2); every other shared generator is a
+    Clifford one, and eps*eps = -1 adds one flip each.
     """
-    if not o1:
-        return (None, o2)
-    if not o2:
-        return (None, o1)
+    if not o1 or not o2:
+        return (0, o1 | o2)
     shared = o1 & o2
     if shared & table.nil:
         return None
     below = table._below.get(o2)
     if below is None:
         below = table._below[o2] = _below(o2)
-    flips = (o1 & below).bit_count()
-    fac = None
-    if shared:
-        flips += (shared & table.unit).bit_count()
-        other = shared & ~table.unit
-        while other:
-            low = other & -other
-            sq = -table.symbols[low.bit_length() - 1].square
-            fac = sq if fac is None else fac * sq
-            other ^= low
-    if flips & 1:
-        fac = -1 if fac is None else -fac
-    return (fac, o1 ^ o2)
+    return (((o1 & below).bit_count() + shared.bit_count()) & 1, o1 ^ o2)
 
 
 class Derivation:
@@ -770,14 +752,11 @@ class Derivation:
                 for (e2, o2), c2 in img.terms.items():
                     if o2 & od & nil:
                         continue
-                    fac, o = odd_mul(o2, od, table)
-                    cc = cp * c2
-                    if fac is not None:
-                        cc = -cc if fac == -1 else cc * fac
+                    sign, o = odd_mul(o2, od, table)
                     e = rest + e2
                     if e & guard:
                         raise _exponent_error()
-                    _add_term(out, (e, o), cc)
+                    _add_term(out, (e, o), -cp * c2 if sign else cp * c2)
             # odd factors: (-1)^(gx * #odd factors crossed); the factor at
             # bit low crosses the j bits below it, and right holds the bits
             # above it
@@ -795,17 +774,12 @@ class Derivation:
                 for (e2, o2), c2 in img.terms.items():
                     if o2 & (od ^ low) & nil:
                         continue
-                    fac, mid = odd_mul(left, o2, table)
-                    fac2, o = odd_mul(mid, right, table)
-                    cc = cs * c2
-                    if fac is not None:
-                        cc = -cc if fac == -1 else cc * fac
-                    if fac2 is not None:
-                        cc = -cc if fac2 == -1 else cc * fac2
+                    sign, mid = odd_mul(left, o2, table)
+                    sign2, o = odd_mul(mid, right, table)
                     e = ev + e2
                     if e & guard:
                         raise _exponent_error()
-                    _add_term(out, (e, o), cc)
+                    _add_term(out, (e, o), -cs * c2 if sign ^ sign2 else cs * c2)
         return SuperPolynomial(self.table, out)
 
     # -- linear structure ---------------------------------------------------

@@ -10,7 +10,9 @@ coordinates integrate one at a time over rational bounds
 from __future__ import annotations
 
 from fractions import Fraction
-from .indices import even_subsets_pos, merge_sign, odd_subsets
+from itertools import combinations
+
+from .indices import even_subsets_pos
 from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial, SymbolTable,
                      odd_field_relations_ok, odd_fields, super_bracket)
 from .scalars import rational_part
@@ -215,7 +217,7 @@ class LiftSpace:
         for n in domain.even_names:
             self.table.even_symbol(n)
         self.s_name = {}
-        self._lower = {}
+        self._lower = {n: domain.sym(n) for n in domain.even_names}
         for I in even_subsets_pos(q):
             name = "s_" + "".join(str(i) for i in I)
             self.table.even_symbol(name)
@@ -245,8 +247,9 @@ class LiftSpace:
 
     def lower(self, frak: SuperPolynomial) -> SuperPolynomial:
         """Evaluate e^(theta-lift vector field) at s = 0: replace every s_I
-        factor by the odd monomial eta^I of the base domain."""
-        return self.domain.table.adopt(frak.substitute(self._lower))
+        factor by the odd monomial eta^I of the base domain, and every even
+        coordinate by its namesake there."""
+        return frak.substitute(self._lower)
 
 
 def theta_lift_vectorfield_law(case: int, q: int):
@@ -271,17 +274,10 @@ def theta_lift_vectorfield_law(case: int, q: int):
     x = space.table.sym("x")
     if case == 3:
         d2 = dom.odd_derivative("et2")
-        imgs = {}
-        for I in odd_subsets(q):
-            if 1 in I or 2 in I or not I:
-                continue
-            m1 = merge_sign((1,), I)
-            m2 = merge_sign((2,), I)
-            if m1 is None or m2 is None:
-                continue
-            s1 = space.s(m1[1]).scale(m1[0])
-            imgs[space.s_name[m2[1]]] = s1.scale(m2[0])
-        Z = Derivation(space.table, EVEN, imgs, "Z")
+        # I within {3..q}: 1 and 2 join I in front, with no sign
+        Z = Derivation(space.table, EVEN, {space.s_name[(2, *I)]: space.s((1, *I))
+                                           for r in range(1, q - 1, 2)
+                                           for I in combinations(range(3, q + 1), r)}, "Z")
 
     def law(rng) -> bool:
         frak = space.reduce(_random_lift_poly(space, rng))

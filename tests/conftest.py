@@ -18,8 +18,8 @@ def koszul_sign_dropped(monkeypatch):
 
     def unsigned(o1, o2, symbols):
         out = odd_mul(o1, o2, symbols)
-        if out is not None and out[0] == -1:
-            return (None, out[1])
+        if out is not None and out[0]:
+            return (0, out[1])
         return out
 
     monkeypatch.setattr(kernel, "_odd_mul", unsigned)

@@ -49,6 +49,15 @@ def test_clifford_square_contracts():
     assert e * e == t.scalar(-1)
 
 
+def test_a_clifford_generator_squares_to_minus_one_only():
+    t = SymbolTable("QQi")
+    for square in (2, -1, 0, Fraction(1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="squares to -1"):
+            t.clifford_symbol("e", square)
+    assert "e" not in t
+    assert t.clifford_symbol("e", 1).square == t.clifford_symbol("f").square == 1
+
+
 def test_clifford_envelope_is_complex_plane():
     # (a + b eps)(c + d eps) = (ac - bd) + (ad + bc) eps
     t = SymbolTable()
@@ -236,7 +245,7 @@ def test_plain_rational_ring_tag():
 def test_integral_coefficients_are_stored_as_int():
     t = SymbolTable()
     t.even_symbol("x")
-    t.clifford_symbol("eps", 2)
+    t.clifford_symbol("eps", 1)
     for i in range(4):
         t.odd_symbol(f"th{i+1}")
     for p in [t.one(), t.scalar(Fraction(6, 3))] + [t.sym(n) for n in t.names()]:
@@ -252,15 +261,15 @@ def test_integral_coefficients_are_stored_as_int():
             assert all(type(c) is int for c in p.terms.values()), p
     # integral results of Fraction arithmetic: a product, a sum, scale, and
     # derivation images through an even factor of power 2 with the image
-    # 1/2 and through the image -1/2*eps contracting with eps (square 2)
+    # 1/2 and through the image -1/2*eps contracting with eps in 2*eps*th1
     half = t.scalar(Fraction(1, 2))
     x, eps, th1 = t.sym("x"), t.sym("eps"), t.sym("th1")
     X = Derivation(t, EVEN, {"x": half})
     Z = Derivation(t, EVEN, {"th1": eps.scale(Fraction(-1, 2))})
     for p in (half * t.scalar(4), half + half, half.scale(6), (x * th1).scale(Fraction(1, 2)).scale(4),
-              X(x ** 2 * th1), Z(eps * th1), Z(th1 * eps)):
+              X(x ** 2 * th1), Z(eps * th1 * 2), Z(th1 * eps * 2)):
         assert p.terms and all(type(c) is int for c in p.terms.values()), p
-    assert X(x ** 2 * th1) == x * th1 and Z(eps * th1) == t.one()
+    assert X(x ** 2 * th1) == x * th1 and Z(eps * th1 * 2) == t.one()
 
 
 def test_unit_scaling_returns_the_polynomial_or_its_negative():
@@ -299,7 +308,7 @@ def _qi_table():
     for n in ("x", "y"):
         t.even_symbol(n)
     t.odd_symbol("th1")
-    t.clifford_symbol("eps", 2)
+    t.clifford_symbol("eps", 1)
     t.odd_symbol("th2")
     t.odd_symbol("th3")
     return t
@@ -407,9 +416,9 @@ def _two_clifford_table():
     t = SymbolTable()
     for n in ("x", "y"):
         t.even_symbol(n)
-    t.clifford_symbol("eps1", 2)
+    t.clifford_symbol("eps1", 1)
     t.odd_symbol("th1")
-    t.clifford_symbol("eps2", Fraction(1, 2))
+    t.clifford_symbol("eps2", 1)
     t.odd_symbol("th2")
     return t
 
@@ -458,7 +467,7 @@ def test_cross_table_substitute_against_rebuild():
     u = SymbolTable()
     u.odd_symbol("th3")
     u.even_symbol("z")
-    u.clifford_symbol("eps", 2)
+    u.clifford_symbol("eps", 1)
     u.odd_symbol("th1")
     u.even_symbol("y")
     u.even_symbol("x")
@@ -472,15 +481,29 @@ def test_cross_table_substitute_against_rebuild():
         adopted = u.adopt(f)
         assert adopted.table is u and adopted == copy and _nonzero_terms(adopted)
         assert t.adopt(f) is f
-        images = {"th1": u.sym("th1") + (u.sym("et") * u.sym("z")).scale(QI(0, 1)),
-                  "x": u.sym("x") - u.sym("y") * 2}
+        images = {s.name: u.sym(s.name) for s in t.symbols}
+        images["th1"] = u.sym("th1") + (u.sym("et") * u.sym("z")).scale(QI(0, 1))
+        images["x"] = u.sym("x") - u.sym("y") * 2
         moved = f.substitute(images)
         assert moved.table is u and _nonzero_terms(moved)
         assert moved == _copy_oracle(f, u, images)
-    # images over two tables, and a formal I moved into a table over QQ, are refused
+    # images over two tables, a symbol left without an image in another
+    # table, and a formal I moved into a table over QQ, are refused
     xy = t.sym("x") * t.sym("y")
     with pytest.raises(TableMismatchError):
         xy.substitute({"x": u.sym("x"), "y": t.sym("y")})
+    with pytest.raises(TableMismatchError, match="no image for 'y'"):
+        xy.substitute({"x": u.sym("x")})
+    with pytest.raises(TableMismatchError, match="no image for 'th2'"):
+        (t.sym("th1") * t.sym("th2")).substitute({"th1": u.sym("th1")})
+    # x odd in v: moved by name it would be an odd symbol under an even key
+    v = SymbolTable()
+    v.odd_symbol("x")
+    v.odd_symbol("th1")
+    with pytest.raises(TableMismatchError, match="no image for 'x'"):
+        (t.sym("x") * t.sym("th1")).substitute({"th1": v.sym("th1")})
+    with pytest.raises(ParityError):
+        v.adopt(t.sym("x") * t.sym("th1"))
     q = SymbolTable("QQ")
     q.even_symbol("x")
     with pytest.raises(ValueError, match="no formal I"):
@@ -500,14 +523,14 @@ def test_cross_table_substitute_against_rebuild():
 
 def test_substitute_against_factor_by_factor():
     rng = random.Random(13)
-    # unnamed odd and Clifford symbols (squares 1 and 2) between the named ones
+    # unnamed odd and Clifford symbols between the named ones
     t = SymbolTable()
     for n in ("x", "y", "z"):
         t.even_symbol(n)
     t.odd_symbol("th1")
     t.clifford_symbol("eps1", 1)
     t.odd_symbol("th2")
-    t.clifford_symbol("eps2", 2)
+    t.clifford_symbol("eps2", 1)
     t.odd_symbol("th3")
     t.odd_symbol("et1")
     t.odd_symbol("et2")
@@ -628,7 +651,7 @@ def test_one_even_term_power_against_the_loop():
         assert [type(v) for v in got.terms.values()] == [type(v) for v in want.terms.values()]
     # a Clifford generator and an odd generator keep the loop
     eps, th1 = t.sym("eps"), t.sym("th1")
-    assert eps ** 2 == -2 and (eps.scale(QI(0, 1)) * x) ** 2 == x ** 2 * 2
+    assert eps ** 2 == -1 and (eps.scale(QI(0, 1)) * x) ** 2 == x ** 2
     assert (th1 ** 2).is_zero() and ((x * th1) ** 1) == x * th1
     # the coefficient budget is checked before the shortcut
     with pytest.raises(SizeLimitError):
@@ -686,8 +709,8 @@ def test_monomial_against_the_product_chain():
         contracted += odd.count("eps") > 1 and not got.is_zero()
     assert zero > 50 and contracted > 20
     assert t.monomial(5, (), ["th2", "th2"]).is_zero()
-    # eps*th1*eps = -th1*eps^2 = 2*th1 for eps^2 = -2
-    assert t.monomial(1, (), ["eps", "th1", "eps"]) == t.sym("th1").scale(2)
+    # eps*th1*eps = -th1*eps^2 = th1 for eps^2 = -1
+    assert t.monomial(1, (), ["eps", "th1", "eps"]) == t.sym("th1")
     assert t.monomial(3, [("x", 0), ("x", 2), ("y", 1), ("x", 1)]) == (t.sym("x") ** 3 * t.sym("y")).scale(3)
     q = SymbolTable("QQ")
     q.even_symbol("x")
@@ -716,17 +739,14 @@ def test_only_the_kernel_builds_a_term_dict():
 # the bitmask product of odd monomials against a tuple merge
 # ---------------------------------------------------------------------------
 
-def _merge_oracle(o1, o2, squares):
-    """o1 * o2 for increasing index tuples, by counting inversions: the sign
-    of sorting the concatenation, times -square for each repeated index, or
-    None when a repeated index squares to 0."""
+def _merge_oracle(o1, o2):
+    """o1 * o2 for increasing index tuples whose repeated indices are
+    Clifford generators, by counting inversions: the sign bit of sorting the
+    concatenation plus one for each repeated index (eps*eps = -1), and the
+    merged indices."""
     inversions = sum(len(o1) - bisect_right(o1, b) for b in o2)
-    fac = -1 if inversions & 1 else 1
-    for i in set(o1) & set(o2):
-        if not squares[i]:
-            return None
-        fac *= -squares[i]
-    return fac, tuple(sorted(set(o1) ^ set(o2)))
+    shared = set(o1) & set(o2)
+    return (inversions + len(shared)) & 1, tuple(sorted(set(o1) ^ set(o2)))
 
 
 def _mask(indices):
@@ -740,21 +760,22 @@ def _declare(t, rng, name):
     elif kind == "odd":
         t.odd_symbol(name)
     else:
-        t.clifford_symbol(name, rng.choice((1, -1, 2)))
+        t.clifford_symbol(name)
 
 
 @pytest.mark.parametrize("n", [3, 9, 40, 70, 130])
 def test_odd_mul_against_an_inversion_count(n):
     """_odd_mul on bitmasks agrees with a tuple merge that shares no code with
     it, at table widths below and above 64 bits, with even symbols between
-    the odd ones, Clifford squares 1, -1 and 2, and two symbols declared
-    after the prefix-parity memo already holds entries."""
+    the odd ones, at least three Clifford generators, and two symbols
+    declared after the prefix-parity memo already holds entries: it returns
+    None on a repeated nilpotent generator, else the sign bit and the XOR."""
     rng = random.Random(n)
     t = SymbolTable()
-    squares = dict(zip(rng.sample(range(n), 3), (1, -1, 2))) if n > 3 else {}
+    clifford = set(rng.sample(range(n), 3)) if n > 3 else set()
     for k in range(n):
-        if k in squares:
-            t.clifford_symbol(f"s{k}", squares[k])
+        if k in clifford:
+            t.clifford_symbol(f"s{k}")
         else:
             _declare(t, rng, f"s{k}")
     outcomes = collections.Counter()
@@ -774,21 +795,21 @@ def test_odd_mul_against_an_inversion_count(n):
         if draw >= 800 and rng.random() < 0.5:  # a late symbol on both sides
             late = rng.choice(odd[-2:])
             o1, o2 = sorted(set(o1) | {late}), sorted(set(o2) | {late})
-        for i in set(o1) & set(o2):
+        shared = set(o1) & set(o2)
+        for i in shared:
             outcomes[i >= n, squares[i]] += 1
-        want = _merge_oracle(o1, o2, squares)
         got = _odd_mul(_mask(o1), _mask(o2), t)
-        if want is None:
+        if not all(squares[i] for i in shared):
             assert got is None, (o1, o2)
             outcomes["zero"] += 1
             continue
-        fac, merged = got
-        assert (1 if fac is None else fac) == want[0] and merged == _mask(want[1]), (o1, o2)
-        outcomes["minus" if want[0] == -1 else "plus"] += 1
+        sign, merged = _merge_oracle(o1, o2)
+        assert got == (sign, _mask(merged)), (o1, o2)
+        outcomes["minus" if sign else "plus"] += 1
     assert outcomes["zero"] > 30 and outcomes["minus"] > 100 and outcomes["plus"] > 100
     assert outcomes[True, 0] and outcomes[True, 1]  # each late symbol repeated
     if n > 3:
-        assert all(outcomes[False, sq] for sq in (1, -1, 2)), outcomes
+        assert outcomes[False, 0] and outcomes[False, 1] > 100, outcomes
 
 
 def test_coefficient_of_odd_against_merge_sign():
@@ -906,7 +927,7 @@ def test_packed_projections_against_decoded_tuples():
         if name == "x20":
             u.odd_symbol("th1")
     u.odd_symbol("th2")
-    named = {"x5": 2, "x6": 2, "x7": 2, "th1": 1}  # image: the symbol of u times this
+    named = {"x5": 2, "x6": 2, "x7": 2}  # image: the symbol of u times this, else 1
     for _ in range(40):
         model = _wide_model(t, rng)
         f = t.sum(_term(t, ev, od, c) for (ev, od), c in model.items())
@@ -953,9 +974,9 @@ def test_packed_projections_against_decoded_tuples():
                 _acc(want, (tuple(e for e in ev if e[0] != i), od),
                      c * Fraction(2 ** (p + 1) - (-1) ** (p + 1), p + 1))
             assert f.integrate_even(name, -1, 2).terms_sorted() == _sorted_model(want)
-        # into u: the unnamed evens move field by field, and the odd
-        # monomial takes the sign of its order in u
-        images = {n: u.sym(n).scale(k) for n, k in named.items()}
+        # into u, every symbol named: the evens land in the fields of u,
+        # and the odd monomial takes the sign of its order in u
+        images = {n: u.sym(n).scale(named.get(n, 1)) for n in evens + odds}
         want = {}
         for (ev, od), c in model.items():
             for i, p in ev:

@@ -67,7 +67,7 @@ def mixed_table():
     t = SymbolTable()
     t.even_symbol("x")
     t.clifford_symbol("eps", 1)
-    t.clifford_symbol("eps2", Fraction(3, 2))
+    t.clifford_symbol("eps2", 1)
     for i in range(3):
         t.odd_symbol(f"th{i+1}")
     return t
