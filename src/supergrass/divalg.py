@@ -6,7 +6,9 @@ u_1 = 1.  The coefficients come from any ring whose elements support +, - and
 * and test false exactly when zero: exact scalars, or SuperPolynomials over
 one table, so the same arithmetic drives both plain computations and matrix
 entries over a Clifford envelope.  An element carries its ring's zero, which
-fills the slots a product leaves empty.
+fills the slots a product leaves empty.  `+` and `-` stay in one ring and
+refuse operands from two; `*` and `scale` move a rational element into the
+ring of the other factor.
 
 An element stores numerators over one positive int denominator: slot i is
 num[i] / den.  Rational slots are ints in lowest terms, so an octonion
@@ -93,7 +95,9 @@ class DAElement:
 
     Slot i holds num[i] / den.  `zero` is the zero of the coefficient ring:
     0 for exact scalars, table.zero() for polynomial coefficients.  Results
-    keep it.  Left out, it is read from the slots (`_ring_zero`).
+    keep it.  Left out, it is read from the slots (`_ring_zero`).  + and -
+    of two rings raise TypeError; * and `scale` move a rational factor into
+    the ring of the other.
     """
 
     __slots__ = ("alg", "num", "den", "zero")
@@ -117,19 +121,16 @@ class DAElement:
             raise ValueError("division-algebra tag mismatch")
 
     def _same_ring(self, other):
-        """(self, other), each moved, slots and zero, into the ring of
-        self.zero + other.zero when their two rings differ."""
+        """Refuse a sum or difference across two algebras or two rings."""
         self._check(other)
-        if type(self.zero) is type(other.zero):
-            return self, other
-        z = self.zero + other.zero
-        return tuple(_element(x.alg, [z + a for a in x.num], x.den, z) for x in (self, other))
+        if type(self.zero) is not type(other.zero):
+            raise TypeError("+ or - of division-algebra elements over two coefficient rings")
 
     # + and - skip zero operands and zero slots of two elements in one ring:
     # a zero side gives the other.  Over one denominator the numerators add;
     # over two they cross-multiply.
     def __add__(self, other):
-        self, other = self._same_ring(other)
+        self._same_ring(other)
         if not other:
             return self
         if not self:
@@ -142,7 +143,7 @@ class DAElement:
                         d * e, self.zero)
 
     def __sub__(self, other):
-        self, other = self._same_ring(other)
+        self._same_ring(other)
         if not other:
             return self
         if not self:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kernel import EVEN, Derivation, SuperPolynomial, SymbolTable
-from .scalars import QI, format_scalar, parse_scalar
+from .scalars import QI, I, format_scalar, parse_scalar
 
 
 class DslSyntaxError(ValueError):
@@ -59,12 +59,7 @@ class UnknownSymbolError(KeyError):
 
 @dataclass(frozen=True)
 class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class ImagLit:
-    pass
+    value: object  # a Fraction, or the formal I (`scalars.I`)
 
 
 @dataclass(frozen=True)
@@ -192,7 +187,7 @@ class _Parser:
             if tok == "ber":
                 node = Ber(node)
         elif tok == "I":
-            node = ImagLit()
+            node = Lit(I)
         elif tok.isidentifier():  # a NAME: the only other tokens are ops and ""
             node = self.syms.get(tok)
             if node is None:
@@ -233,8 +228,6 @@ def _pr(node, prec):
     if isinstance(node, Lit):
         s = str(node.value)
         return f"({s})" if ("/" in s and prec >= 2) else s
-    if isinstance(node, ImagLit):
-        return "I"
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, Add):
@@ -276,15 +269,10 @@ class Context:
         return _eval(node, self)
 
 
-_I = QI(0, 1)
-
-
 def _eval(node, ctx: Context):
     t = ctx.table
     if isinstance(node, Lit):
         return t.scalar(node.value)
-    if isinstance(node, ImagLit):
-        return t.scalar(_I)
     if isinstance(node, Sym):
         if node.name not in t:
             raise UnknownSymbolError(node.name)
@@ -304,16 +292,15 @@ def _eval(node, ctx: Context):
 
 def _eval_mul(parts, ctx: Context):
     """The product of the factors from left to right.  Each run of
-    consecutive atom factors (a literal, I, a symbol, or a power of an even
-    symbol) becomes one `SymbolTable.monomial` term; any other factor is
-    evaluated on its own and multiplied in at its place."""
+    consecutive atom factors (a rational or I literal, a symbol, or a power
+    of an even symbol) becomes one `SymbolTable.monomial` term; any other
+    factor is evaluated on its own and multiplied in at its place."""
     t = ctx.table
     vals, coeff, even, odd = [], None, [], []
     for p in parts:
         k = type(p)
-        if k is Lit or k is ImagLit:
-            c = p.value if k is Lit else t.scalar(_I).scalar_part()  # I is refused over "QQ"
-            coeff = c if coeff is None else coeff * c
+        if k is Lit:
+            coeff = p.value if coeff is None else coeff * p.value
             continue
         if k is Sym or k is Pow and type(p.base) is Sym:
             name = p.name if k is Sym else p.base.name
@@ -376,13 +363,11 @@ def format_poly(p: SuperPolynomial) -> str:
 
 
 def format_derivation(d: Derivation) -> str:
-    if all(v.is_zero() for v in d.images.values()):
+    if not d.images:
         return "0"
     chunks = []
     for i in sorted(d.images):
         v = d.images[i]
-        if v.is_zero():
-            continue
         name = d.table.symbols[i].name
         if v == v.table.one():
             chunks.append(f"d/d{name}")

@@ -103,10 +103,9 @@ class SymbolTable:
 
     Declaration order of odd symbols fixes the canonical monomial order (all
     signs are normalized against it), so two tables with the same symbols in
-    a different order are distinct.  scalar_ring is "QQ" (exact rationals) or
-    "QQi" (a formal central square root of -1 adjoined); rational
-    coefficients promote silently inside "QQi", and operands always live
-    over one table, so table identity subsumes ring compatibility.
+    a different order are distinct.  Every table is over QQ(I), the
+    rationals with a formal central square root I of -1 adjoined, so
+    scalar_ring takes "QQi" only; operands always live over one table.
 
     nil holds the bits of the nilpotent odd generators; every other odd
     generator is a Clifford generator with eps*eps = -1, the only square
@@ -118,9 +117,8 @@ class SymbolTable:
     """
 
     def __init__(self, scalar_ring: str = "QQi"):
-        if scalar_ring not in ("QQ", "QQi"):
-            raise ValueError("scalar_ring must be 'QQ' or 'QQi'")
-        self.scalar_ring = scalar_ring
+        if scalar_ring != "QQi":
+            raise ValueError("scalar_ring must be 'QQi': every table is over QQ(I)")
         self.symbols: list[Symbol] = []
         self._by_name: dict[str, Symbol] = {}
         self.nil = 0
@@ -175,8 +173,6 @@ class SymbolTable:
 
     def scalar(self, c):
         c = _coef(c)
-        if self.scalar_ring == "QQ" and isinstance(c, QI) and c.im != 0:
-            raise ValueError("table is over the plain rationals; no formal I here")
         return SuperPolynomial(self, {(0, 0): c} if c else {})
 
     def one(self):
@@ -213,7 +209,7 @@ class SymbolTable:
         built as one term: the powers of a name add up, and each odd name is
         merged in through `_odd_mul`, whose sign bit holds the Koszul signs and
         the Clifford contractions."""
-        c = self.scalar(coeff).scalar_part()
+        c = _coef(coeff)
         ev = 0
         for name, e in even:
             s = self.symbol(name)
@@ -233,7 +229,7 @@ class SymbolTable:
             sign, od = res
             if sign:
                 c = -c
-        return SuperPolynomial(self, {(ev, od): _coef(c)} if c else {})
+        return SuperPolynomial(self, {(ev, od): c} if c else {})
 
 
 def _coef(c):
@@ -529,14 +525,11 @@ class SuperPolynomial:
             else:
                 named_odd |= 1 << s.index
         cross = table is not src  # then no symbol that occurs may stay unnamed
-        rational = table.scalar_ring == "QQ"
         guard = table.guard
         e_cache: dict = {0: _ONE}  # named even part -> E
         o_cache: dict = {0: _ONE}  # odd monomial -> O
         out: dict = {}
         for (ev, od), c in self.terms.items():
-            if rational:
-                table.scalar(c)  # refuses a formal I
             en = ev & named
             u = ev ^ en  # the unnamed even part
             if cross and (u or od & ~named_odd):
@@ -697,7 +690,8 @@ def _odd_mul(o1, o2, table):
 
 class Derivation:
     """Parity-graded first-order operator, given by its images on symbols and
-    applied through the graded Leibniz rule.  Missing images mean 0."""
+    applied through the graded Leibniz rule.  Missing images mean 0, and a
+    zero image is never stored, so `images` holds the nonzero ones only."""
 
     __slots__ = ("table", "parity", "images", "label")
 
@@ -808,16 +802,12 @@ class Derivation:
         return Derivation(self.table, par, imgs)
 
     def is_zero(self):
-        return all(v.is_zero() for v in self.images.values())
+        return not self.images
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        if self.table is not other.table:
-            return False
-        keys = set(self.images) | set(other.images)
-        z = self.table.zero()
-        return all(self.images.get(i, z) == other.images.get(i, z) for i in keys)
+        return self.table is other.table and self.images == other.images
 
     def __hash__(self):
         raise TypeError("derivations are unhashable")
@@ -845,9 +835,7 @@ def super_bracket(X: Derivation, Y: Derivation) -> Derivation:
     imgs = {}
     for i in sorted(X.images.keys() | Y.images.keys()):
         # Y(g) and X(g) of a generator g are its images
-        v = X(Y.images.get(i, zero)) - sign * Y(X.images.get(i, zero))
-        if v:
-            imgs[X.table.symbols[i].name] = v
+        imgs[X.table.symbols[i].name] = X(Y.images.get(i, zero)) - sign * Y(X.images.get(i, zero))
     return Derivation(X.table, (X.parity + Y.parity) % 2, imgs)
 
 

@@ -849,7 +849,7 @@ class ReductionError(AssertionError):
 
 def _z_value(alg: DivisionAlgebra, entry) -> DAElement:
     (a1, c1), (a2, c2) = entry
-    return alg.unit(a1, c1) + alg.unit(a2, QI(0, c2))
+    return alg.unit(a1, QI(c1)) + alg.unit(a2, QI(0, c2))
 
 
 def reduction_charges(k: int):

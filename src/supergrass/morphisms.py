@@ -334,20 +334,13 @@ def random_flesh_morphism(rng, k_theta=2, L_eta=2, deg=2, n_xi=3, commuting=Fals
         return p
 
     def rand_component():
-        if commuting:
-            # x-dependence only: constant in the target chart
-            p = proto.zero()
-            for _ in range(rng.randint(1, 2)):
-                p = p + proto.monomial(Fraction(rng.randint(-2, 2)),
-                                       [(n, rng.randint(0, 1)) for n in evens])
-            return p
         p = proto.zero()
         for _ in range(rng.randint(1, 2)):
-            p = p + proto.monomial(
-                Fraction(rng.randint(-2, 2)),
-                [(n, rng.randint(0, 1)) for n in evens]
-                + [(n, rng.randint(0, deg)) for n in targets if rng.random() < 0.5],
-            )
+            c = Fraction(rng.randint(-2, 2))
+            powers = [(n, rng.randint(0, 1)) for n in evens]
+            if not commuting:  # commuting: x-dependence only, constant in the target chart
+                powers += [(n, rng.randint(0, deg)) for n in targets if rng.random() < 0.5]
+            p = p + proto.monomial(c, powers)
         return p
 
     indices = list(even_subsets_pos(q))

@@ -41,6 +41,9 @@ def test_bracket_supertime(capsys):
     code, out, _ = run(capsys, "bracket", "D", "D")
     assert code == 0
     assert out.strip() == "-2*d/dt"
+    code, out, _ = run(capsys, "bracket", "D", "tau")
+    assert code == 0
+    assert out.strip() == "0"
 
 
 def test_closure_values(capsys):

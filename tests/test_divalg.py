@@ -257,19 +257,22 @@ def _nonzero_poly_elem(alg, t, rng):
 
 @pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
 def test_rational_over_a_denominator_meets_polynomials(alg):
-    """+, - and * between a rational element with den != 1 and a polynomial
-    element, in both orders, and scale of the rational element by a
-    polynomial: the denominator folds into the polynomial slots, so every
-    slot of the result, the zero included, lives over the table."""
+    """* between a rational element with den != 1 and a polynomial element,
+    in both orders, and scale of the rational element by a polynomial: the
+    denominator folds into the polynomial slots, so every slot of the
+    result, the zero included, lives over the table.  + and - of the two
+    refuse the pair."""
     t = _envelope()
     rng = random.Random(61 + alg.dim)
     for _ in range(20):
         x, p = _not_integral(alg, rng), _nonzero_poly_elem(alg, t, rng)
         for u, v in ((x, p), (p, x)):
-            for op in ("+", "-", "*"):
-                got = _apply(op, u, v)
-                assert got.coeffs == _naive(op, u, v), op
-                assert got.den == 1 and _over_table(got, t), op
+            got = u * v
+            assert got.coeffs == _naive("*", u, v)
+            assert got.den == 1 and _over_table(got, t)
+            for op in ("+", "-"):
+                with pytest.raises(TypeError):
+                    _apply(op, u, v)
         for c in (_rand_poly_elem(R, t, rng).coeffs[0], t.sym("et2"), t.sym("eps")):
             got = x.scale(c)
             assert got.coeffs == _naive("scale", x, c=c)
@@ -279,8 +282,9 @@ def test_rational_over_a_denominator_meets_polynomials(alg):
 @pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
 def test_integral_and_zero_operands_meet_polynomials(alg):
     """The same for rational elements with den = 1 and for a zero operand
-    on either side: a sum or difference lives over the table, its zero
-    included, and so do its products with a rational unit."""
+    on either side: a product lives over the table, its zero included, and
+    so do its products with a rational unit; a sum or difference across the
+    two rings is refused, a zero operand too."""
     t = _envelope()
     rng = random.Random(73 + alg.dim)
     for _ in range(20):
@@ -289,37 +293,47 @@ def test_integral_and_zero_operands_meet_polynomials(alg):
         unit = alg.unit(rng.randint(1, alg.dim))
         for u, v in ((x, p), (p, x), (x, alg.zero_like(t.zero())), (alg.zero_like(), p)):
             for w, z in ((u, v), (v, u)):
+                got = w * z
+                assert got.coeffs == _naive("*", w, z)
+                assert got.den == 1 and _over_table(got, t)
+                for a, b in ((got, unit), (unit, got)):
+                    prod = a * b
+                    assert prod.coeffs == _naive("*", a, b) and _over_table(prod, t)
                 for op in ("+", "-"):
-                    got = _apply(op, w, z)
-                    assert got.coeffs == _naive(op, w, z), op
-                    assert got.den == 1 and _over_table(got, t), op
-                    for a, b in ((got, unit), (unit, got)):
-                        prod = a * b
-                        assert prod.coeffs == _naive("*", a, b) and _over_table(prod, t), op
+                    with pytest.raises(TypeError):
+                        _apply(op, w, z)
     if alg is H:
         eps = t.sym("eps")
-        got = H.unit(2) + H.unit(3).scale(eps)
-        assert got.coeffs == [0, 1, eps, 0] and _over_table(got, t)
+        got = H.unit(3).scale(eps)
+        assert got.coeffs == [0, 0, eps, 0] and _over_table(got, t)
         assert _over_table(got * H.unit(2), t)
-        assert _over_table(H.unit(2) + H.zero_like(t.zero()), t)
+        with pytest.raises(TypeError):
+            H.unit(2) + got
+        with pytest.raises(TypeError):
+            H.unit(2) + H.zero_like(t.zero())
 
 
 def test_constructors_take_the_zero_from_a_ring_slot():
     """unit and the constructor read the ring off a slot with no
     denominator, so one-ring + and * keep every slot in that ring; rational
-    slots keep the int zero."""
+    slots keep the int zero, and + of a rational element refuses them."""
     t = _envelope()
     u = t.sym("et1") * t.sym("et2")
     for x in (H.unit(1, u), DAElement(H, [u, 0, 0, 0])):
         assert x.zero == t.zero() and x.zero.table is t
-        got = x + H.unit(2)
+        got = x + H.unit(2, t.one())
         assert got.coeffs == [u, 1, 0, 0] and _over_table(got, t)
         prod = x * H.unit(2)
         assert prod.coeffs == [0, u, 0, 0] and _over_table(prod, t)
         assert _over_table(H.unit(3) * x - x, t)
+        with pytest.raises(TypeError):
+            x + H.unit(2)
     assert _over_table(H.unit(1, u), t)
     g = H.unit(2, QI(0, 1))
-    assert type(g.zero) is QI and all(type(c) is QI for c in (g + H.unit(3)).coeffs)
+    assert type(g.zero) is QI and all(type(c) is QI for c in (g + H.unit(3, QI(1))).coeffs)
+    assert all(type(c) is QI for c in (g * H.unit(3)).coeffs + H.unit(3).scale(QI(0, 1)).coeffs)
+    with pytest.raises(TypeError):
+        g - H.unit(3)
     assert type(H.unit(2, Fraction(1, 2)).zero) is int
     assert type(DAElement(H, [Fraction(1, 3), 2, 0, 0]).zero) is int
 
@@ -338,18 +352,22 @@ def test_scale_by_a_gaussian_rational_folds_the_denominator():
 @pytest.mark.parametrize("alg", [H, O], ids=lambda a: a.which)
 def test_gaussian_slots_with_the_int_zero(alg):
     """An element built as `minkowski.reduction_charges` builds its
-    conjugates: Gaussian conjugates of a sum of a rational unit and an
-    I-unit.  The I-unit names the Gaussian ring, so the zero is a QI that
-    equals the int zero."""
+    conjugates: Gaussian conjugates of a sum of two units over QI, one
+    rational and one an I-unit.  The zero is a QI that equals the int zero;
+    a rational element multiplies such an element but does not add to it."""
     rng = random.Random(71 + alg.dim)
     for _ in range(20):
         a1, a2 = rng.sample(range(1, alg.dim + 1), 2)
-        v = alg.unit(a1, Fraction(rng.randint(-3, 3), 2)) + alg.unit(a2, QI(0, rng.randint(1, 2)))
+        v = alg.unit(a1, QI(Fraction(rng.randint(-3, 3), 2))) + alg.unit(a2, QI(0, rng.randint(1, 2)))
         z = DAElement(alg, [c.conjugate() for c in v.coeffs])
         assert z.den == 1 and z.zero == 0 and z.coeffs == [c.conjugate() for c in v.coeffs]
         x = _not_integral(alg, rng)
         for u, w in ((z, x), (x, z), (z, v), (v, z)):
             for op in ("+", "-", "*"):
+                if op != "*" and (u is x or w is x):
+                    with pytest.raises(TypeError):
+                        _apply(op, u, w)
+                    continue
                 got = _apply(op, u, w)
                 assert got.den == 1 and got.coeffs == _naive(op, u, w), op
         for op in ("neg", "conj", "re", "im"):
