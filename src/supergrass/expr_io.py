@@ -32,10 +32,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .kernel import EVEN, Derivation, SuperPolynomial, SymbolTable
-from .scalars import QI, I, format_scalar, parse_scalar
+from .scalars import QI, I, format_scalar, parse_scalar, ratio
 
 
 class DslSyntaxError(ValueError):
@@ -59,7 +58,7 @@ class UnknownSymbolError(KeyError):
 
 @dataclass(frozen=True)
 class Lit:
-    value: object  # a Fraction, or the formal I (`scalars.I`)
+    value: object  # an int, a QI in lowest terms (`scalars.ratio`), or the formal I
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,9 @@ class _Parser:
                 if int(den) == 0:
                     raise self.error("zero denominator", i + 2)
                 self.i = i + 3
-                node = Lit(Fraction(int(tok), int(den)))
+                node = Lit(ratio(int(tok), int(den)))
             else:
-                node = Lit(Fraction(int(tok)))
+                node = Lit(int(tok))
         elif tok == "-":
             node = Neg(self.factor())
         elif tok == "(" or tok == "ber" and toks[i + 1] == "(":
@@ -339,11 +338,12 @@ def format_poly(p: SuperPolynomial) -> str:
             factors.append(n if e == 1 else f"{n}^{e}")
         factors += [p.table.symbols[i].name for i in od]
         neg = False
-        if isinstance(c, QI):
+        if type(c) is QI:
+            a, b, _ = c.parts()
             cs = format_scalar(c)
-            if c.im != 0 and c.re != 0:
+            if a and b:
                 cs = f"({cs})"
-            elif cs.startswith("-"):
+            elif cs[0] == "-":
                 neg, cs = True, cs[1:]
         else:
             if c < 0:

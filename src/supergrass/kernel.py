@@ -1,10 +1,13 @@
 """Graded-algebra kernel: symbols with parity, exact supercommutative and
 Clifford multiplication, graded derivations and super brackets.
 
-Everything is exact: coefficients are Python ints when integral, Fractions
-otherwise, or Gaussian rationals (`QI`, integer parts over one denominator);
-the three compare and hash alike, so 3, Fraction(3) and QI(3, 0) are the
-same coefficient.  An even monomial is one packed int with a 33-bit field
+Everything is exact: a stored coefficient is a Python int when it is a
+rational integer and a Gaussian rational (`QI`, integer parts over one
+denominator) otherwise, real or not, so no Fraction is stored or formed
+inside a product; `scalars.normalize` is the one rule, and Fraction appears
+only at the edges (inputs, `scalar_part` of a real value).  The types
+compare and hash alike, so 3, Fraction(3) and QI(3, 0) are the same
+coefficient.  An even monomial is one packed int with a 33-bit field
 per even symbol (the power in the low 32 bits, a guard bit on top; offsets
 fixed on the SymbolTable when a symbol is declared), so two even monomials
 multiply by one int sum, and one AND against the table's guard mask raises
@@ -17,8 +20,9 @@ nilpotent generator with one AND, and the sign bit as the parity of a
 popcount against the prefix-parity mask `_below` plus one flip per shared
 Clifford generator; a sign is applied by negation; a pair that shares a
 nilpotent generator is skipped before `_odd_mul` is called.  Products and
-sums are written through one accumulator, `_add_term`, which stores an
-integral Fraction as an int; `scale` does the same.  Values are immutable
+sums are written through one accumulator, `_add_term`, which stores every
+result through `normalize`; `scale` does the same.  A sum or a product with
+an empty operand returns an operand, without a copy.  Values are immutable
 after construction and safe to share.  A product that would form more than
 `MAX_TERM_PAIRS` term pairs raises `SizeLimitError` before it runs, and the
 CLI reports it as an input error; `MAX_DEGREE` bounds the powers that
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .scalars import QI, frac
+from .scalars import QI, frac, normalize, plain, ratio
 
 EVEN = 0
 ODD = 1
@@ -172,7 +176,7 @@ class SymbolTable:
         return SuperPolynomial(self, {})
 
     def scalar(self, c):
-        c = _coef(c)
+        c = normalize(c)
         return SuperPolynomial(self, {(0, 0): c} if c else {})
 
     def one(self):
@@ -209,7 +213,7 @@ class SymbolTable:
         built as one term: the powers of a name add up, and each odd name is
         merged in through `_odd_mul`, whose sign bit holds the Koszul signs and
         the Clifford contractions."""
-        c = _coef(coeff)
+        c = normalize(coeff)
         ev = 0
         for name, e in even:
             s = self.symbol(name)
@@ -230,15 +234,6 @@ class SymbolTable:
             if sign:
                 c = -c
         return SuperPolynomial(self, {(ev, od): c} if c else {})
-
-
-def _coef(c):
-    """Exact coefficient: an integral rational as int, any other rational as
-    Fraction, a QI as it is."""
-    if type(c) is int or isinstance(c, QI):
-        return c
-    c = frac(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _exponent_error():
@@ -285,16 +280,15 @@ _ONE = {(0, 0): 1}
 
 def _add_term(out: dict, key, c):
     """Add the nonzero coefficient c at key: a sum that cancels removes the
-    key, and an integral Fraction is stored as an int."""
+    key, and every other result is stored through `normalize`, as an int or
+    a QI that is not a rational integer."""
     old = out.get(key)
     if old is not None:
         c = old + c
         if not c:
             del out[key]
             return
-    if type(c) is Fraction and c.denominator == 1:
-        c = c.numerator
-    out[key] = c
+    out[key] = c if type(c) is int else normalize(c)
 
 
 class SuperPolynomial:
@@ -332,7 +326,8 @@ class SuperPolynomial:
         return parities.pop()
 
     def scalar_part(self):
-        return self.terms.get((0, 0), 0)
+        """The constant term: an int or a Fraction when it is real."""
+        return plain(self.terms.get((0, 0), 0))
 
     def free_of(self, names: Iterable[str]):
         """The terms in which none of the named symbols occurs."""
@@ -374,6 +369,10 @@ class SuperPolynomial:
         if type(other) is not SuperPolynomial and isinstance(other, (int, Fraction, QI)):
             other = self.table.scalar(other)
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for k, c in other.terms.items():
             _add_term(out, k, c)
@@ -393,7 +392,7 @@ class SuperPolynomial:
         return self.table.scalar(other) + (-self)
 
     def scale(self, c):
-        c = _coef(c)
+        c = normalize(c)
         if type(c) is int:
             if c == 1:
                 return self
@@ -401,12 +400,16 @@ class SuperPolynomial:
                 return -self
         if not c:
             return self.table.zero()
-        return SuperPolynomial(self.table, {k: _coef(c * v) for k, v in self.terms.items()})
+        return SuperPolynomial(self.table, {k: normalize(c * v) for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is not SuperPolynomial and isinstance(other, (int, Fraction, QI)):
             return self.scale(other)
         self._check(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         return SuperPolynomial(self.table, _term_product(self.table, self.terms, other.terms))
 
     def __rmul__(self, other):
@@ -427,7 +430,7 @@ class SuperPolynomial:
             if not od:  # one even term: no sign, no contraction, no cancellation
                 if n > 1 and any(p * n > MAX_EXPONENT for _, p in _ev_items(ev, self.table._evens)):
                     raise _exponent_error()
-                return SuperPolynomial(self.table, {(ev * n, 0): c ** n})
+                return SuperPolynomial(self.table, {(ev * n, 0): normalize(c ** n)})
         out = self.table.one()
         base = self
         while n:
@@ -568,7 +571,7 @@ class SuperPolynomial:
         for n, v in values.items():
             sh = table._shift.get(table.symbol(n).index)
             if sh is not None:
-                vals[sh] = _coef(v)
+                vals[sh] = normalize(v)
                 mask |= MAX_EXPONENT << sh
         out: dict = {}
         for (ev, od), c in self.terms.items():
@@ -600,14 +603,14 @@ class SuperPolynomial:
         s = self.table.symbol(name)
         if s.parity != EVEN:
             raise ParityError(f"{name} is odd; use the Berezin integral")
-        lo, hi = frac(lo), frac(hi)
+        lo, hi = normalize(frac(lo)), normalize(frac(hi))
         sh = self.table._shift[s.index]
         out: dict = {}
         for (ev, od), c in self.terms.items():
             p = ev >> sh & MAX_EXPONENT
             if p > MAX_DEGREE:
                 raise SizeLimitError(f"a power {p} over a box exceeds the degree budget {MAX_DEGREE}")
-            c = c * (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+            c = c * (hi ** (p + 1) - lo ** (p + 1)) * ratio(1, p + 1)
             if c:
                 _add_term(out, (ev & ~(MAX_EXPONENT << sh), od), c)
         return SuperPolynomial(self.table, out)
@@ -640,8 +643,7 @@ def _coeff_bits(c) -> int:
     """The largest bit length of a numerator or denominator of c."""
     if type(c) is int:
         return c.bit_length()
-    parts = (c.re, c.im) if type(c) is QI else (c,)
-    return max(max(p.numerator.bit_length(), p.denominator.bit_length()) for p in parts)
+    return max(max(p.numerator.bit_length(), p.denominator.bit_length()) for p in (c.re, c.im))
 
 
 def _indices(m):
@@ -704,6 +706,8 @@ class Derivation:
             s = table.symbol(name)
             if isinstance(v, (int, Fraction, QI)):
                 v = table.scalar(v)
+            elif v.table is not table:
+                raise TableMismatchError(f"image of {name} lives over another symbol table")
             p = v.parity()
             if p is not None and p != (s.parity + parity) % 2:
                 raise ParityError(

@@ -197,12 +197,15 @@ def skeletal_pullback(point: dict, xis):
     for a in range(len(xis)):
         rt.odd_symbol(f"th{a + 1}")
     ths = [rt.sym(n) for n in rt.names()]
+    # the names in first-seen order, so a refused name is the same each run
+    names = list(dict.fromkeys(n for xi in xis for n in xi))
 
     def pull(f: SuperPolynomial) -> SuperPolynomial:
+        # each partial derivative at m once, shared by every xi
+        df = {n: f.diff_even(n).eval_even(point).scalar_part() for n in names}
         out = rt.scalar(f.eval_even(point).scalar_part())
         for th, xi in zip(ths, xis):
-            out = out + th.scale(sum((frac(c) * f.diff_even(n).eval_even(point).scalar_part()
-                                      for n, c in xi.items()), Fraction(0)))
+            out = out + th.scale(sum((frac(c) * df[n] for n, c in xi.items()), Fraction(0)))
         return out
 
     return rt, pull

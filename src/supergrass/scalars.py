@@ -1,14 +1,15 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals.
 
-Plain coefficients are `int` when integral and `fractions.Fraction`
-otherwise.  Complexified contexts adjoin a formal central square root of -1,
-written ``I`` and kept distinct from any imaginary unit of a division
-algebra; those coefficients are `QI` values.  A QI holds three ints
-(a, b, d) for (a + b*I)/d, with d > 0 and gcd(a, b, d) = 1, so every
-operation is integer arithmetic and at most one gcd; `.re` and `.im` read
-the parts as Fractions.  Mixed int/Fraction/QI arithmetic promotes to QI,
-and equal values compare and hash equal whatever their type, so polynomial
-code never has to care which ring it is in.
+Every table is over QQ(I): the rationals with a formal central square root
+of -1 adjoined, written ``I`` and kept distinct from any imaginary unit of a
+division algebra.  A QI holds three ints (a, b, d) for (a + b*I)/d, with
+d > 0 and gcd(a, b, d) = 1, so every operation is integer arithmetic and at
+most one gcd.  A stored coefficient is an int when it is a rational integer
+and a QI otherwise, real or not; `normalize` is that one rule.
+`fractions.Fraction` appears only at the edges: it is accepted as input,
+`.re` and `.im` read the parts of a QI as Fractions, and `plain` turns a
+real QI back into one.  Mixed int/Fraction/QI arithmetic promotes to QI,
+and equal values compare and hash equal whatever their type.
 """
 
 from __future__ import annotations
@@ -61,9 +62,12 @@ class QI:
     # -- ring operations -------------------------------------------------
     # A QI operand is taken apart into its ints and an int or Fraction
     # operand is used through its numerator and denominator; each result
-    # goes through _reduced, one gcd.
+    # goes through _reduced, one gcd, but a sum with an int needs none.
     def __add__(self, other):
         a, b, d = self._a, self._b, self._d
+        if type(other) is int:
+            # a + n*d = a (mod d), so gcd(a + n*d, b, d) = gcd(a, b, d) = 1
+            return _qi(a + other * d, b, d)
         if type(other) is QI:
             c, e, f = other._a, other._b, other._d
             if d == f:
@@ -88,6 +92,8 @@ class QI:
 
     def __mul__(self, other):
         a, b, d = self._a, self._b, self._d
+        if type(other) is int:
+            return _reduced(a * other, b * other, d)
         if type(other) is QI:
             c, e, f = other._a, other._b, other._d
             return _reduced(a * c - b * e, a * e + b * c, d * f)
@@ -104,6 +110,8 @@ class QI:
             return NotImplemented
         a, b, x, y = 1, 0, self._a, self._b
         d = self._d ** n
+        if not y:  # a real base: gcd(x, d) = 1 gives gcd(x^n, d^n) = 1
+            return _qi(x ** n, 0, d)
         while n:
             if n & 1:
                 a, b = a * x - b * y, a * y + b * x
@@ -122,9 +130,12 @@ class QI:
                 raise ZeroDivisionError("division by zero Gaussian rational")
             return _reduced(f * (a * c + b * e), f * (b * c - a * e), d * n)
         if isinstance(other, (int, Fraction)):
-            if not other:
+            n, m = other.numerator, other.denominator
+            if not n:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return self * Fraction(other.denominator, other.numerator)
+            if n < 0:
+                n, m = -n, -m
+            return _reduced(self._a * m, self._b * m, self._d * n)
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -134,6 +145,10 @@ class QI:
 
     def __neg__(self):
         return _qi(-self._a, -self._b, self._d)
+
+    def parts(self) -> tuple:
+        """The ints (a, b, d) of (a + b*I)/d: d > 0 and gcd(a, b, d) = 1."""
+        return self._a, self._b, self._d
 
     def conjugate(self) -> "QI":
         return _qi(self._a, -self._b, self._d)
@@ -187,29 +202,66 @@ def _reduced(a: int, b: int, d: int) -> QI:
 I = QI(0, 1)
 
 
+def normalize(c):
+    """The stored form of an exact scalar: an int when c is a rational
+    integer, otherwise a QI in lowest terms; c is an int, a Fraction, a QI
+    or a string that `Fraction` reads."""
+    if type(c) is int:
+        return c
+    if type(c) is QI:
+        return c._a if not c._b and c._d == 1 else c
+    c = frac(c)
+    n, d = c.numerator, c.denominator
+    return n if d == 1 else _qi(n, 0, d)
+
+
+def ratio(n: int, d: int):
+    """n/d for ints n and d > 0, in the stored form of `normalize`."""
+    g = gcd(n, d)
+    return n // g if g == d else _qi(n // g, 0, d // g)
+
+
+def plain(c):
+    """A stored coefficient as the API hands it out: a real QI as a
+    Fraction, an int or a non-real QI as it is."""
+    if type(c) is QI and not c._b:
+        return Fraction(c._a, c._d)
+    return c
+
+
 def rational_part(c) -> Fraction:
     if isinstance(c, QI):
-        if c.im != 0:
+        if c._b:
             raise ValueError(f"not rational: {c}")
         return c.re
     return frac(c)
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, without building the Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def format_scalar(c) -> str:
     """Canonical text form: '3', '-1/2', 'I', '1/2+3/4*I', '-I', '2-I'."""
-    if isinstance(c, QI) and c.im != 0:
-        im = c.im
-        if im == 1:
-            ims = "I"
-        elif im == -1:
-            ims = "-I"
-        else:
-            ims = f"{im}*I"
-        if c.re == 0:
-            return ims
-        sep = "+" if im > 0 else ""
-        return f"{c.re}{sep}{ims}"
-    return str(rational_part(c))
+    if type(c) is int:
+        return str(c)
+    if type(c) is not QI:
+        return str(frac(c))
+    a, b, d = c._a, c._b, c._d
+    if not b:
+        return _ratio_text(a, d)
+    if b == d:
+        ims = "I"
+    elif b == -d:
+        ims = "-I"
+    else:
+        ims = f"{_ratio_text(b, d)}*I"
+    if not a:
+        return ims
+    sep = "+" if b > 0 else ""
+    return f"{_ratio_text(a, d)}{sep}{ims}"
 
 
 def parse_scalar(text: str):

@@ -1,12 +1,13 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from supergrass.expr_io import (Add, Ber, Context, DslSyntaxError, Lit, Mul, Neg, Pow, Sym,
                                 UnknownSymbolError, format_poly, parse, print_ast)
 from supergrass.kernel import SymbolTable
-from supergrass.scalars import I
+from supergrass.scalars import QI, I
 from supergrass.superspace import supertime
 
 
@@ -213,3 +214,16 @@ def test_gaussian_literal():
     assert parse("I") == Lit(I)
     for text in ("I", "2*I*x", "(1/2 + I)^2", "x - I", "I^3*(x + I)"):
         assert print_ast(parse(text)) == text
+
+
+def test_literals_are_ints_or_qis_in_lowest_terms():
+    assert type(parse("3").value) is int and parse("3").value == 3
+    assert parse("6/4") == Lit(Fraction(3, 2)) and hash(parse("6/4")) == hash(Lit(Fraction(3, 2)))
+    assert type(parse("6/4").value) is QI
+    assert type(parse("4/2").value) is int and parse("4/2").value == 2
+    assert parse("0/5") == Lit(0) and type(parse("0/5").value) is int
+    for text, printed in (("3", "3"), ("6/4", "3/2"), ("4/2", "2"), ("(6/4)^2", "(3/2)^2"),
+                          ("-3/2*x", "(-(3/2))*x"), ("2/4*x^3 - 0/5", "(1/2)*x^3 - 0"),
+                          ("ber(6/4*th1)", "ber((3/2)*th1)"), ("x*(1/3 + I)", "x*(1/3 + I)")):
+        assert print_ast(parse(text)) == printed
+        assert parse(printed) == parse(text)

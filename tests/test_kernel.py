@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import supergrass
+from supergrass import kernel
 from supergrass.indices import merge_sign
-from supergrass.expr_io import poly_from_jsonable
+from supergrass.expr_io import Context, parse, poly_from_jsonable, poly_to_jsonable
 from supergrass.kernel import (EVEN, MAX_DEGREE, MAX_EXPONENT, ODD, Derivation, ParityError,
                                SuperPolynomial, SizeLimitError, SymbolTable, TableMismatchError,
                                _odd_mul, cartan_triple, jacobi_check, odd_field_relations_ok,
@@ -75,6 +76,30 @@ def test_table_mismatch_raises():
     t2 = grassmann_table(1)
     with pytest.raises(TableMismatchError):
         _ = t1.sym("th1") * t2.sym("th1")
+
+
+def test_derivation_refuses_an_image_over_another_table():
+    t, u = SymbolTable(), SymbolTable()
+    for n in ("x", "y"):
+        t.even_symbol(n)
+    for n in ("y", "x"):
+        u.even_symbol(n)
+    # u packs x in the field t gives y, so the image would be read as y
+    with pytest.raises(TableMismatchError):
+        Derivation(t, EVEN, {"x": u.sym("x")})
+    assert Derivation(t, EVEN, {"x": 3})(t.sym("x") ** 2) == t.sym("x").scale(6)
+
+
+def test_empty_operand_returns_an_operand_without_a_copy():
+    t = grassmann_table(2)
+    f, zero = t.sym("x") * t.sym("th1") + t.sym("th2"), t.zero()
+    assert f + zero is f and zero + f is f and f - zero is f
+    assert f * zero is zero and zero * f is zero
+    other = grassmann_table(2)
+    with pytest.raises(TableMismatchError):
+        f + other.zero()
+    with pytest.raises(TableMismatchError):
+        zero * other.sym("x")
 
 
 def test_coefficient_of_odd_reordered_extraction_sign():
@@ -268,6 +293,65 @@ def test_integral_coefficients_are_stored_as_int():
               X(x ** 2 * th1), Z(eps * th1 * 2), Z(th1 * eps * 2)):
         assert p.terms and all(type(c) is int for c in p.terms.values()), p
     assert X(x ** 2 * th1) == x * th1 and Z(eps * th1 * 2) == t.one()
+
+
+def _stored_form_violations():
+    """The results, by operation, whose term dict holds a value other than an
+    int or a QI that is not a rational integer, or whose real constant term
+    reads back as other than an int or a Fraction.  Each operation meets
+    non-integral Fractions and QIs and has some results that are integral."""
+    t = _qi_table()
+    half = Fraction(1, 2)
+    x, y, th1, eps = t.sym("x"), t.sym("y"), t.sym("th1"), t.sym("eps")
+    f = (t.monomial(half, [("x", 2)], ["th1"]) + t.monomial(QI(half, 2), [("y", 1)])
+         + t.monomial(Fraction(4, 2), [], ["eps"]) + t.scalar(Fraction(3, 4)))
+    g = t.monomial(Fraction(2, 3), [("x", 1)]) - t.monomial(Fraction(3, 2), [], ["th2"]) + QI(0, half)
+    X = Derivation(t, EVEN, {"x": t.scalar(half), "th1": eps.scale(Fraction(-1, 2))})
+    ctx = Context(t, ("th1",))
+    cases = {
+        "monomial": [t.monomial(Fraction(6, 4), [("x", 1)]), t.monomial(QI(2, 0), [], ["th1"]),
+                     t.monomial(QI(0, 1), [], ["eps", "eps"])],
+        "+": [f + g, t.scalar(half) + t.scalar(half), g + g],
+        "-": [f - g, t.scalar(QI(Fraction(5, 2), 1)) - t.scalar(QI(half, 1))],
+        "*": [f * g, g * g, t.scalar(half) * t.scalar(4), t.scalar(QI(0, 1)) * QI(0, 1)],
+        "scale": [f.scale(Fraction(2, 3)), f.scale(Fraction(4)), g.scale(QI(0, 2))],
+        "**": [f ** 2, g ** 3, x.scale(half) ** 3, x.scale(QI(0, 1)) ** 2, (y + QI(0, 1)) ** 2],
+        "substitute": [f.substitute({"x": y.scale(half), "th1": eps.scale(QI(0, 2))})],
+        "eval_even": [f.eval_even({"x": Fraction(2), "y": Fraction(1, 2)}),
+                      g.eval_even({"x": Fraction(3, 2)})],
+        "diff_even": [f.diff_even("x"), (x ** 3).scale(Fraction(1, 3)).diff_even("x")],
+        "integrate_even": [f.integrate_even("x", 0, Fraction(2)),
+                           g.integrate_even("y", Fraction(-1, 2), half)],
+        "coefficient_of_odd": [f.coefficient_of_odd(["th1"]), (f * g).coefficient_of_odd(["th2"])],
+        "derivation": [X(f * g), X(x ** 2 * th1), X(eps * th1 * 2)],
+        "poly_from_jsonable": [poly_from_jsonable(poly_to_jsonable(f * g), t)],
+        "dsl": [ctx.evaluate(parse(s)) for s in (
+            "6/4*x*2/3 + (1/2 + I)^2*th1 - 4/2*I*I", "ber(3/2*th1*th2) + 1/2*x*4/2*2",
+            "(2/4*x)^3 - 1/8*x^3 + 6/4*I*x*I")],
+    }
+    bad = []
+    for op, results in cases.items():
+        for p in results:
+            stored = all(type(c) is int or type(c) is QI and not (c.im == 0 and c.re.denominator == 1)
+                         for c in p.terms.values())
+            s = p.scalar_part()
+            plain = type(s) in (int, Fraction) or type(s) is QI and s.im != 0
+            if not (stored and plain):
+                bad.append((op, str(p)))
+    return bad
+
+
+def test_every_stored_coefficient_is_an_int_or_a_non_integral_qi():
+    assert _stored_form_violations() == []
+
+
+def test_a_rule_that_keeps_an_integral_qi_is_caught(monkeypatch):
+    """Negative control: a rule that stores an integral QI as it is keeps
+    every value right, and the stored-form check must still see it."""
+    rule = kernel.normalize
+    monkeypatch.setattr(kernel, "normalize", lambda c: c if type(c) is QI else rule(c))
+    bad = {op for op, _ in _stored_form_violations()}
+    assert {"monomial", "+", "-", "*", "scale", "**", "eval_even", "derivation", "dsl"} <= bad
 
 
 def test_unit_scaling_returns_the_polynomial_or_its_negative():

@@ -135,3 +135,32 @@ def test_copy_deepcopy_and_pickle_keep_value_and_type():
         for x in (QI(Fraction(3, 4), -2), QI(0), QI(0, Fraction(-1, 6))):
             y = clone(x)
             assert type(y) is QI and y == x and (y.re, y.im) == (x.re, x.im)
+
+
+def _text_from_fractions(q):
+    """format_scalar's text built from the Fraction parts."""
+    re, im = q.re, q.im
+    if not im:
+        return str(re)
+    ims = "I" if im == 1 else "-I" if im == -1 else f"{im}*I"
+    return ims if not re else f"{re}{'+' if im > 0 else ''}{ims}"
+
+
+@given(operands)
+def test_normalize_stores_an_int_or_a_non_integral_qi(x):
+    c = scalars.normalize(x)
+    assert c == x and hash(c) == hash(x)
+    if type(c) is QI:
+        assert_canonical(c)
+        assert c.im or c.re.denominator != 1
+        assert scalars.normalize(c) is c
+        assert format_scalar(c) == _text_from_fractions(c)
+    else:
+        assert type(c) is int
+    p = scalars.plain(c)
+    assert p == x and type(p) in ((int, Fraction) if not pair(x)[1] else (QI,))
+    if isinstance(x, Fraction):
+        r = scalars.ratio(6 * x.numerator, 6 * x.denominator)
+        assert r == c and type(r) is type(c)
+        if type(r) is QI:
+            assert_canonical(r)
