@@ -13,10 +13,16 @@ ring of the other factor.
 An element stores numerators over one positive int denominator: slot i is
 num[i] / den.  Rational slots are ints in lowest terms, so an octonion
 product is integer arithmetic and one gcd instead of a hundred Fraction
-operations; ring-valued slots (QI, SuperPolynomial) keep den = 1.  The
-operators are plain ring arithmetic on (num, den) and never test the type
-of a coefficient: `_normal`, which every operator calls, is the one place
-that reads the ring, and `coeffs` reads the slot values back.
+operations.  Ring-valued slots (QI, SuperPolynomial) keep den as well, not
+reduced, since a ring slot has no content gcd here: a rational element
+scaled into a Clifford envelope holds int-coefficient polynomials over its
+den, and only `coeffs` and `norm_sq` divide.  The operators are plain
+ring arithmetic on (num, den) and never test the type of a coefficient.
+The ring is read in three places, side by side below the class: `_normal`,
+which every operator calls; `_one_table`, by which `*` of two elements
+over one polynomial table sums each output slot into one kernel
+accumulator (`SymbolTable.sum_of_products`); and `_quotients`, by which
+`coeffs` and `norm_sq` read the slot values back.
 
 Octonion convention.  The multiplication table is the one pinned down by the
 required pairings u_1u_2 = u_3u_4 = u_6u_7 = u_8u_5 = u_2 together with the
@@ -93,11 +99,13 @@ class DivisionAlgebra:
 class DAElement:
     """k coefficients over the basis (u_1, ..., u_k); u_1 acts as identity.
 
-    Slot i holds num[i] / den.  `zero` is the zero of the coefficient ring:
-    0 for exact scalars, table.zero() for polynomial coefficients.  Results
-    keep it.  Left out, it is read from the slots (`_ring_zero`).  + and -
-    of two rings raise TypeError; * and `scale` move a rational factor into
-    the ring of the other.
+    Slot i holds num[i] / den, in every ring; den is 1 for the zero
+    element.  `zero` is the zero of the coefficient ring: 0 for exact
+    scalars, table.zero() for polynomial coefficients.  Results keep it.
+    Left out, it is read from the slots (`_ring_zero`).  + and - of two
+    rings raise TypeError; * and `scale` move a rational factor into the
+    ring of the other, and * of two elements over one polynomial table
+    makes each slot one kernel sum of signed products.
     """
 
     __slots__ = ("alg", "num", "den", "zero")
@@ -111,10 +119,10 @@ class DAElement:
 
     @property
     def coeffs(self) -> list:
-        """The slot values num[i] / den."""
+        """The slot values num[i] / den, in the ring of the slots."""
         if self.den == 1:
             return self.num
-        return [Fraction(n, self.den) for n in self.num]
+        return _quotients(self.num, self.den)
 
     def _check(self, other):
         if self.alg.which != other.alg.which:
@@ -160,8 +168,8 @@ class DAElement:
 
     def scale(self, c):
         """c * a on every slot, c on the left; the result lives in the ring
-        of c * zero, so a polynomial c moves rational slots into its table.
-        c / den is split, so a polynomial c absorbs den once."""
+        of c * zero, so a polynomial c moves rational slots into its table,
+        over their den."""
         (n,), d = _normal([c], self.den)
         zero = n * self.zero
         return _element(self.alg, [n * a if a else zero for a in self.num], d, zero)
@@ -170,10 +178,30 @@ class DAElement:
         """Table-driven bilinear product; coefficient order is preserved, so
         odd (Grassmann-valued) coefficients pick up their own signs.  The
         product lives in the ring of the product of the two zeros, over the
-        product of the two denominators."""
+        product of the two denominators.  Over one polynomial table
+        (`_one_table`) each output slot is one sum of signed products in
+        the kernel; scalar rings, whose products are cheap, add pair by
+        pair."""
         self._check(other)
         k = self.alg.dim
         tab = self.alg.table
+        table = _one_table(self.zero, other.zero)
+        if table is not None:
+            slots = [None] * k
+            right = [(b, cb) for b, cb in enumerate(other.num, 1) if cb]
+            for a, ca in enumerate(self.num, 1):
+                if not ca:
+                    continue
+                for b, cb in right:
+                    g, s = tab[(a, b)]
+                    t = slots[g - 1]
+                    if t is None:
+                        slots[g - 1] = [(s < 0, ca, cb)]
+                    else:
+                        t.append((s < 0, ca, cb))
+            z = self.zero
+            return _element(self.alg, [z if t is None else table.sum_of_products(t) for t in slots],
+                            self.den * other.den, z)
         out = [None] * k
         for a in range(1, k + 1):
             ca = self.num[a - 1]
@@ -208,7 +236,11 @@ class DAElement:
         p = self * self.conj()
         if any(p.num[1:]):
             raise ArithmeticError("norm_sq has a nonzero imaginary part")
-        return p.num[0] if p.den == 1 else Fraction(p.num[0], p.den)
+        n, d = p.num[0], p.den
+        if d == 1:
+            return n
+        # one value, read as `_quotients` reads the ring
+        return Fraction(n, d) if type(n) is int else n * Fraction(1, d)
 
     def __bool__(self):
         return any(self.num)
@@ -237,15 +269,13 @@ def _normal(num: list, den: int):
     Rational slots (int and Fraction, read through the numerator and
     denominator they share) come back as ints over a positive den with
     gcd(den, *num) = 1, so the zero element has den 1.  A ring-valued slot
-    (QI, SuperPolynomial) has no denominator: then every nonzero slot
-    absorbs 1/den and den becomes 1.
+    (QI, SuperPolynomial) has no denominator: then the slots and den are
+    kept as they are, since reducing them would need the content of each
+    slot, and only the zero element is put over den 1.
     """
     m = lcm(*[getattr(n, "denominator", 0) for n in num])
     if not m:
-        if den != 1:
-            inv = Fraction(1, den)
-            num = [n * inv if n else n for n in num]
-        return num, 1
+        return num, den if den == 1 or any(num) else 1
     num = [n.numerator * (m // n.denominator) for n in num]
     den *= m
     g = gcd(den, *num)
@@ -253,6 +283,24 @@ def _normal(num: list, den: int):
         num = [n // g for n in num]
         den //= g
     return num, den
+
+
+def _quotients(num, den):
+    """The values n / den of the numerators num: Fraction(n, den) when every
+    numerator is an int (rational slots), else n * (1/den), which any ring
+    with rational scalars accepts."""
+    if all(type(n) is int for n in num):
+        return [Fraction(n, den) for n in num]
+    inv = Fraction(1, den)
+    return [n * inv for n in num]
+
+
+def _one_table(z1, z2):
+    """The symbol table both ring zeros are polynomials over, or None; the
+    test `DAElement.__mul__` makes to sum its slots in the kernel.  Read as
+    an attribute, so this module imports nothing from the kernel."""
+    table = getattr(z1, "table", None)
+    return table if table is not None and getattr(z2, "table", None) is table else None
 
 
 def _ring_zero(slots):

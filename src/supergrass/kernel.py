@@ -21,9 +21,13 @@ popcount against the prefix-parity mask `_below` plus one flip per shared
 Clifford generator; a sign is applied by negation; a pair that shares a
 nilpotent generator is skipped before `_odd_mul` is called.  Products and
 sums are written through one accumulator, `_add_term`, which stores every
-result through `normalize`; `scale` does the same.  A sum or a product with
-an empty operand returns an operand, without a copy.  Values are immutable
-after construction and safe to share.  A product that would form more than
+result through `normalize`; `scale` does the same.  `_term_product` adds
+a signed product into an accumulator it is given, so
+`SymbolTable.sum_of_products` sums many signed products (a slot of a
+division-algebra product) into one dict, with no polynomial formed per
+pair.  A sum or a product with an empty operand returns an operand,
+without a copy.  Values are immutable after construction and safe to
+share.  A product that would form more than
 `MAX_TERM_PAIRS` term pairs raises `SizeLimitError` before it runs, and the
 CLI reports it as an input error; `MAX_DEGREE` bounds the powers that
 `integrate_even` raises its bounds to, and `MAX_COEFF_BITS` the coefficient
@@ -42,8 +46,9 @@ only here and by the `expr_io` printer and JSON codec.  Other code reads a
 polynomial through its projections (`scalar_part`, `free_of`,
 `parity_part`, `support`, `coefficient_of_odd`, `odd_components`,
 `eval_even`, `diff_even`, `integrate_even`), maps it with `substitute`,
-copies it into another table with `SymbolTable.adopt` and adds many into
-one accumulator with `SymbolTable.sum`; `tests/test_kernel.py` pins that
+copies it into another table with `SymbolTable.adopt` and adds many sums
+or signed products into one accumulator with `SymbolTable.sum` and
+`SymbolTable.sum_of_products`; `tests/test_kernel.py` pins that
 no other module does.
 """
 
@@ -208,6 +213,18 @@ class SymbolTable:
                 _add_term(out, k, c)
         return SuperPolynomial(self, out)
 
+    def sum_of_products(self, triples):
+        """The sum of (-1)^neg * a * b over (neg, a, b) triples of
+        polynomials over this table, every product written into one
+        accumulator; each pair is checked for its table and its
+        `MAX_TERM_PAIRS` budget before its product is formed."""
+        out: dict = {}
+        for neg, a, b in triples:
+            if a.table is not self or b.table is not self:
+                raise TableMismatchError("operands live over different symbol tables")
+            _term_product(self, a.terms, b.terms, out, neg)
+        return SuperPolynomial(self, out)
+
     def monomial(self, coeff, even=(), odd=()):
         """coeff * prod(even names with powers) * prod(odd names, given order),
         built as one term: the powers of a name add up, and each odd name is
@@ -252,17 +269,19 @@ def _ev_items(ev, evens):
     return tuple(out)
 
 
-def _term_product(table, a: dict, b: dict) -> dict:
-    """The term dict of the product of two term dicts over table: the even
-    keys of each pair add, and the odd ones merge by `_odd_mul` unless they
-    share a nilpotent generator; more than `MAX_TERM_PAIRS` pairs raise
-    `SizeLimitError` before any is formed."""
+def _term_product(table, a: dict, b: dict, out: dict, neg=0) -> dict:
+    """Add (-1)^neg times the product of two term dicts over table into the
+    accumulator out, and return it: the even keys of each pair add, and the
+    odd ones merge by `_odd_mul` unless they share a nilpotent generator;
+    more than `MAX_TERM_PAIRS` pairs raise `SizeLimitError` before any is
+    formed."""
     if len(a) * len(b) > MAX_TERM_PAIRS:
         raise SizeLimitError(f"a product of {len(a)} by {len(b)} terms "
                              f"exceeds the budget of {MAX_TERM_PAIRS} term pairs")
     nil, guard = table.nil, table.guard
-    out: dict = {}
     for (e1, o1), c1 in a.items():
+        if neg:
+            c1 = -c1
         for (e2, o2), c2 in b.items():
             if o1 & o2 & nil:
                 continue
@@ -410,7 +429,7 @@ class SuperPolynomial:
             return self
         if not other.terms:
             return other
-        return SuperPolynomial(self.table, _term_product(self.table, self.terms, other.terms))
+        return SuperPolynomial(self.table, _term_product(self.table, self.terms, other.terms, {}))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, QI)):
@@ -543,20 +562,20 @@ class SuperPolynomial:
                 e = _ONE
                 for i, p in _ev_items(en, src._evens):
                     t = (imgs[i] if p == 1 else imgs[i] ** p).terms
-                    e = t if e is _ONE else _term_product(table, e, t)
+                    e = t if e is _ONE else _term_product(table, e, t, {})
                 e_cache[en] = e
             o = o_cache.get(od)
             if o is None:
                 o = _ONE
                 for i in _indices(od):
                     t = imgs[i].terms if i in imgs else {(0, 1 << i): 1}
-                    o = t if o is _ONE else _term_product(table, o, t)
+                    o = t if o is _ONE else _term_product(table, o, t, {})
                     if not o:
                         break
                 o_cache[od] = o
             if not o:
                 continue
-            eo = o if e is _ONE else e if o is _ONE else _term_product(table, e, o)
+            eo = o if e is _ONE else e if o is _ONE else _term_product(table, e, o, {})
             for (e2, o2), v in eo.items():
                 e2 += u
                 if e2 & guard:

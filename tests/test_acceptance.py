@@ -8,7 +8,7 @@ fail.
 
 import pytest
 
-from supergrass import divalg, expr_io, minkowski, models, scalars, superspace, suites
+from supergrass import divalg, expr_io, kernel, minkowski, models, scalars, superspace, suites
 from supergrass.matrix import Matrix
 
 CHECKS = [(suite, check_id, fn)
@@ -107,6 +107,23 @@ def test_dropped_denominator_fails_rsym_and_k4(monkeypatch):
 
     monkeypatch.setattr(divalg, "_normal", dropped)
     for check_id in ("minkowski.rsym", "reductions.k4"):
+        (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]
+        ok, _, _, _ = run_check(check_id, fn)
+        assert not ok, check_id
+
+
+def test_unsigned_slot_sums_fail_the_odd_sector(monkeypatch):
+    """A sum of products that ignores the sign bit of each pair adds where
+    the table subtracts, in every polynomial-slot division-algebra product;
+    the checks that multiply the odd sector's matrices must see it."""
+    sum_of_products = kernel.SymbolTable.sum_of_products
+
+    def unsigned(self, triples):
+        return sum_of_products(self, [(False, a, b) for _neg, a, b in triples])
+
+    monkeypatch.setattr(kernel.SymbolTable, "sum_of_products", unsigned)
+    for check_id in ("minkowski.chiral", "minkowski.null", "minkowski.qq", "minkowski.qqter",
+                     "minkowski.rsym", "reductions.bridge", "reductions.k4", "reductions.k8"):
         (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]
         ok, _, _, _ = run_check(check_id, fn)
         assert not ok, check_id

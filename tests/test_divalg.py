@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from supergrass import divalg
+from supergrass import divalg, minkowski
 from supergrass.divalg import C, H, O, R, DAElement, algebra, gamma_constants
 from supergrass.kernel import SuperPolynomial, SymbolTable
 from supergrass.scalars import QI
@@ -129,6 +129,17 @@ def _over_table(got, t):
     """Every slot of got, the zero included, is a SuperPolynomial over t."""
     return all(isinstance(slot, SuperPolynomial) and slot.table is t
                for slot in got.coeffs + [got.zero])
+
+
+def _over_a_den(got, t=None):
+    """The form of an element with ring slots: den is a positive int, 1 for
+    the zero element, and every numerator slot is a SuperPolynomial over t
+    or, without t, a QI."""
+    if t is None:
+        ring = all(type(n) is QI for n in got.num)
+    else:
+        ring = all(isinstance(n, SuperPolynomial) and n.table is t for n in got.num)
+    return type(got.den) is int and got.den > 0 and (got or got.den == 1) and ring
 
 
 def _rand_rational_elem(alg, rng):
@@ -259,9 +270,9 @@ def _nonzero_poly_elem(alg, t, rng):
 def test_rational_over_a_denominator_meets_polynomials(alg):
     """* between a rational element with den != 1 and a polynomial element,
     in both orders, and scale of the rational element by a polynomial: the
-    denominator folds into the polynomial slots, so every slot of the
-    result, the zero included, lives over the table.  + and - of the two
-    refuse the pair."""
+    result keeps a positive int denominator over polynomial numerators, and
+    every slot of the result, the zero included, lives over the table.
+    + and - of the two refuse the pair."""
     t = _envelope()
     rng = random.Random(61 + alg.dim)
     for _ in range(20):
@@ -269,14 +280,14 @@ def test_rational_over_a_denominator_meets_polynomials(alg):
         for u, v in ((x, p), (p, x)):
             got = u * v
             assert got.coeffs == _naive("*", u, v)
-            assert got.den == 1 and _over_table(got, t)
+            assert _over_a_den(got, t) and _over_table(got, t)
             for op in ("+", "-"):
                 with pytest.raises(TypeError):
                     _apply(op, u, v)
         for c in (_rand_poly_elem(R, t, rng).coeffs[0], t.sym("et2"), t.sym("eps")):
             got = x.scale(c)
             assert got.coeffs == _naive("scale", x, c=c)
-            assert got.den == 1 and _over_table(got, t)
+            assert _over_a_den(got, t) and _over_table(got, t)
 
 
 @pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
@@ -339,13 +350,15 @@ def test_constructors_take_the_zero_from_a_ring_slot():
 
 
 def test_scale_by_a_gaussian_rational_folds_the_denominator():
+    """x.scale(c) for a QI c keeps QI numerators over a positive int
+    denominator; its slot values are QIs equal to the definition's."""
     rng = random.Random(67)
     for alg in (C, H, O):
         for _ in range(20):
             x = _not_integral(alg, rng)
             c = QI(Fraction(rng.randint(-3, 3), 2), rng.randint(1, 3))
             got = x.scale(c)
-            assert got.den == 1 and got.coeffs == _naive("scale", x, c=c)
+            assert _over_a_den(got) and got.coeffs == _naive("scale", x, c=c)
             assert all(isinstance(slot, QI) for slot in got.coeffs)
 
 
@@ -354,7 +367,8 @@ def test_gaussian_slots_with_the_int_zero(alg):
     """An element built as `minkowski.reduction_charges` builds its
     conjugates: Gaussian conjugates of a sum of two units over QI, one
     rational and one an I-unit.  The zero is a QI that equals the int zero;
-    a rational element multiplies such an element but does not add to it."""
+    a rational element multiplies such an element but does not add to it.
+    Every result keeps QI numerators over a positive int denominator."""
     rng = random.Random(71 + alg.dim)
     for _ in range(20):
         a1, a2 = rng.sample(range(1, alg.dim + 1), 2)
@@ -369,11 +383,32 @@ def test_gaussian_slots_with_the_int_zero(alg):
                         _apply(op, u, w)
                     continue
                 got = _apply(op, u, w)
-                assert got.den == 1 and got.coeffs == _naive(op, u, w), op
+                assert _over_a_den(got) and got.coeffs == _naive(op, u, w), op
         for op in ("neg", "conj", "re", "im"):
             assert _apply(op, z).coeffs == _naive(op, z), op
         assert z.scale(Fraction(1, 3)).coeffs == _naive("scale", z, c=Fraction(1, 3))
         assert z == DAElement(alg, z.coeffs) and z != v
+
+
+@pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
+def test_q_matrix_of_a_rational_lambda_keeps_its_den(alg):
+    """q_matrix of a rational lam with den != 1 stores its two entries over
+    lam's den, with int-coefficient polynomial numerators, so the products
+    of the odd sector stay integer arithmetic; the slot values are
+    eps * lam_i and eps * conj(lam)_i."""
+    ctx = minkowski.MinkContext(alg.dim)
+    eps = ctx.eps()
+    rng = random.Random(79 + alg.dim)
+    for _ in range(10):
+        lam = _not_integral(alg, rng)
+        a = rng.choice((1, 2))
+        m = minkowski.q_matrix(ctx, a, lam)
+        for entry, values in ((m[a - 1, 2], lam.coeffs), (m[2, a + 2], lam.conj().coeffs)):
+            assert entry.den == lam.den and _over_a_den(entry, ctx.table)
+            assert all(type(c) is int for n in entry.num for c in n.terms.values()), entry
+            assert entry.coeffs == [eps * v for v in values]
+            zero = entry * alg.zero_like(ctx.table.zero())
+            assert not zero and _over_a_den(zero, ctx.table) and zero.den == 1
 
 
 # -- canonical form of rational elements ---------------------------------------

@@ -705,6 +705,51 @@ def test_sum_refuses_a_polynomial_over_another_table():
         t.sum([t.sym("x"), u.sym("x")])
 
 
+def test_sum_of_products_against_a_left_to_right_sum():
+    """sum_of_products equals the sum of its signed products added left to
+    right, over evens, nilpotent odds, eps and int or QI coefficients, zero
+    operands and cancelling pairs included; an empty list gives zero."""
+    rng = random.Random(15)
+    t = _qi_table()
+    assert t.sum_of_products([]) == t.zero() and t.sum_of_products([]).table is t
+    for _ in range(60):
+        triples = []
+        for _ in range(rng.randint(1, 5)):
+            a, b = (_random_qi_poly(t, rng, rng.randint(0, 5)) for _ in range(2))
+            if rng.random() < 0.3:
+                a = t.sum(t.monomial(rng.randint(-3, 3), [("x", 1)], [n]) for n in ("th1", "eps"))
+            triples.append((rng.random() < 0.5, a, b))
+        if rng.random() < 0.3:  # a pair that cancels the first
+            neg, a, b = triples[0]
+            triples.append((not neg, a, b))
+        want = t.zero()
+        for neg, a, b in triples:
+            want = want - a * b if neg else want + a * b
+        got = t.sum_of_products(triples)
+        assert got.table is t and _nonzero_terms(got)
+        assert got.terms_sorted() == want.terms_sorted()
+        assert t.sum_of_products(iter(triples)) == got
+
+
+def test_sum_of_products_checks_each_pair(monkeypatch):
+    """An operand over another table raises TableMismatchError, on either
+    side; a pair beyond MAX_TERM_PAIRS raises SizeLimitError before any of
+    its terms is formed."""
+    t, u = _qi_table(), _qi_table()
+    x, th1 = t.sym("x"), t.sym("th1")
+    for pair in ((x, u.sym("th1")), (u.sym("x"), th1)):
+        with pytest.raises(TableMismatchError):
+            t.sum_of_products([(False, x, th1), (True, *pair)])
+    big = t.sum(t.monomial(1, [("x", k)]) for k in range(400))
+    formed = []
+    add_term = kernel._add_term
+    monkeypatch.setattr(kernel, "_add_term", lambda *a: formed.append(a) or add_term(*a))
+    msg = "a product of 400 by 400 terms exceeds the budget of 100000 term pairs"
+    with pytest.raises(SizeLimitError, match=msg):
+        t.sum_of_products([(True, big, big)])
+    assert formed == []
+
+
 def _power_loop(p, n):
     # square and multiply from one, the path every base other than one
     # even term still takes
