@@ -18,11 +18,15 @@ reduced, since a ring slot has no content gcd here: a rational element
 scaled into a Clifford envelope holds int-coefficient polynomials over its
 den, and only `coeffs` and `norm_sq` divide.  The operators are plain
 ring arithmetic on (num, den) and never test the type of a coefficient.
-The ring is read in three places, side by side below the class: `_normal`,
-which every operator calls; `_one_table`, by which `*` of two elements
-over one polynomial table sums each output slot into one kernel
-accumulator (`SymbolTable.sum_of_products`); and `_quotients`, by which
-`coeffs` and `norm_sq` read the slot values back.
+The zero an element carries names its ring, so an operator result is put
+in canonical form by its zero alone (`_element`): one gcd under the int
+zero, nothing but the zero element's den under a ring zero.  The slots
+themselves are read only where values arrive from outside, side by side
+below the class: `_normal` and `_ring_zero`, by the constructor, `unit`
+and `scale`; `_one_table`, by which `*` of two elements over one
+polynomial table sums each output slot into one kernel accumulator
+(`SymbolTable.sum_of_products`); and `_quotients`, by which `coeffs` and
+`norm_sq` read the slot values back.
 
 Octonion convention.  The multiplication table is the one pinned down by the
 required pairings u_1u_2 = u_3u_4 = u_6u_7 = u_8u_5 = u_2 together with the
@@ -81,16 +85,19 @@ class DivisionAlgebra:
     def element(self, coeffs) -> "DAElement":
         return DAElement(self, list(coeffs))
 
+    # zero_like and unit know the ring before they build, so they skip the
+    # constructor's slot reads: unit reads its one coefficient only.
     def zero_like(self, zero=0) -> "DAElement":
-        return DAElement(self, [zero] * self.dim, zero)
+        return _element(self, [zero] * self.dim, 1, zero)
 
     def unit(self, alpha: int, coeff=1) -> "DAElement":
         if not 1 <= alpha <= self.dim:
             raise ValueError(f"unit index {alpha} is outside 1..{self.dim}")
         zero = _ring_zero([coeff])
-        coeffs = [zero] * self.dim
-        coeffs[alpha - 1] = coeff
-        return DAElement(self, coeffs, zero)
+        (c,), den = _normal([coeff], 1)
+        num = [zero] * self.dim
+        num[alpha - 1] = c
+        return _element(self, num, den, zero)
 
     def one(self):
         return self.unit(1)
@@ -100,12 +107,15 @@ class DAElement:
     """k coefficients over the basis (u_1, ..., u_k); u_1 acts as identity.
 
     Slot i holds num[i] / den, in every ring; den is 1 for the zero
-    element.  `zero` is the zero of the coefficient ring: 0 for exact
-    scalars, table.zero() for polynomial coefficients.  Results keep it.
-    Left out, it is read from the slots (`_ring_zero`).  + and - of two
-    rings raise TypeError; * and `scale` move a rational factor into the
-    ring of the other, and * of two elements over one polynomial table
-    makes each slot one kernel sum of signed products.
+    element.  `zero` names the coefficient ring: the int 0 for rational
+    slots, whose numerators are then ints, a QI zero for Gaussian slots
+    and table.zero() for polynomial ones.  Results keep it and are
+    normalized by it alone (`_element`).  Left out, it is read from the
+    slots (`_ring_zero`); passed in, the int 0 with a QI or polynomial
+    slot raises TypeError.  + and - of two rings raise TypeError; * and
+    `scale` move a rational factor into the ring of the other, and * of
+    two elements over one polynomial table makes each slot one kernel sum
+    of signed products.
     """
 
     __slots__ = ("alg", "num", "den", "zero")
@@ -115,7 +125,11 @@ class DAElement:
             raise ValueError(f"need {alg.dim} coefficients")
         self.alg = alg
         self.num, self.den = _normal(coeffs, 1)
-        self.zero = _ring_zero(coeffs) if zero is None else zero
+        if zero is None:
+            zero = _ring_zero(coeffs)
+        elif type(zero) is int and not all(type(n) is int for n in self.num):
+            raise TypeError("the int zero names rational slots; pass the zero of the slots' ring")
+        self.zero = zero
 
     @property
     def coeffs(self) -> list:
@@ -181,41 +195,36 @@ class DAElement:
         product of the two denominators.  Over one polynomial table
         (`_one_table`) each output slot is one sum of signed products in
         the kernel; scalar rings, whose products are cheap, add pair by
-        pair."""
+        pair.  Both walk the nonzero slots only, in the same order."""
         self._check(other)
-        k = self.alg.dim
         tab = self.alg.table
+        out = [None] * self.alg.dim
+        right = [(b, cb) for b, cb in enumerate(other.num, 1) if cb]
         table = _one_table(self.zero, other.zero)
         if table is not None:
-            slots = [None] * k
-            right = [(b, cb) for b, cb in enumerate(other.num, 1) if cb]
             for a, ca in enumerate(self.num, 1):
                 if not ca:
                     continue
                 for b, cb in right:
                     g, s = tab[(a, b)]
-                    t = slots[g - 1]
+                    t = out[g - 1]
                     if t is None:
-                        slots[g - 1] = [(s < 0, ca, cb)]
+                        out[g - 1] = [(s < 0, ca, cb)]
                     else:
                         t.append((s < 0, ca, cb))
             z = self.zero
-            return _element(self.alg, [z if t is None else table.sum_of_products(t) for t in slots],
+            return _element(self.alg, [z if t is None else table.sum_of_products(t) for t in out],
                             self.den * other.den, z)
-        out = [None] * k
-        for a in range(1, k + 1):
-            ca = self.num[a - 1]
+        for a, ca in enumerate(self.num, 1):
             if not ca:
                 continue
-            for b in range(1, k + 1):
-                cb = other.num[b - 1]
-                if not cb:
-                    continue
+            for b, cb in right:
                 g, s = tab[(a, b)]
                 v = ca * cb
                 if s < 0:
                     v = -v
-                out[g - 1] = v if out[g - 1] is None else out[g - 1] + v
+                t = out[g - 1]
+                out[g - 1] = v if t is None else t + v
         z = self.zero * other.zero
         return _element(self.alg, [z if c is None else c for c in out], self.den * other.den, z)
 
@@ -263,8 +272,10 @@ class DAElement:
 
 
 def _normal(num: list, den: int):
-    """The canonical (num, den) for the slot values num[i] / den; the one
-    place that reads the coefficient ring.
+    """The canonical (num, den) for the slot values num[i] / den of values
+    that arrive from outside: the constructor's slots, the coefficient of
+    `unit` and the scalar of `scale`.  Operator results skip it, since
+    their zero names the ring (`_element`).
 
     Rational slots (int and Fraction, read through the numerator and
     denominator they share) come back as ints over a positive den with
@@ -313,11 +324,22 @@ def _ring_zero(slots):
 
 
 def _element(alg: DivisionAlgebra, num: list, den: int, zero) -> DAElement:
-    """The element num / den, normalized, built without the constructor's
-    length check."""
+    """The element num / den of an operator result, or of `zero_like` and
+    `unit`, built without the constructor's length check.  Its ring is the
+    ring of `zero`, so the slots are not read: under the int zero every numerator is an int, and
+    one gcd puts them in lowest terms; under a ring zero num and den are
+    kept, and only the zero element is put over den 1, as `_normal` does."""
+    if type(zero) is int:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+    elif den != 1 and not any(num):
+        den = 1
     e = object.__new__(DAElement)
     e.alg = alg
-    e.num, e.den = _normal(num, den)
+    e.num = num
+    e.den = den
     e.zero = zero
     return e
 

@@ -292,7 +292,7 @@ def hermitian_parts(m: Matrix, i=0, j=0):
     """(h11, h22, z) of the Hermitian 2x2 block [[h11, z], [conj z, h22]]
     over K at row i, column j of m, in the coefficient ring of m."""
     p, z, zbar, q = m[i, j], m[i, j + 1], m[i + 1, j], m[i + 1, j + 1]
-    if any(p.coeffs[1:]) or any(q.coeffs[1:]):
+    if p.im() or q.im():
         raise ValueError("diagonal entry is not real")
     if zbar != z.conj():
         raise ValueError("block is not Hermitian")
@@ -586,7 +586,7 @@ def lorentz_conjugation(alg: DivisionAlgebra, S: Matrix, m: Matrix) -> Matrix:
         raise ValueError("conjugation action implemented for R and C only")
     s11, s12, s21, s22 = S[0, 0], S[0, 1], S[1, 0], S[1, 1]
     det = s11 * s22 - s12 * s21
-    if any(det.coeffs[1:]):
+    if det.im():
         raise ValueError("determinant must be real for this helper")
     inv = Fraction(1) / det.coeffs[0]
     sinv = kmat2(alg, s22.scale(inv), s12.scale(-inv), s21.scale(-inv), s11.scale(inv))

@@ -94,19 +94,21 @@ def test_broken_star_pairing_fails_k8(monkeypatch):
 
 
 def test_dropped_denominator_fails_rsym_and_k4(monkeypatch):
-    """A normalizer that drops the denominator of a result with
-    polynomial or Gaussian slots, instead of folding it into them, breaks
-    rational K values scaled into the Clifford envelope; minkowski.rsym and
-    reductions.k4 must see it."""
-    normal = divalg._normal
+    """`divalg._element` forms every operator and `scale` result.  If it
+    drops the denominator of a result over a ring zero (polynomial or
+    Gaussian slots) instead of keeping it, rational K values scaled into
+    the Clifford envelope lose their den; minkowski.rsym and reductions.k4
+    must see it, and so do the other checks of the odd sector and of the
+    Gaussian central charges."""
+    element = divalg._element
 
-    def dropped(num, den):
-        if all(hasattr(n, "denominator") for n in num):
-            return normal(num, den)
-        return num, 1
+    def dropped(alg, num, den, zero):
+        return element(alg, num, den if type(zero) is int else 1, zero)
 
-    monkeypatch.setattr(divalg, "_normal", dropped)
-    for check_id in ("minkowski.rsym", "reductions.k4"):
+    monkeypatch.setattr(divalg, "_element", dropped)
+    for check_id in ("minkowski.rsym", "reductions.k4", "minkowski.norm", "minkowski.qq",
+                     "minkowski.qqter", "minkowski.explaw", "minkowski.chiral",
+                     "reductions.k8", "reductions.bridge"):
         (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]
         ok, _, _, _ = run_check(check_id, fn)
         assert not ok, check_id

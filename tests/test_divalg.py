@@ -347,6 +347,10 @@ def test_constructors_take_the_zero_from_a_ring_slot():
         g - H.unit(3)
     assert type(H.unit(2, Fraction(1, 2)).zero) is int
     assert type(DAElement(H, [Fraction(1, 3), 2, 0, 0]).zero) is int
+    # the int zero names rational slots, so it refuses a slot of another ring
+    for slot in (u, QI(0, 1), QI(Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            DAElement(H, [slot, 1, 0, 0], 0)
 
 
 def test_scale_by_a_gaussian_rational_folds_the_denominator():
@@ -409,6 +413,56 @@ def test_q_matrix_of_a_rational_lambda_keeps_its_den(alg):
             assert entry.coeffs == [eps * v for v in values]
             zero = entry * alg.zero_like(ctx.table.zero())
             assert not zero and _over_a_den(zero, ctx.table) and zero.den == 1
+
+
+def _operands_in(ring, alg, rng):
+    """Two elements over one ring, each with den != 1 where the ring allows,
+    and a rational element with den != 1 to multiply them by."""
+    x = _not_integral(alg, rng)
+    if ring == "rational":
+        return x, _not_integral(alg, rng), x
+    if ring == "QI":
+        c = QI(Fraction(rng.randint(-3, 3), 2), rng.randint(1, 3))
+        return x.scale(c), DAElement(alg, [QI(rng.randint(-2, 2), rng.randint(-2, 2))
+                                           for _ in range(alg.dim)]), x
+    t = _envelope()
+    return x.scale(t.sym("eps")), _nonzero_poly_elem(alg, t, rng), x
+
+
+@pytest.mark.parametrize("ring", ["rational", "QI", "polynomial"])
+@pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
+def test_operator_results_take_the_ring_from_the_zero(monkeypatch, alg, ring):
+    """Once the operands are built, no operator reads a slot to find the
+    ring: `_normal` and `_ring_zero` serve only values from outside (the
+    constructor, unit and scale), so both raise here.  Every result keeps
+    the form of its ring (rational ints in lowest terms, ring numerators
+    over a positive den, the zero element over den 1) and the values of
+    the definitions."""
+    rng = random.Random(83 + alg.dim)
+    cases = []
+    for _ in range(10):
+        x, y, r = _operands_in(ring, alg, rng)
+        zero = x.alg.zero_like(x.zero)
+        cases += [(op, u, v) for u, v in ((x, y), (y, x), (x, x), (x, zero)) for op in OPS
+                  if op != "scale"]
+        cases += [("*", u, v) for u, v in ((x, r), (r, y))]
+
+    def refuse(*args):
+        raise AssertionError("an operator result read its slots")
+
+    monkeypatch.setattr(divalg, "_normal", refuse)
+    monkeypatch.setattr(divalg, "_ring_zero", refuse)
+    got = [_apply(op, u, v) for op, u, v in cases]
+    assert all(u == u and not u - u for _op, u, _v in cases)
+    monkeypatch.undo()
+    for (op, u, v), e in zip(cases, got):
+        assert e.coeffs == _naive(op, u, v), op
+        assert type(e.zero) is type(u.zero * v.zero if op == "*" else u.zero), op
+        if ring == "rational":
+            assert_canonical(e, e.coeffs)
+        else:
+            assert _over_a_den(e, None if ring == "QI" else e.zero.table), op
+    assert any(e.den != 1 for e in got)
 
 
 # -- canonical form of rational elements ---------------------------------------
