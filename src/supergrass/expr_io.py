@@ -23,8 +23,12 @@ The tokenizer is one `findall` that gives plain token strings, with "" for
 the end of input; one `search` before it reports the first bad character
 at its own position.  Offsets are found only when an error is raised, by
 scanning the tokens again up to the one that failed.  The parser hands back
-the names it read as symbols, and the evaluator builds each run of
-consecutive atom factors of a product as one `SymbolTable.monomial` term.
+the names it read as symbols, and the evaluator builds each run of symbol
+factors of a product as one `SymbolTable.monomial` term.  A factor made
+only of literals joined by +, - and * (such as (1/2 - 3*I) or (2*3/4)) and
+the sign of a negated product fold into the coefficient of that term, so
+neither is evaluated as a polynomial; a power never folds, so the
+coefficient budget of `SuperPolynomial.__pow__` still guards it.
 """
 
 from __future__ import annotations
@@ -283,24 +287,48 @@ def _eval(node, ctx: Context):
     if isinstance(node, Pow):
         return _eval(node.base, ctx) ** node.exp
     if isinstance(node, Neg):
+        if type(node.arg) is Mul:
+            return _eval_mul(node.arg.parts, ctx, -1)
         return -_eval(node.arg, ctx)
     if isinstance(node, Ber):
         return _eval(node.arg, ctx).coefficient_of_odd(ctx.berezin_names)
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _eval_mul(parts, ctx: Context):
-    """The product of the factors from left to right.  Each run of
-    consecutive atom factors (a rational or I literal, a symbol, or a power
-    of an even symbol) becomes one `SymbolTable.monomial` term; any other
-    factor is evaluated on its own and multiplied in at its place."""
+def _literal(node):
+    """The value of a factor made only of literals joined by +, - and *,
+    such as (1/2 - 3*I), (2*3/4) or -(1/3); None for any other factor.  A
+    power is not a literal factor, so `MAX_COEFF_BITS` still guards it."""
+    k = type(node)
+    if k is Lit:
+        return node.value
+    if k is Neg:
+        v = _literal(node.arg)
+        return None if v is None else -v
+    if k is Add or k is Mul:
+        out = None
+        for p in node.parts:
+            v = _literal(p)
+            if v is None:
+                return None
+            out = v if out is None else out + v if k is Add else out * v
+        return out
+    return None
+
+
+def _eval_mul(parts, ctx: Context, coeff=1):
+    """coeff times the product of the factors from left to right.  Each run
+    of symbol factors (a symbol or a power of an even symbol), cut only by
+    the other factors, makes one `SymbolTable.monomial` term.  Every literal
+    factor (see `_literal`) is multiplied into coeff, which goes into the
+    coefficient of the next such term, or scales the product when none
+    follows, so a Gaussian coefficient in parentheses or the sign of a
+    negated product builds no polynomial.  Any other factor, a power among
+    them, is evaluated on its own and multiplied in at its place."""
     t = ctx.table
-    vals, coeff, even, odd = [], None, [], []
+    vals, even, odd = [], [], []
     for p in parts:
         k = type(p)
-        if k is Lit:
-            coeff = p.value if coeff is None else coeff * p.value
-            continue
         if k is Sym or k is Pow and type(p.base) is Sym:
             name = p.name if k is Sym else p.base.name
             if name not in t:
@@ -311,16 +339,22 @@ def _eval_mul(parts, ctx: Context):
             if k is Sym:
                 odd.append(name)
                 continue
-        if coeff is not None or even or odd:
-            vals.append(t.monomial(1 if coeff is None else coeff, even, odd))
-            coeff, even, odd = None, [], []
+        elif k is not Pow:
+            v = _literal(p)
+            if v is not None:
+                coeff = coeff * v
+                continue
+        if even or odd:
+            vals.append(t.monomial(coeff, even, odd))
+            coeff, even, odd = 1, [], []
         vals.append(_eval(p, ctx))
-    if coeff is not None or even or odd:
-        vals.append(t.monomial(1 if coeff is None else coeff, even, odd))
+    if even or odd or not vals:
+        vals.append(t.monomial(coeff, even, odd))
+        coeff = 1
     out = vals[0]
     for v in vals[1:]:
         out = out * v
-    return out
+    return out if coeff == 1 else out.scale(coeff)
 
 
 # ---------------------------------------------------------------------------

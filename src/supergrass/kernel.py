@@ -87,8 +87,9 @@ MAX_TERM_PAIRS = 100_000
 MAX_DEGREE = 1000
 
 # The most bits a power n may add to a coefficient, estimated as n times (the
-# largest bit length of a numerator or denominator, minus 1), so that
-# (2^9999)^9999 fails fast; no registry or bench power estimates over 14 bits.
+# largest `_coeff_bits` of the base's coefficients, minus 1), so that
+# (2^9999)^9999 and (1+I)^99999999 fail fast; no registry or bench power
+# estimates over 14 bits.
 MAX_COEFF_BITS = 1 << 16
 
 # The highest power of an even symbol in any term.  An even key holds one
@@ -659,10 +660,13 @@ def _term_key(item):
 
 
 def _coeff_bits(c) -> int:
-    """The largest bit length of a numerator or denominator of c."""
+    """The bit length of an int c; for a QI (a + b*I)/d, the larger of the
+    bit lengths of |a| + |b|, which bounds |a + b*I|, and of d.  So a
+    Gaussian base such as 1 + I counts its growth: |1 + I|^n = 2^(n/2)."""
     if type(c) is int:
         return c.bit_length()
-    return max(max(p.numerator.bit_length(), p.denominator.bit_length()) for p in (c.re, c.im))
+    a, b, d = c.parts()
+    return max((abs(a) + abs(b)).bit_length(), d.bit_length())
 
 
 def _indices(m):

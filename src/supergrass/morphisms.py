@@ -5,8 +5,11 @@ A morphism from (x^1..x^m, odd o^1..o^q) to a polynomial target chart
 of vector fields xi_I indexed by even-length odd multi-indices I.  Pulling
 back f applies the truncated series of Xi = sum_I o^I xi_I to f, one
 `exp_series` for the whole of Xi or for each factor of a factorization, and
-then substitutes y -> phi(x).  The skeletal morphisms to the odd line and
-the odd plane are one `skeletal_pullback`.
+then substitutes y -> phi(x).  Xi is one even derivation, built once per
+morphism by `sum_field` (the image of each target coordinate y is
+sum_I o^I xi_I(y)), so each step of the series is one derivation call; a
+factorization builds one such Xi_A per theta prefix.  The skeletal
+morphisms to the odd line and the odd plane are one `skeletal_pullback`.
 """
 
 from __future__ import annotations
@@ -32,17 +35,23 @@ class CommutationError(ValueError):
         super().__init__(f"vector fields at {pair} do not commute")
 
 
-def apply_once(pairs, f: SuperPolynomial) -> SuperPolynomial:
-    """X f = sum_I o^I (xi_I f) over the (o^I, xi_I) pairs."""
-    return f.table.sum(mono * X(f) for mono, X in pairs)
+def sum_field(table: SymbolTable, pairs, label="Xi") -> Derivation:
+    """The even derivation sum_I o^I xi_I over the (o^I, xi_I) pairs, a
+    collection read once per generator: o^I is even, so each o^I xi_I is a
+    derivation, and the image of each generator is one
+    `SymbolTable.sum_of_products` over the fields that move it."""
+    moved = sorted({i for _, X in pairs for i in X.images})
+    images = {table.symbols[i].name: table.sum_of_products(
+        (0, mono, X.images[i]) for mono, X in pairs if i in X.images) for i in moved}
+    return Derivation(table, EVEN, images, label)
 
 
-def exp_series(pairs, f: SuperPolynomial, q: int) -> SuperPolynomial:
-    """Truncated series sum_n X^n f / n! for X = sum_I o^I xi_I over the
-    (o^I, xi_I) pairs, with o^I in q odd coordinates: X^(q+1) = 0."""
+def exp_series(X: Derivation, f: SuperPolynomial, q: int) -> SuperPolynomial:
+    """Truncated series sum_n X^n f / n! for X = sum_I o^I xi_I (one
+    `sum_field`), with o^I in q odd coordinates: X^(q+1) = 0."""
     out = cur = f
     for n in count(1):
-        cur = apply_once(pairs, cur)
+        cur = X(cur)
         if cur.is_zero():
             return out
         out = out + cur.scale(Fraction(1, factorial(n)))
@@ -63,7 +72,8 @@ class FleshMorphism:
 
     The working table holds x's, then y's, then the source odd coordinates.
     xi_fields holds {I: (o^I, xi_I)}, the monomials and the vector fields,
-    built once at construction.
+    and Xi the one even derivation sum_I o^I xi_I that `exp_Xi` applies,
+    all built once at construction.
     """
 
     def __init__(self, even_coords, odd_coords, target_even, phi, xi, n_theta=None):
@@ -93,6 +103,7 @@ class FleshMorphism:
                 raise ValueError(f"multi-index {I} must be strictly increasing")
             comps = {n: self.table.adopt(c) for n, c in comps.items()}
             self.xi_fields[I] = (self.odd_monomial(I), Derivation(self.table, EVEN, comps, f"xi_{I}"))
+        self.Xi = sum_field(self.table, self.xi_fields.values())
 
     # -- plumbing ---------------------------------------------------------
     def odd_monomial(self, I) -> SuperPolynomial:
@@ -106,7 +117,7 @@ class FleshMorphism:
 
     def exp_Xi(self, f: SuperPolynomial) -> SuperPolynomial:
         """Truncated series sum_n Xi^n f / n!; terminates by nilpotency."""
-        return exp_series(self.xi_fields.values(), f, self.q)
+        return exp_series(self.Xi, f, self.q)
 
     def substitute_base(self, f: SuperPolynomial) -> SuperPolynomial:
         return f.substitute(dict(self.phi))
@@ -276,7 +287,7 @@ def pullback_factorized(m: FleshMorphism, f) -> SuperPolynomial:
     # empty prefix last so that e^(Xi_empty) is leftmost; the factors
     # commute, so application order is immaterial.
     for A in sorted(groups, key=lambda a: (len(a), a), reverse=True):
-        g = exp_series([m.xi_fields[I] for I in groups[A]], g, m.q)
+        g = exp_series(sum_field(m.table, [m.xi_fields[I] for I in groups[A]], f"Xi_{A}"), g, m.q)
     return m.substitute_base(g)
 
 

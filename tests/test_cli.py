@@ -155,6 +155,7 @@ def test_bad_expression_is_usage_error(capsys):
     (("expand", "(x+y+z+w+th1+th2)^2000"), ""),
     (("berezin", "th1*x^1000000000", "--box", "0", "2"), ""),
     (("expand", "(2^9999)^9999"), ""),
+    (("expand", "(1+I)^99999999"), ""),
     (("model", "sigma32", "--h", "u^1001"), ""),
     (("model", "sigma32", "--h", ""), ""),
     (("berezin", "th1*x", "--box", "0", "1e10000000"), ""),
@@ -162,7 +163,8 @@ def test_bad_expression_is_usage_error(capsys):
         "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
         "morphism-xi-not-object", "h-not-rational", "power-over-term-budget",
         "mixed-power-over-term-budget", "box-power-over-degree-budget",
-        "power-over-coefficient-budget", "h-over-degree-budget", "h-empty", "box-exponent-bound"])
+        "power-over-coefficient-budget", "gaussian-power-over-coefficient-budget",
+        "h-over-degree-budget", "h-empty", "box-exponent-bound"])
 def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     start = time.process_time()
@@ -196,9 +198,21 @@ def test_power_over_coefficient_budget_names_the_budget(capsys):
     assert "coefficient budget" in err
 
 
+def test_gaussian_power_over_coefficient_budget_fails_fast(capsys):
+    # |1 + I|^n = 2^(n/2): the parts of (1+I)^99999999 would hold 50 million bits
+    start = time.process_time()
+    code, out, err = run(capsys, "expand", "(1+I)^99999999")
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (2, "")
+    assert "coefficient budget" in err
+
+
 def test_powers_under_the_coefficient_budget_print(capsys):
     assert run(capsys, "expand", "x^1000000000")[:2] == (0, "x^1000000000\n")
     assert run(capsys, "expand", "2^9999")[:2] == (0, f"{2 ** 9999}\n")
+    assert run(capsys, "expand", "(1+I)^1000")[:2] == (0, f"{2 ** 500}\n")
+    assert run(capsys, "expand", "I^1000000")[:2] == (0, "1\n")
+    assert run(capsys, "expand", "(-1)^1000001")[:2] == (0, "-1\n")
 
 
 def test_box_bounds_without_an_exponent_part_work(capsys):

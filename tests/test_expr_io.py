@@ -6,7 +6,7 @@ import pytest
 
 from supergrass.expr_io import (Add, Ber, Context, DslSyntaxError, Lit, Mul, Neg, Pow, Sym,
                                 UnknownSymbolError, format_poly, parse, print_ast)
-from supergrass.kernel import SymbolTable
+from supergrass.kernel import SizeLimitError, SymbolTable
 from supergrass.scalars import QI, I
 from supergrass.superspace import supertime
 
@@ -162,21 +162,48 @@ def _chain_eval(node, t, berezin_names=()):
     return _chain_eval(node.arg, t, berezin_names).coefficient_of_odd(berezin_names)
 
 
+def _rand_literal(rng):
+    """A factor made only of literals, which the evaluator folds into a
+    coefficient: a parenthesized Gaussian sum, a literal product or a
+    nested negation."""
+    lits = ["2", "1/2", "3/4", "0", "1", "5/3", "1/3", "I"]
+    a, b, c = (rng.choice(lits) for _ in range(3))
+    q = rng.random()
+    if q < 0.4:  # (1/2 - 3*I), (-2 + I), (3*I + 1/2)
+        sign, op = rng.choice(["", "-"]), rng.choice(["+", "-"])
+        return f"({b}*I {op} {a})" if rng.random() < 0.2 else f"({sign}{a} {op} {b}*I)"
+    if q < 0.6:  # (2*3/4), (I*1/3*I)
+        return f"({a}*{b}*{c})" if rng.random() < 0.5 else f"({a}*{b})"
+    if q < 0.8:  # (-(1/3)), (-(-I))
+        return f"(-({a}))" if rng.random() < 0.5 else f"(-(-{a}*{b}))"
+    return f"-({a} - {b})"
+
+
 def _rand_product(rng, depth=0):
     """A product of atoms (literals, I, symbols, powers of even symbols,
-    power 0, names repeated) with now and then a factor that is no atom."""
+    power 0, names repeated) with now and then a literal factor that folds
+    into the coefficient, or a factor that is neither; a nested sum holds
+    negated products such as -(2*x*th1)."""
     atoms = ["2", "3/4", "0", "1", "5/3", "I", "x", "y", "th1", "th2", "th3", "eps",
              "x^0", "y^3", "x^2"]
-    others = ["-th2", "-2", "th1^2", "eps^3", "I^2", "(3/2)^2", "2^3"]
+    others = ["-th2", "-2", "th1^2", "eps^3", "I^2", "(3/2)^2", "2^3", "(1 - I)^2"]
     parts = []
     for _ in range(rng.randint(1, 7)):
         q = rng.random()
-        if q < 0.75:
+        if q < 0.6:
             parts.append(rng.choice(atoms))
+        elif q < 0.75:
+            parts.append(_rand_literal(rng))
         elif q < 0.9 or depth > 1:
             parts.append(rng.choice(others))
         else:
-            inner = " + ".join(_rand_product(rng, depth + 1) for _ in range(rng.randint(1, 3)))
+            inner = _rand_product(rng, depth + 1)
+            for _ in range(rng.randint(0, 2)):
+                term = _rand_product(rng, depth + 1)
+                if rng.random() < 0.3:
+                    inner += f" + -({term})"
+                else:
+                    inner += f" {rng.choice('+-')} {term}"
             parts.append(f"ber({inner})" if rng.random() < 0.2 else f"({inner})")
     return "*".join(parts)
 
@@ -192,7 +219,8 @@ def test_product_of_atoms_against_the_chain():
     ctx = Context(t, berezin_names=("th1",))
     rng = random.Random(37)
     for _ in range(1500):
-        node = parse(_rand_product(rng))
+        text = _rand_product(rng)
+        node = parse(f"-({text})" if rng.random() < 0.2 else text)
         got, want = ctx.evaluate(node), _chain_eval(node, t, ("th1",))
         assert got == want and got.terms == want.terms, print_ast(node)
         assert [type(v) for v in got.terms.values()] == [type(v) for v in want.terms.values()]
@@ -201,6 +229,9 @@ def test_product_of_atoms_against_the_chain():
     assert format_poly(ctx.evaluate(parse("2*th2*th1*3/4"))) == "-3/2*th1*th2"
     with pytest.raises(UnknownSymbolError):
         ctx.evaluate(parse("2*x*z^2"))
+    # a power is never folded, so the coefficient budget still guards it
+    with pytest.raises(SizeLimitError):
+        ctx.evaluate(parse("3*x*(2^9999)^9999"))
 
 
 def test_gaussian_literal():

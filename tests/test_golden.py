@@ -67,3 +67,29 @@ def test_pullback_through_xi_squared_is_byte_identical(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "d06eceac62e1817f0ba7207bc5946ae028266eb7863d910d2c69713293c33779"
+
+
+# About twenty terms in the shape of a CLI session: parenthesized Gaussian
+# coefficients of both signs, a negated first term and a negated product
+# inside the sum, eps, et1 and even powers.  Its literal factors and signs
+# fold into the coefficients of the evaluator's terms.
+SESSION_EXPR = (
+    "-(3/2*x^2*th2*th1*th3) + (5/4 - 2*I)*x*y^2*th1*et1*th3*th2 - 3*th3"
+    " + (-1/3 - 9*I)*x^2*y*eps*th2 + 7/2*y^3*et1*th1*th2*th3 + (4 - 4/3*I)*z^2*th3*th2*th1"
+    " - 2*th2*eps*th1*et1 + (-3 + 8*I)*x^3*th1*th3 - 6*x*y*z^2*et1 + 9/2*x*th1*th2*th3"
+    " + (1 + 7*I)*z^3*th1 - 8 + (-9/4 + 2/3*I)*x^2*z^3 + (1/2 - 5/2*I)*y^2*th3*th1*th2*eps"
+    " - 1/2*z^2*eps + (7/3 - 2*I)*x^3*th2*th1*th3 + 4/3*y*z*th3*th1*th2 - (5/3*x*eps*th1)"
+    " + (2 + I)*y^2 - th1*th2*th3")
+SESSION_GOLDEN = [
+    (["expand", SESSION_EXPR], "e8ad19ec8b2fab0b911f73817a3a88e1e18e43bda9a90649d9a8b065c3010ad2"),
+    (["expand", SESSION_EXPR, "--json"], "743cdf6ddb1bca167e98f71b31c93beaf7d84c6ab4392b2e9e4e375e031af94a"),
+    (["berezin", SESSION_EXPR, "--box", "0", "1/2"],
+     "7952c24a1ef3ec222e967fdf147422780c3e8a8b48d017a74dcdd7de549865f5"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SESSION_GOLDEN, ids=["expand", "expand-json", "berezin-box"])
+def test_session_shaped_expression_is_byte_identical(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

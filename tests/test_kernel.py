@@ -2,6 +2,7 @@ import ast
 import collections
 import itertools
 import random
+import time
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -779,6 +780,29 @@ def test_one_even_term_power_against_the_loop():
     # the coefficient budget is checked before the shortcut
     with pytest.raises(SizeLimitError):
         t.scalar(2 ** 9999) ** 9999
+
+
+def test_a_gaussian_base_counts_against_the_coefficient_budget():
+    # |1 + I| = 2^(1/2), so (1+I)^n has parts of n/2 bits; each part of
+    # 1 + I alone fits in one bit
+    t = SymbolTable()
+    t.even_symbol("x")
+    x = t.sym("x")
+    start = time.process_time()
+    for base in (QI(1, 1), QI(1, -1), QI(Fraction(1, 2), 1), QI(-3, 2)):
+        with pytest.raises(SizeLimitError, match="coefficient budget"):
+            t.scalar(base) ** 99_999_999
+        with pytest.raises(SizeLimitError, match="coefficient budget"):
+            x.scale(base) ** 99_999_999
+    assert time.process_time() - start < 0.5
+    # a unit or a small base still powers up
+    assert t.scalar(QI(0, 1)) ** 1_000_000 == 1
+    assert t.scalar(-1) ** 1_000_001 == -1
+    assert t.scalar(QI(1, 1)) ** 1000 == t.scalar(2 ** 500)
+    # (1+I)^2 = 2*I: the estimate n*(2 - 1) meets the budget at n = 2^16
+    assert t.scalar(QI(1, 1)) ** 65_536 == t.scalar(2 ** 32_768)
+    with pytest.raises(SizeLimitError):
+        t.scalar(QI(1, 1)) ** 65_537
 
 
 def test_term_dict_is_read_only_by_the_listed_functions():

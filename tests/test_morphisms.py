@@ -6,7 +6,7 @@ import pytest
 from supergrass import morphisms
 from supergrass.kernel import SymbolTable
 from supergrass.morphisms import (ChartAssumptionError, CommutationError,
-                                  FleshMorphism, apply_once, check_chart_condition,
+                                  FleshMorphism, check_chart_condition,
                                   component_fields, factorize, morphism_check,
                                   nonlinear_expansion_check, odd_plane_obstruction,
                                   pullback_factorized, random_flesh_morphism,
@@ -52,9 +52,10 @@ def test_pullback_of_one():
 
 def test_corrupt_odd_length_index_detected():
     m = make_simple()
-    # plant xi_(1) = d/dy, an odd-length index the constructor refuses
-    _, X = m.xi_fields.pop((1, 2))
-    m.xi_fields[(1,)] = (m.odd_monomial((1,)), X)
+    # plant Xi = et1 d/dy, an odd-length index the constructor refuses, into
+    # the stored Xi that the pullback applies
+    _, X = m.xi_fields[(1, 2)]
+    m.Xi = X.scale(m.odd_monomial((1,)))
     y = m.table.sym("y")
     assert not morphism_check(m, y, y, random.Random(0))
 
@@ -71,7 +72,47 @@ def test_truncation_of_exp_series():
     # Xi^(q/2 + 1) kills everything
     cur = y
     for _ in range(m.q // 2 + 1):
-        cur = apply_once(m.xi_fields.values(), cur)
+        cur = m.Xi(cur)
+    assert cur.is_zero()
+
+
+def apply_fields(m, f):
+    """sum_I o^I (xi_I f), one field at a time: the oracle for m.Xi."""
+    return m.table.sum(mono * X(f) for mono, X in m.xi_fields.values())
+
+
+@pytest.mark.parametrize("L_eta", [2, 3, 4])
+def test_xi_is_the_sum_of_its_fields(L_eta):
+    rng = random.Random(40 + L_eta)
+    for _ in range(10):
+        m = random_flesh_morphism(rng, k_theta=rng.randint(0, 2), L_eta=L_eta, n_xi=rng.randint(1, 5))
+        y1, y2 = m.table.sym("y1"), m.table.sym("y2")
+        x = m.table.sym("x1")
+        th = m.table.sym(m.odd_coords[0])
+        for f in (y1, y2 * y1 + x, y2 ** 3 - y1 * th * m.table.sym(m.odd_coords[-1]), m.table.one()):
+            cur = f
+            for _ in range(3):
+                want = apply_fields(m, cur)
+                got = m.Xi(cur)
+                assert got == want and got.terms == want.terms
+                cur = got
+
+
+def test_xi_of_the_six_eta_morphism():
+    # the q = 6 morphism of test_exp_series_needs_the_factorials
+    m = FleshMorphism(
+        even_coords=("x",),
+        odd_coords=tuple(f"et{i+1}" for i in range(6)),
+        target_even=("y",),
+        phi={"y": 0},
+        xi={(1, 2): {"y": 1}, (3, 4): {"y": 1}, (5, 6): {"y": 1}},
+        n_theta=0,
+    )
+    cur = m.table.sym("y") ** 3 + m.table.sym("x") * m.table.sym("y")
+    for _ in range(4):
+        want = apply_fields(m, cur)
+        assert m.Xi(cur).terms == want.terms
+        cur = want
     assert cur.is_zero()
 
 
