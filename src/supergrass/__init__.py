@@ -6,7 +6,7 @@ supersymmetric field models."""
 from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial,
                      Symbol, SymbolTable, TableMismatchError, cartan_triple,
                      jacobi_check, skew_check, super_bracket)
-from .scalars import QI, I, frac
+from .scalars import QI, I
 
 __all__ = [
     "EVEN",
@@ -23,7 +23,6 @@ __all__ = [
     "super_bracket",
     "QI",
     "I",
-    "frac",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from .expr_io import (Context, DslSyntaxError, UnknownSymbolError, format_deriva
                       parse, poly_to_jsonable)
 from .kernel import MAX_DEGREE, SizeLimitError, SymbolTable, super_bracket
 from .morphisms import FleshMorphism
-from .scalars import rational_part
+from .scalars import QI, ratio
 from .superspace import SuperDomain, berezin, supertime
 
 
@@ -356,11 +356,10 @@ def _parse_h(text) -> models.Superpotential:
         raise SizeLimitError(f"--h {text!r}: degree {degree} exceeds the degree budget {MAX_DEGREE}")
     coeffs = []
     for i in range(degree + 1):
-        try:
-            c = rational_part(val.eval_even({"u": 0}).scalar_part())
-        except ValueError:
-            raise ValueError(f"--h {text!r}: coefficients must be rational") from None
-        coeffs.append(c / factorial(i))
+        c = val.eval_even({"u": 0}).scalar_part()  # an int, a Fraction or a non-real QI
+        if type(c) is QI:
+            raise ValueError(f"--h {text!r}: coefficients must be rational")
+        coeffs.append(ratio(c.numerator, c.denominator * factorial(i)))
         val = val.diff_even("u")
     return models.Superpotential(coeffs)
 

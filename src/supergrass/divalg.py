@@ -11,10 +11,10 @@ refuse operands from two; `*` and `scale` move a rational element into the
 ring of the other factor.
 
 An element stores numerators over one positive int denominator: slot i is
-num[i] / den.  Rational slots are ints in lowest terms, so an octonion
-product is integer arithmetic and one gcd instead of a hundred Fraction
-operations.  Ring-valued slots (QI, SuperPolynomial) keep den as well, not
-reduced, since a ring slot has no content gcd here: a rational element
+num[i] / den.  Rational slots (an int, a Fraction or a real QI) are ints in
+lowest terms, so an octonion product is integer arithmetic and one gcd.
+Ring-valued slots (a non-real QI, a SuperPolynomial) keep den as well,
+not reduced, since a ring slot has no content gcd here: a rational element
 scaled into a Clifford envelope holds int-coefficient polynomials over its
 den, and only `coeffs` and `norm_sq` divide.  The operators are plain
 ring arithmetic on (num, den) and never test the type of a coefficient.
@@ -42,8 +42,9 @@ in the test suite.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
+
+from .scalars import num_den, ratio
 
 OCTONION_TRIPLES = ((2, 3, 4), (2, 6, 7), (2, 8, 5), (3, 6, 8), (3, 5, 7), (4, 5, 6), (4, 8, 7))
 
@@ -108,14 +109,14 @@ class DAElement:
 
     Slot i holds num[i] / den, in every ring; den is 1 for the zero
     element.  `zero` names the coefficient ring: the int 0 for rational
-    slots, whose numerators are then ints, a QI zero for Gaussian slots
-    and table.zero() for polynomial ones.  Results keep it and are
-    normalized by it alone (`_element`).  Left out, it is read from the
-    slots (`_ring_zero`); passed in, the int 0 with a QI or polynomial
-    slot raises TypeError.  + and - of two rings raise TypeError; * and
-    `scale` move a rational factor into the ring of the other, and * of
-    two elements over one polynomial table makes each slot one kernel sum
-    of signed products.
+    slots (int, Fraction or real QI), whose numerators are then ints, a QI
+    zero when a slot is a non-real QI and table.zero() for polynomial
+    ones.  Results keep it and are normalized by it alone (`_element`).
+    Left out, it is read from the slots (`_ring_zero`); passed in, the int
+    0 with a non-real QI or polynomial slot raises TypeError.  + and - of
+    two rings raise TypeError; * and `scale` move a rational factor into
+    the ring of the other, and * of two elements over one polynomial table
+    makes each slot one kernel sum of signed products.
     """
 
     __slots__ = ("alg", "num", "den", "zero")
@@ -133,7 +134,7 @@ class DAElement:
 
     @property
     def coeffs(self) -> list:
-        """The slot values num[i] / den, in the ring of the slots."""
+        """The slot values num[i] / den: ints and real QIs for rational slots."""
         if self.den == 1:
             return self.num
         return _quotients(self.num, self.den)
@@ -245,11 +246,7 @@ class DAElement:
         p = self * self.conj()
         if any(p.num[1:]):
             raise ArithmeticError("norm_sq has a nonzero imaginary part")
-        n, d = p.num[0], p.den
-        if d == 1:
-            return n
-        # one value, read as `_quotients` reads the ring
-        return Fraction(n, d) if type(n) is int else n * Fraction(1, d)
+        return _quotients(p.num[:1], p.den)[0]
 
     def __bool__(self):
         return any(self.num)
@@ -277,17 +274,18 @@ def _normal(num: list, den: int):
     `unit` and the scalar of `scale`.  Operator results skip it, since
     their zero names the ring (`_element`).
 
-    Rational slots (int and Fraction, read through the numerator and
-    denominator they share) come back as ints over a positive den with
-    gcd(den, *num) = 1, so the zero element has den 1.  A ring-valued slot
-    (QI, SuperPolynomial) has no denominator: then the slots and den are
-    kept as they are, since reducing them would need the content of each
-    slot, and only the zero element is put over den 1.
+    Rational slots (int, Fraction or real QI, read by `scalars.num_den`)
+    come back as ints over a positive den with gcd(den, *num) = 1, so the
+    zero element has den 1.  A slot that `num_den` does not read (a
+    non-real QI, a SuperPolynomial) is ring-valued: then the slots and den
+    are kept as they are, since reducing them would need the content of
+    each slot, and only the zero element is put over den 1.
     """
-    m = lcm(*[getattr(n, "denominator", 0) for n in num])
-    if not m:
+    pairs = [num_den(n) for n in num]
+    if None in pairs:
         return num, den if den == 1 or any(num) else 1
-    num = [n.numerator * (m // n.denominator) for n in num]
+    m = lcm(*[d for _, d in pairs])
+    num = [n * (m // d) for n, d in pairs]
     den *= m
     g = gcd(den, *num)
     if g != 1:
@@ -297,12 +295,12 @@ def _normal(num: list, den: int):
 
 
 def _quotients(num, den):
-    """The values n / den of the numerators num: Fraction(n, den) when every
+    """The values n / den of the numerators num: `ratio(n, den)` when every
     numerator is an int (rational slots), else n * (1/den), which any ring
     with rational scalars accepts."""
     if all(type(n) is int for n in num):
-        return [Fraction(n, den) for n in num]
-    inv = Fraction(1, den)
+        return [ratio(n, den) for n in num]
+    inv = ratio(1, den)
     return [n * inv for n in num]
 
 
@@ -315,12 +313,10 @@ def _one_table(z1, z2):
 
 
 def _ring_zero(slots):
-    """The zero of the ring the slots live in: a slot with no denominator
-    (QI, SuperPolynomial) names the ring; rational slots have the int 0."""
-    for c in slots:
-        if not hasattr(c, "denominator"):
-            return c - c
-    return 0
+    """The zero of the ring the slots live in: a slot that `num_den` does
+    not read (a non-real QI, a SuperPolynomial) names the ring; rational
+    slots have the int 0."""
+    return next((c - c for c in slots if num_den(c) is None), 0)
 
 
 def _element(alg: DivisionAlgebra, num: list, den: int, zero) -> DAElement:
@@ -371,7 +367,7 @@ def gamma_constants(alg: DivisionAlgebra) -> dict:
     for a in range(1, k + 1):
         for b in range(1, k + 1):
             ua, ub = alg.unit(a), alg.unit(b)
-            val = (ua * ub.conj() - ub * ua.conj()).scale(Fraction(1, 2)).coeffs
+            val = (ua * ub.conj() - ub * ua.conj()).scale(ratio(1, 2)).coeffs
             if val[0]:
                 raise ArithmeticError("antisymmetrized product has a real part")
             for g in range(2, k + 1):

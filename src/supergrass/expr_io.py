@@ -28,7 +28,9 @@ factors of a product as one `SymbolTable.monomial` term.  A factor made
 only of literals joined by +, - and * (such as (1/2 - 3*I) or (2*3/4)) and
 the sign of a negated product fold into the coefficient of that term, so
 neither is evaluated as a polynomial; a power never folds, so the
-coefficient budget of `SuperPolynomial.__pow__` still guards it.
+coefficient budget of `SuperPolynomial.__pow__` still guards it.  The
+printers refuse a coefficient with an int part over `MAX_PRINT_BITS`
+(SizeLimitError) before `str(int)` would fail on it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .kernel import EVEN, Derivation, SuperPolynomial, SymbolTable
+from .kernel import EVEN, Derivation, SizeLimitError, SuperPolynomial, SymbolTable
 from .scalars import QI, I, format_scalar, parse_scalar, ratio
 
 
@@ -361,11 +363,25 @@ def _eval_mul(parts, ctx: Context, coeff=1):
 # Canonical value printing
 # ---------------------------------------------------------------------------
 
+# The most bits an int part of a printed coefficient may hold: 2^14000 has
+# 4215 digits, under Python's default int-to-text limit of 4300 digits.
+MAX_PRINT_BITS = 14000
+
+
+def _check_printable(c):
+    """Refuse, by its budget, a coefficient that str(int) could not print."""
+    a, b, d = c.parts() if type(c) is QI else (c.numerator, 0, c.denominator)
+    bits = (abs(a) | abs(b) | d).bit_length()  # the longest part's
+    if bits > MAX_PRINT_BITS:
+        raise SizeLimitError(f"a {bits}-bit coefficient exceeds the print budget of {MAX_PRINT_BITS} bits")
+
+
 def format_poly(p: SuperPolynomial) -> str:
     if not p.terms:
         return "0"
     chunks = []
     for (ev, od), c in p.terms_sorted():
+        _check_printable(c)
         factors = []
         for i, e in ev:
             n = p.table.symbols[i].name
@@ -423,6 +439,7 @@ def format_derivation(d: Derivation) -> str:
 def poly_to_jsonable(p: SuperPolynomial) -> dict:
     terms = []
     for (ev, od), c in p.terms_sorted():
+        _check_printable(c)
         terms.append(
             {
                 "coeff": format_scalar(c),

@@ -4,10 +4,11 @@ Clifford multiplication, graded derivations and super brackets.
 Everything is exact: a stored coefficient is a Python int when it is a
 rational integer and a Gaussian rational (`QI`, integer parts over one
 denominator) otherwise, real or not, so no Fraction is stored or formed
-inside a product; `scalars.normalize` is the one rule, and Fraction appears
-only at the edges (inputs, `scalar_part` of a real value).  The types
-compare and hash alike, so 3, Fraction(3) and QI(3, 0) are the same
-coefficient.  An even monomial is one packed int with a 33-bit field
+inside a product.  `scalars.normalize` is the one rule, and every module
+past the input edge computes in that form; Fraction appears only at the
+edges (operands and bounds that arrive as Fractions, `scalar_part` of a
+real value).  The types compare and hash alike, so 3, Fraction(3) and
+QI(3, 0) are the same coefficient.  An even monomial is one packed int with a 33-bit field
 per even symbol (the power in the low 32 bits, a guard bit on top; offsets
 fixed on the SymbolTable when a symbol is declared), so two even monomials
 multiply by one int sum, and one AND against the table's guard mask raises
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .scalars import QI, frac, normalize, plain, ratio
+from .scalars import QI, normalize, plain, ratio
 
 EVEN = 0
 ODD = 1
@@ -202,7 +203,7 @@ class SymbolTable:
         if p.table is self:
             return p
         images = {s.name: self.sym(s.name) for s in p.support()}
-        return p.substitute(images) if images else self.scalar(p.scalar_part())
+        return p.substitute(images) if images else SuperPolynomial(self, p.terms)
 
     def sum(self, polys):
         """The sum of polynomials over this table, added into one accumulator."""
@@ -623,7 +624,7 @@ class SuperPolynomial:
         s = self.table.symbol(name)
         if s.parity != EVEN:
             raise ParityError(f"{name} is odd; use the Berezin integral")
-        lo, hi = normalize(frac(lo)), normalize(frac(hi))
+        lo, hi = normalize(QI(lo)), normalize(QI(hi))  # QI refuses a non-real bound
         sh = self.table._shift[s.index]
         out: dict = {}
         for (ev, od), c in self.terms.items():

@@ -15,8 +15,6 @@ R-symmetry invariance of null vectors.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .divalg import (ALGEBRAS, C, DAElement, DivisionAlgebra, H, O, R,
                      gamma_constants)
 # super_bracket is unused here, but bench/test_bench.py checks that the
@@ -24,7 +22,7 @@ from .divalg import (ALGEBRAS, C, DAElement, DivisionAlgebra, H, O, R,
 from .kernel import (EVEN, ODD, Derivation, ParityError, SymbolTable,
                      odd_field_relations_ok, odd_fields, super_bracket)
 from .matrix import Matrix
-from .scalars import QI, frac, rational_part
+from .scalars import QI, normalize, num_den, ratio
 
 ALG_BY_K = {1: R, 2: C, 4: H, 8: O}
 EPS_AB = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
@@ -35,17 +33,17 @@ EPS_AB = {(1, 1): 0, (2, 2): 0, (1, 2): 1, (2, 1): -1}
 # ---------------------------------------------------------------------------
 
 class Hermitian2:
-    """m = [[h11, z], [conj z, h22]] with rational diagonal and z in K."""
+    """m = [[h11, z], [conj z, h22]] with z in K and a rational diagonal, an int or a real QI."""
 
     def __init__(self, h11, h22, z: DAElement):
-        self.h11 = frac(h11)
-        self.h22 = frac(h22)
+        self.h11 = normalize(QI(h11))  # QI refuses a non-real value
+        self.h22 = normalize(QI(h22))
         self.z = z
 
     @classmethod
     def from_txz(cls, t, x, z: DAElement):
-        return cls(Fraction(frac(t) + frac(x), 2), Fraction(frac(t) - frac(x), 2),
-                   z.scale(Fraction(1, 2)))
+        half = ratio(1, 2)
+        return cls((t + x) * half, (t - x) * half, z.scale(half))
 
     @property
     def t(self):
@@ -59,8 +57,8 @@ class Hermitian2:
     def of_block(cls, m: Matrix):
         """The translation block of a 5x5 matrix whose entries are constants."""
         h11, h22, z = translation_block(m)
-        return cls(rational_part(h11.scalar_part()), rational_part(h22.scalar_part()),
-                   z.alg.element(rational_part(c.scalar_part()) for c in z.coeffs))
+        return cls(h11.scalar_part(), h22.scalar_part(),
+                   z.alg.element(QI(c.scalar_part()) for c in z.coeffs))
 
     def z_full(self):
         return self.z.scale(2)
@@ -79,7 +77,7 @@ class Hermitian2:
 def minkowski_norm_identity(t, x, z: DAElement) -> bool:
     """t^2 - x^2 - |z|^2 = 4 det h(t,x,z)."""
     h = Hermitian2.from_txz(t, x, z)
-    return frac(t) ** 2 - frac(x) ** 2 - z.norm_sq() == 4 * h.det()
+    return t ** 2 - x ** 2 - z.norm_sq() == 4 * h.det()
 
 
 def kmat2(alg: DivisionAlgebra, e11, e12, e21, e22) -> Matrix:
@@ -147,7 +145,7 @@ def x_matrix(ctx: MinkContext, a, b, value: DAElement = None) -> Matrix:
 
 def r_matrix(ctx: MinkContext, a, b) -> Matrix:
     """R_(ab) = (X_ab + X_ba)/2."""
-    return (x_matrix(ctx, a, b) + x_matrix(ctx, b, a)).scale(Fraction(1, 2))
+    return (x_matrix(ctx, a, b) + x_matrix(ctx, b, a)).scale(ratio(1, 2))
 
 
 def im_matrix(ctx: MinkContext, gamma) -> Matrix:
@@ -157,7 +155,7 @@ def im_matrix(ctx: MinkContext, gamma) -> Matrix:
 
 def script_i(ctx: MinkContext, zeta: DAElement) -> Matrix:
     """I_[12](zeta) = Im(zeta) (X_12 - X_21)/2 for purely imaginary zeta."""
-    half = zeta.scale(ctx.table.scalar(Fraction(1, 2)))
+    half = zeta.scale(ctx.table.scalar(ratio(1, 2)))
     m = ctx.zero_matrix()
     m[0, 4] = half
     m[1, 3] = -half
@@ -201,8 +199,8 @@ def qq_check(ctx: MinkContext, a, b, lam, mu) -> bool:
 def qqbis_rhs(ctx: MinkContext, a, b, lam: DAElement, mu: DAElement) -> Matrix:
     """-2(Re_(ab)(lam conj mu) + Im_[ab](lam conj mu))."""
     zeta = lam * mu.conj()
-    re_part = (x_matrix(ctx, a, b, zeta.re()) + x_matrix(ctx, b, a, zeta.re())).scale(Fraction(1, 2))
-    im_part = (x_matrix(ctx, a, b, zeta.im()) - x_matrix(ctx, b, a, zeta.im())).scale(Fraction(1, 2))
+    re_part = (x_matrix(ctx, a, b, zeta.re()) + x_matrix(ctx, b, a, zeta.re())).scale(ratio(1, 2))
+    im_part = (x_matrix(ctx, a, b, zeta.im()) - x_matrix(ctx, b, a, zeta.im())).scale(ratio(1, 2))
     return -(re_part + im_part).scale(2)
 
 
@@ -314,13 +312,13 @@ def x_of_pair(alg: DivisionAlgebra, lam, mu) -> Hermitian2:
     off the matrices; X^lam = x_of_pair(alg, lam, lam)."""
     ctx = MinkContext(alg.dim)
     q_lam, q_mu = (q_matrix(ctx, 1, l1) + q_matrix(ctx, 2, l2) for l1, l2 in (lam, mu))
-    return Hermitian2.of_block(anticomm(q_lam, q_mu).scale(Fraction(-1, 2)))
+    return Hermitian2.of_block(anticomm(q_lam, q_mu).scale(ratio(-1, 2)))
 
 
 def null_vector_check(alg: DivisionAlgebra, lam1: DAElement, lam2: DAElement) -> bool:
-    """det X = 0 and the time coordinate of X is nonnegative."""
+    """det X = 0 and the time coordinate of X (its numerator) is nonnegative."""
     x = x_of_pair(alg, (lam1, lam2), (lam1, lam2))
-    return x.det() == 0 and x.t >= 0
+    return x.det() == 0 and num_den(x.t)[0] >= 0
 
 
 def r_symmetry_check(tag: str, lam1: DAElement, lam2: DAElement, unit: DAElement) -> bool:
@@ -384,7 +382,7 @@ class SuperTranslationElement:
 def _exp(ctx: MinkContext, V: Matrix, T: Matrix) -> Matrix:
     """e^(V + T) = 1 + V + T + T^2/2 for a translation V and an odd T (the
     series truncates)."""
-    return ctx.identity() + V + T + (T @ T).scale(Fraction(1, 2))
+    return ctx.identity() + V + T + (T @ T).scale(ratio(1, 2))
 
 
 def exp_element(el: SuperTranslationElement) -> Matrix:
@@ -395,7 +393,7 @@ def group_law_check(e1: SuperTranslationElement, e2: SuperTranslationElement) ->
     """exp(V+Theta) exp(W+Psi) = exp((V+W) + (Theta+Psi) + [Theta,Psi]/2)."""
     lhs = exp_element(e1) @ exp_element(e2)
     T1, T2 = e1.theta_matrix(), e2.theta_matrix()
-    V = e1.v_matrix() + e2.v_matrix() + comm(T1, T2).scale(Fraction(1, 2))
+    V = e1.v_matrix() + e2.v_matrix() + comm(T1, T2).scale(ratio(1, 2))
     return lhs == _exp(e1.ctx, V, T1 + T2)
 
 
@@ -423,26 +421,27 @@ def rho_endo(alg: DivisionAlgebra, sigma: Matrix) -> Matrix:
     if sigma[0, 0] + sigma[1, 1]:
         raise ValueError("sigma must be trace free")
     sig_dag = sigma.transpose().map(DAElement.conj)
+    half = ratio(1, 2)
     cols = []
     for e in h2_basis(alg):
         # the coordinates of a Hermitian matrix in the e basis
-        p, q, z = hermitian_parts((sigma @ e + e @ sig_dag).scale(Fraction(1, 2)))
-        cols.append([Fraction(p + q, 2), Fraction(p - q, 2), *z.coeffs])
-    return Matrix(cols, Fraction(0)).transpose()
+        p, q, z = hermitian_parts((sigma @ e + e @ sig_dag).scale(half))
+        cols.append([(p + q) * half, (p - q) * half, *z.coeffs])
+    return Matrix(cols, 0).transpose()
 
 
 def boost_matrix(alg, j) -> Matrix:
     """B_j: e_-1 <-> e_j, everything else to 0."""
-    m = Matrix.zeros(alg.dim + 2, Fraction(0))
-    m[j + 1, 0] = m[0, j + 1] = Fraction(1)
+    m = Matrix.zeros(alg.dim + 2, 0)
+    m[j + 1, 0] = m[0, j + 1] = 1
     return m
 
 
 def rotation_matrix(alg, i, j) -> Matrix:
     """A_ij: e_i -> e_j, e_j -> -e_i."""
-    m = Matrix.zeros(alg.dim + 2, Fraction(0))
-    m[j + 1, i + 1] = Fraction(1)
-    m[i + 1, j + 1] = Fraction(-1)
+    m = Matrix.zeros(alg.dim + 2, 0)
+    m[j + 1, i + 1] = 1
+    m[i + 1, j + 1] = -1
     return m
 
 
@@ -497,10 +496,10 @@ def tf2_basis(alg: DivisionAlgebra):
 
 
 class _Echelon:
-    """Sparse exact row echelon accumulator over Q."""
+    """Sparse exact row echelon accumulator over Q, in ints and real QIs."""
 
     def __init__(self):
-        self.rows = {}  # pivot position -> {pos: Fraction} with pivot value 1
+        self.rows = {}  # pivot position -> {pos: int or QI} with pivot value 1
 
     def add(self, vec: dict) -> bool:
         v = dict(vec)
@@ -508,12 +507,12 @@ class _Echelon:
             p = min(v)
             row = self.rows.get(p)
             if row is None:
-                c = v[p]
-                self.rows[p] = {i: x / c for i, x in v.items()}
+                inv = QI(1) / v[p]
+                self.rows[p] = {i: normalize(x * inv) for i, x in v.items()}
                 return True
             c = v[p]
             for i, x in row.items():
-                nv = v.get(i, Fraction(0)) - c * x
+                nv = normalize(v.get(i, 0) - c * x)
                 if nv:
                     v[i] = nv
                 else:
@@ -526,7 +525,7 @@ class _Echelon:
 
 
 def _flatten(m: Matrix):
-    return {i * m.ncols + j: Fraction(v) for i, row in enumerate(m.rows) for j, v in row.items()}
+    return {i * m.ncols + j: v for i, row in enumerate(m.rows) for j, v in row.items()}
 
 
 def lie_closure(k: int):
@@ -539,10 +538,10 @@ def lie_closure(k: int):
     alg = ALG_BY_K[k]
 
     def doubled(x):
-        v = 2 * x
-        if v.denominator != 1:
+        v = normalize(2 * x)
+        if type(v) is not int:
             raise ArithmeticError("rho entries should be half-integral")
-        return v.numerator
+        return v
 
     gens = [rho_endo(alg, s).map(doubled) for s in tf2_basis(alg)]
     span = _Echelon()
@@ -588,7 +587,7 @@ def lorentz_conjugation(alg: DivisionAlgebra, S: Matrix, m: Matrix) -> Matrix:
     det = s11 * s22 - s12 * s21
     if det.im():
         raise ValueError("determinant must be real for this helper")
-    inv = Fraction(1) / det.coeffs[0]
+    inv = QI(1) / det.coeffs[0]
     sinv = kmat2(alg, s22.scale(inv), s12.scale(-inv), s21.scale(-inv), s11.scale(inv))
 
     def blockdiag(upper: Matrix, lower: Matrix) -> Matrix:
@@ -690,7 +689,7 @@ def r32_dictionary_ok() -> bool:
     v^(22) = (t-x)/2 coincide with the displayed (t, x, y) fields."""
     inv = InvariantFields(1)
     t3, _, ops = r32_fields()
-    half = Fraction(1, 2)
+    half = ratio(1, 2)
     sub = {
         "v11": (t3.sym("t") + t3.sym("x")).scale(half),
         "v12": t3.sym("y"),
@@ -732,7 +731,7 @@ def x_dotted(ctx: MinkContext, a, b) -> Matrix:
     """X_(a b-dot) = (X_ab + X_ba)/2 - i (u_2 X_ab - u_2 X_ba)/2."""
     u2 = ctx.alg.unit(2)
     return r_matrix(ctx, a, b) - (
-        x_matrix(ctx, a, b, u2) - x_matrix(ctx, b, a, u2)).scale(Fraction(1, 2)).scale(QI(0, 1))
+        x_matrix(ctx, a, b, u2) - x_matrix(ctx, b, a, u2)).scale(ratio(1, 2)).scale(QI(0, 1))
 
 
 def chiral_matrix_relations_ok() -> bool:
@@ -781,7 +780,7 @@ def chiral_dictionary_ok() -> bool:
     """x^(a b-dot) in terms of (t, x, z1, z2) against the displayed partials
     ∂_(1 1d) = ∂t + ∂x, ∂_(1 2d) = ∂z1 - i ∂z2, and so on."""
     i = QI(0, 1)
-    h = Fraction(1, 2)
+    h = ratio(1, 2)
     M = [  # rows: x11, x12, x21, x22 in terms of (t, x, z1, z2)
         [h, h, 0, 0],
         [0, 0, h, h * i],
@@ -801,7 +800,7 @@ def k4_bridge_dictionary_ok() -> bool:
     """The six antisymmetric-square coordinates y^(ab) in terms of
     (t, x, z1..z4) against the displayed partials."""
     i = QI(0, 1)
-    h = Fraction(1, 2)
+    h = ratio(1, 2)
     # rows: y12, y13, y14, y23, y24, y34 over (t, x, z1, z2, z3, z4)
     M = [
         [0, 0, 0, 0, h, h * i],
@@ -848,8 +847,11 @@ class ReductionError(AssertionError):
 
 
 def _z_value(alg: DivisionAlgebra, entry) -> DAElement:
+    """c1 u_a1 + sqrt(-1) c2 u_a2 in one call: a unit c1 u_a1 alone is rational."""
     (a1, c1), (a2, c2) = entry
-    return alg.unit(a1, QI(c1)) + alg.unit(a2, QI(0, c2))
+    coeffs = [QI(0)] * alg.dim
+    coeffs[a1 - 1], coeffs[a2 - 1] = QI(c1), QI(0, c2)
+    return alg.element(coeffs)
 
 
 def reduction_charges(k: int):
@@ -952,7 +954,8 @@ def t_map(U):
     """C^4 -> H^2: (u1 + j u3, u2 + j u4), with the quaternion convention
     u2 u3 = u4 (so j (a + b u2) = a u3 - b u4)."""
     def to_h(c, d):
-        return H.element([c.re, c.im, d.re, -d.im])
+        (a, b, m), (e, f, n) = c.parts(), d.parts()
+        return H.element([ratio(a, m), ratio(b, m), ratio(e, n), ratio(-f, n)])
 
     u1, u2, u3, u4 = U
     return to_h(u1, u3), to_h(u2, u4)
@@ -960,9 +963,8 @@ def t_map(U):
 
 def p_coords(t, x, z: DAElement):
     """P: (t, x, z) -> y coordinates of the embedded Minkowski vector."""
-    t, x = frac(t), frac(x)
     z1, z2, z3, z4 = z.coeffs
-    h = Fraction(1, 2)
+    h = ratio(1, 2)
     return {
         (1, 2): QI(z3 * h, z4 * h),
         (1, 3): QI((t + x) * h),
@@ -980,7 +982,7 @@ def p_of_hermitian(hm: Hermitian2):
 def reality_conditions_ok(y) -> bool:
     return (y[(1, 2)].conjugate() == y[(3, 4)]
             and y[(1, 4)].conjugate() == y[(2, 3)]
-            and y[(1, 3)].im == 0 and y[(2, 4)].im == 0)
+            and y[(1, 3)] == y[(1, 3)].conjugate() and y[(2, 4)] == y[(2, 4)].conjugate())
 
 
 def sl4c_bridge_check(U, V=None) -> bool:
@@ -999,7 +1001,7 @@ def sl4c_bridge_check(U, V=None) -> bool:
     lhs = p_of_hermitian(x_of_pair(H, lam, t_map(V)))  # P of -(1/2)[Q^U, Q^V]
     sU, sV = sigma_map(U), sigma_map(V)
     for key in lhs:
-        rhs = (wedge_coords(U, sV)[key] + wedge_coords(V, sU)[key]) * Fraction(1, 2)
+        rhs = (wedge_coords(U, sV)[key] + wedge_coords(V, sU)[key]) * ratio(1, 2)
         if lhs[key] != QI(0) + rhs:
             return False
     return True
@@ -1009,5 +1011,5 @@ def signature_identity_ok(t, x, z: DAElement) -> bool:
     """4 B(P v, P v) = -(t^2 - x^2 - |z|^2)."""
     y = p_coords(t, x, z)
     lhs = quadratic_form(y) * 4
-    rhs = -(frac(t) ** 2 - frac(x) ** 2 - z.norm_sq())
+    rhs = -(t ** 2 - x ** 2 - z.norm_sq())
     return lhs == QI(0) + rhs

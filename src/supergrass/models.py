@@ -9,11 +9,11 @@ Variational derivatives of odd fields act from the left.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 
 from .kernel import EVEN, ODD, Derivation, SuperPolynomial, SymbolTable, odd_fields, super_bracket
+from .scalars import ratio
 
 # Jets up to second order: the field equations of a first-order Lagrangian.
 JET_ORDER = 2
@@ -188,7 +188,7 @@ class Superparticle:
         for i in range(1, self.n + 1):
             Phi = self.superfield(i)
             out = out + self.D(Phi) * self.dt(Phi)
-        return out.scale(Fraction(-1, 2))
+        return out.scale(ratio(-1, 2))
 
     def pair_velocity(self):
         """<psi, xdot> = sum psi^i x^i_t."""
@@ -205,8 +205,8 @@ class Superparticle:
         for i in range(1, self.n + 1):
             speed2 = speed2 + self.x(i, "t") * self.x(i, "t")
             pair_dot = pair_dot + self.ps(i) * self.ps(i, "t")
-        want = self.pair_velocity().scale(Fraction(-1, 2)) \
-            + (self.th * (speed2 + pair_dot)).scale(Fraction(1, 2))
+        want = self.pair_velocity().scale(ratio(-1, 2)) \
+            + (self.th * (speed2 + pair_dot)).scale(ratio(1, 2))
         return sd == want
 
     @cached_property
@@ -238,7 +238,7 @@ class Superparticle:
         """tau contraction with delta L = (1/2) eta d/dt <psi, xdot>."""
         eta = self.fs.sym("et1")
         contraction = -self.variation(eta)
-        want = (eta * self.fs.d("t", self.pair_velocity())).scale(Fraction(1, 2))
+        want = (eta * self.fs.d("t", self.pair_velocity())).scale(ratio(1, 2))
         return contraction == want
 
     def modulated_variation_ok(self) -> bool:
@@ -255,8 +255,8 @@ class Superparticle:
             raise AssertionError("variation term without modulation factor")
         pair = self.pair_velocity()
         total_ibp = part_chi + integrate_by_parts_chi(fs, part_chit)
-        return (part_chi == (eta * chi * fs.d("t", pair)).scale(Fraction(1, 2))
-                and part_chit == (eta * chi_t * pair).scale(Fraction(3, 2))
+        return (part_chi == (eta * chi * fs.d("t", pair)).scale(ratio(1, 2))
+                and part_chit == (eta * chi_t * pair).scale(ratio(3, 2))
                 and total_ibp == -(eta * chi * fs.d("t", pair)))
 
     def noether_charge_conserved_on_shell(self) -> bool:
@@ -364,17 +364,17 @@ class Sigma32:
         fs = self.fs
         Phi = self.superfield()
         D1, D2 = self.D
-        quarter = (D1(Phi) * D2(Phi) - D2(Phi) * D1(Phi)).scale(Fraction(1, 4))
+        quarter = (D1(Phi) * D2(Phi) - D2(Phi) * D1(Phi)).scale(ratio(1, 4))
         top = quarter.coefficient_of_odd(("th1", "th2"))
         F = fs.jet("F")
-        slot_form = (self.d_phi(1, 1) * self.d_phi(2, 2)).scale(Fraction(1, 2)) \
-            - (self.d_phi(1, 2) ** 2).scale(Fraction(1, 2)) \
-            + self.psi_cal_D_psi().scale(Fraction(1, 2)) + (F * F).scale(Fraction(1, 2))
+        slot_form = (self.d_phi(1, 1) * self.d_phi(2, 2)).scale(ratio(1, 2)) \
+            - (self.d_phi(1, 2) ** 2).scale(ratio(1, 2)) \
+            + self.psi_cal_D_psi().scale(ratio(1, 2)) + (F * F).scale(ratio(1, 2))
         pt = fs.jet("phi", "t")
         px = fs.jet("phi", "x")
         py = fs.jet("phi", "y")
-        txy_form = (pt * pt - px * px - py * py).scale(Fraction(1, 2)) \
-            + self.psi_cal_D_psi().scale(Fraction(1, 2)) + (F * F).scale(Fraction(1, 2))
+        txy_form = (pt * pt - px * px - py * py).scale(ratio(1, 2)) \
+            + self.psi_cal_D_psi().scale(ratio(1, 2)) + (F * F).scale(ratio(1, 2))
         return top == slot_form and top == txy_form
 
     def superpotential_pullback_ok(self) -> bool:
@@ -393,7 +393,7 @@ class Sigma32:
         """Berezin integral of (1/4) eps^(ab) D_a Phi D_b Phi + h(Phi)."""
         Phi = self.superfield()
         D1, D2 = self.D
-        supd = (D1(Phi) * D2(Phi) - D2(Phi) * D1(Phi)).scale(Fraction(1, 4)) \
+        supd = (D1(Phi) * D2(Phi) - D2(Phi) * D1(Phi)).scale(ratio(1, 4)) \
             + self.h.apply(Phi)
         return supd.coefficient_of_odd(("th1", "th2"))
 
@@ -402,10 +402,10 @@ class Sigma32:
         F = fs.jet("F")
         _, hp, hpp, _ = self.h_phi
         pt, px, py = fs.jet("phi", "t"), fs.jet("phi", "x"), fs.jet("phi", "y")
-        want = (pt * pt - px * px - py * py).scale(Fraction(1, 2)) \
-            + self.psi_cal_D_psi().scale(Fraction(1, 2)) \
+        want = (pt * pt - px * px - py * py).scale(ratio(1, 2)) \
+            + self.psi_cal_D_psi().scale(ratio(1, 2)) \
             - hpp * fs.jet("ps1") * fs.jet("ps2") \
-            + (F * F).scale(Fraction(1, 2)) + hp * F
+            + (F * F).scale(ratio(1, 2)) + hp * F
         return self.lagrangian == want
 
     def completed_square_ok(self) -> bool:
@@ -417,8 +417,8 @@ class Sigma32:
         pt, px, py = fs.jet("phi", "t"), fs.jet("phi", "x"), fs.jet("phi", "y")
         bulk = (pt * pt - px * px - py * py + self.psi_cal_D_psi()
                 - (hpp * fs.jet("ps1") * fs.jet("ps2")).scale(2)
-                - hp * hp).scale(Fraction(1, 2))
-        square = ((F + hp) * (F + hp)).scale(Fraction(1, 2))
+                - hp * hp).scale(ratio(1, 2))
+        square = ((F + hp) * (F + hp)).scale(ratio(1, 2))
         return self.lagrangian == bulk + square
 
     # -- Euler-Lagrange system ----------------------------------------------------
@@ -471,7 +471,7 @@ def trig_reduce(p: SuperPolynomial) -> SuperPolynomial:
         term = p.eval_even({"s": 0}) * (t.one() - c * c) ** m
         out = out + (term * s if r else term)
         n += 1
-        p = p.diff_even("s").scale(Fraction(1, n))
+        p = p.diff_even("s").scale(ratio(1, n))
     return out
 
 
@@ -590,10 +590,10 @@ def bogomolnyi_identity_ok(h_degree=4) -> bool:
     phi = fs.jet("phi")
     pt, px = fs.jet("phi", "t"), fs.jet("phi", "x")
     hp_phi = hp.apply(phi)
-    lhs = (pt * pt + px * px + hp_phi * hp_phi).scale(Fraction(1, 2))
+    lhs = (pt * pt + px * px + hp_phi * hp_phi).scale(ratio(1, 2))
     for sign in (1, -1):
         shifted = px - hp_phi.scale(sign)
-        rhs = (pt * pt + shifted * shifted).scale(Fraction(1, 2)) \
+        rhs = (pt * pt + shifted * shifted).scale(ratio(1, 2)) \
             + fs.d("x", h.apply(phi)).scale(sign)
         if lhs != rhs:
             return False

@@ -14,13 +14,12 @@ morphisms to the odd line and the odd plane are one `skeletal_pullback`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, count
 from math import factorial
 
 from .indices import even_subsets_pos
 from .kernel import EVEN, ODD, Derivation, SuperPolynomial, SymbolTable
-from .scalars import frac
+from .scalars import normalize, ratio
 
 
 class ChartAssumptionError(ValueError):
@@ -54,7 +53,7 @@ def exp_series(X: Derivation, f: SuperPolynomial, q: int) -> SuperPolynomial:
         cur = X(cur)
         if cur.is_zero():
             return out
-        out = out + cur.scale(Fraction(1, factorial(n)))
+        out = out + cur.scale(ratio(1, factorial(n)))
         if n > q:
             raise RuntimeError("series failed to terminate")
 
@@ -132,8 +131,8 @@ def morphism_check(m: FleshMorphism, f, g, rng) -> bool:
     one = m.table.one()
     if m.pullback_even(one) != one:
         return False
-    lam = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    mu = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    lam = ratio(rng.randint(-5, 5), rng.randint(1, 3))
+    mu = ratio(rng.randint(-5, 5), rng.randint(1, 3))
     f = m.table.adopt(f)
     g = m.table.adopt(g)
     pf, pg, pfg = (m.pullback_even(h) for h in (f, g, f * g))
@@ -178,7 +177,7 @@ def collapse_case(src, tgt, rng) -> bool:
     and the collapse map F -> F_empty is multiplicative."""
     p = src.zero()
     for _ in range(rng.randint(1, 3)):
-        p = p + src.monomial(Fraction(rng.randint(1, 4)),
+        p = p + src.monomial(rng.randint(1, 4),
                              [(n, rng.randint(0, 2)) for n in src.names()])
     if p and (p * p).is_zero():
         return False
@@ -192,7 +191,7 @@ def _random_odd_poly(t, rng):
     names = t.names()
     for _ in range(3):
         od = [n for n in names if rng.random() < 0.5]
-        p = p + t.monomial(Fraction(rng.randint(-3, 3)), [], od)
+        p = p + t.monomial(rng.randint(-3, 3), [], od)
     return p
 
 
@@ -210,13 +209,16 @@ def skeletal_pullback(point: dict, xis):
     ths = [rt.sym(n) for n in rt.names()]
     # the names in first-seen order, so a refused name is the same each run
     names = list(dict.fromkeys(n for xi in xis for n in xi))
+    # the point and the vectors in the stored scalar form, read once
+    point = {n: normalize(v) for n, v in point.items()}
+    xis = [{n: normalize(c) for n, c in xi.items()} for xi in xis]
 
     def pull(f: SuperPolynomial) -> SuperPolynomial:
         # each partial derivative at m once, shared by every xi
         df = {n: f.diff_even(n).eval_even(point).scalar_part() for n in names}
         out = rt.scalar(f.eval_even(point).scalar_part())
         for th, xi in zip(ths, xis):
-            out = out + th.scale(sum((frac(c) * df[n] for n, c in xi.items()), Fraction(0)))
+            out = out + th.scale(sum(c * df[n] for n, c in xi.items()))
         return out
 
     return rt, pull
@@ -244,7 +246,7 @@ def odd_plane_obstruction(target_table: SymbolTable, point: dict, xi1: dict,
 def vectors_dependent(xi1: dict, xi2: dict, names) -> bool:
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            d = frac(xi1.get(a, 0)) * frac(xi2.get(b, 0)) - frac(xi1.get(b, 0)) * frac(xi2.get(a, 0))
+            d = xi1.get(a, 0) * xi2.get(b, 0) - xi1.get(b, 0) * xi2.get(a, 0)
             if d != 0:
                 return False
     return True
@@ -343,14 +345,14 @@ def random_flesh_morphism(rng, k_theta=2, L_eta=2, deg=2, n_xi=3, commuting=Fals
     def rand_phi():
         p = proto.zero()
         for _ in range(rng.randint(1, 2)):
-            p = p + proto.monomial(Fraction(rng.randint(-3, 3)),
+            p = p + proto.monomial(rng.randint(-3, 3),
                                    [(n, rng.randint(0, deg)) for n in evens])
         return p
 
     def rand_component():
         p = proto.zero()
         for _ in range(rng.randint(1, 2)):
-            c = Fraction(rng.randint(-2, 2))
+            c = rng.randint(-2, 2)
             powers = [(n, rng.randint(0, 1)) for n in evens]
             if not commuting:  # commuting: x-dependence only, constant in the target chart
                 powers += [(n, rng.randint(0, deg)) for n in targets if rng.random() < 0.5]

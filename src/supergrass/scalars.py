@@ -4,28 +4,20 @@ Every table is over QQ(I): the rationals with a formal central square root
 of -1 adjoined, written ``I`` and kept distinct from any imaginary unit of a
 division algebra.  A QI holds three ints (a, b, d) for (a + b*I)/d, with
 d > 0 and gcd(a, b, d) = 1, so every operation is integer arithmetic and at
-most one gcd.  A stored coefficient is an int when it is a rational integer
-and a QI otherwise, real or not; `normalize` is that one rule.
-`fractions.Fraction` appears only at the edges: it is accepted as input,
-`.re` and `.im` read the parts of a QI as Fractions, and `plain` turns a
-real QI back into one.  Mixed int/Fraction/QI arithmetic promotes to QI,
-and equal values compare and hash equal whatever their type.
+most one gcd.  Past the input edge a scalar is an int when it is a rational
+integer and a QI otherwise, real or not: `normalize` is that one rule,
+`ratio` builds a rational in it and `num_den` reads a rational in any form
+accepted as input.  `fractions.Fraction` appears only at the edges: it is
+accepted as input, `.re` and `.im` read the parts of a QI as Fractions,
+`plain` turns a real QI back into one and `parse_scalar` reads text
+through it.  Mixed int/Fraction/QI arithmetic promotes to QI, and equal
+values compare and hash equal whatever their type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-
-
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
 
 
 class QI:
@@ -35,13 +27,15 @@ class QI:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        re, im = frac(re), frac(im)
+        x, y = num_den(re), num_den(im)
+        if x is None or y is None:
+            raise TypeError(f"not an exact rational: {(re if x is None else im)!r}")
         # two reduced fractions over the lcm of their denominators have no
         # factor common to both numerators and the lcm
-        p, q = re.denominator, im.denominator
+        (a, p), (b, q) = x, y
         d = lcm(p, q)
-        _set_a(self, re.numerator * (d // p))
-        _set_b(self, im.numerator * (d // q))
+        _set_a(self, a * (d // p))
+        _set_b(self, b * (d // q))
         _set_d(self, d)
 
     def __setattr__(self, *a):
@@ -199,20 +193,34 @@ def _reduced(a: int, b: int, d: int) -> QI:
     return _qi(a, b, d)
 
 
+def num_den(x):
+    """The ints (n, d) of a rational x = n/d in lowest terms, d > 0, when x
+    is an int, a Fraction, a real QI or a string that `Fraction` reads;
+    None for anything else, a non-real QI included."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is QI:
+        return None if x._b else (x._a, x._d)
+    if isinstance(x, str):
+        x = Fraction(x)
+    return (x.numerator, x.denominator) if isinstance(x, (int, Fraction)) else None
+
+
 I = QI(0, 1)
 
 
 def normalize(c):
     """The stored form of an exact scalar: an int when c is a rational
-    integer, otherwise a QI in lowest terms; c is an int, a Fraction, a QI
-    or a string that `Fraction` reads."""
+    integer, otherwise a QI in lowest terms; c is a QI or a rational that
+    `num_den` reads."""
     if type(c) is int:
         return c
     if type(c) is QI:
         return c._a if not c._b and c._d == 1 else c
-    c = frac(c)
-    n, d = c.numerator, c.denominator
-    return n if d == 1 else _qi(n, 0, d)
+    nd = num_den(c)
+    if nd is None:
+        raise TypeError(f"not an exact scalar: {c!r}")
+    return ratio(*nd)
 
 
 def ratio(n: int, d: int):
@@ -229,14 +237,6 @@ def plain(c):
     return c
 
 
-def rational_part(c) -> Fraction:
-    if isinstance(c, QI):
-        if c._b:
-            raise ValueError(f"not rational: {c}")
-        return c.re
-    return frac(c)
-
-
 def _ratio_text(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, without building the Fraction."""
     g = gcd(n, d)
@@ -248,7 +248,7 @@ def format_scalar(c) -> str:
     if type(c) is int:
         return str(c)
     if type(c) is not QI:
-        return str(frac(c))
+        return _ratio_text(*num_den(c))
     a, b, d = c._a, c._b, c._d
     if not b:
         return _ratio_text(a, d)
@@ -270,17 +270,10 @@ def parse_scalar(text: str):
     if "I" not in t:
         return Fraction(t)
     # split re / im on the last top-level '+' or '-' that is not leading
-    body = t
-    re_s, im_s = "0", body
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-*/":
-            re_s, im_s = body[:k], body[k:]
+    re_s, im_s = "0", t
+    for k in range(len(t) - 1, 0, -1):
+        if t[k] in "+-" and t[k - 1] not in "+-*/":
+            re_s, im_s = t[:k], t[k:]
             break
     im_s = im_s.replace("*I", "").replace("I", "")
-    if im_s in ("", "+"):
-        im = Fraction(1)
-    elif im_s == "-":
-        im = Fraction(-1)
-    else:
-        im = Fraction(im_s)
-    return QI(Fraction(re_s), im)
+    return QI(re_s, {"": 1, "+": 1, "-": -1}.get(im_s, im_s))

@@ -32,7 +32,7 @@ from .expr_io import (Add, Ber, Context, Lit, Mul, Neg, Pow, Sym, format_poly, p
                       poly_from_json, poly_to_json, print_ast)
 from .kernel import (EVEN, ODD, Derivation, SymbolTable,
                      cartan_triple, jacobi_check, skew_check, super_bracket)
-from .scalars import QI
+from .scalars import QI, ratio
 
 ALL_K = (1, 2, 4, 8)
 
@@ -104,7 +104,7 @@ def _algebras(ks):
 # ---------------------------------------------------------------------------
 
 def fraction(rng, span=4, den=3):
-    return Fraction(rng.randint(-span, span), rng.randint(1, den))
+    return ratio(rng.randint(-span, span), rng.randint(1, den))
 
 
 def gaussian(rng, span=4, den=3):
@@ -143,7 +143,7 @@ def rand_ast(rng, depth=0):
         choices.append("ber")
     kind = rng.choice(choices if depth < 3 else ["lit", "sym"])
     if kind == "lit":
-        return Lit(Fraction(rng.randint(0, 9), rng.randint(1, 9)))
+        return Lit(ratio(rng.randint(0, 9), rng.randint(1, 9)))
     if kind == "sym":
         return Sym(rng.choice(["x", "th1", "et2", "eps", "u3", "phi_t"]))
     if kind == "add":
@@ -202,7 +202,7 @@ def derivations(t):
         Derivation(t, EVEN, {"x": t.one()}, "d/dx"),
         Derivation(t, ODD, {"th2": x, "x": t.sym("th3")}, "X"),
         Derivation(t, EVEN, {"x": x + 1, "th3": t.sym("th3").scale(2)}, "Y"),
-        Derivation(t, ODD, {"th3": x ** 2, "x": t.sym("th2").scale(Fraction(1, 2))}, "Z"),
+        Derivation(t, ODD, {"th3": x ** 2, "x": t.sym("th2").scale(ratio(1, 2))}, "Z"),
         Derivation(t, ODD, {"th1": x, "th2": t.one(), "x": t.sym("th3")}, "W"),
     ]
 
@@ -290,10 +290,10 @@ def check_gamma_relation(rng, cases, ks):
         for a in range(1, alg.dim + 1):
             for b in range(1, alg.dim + 1):
                 lhs = (alg.unit(a) * alg.unit(b).conj()
-                       - alg.unit(b) * alg.unit(a).conj()).scale(Fraction(1, 2))
+                       - alg.unit(b) * alg.unit(a).conj()).scale(ratio(1, 2))
                 rhs = alg.zero_like()
                 for g in range(2, alg.dim + 1):
-                    rhs = rhs + alg.unit(g, G.get((a, b, g), Fraction(0)))
+                    rhs = rhs + alg.unit(g, G.get((a, b, g), 0))
                 yield lhs == rhs or f"{alg.which}:({a},{b})"
 
 
@@ -518,7 +518,7 @@ def check_group_law(rng, cases, ks):
         p = ctx.table.zero()
         for e in etas:
             if rng.random() < 0.5:
-                p = p + e.scale(Fraction(rng.randint(-2, 2)))
+                p = p + e.scale(rng.randint(-2, 2))
         return p
 
     def rand_even():
@@ -555,13 +555,13 @@ def check_r_symmetry(rng, cases, ks):
         lam1 = divalg.C.element([fraction(rng), fraction(rng)])
         lam2 = divalg.C.element([fraction(rng), fraction(rng)])
         m = rng.randint(1, 5)
-        alpha = divalg.C.element([Fraction(m * m - 1, m * m + 1), Fraction(2 * m, m * m + 1)])
+        alpha = divalg.C.element([ratio(m * m - 1, m * m + 1), ratio(2 * m, m * m + 1)])
         yield minkowski.r_symmetry_check("C", lam1, lam2, alpha) or "C"
         q1 = divalg.H.element([fraction(rng) for _ in range(4)])
         q2 = divalg.H.element([fraction(rng) for _ in range(4)])
         u = divalg.H.element([0, rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2)])
         n = 1 + u.norm_sq()
-        alpha = ((divalg.H.one() + u) * (divalg.H.one() + u)).scale(Fraction(1, 1) / n)
+        alpha = ((divalg.H.one() + u) * (divalg.H.one() + u)).scale(ratio(1, n))
         yield minkowski.r_symmetry_check("H", q1, q2, alpha) or "H"
 
 

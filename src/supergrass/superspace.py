@@ -9,13 +9,12 @@ coordinates integrate one at a time over rational bounds
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .indices import even_subsets_pos
 from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial, SymbolTable,
                      odd_field_relations_ok, odd_fields, super_bracket)
-from .scalars import rational_part
+from .scalars import QI, normalize, ratio
 
 
 class SuperDomain:
@@ -37,15 +36,6 @@ class SuperDomain:
 
     def sym(self, name):
         return self.table.sym(name)
-
-    def zero(self):
-        return self.table.zero()
-
-    def one(self):
-        return self.table.one()
-
-    def scalar(self, c):
-        return self.table.scalar(c)
 
     def odd_derivative(self, name) -> Derivation:
         """Built-in d/d(theta): graded Leibniz left action."""
@@ -127,7 +117,7 @@ class EvenGrassmannPoint:
         if any(s.parity == EVEN for s in value.support()):
             raise ValueError("point must be constant in the even coordinates")
         self.value = value
-        self.body = rational_part(value.scalar_part())
+        self.body = normalize(QI(value.scalar_part()))  # QI refuses a non-real body
         self.soul = value - value.table.scalar(self.body)
 
     @property
@@ -145,7 +135,7 @@ class EvenGrassmannPoint:
             out.append(p)
 
 
-def body(value: SuperPolynomial) -> Fraction:
+def body(value: SuperPolynomial):
     return EvenGrassmannPoint(value).body
 
 
@@ -171,11 +161,11 @@ def hinf_extend(f: SuperPolynomial, points) -> SuperPolynomial:
         """Taylor-expand variable i of g at its body; returns a polynomial
         over the target table."""
         if i == len(names):
-            return target.scalar(g.scalar_part())
+            return target.adopt(g)
         name = names[i]
         out = target.zero()
         cur = g
-        fact = Fraction(1)
+        fact = 1
         for r in range(len(powers[i])):
             if r > 0:
                 cur = cur.diff_even(name)
@@ -185,7 +175,7 @@ def hinf_extend(f: SuperPolynomial, points) -> SuperPolynomial:
             tail = expand(cur.eval_even({name: bodies[name]}), i + 1)
             term = tail * powers[i][r]
             if r > 1:
-                term = term.scale(Fraction(1, fact))
+                term = term.scale(ratio(1, fact))
             out = out + term
         return out
 

@@ -141,31 +141,36 @@ def test_bad_expression_is_usage_error(capsys):
     assert "expression error" in err
 
 
-@pytest.mark.parametrize("argv, stdin", [
-    (("expand", "1/0"), ""),
-    (("expand", "(" * 3000 + "x" + ")" * 3000), ""),
-    (("pullback", "-", "x"), "[]"),
-    (("expand", "[x,y]"), ""),
-    (("berezin", "th1", "--box", "1/0", "1"), ""),
-    (("pullback", "-", "x"), '{"target": 5, "phi": {}}'),
-    (("pullback", "-", "y"), '{"target": ["y"], "phi": {"y": 5}}'),
-    (("pullback", "-", "y"), '{"target": ["y"], "theta": ["th1"], "phi": {"y": "y"}, "xi": {"1": "y"}}'),
-    (("model", "sigma32", "--h", "I*u"), ""),
-    (("expand", "(x+1)^100000"), ""),
-    (("expand", "(x+y+z+w+th1+th2)^2000"), ""),
-    (("berezin", "th1*x^1000000000", "--box", "0", "2"), ""),
-    (("expand", "(2^9999)^9999"), ""),
-    (("expand", "(1+I)^99999999"), ""),
-    (("model", "sigma32", "--h", "u^1001"), ""),
-    (("model", "sigma32", "--h", ""), ""),
-    (("berezin", "th1*x", "--box", "0", "1e10000000"), ""),
+@pytest.mark.parametrize("argv, stdin, message", [
+    (("expand", "1/0"), "", "zero denominator"),
+    (("expand", "(" * 3000 + "x" + ")" * 3000), "", "nested more than 100 deep"),
+    (("pullback", "-", "x"), "[]", "must be a JSON object"),
+    (("expand", "[x,y]"), "", "bad character"),
+    (("berezin", "th1", "--box", "1/0", "1"), "", "is not a rational number"),
+    (("pullback", "-", "x"), '{"target": 5, "phi": {}}', "'target' must be a list"),
+    (("pullback", "-", "y"), '{"target": ["y"], "phi": {"y": 5}}', "'phi' must be an object"),
+    (("pullback", "-", "y"), '{"target": ["y"], "theta": ["th1"], "phi": {"y": "y"}, "xi": {"1": "y"}}',
+     "'xi[1]' must be an object"),
+    (("model", "sigma32", "--h", "I*u"), "", "coefficients must be rational"),
+    (("model", "sigma32", "--h", "I*u^2"), "", "coefficients must be rational"),
+    (("expand", "(x+1)^100000"), "", "term pairs"),
+    (("expand", "(x+y+z+w+th1+th2)^2000"), "", "term pairs"),
+    (("berezin", "th1*x^1000000000", "--box", "0", "2"), "", "degree budget"),
+    (("expand", "(2^9999)^9999"), "", "coefficient budget"),
+    (("expand", "(1+I)^99999999"), "", "coefficient budget"),
+    (("expand", "3^9999"), "", "print budget"),
+    (("expand", "3^9999*x", "--json"), "", "print budget"),
+    (("model", "sigma32", "--h", "u^1001"), "", "degree budget"),
+    (("model", "sigma32", "--h", ""), "", "end of input"),
+    (("berezin", "th1*x", "--box", "0", "1e10000000"), "", "is not a rational number"),
 ], ids=["zero-denominator", "deep-nesting", "morphism-not-object", "bracket-of-polynomials",
         "box-zero-denominator", "morphism-target-not-list", "morphism-phi-not-text",
-        "morphism-xi-not-object", "h-not-rational", "power-over-term-budget",
-        "mixed-power-over-term-budget", "box-power-over-degree-budget",
+        "morphism-xi-not-object", "h-not-rational", "h-square-not-rational",
+        "power-over-term-budget", "mixed-power-over-term-budget", "box-power-over-degree-budget",
         "power-over-coefficient-budget", "gaussian-power-over-coefficient-budget",
+        "power-over-print-budget", "json-over-print-budget",
         "h-over-degree-budget", "h-empty", "box-exponent-bound"])
-def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin):
+def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     start = time.process_time()
     code, out, err = run(capsys, *argv)
@@ -173,6 +178,7 @@ def test_bad_input_exits_two_without_traceback(capsys, monkeypatch, argv, stdin)
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert message in err
 
 
 @pytest.mark.parametrize("expr, err", [
@@ -205,6 +211,16 @@ def test_gaussian_power_over_coefficient_budget_fails_fast(capsys):
     assert time.process_time() - start < 0.1
     assert (code, out) == (2, "")
     assert "coefficient budget" in err
+
+
+def test_coefficients_over_the_print_budget_are_refused_by_name(capsys):
+    # 3^9999 is under the coefficient budget, but its 4771 digits are over
+    # Python's int-to-text limit; 2^9999 (3010 digits) prints
+    err = "error: a 15849-bit coefficient exceeds the print budget of 14000 bits\n"
+    for argv in (("expand", "3^9999"), ("expand", "3^9999", "--json"), ("expand", "x + (2 + 3^9999*I)*th1")):
+        assert run(capsys, *argv) == (2, "", err)
+    assert run(capsys, "expand", "2^9999*x", "--json")[:2] == (
+        0, json.dumps({"terms": [{"coeff": str(2 ** 9999), "even": {"x": 1}, "odd": []}]}) + "\n")
 
 
 def test_powers_under_the_coefficient_budget_print(capsys):

@@ -8,7 +8,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from supergrass import divalg, minkowski
 from supergrass.divalg import C, H, O, R, DAElement, algebra, gamma_constants
 from supergrass.kernel import SuperPolynomial, SymbolTable
-from supergrass.scalars import QI
+from supergrass.scalars import QI, num_den
 
 
 def test_quaternion_units():
@@ -325,9 +325,10 @@ def test_integral_and_zero_operands_meet_polynomials(alg):
 
 
 def test_constructors_take_the_zero_from_a_ring_slot():
-    """unit and the constructor read the ring off a slot with no
-    denominator, so one-ring + and * keep every slot in that ring; rational
-    slots keep the int zero, and + of a rational element refuses them."""
+    """unit and the constructor read the ring off a slot that is not
+    rational (a polynomial or a non-real QI), so one-ring + and * keep every
+    slot in that ring; rational slots, real QIs among them, keep the int
+    zero, and + of a rational element refuses them."""
     t = _envelope()
     u = t.sym("et1") * t.sym("et2")
     for x in (H.unit(1, u), DAElement(H, [u, 0, 0, 0])):
@@ -341,14 +342,21 @@ def test_constructors_take_the_zero_from_a_ring_slot():
             x + H.unit(2)
     assert _over_table(H.unit(1, u), t)
     g = H.unit(2, QI(0, 1))
-    assert type(g.zero) is QI and all(type(c) is QI for c in (g + H.unit(3, QI(1))).coeffs)
+    assert type(g.zero) is QI and all(type(c) is QI for c in (g + H.unit(3, QI(1, 1))).coeffs)
     assert all(type(c) is QI for c in (g * H.unit(3)).coeffs + H.unit(3).scale(QI(0, 1)).coeffs)
-    with pytest.raises(TypeError):
-        g - H.unit(3)
+    for rational in (H.unit(3), H.unit(3, QI(1))):
+        with pytest.raises(TypeError):
+            g - rational
     assert type(H.unit(2, Fraction(1, 2)).zero) is int
     assert type(DAElement(H, [Fraction(1, 3), 2, 0, 0]).zero) is int
+    # a real QI slot is rational: int numerators under the int zero, passed
+    # in or read from the slots
+    half = QI(Fraction(1, 2))
+    for x in (H.unit(1, half), DAElement(H, [half, 1, 0, 0]), DAElement(H, [half, 1, 0, 0], 0)):
+        assert type(x.zero) is int and all(type(n) is int for n in x.num) and x.den == 2
+        assert x.coeffs[0] == half and type(x.coeffs[1]) is int
     # the int zero names rational slots, so it refuses a slot of another ring
-    for slot in (u, QI(0, 1), QI(Fraction(1, 2))):
+    for slot in (u, QI(0, 1), QI(Fraction(1, 2), 1)):
         with pytest.raises(TypeError):
             DAElement(H, [slot, 1, 0, 0], 0)
 
@@ -369,14 +377,22 @@ def test_scale_by_a_gaussian_rational_folds_the_denominator():
 @pytest.mark.parametrize("alg", [H, O], ids=lambda a: a.which)
 def test_gaussian_slots_with_the_int_zero(alg):
     """An element built as `minkowski.reduction_charges` builds its
-    conjugates: Gaussian conjugates of a sum of two units over QI, one
-    rational and one an I-unit.  The zero is a QI that equals the int zero;
-    a rational element multiplies such an element but does not add to it.
-    Every result keeps QI numerators over a positive int denominator."""
+    conjugates: Gaussian conjugates of one element over QI with a real slot
+    and an I-unit slot, made in one constructor call, since a real QI unit
+    is rational and does not add to an I-unit.  The zero is a QI that equals
+    the int zero; a rational element multiplies such an element but does
+    not add to it.  Every result keeps QI numerators over a positive int
+    denominator."""
     rng = random.Random(71 + alg.dim)
     for _ in range(20):
         a1, a2 = rng.sample(range(1, alg.dim + 1), 2)
-        v = alg.unit(a1, QI(Fraction(rng.randint(-3, 3), 2))) + alg.unit(a2, QI(0, rng.randint(1, 2)))
+        re, im = QI(Fraction(rng.randint(-3, 3), 2)), QI(0, rng.randint(1, 2))
+        with pytest.raises(TypeError):
+            alg.unit(a1, re) + alg.unit(a2, im)
+        slots = [QI(0)] * alg.dim
+        slots[a1 - 1], slots[a2 - 1] = re, im
+        v = DAElement(alg, slots)
+        assert type(v.zero) is QI and v.coeffs == slots
         z = DAElement(alg, [c.conjugate() for c in v.coeffs])
         assert z.den == 1 and z.zero == 0 and z.coeffs == [c.conjugate() for c in v.coeffs]
         x = _not_integral(alg, rng)
@@ -423,7 +439,8 @@ def _operands_in(ring, alg, rng):
         return x, _not_integral(alg, rng), x
     if ring == "QI":
         c = QI(Fraction(rng.randint(-3, 3), 2), rng.randint(1, 3))
-        return x.scale(c), DAElement(alg, [QI(rng.randint(-2, 2), rng.randint(-2, 2))
+        # each slot non-real, so that R's one slot names the QI ring too
+        return x.scale(c), DAElement(alg, [QI(rng.randint(-2, 2), rng.choice((-2, -1, 1, 2)))
                                            for _ in range(alg.dim)]), x
     t = _envelope()
     return x.scale(t.sym("eps")), _nonzero_poly_elem(alg, t, rng), x
@@ -485,8 +502,9 @@ def assert_canonical(e, values):
     num, den = e.num, e.den
     assert all(type(n) is int for n in num) and type(den) is int, (num, den)
     assert den > 0 and math.gcd(den, *num) == 1, f"not in lowest terms: {(num, den)}"
-    want = math.lcm(*(Fraction(v).denominator for v in values))
-    assert (num, den) == ([int(v * want) for v in values], want), values
+    pairs = [num_den(v) for v in values]
+    want = math.lcm(*(d for _, d in pairs))
+    assert (num, den) == ([n * (want // d) for n, d in pairs], want), values
 
 
 def check_rational_operators(operands):
@@ -520,12 +538,14 @@ def test_rational_octonion_arithmetic_builds_no_fraction(monkeypatch):
     ys = [Fraction(3, 5), 0, 1, Fraction(-1, 5), 2, 0, Fraction(7, 10), 1]
     x, y = O.element(xs), O.element(ys)
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the rational arithmetic built a Fraction")
 
-    monkeypatch.setattr(divalg, "Fraction", refuse)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
     got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x, "conj": x.conj()}
     assert x == x and x != y and x * y - y * x != x
+    # the slot values come back as ints and real QIs
+    values = {op: e.coeffs for op, e in got.items()}
     monkeypatch.undo()
-    for op, e in got.items():
-        assert e.coeffs == _dense(op, O, xs, ys), op
+    for op, v in values.items():
+        assert v == _dense(op, O, xs, ys), op

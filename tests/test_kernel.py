@@ -878,6 +878,24 @@ def test_only_the_kernel_builds_a_term_dict():
     assert builders == set()
 
 
+def test_only_the_edges_import_fractions():
+    """Past the input edge a rational is an int or a real QI: only the
+    scalars, the kernel's operand checks, the CLI's --box reader and the
+    suites' odd-plane draws import `fractions`, and scalars keeps no
+    Fraction-valued reader (`frac`, `rational_part`)."""
+    importers, scalar_defs = set(), set()
+    for path in sorted(Path(supergrass.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                    or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)):
+                importers.add(path.stem)
+        if path.stem == "scalars":
+            scalar_defs = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert importers <= {"scalars", "kernel", "cli", "suites"}, importers
+    assert not scalar_defs & {"frac", "rational_part"}
+
+
 # ---------------------------------------------------------------------------
 # the bitmask product of odd monomials against a tuple merge
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ import pytest
 
 from supergrass.divalg import C, H, O, R, DAElement
 from supergrass.kernel import ParityError, SuperPolynomial
-from supergrass.minkowski import (MinkContext, Matrix, SuperTranslationElement, anticomm,
-                                  comm, exp_element, group_law_check, kmat2, null_vector_check,
-                                  q_matrix, q_unit, r_matrix, r_symmetry_check, reduction_charges,
-                                  rho_endo, sigma_map, sl4c_bridge_check, t_map, wedge_coords,
-                                  x_matrix, x_of_pair)
+from supergrass.minkowski import (Hermitian2, MinkContext, Matrix, SuperTranslationElement,
+                                  anticomm, comm, exp_element, group_law_check, kmat2,
+                                  null_vector_check, q_matrix, q_unit, r_matrix, r_symmetry_check,
+                                  reduction_charges, rho_endo, sigma_map, sl4c_bridge_check, t_map,
+                                  wedge_coords, x_matrix, x_of_pair)
 from supergrass.scalars import QI
 
 
@@ -276,3 +276,20 @@ def test_r32_jacobi_triples():
     assert jacobi_check(tau1, tau2, tau2)
     assert jacobi_check(tau1, tau2, dt)
     assert jacobi_check(ops["D1"], tau2, ops["D2"])
+
+
+def test_hermitian2_holds_its_diagonal_in_the_stored_form():
+    """The diagonal is an int or a real QI whatever rational form it arrives
+    in, and a non-real value is refused, as it was when the diagonal was a
+    Fraction."""
+    z = H.element([1, Fraction(1, 2), 0, 0])
+    h = Hermitian2(Fraction(3, 2), QI(4), z)
+    assert (type(h.h11), type(h.h22)) == (QI, int) and (h.h11, h.h22) == (Fraction(3, 2), 4)
+    g = Hermitian2.from_txz(Fraction(7, 2), QI(Fraction(1, 2)), z.scale(2))
+    assert (g.h11, g.h22, g.z) == (2, Fraction(3, 2), z) and type(g.h11) is int
+    assert (g.t, g.x) == (Fraction(7, 2), Fraction(1, 2)) and g.det() == 3 - z.norm_sq()
+    for bad in (QI(0, 1), QI(1, 1)):
+        with pytest.raises(TypeError):
+            Hermitian2(bad, 0, z)
+        with pytest.raises(TypeError):
+            Hermitian2(1, bad, z)

@@ -164,3 +164,21 @@ def test_normalize_stores_an_int_or_a_non_integral_qi(x):
         assert r == c and type(r) is type(c)
         if type(r) is QI:
             assert_canonical(r)
+
+
+def test_one_reader_takes_every_rational_form_and_refuses_a_non_real_part():
+    """`num_den` reads an int, a Fraction, a real QI or a string, so QI(re,
+    im) takes stored-form parts as well as Fractions; a non-real part is
+    not a rational, so QI and normalize refuse what num_den does not read."""
+    half = QI(Fraction(1, 2))
+    for re, im in ((half, 3), (Fraction(1, 2), QI(3)), ("1/2", scalars.ratio(6, 2)), ("2/4", "3")):
+        assert QI(re, im).parts() == (1, 6, 2)
+    assert [scalars.num_den(x) for x in (half, -4, Fraction(-6, 4), "6/4", QI(5))] == [
+        (1, 2), (-4, 1), (-3, 2), (3, 2), (5, 1)]
+    for bad in (QI(0, 1), QI(Fraction(1, 2), -1), 0.5, None):
+        assert scalars.num_den(bad) is None
+    for args in ((QI(0, 1), 0), (0, QI(1, 1)), (0.5,)):
+        with pytest.raises(TypeError):
+            QI(*args)
+    with pytest.raises(TypeError):
+        scalars.normalize(0.5)

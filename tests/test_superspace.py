@@ -29,7 +29,7 @@ def test_berezin_picks_top_coefficient():
 def test_berezin_reorder_sign():
     d = SuperDomain(even=(), theta=("th1", "th2"), eta=())
     f = d.sym("th2") * d.sym("th1")
-    assert berezin(d, f) == d.scalar(-1)
+    assert berezin(d, f) == d.table.scalar(-1)
 
 
 def test_berezin_no_top_monomial():
@@ -47,7 +47,7 @@ def test_berezin_keeps_eta_dependence():
 def test_berezin_box_integration():
     d = SuperDomain(even=("x",), theta=("th1", "th2"), eta=())
     f = d.sym("th1") * d.sym("th2") * d.sym("x") ** 2
-    assert berezin(d, f).integrate_even("x", 0, 1) == d.scalar(Fraction(1, 3))
+    assert berezin(d, f).integrate_even("x", 0, 1) == d.table.scalar(Fraction(1, 3))
 
 
 def test_translation_invariance_explicit():
@@ -55,7 +55,7 @@ def test_translation_invariance_explicit():
     f = d.sym("th1") * d.sym("th2")
     shifted = odd_translate(d, f, {"th1": d.sym("et1"), "th2": d.sym("et2")})
     # (th1+et1)(th2+et2): the th1 th2 coefficient is unchanged
-    assert berezin(d, shifted) == berezin(d, f) == d.one()
+    assert berezin(d, shifted) == berezin(d, f) == d.table.one()
     assert berezin_translation_check(d, f, {"th1": d.sym("et1"), "th2": d.sym("et2")})
 
 
@@ -91,7 +91,7 @@ def test_tau_squared_is_dt_on_basis():
     dom, ops = supertime()
     tau, dt = ops["tau"], ops["dt"]
     t, th = dom.sym("t"), dom.sym("th")
-    for f in (dom.one(), th, t, t * th, t ** 2, t ** 2 * th):
+    for f in (dom.table.one(), th, t, t * th, t ** 2, t ** 2 * th):
         assert tau(tau(f)) == dt(f)
 
 
@@ -99,7 +99,7 @@ def test_D_squared_is_minus_dt_on_basis():
     dom, ops = supertime()
     D, dt = ops["D"], ops["dt"]
     t, th = dom.sym("t"), dom.sym("th")
-    for f in (dom.one(), th, t, t * th, t ** 2, t ** 2 * th):
+    for f in (dom.table.one(), th, t, t * th, t ** 2, t ** 2 * th):
         assert D(D(f)) == -dt(f)
 
 
@@ -210,9 +210,9 @@ def test_lift_lower_round_trip():
 def test_lift_of_one():
     d = SuperDomain(even=(), theta=(), eta=("et1", "et2"))
     space = LiftSpace(d)
-    frak = space.lift(d.one())
+    frak = space.lift(d.table.one())
     assert frak == space.table.one()
-    assert space.lower(frak) == d.one()
+    assert space.lower(frak) == d.table.one()
 
 
 def test_lift_rejects_odd():
