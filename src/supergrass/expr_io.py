@@ -333,9 +333,11 @@ def _eval_mul(parts, ctx: Context, coeff=1):
         k = type(p)
         if k is Sym or k is Pow and type(p.base) is Sym:
             name = p.name if k is Sym else p.base.name
-            if name not in t:
-                raise UnknownSymbolError(name)
-            if t.symbol(name).parity == EVEN:
+            try:
+                s = t.symbol(name)
+            except KeyError:
+                raise UnknownSymbolError(name) from None
+            if s.parity == EVEN:
                 even.append((name, 1 if k is Sym else p.exp))
                 continue
             if k is Sym:

@@ -717,7 +717,15 @@ def _odd_mul(o1, o2, table):
 class Derivation:
     """Parity-graded first-order operator, given by its images on symbols and
     applied through the graded Leibniz rule.  Missing images mean 0, and a
-    zero image is never stored, so `images` holds the nonzero ones only."""
+    zero image is never stored, so `images` holds the nonzero ones only.
+
+    Precondition, not checked: the images respect the relations a*b = -b*a
+    and eps*eps = -1 of the odd generators, that is X(a)*b + (-1)^|X| b*X(a)
+    + X(b)*a + (-1)^|X| a*X(b) = 0 for all odd a, b (a check would cost
+    O(n^2) products per construction).  Only an image holding a Clifford
+    generator can break it, and then the result depends on the stored
+    order: for an even Z with Z(th1) = -1/2*eps, Z(2*th1*eps) = -1 (th1*eps
+    is stored as -eps*th1), but Z(th1)*2*eps + 2*th1*Z(eps) = 1."""
 
     __slots__ = ("table", "parity", "images", "label")
 

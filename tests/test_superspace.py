@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from supergrass.indices import merge_sign
 from supergrass.kernel import ParityError, SymbolTable
 from supergrass.suites import random_homogeneous
 from supergrass.superspace import (EvenGrassmannPoint, LiftSpace, SuperDomain,
@@ -11,6 +10,7 @@ from supergrass.superspace import (EvenGrassmannPoint, LiftSpace, SuperDomain,
                                    hinf_extend, odd_translate, supertime,
                                    theta_lift_vectorfield_law,
                                    _random_lift_poly)
+from test_oracles import merge_sign, term
 
 
 def dom22():
@@ -234,13 +234,6 @@ def test_ideal_reduction_confluent():
         assert a == b == c
 
 
-def _term(table, ev, od, c):
-    """c times one monomial, given as the (index, power) pairs and the odd
-    indices that terms_sorted yields."""
-    names = table.symbols
-    return table.monomial(c, [(names[i].name, e) for i, e in ev], [names[i].name for i in od])
-
-
 def _reduce_oracle(space, frak):
     # the former per-term LiftSpace.reduce: the s factors of each term merge
     # through merge_sign into sign * s_(merged), or vanish on a repeat
@@ -254,12 +247,12 @@ def _reduce_oracle(space, frak):
             else:
                 rest.append((i, p))
         if len(s_parts) <= 1:
-            out = out + _term(space.table, ev, od, c)
+            out = out + term(space.table, ev, od, c)
             continue
         ms = merge_sign(*s_parts)
         if ms is not None:
             sign, merged = ms
-            out = out + _term(space.table, rest, od, c * sign) * space.s(merged)
+            out = out + term(space.table, rest, od, c * sign) * space.s(merged)
     return out
 
 
