@@ -1,4 +1,5 @@
 import ast
+import collections
 import itertools
 import random
 import time
@@ -17,6 +18,7 @@ from supergrass.minkowski import r32_fields
 from supergrass.scalars import QI
 from supergrass.suites import grassmann_table, random_poly
 from supergrass.superspace import supertime
+from test_oracles import clifford, model_table, normalize_odd
 
 
 def test_transposition_sign():
@@ -593,3 +595,46 @@ def test_exponent_budget_bounds_each_even_power():
                       {"terms": [{"coeff": "1", "even": {"x": MAX_EXPONENT + 1}, "odd": []}]}, t)):
         with pytest.raises(SizeLimitError, match=_BUDGET):
             build()
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+@pytest.mark.parametrize("n", [3, 9, 40, 70, 130])
+def test_odd_mul_against_an_inversion_count(n):
+    """kernel._odd_mul on bitmasks agrees with the model's normalizer, which counts
+    the inversions of the concatenation one adjacent transposition at a
+    time, on the model table of width n (even symbols between the odd ones,
+    Clifford generators declared after the prefix-parity memo holds
+    entries): None on a repeated nilpotent generator, else the sign bit and
+    the XOR."""
+    rng = random.Random(n)
+    t = model_table(f"w{n}")
+    cl = clifford(t)
+    odd = [s.index for s in t.symbols if s.parity == ODD]
+    late = {s.index for s in t.symbols if s.name.startswith("late")}
+    outcomes = collections.Counter()
+    for _ in range(1600):
+        density = rng.choice((0.1, 0.3, 0.6))
+        o1 = [i for i in odd if rng.random() < density]
+        # o2 mostly repeats Clifford generators only, so that most products
+        # survive; a repeated nilpotent generator is drawn now and then
+        o2 = [i for i in odd if rng.random() < density and (i not in o1 or i in cl or rng.random() < 0.05)]
+        if rng.random() < 0.5:  # a late symbol on both sides
+            both = rng.choice(sorted(late))
+            o1, o2 = sorted(set(o1) | {both}), sorted(set(o2) | {both})
+        for i in set(o1) & set(o2):
+            outcomes[i in late, i in cl] += 1
+        got, want = kernel._odd_mul(_mask(o1), _mask(o2), t), normalize_odd(o1 + o2, cl)
+        if want is None:
+            assert got is None, (o1, o2)
+            outcomes["zero"] += 1
+            continue
+        sign, merged = want
+        assert got == ((1 - sign) // 2, _mask(merged)), (o1, o2)
+        outcomes["minus" if sign < 0 else "plus"] += 1
+    assert outcomes["zero"] > 30 and outcomes["minus"] > 100 and outcomes["plus"] > 100, outcomes
+    assert outcomes[True, False] and outcomes[True, True], outcomes  # each kind of late symbol repeated
+    if n > 3:
+        assert outcomes[False, False] and outcomes[False, True] > 100, outcomes

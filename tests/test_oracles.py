@@ -660,6 +660,22 @@ def test_the_draws_reach_every_range():
             assert seen[True, 0] and seen[True, 1] and seen[False, 1] and seen[False, 0] > 10, (kind, seen)
 
 
+def test_product_against_transposition_oracle():
+    """The product on a small table, x even and two Clifford generators
+    declared before three nilpotent ones, at an odd density that repeats
+    generators in most pairs of terms, against the model's adjacent
+    transpositions."""
+    t = SymbolTable()
+    t.even_symbol("x")
+    t.clifford_symbol("eps", 1)
+    t.clifford_symbol("eps2", 1)
+    for i in range(3):
+        t.odd_symbol(f"th{i + 1}")
+    rng = random.Random(61)
+    for draw in range(250):
+        a, b = draw_poly(t, rng, 5, density=0.5), draw_poly(t, rng, 5, density=0.5)
+        check(f"draw {draw}", lambda: encode(t, a) * encode(t, b), lambda: mul(t, a, b))
+
 # ---------------------------------------------------------------------------
 # the Berezin extraction and the even integral
 # ---------------------------------------------------------------------------
