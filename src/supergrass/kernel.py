@@ -231,16 +231,16 @@ class SymbolTable:
         """coeff * prod(even names with powers) * prod(odd names, given order),
         built as one term: the powers of a name add up, and each odd name is
         merged in through `_odd_mul`, whose sign bit holds the Koszul signs and
-        the Clifford contractions."""
+        the Clifford contractions.  A power past the budget raises only if the
+        odd names leave a nonzero monomial, as in a product."""
         c = normalize(coeff)
-        ev = 0
+        ev = over = 0
         for name, e in even:
             s = self.symbol(name)
             if s.parity != EVEN or type(e) is not int or e < 0:
                 raise ParityError(f"{name}^{e} is not a nonnegative power of an even symbol")
             ev += e << self._shift[s.index]
-            if e > MAX_EXPONENT or ev & self.guard:
-                raise _exponent_error()
+            over |= e > MAX_EXPONENT or ev & self.guard  # per step: a later sum may carry past it
         od = 0
         for name in odd:
             s = self.symbol(name)
@@ -252,6 +252,8 @@ class SymbolTable:
             sign, od = res
             if sign:
                 c = -c
+        if over:
+            raise _exponent_error()
         return SuperPolynomial(self, {(ev, od): c} if c else {})
 
 

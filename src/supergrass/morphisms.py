@@ -17,9 +17,9 @@ from __future__ import annotations
 from itertools import combinations, count
 from math import factorial
 
-from .indices import even_subsets_pos
 from .kernel import EVEN, ODD, Derivation, SuperPolynomial, SymbolTable
 from .scalars import normalize, ratio
+from .superspace import even_subsets_pos
 
 
 class ChartAssumptionError(ValueError):
@@ -126,21 +126,13 @@ class FleshMorphism:
         return self.substitute_base(self.exp_Xi(self.table.adopt(f)))
 
 
-def morphism_check(m: FleshMorphism, f, g, rng) -> bool:
-    """Unit, linearity, multiplicativity, and evenness of the pullback."""
-    one = m.table.one()
-    if m.pullback_even(one) != one:
-        return False
-    lam = ratio(rng.randint(-5, 5), rng.randint(1, 3))
-    mu = ratio(rng.randint(-5, 5), rng.randint(1, 3))
-    f = m.table.adopt(f)
-    g = m.table.adopt(g)
-    pf, pg, pfg = (m.pullback_even(h) for h in (f, g, f * g))
-    if m.pullback_even(f.scale(lam) + g.scale(mu)) != pf.scale(lam) + pg.scale(mu):
-        return False
-    if any(p.parity_part(ODD) for p in (pf, pg, pfg)):
-        return False
-    return pfg == pf * pg
+def pullback_law(m: FleshMorphism, h) -> bool:
+    """The pullback of h is h of the pulled-back coordinates: each
+    y^ = pullback_even(y) is even, and pullback_even(h) is h with every
+    target coordinate y replaced by y^, one `substitute` that never sees Xi."""
+    coords = {y: m.pullback_even(m.table.sym(y)) for y in m.target_even}
+    return (not any(c.parity_part(ODD) for c in coords.values())
+            and m.pullback_even(h) == m.table.adopt(h).substitute(coords))
 
 
 def collapse_tables(n_even, target_odd_count):

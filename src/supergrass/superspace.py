@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .indices import even_subsets_pos
 from .kernel import (EVEN, ODD, Derivation, ParityError, SuperPolynomial, SymbolTable,
                      odd_field_relations_ok, odd_fields, super_bracket)
 from .scalars import QI, normalize, ratio
@@ -143,7 +142,8 @@ def hinf_extend(f: SuperPolynomial, points) -> SuperPolynomial:
     """Taylor extension of a real polynomial in m even symbols to an m-tuple
     of even Grassmann arguments: sum_r d^r f(body) soul^r / r!.
 
-    The sum is finite by nilpotency and the map is a ring morphism.
+    The sum is finite by nilpotency; on a polynomial it is the substitution
+    of the points' values, which `superspace.hinf` compares it with.
     """
     points = list(points)
     if any(s.parity == ODD for s in f.support()):
@@ -185,6 +185,11 @@ def hinf_extend(f: SuperPolynomial, points) -> SuperPolynomial:
 # ---------------------------------------------------------------------------
 # Lift of even functions to the exterior-square coordinate space
 # ---------------------------------------------------------------------------
+
+def even_subsets_pos(q):
+    """The multi-indices of even length >= 2 over q odd positions, 1-based, increasing."""
+    return [I for r in range(2, q + 1, 2) for I in combinations(range(1, q + 1), r)]
+
 
 class LiftSpace:
     """|Omega| x Lambda^2*_+ for an even superfunction space with q odd

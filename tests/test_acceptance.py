@@ -8,7 +8,8 @@ fail.
 
 import pytest
 
-from supergrass import divalg, expr_io, kernel, minkowski, models, scalars, superspace, suites
+from supergrass import (divalg, expr_io, kernel, minkowski, models, morphisms, scalars,
+                        superspace, suites)
 from supergrass.matrix import Matrix
 
 CHECKS = [(suite, check_id, fn)
@@ -169,6 +170,46 @@ def test_lower_in_reversed_eta_order_fails_lift(monkeypatch):
     assert not ok and counterexample == "case 2, q=2"
 
 
+@pytest.mark.parametrize("move", [lambda p: setattr(p, "body", p.body + 1),
+                                  lambda p: setattr(p, "soul", -p.soul)],
+                         ids=["shifted-body", "negated-soul"])
+def test_moved_point_fails_hinf(monkeypatch, move):
+    """superspace.hinf sees a Taylor extension taken at another point: one
+    whose body is shifted by 1, or whose soul is negated.  Each is still a
+    ring morphism, so only the comparison with substitution sees it."""
+    init = superspace.EvenGrassmannPoint.__init__
+
+    def moved(self, value):
+        init(self, value)
+        move(self)
+
+    monkeypatch.setattr(superspace.EvenGrassmannPoint, "__init__", moved)
+    (fn,) = [fn for _suite, cid, fn in CHECKS if cid == "superspace.hinf"]
+    ok, _, _, _ = run_check("superspace.hinf", fn)
+    assert not ok
+
+
+@pytest.mark.parametrize("wrong", [lambda n: n, lambda n: 1], ids=["n", "one"])
+def test_wrong_factorial_fails_pullback(monkeypatch, wrong):
+    """morphisms.pullback sees the exponential series divided by n or by 1
+    instead of n!, on its designed q = 6 morphism, where Xi^3 y^3 != 0."""
+    monkeypatch.setattr(morphisms, "factorial", wrong)
+    (fn,) = [fn for _suite, cid, fn in CHECKS if cid == "morphisms.pullback"]
+    ok, counterexample, _, _ = run_check("morphisms.pullback", fn)
+    assert not ok and counterexample == "q = 6, y^3"
+
+
+def test_shifted_point_fails_point(monkeypatch):
+    """morphisms.point sees a skeletal pullback taken at the point shifted
+    by 1: still a ring morphism, but not h at m + xi e to first order."""
+    skeletal = morphisms.skeletal_pullback
+    monkeypatch.setattr(morphisms, "skeletal_pullback",
+                        lambda point, xis: skeletal({n: v + 1 for n, v in point.items()}, xis))
+    (fn,) = [fn for _suite, cid, fn in CHECKS if cid == "morphisms.point"]
+    ok, _, _, _ = run_check("morphisms.point", fn)
+    assert not ok
+
+
 @pytest.mark.parametrize("check_id, counterexample", [("models.sigma", "superpotential"),
                                                       ("models.bps", "second order")])
 def test_underived_superpotential_fails_models(monkeypatch, check_id, counterexample):
@@ -235,7 +276,9 @@ RUN_AND_SKIPPED = {
     # the fixed nilpotency scan, then one case per drawn pair, at most 30
     "morphisms.collapse": (31, 0),
     "morphisms.components": (20, 0), "morphisms.factor": (20, 0),
-    "morphisms.plane": (100, 0), "morphisms.point": (100, 0), "morphisms.pullback": (100, 0),
+    "morphisms.plane": (100, 0), "morphisms.point": (100, 0),
+    # the designed q = 6 morphism, then one case per drawn morphism
+    "morphisms.pullback": (101, 0),
     # per drawn case: the bridge, the wedge formulas, the signature; then
     # the dictionary
     "reductions.bridge": (31, 0),

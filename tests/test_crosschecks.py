@@ -1,16 +1,14 @@
 """Dual-route consistency checks: the same structure computed through two
 independent code paths must coincide exactly."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from supergrass.divalg import DivisionAlgebra
-from supergrass.kernel import SymbolTable, super_bracket
+from supergrass.kernel import super_bracket
 from supergrass.minkowski import (InvariantFields, MinkContext, anticomm, q_unit,
                                   translation_block)
-from supergrass.superspace import EvenGrassmannPoint, hinf_extend
 
 
 def field_bracket_constants(inv, tau, a, alpha, b, beta):
@@ -47,38 +45,6 @@ def test_matrix_vs_vector_field_structure_constants(k):
                         assert mv.get(key, zero) == ctx.table.scalar(-val)
                     for g in range(2, k + 1):
                         assert mw.get(g, zero) == ctx.table.scalar(-fw.get(g, Fraction(0)))
-
-
-def test_taylor_extension_equals_polynomial_composition():
-    """On polynomial input the Taylor extension to even Grassmann arguments
-    is literal polynomial composition."""
-    rng = random.Random(79)
-    tx = SymbolTable()
-    tx.even_symbol("x")
-    tx.even_symbol("y")
-    tf = SymbolTable()
-    tf.even_symbol("x")
-    tf.even_symbol("y")
-    for i in range(4):
-        tf.odd_symbol(f"et{i+1}")
-    ets = [tf.sym(f"et{i+1}") for i in range(4)]
-    for _ in range(40):
-        f = tx.zero()
-        for _ in range(3):
-            f = f + tx.monomial(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
-                                [("x", rng.randint(0, 2)), ("y", rng.randint(0, 2))])
-
-        def point():
-            z = tf.scalar(rng.randint(-2, 2))
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    if rng.random() < 0.5:
-                        z = z + (ets[a] * ets[b]).scale(rng.randint(-2, 2))
-            return z
-
-        zx, zy = point(), point()
-        via_taylor = hinf_extend(f, [EvenGrassmannPoint(zx), EvenGrassmannPoint(zy)])
-        assert via_taylor == f.substitute({"x": zx, "y": zy})
 
 
 def test_flipped_octonion_line_breaks_norm():

@@ -47,7 +47,7 @@ def test_koszul_mutated_verify_report_is_byte_identical(capsys, koszul_sign_drop
     assert main(["verify", "all", "--seed", "0", "--cases", "100", "--json"]) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "587411ded3595a719a13636b76df01ddcb20e90b9319a68b4ce050404d22b38b"
+        "25178ef2a51cf4fcde69a142a70effeb2e64e95831c62376251e586cc7b7cb4a"
 
 
 def test_pullback_through_xi_squared_is_byte_identical(tmp_path, capsys):

@@ -441,13 +441,15 @@ def case_power(t, rng):
 
 @case(60)
 def case_monomial(t, rng):
-    """Repeated names, powers of 0 and every accepted coefficient form,
-    zero among them."""
+    """Repeated names, powers of 0 up to MAX_EXPONENT and every accepted
+    coefficient form, zero among them: a power past the budget raises only
+    where the odd names leave a nonzero monomial."""
     evens = [s.name for s in t.symbols if s.parity == EVEN]
     odds = [s.name for s in t.symbols if s.parity == ODD]
     cliffords = [s.name for s in t.symbols if s.square]
     c = rng.choice(COEFFS + [ZERO])
-    even = [(rng.choice(evens), rng.randint(0, 3)) for _ in range(rng.randint(0, 4))] if evens else []
+    even = [(rng.choice(evens), rng.choice((0, 1, 2, 3, MAX_EXPONENT)))
+            for _ in range(rng.randint(0, 4))] if evens else []
     odd = [rng.choice(rng.choice((odds, cliffords))) for _ in range(rng.randint(0, 6))]
     v = as_input(c, rng)
     yield lambda: t.monomial(v, even, odd), lambda: monomial(t, c, even, odd)

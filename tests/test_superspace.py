@@ -153,37 +153,6 @@ def test_hinf_constant_and_identity():
     assert hinf_extend(tx.sym("x"), [z]) == z.value
 
 
-def test_hinf_is_additive():
-    # multiplicativity over the same draws is the registry check superspace.hinf
-    rng = random.Random(4)
-    t = SymbolTable()
-    t.even_symbol("x")
-    t.even_symbol("y")
-    tf = flesh_table(4)
-    ets = [tf.sym(f"et{i+1}") for i in range(4)]
-    for _ in range(40):
-        def rpoly():
-            p = t.zero()
-            for _ in range(3):
-                p = p + t.monomial(
-                    Fraction(rng.randint(-3, 3)),
-                    [("x", rng.randint(0, 2)), ("y", rng.randint(0, 2))],
-                )
-            return p
-
-        def rpoint():
-            z = tf.scalar(rng.randint(-3, 3))
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    if rng.random() < 0.5:
-                        z = z + (ets[a] * ets[b]).scale(rng.randint(-2, 2))
-            return EvenGrassmannPoint(z)
-
-        f, g = rpoly(), rpoly()
-        zs = [rpoint(), rpoint()]
-        assert hinf_extend(f + g, zs) == hinf_extend(f, zs) + hinf_extend(g, zs)
-
-
 def test_soul_nilpotency_order():
     t = flesh_table(4)
     z = t.one() + t.sym("et1") * t.sym("et2") + t.sym("et3") * t.sym("et4")
