@@ -34,23 +34,31 @@ CLI reports it as an input error; `MAX_DEGREE` bounds the powers that
 `integrate_even` raises its bounds to, and `MAX_COEFF_BITS` the coefficient
 growth of a power.
 
-A derivation is applied term by term: each term of f, each factor with an
-image and each term of that image give one coefficient and one merged
-monomial, written straight into the result, with crossing and Koszul signs
-applied by negation; no intermediate polynomial is formed.  The odd
-invariant fields D and tau of every superspace here are built by one
-function, `odd_fields`, from the pairing T of the thetas into even
+A derivation is applied term by term (`Derivation._apply`): each term of
+f, each factor with an image and each term of that image give one
+coefficient and one merged monomial, added with a sign (-1)^neg into an
+accumulator the caller passes in, as `_term_product` does, with crossing
+and Koszul signs applied by negation; no intermediate polynomial is
+formed.  `super_bracket` fills one accumulator per generator, X(Y g) and
+then -+Y(X g), so a bracket image costs no product, scale, negation or
+sum.  The public `Derivation` constructor checks every image it is given
+(its name, table and parity); brackets, sums, differences and multiples
+are built by `_derivation`, keyed by index, with no re-check, since
+combinations of homogeneous derivations over one table are homogeneous of
+a parity known in advance.  They drop empty images and carry no label.
+The odd invariant fields D and tau of every superspace here are built by
+one function, `odd_fields`, from the pairing T of the thetas into even
 translations, and checked against one law, `odd_field_relations_ok`.
 
 The term dict of a SuperPolynomial is built only in this module and read
 only here and by the `expr_io` printer and JSON codec.  Other code reads a
-polynomial through its projections (`scalar_part`, `free_of`,
-`parity_part`, `support`, `coefficient_of_odd`, `odd_components`,
-`eval_even`, `diff_even`, `integrate_even`), maps it with `substitute`,
-copies it into another table with `SymbolTable.adopt` and adds many sums
-or signed products into one accumulator with `SymbolTable.sum` and
-`SymbolTable.sum_of_products`; `tests/test_kernel.py` pins that
-no other module does.
+polynomial through its projections (`constant_term`, `scalar_part`,
+`free_of`, `parity_part`, `support`, `coefficient_of_odd`,
+`odd_components`, `eval_even`, `diff_even`, `integrate_even`), maps it
+with `substitute`, copies it into another table with `SymbolTable.adopt`
+and adds many sums or signed products into one accumulator with
+`SymbolTable.sum` and `SymbolTable.sum_of_products`; `tests/test_kernel.py`
+pins that no other module does.
 """
 
 from __future__ import annotations
@@ -348,9 +356,13 @@ class SuperPolynomial:
             raise ParityError(f"non-homogeneous polynomial: {self}")
         return parities.pop()
 
+    def constant_term(self):
+        """The stored constant term: an int or a QI, 0 when there is none."""
+        return self.terms.get((0, 0), 0)
+
     def scalar_part(self):
         """The constant term: an int or a Fraction when it is real."""
-        return plain(self.terms.get((0, 0), 0))
+        return plain(self.constant_term())
 
     def free_of(self, names: Iterable[str]):
         """The terms in which none of the named symbols occurs."""
@@ -719,7 +731,14 @@ def _odd_mul(o1, o2, table):
 class Derivation:
     """Parity-graded first-order operator, given by its images on symbols and
     applied through the graded Leibniz rule.  Missing images mean 0, and a
-    zero image is never stored, so `images` holds the nonzero ones only.
+    zero image is never stored, so `images` holds the nonzero ones only,
+    keyed by symbol index.
+
+    The constructor takes images by name and checks each one: a scalar
+    becomes a constant, and an image over another table or of the wrong
+    parity is refused.  A bracket, sum, difference or multiple is built by
+    `_derivation` instead, since its images are valid by construction, and
+    carries no label.
 
     Precondition, not checked: the images respect the relations a*b = -b*a
     and eps*eps = -1 of the odd generators, that is X(a)*b + (-1)^|X| b*X(a)
@@ -752,9 +771,16 @@ class Derivation:
         self.images = imgs
 
     def __call__(self, f: SuperPolynomial) -> SuperPolynomial:
-        """Graded Leibniz rule, one output term at a time.
+        """Graded Leibniz rule, one output term at a time (`_apply`)."""
+        if f.table is not self.table:
+            raise TableMismatchError("derivation applied across tables")
+        return SuperPolynomial(self.table, self._apply(f.terms, {}))
 
-        A term c*ev*od of f and a term c2*e2*o2 of the image of one of its
+    def _apply(self, terms: dict, out: dict, neg=0) -> dict:
+        """Add (-1)^neg times the image of the term dict `terms` into the
+        accumulator out, and return it.
+
+        A term c*ev*od and a term c2*e2*o2 of the image of one of its
         factors give the single term c*(p or crossing sign)*c2 on the merged
         monomials: an even factor x^p leaves x^(p-1) and multiplies by p, an
         odd factor, the j-th bit of od from the bottom, merges the bits
@@ -762,15 +788,14 @@ class Derivation:
         (-1)^(parity * j) for the factors crossed.  A pair whose odd parts
         share a nilpotent generator vanishes and is skipped.
         """
-        if f.table is not self.table:
-            raise TableMismatchError("derivation applied across tables")
         table = self.table
         images = self.images
         gx = self.parity
         odd_mul = _odd_mul
         nil, guard, evens = table.nil, table.guard, table._evens
-        out: dict = {}
-        for (ev, od), c in f.terms.items():
+        for (ev, od), c in terms.items():
+            if neg:
+                c = -c
             # even factors, one per field the key holds: no crossing signs
             held = ev
             while held:
@@ -812,32 +837,33 @@ class Derivation:
                     if e & guard:
                         raise _exponent_error()
                     _add_term(out, (e, o), -cs * c2 if sign ^ sign2 else cs * c2)
-        return SuperPolynomial(self.table, out)
+        return out
 
     # -- linear structure ---------------------------------------------------
-    def __add__(self, other):
+    def __add__(self, other, neg=0):
+        if self.table is not other.table:
+            raise TableMismatchError("sum of derivations over different tables")
         if self.parity != other.parity:
             raise ParityError("sum of derivations with different parities")
-        keys = set(self.images) | set(other.images)
         imgs = {}
-        for i in keys:
-            name = self.table.symbols[i].name
-            v = self.images.get(i, self.table.zero()) + other.images.get(i, self.table.zero())
-            imgs[name] = v
-        return Derivation(self.table, self.parity, imgs)
+        for i in self.images.keys() | other.images.keys():
+            out = dict(self.images[i].terms) if i in self.images else {}
+            if i in other.images:
+                for k, c in other.images[i].terms.items():
+                    _add_term(out, k, -c if neg else c)
+            imgs[i] = SuperPolynomial(self.table, out)
+        return _derivation(self.table, self.parity, imgs)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self.__add__(other, 1)
 
     def scale(self, c):
         """Multiply on the left by a scalar or homogeneous polynomial."""
         if isinstance(c, (int, Fraction, QI)):
-            imgs = {self.table.symbols[i].name: v.scale(c) for i, v in self.images.items()}
-            return Derivation(self.table, self.parity, imgs)
+            return _derivation(self.table, self.parity, {i: v.scale(c) for i, v in self.images.items()})
         p = c.parity()
         par = self.parity if p is None else (self.parity + p) % 2
-        imgs = {self.table.symbols[i].name: c * v for i, v in self.images.items()}
-        return Derivation(self.table, par, imgs)
+        return _derivation(self.table, par, {i: c * v for i, v in self.images.items()})
 
     def is_zero(self):
         return not self.images
@@ -859,22 +885,41 @@ class Derivation:
         return f"<Derivation {self.label or self}>"
 
 
+def _derivation(table, parity, images: dict) -> Derivation:
+    """A derivation from {index: image} whose images are valid by
+    construction (see `Derivation`): no name lookups or parity scan, empty
+    images dropped, no label."""
+    d = object.__new__(Derivation)
+    d.table, d.parity, d.label = table, parity, ""
+    d.images = {i: v for i, v in images.items() if v}
+    return d
+
+
 def super_bracket(X: Derivation, Y: Derivation) -> Derivation:
     """[X,Y] = X∘Y - (-1)^(gr X gr Y) Y∘X, returned as a derivation.
 
-    Both operands must be parity homogeneous (guaranteed by construction).
+    Both operands are parity homogeneous (guaranteed by construction), so
+    the bracket is too, and it is built by `_derivation` with no re-check.
     Only generators with an image under X or Y are evaluated: on any other
-    generator both X(Y g) and Y(X g) vanish.
+    generator both X(Y g) and Y(X g) vanish.  Each image is one accumulator:
+    X applied to Y's image of g, then Y to X's image of g with the graded
+    sign; an image that cancels is not stored.
     """
     if X.table is not Y.table:
         raise TableMismatchError("bracket across tables")
-    sign = -1 if (X.parity and Y.parity) else 1
-    zero = X.table.zero()
+    table = X.table
+    neg = not (X.parity and Y.parity)
     imgs = {}
     for i in sorted(X.images.keys() | Y.images.keys()):
         # Y(g) and X(g) of a generator g are its images
-        imgs[X.table.symbols[i].name] = X(Y.images.get(i, zero)) - sign * Y(X.images.get(i, zero))
-    return Derivation(X.table, (X.parity + Y.parity) % 2, imgs)
+        out = {}
+        if i in Y.images:
+            X._apply(Y.images[i].terms, out)
+        if i in X.images:
+            Y._apply(X.images[i].terms, out, neg)
+        if out:
+            imgs[i] = SuperPolynomial(table, out)
+    return _derivation(table, (X.parity + Y.parity) % 2, imgs)
 
 
 def odd_fields(table, thetas, T, sign) -> list:

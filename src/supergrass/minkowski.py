@@ -57,8 +57,8 @@ class Hermitian2:
     def of_block(cls, m: Matrix):
         """The translation block of a 5x5 matrix whose entries are constants."""
         h11, h22, z = translation_block(m)
-        return cls(h11.scalar_part(), h22.scalar_part(),
-                   z.alg.element(QI(c.scalar_part()) for c in z.coeffs))
+        return cls(h11.constant_term(), h22.constant_term(),
+                   z.alg.element(QI(c.constant_term()) for c in z.coeffs))
 
     def z_full(self):
         return self.z.scale(2)

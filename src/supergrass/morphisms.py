@@ -207,8 +207,8 @@ def skeletal_pullback(point: dict, xis):
 
     def pull(f: SuperPolynomial) -> SuperPolynomial:
         # each partial derivative at m once, shared by every xi
-        df = {n: f.diff_even(n).eval_even(point).scalar_part() for n in names}
-        out = rt.scalar(f.eval_even(point).scalar_part())
+        df = {n: f.diff_even(n).eval_even(point).constant_term() for n in names}
+        out = rt.scalar(f.eval_even(point).constant_term())
         for th, xi in zip(ths, xis):
             out = out + th.scale(sum(c * df[n] for n, c in xi.items()))
         return out

@@ -116,7 +116,7 @@ class EvenGrassmannPoint:
         if any(s.parity == EVEN for s in value.support()):
             raise ValueError("point must be constant in the even coordinates")
         self.value = value
-        self.body = normalize(QI(value.scalar_part()))  # QI refuses a non-real body
+        self.body = normalize(QI(value.constant_term()))  # QI refuses a non-real body
         self.soul = value - value.table.scalar(self.body)
 
     @property

@@ -13,12 +13,13 @@ from supergrass import kernel
 from supergrass.expr_io import Context, parse, poly_from_jsonable, poly_to_jsonable
 from supergrass.kernel import (EVEN, MAX_EXPONENT, ODD, Derivation, ParityError, SuperPolynomial,
                                SizeLimitError, SymbolTable, TableMismatchError, cartan_triple,
-                               jacobi_check, odd_field_relations_ok, super_bracket)
+                               jacobi_check, odd_field_relations_ok, odd_fields, super_bracket)
 from supergrass.minkowski import r32_fields
 from supergrass.scalars import QI
 from supergrass.suites import grassmann_table, random_poly
 from supergrass.superspace import supertime
-from test_oracles import clifford, model_table, normalize_odd
+from test_oracles import (COEFFS, KINDS, as_input, clifford, draw_poly, encode, model_table,
+                          normalize_odd, parity_part, random_images)
 
 
 def test_transposition_sign():
@@ -244,6 +245,58 @@ def test_cartan_lie_of_x_dx():
 def test_cartan_zero_field():
     table, d, iota, lie = cartan_triple(1, [lambda t: t.zero()])
     assert lie.is_zero()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_made_derivations_equal_their_public_twins(kind):
+    """Brackets, sums, differences and multiples skip the constructor's
+    checks; each must equal its twin built through the constructor from its
+    values on every generator: the same images, parity and empty label, and
+    no empty image stored.  X and Y of both parities over the model tables,
+    Clifford generators among them; X - X cancels everywhere."""
+    t = model_table(kind)
+    gens = [s.name for s in t.symbols]
+    for draw in range(8):
+        rng = random.Random(f"twins-{kind}:{draw}")
+        gx, gy = rng.randint(0, 1), rng.randint(0, 1)
+        X, Y, Z = (Derivation(t, g, {t.symbols[i].name: encode(t, v)
+                                     for i, v in random_images(t, rng, g).items()}, label)
+                   for g, label in ((gx, "X"), (gy, "Y"), (gx, "Z")))
+        c = as_input(rng.choice(COEFFS + [(Fraction(0), Fraction(0))]), rng)
+        gp = rng.randint(0, 1)
+        p = encode(t, parity_part(draw_poly(t, rng, 2, big=False), gp))
+        sign = 1 if gx and gy else -1
+        made = [
+            (super_bracket(X, Y), (gx + gy) % 2, lambda g: X(Y(g)) + Y(X(g)).scale(sign)),
+            (X + Z, gx, lambda g: X(g) + Z(g)),
+            (X - Z, gx, lambda g: X(g) - Z(g)),
+            (X - X, gx, lambda g: t.zero()),
+            (X.scale(c), gx, lambda g: X(g).scale(c)),
+            (X.scale(p), (gx + gp) % 2 if p else gx, lambda g: p * X(g)),
+        ]
+        for k, (d, parity, value) in enumerate(made):
+            twin = Derivation(t, parity, {n: value(t.sym(n)) for n in gens})
+            assert (d.images, d.parity, d.label) == (twin.images, twin.parity, ""), (kind, draw, k)
+            assert all(d.images.values()), (kind, draw, k)
+
+
+def test_cancelling_brackets_store_no_image():
+    """[D_a, tau_b] = 0 for the odd fields of a pairing, and [d, d] = 0 for
+    the de Rham d: every image cancels, so none is stored."""
+    t, T, _ = r32_fields()
+    thetas = ("th1", "th2")
+    D, tau = odd_fields(t, thetas, T, -1), odd_fields(t, thetas, T, 1)
+    assert all(super_bracket(x, y).is_zero() for x in D for y in tau)
+    assert not super_bracket(D[0], D[0]).is_zero()
+    table, d, _, lie = cartan_triple(2, [lambda t: t.sym("x1") * t.sym("x2"), lambda t: t.sym("x2")])
+    assert super_bracket(d, d).is_zero() and super_bracket(d, d).images == {}
+    assert super_bracket(d, lie).is_zero()
+
+
+def test_derivations_over_two_tables_do_not_add():
+    t, u = grassmann_table(1), grassmann_table(1)
+    with pytest.raises(TableMismatchError):
+        Derivation(t, EVEN, {"x": 1}) + Derivation(u, EVEN, {"x": 1})
 
 
 def test_substitution_is_ring_morphism():
