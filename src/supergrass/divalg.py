@@ -22,11 +22,17 @@ The zero an element carries names its ring, so an operator result is put
 in canonical form by its zero alone (`_element`): one gcd under the int
 zero, nothing but the zero element's den under a ring zero.  The slots
 themselves are read only where values arrive from outside, side by side
-below the class: `_normal` and `_ring_zero`, by the constructor, `unit`
-and `scale`; `_one_table`, by which `*` of two elements over one
-polynomial table sums each output slot into one kernel accumulator
-(`SymbolTable.sum_of_products`); and `_quotients`, by which `coeffs` and
-`norm_sq` read the slot values back.
+below the class: `_normal` and `_ring_zero`, by the constructor and
+`unit`; `_scaler`, which reads the scalar of `scale` once, so that
+`Matrix.scale` reads it once per matrix while each entry keeps its own
+gcd; `_one_table`, by which `*` of two elements over one polynomial table
+is one kernel call (`SymbolTable.slot_product`, which multiplies each pair
+of monomials once and adds the scalar products into the slots); and
+`_quotients`, by which `coeffs` and `norm_sq` read the slot values back.
+
+Both products walk the table compiled into rows (`DivisionAlgebra`), so
+a rational product reads rows[a] once per left slot, with no (a, b) tuple
+or dict lookup per pair.
 
 Octonion convention.  The multiplication table is the one pinned down by the
 required pairings u_1u_2 = u_3u_4 = u_6u_7 = u_8u_5 = u_2 together with the
@@ -42,6 +48,7 @@ in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import MutableMapping
 from math import gcd, lcm
 
 from .scalars import num_den, ratio
@@ -52,7 +59,14 @@ _DIM = {"R": 1, "C": 2, "H": 4, "O": 8}
 
 
 class DivisionAlgebra:
-    """Multiplication-table-driven algebra over basis u_1..u_k, u_1 = 1."""
+    """Multiplication-table-driven algebra over basis u_1..u_k, u_1 = 1.
+
+    The product is held as compiled rows, rows[a][b] = (g, neg) 0-based
+    for u_(a+1) u_(b+1) = (-1)^neg u_(g+1), which `*` walks.  `table` is
+    the mapping (a, b) -> (c, +-1) over those rows, not a copy: writing an
+    entry writes its row, and assigning a mapping rebuilds the rows, so an
+    edit reaches every later product and there is no cache to invalidate.
+    """
 
     def __init__(self, which: str):
         if which not in _DIM:
@@ -60,6 +74,16 @@ class DivisionAlgebra:
         self.which = which
         self.dim = _DIM[which]
         self.table = self._build_table()
+
+    @property
+    def table(self) -> "_Table":
+        return _Table(self)
+
+    @table.setter
+    def table(self, mapping):
+        k = self.dim
+        self.rows = [[_compiled(k, a, b, mapping[a, b]) for b in range(1, k + 1)]
+                     for a in range(1, k + 1)]
 
     def _build_table(self):
         k = self.dim
@@ -102,6 +126,51 @@ class DivisionAlgebra:
 
     def one(self):
         return self.unit(1)
+
+
+class _Table(MutableMapping):
+    """`DivisionAlgebra.table`: the entries (a, b) -> (c, +-1), 1-based,
+    read from and written to the algebra's compiled rows.  Every entry of
+    a product table is present, so none can be deleted."""
+
+    __slots__ = ("alg",)
+
+    def __init__(self, alg):
+        self.alg = alg
+
+    def _cell(self, ab):
+        a, b = ab
+        k = self.alg.dim
+        if not (1 <= a <= k and 1 <= b <= k):
+            raise KeyError(ab)
+        return a - 1, b - 1
+
+    def __getitem__(self, ab):
+        a, b = self._cell(ab)
+        g, neg = self.alg.rows[a][b]
+        return g + 1, -1 if neg else 1
+
+    def __setitem__(self, ab, entry):
+        a, b = self._cell(ab)
+        self.alg.rows[a][b] = _compiled(self.alg.dim, a + 1, b + 1, entry)
+
+    def __delitem__(self, ab):
+        raise TypeError("a product table has every entry; write a new one instead")
+
+    def __iter__(self):
+        k = self.alg.dim
+        return ((a, b) for a in range(1, k + 1) for b in range(1, k + 1))
+
+    def __len__(self):
+        return self.alg.dim ** 2
+
+
+def _compiled(k, a, b, entry):
+    """The row entry (g, neg) of u_a u_b = s u_c, entry = (c, s)."""
+    c, s = entry
+    if not 1 <= c <= k:
+        raise ValueError(f"product u_{a} u_{b} = u_{c} is outside the basis")
+    return c - 1, s < 0
 
 
 class DAElement:
@@ -185,47 +254,42 @@ class DAElement:
         """c * a on every slot, c on the left; the result lives in the ring
         of c * zero, so a polynomial c moves rational slots into its table,
         over their den."""
-        (n,), d = _normal([c], self.den)
-        zero = n * self.zero
-        return _element(self.alg, [n * a if a else zero for a in self.num], d, zero)
+        return _scaler(c)(self)
+
+    def scaler(self, c):
+        """The map e -> e.scale(c) on elements, with c read once, so that
+        `Matrix.scale` reads its scalar once per matrix."""
+        return _scaler(c)
 
     def __mul__(self, other):
         """Table-driven bilinear product; coefficient order is preserved, so
         odd (Grassmann-valued) coefficients pick up their own signs.  The
         product lives in the ring of the product of the two zeros, over the
         product of the two denominators.  Over one polynomial table
-        (`_one_table`) each output slot is one sum of signed products in
-        the kernel; scalar rings, whose products are cheap, add pair by
-        pair.  Both walk the nonzero slots only, in the same order."""
+        (`_one_table`) the whole product is one kernel call,
+        `SymbolTable.slot_product`, which multiplies each pair of monomials
+        once; scalar rings, whose products are cheap, add pair by pair
+        along the compiled rows, walking the nonzero slots only."""
         self._check(other)
-        tab = self.alg.table
-        out = [None] * self.alg.dim
-        right = [(b, cb) for b, cb in enumerate(other.num, 1) if cb]
+        rows = self.alg.rows
         table = _one_table(self.zero, other.zero)
         if table is not None:
-            for a, ca in enumerate(self.num, 1):
-                if not ca:
-                    continue
-                for b, cb in right:
-                    g, s = tab[(a, b)]
-                    t = out[g - 1]
-                    if t is None:
-                        out[g - 1] = [(s < 0, ca, cb)]
-                    else:
-                        t.append((s < 0, ca, cb))
             z = self.zero
-            return _element(self.alg, [z if t is None else table.sum_of_products(t) for t in out],
+            return _element(self.alg, table.slot_product(rows, self.num, other.num, z),
                             self.den * other.den, z)
-        for a, ca in enumerate(self.num, 1):
+        out = [None] * self.alg.dim
+        right = [(b, cb) for b, cb in enumerate(other.num) if cb]
+        for a, ca in enumerate(self.num):
             if not ca:
                 continue
+            row = rows[a]
             for b, cb in right:
-                g, s = tab[(a, b)]
+                g, neg = row[b]
                 v = ca * cb
-                if s < 0:
+                if neg:
                     v = -v
-                t = out[g - 1]
-                out[g - 1] = v if t is None else t + v
+                t = out[g]
+                out[g] = v if t is None else t + v
         z = self.zero * other.zero
         return _element(self.alg, [z if c is None else c for c in out], self.den * other.den, z)
 
@@ -270,9 +334,10 @@ class DAElement:
 
 def _normal(num: list, den: int):
     """The canonical (num, den) for the slot values num[i] / den of values
-    that arrive from outside: the constructor's slots, the coefficient of
-    `unit` and the scalar of `scale`.  Operator results skip it, since
-    their zero names the ring (`_element`).
+    that arrive from outside: the constructor's slots and the coefficient
+    of `unit`.  `_scaler` gives the scalar of `scale` the form that
+    _normal([c], den) gives it, with c read once.  Operator results skip
+    it, since their zero names the ring (`_element`).
 
     Rational slots (int, Fraction or real QI, read by `scalars.num_den`)
     come back as ints over a positive den with gcd(den, *num) = 1, so the
@@ -306,10 +371,34 @@ def _quotients(num, den):
 
 def _one_table(z1, z2):
     """The symbol table both ring zeros are polynomials over, or None; the
-    test `DAElement.__mul__` makes to sum its slots in the kernel.  Read as
-    an attribute, so this module imports nothing from the kernel."""
+    test `DAElement.__mul__` makes to multiply in the kernel.  Read as an
+    attribute, so this module imports nothing from the kernel."""
     table = getattr(z1, "table", None)
     return table if table is not None and getattr(z2, "table", None) is table else None
+
+
+def _scaler(c):
+    """e -> e.scale(c), c read once: a rational c as p/q, after which each
+    element keeps its own gcd of p with its den times q, as `_normal` would
+    give; a ring-valued c (a non-real QI, a SuperPolynomial) multiplies the
+    slots over the element's den."""
+    pq = num_den(c)
+    if pq is None:
+        def scaled(e):
+            zero = c * e.zero
+            return _element(e.alg, [c * a if a else zero for a in e.num], e.den, zero)
+        return scaled
+    p, q = pq
+
+    def scaled(e):
+        n, d = p, e.den * q
+        g = gcd(d, n)
+        if g != 1:
+            n //= g
+            d //= g
+        zero = n * e.zero
+        return _element(e.alg, [n * a if a else zero for a in e.num], d, zero)
+    return scaled
 
 
 def _ring_zero(slots):
@@ -340,7 +429,8 @@ def _element(alg: DivisionAlgebra, num: list, den: int, zero) -> DAElement:
     return e
 
 
-# Singletons: the tables are immutable after construction.
+# Singletons, whose tables are never written; an edited table belongs on an
+# algebra of its own, DivisionAlgebra(which).
 R = DivisionAlgebra("R")
 C = DivisionAlgebra("C")
 H = DivisionAlgebra("H")

@@ -24,11 +24,16 @@ nilpotent generator is skipped before `_odd_mul` is called.  Products and
 sums are written through one accumulator, `_add_term`, which stores every
 result through `normalize`; `scale` does the same.  `_term_product` adds
 a signed product into an accumulator it is given, so
-`SymbolTable.sum_of_products` sums many signed products (a slot of a
-division-algebra product) into one dict, with no polynomial formed per
-pair.  A sum or a product with an empty operand returns an operand,
-without a copy.  Values are immutable after construction and safe to
-share.  A product that would form more than
+`SymbolTable.sum_of_products` sums many signed products (a field of
+`morphisms.sum_field`) into one dict, with no polynomial formed per pair.
+A division-algebra product over one table is one call,
+`SymbolTable.slot_product`: its slots are split by monomial, each pair of
+monomials is multiplied once, and each pair of (central) scalar
+coefficients adds one product into its slot's accumulator, so two
+elements whose slots are multiples of one monomial each cost one
+`_odd_mul`.  A sum or a product with an empty operand returns an
+operand, without a copy.  Values are immutable after construction and
+safe to share.  A product that would form more than
 `MAX_TERM_PAIRS` term pairs raises `SizeLimitError` before it runs, and the
 CLI reports it as an input error; `MAX_DEGREE` bounds the powers that
 `integrate_even` raises its bounds to, and `MAX_COEFF_BITS` the coefficient
@@ -54,11 +59,12 @@ The term dict of a SuperPolynomial is built only in this module and read
 only here and by the `expr_io` printer and JSON codec.  Other code reads a
 polynomial through its projections (`constant_term`, `scalar_part`,
 `free_of`, `parity_part`, `support`, `coefficient_of_odd`,
-`odd_components`, `eval_even`, `diff_even`, `integrate_even`), maps it
-with `substitute`, copies it into another table with `SymbolTable.adopt`
-and adds many sums or signed products into one accumulator with
-`SymbolTable.sum` and `SymbolTable.sum_of_products`; `tests/test_kernel.py`
-pins that no other module does.
+`odd_components`, `eval_even`, `jet_at`, `diff_even`, `integrate_even`),
+maps it with `substitute`, copies it into another table with
+`SymbolTable.adopt` and adds many sums or signed products into one
+accumulator with `SymbolTable.sum`, `SymbolTable.sum_of_products` and
+`SymbolTable.slot_product`; `tests/test_kernel.py` pins that no other
+module does.
 """
 
 from __future__ import annotations
@@ -235,6 +241,45 @@ class SymbolTable:
             _term_product(self, a.terms, b.terms, out, neg)
         return SuperPolynomial(self, out)
 
+    def slot_product(self, rows, left, right, zero):
+        """The slots of a division-algebra product of the slot lists left
+        and right over this table, rows[a][b] = (g, neg) adding
+        (-1)^neg * left[a] * right[b] into slot g; a slot that nothing
+        reaches is zero.  Scalars are central, so the sum over slot pairs
+        of s * p_a * q_b is the sum over monomial pairs of (A_m * B_n) *
+        (m * n): each operand's nonzero slots are split by monomial, each
+        pair of monomials is multiplied once through `_odd_mul`, and each
+        pair of their coefficients adds one scalar product into its slot
+        with the sign neg ^ sign.  Every slot is checked for its table, and
+        the largest left slot times the largest right slot, the largest
+        pair a per-pair product would form, is held to `MAX_TERM_PAIRS`
+        before any term is formed."""
+        lsplit, lmost = _by_monomial(self, left)
+        rsplit, rmost = _by_monomial(self, right)
+        if lmost * rmost > MAX_TERM_PAIRS:
+            raise SizeLimitError(f"a product of {lmost} by {rmost} terms "
+                                 f"exceeds the budget of {MAX_TERM_PAIRS} term pairs")
+        nil, guard = self.nil, self.guard
+        outs = [None] * len(rows)
+        for (e1, o1), lcs in lsplit.items():
+            for (e2, o2), rcs in rsplit.items():
+                if o1 & o2 & nil:
+                    continue
+                sign, od = _odd_mul(o1, o2, self)
+                ev = e1 + e2
+                if ev & guard:
+                    raise _exponent_error()
+                key = (ev, od)
+                for a, c1 in lcs:
+                    row = rows[a]
+                    for b, c2 in rcs:
+                        g, neg = row[b]
+                        out = outs[g]
+                        if out is None:
+                            out = outs[g] = {}
+                        _add_term(out, key, -c1 * c2 if neg ^ sign else c1 * c2)
+        return [SuperPolynomial(self, out) if out else zero for out in outs]
+
     def monomial(self, coeff, even=(), odd=()):
         """coeff * prod(even names with powers) * prod(odd names, given order),
         built as one term: the powers of a name add up, and each odd name is
@@ -267,6 +312,45 @@ class SymbolTable:
 
 def _exponent_error():
     return SizeLimitError(f"an even power exceeds the exponent budget of {MAX_EXPONENT}")
+
+
+def _by_monomial(table, slots):
+    """The nonzero slots of a slot list split by monomial, {key: [(slot,
+    coeff), ...]}, and the most terms one slot holds; a slot over another
+    table, or a nonzero scalar, is refused.  An int 0 is skipped, since
+    the `DAElement` constructor keeps one beside polynomial slots."""
+    split, most = {}, 0
+    for a, p in enumerate(slots):
+        if type(p) is not SuperPolynomial:
+            if p:
+                raise TableMismatchError("a slot is not a polynomial over this table")
+            continue
+        terms = p.terms
+        if not terms:
+            continue
+        if p.table is not table:
+            raise TableMismatchError("operands live over different symbol tables")
+        if len(terms) > most:
+            most = len(terms)
+        for key, c in terms.items():
+            cs = split.get(key)
+            if cs is None:
+                split[key] = [(a, c)]
+            else:
+                cs.append((a, c))
+    return split, most
+
+
+def _even_values(table, values):
+    """{field offset: stored value} of the even names among values, and
+    the mask of the fields they hold; other names are skipped."""
+    vals, mask = {}, 0
+    for n, v in values.items():
+        sh = table._shift.get(table.symbol(n).index)
+        if sh is not None:
+            vals[sh] = normalize(v)
+            mask |= MAX_EXPONENT << sh
+    return vals, mask
 
 
 def _ev_items(ev, evens):
@@ -601,13 +685,7 @@ class SuperPolynomial:
 
     def eval_even(self, values: dict):
         """Evaluate even symbols at exact scalars; other symbols untouched."""
-        table = self.table
-        vals, mask = {}, 0  # field offset -> value, and the fields read
-        for n, v in values.items():
-            sh = table._shift.get(table.symbol(n).index)
-            if sh is not None:
-                vals[sh] = normalize(v)
-                mask |= MAX_EXPONENT << sh
+        vals, mask = _even_values(self.table, values)
         out: dict = {}
         for (ev, od), c in self.terms.items():
             if ev & mask:
@@ -618,6 +696,42 @@ class SuperPolynomial:
             if c:
                 _add_term(out, (ev & ~mask, od), c)
         return SuperPolynomial(self.table, out)
+
+    def jet_at(self, values: dict, names):
+        """f(m) and the first partials df/dn(m), one per name of `names`,
+        as stored scalars read in one pass over the terms: the constant
+        terms of eval_even(values) and of diff_even(n).eval_even(values).
+        So only the terms free of odd symbols count, and of those only the
+        ones whose even symbols all have a value, but for one factor of n
+        in its partial."""
+        table = self.table
+        vals, mask = _even_values(table, values)
+        shifts = []
+        for name in names:
+            s = table.symbol(name)
+            if s.parity != EVEN:
+                raise ParityError(f"{name} is odd; use a derivation")
+            shifts.append(table._shift[s.index])
+
+        def at(ev, c):  # c times the values to the powers of ev; 0 if one has no value
+            if ev & ~mask:
+                return 0
+            for sh, v in vals.items():
+                p = ev >> sh & MAX_EXPONENT
+                if p:
+                    c = c * v ** p
+            return c
+
+        value, partials = 0, [0] * len(shifts)
+        for (ev, od), c in self.terms.items():
+            if od:
+                continue
+            value += at(ev, c)
+            for j, sh in enumerate(shifts):
+                p = ev >> sh & MAX_EXPONENT
+                if p:
+                    partials[j] += at(ev - (1 << sh), c * p)
+        return normalize(value), [normalize(d) for d in partials]
 
     def diff_even(self, name):
         """Formal partial derivative w.r.t. an even symbol."""

@@ -58,8 +58,9 @@ class Matrix:
         return self.map(lambda a: -a)
 
     def scale(self, c):
-        """Entrywise e.scale(c): c multiplies each entry on the left."""
-        return self.map(lambda e: e.scale(c))
+        """Entrywise e.scale(c): c multiplies each entry on the left, through
+        the zero's `scaler(c)`, which reads c once for the whole matrix."""
+        return self.map(self.zero.scaler(c))
 
     def map(self, f):
         return self._of([{j: v for j, e in row.items() if (v := f(e))} for row in self.rows],

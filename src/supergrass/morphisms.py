@@ -206,9 +206,10 @@ def skeletal_pullback(point: dict, xis):
     xis = [{n: normalize(c) for n, c in xi.items()} for xi in xis]
 
     def pull(f: SuperPolynomial) -> SuperPolynomial:
-        # each partial derivative at m once, shared by every xi
-        df = {n: f.diff_even(n).eval_even(point).constant_term() for n in names}
-        out = rt.scalar(f.eval_even(point).constant_term())
+        # f(m) and each partial derivative at m in one pass, shared by every xi
+        value, partials = f.jet_at(point, names)
+        df = dict(zip(names, partials))
+        out = rt.scalar(value)
         for th, xi in zip(ths, xis):
             out = out + th.scale(sum(c * df[n] for n, c in xi.items()))
         return out

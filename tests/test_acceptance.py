@@ -116,15 +116,16 @@ def test_dropped_denominator_fails_rsym_and_k4(monkeypatch):
 
 
 def test_unsigned_slot_sums_fail_the_odd_sector(monkeypatch):
-    """A sum of products that ignores the sign bit of each pair adds where
-    the table subtracts, in every polynomial-slot division-algebra product;
-    the checks that multiply the odd sector's matrices must see it."""
-    sum_of_products = kernel.SymbolTable.sum_of_products
+    """A slot product that drops the table sign of each slot pair adds
+    where the table subtracts, in every polynomial-slot division-algebra
+    product; the checks that multiply the odd sector's matrices must see
+    it."""
+    slot_product = kernel.SymbolTable.slot_product
 
-    def unsigned(self, triples):
-        return sum_of_products(self, [(False, a, b) for _neg, a, b in triples])
+    def unsigned(self, rows, left, right, zero):
+        return slot_product(self, [[(g, False) for g, _neg in row] for row in rows], left, right, zero)
 
-    monkeypatch.setattr(kernel.SymbolTable, "sum_of_products", unsigned)
+    monkeypatch.setattr(kernel.SymbolTable, "slot_product", unsigned)
     for check_id in ("minkowski.chiral", "minkowski.null", "minkowski.qq", "minkowski.qqter",
                      "minkowski.rsym", "reductions.bridge", "reductions.k4", "reductions.k8"):
         (fn,) = [fn for _suite, cid, fn in CHECKS if cid == check_id]

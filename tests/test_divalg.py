@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from supergrass import divalg, minkowski
+from supergrass import divalg, kernel, minkowski
 from supergrass.divalg import C, H, O, R, DAElement, algebra, gamma_constants
 from supergrass.kernel import SuperPolynomial, SymbolTable
+from supergrass.matrix import Matrix
 from supergrass.scalars import QI, num_den
 
 
@@ -549,3 +550,135 @@ def test_rational_octonion_arithmetic_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
     for op, v in values.items():
         assert v == _dense(op, O, xs, ys), op
+
+
+# -- the compiled table and the one-call slot product --------------------------
+
+def _slot_sums(x, y):
+    """x * y over one table as slot-by-slot sums: slot g is one
+    `SymbolTable.sum_of_products` of the (neg, x_a, y_b) pairs the table
+    sends to g, over den x.den * y.den (1 for the zero result), with x's
+    zero."""
+    t, k = x.zero.table, x.alg.dim
+    pairs = [[] for _ in range(k)]
+    for (a, b), (g, s) in x.alg.table.items():
+        if x.num[a - 1] and y.num[b - 1]:
+            pairs[g - 1].append((s < 0, x.num[a - 1], y.num[b - 1]))
+    num = [t.sum_of_products(p) if p else x.zero for p in pairs]
+    return num, x.den * y.den if any(num) else 1, x.zero
+
+
+@pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
+def test_polynomial_slot_product_against_slot_sums(alg):
+    """The one kernel call of a polynomial-slot product against the sum of
+    products of each slot, with eps and eta slots, elements over a den,
+    zero elements, an element whose zero slots are the int 0 the
+    constructor keeps, and the squares x * x, whose cross terms cancel."""
+    t = _envelope()
+    rng = random.Random(89 + alg.dim)
+    zero = alg.zero_like(t.zero())
+    for _ in range(20):
+        x, y = _rand_poly_elem(alg, t, rng), _rand_poly_elem(alg, t, rng)
+        d = _not_integral(alg, rng).scale(rng.choice([t.sym("eps"), t.sym("et1") + t.sym("eps")]))
+        m = alg.element([0] * (alg.dim - 1) + [t.sym("eps") * t.sym("et2")])
+        for u, v in ((x, y), (y, x), (x, x), (d, y), (y, d), (d, d), (x, zero), (zero, d),
+                     (m, x), (x, m), (m, m)):
+            got = u * v
+            assert (got.num, got.den, got.zero) == _slot_sums(u, v)
+            assert got.zero is u.zero and _over_a_den(got, t)
+
+
+def test_single_monomial_product_multiplies_one_monomial_pair(monkeypatch):
+    """At k = 8, two elements whose slots are each a multiple of one
+    monomial multiply that pair of monomials once: one `_odd_mul` call,
+    where one product per slot pair made 64."""
+    t = _envelope()
+    m1, m2 = t.sym("eps") * t.sym("et1"), t.sym("eps") * t.sym("et2")
+    x = O.element([Fraction(n, 3) for n in range(1, 9)]).scale(m1)
+    y = O.element([Fraction(1 - n, 5) for n in range(1, 9)]).scale(m2)
+    calls = []
+    odd_mul = kernel._odd_mul
+
+    def counted(*args):
+        calls.append(args)
+        return odd_mul(*args)
+
+    monkeypatch.setattr(kernel, "_odd_mul", counted)
+    got = x * y
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert (got.num, got.den, got.zero) == _slot_sums(x, y) and got
+
+
+def test_a_table_write_reaches_the_next_product():
+    """`table` is the mapping over the compiled rows: on a fresh algebra a
+    write after a product changes the next product, rational or over a
+    table, and assigning a mapping rebuilds the rows.  The singleton O is
+    untouched."""
+    alg = divalg.DivisionAlgebra("O")
+    t = _envelope()
+    eps = t.sym("eps")
+    u, v = alg.unit(2), alg.unit(3)
+    assert u * v == alg.unit(4) and u.scale(eps) * v.scale(eps) == alg.unit(4).scale(t.scalar(-1))
+    alg.table[(2, 3)] = (5, -1)
+    assert alg.table[(2, 3)] == (5, -1) and alg.rows[1][2] == (4, True)
+    assert u * v == -alg.unit(5) and u.scale(eps) * v.scale(eps) == alg.unit(5).scale(t.one())
+    alg.table = O.table
+    assert u * v == alg.unit(4) and dict(alg.table) == dict(O.table) and alg.rows == O.rows
+    assert alg.rows is not O.rows and O.unit(2) * O.unit(3) == O.unit(4)
+
+
+def test_the_table_mapping_holds_every_entry():
+    alg = divalg.DivisionAlgebra("H")
+    assert len(alg.table) == 16 and list(alg.table) == [(a, b) for a in range(1, 5) for b in range(1, 5)]
+    assert alg.table[(2, 3)] == (4, 1) and alg.table[(3, 2)] == (4, -1) and alg.table[(2, 2)] == (1, -1)
+    for bad in [(0, 1), (1, 5), (5, 5), (-1, 2)]:
+        assert bad not in alg.table
+        with pytest.raises(KeyError):
+            alg.table[bad] = (1, 1)
+    with pytest.raises(ValueError, match="outside the basis"):
+        alg.table[(2, 3)] = (5, 1)
+    with pytest.raises(TypeError):
+        del alg.table[(2, 3)]
+    with pytest.raises(KeyError):
+        alg.table = {(1, 1): (1, 1)}
+
+
+# -- Matrix.scale reads its scalar once ----------------------------------------
+
+def _scaled_by_normal(e, c):
+    """e.scale(c) as each entry computed it: c put over e's den by
+    `divalg._normal`, one call per entry."""
+    (n,), d = divalg._normal([c], e.den)
+    zero = n * e.zero
+    return divalg._element(e.alg, [n * a if a else zero for a in e.num], d, zero)
+
+
+def _form(e):
+    return e.num, e.den, type(e.zero), e.zero
+
+
+def test_matrix_scale_against_entrywise_scale():
+    """Matrix.scale(c), which reads c once, and DAElement.scale(c) against
+    the entry-by-entry normalization, numerators, den and zero alike: c an
+    int, a Fraction, a real and a non-real QI or a polynomial, zero among
+    them, on a rational and a polynomial-slot 5x5 matrix at k = 4."""
+    ctx = minkowski.MinkContext(4, n_eta=1)
+    t = ctx.table
+    rng = random.Random(97)
+    rational = Matrix([[_rand_rational_elem(H, rng) if rng.random() < 0.6 else H.zero_like()
+                        for _ in range(5)] for _ in range(5)], H.zero_like())
+    slots = minkowski.anticomm(minkowski.q_unit(ctx, 1, 2), minkowski.q_unit(ctx, 2, 3)) + \
+        minkowski.q_matrix(ctx, 1, H.element([1, Fraction(1, 2), 0, -3]))
+    for m in (rational, slots):
+        assert not m.is_zero()
+        for c in (0, 1, -6, Fraction(1, 2), Fraction(-4, 6), QI(Fraction(3, 4)), QI(1, 2),
+                  QI(Fraction(1, 3), -1), t.sym("eps"), t.sym("eps") * ctx.eta(1) + 2, t.zero()):
+            got = m.scale(c)
+            want = [{j: _scaled_by_normal(e, c) for j, e in row.items()} for row in m.rows]
+            assert [{j: _form(e) for j, e in row.items()} for row in got.rows] == \
+                [{j: _form(e) for j, e in row.items() if e} for row in want], c
+            assert _form(got.zero) == _form(_scaled_by_normal(m.zero, c))
+            for row in m.rows:
+                for e in row.values():
+                    assert _form(e.scale(c)) == _form(_scaled_by_normal(e, c))

@@ -541,6 +541,32 @@ def test_sum_of_products_checks_each_pair(monkeypatch):
     assert formed == []
 
 
+def test_slot_product_checks_each_slot(monkeypatch):
+    """A nonzero slot over another table, or a nonzero scalar, raises
+    TableMismatchError, on either side; the largest left slot times the largest right slot beyond
+    MAX_TERM_PAIRS raises SizeLimitError before any term is formed, even
+    when the first slot pair would pass."""
+    t, u = _qi_table(), _qi_table()
+    x, th1, zero = t.sym("x"), t.sym("th1"), t.zero()
+    rows = [[(0, False), (1, False)], [(1, False), (0, True)]]
+    assert t.slot_product(rows, [x, zero], [th1, u.zero()], zero) == [x * th1, zero]
+    # an int 0 beside polynomial slots is a zero slot; any other scalar is refused
+    assert t.slot_product(rows, [x, 0], [th1, 0], zero) == [x * th1, zero]
+    for left, right in (([x, u.sym("th1")], [th1, x]), ([x, th1], [u.sym("x"), th1]),
+                        ([x, 1], [th1, x]), ([x, th1], [QI(0, 1), th1])):
+        with pytest.raises(TableMismatchError):
+            t.slot_product(rows, left, right, zero)
+    big = t.sum(t.monomial(1, [("x", k)]) for k in range(400))
+    formed = []
+    add_term = kernel._add_term
+    monkeypatch.setattr(kernel, "_add_term", lambda *a: formed.append(a) or add_term(*a))
+    msg = "a product of 400 by 400 terms exceeds the budget of 100000 term pairs"
+    for left, right in (([x, big], [big, th1]), ([big, x], [th1, big])):
+        with pytest.raises(SizeLimitError, match=msg):
+            t.slot_product(rows, left, right, zero)
+    assert formed == []
+
+
 def test_a_gaussian_base_counts_against_the_coefficient_budget():
     # |1 + I| = 2^(1/2), so (1+I)^n has parts of n/2 bits; each part of
     # 1 + I alone fits in one bit

@@ -19,6 +19,7 @@ derivatives and the even integral against sympy stand apart.
 """
 
 import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -26,8 +27,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from supergrass.kernel import (EVEN, MAX_DEGREE, MAX_EXPONENT, ODD, Derivation, SizeLimitError,
-                               SuperPolynomial, SymbolTable, super_bracket)
+from supergrass.kernel import (EVEN, MAX_DEGREE, MAX_EXPONENT, MAX_TERM_PAIRS, ODD, Derivation,
+                               SizeLimitError, SuperPolynomial, SymbolTable, super_bracket)
 from supergrass.scalars import QI
 from supergrass.superspace import SuperDomain, berezin
 
@@ -239,6 +240,21 @@ def integrate_even(f, i, lo, hi):
             raise SizeLimitError(f"degree budget {MAX_DEGREE}")
         c = gmul(c, ((hi ** (p + 1) - lo ** (p + 1)) / (p + 1), Fraction(0)))
         _put(out, (), [tuple(e for e in ev if e[0] != i)], od, c)
+    return out
+
+
+def slot_product(t, rows, left, right):
+    """The slots of a division-algebra product: (-1)^neg * left[a] *
+    right[b] added into slot g, for rows[a][b] = (g, neg); refused when
+    the largest left slot times the largest right slot passes the
+    term-pair budget, as the product of that pair would be."""
+    if max(map(len, left)) * max(map(len, right)) > MAX_TERM_PAIRS:
+        raise SizeLimitError(f"the budget of {MAX_TERM_PAIRS} term pairs")
+    out = [{} for _ in rows]
+    for a, p in enumerate(left):
+        for b, q in enumerate(right):
+            g, neg = rows[a][b]
+            out[g] = add(out[g], scale(mul(t, p, q), MINUS if neg else ONE))
     return out
 
 
@@ -467,6 +483,44 @@ def case_sum_of_products(t, rng):
            lambda: add(*(scale(mul(t, a, b), MINUS if neg else ONE) for neg, a, b in triples)))
 
 
+@functools.cache
+def _many_terms(t, n):
+    """A model polynomial of n terms, the powers 1..n of the first even
+    symbol of t, and its kernel form, built once per table."""
+    x = next(s.index for s in t.symbols if s.parity == EVEN)
+    m = {(((x, p),), ()): ONE for p in range(1, n + 1)}
+    return m, encode(t, m)
+
+
+@case(20)
+def case_slot_product(t, rng):
+    """Slot lists of k = 1, 2, 4 or 8 polynomials, a third of them zero,
+    under random rows of both signs; now and then a left slot repeated
+    under the negated row of the one it repeats, so that their products
+    cancel, and one draw in five with powers that reach the exponent
+    budget.  Then a slot of 400 terms against one of 300, on the left and
+    then on the right, which the term-pair budget refuses."""
+    k = rng.choice((1, 2, 4, 8))
+    rows = [[(rng.randrange(k), rng.random() < 0.5) for _ in range(k)] for _ in range(k)]
+    big = rng.random() < 0.2
+    left, right = ([draw_poly(t, rng, 3, big=big) if rng.random() < 0.7 else {} for _ in range(k)]
+                   for _ in range(2))
+    if k > 1 and rng.random() < 0.3:
+        left[1] = left[0]
+        rows[1] = [(g, not neg) for g, neg in rows[0]]
+    lp, rp = [encode(t, p) for p in left], [encode(t, q) for q in right]
+    kernel = functools.cache(lambda: t.slot_product(rows, lp, rp, t.zero()))
+    model = functools.cache(lambda: slot_product(t, rows, left, right))
+    for g in range(k):
+        yield lambda: kernel()[g], lambda: model()[g]
+    many, more = _many_terms(t, 400), _many_terms(t, 300)
+    for (lm, lk), (rm, rk) in ((many, more), (more, many)):
+        a, b = rng.randrange(k), rng.randrange(k)
+        kl, kr = lp[:a] + [lk] + lp[a + 1:], rp[:b] + [rk] + rp[b + 1:]
+        ml, mr = left[:a] + [lm] + left[a + 1:], right[:b] + [rm] + right[b + 1:]
+        yield lambda: t.slot_product(rows, kl, kr, t.zero()), lambda: slot_product(t, rows, ml, mr)
+
+
 @case(20)
 def case_derivation(t, rng):
     """X(f) for even and odd X, and [X, Y] on the generators with an image
@@ -614,6 +668,37 @@ def case_diff_even(t, rng):
     f = draw_poly(t, rng)
     for name in _some_evens(t, rng):
         yield lambda: encode(t, f).diff_even(name), lambda: diff_even(f, t.symbol(name).index)
+
+
+@case(30)
+def case_jet_at(t, rng):
+    """f(m) and the first partials at m in one pass, against the constant
+    terms of eval_even and of diff_even then eval_even: values as in
+    eval_even, half of the time on every even symbol, half of the
+    polynomials free of odd symbols, and names with and without a value,
+    the even symbols of one term among them.  Each value comes in the
+    stored form, 0 included."""
+    small = [(Fraction(2), Fraction(0)), (Fraction(-1, 3), Fraction(0)), (Fraction(1), Fraction(1)), ZERO]
+    units = [ZERO, ONE, MINUS, (Fraction(0), Fraction(1))]
+    evens = [s.name for s in t.symbols if s.parity == EVEN]
+    odd = next(s.name for s in t.symbols if s.parity == ODD)
+    f = draw_poly(t, rng, density=0 if rng.random() < 0.5 else None)
+    named = evens if rng.random() < 0.5 else rng.sample(evens, min(len(evens), 8))
+    values = {n: rng.choice(units if n in BIG else small) for n in named}
+    inputs = {n: as_input(c, rng) for n, c in values.items()} | {odd: 1}
+    at = {t.symbol(n).index: c for n, c in values.items()}
+    names = _some_evens(t, rng)
+    if f:
+        names += [t.symbols[i].name for i, _ in rng.choice(list(f))[0] if t.symbols[i].name not in names]
+
+    def run():
+        value, partials = encode(t, f).jet_at(inputs, names)
+        return [(pair(v), type(v) is int or v.parts()[1:] != (0, 1)) for v in [value, *partials]]
+
+    def model():
+        parts = [f] + [diff_even(f, t.symbol(n).index) for n in names]
+        return [(eval_even(p, at).get(((), ()), ZERO), True) for p in parts]
+    yield run, model
 
 
 @case(30)
