@@ -19,7 +19,7 @@ from .expr_io import (Context, DslSyntaxError, UnknownSymbolError, format_deriva
                       parse, poly_to_jsonable)
 from .kernel import MAX_DEGREE, SizeLimitError, SymbolTable, super_bracket
 from .morphisms import FleshMorphism
-from .scalars import QI, ratio
+from .scalars import num_den, ratio
 from .superspace import SuperDomain, berezin, supertime
 
 
@@ -297,15 +297,10 @@ def cmd_table(args) -> int:
         }, sort_keys=True))
         return 0
     k = alg.dim
-    width = 5
-    header = "    " + "".join(f"u{b}".rjust(width) for b in range(1, k + 1))
-    print(header)
+    print("    " + "".join(f"u{b}".rjust(5) for b in range(1, k + 1)))
     for a in range(1, k + 1):
-        cells = []
-        for b in range(1, k + 1):
-            g, s = alg.table[(a, b)]
-            cells.append(("-" if s < 0 else "") + f"u{g}")
-        print(f"u{a}".ljust(4) + "".join(c.rjust(width) for c in cells))
+        cells = (f"-u{g}" if s < 0 else f"u{g}" for _, _, g, s in rows[(a - 1) * k:a * k])
+        print(f"u{a}".ljust(4) + "".join(c.rjust(5) for c in cells))
     return 0
 
 
@@ -356,10 +351,10 @@ def _parse_h(text) -> models.Superpotential:
         raise SizeLimitError(f"--h {text!r}: degree {degree} exceeds the degree budget {MAX_DEGREE}")
     coeffs = []
     for i in range(degree + 1):
-        c = val.eval_even({"u": 0}).scalar_part()  # an int, a Fraction or a non-real QI
-        if type(c) is QI:
+        nd = num_den(val.eval_even({"u": 0}).constant_term())  # None for a non-real QI
+        if nd is None:
             raise ValueError(f"--h {text!r}: coefficients must be rational")
-        coeffs.append(ratio(c.numerator, c.denominator * factorial(i)))
+        coeffs.append(ratio(nd[0], nd[1] * factorial(i)))
         val = val.diff_even("u")
     return models.Superpotential(coeffs)
 

@@ -23,16 +23,20 @@ in canonical form by its zero alone (`_element`): one gcd under the int
 zero, nothing but the zero element's den under a ring zero.  The slots
 themselves are read only where values arrive from outside, side by side
 below the class: `_normal` and `_ring_zero`, by the constructor and
-`unit`; `_scaler`, which reads the scalar of `scale` once, so that
-`Matrix.scale` reads it once per matrix while each entry keeps its own
-gcd; `_one_table`, by which `*` of two elements over one polynomial table
-is one kernel call (`SymbolTable.slot_product`, which multiplies each pair
-of monomials once and adds the scalar products into the slots); and
-`_quotients`, by which `coeffs` and `norm_sq` read the slot values back.
+`unit`, which take every slot of a ring-valued element into its ring, so
+no raw scalar sits beside polynomial slots; `_scaler`, which reads the
+scalar of `scale` once, so that `Matrix.scale` reads it once per matrix
+while each entry keeps its own gcd; `_one_table`, by which `*` of two
+elements over one polynomial table is one kernel call
+(`SymbolTable.slot_product`, which multiplies each pair of monomials once
+and adds the scalar products into the slots); and `_quotients`, by which
+`coeffs` and `norm_sq` read the slot values back.
 
-Both products walk the table compiled into rows (`DivisionAlgebra`), so
-a rational product reads rows[a] once per left slot, with no (a, b) tuple
-or dict lookup per pair.
+An algebra is its multiplication table, fixed at construction as rows
+(`DivisionAlgebra`): rows[a][b] = (g, neg) for u_a u_b = +-u_g, 0-based.
+Both products walk them, so a rational product reads rows[a] once per
+left slot, with no (a, b) tuple or dict lookup per pair;
+`multiplication_rows` reads them back 1-based for printing.
 
 Octonion convention.  The multiplication table is the one pinned down by the
 required pairings u_1u_2 = u_3u_4 = u_6u_7 = u_8u_5 = u_2 together with the
@@ -48,7 +52,6 @@ in the test suite.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
 from math import gcd, lcm
 
 from .scalars import num_den, ratio
@@ -61,50 +64,28 @@ _DIM = {"R": 1, "C": 2, "H": 4, "O": 8}
 class DivisionAlgebra:
     """Multiplication-table-driven algebra over basis u_1..u_k, u_1 = 1.
 
-    The product is held as compiled rows, rows[a][b] = (g, neg) 0-based
-    for u_(a+1) u_(b+1) = (-1)^neg u_(g+1), which `*` walks.  `table` is
-    the mapping (a, b) -> (c, +-1) over those rows, not a copy: writing an
-    entry writes its row, and assigning a mapping rebuilds the rows, so an
-    edit reaches every later product and there is no cache to invalidate.
+    The product is fixed at construction as compiled rows, rows[a][b] =
+    (g, neg) 0-based for u_(a+1) u_(b+1) = (-1)^neg u_(g+1), which `*`
+    walks: u_1 is the identity, every other unit squares to -1, and each
+    oriented triple (a, b, c) of H or O gives u_a u_b = u_c cyclically and
+    the reversed products with the opposite sign.
     """
 
     def __init__(self, which: str):
         if which not in _DIM:
             raise ValueError("algebra must be one of R, C, H, O")
         self.which = which
-        self.dim = _DIM[which]
-        self.table = self._build_table()
-
-    @property
-    def table(self) -> "_Table":
-        return _Table(self)
-
-    @table.setter
-    def table(self, mapping):
-        k = self.dim
-        self.rows = [[_compiled(k, a, b, mapping[a, b]) for b in range(1, k + 1)]
-                     for a in range(1, k + 1)]
-
-    def _build_table(self):
-        k = self.dim
-        tab = {}
-        for a in range(1, k + 1):
-            tab[(1, a)] = (a, 1)
-            tab[(a, 1)] = (a, 1)
-        for a in range(2, k + 1):
-            tab[(a, a)] = (1, -1)
-        if self.which == "H":
-            self._orient(tab, 2, 3, 4)
-        elif self.which == "O":
-            for (a, b, c) in OCTONION_TRIPLES:
-                self._orient(tab, a, b, c)
-        return tab
-
-    @staticmethod
-    def _orient(tab, a, b, c):
-        for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-            tab[(x, y)] = (z, 1)
-            tab[(y, x)] = (z, -1)
+        self.dim = k = _DIM[which]
+        self.rows = rows = [[None] * k for _ in range(k)]
+        for a in range(k):
+            rows[0][a] = rows[a][0] = (a, False)
+            if a:
+                rows[a][a] = (0, True)
+        triples = {"H": ((2, 3, 4),), "O": OCTONION_TRIPLES}.get(which, ())
+        for (a, b, c) in triples:
+            for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
+                rows[x - 1][y - 1] = (z - 1, False)
+                rows[y - 1][x - 1] = (z - 1, True)
 
     # -- element helpers -------------------------------------------------
     def element(self, coeffs) -> "DAElement":
@@ -128,51 +109,6 @@ class DivisionAlgebra:
         return self.unit(1)
 
 
-class _Table(MutableMapping):
-    """`DivisionAlgebra.table`: the entries (a, b) -> (c, +-1), 1-based,
-    read from and written to the algebra's compiled rows.  Every entry of
-    a product table is present, so none can be deleted."""
-
-    __slots__ = ("alg",)
-
-    def __init__(self, alg):
-        self.alg = alg
-
-    def _cell(self, ab):
-        a, b = ab
-        k = self.alg.dim
-        if not (1 <= a <= k and 1 <= b <= k):
-            raise KeyError(ab)
-        return a - 1, b - 1
-
-    def __getitem__(self, ab):
-        a, b = self._cell(ab)
-        g, neg = self.alg.rows[a][b]
-        return g + 1, -1 if neg else 1
-
-    def __setitem__(self, ab, entry):
-        a, b = self._cell(ab)
-        self.alg.rows[a][b] = _compiled(self.alg.dim, a + 1, b + 1, entry)
-
-    def __delitem__(self, ab):
-        raise TypeError("a product table has every entry; write a new one instead")
-
-    def __iter__(self):
-        k = self.alg.dim
-        return ((a, b) for a in range(1, k + 1) for b in range(1, k + 1))
-
-    def __len__(self):
-        return self.alg.dim ** 2
-
-
-def _compiled(k, a, b, entry):
-    """The row entry (g, neg) of u_a u_b = s u_c, entry = (c, s)."""
-    c, s = entry
-    if not 1 <= c <= k:
-        raise ValueError(f"product u_{a} u_{b} = u_{c} is outside the basis")
-    return c - 1, s < 0
-
-
 class DAElement:
     """k coefficients over the basis (u_1, ..., u_k); u_1 acts as identity.
 
@@ -182,10 +118,13 @@ class DAElement:
     zero when a slot is a non-real QI and table.zero() for polynomial
     ones.  Results keep it and are normalized by it alone (`_element`).
     Left out, it is read from the slots (`_ring_zero`); passed in, the int
-    0 with a non-real QI or polynomial slot raises TypeError.  + and - of
-    two rings raise TypeError; * and `scale` move a rational factor into
-    the ring of the other, and * of two elements over one polynomial table
-    makes each slot one kernel sum of signed products.
+    0 with a non-real QI or polynomial slot raises TypeError.  Under a ring
+    zero the constructor takes every slot into the ring (zero + slot), so a
+    rational slot becomes a constant there and a polynomial over another
+    table raises TableMismatchError.  + and - of two rings raise
+    TypeError; * and `scale` move a rational factor into the ring of the
+    other, and * of two elements over one polynomial table makes each slot
+    one kernel sum of signed products.
     """
 
     __slots__ = ("alg", "num", "den", "zero")
@@ -194,11 +133,14 @@ class DAElement:
         if len(coeffs) != alg.dim:
             raise ValueError(f"need {alg.dim} coefficients")
         self.alg = alg
-        self.num, self.den = _normal(coeffs, 1)
+        num, self.den = _normal(coeffs, 1)
         if zero is None:
             zero = _ring_zero(coeffs)
-        elif type(zero) is int and not all(type(n) is int for n in self.num):
+        if type(zero) is not int:
+            num = [zero + n if n else zero for n in num]
+        elif not all(type(n) is int for n in num):
             raise TypeError("the int zero names rational slots; pass the zero of the slots' ring")
+        self.num = num
         self.zero = zero
 
     @property
@@ -402,10 +344,12 @@ def _scaler(c):
 
 
 def _ring_zero(slots):
-    """The zero of the ring the slots live in: a slot that `num_den` does
-    not read (a non-real QI, a SuperPolynomial) names the ring; rational
-    slots have the int 0."""
-    return next((c - c for c in slots if num_den(c) is None), 0)
+    """The zero of the ring the slots live in: the sum of the zeros of the
+    slots that `num_den` does not read (a non-real QI, a SuperPolynomial),
+    so a polynomial slot names the ring wherever it stands beside a QI one;
+    rational slots have the int 0."""
+    zeros = [c - c for c in slots if num_den(c) is None]
+    return sum(zeros[1:], zeros[0]) if zeros else 0
 
 
 def _element(alg: DivisionAlgebra, num: list, den: int, zero) -> DAElement:
@@ -429,8 +373,8 @@ def _element(alg: DivisionAlgebra, num: list, den: int, zero) -> DAElement:
     return e
 
 
-# Singletons, whose tables are never written; an edited table belongs on an
-# algebra of its own, DivisionAlgebra(which).
+# Singletons, whose rows are never written; a test that edits a table edits
+# the rows of an algebra of its own, DivisionAlgebra(which).
 R = DivisionAlgebra("R")
 C = DivisionAlgebra("C")
 H = DivisionAlgebra("H")
@@ -468,10 +412,7 @@ def gamma_constants(alg: DivisionAlgebra) -> dict:
 
 
 def multiplication_rows(alg: DivisionAlgebra):
-    """(a, b, gamma, sign) rows of the table, for printing and JSON."""
-    rows = []
-    for a in range(1, alg.dim + 1):
-        for b in range(1, alg.dim + 1):
-            g, s = alg.table[(a, b)]
-            rows.append((a, b, g, s))
-    return rows
+    """(a, b, gamma, sign) rows of the table, 1-based, u_a u_b = sign u_gamma,
+    a-major, for printing and JSON."""
+    return [(a + 1, b + 1, g + 1, -1 if neg else 1)
+            for a, row in enumerate(alg.rows) for b, (g, neg) in enumerate(row)]

@@ -6,12 +6,12 @@ rational integer and a Gaussian rational (`QI`, integer parts over one
 denominator) otherwise, real or not, so no Fraction is stored or formed
 inside a product.  `scalars.normalize` is the one rule, and every module
 past the input edge computes in that form; Fraction appears only at the
-edges (operands and bounds that arrive as Fractions, `scalar_part` of a
-real value).  The types compare and hash alike, so 3, Fraction(3) and
-QI(3, 0) are the same coefficient.  An even monomial is one packed int with a 33-bit field
-per even symbol (the power in the low 32 bits, a guard bit on top; offsets
-fixed on the SymbolTable when a symbol is declared), so two even monomials
-multiply by one int sum, and one AND against the table's guard mask raises
+edges (operands and bounds that arrive as Fractions).  The types compare
+and hash alike, so 3, Fraction(3) and QI(3, 0) are the same coefficient.
+An even monomial is one packed int with a 33-bit field per even symbol
+(the power in the low 32 bits, a guard bit on top; offsets fixed on the
+SymbolTable when a symbol is declared), so two even monomials multiply
+by one int sum, and one AND against the table's guard mask raises
 `SizeLimitError` for a power above `MAX_EXPONENT`.  An odd monomial is an
 int bitmask over symbol indices (bit i set: `symbols[i]` occurs), read in
 symbol-table declaration order, and every product normalizes signs against
@@ -23,11 +23,11 @@ Clifford generator; a sign is applied by negation; a pair that shares a
 nilpotent generator is skipped before `_odd_mul` is called.  Products and
 sums are written through one accumulator, `_add_term`, which stores every
 result through `normalize`; `scale` does the same.  `_term_product` adds
-a signed product into an accumulator it is given, so
-`SymbolTable.sum_of_products` sums many signed products (a field of
-`morphisms.sum_field`) into one dict, with no polynomial formed per pair.
-A division-algebra product over one table is one call,
-`SymbolTable.slot_product`: its slots are split by monomial, each pair of
+a product into an accumulator it is given, and `SymbolTable.sum` adds
+many polynomials into one.  A division-algebra product over one table is
+one call, `SymbolTable.slot_product`: its slots, every one a polynomial
+over the table (the `DAElement` constructor takes each slot of a
+polynomial element into its ring), are split by monomial, each pair of
 monomials is multiplied once, and each pair of (central) scalar
 coefficients adds one product into its slot's accumulator, so two
 elements whose slots are multiples of one monomial each cost one
@@ -42,29 +42,29 @@ growth of a power.
 A derivation is applied term by term (`Derivation._apply`): each term of
 f, each factor with an image and each term of that image give one
 coefficient and one merged monomial, added with a sign (-1)^neg into an
-accumulator the caller passes in, as `_term_product` does, with crossing
-and Koszul signs applied by negation; no intermediate polynomial is
-formed.  `super_bracket` fills one accumulator per generator, X(Y g) and
-then -+Y(X g), so a bracket image costs no product, scale, negation or
-sum.  The public `Derivation` constructor checks every image it is given
-(its name, table and parity); brackets, sums, differences and multiples
-are built by `_derivation`, keyed by index, with no re-check, since
-combinations of homogeneous derivations over one table are homogeneous of
-a parity known in advance.  They drop empty images and carry no label.
+accumulator the caller passes in, as `_term_product` adds its products,
+with crossing and Koszul signs applied by negation; no intermediate
+polynomial is formed.  `super_bracket` fills one accumulator per
+generator, X(Y g) and then -+Y(X g), so a bracket image costs no product,
+scale, negation or sum.  The public `Derivation` constructor checks every
+image it is given (its name, table and parity); brackets, sums,
+differences and multiples are built by `_derivation`, keyed by index,
+with no re-check, since combinations of homogeneous derivations over one
+table are homogeneous of a parity known in advance.  They drop empty
+images and carry no label.
 The odd invariant fields D and tau of every superspace here are built by
 one function, `odd_fields`, from the pairing T of the thetas into even
 translations, and checked against one law, `odd_field_relations_ok`.
 
 The term dict of a SuperPolynomial is built only in this module and read
 only here and by the `expr_io` printer and JSON codec.  Other code reads a
-polynomial through its projections (`constant_term`, `scalar_part`,
-`free_of`, `parity_part`, `support`, `coefficient_of_odd`,
-`odd_components`, `eval_even`, `jet_at`, `diff_even`, `integrate_even`),
-maps it with `substitute`, copies it into another table with
-`SymbolTable.adopt` and adds many sums or signed products into one
-accumulator with `SymbolTable.sum`, `SymbolTable.sum_of_products` and
-`SymbolTable.slot_product`; `tests/test_kernel.py` pins that no other
-module does.
+polynomial through its projections (`constant_term`, `free_of`,
+`parity_part`, `support`, `coefficient_of_odd`, `odd_components`,
+`eval_even`, `jet_at`, `diff_even`, `integrate_even`), maps it with
+`substitute`, copies it into another table with `SymbolTable.adopt` and
+adds many polynomials or slot products into one accumulator with
+`SymbolTable.sum` and `SymbolTable.slot_product`; `tests/test_kernel.py`
+pins that no other module does.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .scalars import QI, normalize, plain, ratio
+from .scalars import QI, normalize, ratio
 
 EVEN = 0
 ODD = 1
@@ -229,18 +229,6 @@ class SymbolTable:
                 _add_term(out, k, c)
         return SuperPolynomial(self, out)
 
-    def sum_of_products(self, triples):
-        """The sum of (-1)^neg * a * b over (neg, a, b) triples of
-        polynomials over this table, every product written into one
-        accumulator; each pair is checked for its table and its
-        `MAX_TERM_PAIRS` budget before its product is formed."""
-        out: dict = {}
-        for neg, a, b in triples:
-            if a.table is not self or b.table is not self:
-                raise TableMismatchError("operands live over different symbol tables")
-            _term_product(self, a.terms, b.terms, out, neg)
-        return SuperPolynomial(self, out)
-
     def slot_product(self, rows, left, right, zero):
         """The slots of a division-algebra product of the slot lists left
         and right over this table, rows[a][b] = (g, neg) adding
@@ -315,16 +303,11 @@ def _exponent_error():
 
 
 def _by_monomial(table, slots):
-    """The nonzero slots of a slot list split by monomial, {key: [(slot,
-    coeff), ...]}, and the most terms one slot holds; a slot over another
-    table, or a nonzero scalar, is refused.  An int 0 is skipped, since
-    the `DAElement` constructor keeps one beside polynomial slots."""
+    """The nonzero slots of a list of polynomial slots split by monomial,
+    {key: [(slot, coeff), ...]}, and the most terms one slot holds; a
+    nonzero slot over another table is refused."""
     split, most = {}, 0
     for a, p in enumerate(slots):
-        if type(p) is not SuperPolynomial:
-            if p:
-                raise TableMismatchError("a slot is not a polynomial over this table")
-            continue
         terms = p.terms
         if not terms:
             continue
@@ -365,19 +348,16 @@ def _ev_items(ev, evens):
     return tuple(out)
 
 
-def _term_product(table, a: dict, b: dict, out: dict, neg=0) -> dict:
-    """Add (-1)^neg times the product of two term dicts over table into the
-    accumulator out, and return it: the even keys of each pair add, and the
-    odd ones merge by `_odd_mul` unless they share a nilpotent generator;
-    more than `MAX_TERM_PAIRS` pairs raise `SizeLimitError` before any is
-    formed."""
+def _term_product(table, a: dict, b: dict, out: dict) -> dict:
+    """Add the product of two term dicts over table into the accumulator
+    out, and return it: the even keys of each pair add, and the odd ones
+    merge by `_odd_mul` unless they share a nilpotent generator; more than
+    `MAX_TERM_PAIRS` pairs raise `SizeLimitError` before any is formed."""
     if len(a) * len(b) > MAX_TERM_PAIRS:
         raise SizeLimitError(f"a product of {len(a)} by {len(b)} terms "
                              f"exceeds the budget of {MAX_TERM_PAIRS} term pairs")
     nil, guard = table.nil, table.guard
     for (e1, o1), c1 in a.items():
-        if neg:
-            c1 = -c1
         for (e2, o2), c2 in b.items():
             if o1 & o2 & nil:
                 continue
@@ -443,10 +423,6 @@ class SuperPolynomial:
     def constant_term(self):
         """The stored constant term: an int or a QI, 0 when there is none."""
         return self.terms.get((0, 0), 0)
-
-    def scalar_part(self):
-        """The constant term: an int or a Fraction when it is real."""
-        return plain(self.constant_term())
 
     def free_of(self, names: Iterable[str]):
         """The terms in which none of the named symbols occurs."""

@@ -241,9 +241,9 @@ def qqter_check_all(k) -> bool:
                     if lhs != qqter_rhs(ctx, a, b, al, be, inv.gammas):
                         return False
                     h11, h22, z = translation_block(lhs)
-                    imgs = {inv.vname[1, 1]: h11.scalar_part(), inv.vname[2, 2]: h22.scalar_part(),
-                            inv.vname[1, 2]: 2 * z.coeffs[0].scalar_part()}
-                    imgs.update((w, 2 * z.coeffs[g - 1].scalar_part()) for g, w in inv.wname.items())
+                    imgs = {inv.vname[1, 1]: h11.constant_term(), inv.vname[2, 2]: h22.constant_term(),
+                            inv.vname[1, 2]: 2 * z.coeffs[0].constant_term()}
+                    imgs.update((w, 2 * z.coeffs[g - 1].constant_term()) for g, w in inv.wname.items())
                     if Derivation(inv.table, EVEN, imgs) != inv.pair_translation(a, b, al, be, -2):
                         return False
     return True

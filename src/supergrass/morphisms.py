@@ -37,11 +37,11 @@ class CommutationError(ValueError):
 def sum_field(table: SymbolTable, pairs, label="Xi") -> Derivation:
     """The even derivation sum_I o^I xi_I over the (o^I, xi_I) pairs, a
     collection read once per generator: o^I is even, so each o^I xi_I is a
-    derivation, and the image of each generator is one
-    `SymbolTable.sum_of_products` over the fields that move it."""
+    derivation, and the image of each generator is one `SymbolTable.sum`
+    of o^I times the image under each field that moves it."""
     moved = sorted({i for _, X in pairs for i in X.images})
-    images = {table.symbols[i].name: table.sum_of_products(
-        (0, mono, X.images[i]) for mono, X in pairs if i in X.images) for i in moved}
+    images = {table.symbols[i].name: table.sum(
+        mono * X.images[i] for mono, X in pairs if i in X.images) for i in moved}
     return Derivation(table, EVEN, images, label)
 
 
@@ -175,7 +175,7 @@ def collapse_case(src, tgt, rng) -> bool:
         return False
     f = _random_odd_poly(tgt, rng)
     g = _random_odd_poly(tgt, rng)
-    return (f * g).scalar_part() == f.scalar_part() * g.scalar_part()
+    return (f * g).constant_term() == f.constant_term() * g.constant_term()
 
 
 def _random_odd_poly(t, rng):

@@ -8,10 +8,10 @@ most one gcd.  Past the input edge a scalar is an int when it is a rational
 integer and a QI otherwise, real or not: `normalize` is that one rule,
 `ratio` builds a rational in it and `num_den` reads a rational in any form
 accepted as input.  `fractions.Fraction` appears only at the edges: it is
-accepted as input, `.re` and `.im` read the parts of a QI as Fractions,
-`plain` turns a real QI back into one and `parse_scalar` reads text
-through it.  Mixed int/Fraction/QI arithmetic promotes to QI, and equal
-values compare and hash equal whatever their type.
+accepted as input, `.re` and `.im` read the parts of a QI as Fractions
+and `parse_scalar` reads text through it.  Mixed int/Fraction/QI
+arithmetic promotes to QI, and equal values compare and hash equal
+whatever their type.
 """
 
 from __future__ import annotations
@@ -227,14 +227,6 @@ def ratio(n: int, d: int):
     """n/d for ints n and d > 0, in the stored form of `normalize`."""
     g = gcd(n, d)
     return n // g if g == d else _qi(n // g, 0, d // g)
-
-
-def plain(c):
-    """A stored coefficient as the API hands it out: a real QI as a
-    Fraction, an int or a non-real QI as it is."""
-    if type(c) is QI and not c._b:
-        return Fraction(c._a, c._d)
-    return c
 
 
 def _ratio_text(n: int, d: int) -> str:

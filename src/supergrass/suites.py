@@ -266,7 +266,7 @@ def check_clifford_complex_plane(rng, cases, ks):
     for i in range(2):
         for j in range(2):
             pk = bk[i] * bk[j]
-            ck = [pk.scalar_part(), pk.coefficient_of_odd(("eps",)).scalar_part()]
+            ck = [pk.constant_term(), pk.coefficient_of_odd(("eps",)).constant_term()]
             yield ck == (bc[i] * bc[j]).coeffs or f"e{i}*e{j}"
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from supergrass.divalg import DivisionAlgebra
-from supergrass.kernel import super_bracket
+from supergrass.divalg import O, DivisionAlgebra
+from supergrass.kernel import SymbolTable, super_bracket
 from supergrass.minkowski import (InvariantFields, MinkContext, anticomm, q_unit,
                                   translation_block)
 
@@ -18,8 +18,8 @@ def field_bracket_constants(inv, tau, a, alpha, b, beta):
     sym = inv.table.sym
     for name in inv.thname.values():
         assert br(sym(name)).is_zero(), "bracket is not a translation"
-    c_v = {ab: br(sym(name)).scalar_part() for ab, name in inv.vname.items()}
-    c_w = {g: br(sym(name)).scalar_part() for g, name in inv.wname.items()}
+    c_v = {ab: br(sym(name)).constant_term() for ab, name in inv.vname.items()}
+    c_w = {g: br(sym(name)).constant_term() for g, name in inv.wname.items()}
     return c_v, c_w
 
 
@@ -47,15 +47,28 @@ def test_matrix_vs_vector_field_structure_constants(k):
                         assert mw.get(g, zero) == ctx.table.scalar(-fw.get(g, Fraction(0)))
 
 
+def _flipped_octonions():
+    """A fresh octonion algebra whose line (2,3,4) is reversed to (2,4,3):
+    u_x u_y = u_z and u_y u_x = -u_z on each cyclic turn, written into the
+    0-based rows."""
+    bad = DivisionAlgebra("O")
+    for (x, y, z) in ((2, 4, 3), (4, 3, 2), (3, 2, 4)):
+        bad.rows[x - 1][y - 1] = (z - 1, False)
+        bad.rows[y - 1][x - 1] = (z - 1, True)
+    return bad
+
+
 def test_flipped_octonion_line_breaks_norm():
     """Negative control: reversing the orientation of one triple destroys
     norm multiplicativity, so the convention checks are not vacuous."""
-    bad = DivisionAlgebra("O")
-    bad.table = dict(bad.table)
-    # reverse (2,3,4) -> (2,4,3)
-    for (x, y, z) in ((2, 4, 3), (4, 3, 2), (3, 2, 4)):
-        bad.table[(x, y)] = (z, 1)
-        bad.table[(y, x)] = (z, -1)
+    bad = _flipped_octonions()
+    # the reversed line reaches the rational and the polynomial-slot
+    # product, and the singleton O keeps its own rows
+    t = SymbolTable()
+    t.clifford_symbol("eps", 1)
+    eps = t.sym("eps")
+    assert bad.unit(2) * bad.unit(3) == -bad.unit(4) and O.unit(2) * O.unit(3) == O.unit(4)
+    assert bad.unit(2, eps) * bad.unit(3, eps) == bad.unit(4, t.one())
     u = bad.element([0, 1, 0, 0, 1, 0, 0, 0])   # u2 + u5
     v = bad.element([0, 0, 0, 1, 0, 0, 1, 0])   # u4 + u7
     lhs = (u * v) * (u * v).conj()
@@ -65,11 +78,7 @@ def test_flipped_octonion_line_breaks_norm():
 
 
 def test_flipped_line_breaks_alternativity():
-    bad = DivisionAlgebra("O")
-    bad.table = dict(bad.table)
-    for (x, y, z) in ((2, 4, 3), (4, 3, 2), (3, 2, 4)):
-        bad.table[(x, y)] = (z, 1)
-        bad.table[(y, x)] = (z, -1)
+    bad = _flipped_octonions()
     found = False
     for a in range(2, 9):
         for b in range(2, 9):

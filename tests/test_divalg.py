@@ -7,7 +7,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from supergrass import divalg, kernel, minkowski
 from supergrass.divalg import C, H, O, R, DAElement, algebra, gamma_constants
-from supergrass.kernel import SuperPolynomial, SymbolTable
+from supergrass.kernel import SuperPolynomial, SymbolTable, TableMismatchError
 from supergrass.matrix import Matrix
 from supergrass.scalars import QI, num_den
 
@@ -172,10 +172,8 @@ def _dense(op, alg, xs, ys=None, c=None, zero=0):
     if op == "im":
         return [zero] + list(xs[1:])
     out = [zero] * k
-    for a in range(1, k + 1):
-        for b in range(1, k + 1):
-            g, s = alg.table[(a, b)]
-            out[g - 1] = out[g - 1] + (xs[a - 1] * ys[b - 1]) * s
+    for a, b, g, s in divalg.multiplication_rows(alg):
+        out[g - 1] = out[g - 1] + (xs[a - 1] * ys[b - 1]) * s
     return out
 
 
@@ -360,6 +358,30 @@ def test_constructors_take_the_zero_from_a_ring_slot():
     for slot in (u, QI(0, 1), QI(Fraction(1, 2), 1)):
         with pytest.raises(TypeError):
             DAElement(H, [slot, 1, 0, 0], 0)
+
+
+def test_the_constructor_takes_every_slot_into_the_ring():
+    """Under a polynomial zero, passed in or read from a slot, the int 0
+    and rational slots become constants of the table, so the element
+    equals and squares as its all-polynomial twin, and a QI zero makes
+    every slot a QI; a polynomial slot names the ring whatever its place
+    beside a QI slot; a slot over another table is refused when the element
+    is built, not when it is first multiplied."""
+    t, u = _envelope(), _envelope()
+    eps, et = t.sym("eps"), t.sym("et1") * t.sym("et2")
+    for x, twin in ((DAElement(H, [1, 0, 0, 0], t.zero()), H.unit(1, t.one())),
+                    (DAElement(C, [eps, 3]), DAElement(C, [eps, t.scalar(3)])),
+                    (DAElement(H, [Fraction(1, 2), 0, 0, et]),
+                     DAElement(H, [t.scalar(Fraction(1, 2)), t.zero(), t.zero(), et]))):
+        assert _over_table(x, t) and x == twin and x * x == twin * twin
+        assert all(isinstance(n, SuperPolynomial) and n.table is t for n in x.num)
+    assert all(type(n) is QI for n in DAElement(H, [QI(0, 1), 1, 0, 0]).num)
+    # a polynomial slot names the ring before or after a non-real QI one
+    for x in (DAElement(H, [QI(0, 1), eps, 0, 0]), DAElement(H, [eps, QI(0, 1), 0, 0])):
+        assert _over_table(x, t) and x + H.unit(1, t.one()) == H.unit(1, t.one()) + x
+    for coeffs, zero in (([eps, u.sym("eps")], None), ([u.sym("eps"), 1], t.zero())):
+        with pytest.raises(TableMismatchError):
+            DAElement(C, coeffs, zero)
 
 
 def test_scale_by_a_gaussian_rational_folds_the_denominator():
@@ -556,15 +578,15 @@ def test_rational_octonion_arithmetic_builds_no_fraction(monkeypatch):
 
 def _slot_sums(x, y):
     """x * y over one table as slot-by-slot sums: slot g is one
-    `SymbolTable.sum_of_products` of the (neg, x_a, y_b) pairs the table
-    sends to g, over den x.den * y.den (1 for the zero result), with x's
-    zero."""
+    `SymbolTable.sum` of the products +-x_a * y_b the table sends to g,
+    over den x.den * y.den (1 for the zero result), with x's zero."""
     t, k = x.zero.table, x.alg.dim
-    pairs = [[] for _ in range(k)]
-    for (a, b), (g, s) in x.alg.table.items():
+    products = [[] for _ in range(k)]
+    for a, b, g, s in divalg.multiplication_rows(x.alg):
         if x.num[a - 1] and y.num[b - 1]:
-            pairs[g - 1].append((s < 0, x.num[a - 1], y.num[b - 1]))
-    num = [t.sum_of_products(p) if p else x.zero for p in pairs]
+            p = x.num[a - 1] * y.num[b - 1]
+            products[g - 1].append(p if s > 0 else -p)
+    num = [t.sum(p) if p else x.zero for p in products]
     return num, x.den * y.den if any(num) else 1, x.zero
 
 
@@ -572,8 +594,8 @@ def _slot_sums(x, y):
 def test_polynomial_slot_product_against_slot_sums(alg):
     """The one kernel call of a polynomial-slot product against the sum of
     products of each slot, with eps and eta slots, elements over a den,
-    zero elements, an element whose zero slots are the int 0 the
-    constructor keeps, and the squares x * x, whose cross terms cancel."""
+    zero elements, an element built with int 0 slots beside a polynomial
+    one, and the squares x * x, whose cross terms cancel."""
     t = _envelope()
     rng = random.Random(89 + alg.dim)
     zero = alg.zero_like(t.zero())
@@ -608,40 +630,6 @@ def test_single_monomial_product_multiplies_one_monomial_pair(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     assert (got.num, got.den, got.zero) == _slot_sums(x, y) and got
-
-
-def test_a_table_write_reaches_the_next_product():
-    """`table` is the mapping over the compiled rows: on a fresh algebra a
-    write after a product changes the next product, rational or over a
-    table, and assigning a mapping rebuilds the rows.  The singleton O is
-    untouched."""
-    alg = divalg.DivisionAlgebra("O")
-    t = _envelope()
-    eps = t.sym("eps")
-    u, v = alg.unit(2), alg.unit(3)
-    assert u * v == alg.unit(4) and u.scale(eps) * v.scale(eps) == alg.unit(4).scale(t.scalar(-1))
-    alg.table[(2, 3)] = (5, -1)
-    assert alg.table[(2, 3)] == (5, -1) and alg.rows[1][2] == (4, True)
-    assert u * v == -alg.unit(5) and u.scale(eps) * v.scale(eps) == alg.unit(5).scale(t.one())
-    alg.table = O.table
-    assert u * v == alg.unit(4) and dict(alg.table) == dict(O.table) and alg.rows == O.rows
-    assert alg.rows is not O.rows and O.unit(2) * O.unit(3) == O.unit(4)
-
-
-def test_the_table_mapping_holds_every_entry():
-    alg = divalg.DivisionAlgebra("H")
-    assert len(alg.table) == 16 and list(alg.table) == [(a, b) for a in range(1, 5) for b in range(1, 5)]
-    assert alg.table[(2, 3)] == (4, 1) and alg.table[(3, 2)] == (4, -1) and alg.table[(2, 2)] == (1, -1)
-    for bad in [(0, 1), (1, 5), (5, 5), (-1, 2)]:
-        assert bad not in alg.table
-        with pytest.raises(KeyError):
-            alg.table[bad] = (1, 1)
-    with pytest.raises(ValueError, match="outside the basis"):
-        alg.table[(2, 3)] = (5, 1)
-    with pytest.raises(TypeError):
-        del alg.table[(2, 3)]
-    with pytest.raises(KeyError):
-        alg.table = {(1, 1): (1, 1)}
 
 
 # -- Matrix.scale reads its scalar once ----------------------------------------

@@ -25,6 +25,10 @@ GOLDEN = [
     (["brackets", "--k", "2"], "88b5bd6ee8504ab76afc8a01bbd99aee88885a2c87c0755a0d63117c54642982"),
     (["brackets", "--k", "4"], "39c22e1f98a3bbab1d9212ed61c63d36b514da52d7f14e0b2361ddbed8d374ca"),
     (["brackets", "--k", "8"], "5963cbfb1e49d365716ddfef08a79762f267720609766bfd16a92e27ee82072e"),
+    (["table", "--alg", "R"], "6476ad867443816344968ebe1a0aec2dd9793f969fefe01184196d5107bb9906"),
+    (["table", "--alg", "C"], "b8030429e3c4e2945c7da84b32f314f1dfa2dfad44f378846fc66cd3ec0a97dc"),
+    (["table", "--alg", "H"], "772c0d2a47a35e188aa4774fc16fb213cddb866fe3a10eb14697ce5975e87be2"),
+    (["table", "--alg", "O"], "5fb0e7236a803c4f3af0c5083ad64671f0f1fd186be02791e2fa43bc0f8a7669"),
     (["table", "--alg", "R", "--json"], "7a7e0759c797ae95ea870c91d37e861c23db249c1e7f71e0423932ce99637d0f"),
     (["table", "--alg", "C", "--json"], "88139e86330917a1963724855ce4519121f700f6f617e13751064eb096083765"),
     (["table", "--alg", "H", "--json"], "8ed9eb1d37ca2141ae152d3107076f4e28f5055271e12f07ed673f53171d430d"),

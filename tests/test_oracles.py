@@ -471,18 +471,6 @@ def case_monomial(t, rng):
     yield lambda: t.monomial(v, even, odd), lambda: monomial(t, c, even, odd)
 
 
-@case(20)
-def case_sum_of_products(t, rng):
-    """(neg, a, b) triples, now and then a pair that cancels the first."""
-    triples = [(rng.random() < 0.5, draw_poly(t, rng), draw_poly(t, rng)) for _ in range(rng.randint(1, 4))]
-    if rng.random() < 0.3:
-        neg, a, b = triples[0]
-        triples.append((not neg, a, b))
-    polys = [(neg, encode(t, a), encode(t, b)) for neg, a, b in triples]
-    yield (lambda: t.sum_of_products(iter(polys)),
-           lambda: add(*(scale(mul(t, a, b), MINUS if neg else ONE) for neg, a, b in triples)))
-
-
 @functools.cache
 def _many_terms(t, n):
     """A model polynomial of n terms, the powers 1..n of the first even
