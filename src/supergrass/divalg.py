@@ -2,31 +2,30 @@
 the antisymmetric structure constants used by the super Minkowski algebras.
 
 Elements carry coefficients over an orthonormal basis (u_1, ..., u_k) with
-u_1 = 1.  The coefficients come from any ring whose elements support +, - and
-* and test false exactly when zero: exact scalars, or SuperPolynomials over
-one table, so the same arithmetic drives both plain computations and matrix
-entries over a Clifford envelope.  An element carries its ring's zero, which
-fills the slots a product leaves empty.  `+` and `-` stay in one ring and
-refuse operands from two; `*` and `scale` move a rational element into the
-ring of the other factor.
+u_1 = 1.  The coefficients come from one of two rings: the rationals, or
+the SuperPolynomials over one table, so the same arithmetic drives both
+plain computations and matrix entries over a Clifford envelope.  An
+element carries its ring's zero, which fills the slots a product leaves
+empty.  `+` and `-` stay in one ring and refuse operands from two; `*` and
+`scale` move a rational element into the ring of the other factor.
 
 An element stores numerators over one positive int denominator: slot i is
 num[i] / den.  Rational slots (an int, a Fraction or a real QI) are ints in
 lowest terms, so an octonion product is integer arithmetic and one gcd.
-Ring-valued slots (a non-real QI, a SuperPolynomial) keep den as well,
-not reduced, since a ring slot has no content gcd here: a rational element
-scaled into a Clifford envelope holds int-coefficient polynomials over its
-den, and only `coeffs` and `norm_sq` divide.  The operators are plain
-ring arithmetic on (num, den) and never test the type of a coefficient.
-The zero an element carries names its ring, so an operator result is put
-in canonical form by its zero alone (`_element`): one gcd under the int
-zero, nothing but the zero element's den under a ring zero.  The slots
-themselves are read only where values arrive from outside, side by side
-below the class: `_normal` and `_ring_zero`, by the constructor and
-`unit`, which take every slot of a ring-valued element into its ring, so
-no raw scalar sits beside polynomial slots; `_scaler`, which reads the
-scalar of `scale` once, so that `Matrix.scale` reads it once per matrix
-while each entry keeps its own gcd; `_one_table`, by which `*` of two
+Polynomial slots keep den as well, not reduced, since a polynomial has no
+content gcd here: a rational element scaled into a Clifford envelope holds
+int-coefficient polynomials over its den, and only `coeffs` and `norm_sq`
+divide.  The operators are plain ring arithmetic on (num, den) and never
+test the type of a coefficient.  The zero an element carries names its
+ring, so an operator result is put in canonical form by its zero alone
+(`_element`): one gcd under the int zero, nothing but the zero element's
+den under a ring zero.  The slots themselves are read only where values
+arrive from outside, side by side below the class: `_into_ring` (through
+`_normal` and `_ring_zero`), by the constructor and `unit`, which takes
+every slot of a polynomial element into its table, a non-real QI too, so
+no raw scalar sits beside polynomial slots; `_scaler`, which
+reads the scalar of `scale` once, so that `Matrix.scale` reads it once per
+matrix while each entry keeps its own gcd; `_one_table`, by which `*` of two
 elements over one polynomial table is one kernel call
 (`SymbolTable.slot_product`, which multiplies each pair of monomials once
 and adds the scalar products into the slots); and `_quotients`, by which
@@ -99,8 +98,7 @@ class DivisionAlgebra:
     def unit(self, alpha: int, coeff=1) -> "DAElement":
         if not 1 <= alpha <= self.dim:
             raise ValueError(f"unit index {alpha} is outside 1..{self.dim}")
-        zero = _ring_zero([coeff])
-        (c,), den = _normal([coeff], 1)
+        (c,), den, zero = _into_ring([coeff])
         num = [zero] * self.dim
         num[alpha - 1] = c
         return _element(self, num, den, zero)
@@ -112,36 +110,23 @@ class DivisionAlgebra:
 class DAElement:
     """k coefficients over the basis (u_1, ..., u_k); u_1 acts as identity.
 
-    Slot i holds num[i] / den, in every ring; den is 1 for the zero
-    element.  `zero` names the coefficient ring: the int 0 for rational
-    slots (int, Fraction or real QI), whose numerators are then ints, a QI
-    zero when a slot is a non-real QI and table.zero() for polynomial
-    ones.  Results keep it and are normalized by it alone (`_element`).
-    Left out, it is read from the slots (`_ring_zero`); passed in, the int
-    0 with a non-real QI or polynomial slot raises TypeError.  Under a ring
-    zero the constructor takes every slot into the ring (zero + slot), so a
-    rational slot becomes a constant there and a polynomial over another
-    table raises TableMismatchError.  + and - of two rings raise
-    TypeError; * and `scale` move a rational factor into the ring of the
-    other, and * of two elements over one polynomial table makes each slot
-    one kernel sum of signed products.
+    Slot i holds num[i] / den; den is 1 for the zero element.  `zero`,
+    read from the slots (`_into_ring`), names the coefficient ring: the
+    int 0 for rational slots (int, Fraction or real QI), whose numerators
+    are then ints, and table.zero() when a slot is a polynomial, which
+    takes every slot into the table.  Results keep it and are normalized
+    by it alone (`_element`).  + and - of two rings raise TypeError; * and
+    `scale` move a rational factor into the ring of the other, and * of
+    two elements over one polynomial table is one kernel call.
     """
 
     __slots__ = ("alg", "num", "den", "zero")
 
-    def __init__(self, alg: DivisionAlgebra, coeffs, zero=None):
+    def __init__(self, alg: DivisionAlgebra, coeffs):
         if len(coeffs) != alg.dim:
             raise ValueError(f"need {alg.dim} coefficients")
         self.alg = alg
-        num, self.den = _normal(coeffs, 1)
-        if zero is None:
-            zero = _ring_zero(coeffs)
-        if type(zero) is not int:
-            num = [zero + n if n else zero for n in num]
-        elif not all(type(n) is int for n in num):
-            raise TypeError("the int zero names rational slots; pass the zero of the slots' ring")
-        self.num = num
-        self.zero = zero
+        self.num, self.den, self.zero = _into_ring(coeffs)
 
     @property
     def coeffs(self) -> list:
@@ -283,10 +268,10 @@ def _normal(num: list, den: int):
 
     Rational slots (int, Fraction or real QI, read by `scalars.num_den`)
     come back as ints over a positive den with gcd(den, *num) = 1, so the
-    zero element has den 1.  A slot that `num_den` does not read (a
-    non-real QI, a SuperPolynomial) is ring-valued: then the slots and den
-    are kept as they are, since reducing them would need the content of
-    each slot, and only the zero element is put over den 1.
+    zero element has den 1.  When `num_den` does not read a slot (a
+    polynomial, or a non-real QI beside one), the slots and den are kept as
+    they are, since reducing them would need the content of each slot, and
+    only the zero element is put over den 1.
     """
     pairs = [num_den(n) for n in num]
     if None in pairs:
@@ -322,12 +307,15 @@ def _one_table(z1, z2):
 def _scaler(c):
     """e -> e.scale(c), c read once: a rational c as p/q, after which each
     element keeps its own gcd of p with its den times q, as `_normal` would
-    give; a ring-valued c (a non-real QI, a SuperPolynomial) multiplies the
-    slots over the element's den."""
+    give; any other c (a polynomial, or a non-real QI, which raises
+    TypeError on rational slots) multiplies the slots over the element's
+    den."""
     pq = num_den(c)
     if pq is None:
         def scaled(e):
             zero = c * e.zero
+            if getattr(zero, "table", None) is None:
+                raise TypeError("a non-real scalar scales an element with polynomial slots only")
             return _element(e.alg, [c * a if a else zero for a in e.num], e.den, zero)
         return scaled
     p, q = pq
@@ -344,12 +332,22 @@ def _scaler(c):
 
 
 def _ring_zero(slots):
-    """The zero of the ring the slots live in: the sum of the zeros of the
-    slots that `num_den` does not read (a non-real QI, a SuperPolynomial),
-    so a polynomial slot names the ring wherever it stands beside a QI one;
-    rational slots have the int 0."""
-    zeros = [c - c for c in slots if num_den(c) is None]
-    return sum(zeros[1:], zeros[0]) if zeros else 0
+    """The zero of the first polynomial slot's table, else the int 0."""
+    return next((c.table.zero() for c in slots if getattr(c, "table", None) is not None), 0)
+
+
+def _into_ring(coeffs):
+    """(num, den, zero) of slot values from outside: under a polynomial
+    zero every slot is taken into its table (zero + slot), so a polynomial
+    over another table raises TableMismatchError; under the int zero a
+    non-real QI slot raises TypeError."""
+    num, den = _normal(coeffs, 1)
+    zero = _ring_zero(coeffs)
+    if type(zero) is not int:
+        return [zero + n if n else zero for n in num], den, zero
+    if not all(type(n) is int for n in num):
+        raise TypeError("a non-real QI slot needs a polynomial slot beside it")
+    return num, den, zero
 
 
 def _element(alg: DivisionAlgebra, num: list, den: int, zero) -> DAElement:

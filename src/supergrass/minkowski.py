@@ -81,7 +81,7 @@ def minkowski_norm_identity(t, x, z: DAElement) -> bool:
 
 
 def kmat2(alg: DivisionAlgebra, e11, e12, e21, e22) -> Matrix:
-    """2x2 matrix over K with rational (or Gaussian) coefficients."""
+    """2x2 matrix over K with rational coefficients."""
     return Matrix([[e11, e12], [e21, e22]], alg.zero_like())
 
 
@@ -108,7 +108,7 @@ class MinkContext:
         return self.table.sym(f"et{i}")
 
     def promote(self, v: DAElement) -> DAElement:
-        """Rational or Gaussian coefficients -> constant polynomials."""
+        """Rational coefficients -> constant polynomials."""
         return v.scale(self.table.one())
 
     def zero_matrix(self) -> Matrix:
@@ -734,23 +734,6 @@ def x_dotted(ctx: MinkContext, a, b) -> Matrix:
         x_matrix(ctx, a, b, u2) - x_matrix(ctx, b, a, u2)).scale(ratio(1, 2)).scale(QI(0, 1))
 
 
-def chiral_matrix_relations_ok() -> bool:
-    """With the chiral charges of Q^1, Q^2 (the square root of 2
-    normalization dropped; all displayed relations are quadratic):
-    [q_a, q_b] = [qbar_a, qbar_b] = 0 and [q_a, qbar_b] = -4 X_(a b-dot)."""
-    ctx = MinkContext(2)
-    q, qbar = chiral_charges(ctx, 1, 2)
-    for a in (1, 2):
-        for b in (1, 2):
-            if not anticomm(q[a], q[b]).is_zero():
-                return False
-            if not anticomm(qbar[a], qbar[b]).is_zero():
-                return False
-            if anticomm(q[a], qbar[b]) != x_dotted(ctx, a, b).scale(-4):
-                return False
-    return True
-
-
 def chiral_field_relations_ok() -> bool:
     """Coordinates x^(a b-dot) (4 even), th^a and thb^a-dot (4 odd): th^a
     pairs with thb^bd into ∂_(a bd), in both orders, and with th^b to 0, so
@@ -825,67 +808,64 @@ def k4_bridge_dictionary_ok() -> bool:
 # Dimensional reductions with central charges
 # ---------------------------------------------------------------------------
 
-REDUCTION_PAIRS = {4: {1: (1, 2), 2: (3, 4)},
+REDUCTION_PAIRS = {2: {1: (1, 2)},
+                   4: {1: (1, 2), 2: (3, 4)},
                    8: {1: (1, 2), 2: (3, 4), 3: (6, 7), 4: (8, 5)}}
 
-Z_TABLE_8 = {  # Z_AB = I_[12] of (coeff on u_first) + sqrt(-1)(coeff on u_second)
-    (1, 2): ((3, -1), (4, 1)),
-    (1, 3): ((6, -1), (7, 1)),
-    (1, 4): ((8, -1), (5, 1)),
-    (2, 3): ((8, -1), (5, -1)),
-    (2, 4): ((6, 1), (7, 1)),
-    (3, 4): ((3, -1), (4, -1)),
+Z_TABLES = {  # Z_AB = I_[12] of (coeff on u_first) + sqrt(-1)(coeff on u_second)
+    2: {},
+    4: {(1, 2): ((3, -1), (4, 1))},
+    8: {
+        (1, 2): ((3, -1), (4, 1)),
+        (1, 3): ((6, -1), (7, 1)),
+        (1, 4): ((8, -1), (5, 1)),
+        (2, 3): ((8, -1), (5, -1)),
+        (2, 4): ((6, 1), (7, 1)),
+        (3, 4): ((3, -1), (4, -1)),
+    },
 }
-
-Z_TABLE_4 = {(1, 2): ((3, -1), (4, 1))}
 
 STAR_PAIRS = {(1, 2): (3, 4), (1, 3): (4, 2), (1, 4): (2, 3)}
 
 
-class ReductionError(AssertionError):
-    pass
-
-
-def _z_value(alg: DivisionAlgebra, entry) -> DAElement:
-    """c1 u_a1 + sqrt(-1) c2 u_a2 in one call: a unit c1 u_a1 alone is rational."""
+def _z_value(ctx: MinkContext, entry, i=1) -> DAElement:
+    """c1 u_a1 + i sqrt(-1) c2 u_a2 with slots over the context's table, for
+    i = 1 or -1: i = -1 gives the conjugate under the formal square root of -1."""
     (a1, c1), (a2, c2) = entry
-    coeffs = [QI(0)] * alg.dim
-    coeffs[a1 - 1], coeffs[a2 - 1] = QI(c1), QI(0, c2)
-    return alg.element(coeffs)
+    t = ctx.table
+    coeffs = [t.zero()] * ctx.alg.dim
+    coeffs[a1 - 1], coeffs[a2 - 1] = t.scalar(c1), t.scalar(QI(0, i * c2))
+    return DAElement(ctx.alg, coeffs)
 
 
 def reduction_charges(k: int):
-    """Complexified charge bases for k = 4 or 8 and the verified relations.
-
-    Uses the doubled charges sqrt(2) Q, so all right-hand sides carry a
-    factor of 4 instead of 2.  Returns a report dict; raises ReductionError
-    naming the first failing identity (which would indicate an inconsistent
-    multiplication table).
+    """The relations of the complexified charges Q_aA = Q^alpha_a - i
+    Q^beta_a and Qbar_aA = Q^alpha_a + i Q^beta_a, (alpha, beta) the pair A
+    of REDUCTION_PAIRS[k]: the chiral charges at k = 2, the reductions with
+    central charges Z_AB at k = 4 and 8.  Uses the doubled charges sqrt(2)
+    Q, so all right-hand sides carry a factor of 4 instead of 2.  Returns
+    the name of the first relation that fails (which would indicate an
+    inconsistent multiplication table), or None.
     """
     if k not in REDUCTION_PAIRS:
-        raise ValueError("reduction implemented for k = 4 and k = 8")
+        raise ValueError("reduction implemented for k = 2, 4 and 8")
     ctx = MinkContext(k)
     pairs = REDUCTION_PAIRS[k]
-    Q = {}
-    Qb = {}
+    Q, Qb = {}, {}
     for A, (al, be) in pairs.items():
         q, qbar = chiral_charges(ctx, al, be)
         for a in (1, 2):
             Q[(a, A)], Qb[(a, A)] = q[a], qbar[a]
     xdot = {(a, b): x_dotted(ctx, a, b) for a in (1, 2) for b in (1, 2)}
 
-    # the K value of each Z_AB in both orders; Zbar_AB is I_[12] of its
-    # conjugate under the formal square root of -1
-    zval = {}
-    for (A, B), entry in (Z_TABLE_4 if k == 4 else Z_TABLE_8).items():
-        zval[A, B] = _z_value(ctx.alg, entry)
-        zval[B, A] = -zval[A, B]
-    zconj = {AB: DAElement(ctx.alg, [c.conjugate() for c in v.coeffs]) for AB, v in zval.items()}
+    # the K value of each Z_AB and of its conjugate under the formal square
+    # root of -1, whose I_[12] is Zbar_AB, in both orders
+    zval, zconj = {}, {}
+    for (A, B), entry in Z_TABLES[k].items():
+        zval[A, B], zconj[A, B] = _z_value(ctx, entry), _z_value(ctx, entry, -1)
+        zval[B, A], zconj[B, A] = -zval[A, B], -zconj[A, B]
     Z = {AB: script_i(ctx, v) for AB, v in zval.items()}
     Zbar = {AB: script_i(ctx, v) for AB, v in zconj.items()}
-
-    def fail(name):
-        raise ReductionError(f"identity {name} fails: division-algebra table inconsistent")
 
     for A in pairs:
         for B in pairs:
@@ -894,18 +874,18 @@ def reduction_charges(k: int):
                     e = EPS_AB[(a, b)] if A != B else 0  # Z_AA = 0
                     want_mixed = xdot[(a, b)].scale(-4) if A == B else ctx.zero_matrix()
                     if anticomm(Q[(a, A)], Qb[(b, B)]) != want_mixed:
-                        fail(f"[Q_{a}{A}, Qbar_{b}{B}]")
+                        return f"[Q_{a}{A}, Qbar_{b}{B}]"
                     want_qq = Z[(A, B)].scale(-4 * e) if e else ctx.zero_matrix()
                     if anticomm(Q[(a, A)], Q[(b, B)]) != want_qq:
-                        fail(f"[Q_{a}{A}, Q_{b}{B}]")
+                        return f"[Q_{a}{A}, Q_{b}{B}]"
                     want_bb = Zbar[(A, B)].scale(-4 * e) if e else ctx.zero_matrix()
                     if anticomm(Qb[(a, A)], Qb[(b, B)]) != want_bb:
-                        fail(f"[Qbar_{a}{A}, Qbar_{b}{B}]")
+                        return f"[Qbar_{a}{A}, Qbar_{b}{B}]"
     if k == 8:
         for (A, B), (sA, sB) in STAR_PAIRS.items():
             if zval[(sA, sB)] != zconj[(A, B)]:
-                fail(f"Z_*({A}{B})")
-    return {"ctx": ctx, "Q": Q, "Qbar": Qb, "Z": Z}
+                return f"Z_*({A}{B})"
+    return None
 
 
 # ---------------------------------------------------------------------------

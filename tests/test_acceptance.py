@@ -94,13 +94,23 @@ def test_broken_star_pairing_fails_k8(monkeypatch):
     assert not ok and counterexample.startswith("identity Z_*(12) fails")
 
 
+def test_charge_paired_with_itself_fails_chiral(monkeypatch):
+    """minkowski.chiral sees the k = 2 charges q = Q^1 - i Q^1 and
+    qbar = Q^1 + i Q^1, whose [q_1, q_1] = 4i X_11 is not zero."""
+    monkeypatch.setitem(minkowski.REDUCTION_PAIRS, 2, {1: (1, 1)})
+    assert minkowski.reduction_charges(2) == "[Q_11, Q_11]"
+    (fn,) = [fn for _suite, check_id, fn in CHECKS if check_id == "minkowski.chiral"]
+    ok, counterexample, _, _ = run_check("minkowski.chiral", fn)
+    assert not ok and counterexample == "matrix relations"
+
+
 def test_dropped_denominator_fails_rsym_and_k4(monkeypatch):
     """`divalg._element` forms every operator and `scale` result.  If it
-    drops the denominator of a result over a ring zero (polynomial or
-    Gaussian slots) instead of keeping it, rational K values scaled into
-    the Clifford envelope lose their den; minkowski.rsym and reductions.k4
-    must see it, and so do the other checks of the odd sector and of the
-    Gaussian central charges."""
+    drops the denominator of a result over a ring zero (polynomial slots)
+    instead of keeping it, rational K values scaled into the Clifford
+    envelope lose their den; minkowski.rsym and reductions.k4 must see it,
+    and so do the other checks of the odd sector and of the central
+    charges."""
     element = divalg._element
 
     def dropped(alg, num, den, zero):

@@ -123,7 +123,7 @@ def _rand_poly_elem(alg, t, rng):
             coeffs.append(t.zero())
         else:
             coeffs.append(sum((g.scale(rng.randint(-2, 2)) for g in rng.sample(gens, 3)), t.zero()))
-    return DAElement(alg, coeffs, t.zero())
+    return DAElement(alg, coeffs)
 
 
 def _over_table(got, t):
@@ -132,14 +132,11 @@ def _over_table(got, t):
                for slot in got.coeffs + [got.zero])
 
 
-def _over_a_den(got, t=None):
-    """The form of an element with ring slots: den is a positive int, 1 for
-    the zero element, and every numerator slot is a SuperPolynomial over t
-    or, without t, a QI."""
-    if t is None:
-        ring = all(type(n) is QI for n in got.num)
-    else:
-        ring = all(isinstance(n, SuperPolynomial) and n.table is t for n in got.num)
+def _over_a_den(got, t):
+    """The form of an element with polynomial slots: den is a positive int,
+    1 for the zero element, and every numerator slot is a SuperPolynomial
+    over t."""
+    ring = all(isinstance(n, SuperPolynomial) and n.table is t for n in got.num)
     return type(got.den) is int and got.den > 0 and (got or got.den == 1) and ring
 
 
@@ -324,10 +321,10 @@ def test_integral_and_zero_operands_meet_polynomials(alg):
 
 
 def test_constructors_take_the_zero_from_a_ring_slot():
-    """unit and the constructor read the ring off a slot that is not
-    rational (a polynomial or a non-real QI), so one-ring + and * keep every
-    slot in that ring; rational slots, real QIs among them, keep the int
-    zero, and + of a rational element refuses them."""
+    """unit and the constructor read the ring off a polynomial slot, so
+    one-ring + and * keep every slot in that ring; rational slots, real QIs
+    among them, keep the int zero, and + of a rational element refuses
+    them."""
     t = _envelope()
     u = t.sym("et1") * t.sym("et2")
     for x in (H.unit(1, u), DAElement(H, [u, 0, 0, 0])):
@@ -340,97 +337,51 @@ def test_constructors_take_the_zero_from_a_ring_slot():
         with pytest.raises(TypeError):
             x + H.unit(2)
     assert _over_table(H.unit(1, u), t)
-    g = H.unit(2, QI(0, 1))
-    assert type(g.zero) is QI and all(type(c) is QI for c in (g + H.unit(3, QI(1, 1))).coeffs)
-    assert all(type(c) is QI for c in (g * H.unit(3)).coeffs + H.unit(3).scale(QI(0, 1)).coeffs)
-    for rational in (H.unit(3), H.unit(3, QI(1))):
-        with pytest.raises(TypeError):
-            g - rational
     assert type(H.unit(2, Fraction(1, 2)).zero) is int
     assert type(DAElement(H, [Fraction(1, 3), 2, 0, 0]).zero) is int
-    # a real QI slot is rational: int numerators under the int zero, passed
-    # in or read from the slots
+    # a real QI slot is rational: int numerators under the int zero
     half = QI(Fraction(1, 2))
-    for x in (H.unit(1, half), DAElement(H, [half, 1, 0, 0]), DAElement(H, [half, 1, 0, 0], 0)):
+    for x in (H.unit(1, half), DAElement(H, [half, 1, 0, 0])):
         assert type(x.zero) is int and all(type(n) is int for n in x.num) and x.den == 2
         assert x.coeffs[0] == half and type(x.coeffs[1]) is int
-    # the int zero names rational slots, so it refuses a slot of another ring
-    for slot in (u, QI(0, 1), QI(Fraction(1, 2), 1)):
-        with pytest.raises(TypeError):
-            DAElement(H, [slot, 1, 0, 0], 0)
 
 
 def test_the_constructor_takes_every_slot_into_the_ring():
-    """Under a polynomial zero, passed in or read from a slot, the int 0
-    and rational slots become constants of the table, so the element
-    equals and squares as its all-polynomial twin, and a QI zero makes
-    every slot a QI; a polynomial slot names the ring whatever its place
-    beside a QI slot; a slot over another table is refused when the element
-    is built, not when it is first multiplied."""
+    """Under a polynomial zero, read from a slot, the int 0 and rational
+    slots become constants of the table, so the element equals and squares
+    as its all-polynomial twin; a polynomial slot names the ring whatever
+    its place beside a QI slot; a slot over another table is refused when
+    the element is built, not when it is first multiplied."""
     t, u = _envelope(), _envelope()
     eps, et = t.sym("eps"), t.sym("et1") * t.sym("et2")
-    for x, twin in ((DAElement(H, [1, 0, 0, 0], t.zero()), H.unit(1, t.one())),
-                    (DAElement(C, [eps, 3]), DAElement(C, [eps, t.scalar(3)])),
+    for x, twin in ((DAElement(C, [eps, 3]), DAElement(C, [eps, t.scalar(3)])),
                     (DAElement(H, [Fraction(1, 2), 0, 0, et]),
                      DAElement(H, [t.scalar(Fraction(1, 2)), t.zero(), t.zero(), et]))):
         assert _over_table(x, t) and x == twin and x * x == twin * twin
         assert all(isinstance(n, SuperPolynomial) and n.table is t for n in x.num)
-    assert all(type(n) is QI for n in DAElement(H, [QI(0, 1), 1, 0, 0]).num)
     # a polynomial slot names the ring before or after a non-real QI one
     for x in (DAElement(H, [QI(0, 1), eps, 0, 0]), DAElement(H, [eps, QI(0, 1), 0, 0])):
         assert _over_table(x, t) and x + H.unit(1, t.one()) == H.unit(1, t.one()) + x
-    for coeffs, zero in (([eps, u.sym("eps")], None), ([u.sym("eps"), 1], t.zero())):
-        with pytest.raises(TableMismatchError):
-            DAElement(C, coeffs, zero)
+    with pytest.raises(TableMismatchError):
+        DAElement(C, [eps, u.sym("eps")])
 
 
-def test_scale_by_a_gaussian_rational_folds_the_denominator():
-    """x.scale(c) for a QI c keeps QI numerators over a positive int
-    denominator; its slot values are QIs equal to the definition's."""
-    rng = random.Random(67)
-    for alg in (C, H, O):
-        for _ in range(20):
-            x = _not_integral(alg, rng)
-            c = QI(Fraction(rng.randint(-3, 3), 2), rng.randint(1, 3))
-            got = x.scale(c)
-            assert _over_a_den(got) and got.coeffs == _naive("scale", x, c=c)
-            assert all(isinstance(slot, QI) for slot in got.coeffs)
-
-
-@pytest.mark.parametrize("alg", [H, O], ids=lambda a: a.which)
-def test_gaussian_slots_with_the_int_zero(alg):
-    """An element built as `minkowski.reduction_charges` builds its
-    conjugates: Gaussian conjugates of one element over QI with a real slot
-    and an I-unit slot, made in one constructor call, since a real QI unit
-    is rational and does not add to an I-unit.  The zero is a QI that equals
-    the int zero; a rational element multiplies such an element but does
-    not add to it.  Every result keeps QI numerators over a positive int
-    denominator."""
-    rng = random.Random(71 + alg.dim)
-    for _ in range(20):
-        a1, a2 = rng.sample(range(1, alg.dim + 1), 2)
-        re, im = QI(Fraction(rng.randint(-3, 3), 2)), QI(0, rng.randint(1, 2))
+def test_a_non_real_scalar_needs_a_polynomial_slot():
+    """An element has rational or polynomial slots, so a non-real QI slot
+    with no polynomial slot beside it, and a non-real QI scale of a
+    rational element or matrix, raise TypeError; beside a polynomial slot a
+    non-real QI is a constant of the table, and it scales polynomial slots."""
+    t = _envelope()
+    eps, i = t.sym("eps"), QI(0, 1)
+    rational = Matrix([[H.unit(1), H.zero_like()], [H.zero_like(), H.unit(2)]], H.zero_like())
+    for build in (lambda: DAElement(H, [i, 1, 0, 0]), lambda: H.unit(2, i),
+                  lambda: H.unit(2).scale(i), lambda: rational.scale(i)):
         with pytest.raises(TypeError):
-            alg.unit(a1, re) + alg.unit(a2, im)
-        slots = [QI(0)] * alg.dim
-        slots[a1 - 1], slots[a2 - 1] = re, im
-        v = DAElement(alg, slots)
-        assert type(v.zero) is QI and v.coeffs == slots
-        z = DAElement(alg, [c.conjugate() for c in v.coeffs])
-        assert z.den == 1 and z.zero == 0 and z.coeffs == [c.conjugate() for c in v.coeffs]
-        x = _not_integral(alg, rng)
-        for u, w in ((z, x), (x, z), (z, v), (v, z)):
-            for op in ("+", "-", "*"):
-                if op != "*" and (u is x or w is x):
-                    with pytest.raises(TypeError):
-                        _apply(op, u, w)
-                    continue
-                got = _apply(op, u, w)
-                assert _over_a_den(got) and got.coeffs == _naive(op, u, w), op
-        for op in ("neg", "conj", "re", "im"):
-            assert _apply(op, z).coeffs == _naive(op, z), op
-        assert z.scale(Fraction(1, 3)).coeffs == _naive("scale", z, c=Fraction(1, 3))
-        assert z == DAElement(alg, z.coeffs) and z != v
+            build()
+    x = DAElement(H, [i, eps, 0, 0])
+    assert _over_table(x, t) and x.coeffs == [t.scalar(i), eps, t.zero(), t.zero()]
+    y = x.scale(i)
+    assert _over_table(y, t) and y.coeffs == [t.scalar(-1), i * eps, t.zero(), t.zero()]
 
 
 @pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
@@ -460,16 +411,11 @@ def _operands_in(ring, alg, rng):
     x = _not_integral(alg, rng)
     if ring == "rational":
         return x, _not_integral(alg, rng), x
-    if ring == "QI":
-        c = QI(Fraction(rng.randint(-3, 3), 2), rng.randint(1, 3))
-        # each slot non-real, so that R's one slot names the QI ring too
-        return x.scale(c), DAElement(alg, [QI(rng.randint(-2, 2), rng.choice((-2, -1, 1, 2)))
-                                           for _ in range(alg.dim)]), x
     t = _envelope()
     return x.scale(t.sym("eps")), _nonzero_poly_elem(alg, t, rng), x
 
 
-@pytest.mark.parametrize("ring", ["rational", "QI", "polynomial"])
+@pytest.mark.parametrize("ring", ["rational", "polynomial"])
 @pytest.mark.parametrize("alg", [R, C, H, O], ids=lambda a: a.which)
 def test_operator_results_take_the_ring_from_the_zero(monkeypatch, alg, ring):
     """Once the operands are built, no operator reads a slot to find the
@@ -501,7 +447,7 @@ def test_operator_results_take_the_ring_from_the_zero(monkeypatch, alg, ring):
         if ring == "rational":
             assert_canonical(e, e.coeffs)
         else:
-            assert _over_a_den(e, None if ring == "QI" else e.zero.table), op
+            assert _over_a_den(e, e.zero.table), op
     assert any(e.den != 1 for e in got)
 
 
@@ -649,8 +595,9 @@ def _form(e):
 def test_matrix_scale_against_entrywise_scale():
     """Matrix.scale(c), which reads c once, and DAElement.scale(c) against
     the entry-by-entry normalization, numerators, den and zero alike: c an
-    int, a Fraction, a real and a non-real QI or a polynomial, zero among
-    them, on a rational and a polynomial-slot 5x5 matrix at k = 4."""
+    int, a Fraction, a real QI or a polynomial, zero among them, on a
+    rational and a polynomial-slot 5x5 matrix at k = 4, and a non-real QI
+    on the polynomial-slot one."""
     ctx = minkowski.MinkContext(4, n_eta=1)
     t = ctx.table
     rng = random.Random(97)
@@ -658,10 +605,11 @@ def test_matrix_scale_against_entrywise_scale():
                         for _ in range(5)] for _ in range(5)], H.zero_like())
     slots = minkowski.anticomm(minkowski.q_unit(ctx, 1, 2), minkowski.q_unit(ctx, 2, 3)) + \
         minkowski.q_matrix(ctx, 1, H.element([1, Fraction(1, 2), 0, -3]))
-    for m in (rational, slots):
+    scalars = (0, 1, -6, Fraction(1, 2), Fraction(-4, 6), QI(Fraction(3, 4)), t.sym("eps"),
+               t.sym("eps") * ctx.eta(1) + 2, t.zero())
+    for m, non_real in ((rational, ()), (slots, (QI(1, 2), QI(Fraction(1, 3), -1)))):
         assert not m.is_zero()
-        for c in (0, 1, -6, Fraction(1, 2), Fraction(-4, 6), QI(Fraction(3, 4)), QI(1, 2),
-                  QI(Fraction(1, 3), -1), t.sym("eps"), t.sym("eps") * ctx.eta(1) + 2, t.zero()):
+        for c in scalars + non_real:
             got = m.scale(c)
             want = [{j: _scaled_by_normal(e, c) for j, e in row.items()} for row in m.rows]
             assert [{j: _form(e) for j, e in row.items()} for row in got.rows] == \

@@ -5,11 +5,12 @@ import pytest
 
 from supergrass.divalg import C, H, O, R, DAElement
 from supergrass.kernel import ParityError, SuperPolynomial
-from supergrass.minkowski import (Hermitian2, MinkContext, Matrix, SuperTranslationElement,
-                                  anticomm, comm, exp_element, group_law_check, kmat2,
-                                  null_vector_check, q_matrix, q_unit, r_matrix, r_symmetry_check,
-                                  reduction_charges, rho_endo, sigma_map, sl4c_bridge_check, t_map,
-                                  wedge_coords, x_matrix, x_of_pair)
+from supergrass.minkowski import (Z_TABLES, Hermitian2, MinkContext, Matrix,
+                                  SuperTranslationElement, _z_value, anticomm, comm, exp_element,
+                                  group_law_check, kmat2, null_vector_check, q_matrix, q_unit,
+                                  r_matrix, r_symmetry_check, reduction_charges, rho_endo,
+                                  script_i, sigma_map, sl4c_bridge_check, t_map, wedge_coords,
+                                  x_matrix, x_of_pair)
 from supergrass.scalars import QI
 
 
@@ -40,7 +41,7 @@ def _ring(ring, rng):
         if rng.random() < 0.3:
             return alg.zero_like(t.zero())
         return DAElement(alg, [sum((g.scale(rng.randint(-2, 2)) for g in gens), t.zero())
-                               for _ in range(alg.dim)], t.zero())
+                               for _ in range(alg.dim)])
     return alg.zero_like(t.zero()), draw, [Fraction(1, 2), ctx.eps(), ctx.eta(1), t.zero()]
 
 
@@ -241,12 +242,15 @@ def test_rho_rejects_non_tracefree():
 # -- reductions -----------------------------------------------------------------------
 
 def test_reduction_k8_and_z_table():
-    rep = reduction_charges(8)
+    ctx = MinkContext(8)
     # Z_12 = I(-u3 + sqrt(-1) u4): entry (1,5) must be (-u3 + i u4)/2
-    z12 = rep["Z"][(1, 2)]
-    e = z12[0, 4]
-    assert e.coeffs[2] == rep["ctx"].table.scalar(Fraction(-1, 2))
-    assert e.coeffs[3] == rep["ctx"].table.scalar(QI(0, Fraction(1, 2)))
+    e = script_i(ctx, _z_value(ctx, Z_TABLES[8][1, 2]))[0, 4]
+    assert e.coeffs[2] == ctx.table.scalar(Fraction(-1, 2))
+    assert e.coeffs[3] == ctx.table.scalar(QI(0, Fraction(1, 2)))
+    for k in (2, 4, 8):
+        assert reduction_charges(k) is None
+    with pytest.raises(ValueError):
+        reduction_charges(1)
 
 
 # -- the k = 4 bridge ------------------------------------------------------------------
